@@ -7,7 +7,7 @@ term-construction fast path):
 * **query fan-out** — every per-channel deadlock query of a 2×2 MI mesh,
   answered by one session vs a fresh encoding + solver per query;
 * **Figure-4 sweep** — ``minimal_queue_size`` with the shared parametric
-  session vs one :func:`verify` per probed size;
+  session vs one :func:`verify` per size that search probed;
 * **witness enumeration** — blocking-clause enumeration inside one
   session vs the seed behavior of re-encoding per witness.
 
@@ -30,6 +30,7 @@ from repro.core import (
     derive_colors,
     encode_deadlock,
     minimal_queue_size,
+    verify,
 )
 from repro.protocols import abstract_mi_mesh
 from repro.smt import Result, Solver, conj, eq, neg
@@ -57,6 +58,11 @@ def _scratch_case_queries(network):
         solver.add(encoding.cases[index].term)
         verdicts.append(solver.check() == Result.UNSAT)
     return verdicts
+
+
+def _scratch_sizing(build, sizes):
+    """From-scratch baseline: one fresh :func:`verify` per probed size."""
+    return {size: verify(build(size)).deadlock_free for size in sizes}
 
 
 def _session_case_queries(network):
@@ -126,11 +132,8 @@ def run_benchmarks() -> dict:
         return abstract_mi_mesh(2, 2, queue_size=size).network
 
     inc, inc_s = _timed(minimal_queue_size, build)
-    scr, scr_s = _timed(
-        lambda b: minimal_queue_size(b, incremental=False), build
-    )
-    assert inc.minimal_size == scr.minimal_size
-    assert inc.probes == scr.probes
+    scr, scr_s = _timed(_scratch_sizing, build, sorted(inc.probes))
+    assert inc.probes == scr, "sweep verdict mismatch"
     results["fig4_sweep_2x2"] = {
         "minimal_size": inc.minimal_size,
         "probes": len(inc.probes),

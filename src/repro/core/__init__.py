@@ -49,8 +49,8 @@ from .deadlock import DeadlockCase, DeadlockEncoding, encode_deadlock
 from .engine import (
     SessionSnapshot,
     SessionSpec,
+    Strengthening,
     VerificationSession,
-    escalate_partial,
 )
 from .experiments import (
     Experiment,
@@ -157,7 +157,7 @@ __all__ = [
     "invariant_features",
     "rank_invariants",
     "encode_invariant_rows",
-    "escalate_partial",
+    "Strengthening",
     "DEFAULT_RANK_BUDGET",
     "DEFAULT_RANK_GROWTH",
     "Deadline",

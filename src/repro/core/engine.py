@@ -82,7 +82,7 @@ __all__ = [
     "SessionSpec",
     "SessionSnapshot",
     "VerificationSession",
-    "escalate_partial",
+    "Strengthening",
 ]
 
 Color = Hashable
@@ -332,25 +332,6 @@ class SessionSpec:
             )
             self._ranked = rank_invariants(base)
         return list(self._ranked)
-
-    def invariant_selector(
-        self,
-        rank_budget: int | None = None,
-        rank_growth: int | None = None,
-        watch: Stopwatch | None = None,
-    ) -> InvariantSelector:
-        """A fresh CEGAR escalation state over :meth:`ranked_invariants`.
-
-        One selector per solver: it tracks which rows that solver has
-        already conjoined.  Pair its batches with
-        :meth:`VerificationSession.conjoin_invariants` via
-        :func:`escalate_partial`.
-        """
-        return InvariantSelector(
-            encode_invariant_rows(self.ranked_invariants(watch=watch)),
-            rank_budget=rank_budget,
-            rank_growth=rank_growth,
-        )
 
     # ------------------------------------------------------------------
     def base_terms(self) -> Iterator[Term]:
@@ -893,44 +874,118 @@ class VerificationSession:
         }
 
 
-def escalate_partial(
-    session: VerificationSession,
-    selector: InvariantSelector,
-    ranked: list[Invariant],
-    result: VerificationResult,
-    reverify: Callable[[], VerificationResult],
-) -> VerificationResult:
-    """Refine a surviving deadlock candidate under partial invariants.
+INVARIANT_MODES = ("eager", "lazy", "partial", "none")
 
-    The CEGAR loop of ``invariants="partial"``: while the candidate
-    survives, conjoin the next batch of ranked rows its model violates and
-    re-ask the same query.  Terminates with either
 
-    * a deadlock-free verdict under a *subset* of the invariants (sound:
-      adding the rest keeps UNSAT — byte-identical to eager mode), or
-    * a candidate whose model satisfies every remaining row (it would
-      survive the full set too — byte-identical to eager mode), reached
-      at the latest when the selector is exhausted at the full set.
+class Strengthening:
+    """The invariant-strengthening policy of one session's probe walk.
 
-    ``ranked`` must be the spec's static-rank list the selector was built
-    over; ``reverify`` re-runs the probe (capacity pins included).  The
-    final result's ``stats["invariant_selection"]`` records this probe's
-    escalation delta.
+    Decides when the cross-layer invariants are conjoined, and records
+    what that cost.  The ``invariants=`` modes:
+
+    * ``"eager"`` — :meth:`prepare` conjoins the full set before the
+      first probe;
+    * ``"lazy"`` — the first deadlock candidate that survives plain
+      block/idle detection conjoins the full set and is re-asked
+      (invariants only strengthen, so a deadlock-free verdict without
+      them stays deadlock-free with them);
+    * ``"partial"`` — every surviving candidate runs the CEGAR loop
+      (:meth:`~repro.core.invariants.InvariantSelector.refine`) through
+      the statically ranked rows its model violates, in geometrically
+      growing ``rank_budget`` / ``rank_growth`` batches, ending at the
+      full set at the latest;
+    * ``"none"`` — never strengthen: plain block/idle detection.
+
+    Every mode but ``"none"`` answers each probe exactly as eager mode
+    does.  One object serves one session, because the rows it conjoined
+    stay in that session's solver.
+
+    Accounting: ``invariants_used`` (rows in force), ``lazy_escalations``
+    (escalation steps), ``invariants_generated`` (rows encoded),
+    ``rank_histogram`` (partial: rows per static-rank tier) and
+    ``seconds`` (time spent generating and conjoining rows).
     """
-    before = selector.counters()
-    # A TIMEOUT result exits immediately: there is no model to refine
-    # against, and the caller owns the expired-budget handling.
-    while (
-        not result.deadlock_free
-        and not result.timed_out
-        and not selector.exhausted
+
+    def __init__(
+        self,
+        invariants: str = "eager",
+        rank_budget: int | None = None,
+        rank_growth: int | None = None,
     ):
-        batch = selector.next_batch(session.invariant_value_of())
-        if not batch:
-            break  # model satisfies the full remainder: candidate is final
-        session.conjoin_invariants([ranked[index] for index in batch])
-        result = reverify()
-    result.stats["invariant_selection"] = InvariantSelector.counters_delta(
-        selector.counters(), before
-    )
-    return result
+        if invariants not in INVARIANT_MODES:
+            raise ValueError(
+                f"invariants must be one of {INVARIANT_MODES}, "
+                f"got {invariants!r}"
+            )
+        self.mode = invariants
+        self.upfront = invariants == "eager"
+        self.deferred = invariants == "lazy"
+        self.refining = invariants == "partial"
+        self.rank_budget, self.rank_growth = InvariantSelector.schedule(
+            rank_budget, rank_growth
+        )
+        self.invariants_used = False
+        self.lazy_escalations = 0
+        self.invariants_generated = 0
+        self.rank_histogram: dict[int, int] = {}
+        self.seconds = 0.0
+        self._selector: InvariantSelector | None = None
+
+    def prepare(self, session: VerificationSession) -> None:
+        """Strengthen ``session`` before its first probe (eager mode)."""
+        if self.upfront:
+            self._conjoin_all(session)
+
+    def settle(
+        self,
+        session: VerificationSession,
+        result: VerificationResult,
+        reask: Callable[[], VerificationResult],
+    ) -> VerificationResult:
+        """The final answer to one probe, strengthening as the mode asks.
+
+        ``reask`` re-runs the probe (capacity pins included).  A TIMEOUT
+        or deadlock-free ``result`` comes back untouched: an expired probe
+        has no model to refine against, and its budget is the caller's.
+        """
+        if result.timed_out or result.deadlock_free:
+            return result
+        if self.deferred and not self.invariants_used:
+            self._conjoin_all(session)
+            self.lazy_escalations += 1
+            return reask()
+        if not self.refining:
+            return result
+        ranked = self._timed(session.spec.ranked_invariants)
+        if self._selector is None:
+            self._selector = InvariantSelector(
+                encode_invariant_rows(ranked), self.rank_budget, self.rank_growth
+            )
+        selector = self._selector
+        result, delta = selector.refine(
+            result,
+            lambda answer: not answer.deadlock_free and not answer.timed_out,
+            session.invariant_value_of,
+            lambda batch: self._timed(
+                lambda: session.conjoin_invariants([ranked[i] for i in batch])
+            ),
+            reask,
+        )
+        result.stats["invariant_selection"] = delta
+        self.lazy_escalations = selector.escalations
+        self.invariants_generated = selector.generated
+        self.rank_histogram = dict(selector.rank_histogram)
+        self.invariants_used = self.invariants_generated > 0
+        return result
+
+    def _conjoin_all(self, session: VerificationSession) -> None:
+        self._timed(session.add_invariants)
+        self.invariants_used = True
+        self.invariants_generated = len(session.invariants)
+
+    def _timed(self, thunk: Callable):
+        start = perf_counter()
+        try:
+            return thunk()
+        finally:
+            self.seconds += perf_counter() - start

@@ -58,7 +58,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..xmas import Network
 from .cache import atomic_write_json
-from .invariants import DEFAULT_RANK_BUDGET, DEFAULT_RANK_GROWTH
+from .engine import Strengthening
 from .parallel import (
     default_jobs,
     discard_scenario_executor,
@@ -66,19 +66,8 @@ from .parallel import (
     scenario_executor,
 )
 from .resilience import Deadline, RetryPolicy, maybe_inject
-from .sizing import (
-    INVARIANT_MODES,
-    SizingResult,
-    minimal_queue_size,
-    sweep_queue_sizes,
-)
+from .sizing import SizingResult, minimal_queue_size, sweep_queue_sizes
 
-
-def resolve_rank_knob(value: "int | None", kind: str) -> int:
-    """A partial-mode schedule knob with the selector default applied."""
-    if value is not None:
-        return int(value)
-    return DEFAULT_RANK_BUDGET if kind == "budget" else DEFAULT_RANK_GROWTH
 
 __all__ = [
     "Experiment",
@@ -353,11 +342,8 @@ class ScenarioSpec:
             raise ValueError(
                 f"mode must be one of {SCENARIO_MODES}, got {self.mode!r}"
             )
-        if self.invariants not in INVARIANT_MODES:
-            raise ValueError(
-                f"invariants must be one of {INVARIANT_MODES}, "
-                f"got {self.invariants!r}"
-            )
+        # Rejects an unknown mode or a rank schedule below 1.
+        Strengthening(self.invariants, self.rank_budget, self.rank_growth)
         raw = self.kwargs
         if isinstance(raw, Mapping):
             pairs = raw.items()
@@ -375,10 +361,6 @@ class ScenarioSpec:
             raise ValueError(
                 f"query_jobs must be >= 1, got {self.query_jobs}"
             )
-        for knob in ("rank_budget", "rank_growth"):
-            value = getattr(self, knob)
-            if value is not None and value < 1:
-                raise ValueError(f"{knob} must be >= 1, got {value}")
 
     # ------------------------------------------------------------------
     def key(self) -> str:
@@ -527,7 +509,9 @@ class ScenarioResult:
             for key, value in result.stats.get("solver", {}).items():
                 if isinstance(value, (int, float)):
                     solver_totals[key] = solver_totals.get(key, 0) + value
-        partial = spec.invariants == "partial"
+        selection = Strengthening(
+            spec.invariants, spec.rank_budget, spec.rank_growth
+        )
         return cls(
             key=spec.key(),
             label=spec.display_label,
@@ -541,12 +525,8 @@ class ScenarioResult:
             lazy_escalations=sizing.lazy_escalations,
             invariants_generated=sizing.invariants_generated,
             rank_histogram=dict(sorted(sizing.rank_histogram.items())),
-            rank_budget=resolve_rank_knob(spec.rank_budget, "budget")
-            if partial
-            else None,
-            rank_growth=resolve_rank_knob(spec.rank_growth, "growth")
-            if partial
-            else None,
+            rank_budget=selection.rank_budget if selection.refining else None,
+            rank_growth=selection.rank_growth if selection.refining else None,
             strategy_wins=dict(sorted(sizing.strategy_wins.items())),
             portfolio_races=sizing.portfolio_races,
             stats={"network": network_stats, "solver_totals": solver_totals},
@@ -945,15 +925,13 @@ class Experiment:
         # spliced in — its ablation counters reflect the recorded policy,
         # which must be loud, not silent.
         for spec in self.scenarios:
-            if spec.invariants != "partial":
-                continue
-            prior = completed.get(spec.key())
-            if prior is None:
-                continue
-            wanted = (
-                resolve_rank_knob(spec.rank_budget, "budget"),
-                resolve_rank_knob(spec.rank_growth, "growth"),
+            selection = Strengthening(
+                spec.invariants, spec.rank_budget, spec.rank_growth
             )
+            prior = completed.get(spec.key())
+            if not selection.refining or prior is None:
+                continue
+            wanted = (selection.rank_budget, selection.rank_growth)
             recorded = (prior.rank_budget, prior.rank_growth)
             if recorded != wanted:
                 warnings.warn(

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Sequence, TypeVar
 
 from ..linalg import SparseVector, eliminate_columns
 from ..xmas import (
@@ -417,6 +417,8 @@ DEFAULT_RANK_GROWTH = 2
 # pool workers and are re-built as terms over the restored vocabulary.
 PlainRow = tuple[tuple[tuple[int, int, int, bool], ...], int, int]
 
+T = TypeVar("T")
+
 
 def invariant_features(invariant: Invariant) -> tuple[int, int, int]:
     """The static ranking features of one invariant row.
@@ -527,21 +529,27 @@ class InvariantSelector:
         rank_growth: int | None = None,
     ):
         self.rows = tuple(rows)
-        self.rank_budget = (
-            DEFAULT_RANK_BUDGET if rank_budget is None else int(rank_budget)
+        self.rank_budget, self.rank_growth = self.schedule(
+            rank_budget, rank_growth
         )
-        self.rank_growth = (
-            DEFAULT_RANK_GROWTH if rank_growth is None else int(rank_growth)
-        )
-        if self.rank_budget < 1:
-            raise ValueError(f"rank_budget must be >= 1, got {rank_budget}")
-        if self.rank_growth < 1:
-            raise ValueError(f"rank_growth must be >= 1, got {rank_growth}")
         self._budget = self.rank_budget
         self._remaining: list[int] = list(range(len(self.rows)))
         self.generated = 0
         self.escalations = 0
         self.rank_histogram: dict[int, int] = {}
+
+    @staticmethod
+    def schedule(
+        rank_budget: int | None = None, rank_growth: int | None = None
+    ) -> tuple[int, int]:
+        """``(rank_budget, rank_growth)``, defaults applied; both >= 1."""
+        budget = DEFAULT_RANK_BUDGET if rank_budget is None else int(rank_budget)
+        growth = DEFAULT_RANK_GROWTH if rank_growth is None else int(rank_growth)
+        if budget < 1:
+            raise ValueError(f"rank_budget must be >= 1, got {rank_budget}")
+        if growth < 1:
+            raise ValueError(f"rank_growth must be >= 1, got {rank_growth}")
+        return budget, growth
 
     @property
     def exhausted(self) -> bool:
@@ -600,3 +608,32 @@ class InvariantSelector:
             tier = index // self.rank_budget
             self.rank_histogram[tier] = self.rank_histogram.get(tier, 0) + 1
         return batch
+
+    def refine(
+        self,
+        answer: T,
+        is_candidate: Callable[[T], bool],
+        model_values: Callable[[], Callable[[int], int]],
+        conjoin: Callable[[list[int]], None],
+        reask: Callable[[], T],
+    ) -> tuple[T, dict]:
+        """The CEGAR loop over one probe's answer.
+
+        While ``is_candidate(answer)`` holds, conjoin the next batch of
+        rows the candidate's model violates (``conjoin`` receives their
+        static-rank indices) and ``reask`` the same probe.  Stops when the
+        candidate is refuted, when its model satisfies every remaining row,
+        or once the full set is in force — in each case the final answer
+        is the one eager mode gives.  ``model_values`` is called after
+        each candidate answer for the :meth:`next_batch` lookup.
+
+        Returns the final answer and this probe's :meth:`counters_delta`.
+        """
+        before = self.counters()
+        while is_candidate(answer) and not self.exhausted:
+            batch = self.next_batch(model_values())
+            if not batch:
+                break  # the model satisfies the full remainder: final
+            conjoin(batch)
+            answer = reask()
+        return answer, self.counters_delta(self.counters(), before)

@@ -390,31 +390,32 @@ class WorkerSession:
     ) -> tuple:
         """One probe under partial invariants (worker-local CEGAR loop).
 
-        Mirrors :func:`repro.core.engine.escalate_partial`: while the
-        candidate survives, conjoin the next violated batch and re-ask;
-        stop when the verdict frees, the model satisfies every remaining
-        row, or the full set is in force.  The strengthening is permanent,
-        so later probes on this worker continue from it.  Returns the
-        probe payload extended with this probe's selection delta.
+        Runs :meth:`~repro.core.invariants.InvariantSelector.refine` over
+        the probe payload.  The strengthening is permanent, so later
+        probes on this worker continue from it.  Returns the probe payload
+        extended with this probe's selection delta.
 
         Slice bounds apply per inner :meth:`check`; an ``"unknown"``
         payload exits the loop (conjoined rows persist), so the next call
         resumes the escalation where this slice stopped.
         """
-        before = selector.counters()
-        payload = self.check(
-            target, sizes, want_witness, conflict_limit, should_stop
-        )
-        while payload[0] == "sat" and not selector.exhausted:
-            batch = selector.next_batch(self._model_value_of())
-            if not batch:
-                break  # candidate survives the full set: final
-            for index in batch:
-                self.solver.add_global(self._row_term(selector.rows[index]))
-            payload = self.check(
+
+        def ask() -> tuple:
+            return self.check(
                 target, sizes, want_witness, conflict_limit, should_stop
             )
-        delta = InvariantSelector.counters_delta(selector.counters(), before)
+
+        def conjoin(batch: list[int]) -> None:
+            for index in batch:
+                self.solver.add_global(self._row_term(selector.rows[index]))
+
+        payload, delta = selector.refine(
+            ask(),
+            lambda answer: answer[0] == "sat",
+            self._model_value_of,
+            conjoin,
+            ask,
+        )
         return (*payload, delta)
 
     def _seed_phases_from_sat(self, payload: tuple) -> None:
@@ -468,25 +469,18 @@ class WorkerSession:
             _, target, sizes, want_witness, *rest = job
             deadline = Deadline.from_wire(rest[0]) if rest else None
             return self._bounded_check(deadline, target, sizes, want_witness)
-        if kind == "shard":
-            _, probes, want_witness, *rest = job
+        if kind in ("shard", "eshard"):
+            # An ordered walk over one shard's probes.  An escalating shard
+            # ("eshard") first runs the worker-local escalation loop over
+            # the snapshot's pending invariant rows on every surviving
+            # candidate.
+            selector = None
+            if kind == "shard":
+                _, probes, want_witness, *rest = job
+            else:
+                _, probes, want_witness, rank_budget, rank_growth, *rest = job
+                selector = self._ensure_selector(rank_budget, rank_growth)
             deadline = Deadline.from_wire(rest[0]) if rest else None
-            payloads = []
-            for target, sizes in probes:
-                payload = self._bounded_check(
-                    deadline, target, sizes, want_witness
-                )
-                payloads.append(payload)
-                if payload[0] == "sat":
-                    self._seed_phases_from_sat(payload)
-            return payloads
-        if kind == "eshard":
-            # An escalating shard: same ordered walk as "shard", but every
-            # surviving candidate first runs the worker-local escalation
-            # loop over the snapshot's pending invariant rows.
-            _, probes, want_witness, rank_budget, rank_growth, *rest = job
-            deadline = Deadline.from_wire(rest[0]) if rest else None
-            selector = self._ensure_selector(rank_budget, rank_growth)
             payloads = []
             for target, sizes in probes:
                 payload = self._bounded_check(
@@ -1016,34 +1010,21 @@ class ParallelVerificationSession:
             ]
             for shard in shards
         ]
+        # An escalating shard ("eshard") carries the rank schedule.
+        kind, schedule = (
+            ("shard", ()) if escalation is None else ("eshard", escalation)
+        )
         tail = self._job_tail(deadline)
-        if escalation is None:
-            job_list: list[Job] = [
-                (
-                    "shard",
-                    tuple(
-                        (None, tuple(sorted(full.items()))) for full in shard
-                    ),
-                    want_witness,
-                    *tail,
-                )
-                for shard in full_shards
-            ]
-        else:
-            rank_budget, rank_growth = escalation
-            job_list = [
-                (
-                    "eshard",
-                    tuple(
-                        (None, tuple(sorted(full.items()))) for full in shard
-                    ),
-                    want_witness,
-                    rank_budget,
-                    rank_growth,
-                    *tail,
-                )
-                for shard in full_shards
-            ]
+        job_list: list[Job] = [
+            (
+                kind,
+                tuple((None, tuple(sorted(full.items()))) for full in shard),
+                want_witness,
+                *schedule,
+                *tail,
+            )
+            for shard in full_shards
+        ]
         payload_lists = self._dispatch(job_list)
         return [
             [

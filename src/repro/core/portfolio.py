@@ -597,6 +597,15 @@ class PortfolioSession:
     def queue_sizes(self) -> dict[str, int]:
         return dict(self._sizes)
 
+    @property
+    def invariants_generated(self) -> int:
+        """Invariant rows the racers strengthen from (the full ranked set)."""
+        return len(self._base_snapshot().pending_invariant_rows)
+
+    def seed_phases_from_witness(self) -> int:
+        """No-op: each racer keeps its own phases warm across probes."""
+        return 0
+
     def _sizes_key(self, sizes: Mapping[str, int] | None = None):
         if not self._parametric:
             return None
@@ -949,11 +958,10 @@ class PortfolioSession:
         kind, a, b, solver_stats, elapsed = payload[:5]
         solver_stats = dict(solver_stats)
         solver_profile = solver_stats.pop("profile", {})
-        snapshot = self._base_snapshot()
         stats = {
             "network": self.network.stats(),
             "color_pairs": self.colors.total_pairs(),
-            "invariant_count": len(snapshot.pending_invariant_rows),
+            "invariant_count": self.invariants_generated,
             "solver": solver_stats,
             "solver_profile": solver_profile,
             "solve_seconds": elapsed,

@@ -8,57 +8,41 @@ not be occupied and therefore breaks the cycle).  The search exploits this:
 exponential climb until a deadlock-free size is found, then binary search
 for the boundary.
 
-The sweep runs on one :class:`~repro.core.engine.VerificationSession` with
+The search runs on one :class:`~repro.core.engine.VerificationSession` with
 *parametric* queue capacities: the block/idle encoding, the invariants and
 every clause the solver learns are shared across all probed sizes — only
-the ``cap[q] == size`` assumptions change per probe.  Set
-``incremental=False`` to fall back to one fresh :func:`verify` per size
-(the from-scratch baseline measured by ``benchmarks/bench_incremental.py``).
-The incremental path assumes ``build(size)`` changes only queue capacities,
-never network structure — true of every sweep in this repository (and of
-the paper's Figure 4); pass ``incremental=False`` for exotic builders.
+the ``cap[q] == size`` assumptions change per probe.  This assumes
+``build(size)`` changes only queue capacities, never network structure —
+true of every sweep in this repository (and of the paper's Figure 4); a
+builder whose primitive/channel counts or queue names change with the size
+is rejected with ``ValueError``.
 
 ``minimal_queue_size`` is deliberately defensive: monotonicity is an
 assumption about the *model family*, so the result records every probed
 size and its verdict, and ``exhaustive=True`` re-checks every size below
 the reported minimum.
 
-:func:`sweep_queue_sizes` is the parallel counterpart for the *curve*
-rather than the boundary: probe an explicit list of sizes (Figure 4 plots
-one verdict per point) sharded across pool workers.  Each worker holds
-one rehydrated parametric session and walks its shard in ascending order,
-so every probe warm-starts on the clauses learned by the previous ones —
-the same locality the sequential sweep exploits, multiplied by the worker
-count.  Per-shard outcomes are aggregated with :meth:`SizingResult.merge`.
+:func:`sweep_queue_sizes` is the counterpart for the *curve* rather than
+the boundary: probe an explicit list of sizes (Figure 4 plots one verdict
+per point), in ascending order on one session, or sharded across pool
+workers.  Each worker holds one rehydrated parametric session and walks
+its shard in ascending order, so every probe warm-starts on the clauses
+learned by the previous ones — the same locality the sequential sweep
+exploits, multiplied by the worker count.  Per-shard outcomes are
+aggregated with :meth:`SizingResult.merge`.
 
-Both walks are additionally *phase-seeded*: after a deadlocked probe the
+Every walk is additionally *phase-seeded*: after a deadlocked probe the
 next probe's branching phases are initialised from the previous witness's
 blocking shape (``seed_phases_from_witness`` locally, ``phase_hints`` in
 the shard workers), so each capacity step starts its search at the model
 the last step ended on instead of from scratch.
 
-**Invariant modes.**  Both entry points take ``invariants=`` with four
-settings.  ``"eager"`` (the default, equivalent to the old
-``use_invariants=True``) conjoins the cross-layer invariants before the
-first probe.  ``"none"`` never generates them — plain block/idle detection.
-``"lazy"`` is *batched invariant strengthening*: probes start without
-automaton-equation invariants and the set is generated and conjoined only
-when a deadlock candidate survives plain block/idle (a deadlock-free
-verdict without invariants stays deadlock-free with them — invariants only
-strengthen — so lazy verdicts are identical to eager ones while networks
-that verify outright never pay for invariant generation).  ``"partial"``
-goes further: instead of conjoining the *full* set on the first surviving
-candidate, it escalates CEGAR-style through the statically ranked rows
-(:class:`~repro.core.invariants.InvariantSelector` — only rows the
-candidate's model violates, witness-overlap first, geometrically growing
-``rank_budget`` batches), terminating at the full set, so verdicts stay
-byte-identical to eager mode while the big meshes typically encode a
-small fraction of the rows.  The result records whether invariants ended
-up in force (``invariants_used``), how many probes forced an escalation
-step (``lazy_escalations``), how many rows were encoded
-(``invariants_generated``) and how deep into the ranking the refinement
-reached (``rank_histogram``), so experiment grids can report the
-selection ablation per scenario.
+**Invariant modes.**  Both entry points take ``invariants=`` —
+``"eager"`` (the default), ``"lazy"``, ``"partial"`` or ``"none"`` — and
+hand it to one :class:`~repro.core.engine.Strengthening`, the policy that
+decides when the cross-layer invariants are conjoined and records the
+selection ablation (``invariants_used``, ``lazy_escalations``,
+``invariants_generated``, ``rank_histogram``) per scenario.
 
 **Timing split.**  Results separate ``build_seconds`` (network
 construction, encoding, invariant generation) from ``query_seconds``
@@ -73,8 +57,7 @@ from time import perf_counter
 from typing import Callable, Iterable, Sequence
 
 from ..xmas import Network
-from .engine import VerificationSession, escalate_partial
-from .proof import verify
+from .engine import Strengthening, VerificationSession
 from .resilience import Deadline
 from .result import VerificationResult
 
@@ -82,31 +65,11 @@ __all__ = [
     "SizingResult",
     "minimal_queue_size",
     "sweep_queue_sizes",
-    "resolve_invariants_mode",
 ]
-
-INVARIANT_MODES = ("eager", "lazy", "partial", "none")
 
 
 class _DeadlineExpired(Exception):
     """Internal control flow: a probe answered TIMEOUT; abort the walk."""
-
-
-def resolve_invariants_mode(
-    invariants: str | None, use_invariants: bool = True
-) -> str:
-    """Normalise the ``invariants=`` / legacy ``use_invariants=`` pair.
-
-    ``invariants`` wins when given; otherwise the boolean maps onto
-    ``"eager"`` / ``"none"``.
-    """
-    if invariants is None:
-        return "eager" if use_invariants else "none"
-    if invariants not in INVARIANT_MODES:
-        raise ValueError(
-            f"invariants must be one of {INVARIANT_MODES}, got {invariants!r}"
-        )
-    return invariants
 
 
 @dataclass
@@ -243,13 +206,140 @@ class _SplitTimer:
                 self.query += elapsed
 
 
+def _queue_sizes(network: Network) -> dict[str, int]:
+    return {q.name: q.size for q in network.queues()}
+
+
+def _capacity_only_assignment(
+    build: Callable[[int], Network], base: Network, timer: _SplitTimer
+) -> Callable[[int], dict[str, int]]:
+    """``size -> per-queue sizes of build(size)``, guarding that the
+    builder varies only queue capacities relative to ``base``.
+
+    Resizing to what ``build(size)`` *actually* produces keeps builders
+    that pin some queues.  Same-count rewires remain the caller's
+    responsibility.
+    """
+    base_stats = base.stats()
+    base_queues = {q.name for q in base.queues()}
+
+    def assignment(size: int) -> dict[str, int]:
+        built = timer.timed("build", lambda: build(size))
+        if (
+            built.stats() != base_stats
+            or {q.name for q in built.queues()} != base_queues
+        ):
+            raise ValueError(
+                "build(size) changed network structure, not just queue "
+                "capacities; queue sizing needs a capacity-only builder"
+            )
+        return _queue_sizes(built)
+
+    return assignment
+
+
+class _Walk:
+    """Probes queue sizes one at a time on one warm session.
+
+    The session, opened over ``base_network``, is a parametric
+    :class:`VerificationSession` under ``strengthening`` or, with
+    ``portfolio``, a :class:`~repro.core.portfolio.PortfolioSession`,
+    whose racers strengthen per strategy.  ``assignment`` maps a size to
+    the per-queue sizes to probe.
+    """
+
+    def __init__(
+        self,
+        base_network: Network,
+        assignment: Callable[[int], dict[str, int]],
+        strengthening: Strengthening,
+        timer: _SplitTimer,
+        deadline: Deadline | None,
+        verify_kwargs: dict,
+        portfolio: bool = False,
+        racer_jobs: int | None = None,
+        lead: str | None = None,
+    ):
+        self.assignment = assignment
+        self.mode = strengthening.mode
+        self.policy = strengthening
+        self.timer = timer
+        self.deadline = deadline
+        self.portfolio = portfolio
+        self.probes: dict[int, bool] = {}
+        self.results: dict[int, VerificationResult] = {}
+        if portfolio:
+            from .portfolio import PortfolioSession
+
+            self.policy = Strengthening("none")
+            self.session = timer.timed(
+                "build",
+                lambda: PortfolioSession(
+                    network=base_network,
+                    jobs=racer_jobs,
+                    lead=lead,
+                    max_splits=verify_kwargs.get("max_splits", 100_000),
+                ),
+            )
+        else:
+            self.session = timer.timed(
+                "build",
+                lambda: VerificationSession(
+                    base_network, parametric_queues=True, **verify_kwargs
+                ),
+            )
+        self.policy.prepare(self.session)
+
+    def _ask(self) -> VerificationResult:
+        return self.timer.timed(
+            "query", lambda: self.session.verify(deadline=self.deadline)
+        )
+
+    def probe(self, size: int) -> bool:
+        """Whether ``size`` verifies; raises :class:`_DeadlineExpired`
+        (after recording the TIMEOUT result) when the budget runs out."""
+        if size not in self.probes:
+            session = self.session
+            session.resize_queues(self.assignment(size))
+            session.seed_phases_from_witness()
+            result = self.policy.settle(session, self._ask(), self._ask)
+            self.results[size] = result
+            if result.timed_out:
+                raise _DeadlineExpired
+            self.probes[size] = result.deadlock_free
+        return self.probes[size]
+
+    def outcome(
+        self, minimal_size: int | None, timed_out: bool = False
+    ) -> SizingResult:
+        policy = self.policy
+        result = SizingResult(
+            minimal_size=minimal_size,
+            probes=self.probes,
+            results=self.results,
+            build_seconds=self.timer.build + policy.seconds,
+            query_seconds=self.timer.query,
+            invariants_mode=self.mode,
+            invariants_used=policy.invariants_used,
+            lazy_escalations=policy.lazy_escalations,
+            invariants_generated=policy.invariants_generated,
+            rank_histogram=dict(policy.rank_histogram),
+            timed_out=timed_out,
+        )
+        if self.portfolio:
+            result.invariants_used = True
+            result.invariants_generated = self.session.invariants_generated
+            result.strategy_wins = dict(self.session.strategy_wins)
+            result.portfolio_races = self.session.races
+        return result
+
+
 def minimal_queue_size(
     build: Callable[[int], Network],
     low: int = 1,
     max_size: int = 512,
     exhaustive: bool = False,
-    incremental: bool = True,
-    invariants: str | None = None,
+    invariants: str = "eager",
     rank_budget: int | None = None,
     rank_growth: int | None = None,
     portfolio: bool = False,
@@ -263,7 +353,8 @@ def minimal_queue_size(
     Parameters
     ----------
     build:
-        Constructs the network with every queue sized to the argument.
+        Constructs the network with every queue sized to the argument;
+        it must vary only queue capacities (checked, ``ValueError``).
     low:
         Smallest size to consider.
     max_size:
@@ -271,14 +362,9 @@ def minimal_queue_size(
     exhaustive:
         Verify every size in ``[low, found)`` is deadlocked rather than
         trusting monotonicity.
-    incremental:
-        Probe all sizes through one shared :class:`VerificationSession`
-        (requires ``build`` to vary only queue capacities).  ``False``
-        re-verifies each size from scratch.
     invariants:
         ``"eager"`` / ``"lazy"`` / ``"partial"`` / ``"none"`` — see the
-        module docstring.  Defaults to eager; the legacy
-        ``use_invariants=False`` kwarg still maps to ``"none"``.
+        module docstring and :class:`~repro.core.engine.Strengthening`.
     rank_budget, rank_growth:
         Partial-mode escalation schedule: the first batch size and the
         per-step growth factor
@@ -289,11 +375,11 @@ def minimal_queue_size(
         strategy roster (eager/lazy/partial + variants) with shared
         clauses — verdicts identical to eager, wall-clock tracks the best
         strategy per probe.  ``invariants`` is ignored (the roster spans
-        the modes); requires ``incremental=True``.  ``portfolio_jobs``
-        caps concurrent racers (``ADVOCAT_JOBS``/CPU budget otherwise)
-        and ``portfolio_lead`` names the strategy to race first (the
-        experiment scheduler passes its learned per-family leader).
-        The result's ``strategy_wins`` records who won each probe.
+        the modes).  ``portfolio_jobs`` caps concurrent racers
+        (``ADVOCAT_JOBS``/CPU budget otherwise) and ``portfolio_lead``
+        names the strategy to race first (the experiment scheduler passes
+        its learned per-family leader).  The result's ``strategy_wins``
+        records who won each probe.
     deadline:
         Optional :class:`~repro.core.resilience.Deadline` (or bare
         seconds / a wire tuple) bounding the *whole search*.  On expiry
@@ -302,316 +388,58 @@ def minimal_queue_size(
         in budget stay in ``probes``, and the TIMEOUT probe itself is
         recorded in ``results`` only.
     verify_kwargs:
-        Forwarded to :func:`repro.core.proof.verify` (``use_invariants``,
-        ``rotating_precision``, ``max_splits``).
+        Forwarded to :class:`~repro.core.engine.VerificationSession`
+        (``rotating_precision``, ``max_splits``).
     """
-    mode = resolve_invariants_mode(
-        invariants, verify_kwargs.pop("use_invariants", True)
-    )
+    strengthening = Strengthening(invariants, rank_budget, rank_growth)
     deadline = Deadline.coerce(deadline)
-    probes: dict[int, bool] = {}
-    results: dict[int, VerificationResult] = {}
     timer = _SplitTimer()
-    state = {
-        "added": mode == "eager",
-        "escalations": 0,
-        "generated": 0,
-        "histogram": {},
-        "selector": None,
-        "ranked": None,
-    }
-
-    def guard_timeout(size: int, result):
-        """Record a TIMEOUT probe and abort the walk (partial result)."""
-        if result.timed_out:
-            results[size] = result
-            raise _DeadlineExpired
-        return result
-
-    def settle_partial(session: VerificationSession, result):
-        """Partial-mode refinement of one surviving candidate."""
-        if state["selector"] is None:
-
-            def build_selection():
-                state["ranked"] = session.spec.ranked_invariants()
-                state["selector"] = session.spec.invariant_selector(
-                    rank_budget=rank_budget, rank_growth=rank_growth
-                )
-
-            timer.timed("build", build_selection)
-        result = timer.timed(
-            "query",
-            lambda: escalate_partial(
-                session,
-                state["selector"],
-                state["ranked"],
-                result,
-                lambda: session.verify(deadline=deadline),
-            ),
-        )
-        state["escalations"] = state["selector"].escalations
-        state["generated"] = state["selector"].generated
-        state["histogram"] = dict(state["selector"].rank_histogram)
-        return result
-
-    portfolio_session = None
-    if portfolio:
-        if not incremental:
-            raise ValueError(
-                "portfolio=True probes through one persistent racing "
-                "session and requires incremental=True"
-            )
-        from .portfolio import PortfolioSession
-
-        base_network = timer.timed("build", lambda: build(low))
-        base_stats = base_network.stats()
-        base_queues = {q.name for q in base_network.queues()}
-        portfolio_session = timer.timed(
-            "build",
-            lambda: PortfolioSession(
-                network=base_network,
-                jobs=portfolio_jobs,
-                lead=portfolio_lead,
-                max_splits=verify_kwargs.get("max_splits", 100_000),
-            ),
-        )
-
-        def probe(size: int) -> bool:
-            if size not in probes:
-                built = timer.timed("build", lambda: build(size))
-                if (
-                    built.stats() != base_stats
-                    or {q.name for q in built.queues()} != base_queues
-                ):
-                    raise ValueError(
-                        "build(size) changed network structure, not just "
-                        "queue capacities; rerun with incremental=False"
-                    )
-                portfolio_session.resize_queues(
-                    {q.name: q.size for q in built.queues()}
-                )
-                result = timer.timed(
-                    "query",
-                    lambda: portfolio_session.verify(deadline=deadline),
-                )
-                guard_timeout(size, result)
-                probes[size] = result.deadlock_free
-                results[size] = result
-            return probes[size]
-
-    elif incremental:
-        base_network = timer.timed("build", lambda: build(low))
-        base_stats = base_network.stats()
-        base_queues = {q.name for q in base_network.queues()}
-        session = timer.timed(
-            "build",
-            lambda: VerificationSession(
-                base_network, parametric_queues=True, **verify_kwargs
-            ),
-        )
-        if mode == "eager":
-            timer.timed("build", session.add_invariants)
-            state["generated"] = len(session.invariants)
-
-        def probe(size: int) -> bool:
-            if size not in probes:
-                # Resize to what build(size) *actually* produces: builders
-                # may pin some queues (non-uniform capacities).  Guard the
-                # capacity-only assumption: primitive/channel counts or the
-                # queue-name set changing means the builder varies structure
-                # (same-count rewires remain the caller's responsibility).
-                built = timer.timed("build", lambda: build(size))
-                if (
-                    built.stats() != base_stats
-                    or {q.name for q in built.queues()} != base_queues
-                ):
-                    raise ValueError(
-                        "build(size) changed network structure, not just "
-                        "queue capacities; rerun with incremental=False"
-                    )
-                session.resize_queues({q.name: q.size for q in built.queues()})
-                session.seed_phases_from_witness()
-                result = timer.timed(
-                    "query", lambda: session.verify(deadline=deadline)
-                )
-                # TIMEOUT is checked *before* any escalation: an expired
-                # probe is neither free nor deadlocked, so strengthening
-                # on it would both waste budget and corrupt accounting.
-                guard_timeout(size, result)
-                if not result.deadlock_free:
-                    if mode == "partial":
-                        # CEGAR-style partial strengthening: conjoin only
-                        # ranked rows the candidate's model violates,
-                        # escalating until the verdict settles.
-                        result = guard_timeout(
-                            size, settle_partial(session, result)
-                        )
-                    elif mode == "lazy" and not state["added"]:
-                        # Lazy strengthening: the candidate survived plain
-                        # block/idle, so generate + conjoin the invariants
-                        # (permanent, sound) and re-ask the same probe.
-                        timer.timed("build", session.add_invariants)
-                        state["added"] = True
-                        state["escalations"] += 1
-                        state["generated"] = len(session.invariants)
-                        result = timer.timed(
-                            "query", lambda: session.verify(deadline=deadline)
-                        )
-                        guard_timeout(size, result)
-                probes[size] = result.deadlock_free
-                results[size] = result
-            return probes[size]
-
-    else:
-
-        def probe(size: int) -> bool:
-            if size not in probes:
-                network = timer.timed("build", lambda: build(size))
-                if mode == "partial":
-                    # No shared session to escalate on: open a throwaway
-                    # one per size and run the same refinement loop (a
-                    # fresh selector each size — counters accumulate).
-                    session = timer.timed(
-                        "build",
-                        lambda: VerificationSession(
-                            network, parametric_queues=False, **verify_kwargs
-                        ),
-                    )
-                    state["selector"] = state["ranked"] = None
-                    generated_before = state["generated"]
-                    escalations_before = state["escalations"]
-                    histogram_before = dict(state["histogram"])
-                    result = timer.timed(
-                        "query", lambda: session.verify(deadline=deadline)
-                    )
-                    guard_timeout(size, result)
-                    if not result.deadlock_free:
-                        result = guard_timeout(
-                            size, settle_partial(session, result)
-                        )
-                        state["generated"] += generated_before
-                        state["escalations"] += escalations_before
-                        for tier, count in histogram_before.items():
-                            state["histogram"][tier] = (
-                                state["histogram"].get(tier, 0) + count
-                            )
-                else:
-                    result = timer.timed(
-                        "query",
-                        lambda: verify(
-                            network,
-                            use_invariants=state["added"],
-                            deadline=deadline,
-                            **verify_kwargs,
-                        ),
-                    )
-                    guard_timeout(size, result)
-                    if (
-                        mode == "lazy"
-                        and not result.deadlock_free
-                        and not state["added"]
-                    ):
-                        state["added"] = True
-                        state["escalations"] += 1
-                        result = timer.timed(
-                            "query",
-                            lambda: verify(
-                                network,
-                                use_invariants=True,
-                                deadline=deadline,
-                                **verify_kwargs,
-                            ),
-                        )
-                        guard_timeout(size, result)
-                        state["generated"] = len(result.invariants)
-                probes[size] = result.deadlock_free
-                results[size] = result
-            return probes[size]
-
-    timed_out = False
-    minimal: int | None = None
-    try:
-        # Exponential climb to the first deadlock-free size.
-        size = low
-        while not probe(size):
-            size *= 2
-            if size > max_size:
-                raise RuntimeError(
-                    f"no deadlock-free size found up to {max_size}; "
-                    "the deadlock may be size-independent"
-                )
-        # Binary search in (last deadlocked, first free].
-        high = size
-        low_bound = max(low, size // 2)
-        while low_bound < high:
-            middle = (low_bound + high) // 2
-            if probe(middle):
-                high = middle
-            else:
-                low_bound = middle + 1
-        minimal = high
-        if exhaustive:
-            for candidate in range(low, minimal):
-                if probe(candidate):
-                    raise AssertionError(
-                        f"monotonicity violated: size {candidate} verifies "
-                        f"but binary search reported {minimal}"
-                    )
-    except _DeadlineExpired:
-        # The budget ran out mid-walk: return what was decided in budget
-        # as a partial result instead of an answer we cannot stand behind
-        # (an unconfirmed minimum from a truncated search would be worse
-        # than none).
-        timed_out = True
-        minimal = None
-    if mode == "eager" and not incremental and results:
-        # Each from-scratch probe regenerated the full set; report its size.
-        state["generated"] = max(
-            len(result.invariants) for result in results.values()
-        )
-    wins: dict[str, int] = {}
-    races = 0
-    if portfolio_session is not None:
-        wins = dict(portfolio_session.strategy_wins)
-        races = portfolio_session.races
-        state["added"] = True  # racers strengthen from the pending rows
-        state["generated"] = len(
-            portfolio_session._base_snapshot().pending_invariant_rows
-        )
-        portfolio_session.close()
-    return SizingResult(
-        minimal_size=minimal,
-        probes=probes,
-        results=results,
-        build_seconds=timer.build,
-        query_seconds=timer.query,
-        invariants_mode=mode,
-        invariants_used=(
-            state["generated"] > 0 if mode == "partial" else state["added"]
-        ),
-        lazy_escalations=state["escalations"],
-        invariants_generated=state["generated"],
-        rank_histogram=dict(state["histogram"]),
-        strategy_wins=wins,
-        portfolio_races=races,
-        timed_out=timed_out,
+    base_network = timer.timed("build", lambda: build(low))
+    walk = _Walk(
+        base_network,
+        _capacity_only_assignment(build, base_network, timer),
+        strengthening,
+        timer,
+        deadline,
+        verify_kwargs,
+        portfolio=portfolio,
+        racer_jobs=portfolio_jobs,
+        lead=portfolio_lead,
     )
-
-
-def _capacity_only_assignment(
-    built: Network, base_stats: dict, base_queues: set[str]
-) -> dict[int, int] | dict[str, int]:
-    """The per-queue sizes of ``built``, after guarding the capacity-only
-    assumption shared with the incremental ``minimal_queue_size`` path."""
-    if (
-        built.stats() != base_stats
-        or {q.name for q in built.queues()} != base_queues
-    ):
-        raise ValueError(
-            "build(size) changed network structure, not just queue "
-            "capacities; sweep the sizes with one session per size instead"
-        )
-    return {q.name: q.size for q in built.queues()}
+    with walk.session:
+        try:
+            # Exponential climb to the first deadlock-free size.
+            size = low
+            while not walk.probe(size):
+                size *= 2
+                if size > max_size:
+                    raise RuntimeError(
+                        f"no deadlock-free size found up to {max_size}; "
+                        "the deadlock may be size-independent"
+                    )
+            # Binary search in (last deadlocked, first free].
+            high = size
+            low_bound = max(low, size // 2)
+            while low_bound < high:
+                middle = (low_bound + high) // 2
+                if walk.probe(middle):
+                    high = middle
+                else:
+                    low_bound = middle + 1
+            if exhaustive:
+                for candidate in range(low, high):
+                    if walk.probe(candidate):
+                        raise AssertionError(
+                            f"monotonicity violated: size {candidate} "
+                            f"verifies but binary search reported {high}"
+                        )
+        except _DeadlineExpired:
+            # The budget ran out mid-walk: return what was decided in
+            # budget as a partial result instead of an answer we cannot
+            # stand behind (an unconfirmed minimum from a truncated search
+            # would be worse than none).
+            return walk.outcome(None, timed_out=True)
+        return walk.outcome(high)
 
 
 def _pool_sweep(
@@ -696,10 +524,9 @@ def sweep_queue_sizes(
     build: Callable[[int], Network],
     sizes: Iterable[int],
     jobs: int = 1,
-    use_invariants: bool = True,
     backend: str = "process",
     want_witness: bool = True,
-    invariants: str | None = None,
+    invariants: str = "eager",
     rank_budget: int | None = None,
     rank_growth: int | None = None,
     portfolio: bool = False,
@@ -711,22 +538,23 @@ def sweep_queue_sizes(
 
     The Figure-4 *curve*: every size in ``sizes`` is probed (no binary
     search, no monotonicity assumption) and the result records the full
-    verdict map.  With ``jobs > 1`` the points are striped across pool
-    workers — worker ``w`` probes sizes ``w, w+jobs, w+2*jobs, ...`` of
-    the ascending list, in ascending order, on its own rehydrated
-    parametric session (warm-start within the shard).  Per-shard
-    :class:`SizingResult`\\ s are aggregated with :meth:`SizingResult.merge`.
+    verdict map.  With ``jobs == 1`` the sizes are walked in ascending
+    order on one parametric session, exactly as
+    :func:`minimal_queue_size` probes them.  With ``jobs > 1`` the points
+    are striped across pool workers — worker ``w`` probes sizes ``w,
+    w+jobs, w+2*jobs, ...`` of the ascending list, in ascending order, on
+    its own rehydrated parametric session (warm-start within the shard).
+    Per-shard :class:`SizingResult`\\ s are aggregated with
+    :meth:`SizingResult.merge`.
 
-    ``invariants="lazy"`` batches the strengthening: a first pass probes
-    every size without invariants, then only the sizes whose candidate
-    survived are re-probed with the invariants conjoined (sharded again
-    when ``jobs > 1``) — verdict-identical to eager mode.
-
-    ``invariants="partial"`` ranks the rows instead and escalates
-    CEGAR-style per surviving candidate (``rank_budget`` /
-    ``rank_growth`` shape the schedule); with ``jobs > 1`` the ranked
-    rows travel inside the pool snapshot and each worker escalates
-    locally — also verdict-identical to eager mode.
+    ``invariants`` selects the :class:`~repro.core.engine.Strengthening`
+    mode.  Across a pool, ``"lazy"`` batches the strengthening: a first
+    pass probes every size without invariants, then only the sizes whose
+    candidate survived are re-probed with the invariants conjoined
+    (sharded again) — verdict-identical to eager mode.  ``"partial"``
+    ships the ranked rows inside the pool snapshot and each worker
+    escalates locally (``rank_budget`` / ``rank_growth`` shape the
+    schedule) — also verdict-identical to eager mode.
 
     ``portfolio=True`` walks the size list sequentially through one
     persistent :class:`~repro.core.portfolio.PortfolioSession` instead of
@@ -737,15 +565,15 @@ def sweep_queue_sizes(
     ignored (the roster spans the modes); ``strategy_wins`` records the
     per-probe winners.
 
-    ``build`` must vary only queue capacities (checked), as for the
-    incremental ``minimal_queue_size``.  ``verify_kwargs`` forwards
+    ``build`` must vary only queue capacities (checked, ``ValueError``),
+    as for :func:`minimal_queue_size`.  ``verify_kwargs`` forwards
     ``rotating_precision`` / ``max_splits``.
 
     ``deadline`` bounds the whole sweep; on expiry the undecided sizes
     are simply absent from ``probes`` (their TIMEOUT results stay in
-    ``results``) and the merged result carries ``timed_out=True``.
+    ``results``) and the result carries ``timed_out=True``.
     """
-    mode = resolve_invariants_mode(invariants, use_invariants)
+    strengthening = Strengthening(invariants, rank_budget, rank_growth)
     deadline = Deadline.coerce(deadline)
     size_list = sorted(set(sizes))
     if not size_list:
@@ -754,175 +582,66 @@ def sweep_queue_sizes(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     timer = _SplitTimer()
     base_network = timer.timed("build", lambda: build(size_list[0]))
-    base_stats = base_network.stats()
-    base_queues = {q.name for q in base_network.queues()}
-    assignments = timer.timed(
-        "build",
-        lambda: {
-            size: _capacity_only_assignment(
-                build(size), base_stats, base_queues
-            )
-            if size != size_list[0]
-            else {q.name: q.size for q in base_network.queues()}
-            for size in size_list
-        },
-    )
+    assignment = _capacity_only_assignment(build, base_network, timer)
+    assignments = {size_list[0]: _queue_sizes(base_network)}
+    for size in size_list[1:]:
+        assignments[size] = assignment(size)
 
-    if portfolio:
-        from .portfolio import PortfolioSession
-
-        psession = timer.timed(
-            "build",
-            lambda: PortfolioSession(
-                network=base_network,
-                jobs=jobs,
-                lead=portfolio_lead,
-                max_splits=verify_kwargs.get("max_splits", 100_000),
-            ),
+    if portfolio or jobs == 1:
+        walk = _Walk(
+            base_network,
+            assignments.__getitem__,
+            strengthening,
+            timer,
+            deadline,
+            verify_kwargs,
+            portfolio=portfolio,
+            racer_jobs=jobs,
+            lead=portfolio_lead,
         )
-        part = SizingResult(minimal_size=None)
-        with psession:
-            for size in size_list:
-                psession.resize_queues(assignments[size])
-                result = timer.timed(
-                    "query", lambda: psession.verify(deadline=deadline)
-                )
-                if not want_witness:
-                    result.witness = None
-                if result.timed_out:
-                    part.results[size] = result
-                    part.timed_out = True
-                    break
-                part.probes[size] = result.deadlock_free
-                part.results[size] = result
-            part.strategy_wins = dict(psession.strategy_wins)
-            part.portfolio_races = psession.races
-            generated = len(
-                psession._base_snapshot().pending_invariant_rows
-            )
-        merged = SizingResult.merge([part])
-        merged.invariants_used = True
-        merged.invariants_generated = generated
-    elif jobs == 1:
-        session = timer.timed(
-            "build",
-            lambda: VerificationSession(
-                base_network, parametric_queues=True, **verify_kwargs
-            ),
-        )
-        added = mode == "eager"
-        escalations = 0
-        generated = 0
-        selector = None
-        ranked = None
-        if added:
-            timer.timed("build", session.add_invariants)
-            generated = len(session.invariants)
-        part = SizingResult(minimal_size=None)
-        for size in size_list:
-            session.resize_queues(assignments[size])
-            # Ascending walk: start each probe's search at the previous
-            # witness (the shard workers do the same via phase_hints).
-            session.seed_phases_from_witness()
-            result = timer.timed(
-                "query", lambda: session.verify(deadline=deadline)
-            )
-            if result.timed_out:
-                part.results[size] = result
-                part.timed_out = True
-                break
-            if not result.deadlock_free:
-                if mode == "partial":
-                    if selector is None:
-
-                        def build_selection():
-                            nonlocal selector, ranked
-                            ranked = session.spec.ranked_invariants()
-                            selector = session.spec.invariant_selector(
-                                rank_budget=rank_budget,
-                                rank_growth=rank_growth,
-                            )
-
-                        timer.timed("build", build_selection)
-                    result = timer.timed(
-                        "query",
-                        lambda: escalate_partial(
-                            session,
-                            selector,
-                            ranked,
-                            result,
-                            lambda: session.verify(deadline=deadline),
-                        ),
-                    )
-                elif mode == "lazy" and not added:
-                    timer.timed("build", session.add_invariants)
-                    added = True
-                    escalations += 1
-                    generated = len(session.invariants)
-                    result = timer.timed(
-                        "query", lambda: session.verify(deadline=deadline)
-                    )
-            if result.timed_out:
-                part.results[size] = result
-                part.timed_out = True
-                break
+        with walk.session:
+            timed_out = False
+            try:
+                for size in size_list:
+                    walk.probe(size)
+            except _DeadlineExpired:
+                timed_out = True
             if not want_witness:
-                # Match the parallel path's payload shape: the session
-                # always extracts on SAT, so drop it afterwards.
-                result.witness = None
-            part.probes[size] = result.deadlock_free
-            part.results[size] = result
-        if selector is not None:
-            escalations = selector.escalations
-            generated = selector.generated
-            part.rank_histogram = dict(selector.rank_histogram)
-        merged = SizingResult.merge([part])
-        merged.invariants_used = added or generated > 0
-        merged.lazy_escalations = escalations
-        merged.invariants_generated = generated
-    elif mode == "partial":
-        merged = _pool_sweep(
+                # Match the pool path's payload shape: the session always
+                # extracts on SAT, so drop it afterwards.
+                for result in walk.results.values():
+                    result.witness = None
+            free = [size for size, ok in walk.probes.items() if ok]
+            return walk.outcome(min(free) if free else None, timed_out)
+
+    def pool_pass(sizes, add_invariants, shards=jobs, escalation=None):
+        return _pool_sweep(
             base_network,
-            size_list,
+            sizes,
             assignments,
-            jobs,
+            shards,
             backend,
             want_witness,
+            add_invariants,
+            timer,
+            verify_kwargs,
+            escalation=escalation,
+            deadline=deadline,
+        )
+
+    if strengthening.refining:
+        merged = pool_pass(
+            size_list,
             False,
-            timer,
-            verify_kwargs,
-            escalation=(rank_budget, rank_growth),
-            deadline=deadline,
+            escalation=(strengthening.rank_budget, strengthening.rank_growth),
         )
-    elif mode != "lazy":
-        merged = _pool_sweep(
-            base_network,
-            size_list,
-            assignments,
-            jobs,
-            backend,
-            want_witness,
-            mode == "eager",
-            timer,
-            verify_kwargs,
-            deadline=deadline,
-        )
+    elif not strengthening.deferred:
+        merged = pool_pass(size_list, strengthening.upfront)
     else:
         # Batched strengthening across the pool: one unstrengthened pass
         # over every size, then a second sharded pass (invariants
         # conjoined) over only the sizes whose candidate survived.
-        first = _pool_sweep(
-            base_network,
-            size_list,
-            assignments,
-            jobs,
-            backend,
-            want_witness,
-            False,
-            timer,
-            verify_kwargs,
-            deadline=deadline,
-        )
+        first = pool_pass(size_list, False)
         # A timed-out size is absent from ``probes``; it is not a
         # survivor — its TIMEOUT result stands as recorded.
         surviving = [size for size in size_list if not first.probes.get(size, True)]
@@ -934,22 +653,13 @@ def sweep_queue_sizes(
                 # pass re-answers them under the stronger encoding.
                 first.probes.pop(size)
                 first.results.pop(size, None)
-            second = _pool_sweep(
-                base_network,
-                surviving,
-                assignments,
-                min(jobs, len(surviving)),
-                backend,
-                want_witness,
-                True,
-                timer,
-                verify_kwargs,
-                deadline=deadline,
+            second = pool_pass(
+                surviving, True, shards=min(jobs, len(surviving))
             )
             merged = SizingResult.merge([first, second])
             merged.invariants_used = True
             merged.lazy_escalations = len(surviving)
-    merged.invariants_mode = mode
+    merged.invariants_mode = strengthening.mode
     merged.build_seconds = timer.build
     merged.query_seconds = timer.query
     return merged

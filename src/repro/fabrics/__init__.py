@@ -33,7 +33,6 @@ from .topology import (
     RingTopology,
     Topology,
     TorusTopology,
-    octant_positions,
 )
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "traffic_mesh",
     "traffic_torus",
     "traffic_ring",
-    "octant_positions",
     "as_routing_function",
     "xy_routing",
     "yx_routing",

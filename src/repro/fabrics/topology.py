@@ -25,7 +25,6 @@ The fabric builder applies the bit per link when ``escape_vcs=True``.
 from __future__ import annotations
 
 import enum
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Iterator
@@ -42,7 +41,6 @@ __all__ = [
     "RingTopology",
     "Topology",
     "TorusTopology",
-    "octant_positions",
 ]
 
 Node = tuple[int, int]
@@ -400,18 +398,3 @@ def ring_routing(topology: RingTopology, node: Node, message: "Message"):
     if x == tx:
         return None
     return _ring_step(x, tx, topology.n_nodes, RingTopology.CW, RingTopology.CCW)
-
-
-def octant_positions(width: int, height: int) -> list[Node]:
-    """Deprecated mesh-only alias of :meth:`MeshTopology.probe_positions`.
-
-    Kept so old drivers keep producing byte-identical probe lists; new code
-    should ask the topology (any topology) for its probe positions.
-    """
-    warnings.warn(
-        "octant_positions(width, height) is deprecated; use "
-        "MeshTopology(width, height).probe_positions()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return MeshTopology(width, height).probe_positions()

@@ -5,6 +5,7 @@ new encoding and a new :class:`~repro.smt.Solver` per query, asserts
 everything, and checks once — the seed implementation's behavior.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -187,10 +188,34 @@ def test_sizing_preserves_non_uniform_builders():
         example.q_ack.size = 3  # pinned: builder is capacity-only but not uniform
         return example.network
 
-    incremental = minimal_queue_size(build, max_size=8)
-    scratch = minimal_queue_size(build, max_size=8, incremental=False)
-    assert incremental.minimal_size == scratch.minimal_size
-    assert incremental.probes == scratch.probes
+    sizing = minimal_queue_size(build, max_size=8)
+    # Oracle: a one-shot verify of exactly what the builder produces.
+    assert sizing.probes == {
+        size: verify(build(size)).deadlock_free for size in sizing.probes
+    }
+    assert sizing.minimal_size == min(
+        size for size, free in sizing.probes.items() if free
+    )
+
+
+def test_sizing_rejects_builders_that_change_structure():
+    from repro.core import minimal_queue_size, sweep_queue_sizes
+    from repro.xmas import Queue
+
+    def build(size):
+        network = running_example(queue_size=size).network
+        if size > 1:
+            network.add(Queue("extra", size=size))
+        return network
+
+    # Without invariants size 1 deadlocks, so the search probes size 2.
+    for sizing in (
+        lambda: minimal_queue_size(build, max_size=8, invariants="none"),
+        lambda: sweep_queue_sizes(build, [1, 2], jobs=1),
+    ):
+        with pytest.raises(ValueError, match="changed network structure") as info:
+            sizing()
+        assert "incremental" not in str(info.value)
 
 
 def test_witnesses_respect_queue_domains():

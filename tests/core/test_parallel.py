@@ -273,7 +273,7 @@ def test_sweep_without_invariants_differs_and_still_merges():
         return running_example(queue_size=size).network
 
     plain = sweep_queue_sizes(
-        build, range(1, 4), jobs=2, backend="thread", use_invariants=False
+        build, range(1, 4), jobs=2, backend="thread", invariants="none"
     )
     # Block/idle alone reports candidates everywhere on this example.
     assert plain.minimal_size is None
@@ -312,7 +312,7 @@ def test_sweep_want_witness_is_consistent_across_job_counts():
     for jobs in (1, 2):
         swept = sweep_queue_sizes(
             build, range(1, 3), jobs=jobs, backend="thread",
-            use_invariants=False, want_witness=False,
+            invariants="none", want_witness=False,
         )
         assert all(r.witness is None for r in swept.results.values()), jobs
 

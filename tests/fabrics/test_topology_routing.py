@@ -88,22 +88,19 @@ def test_xy_never_turns_y_to_x():
                     seen_y = True
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 def test_octant_positions_fold_the_full_symmetry_group():
-    """The deprecated alias (exercised on purpose) must keep folding the
-    full symmetry group — old drivers' probe lists stay byte-identical."""
-    from repro.fabrics import octant_positions
-
+    """Mesh probe positions fold the full symmetry group: one directory
+    placement per orbit."""
     # Square meshes fold x-, y- and diagonal reflections.
-    assert octant_positions(2, 2) == [(0, 0)]
-    assert octant_positions(3, 3) == [(0, 0), (1, 0), (1, 1)]
+    assert MeshTopology(2, 2).probe_positions() == [(0, 0)]
+    assert MeshTopology(3, 3).probe_positions() == [(0, 0), (1, 0), (1, 1)]
     # Rectangles have no diagonal symmetry: the middle-row orbit of the
     # 2x3 mesh needs its own representative.
-    assert octant_positions(2, 3) == [(0, 0), (0, 1)]
-    assert octant_positions(4, 4) == [(0, 0), (1, 0), (1, 1)]
+    assert MeshTopology(2, 3).probe_positions() == [(0, 0), (0, 1)]
+    assert MeshTopology(4, 4).probe_positions() == [(0, 0), (1, 0), (1, 1)]
     # Every node must be reachable from a representative via reflections.
     for width, height in ((2, 2), (2, 3), (3, 3), (3, 4)):
-        reps = octant_positions(width, height)
+        reps = MeshTopology(width, height).probe_positions()
         covered = set()
         for x, y in reps:
             images = {(x, y), (width - 1 - x, y), (x, height - 1 - y),
