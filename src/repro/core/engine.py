@@ -723,7 +723,8 @@ class VerificationSession:
             # (Empty when the deadline expired before the solver ran —
             # the previous query's counters would be misleading here.)
             "solver": {} if pre_expired else dict(self.solver.stats),
-            # Hot-loop counters from the CDCL core (see Cdcl.profile).
+            # Hot-loop counters from the CDCL core and the simplex (see
+            # Solver.profile).
             "solver_profile": {} if pre_expired else dict(self.solver.profile),
             "solve_seconds": perf_counter() - solve_start,
             # Cumulative session phase times (encoding built once, queries

@@ -532,16 +532,19 @@ class PortfolioSession:
             )
         return self._snapshot
 
-    def _teardown_procs(self, graceful: bool = True) -> None:
+    def _teardown_procs(self) -> None:
         """Stop and forget the child racers, however unhealthy.
 
         Cancel events fire first (a child mid-slice aborts within one
         propagate cycle instead of running its slice out), then the quit
         commands, then join → ``terminate()`` → ``kill()`` escalation
         (:func:`~repro.core.resilience.reap_process`) so a wedged child
-        can never leave a zombie behind.  Queues are drained afterwards —
-        dropping one with buffered items can hang interpreter shutdown on
-        its feeder thread.
+        can never leave a zombie behind.  The quit goes out on every
+        teardown, recovery included: a healthy racer idles in
+        ``inbox.get()`` and would otherwise sit out the whole join
+        timeout; posting to a dead racer's inbox is harmless.  Queues are
+        drained afterwards — dropping one with buffered items can hang
+        interpreter shutdown on its feeder thread.
         """
         if self._procs is None:
             return
@@ -550,12 +553,11 @@ class PortfolioSession:
                 event.set()
             except Exception:
                 pass
-        if graceful:
-            for inbox in self._inboxes:
-                try:
-                    inbox.put(("quit",))
-                except Exception:
-                    pass
+        for inbox in self._inboxes:
+            try:
+                inbox.put(("quit",))
+            except Exception:
+                pass
         for proc in self._procs:
             reap_process(proc, timeout=self.shutdown_timeout)
         for inbox in self._inboxes or ():
@@ -571,7 +573,7 @@ class PortfolioSession:
 
     def close(self) -> None:
         """Stop child racers (the spec and tallies stay usable)."""
-        self._teardown_procs(graceful=True)
+        self._teardown_procs()
         self._inline_racers = None
 
     def __enter__(self) -> "PortfolioSession":
@@ -695,7 +697,7 @@ class PortfolioSession:
                     target, sizes_key, want_witness, deadline
                 )
             except (WorkerCrashError, WorkerHangError):
-                self._teardown_procs(graceful=False)
+                self._teardown_procs()
                 self.recoveries += 1
                 if attempt + 1 < policy.max_attempts:
                     policy.sleep(attempt)

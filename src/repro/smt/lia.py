@@ -39,8 +39,9 @@ class LiaBridge:
         # Per-atom prebuilt assertion plans keyed by the *signed* literal:
         # assert_index is the solver's hottest theory path, so the bound
         # arithmetic happens once at registration, not per assertion.
-        # Bounds stay machine ints — the simplex promotes to Fraction only
-        # at pivots (see repro.smt.simplex).
+        # Bounds are plain ints, the simplex's normal form for integral
+        # values: it holds a Fraction only where a pivot division leaves
+        # the integers (see repro.smt.simplex).
         self._assert_plan: dict[int, tuple[bool, int, int]] = {}
         # SAT variables that carry a theory atom.  The CDCL core reads this
         # to skip pure-boolean trail literals without a call per literal.

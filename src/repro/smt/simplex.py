@@ -7,14 +7,19 @@ linear definitions relates *basic* to *non-basic* variables, and
 :meth:`Simplex.check` restores feasibility by Bland-rule pivoting or reports
 a minimal-ish conflict (the bounds of one infeasible row).
 
-All arithmetic is exact.  Values are plain machine ints for as long as the
-state is integral — Python ints and :class:`fractions.Fraction` interoperate
-exactly, and only division can leave the integers, so the two pivot helpers
-are the sole promotion points.  On the integral workloads the engine
-generates this keeps the hot bound-assertion path on C-int comparisons
-instead of ``Fraction.__richcmp__``.  Bound retraction is O(1) per change
-via an undo trail; pivots are never undone (the tableau is a basis change,
-not a logical state).
+All arithmetic is exact, and every stored value — tableau cell, β value,
+bound — is kept in one normal form: a plain ``int`` whenever its
+denominator is 1, an exact :class:`fractions.Fraction` otherwise.  Python
+ints and Fractions interoperate exactly, but ``Fraction`` arithmetic never
+returns an ``int`` by itself, so the form is enforced at the two pivot
+divisions (an integral quotient comes back from ``divmod`` as an ``int``)
+and wherever a sum or product can land on an integral Fraction: row
+additions, the pivot substitution loop and the β updates.  On the ±1
+tableaus the engine generates this keeps the hot bound-assertion and
+pivoting paths on C-int arithmetic instead of ``fractions.py``.  The
+counters (:meth:`Simplex.profile`) record how often a pivot left the
+integers.  Bound retraction is O(1) per change via an undo trail; pivots
+are never undone (the tableau is a basis change, not a logical state).
 """
 
 from __future__ import annotations
@@ -25,6 +30,26 @@ from typing import Mapping
 __all__ = ["Simplex", "Conflict"]
 
 _NO_BOUND = None
+
+
+def _as_int(value: Fraction | int) -> Fraction | int:
+    """``value`` in normal form: an ``int`` whenever it is integral."""
+    if value.__class__ is not int and value.denominator == 1:
+        return value.numerator
+    return value
+
+
+def _quotient(numerator: Fraction | int, denominator: Fraction | int) -> Fraction | int:
+    """Exact ``numerator / denominator`` in normal form.
+
+    ``int / int`` would fall to float, so an integral quotient is taken
+    from ``divmod`` (an ``int`` for int and Fraction operands alike) and
+    only a remainder builds the exact Fraction.
+    """
+    whole, rest = divmod(numerator, denominator)
+    if rest:
+        return Fraction(numerator, denominator)
+    return whole
 
 
 class Conflict(Exception):
@@ -58,6 +83,33 @@ class Simplex:
         self._undo: list[tuple[int, str, Fraction | int | None, int | None]] = []
         # Basic variables whose β may violate a bound (lazily validated).
         self._dirty: set[int] = set()
+        # Work counters (cumulative; see profile()).
+        self.pivots = 0
+        self.row_updates = 0
+        self.rational_quotients = 0
+        self.asserts = 0
+        self.checks = 0
+        self.conflicts = 0
+
+    def profile(self) -> dict[str, int]:
+        """Work counters, cumulative like ``Cdcl.profile``.
+
+        ``pivots`` — basis changes made by :meth:`check`; ``row_updates`` —
+        tableau cells rewritten while substituting a pivot's entering
+        variable out of the other rows; ``rational_quotients`` — pivots
+        whose division left the integers (a non-integral β step or pivot
+        coefficient, so never more than ``pivots``); ``asserts`` — bound
+        assertions; ``checks`` — :meth:`check` calls; ``conflicts`` —
+        conflicts reported by either.
+        """
+        return {
+            "pivots": self.pivots,
+            "row_updates": self.row_updates,
+            "rational_quotients": self.rational_quotients,
+            "asserts": self.asserts,
+            "checks": self.checks,
+            "conflicts": self.conflicts,
+        }
 
     # ------------------------------------------------------------------
     # Variable and row registration
@@ -91,8 +143,8 @@ class Simplex:
         self._rows[slack] = row
         for var in row:
             self._cols.setdefault(var, set()).add(slack)
-        self._beta[slack] = sum(
-            (coeff * self._beta[var] for var, coeff in row.items()), 0
+        self._beta[slack] = _as_int(
+            sum((coeff * self._beta[var] for var, coeff in row.items()), 0)
         )
         return slack
 
@@ -100,7 +152,7 @@ class Simplex:
     def _row_add(row: dict[int, Fraction | int], var: int, coeff: Fraction | int) -> None:
         updated = row.get(var, 0) + coeff
         if updated:
-            row[var] = updated
+            row[var] = _as_int(updated)
         else:
             row.pop(var, None)
 
@@ -122,12 +174,15 @@ class Simplex:
 
     def assert_upper(self, var: int, bound: Fraction | int, reason: int) -> list[int] | None:
         """Assert ``var ≤ bound``; returns conflict reasons or None."""
+        self.asserts += 1
         current = self._upper[var]
         if current is not None and current <= bound:
             return None
         lower = self._lower[var]
         if lower is not None and bound < lower:
+            self.conflicts += 1
             return [self._lower_reason[var], reason]  # type: ignore[list-item]
+        bound = _as_int(bound)
         self._undo.append((var, "U", current, self._upper_reason[var]))
         self._upper[var] = bound
         self._upper_reason[var] = reason
@@ -140,12 +195,15 @@ class Simplex:
 
     def assert_lower(self, var: int, bound: Fraction | int, reason: int) -> list[int] | None:
         """Assert ``var ≥ bound``; returns conflict reasons or None."""
+        self.asserts += 1
         current = self._lower[var]
         if current is not None and current >= bound:
             return None
         upper = self._upper[var]
         if upper is not None and bound > upper:
+            self.conflicts += 1
             return [self._upper_reason[var], reason]  # type: ignore[list-item]
+        bound = _as_int(bound)
         self._undo.append((var, "L", current, self._lower_reason[var]))
         self._lower[var] = bound
         self._lower_reason[var] = reason
@@ -157,10 +215,14 @@ class Simplex:
         return None
 
     def _update_nonbasic(self, var: int, value: Fraction | int) -> None:
-        delta = value - self._beta[var]
-        self._beta[var] = value
+        beta = self._beta
+        delta = value - beta[var]
+        beta[var] = value
         for basic in self._cols.get(var, ()):
-            self._beta[basic] += self._rows[basic][var] * delta
+            moved = beta[basic] + self._rows[basic][var] * delta
+            if moved.__class__ is not int and moved.denominator == 1:
+                moved = moved.numerator
+            beta[basic] = moved
             self._dirty.add(basic)
 
     # ------------------------------------------------------------------
@@ -173,6 +235,7 @@ class Simplex:
         dirty-set bookkeeping; the theory bridge uses this as a safety net at
         full assignments.
         """
+        self.checks += 1
         if full:
             self._dirty.update(self._rows)
         while True:
@@ -187,6 +250,7 @@ class Simplex:
                 # retracted on backjump, after which this row may still need
                 # repair under the looser bounds.
                 self._dirty.add(basic)
+                self.conflicts += 1
                 return conflict.reasons
 
     def _violation(self, basic: int) -> bool | None:
@@ -250,48 +314,64 @@ class Simplex:
         self._pivot_and_update(basic, candidate, target)
 
     def _pivot_and_update(self, basic: int, entering: int, value: Fraction | int) -> None:
-        coeff = self._rows[basic][entering]
-        # Promotion point: division must stay exact, so wrap both sides
-        # (int / int would fall to float).
-        theta = Fraction(value - self._beta[basic]) / Fraction(coeff)
-        self._beta[basic] = value
-        self._beta[entering] += theta
+        beta = self._beta
+        rows = self._rows
+        theta = _quotient(value - beta[basic], rows[basic][entering])
+        beta[basic] = value
+        beta[entering] = _as_int(beta[entering] + theta)
         for other in self._cols.get(entering, ()):
             if other != basic:
-                self._beta[other] += self._rows[other][entering] * theta
+                beta[other] = _as_int(beta[other] + rows[other][entering] * theta)
                 self._dirty.add(other)
-        self._pivot(basic, entering)
+        inv = self._pivot(basic, entering)
+        self.pivots += 1
+        if theta.__class__ is not int or inv.__class__ is not int:
+            self.rational_quotients += 1
         # The entering variable is basic now and may overshoot its own
         # opposite bound; later iterations repair it.
         self._dirty.add(entering)
 
-    def _pivot(self, leaving: int, entering: int) -> None:
+    def _pivot(self, leaving: int, entering: int) -> Fraction | int:
+        """Swap ``leaving`` out of the basis for ``entering``.
+
+        Returns the pivot coefficient's inverse, the basis change's only
+        division besides the β step in :meth:`_pivot_and_update`.
+        """
+        cols = self._cols
         row = self._rows.pop(leaving)
         for var in row:
-            self._cols[var].discard(leaving)
-        coeff = row.pop(entering)
-        # Promotion point: the only other division (see _pivot_and_update).
-        inv = Fraction(1) / Fraction(coeff)
+            cols[var].discard(leaving)
+        inv = _quotient(1, row.pop(entering))
         new_row = {leaving: inv}
         for var, c in row.items():
-            new_row[var] = -c * inv
+            new_row[var] = _as_int(-c * inv)
         self._rows[entering] = new_row
         for var in new_row:
-            self._cols.setdefault(var, set()).add(entering)
-        # Substitute the entering variable out of every other row.
-        users = self._cols.pop(entering, set())
+            cols.setdefault(var, set()).add(entering)
+        # Substitute the entering variable out of every other row.  Cell
+        # insertion and deletion order matters: ``row.items()`` order is
+        # the order of a conflict's reasons (see _repair).
+        users = cols.pop(entering, set())
         users.discard(entering)
+        self.row_updates += len(new_row) * len(users)
         for user in users:
             user_row = self._rows[user]
             factor = user_row.pop(entering)
             for var, c in new_row.items():
-                before = var in user_row
-                self._row_add(user_row, var, factor * c)
-                after = var in user_row
-                if after and not before:
-                    self._cols.setdefault(var, set()).add(user)
-                elif before and not after:
-                    self._cols[var].discard(user)
+                old = user_row.get(var)
+                if old is None:
+                    cell = factor * c
+                    cols[var].add(user)
+                else:
+                    cell = old + factor * c
+                    if not cell:
+                        del user_row[var]
+                        cols[var].discard(user)
+                        continue
+                if cell.__class__ is not int and cell.denominator == 1:
+                    cell = cell.numerator
+                user_row[var] = cell
+        return inv
 
     # ------------------------------------------------------------------
     # Model access

@@ -154,7 +154,9 @@ class Solver:
         self._formula_unsat: bool | None = None
         self.stats: dict[str, int] = {}
         # Per-query deltas of the CDCL core's hot-loop profile counters
-        # (see Cdcl.profile); same delta discipline as ``stats``.
+        # (see Cdcl.profile) and of the simplex work counters, prefixed
+        # ``simplex_`` (see Simplex.profile); same delta discipline as
+        # ``stats``.
         self.profile: dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -345,13 +347,13 @@ class Solver:
             # the full canonical key set so per-query deltas stay uniform.
             self.stats = {key: 0 for key in self._sat.stats}
             self.stats["splits"] = 0
-            self.profile = {key: 0 for key in self._sat.profile()}
+            self.profile = {key: 0 for key in self._profile_counters()}
             self._core = []
             self._formula_unsat = True
             return Result.UNSAT
         assumption_lits = [self._cnf.literal(term) for term in assumptions]
         before = dict(self._sat.stats)
-        before_profile = self._sat.profile()
+        before_profile = self._profile_counters()
         self._sync()
         solve_assumptions = [*self._scopes, *assumption_lits]
         splits = 0
@@ -411,8 +413,15 @@ class Solver:
         self.stats["splits"] = splits
         self.profile = {
             key: value - before_profile.get(key, 0)
-            for key, value in self._sat.profile().items()
+            for key, value in self._profile_counters().items()
         }
+
+    def _profile_counters(self) -> dict[str, int]:
+        """Cumulative CDCL and simplex counters (the source of ``profile``)."""
+        counters = self._sat.profile()
+        for key, value in self._bridge.simplex.profile().items():
+            counters["simplex_" + key] = value
+        return counters
 
     def _extract_model(self) -> Model:
         ints: dict[IntVar, int] = {}

@@ -57,6 +57,9 @@ from repro.netlib import running_example
 
 pytestmark = pytest.mark.chaos
 
+# Wall-time bound on one race that recovers from a racer fault.
+RECOVERY_BUDGET_S = 10.0
+
 
 def _network(queue_size=2):
     return running_example(queue_size=queue_size).network
@@ -376,10 +379,15 @@ def test_racer_kill_recovers_with_identical_verdict(tmp_path):
         jobs=3,
         slice_conflicts=30,
     ) as session:
+        start = time.monotonic()
         result = session.race()
+        elapsed = time.monotonic() - start
         assert result.verdict == reference.verdict
         assert session.recoveries == 1
         assert not session.degraded
+        # Recovery tears the fleet down with quit commands: healthy idle
+        # racers exit at once instead of sitting out the join timeout.
+        assert elapsed < RECOVERY_BUDGET_S, f"racer recovery took {elapsed:.1f}s"
 
 
 def test_racer_dropped_reply_detected_as_hang(tmp_path):
@@ -395,9 +403,14 @@ def test_racer_dropped_reply_detected_as_hang(tmp_path):
         slice_conflicts=30,
         reply_timeout=2.0,
     ) as session:
+        start = time.monotonic()
         result = session.race()
+        elapsed = time.monotonic() - start
         assert result.verdict == reference.verdict
         assert session.recoveries == 1
+        # The 2 s reply timeout detects the hang; the teardown after it
+        # must not add a join timeout per surviving racer.
+        assert elapsed < RECOVERY_BUDGET_S, f"racer recovery took {elapsed:.1f}s"
 
 
 def test_persistent_racer_kill_degrades_to_inline():

@@ -173,6 +173,12 @@ def test_profile_zeroed_on_early_unsat():
         "blocker_hits",
         "analyze_steps",
         "arena_gc_words",
+        "simplex_pivots",
+        "simplex_row_updates",
+        "simplex_rational_quotients",
+        "simplex_asserts",
+        "simplex_checks",
+        "simplex_conflicts",
     }
     assert all(value == 0 for value in solver.profile.values())
     assert all(value == 0 for value in solver.stats.values())
