@@ -45,11 +45,13 @@ throwaway session, so the one-shot API is unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from time import perf_counter
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from ..smt import (
     IntVar,
+    Model,
     Result,
     Solver,
     SolverSnapshot,
@@ -81,6 +83,7 @@ from .vars import VarPool
 __all__ = [
     "SessionSpec",
     "SessionSnapshot",
+    "SessionBase",
     "VerificationSession",
     "Strengthening",
 ]
@@ -435,8 +438,155 @@ class SessionSpec:
             pending_invariant_rows=tuple(pending_invariant_rows),
         )
 
+    # ------------------------------------------------------------------
+    # Reading worker answers back into this spec's term space
+    # ------------------------------------------------------------------
+    @cached_property
+    def var_by_uid(self) -> dict[int, IntVar]:
+        """``uid → variable`` over the pool's state/occupancy variables:
+        what a model read-out (witness slice, invariant row) names."""
+        table = {var.uid: var for _, var in self.pool.state_items()}
+        table.update((var.uid, var) for _, var in self.pool.occupancy_items())
+        return table
 
-class VerificationSession:
+    @cached_property
+    def guard_labels(self) -> dict[str, str]:
+        """Guard-variable name → deadlock-case label (master guard too)."""
+        labels = {case.guard.name: case.label for case in self.encoding.cases}
+        labels[self.encoding.any_guard.name] = ANY_CASE_LABEL
+        return labels
+
+    @cached_property
+    def case_index(self) -> dict[str, int]:
+        """Guard-variable name → index into ``encoding.cases``."""
+        return {
+            case.guard.name: index
+            for index, case in enumerate(self.encoding.cases)
+        }
+
+    def read_payload(
+        self,
+        payload: tuple,
+        sizes: Mapping[str, int],
+        invariants: Sequence[Invariant] = (),
+        invariant_count: int | None = None,
+        extra_stats: Mapping | None = None,
+    ) -> VerificationResult:
+        """One worker payload → a :class:`VerificationResult` here.
+
+        ``payload`` is what :meth:`repro.core.parallel.WorkerSession.check`
+        returns, optionally extended by a sixth element (the probe's
+        invariant-selection delta).  ``sizes`` are the capacities the
+        probe pinned, ``invariants`` the rows the result reports
+        (``invariant_count`` overrides their count) and ``extra_stats``
+        joins the stats dict.  Unsat-core guard names become case labels
+        and a witness slice becomes a witness over this spec's variables.
+        """
+        kind, a, b, solver_stats, elapsed = payload[:5]
+        solver_stats = dict(solver_stats)
+        solver_profile = solver_stats.pop("profile", {})
+        stats = {
+            "network": self.network.stats(),
+            "color_pairs": self.colors.total_pairs(),
+            "invariant_count": (
+                len(invariants) if invariant_count is None else invariant_count
+            ),
+            "solver": solver_stats,
+            "solver_profile": solver_profile,
+            "solve_seconds": elapsed,
+            **(extra_stats or {}),
+        }
+        if self.parametric:
+            stats["queue_sizes"] = dict(sizes)
+        if len(payload) > 5 and payload[5] is not None:
+            stats["invariant_selection"] = payload[5]
+        witness = core = None
+        if kind == "unknown":
+            # The worker's share of the run budget expired: a first-class
+            # TIMEOUT, with whatever stats the cutoff left behind.
+            verdict = Verdict.TIMEOUT
+            stats["timed_out"] = True
+        elif kind == "unsat":
+            verdict = Verdict.DEADLOCK_FREE
+            stats["formula_unsat"] = b
+            core = [self.guard_labels.get(name, name) for name in a]
+        else:
+            verdict = Verdict.DEADLOCK_CANDIDATE
+            if a is not None:
+                from .proof import extract_witness
+
+                model = Model(
+                    {self.var_by_uid[uid]: value for uid, value in a.items()},
+                    dict(b),
+                )
+                witness = extract_witness(self.network, self.colors, self.pool, model)
+        return VerificationResult(
+            verdict,
+            witness=witness,
+            invariants=list(invariants),
+            stats=stats,
+            unsat_core=core,
+        )
+
+
+class SessionBase:
+    """The query surface the sequential and pool sessions share.
+
+    Subclasses hold the current capacity pins in ``_sizes`` (with
+    ``_parametric`` from the spec) and answer ``verify_case``; this adds
+    the pin re-targeting, the per-channel and per-source wrappers and the
+    context-manager contract over ``close``, so drivers treat both
+    uniformly (``with make_session(...) as session:``).
+    """
+
+    _sizes: dict[str, int]
+    _parametric: bool
+    encoding: object
+
+    def close(self) -> None:
+        """Release what the session holds (the spec stays usable)."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def resize_queues(self, sizes: int | Mapping[str, int]) -> None:
+        """Re-target later queries at different queue capacities.
+
+        ``sizes`` is either one uniform size or a mapping from queue name
+        to size (unmentioned queues keep their current size).  Requires
+        ``parametric_queues``; nothing is re-encoded or restarted — the
+        pins travel with each query (a sequential session lazily mints a
+        guard literal implying ``cap[q] == size`` per pair).
+        """
+        self._sizes = resolve_resize(self._sizes, sizes, self._parametric)
+
+    @property
+    def queue_sizes(self) -> dict[str, int]:
+        return dict(self._sizes)
+
+    def verify_channel(
+        self, queue: Queue | str, color: Color, deadline=None
+    ) -> VerificationResult:
+        """Can ``queue`` hold a permanently stuck ``color`` packet?"""
+        name = queue if isinstance(queue, str) else queue.name
+        return self.verify_case(
+            self.encoding.case_of("queue", name, color), deadline=deadline
+        )
+
+    def verify_source(
+        self, source: Source | str, color: Color, deadline=None
+    ) -> VerificationResult:
+        """Can ``source`` be permanently refused ``color`` packets?"""
+        name = source if isinstance(source, str) else source.name
+        return self.verify_case(
+            self.encoding.case_of("source", name, color), deadline=deadline
+        )
+
+
+class VerificationSession(SessionBase):
     """Incremental, assumption-based verification of one xMAS network.
 
     Parameters
@@ -502,7 +652,6 @@ class VerificationSession:
         self._guard_labels[self.encoding.any_guard.uid] = ANY_CASE_LABEL
         self._invariants: list[Invariant] = []
         self._invariants_added = False
-        self._var_by_uid: dict[int, IntVar] | None = None
         self._witness_bool_names: tuple[str, ...] | None = None
         self._last_witness_bools: dict[str, bool] | None = None
         with self.watch.phase("smt solving"):
@@ -514,21 +663,6 @@ class VerificationSession:
         if spec.invariants is not None:
             self._invariants = spec.invariants
             self._invariants_added = True
-
-    # ------------------------------------------------------------------
-    # Lifecycle: sessions hold no external resources, but sharing the
-    # context-manager contract with ParallelVerificationSession lets
-    # drivers treat both uniformly (`with make_session(...) as session:`).
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """No-op (the spec and solver stay usable); contract parity with
-        :meth:`repro.core.parallel.ParallelVerificationSession.close`."""
-
-    def __enter__(self) -> "VerificationSession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Configuration
@@ -572,6 +706,20 @@ class VerificationSession:
     def invariants(self) -> list[Invariant]:
         return list(self._invariants)
 
+    # The session side of Strengthening's protocol (the invariant rows
+    # in static rank order, conjoined by index; candidates are answers
+    # neither deadlock-free nor timed out).
+    def ranked_rows(self) -> tuple:
+        return encode_invariant_rows(self.spec.ranked_invariants(watch=self.watch))
+
+    def conjoin_rows(self, indices: Iterable[int]) -> int:
+        ranked = self.spec.ranked_invariants(watch=self.watch)
+        return self.conjoin_invariants([ranked[index] for index in indices])
+
+    @staticmethod
+    def is_candidate(result: VerificationResult) -> bool:
+        return not result.deadlock_free and not result.timed_out
+
     def invariant_value_of(self) -> "Callable[[int], int]":
         """``uid → model value`` over the pool's state/occupancy variables.
 
@@ -579,31 +727,9 @@ class VerificationSession:
         :meth:`~repro.core.invariants.InvariantSelector.next_batch`
         evaluates candidate rows against.
         """
-        if self._var_by_uid is None:
-            self._var_by_uid = {
-                var.uid: var for _, var in self.pool.state_items()
-            }
-            self._var_by_uid.update(
-                (var.uid, var) for _, var in self.pool.occupancy_items()
-            )
         model = self.solver.model()
-        lookup = self._var_by_uid
+        lookup = self.spec.var_by_uid
         return lambda uid: int(model[lookup[uid]])
-
-    def resize_queues(self, sizes: int | Mapping[str, int]) -> None:
-        """Re-target later queries at different queue capacities.
-
-        ``sizes`` is either one uniform size or a mapping from queue name
-        to size (unmentioned queues keep their current size).  Requires
-        ``parametric_queues``; nothing is re-encoded — each (queue, size)
-        pair lazily gets a guard literal implying ``cap[q] == size``, and
-        queries assume the guards of the current sizes.
-        """
-        self._sizes = resolve_resize(self._sizes, sizes, self._parametric)
-
-    @property
-    def queue_sizes(self) -> dict[str, int]:
-        return dict(self._sizes)
 
     # ------------------------------------------------------------------
     # Warm-start state
@@ -784,24 +910,6 @@ class VerificationSession:
             [case.guard, *self._capacity_assumptions()], deadline=deadline
         )
 
-    def verify_channel(
-        self, queue: Queue | str, color: Color, deadline=None
-    ) -> VerificationResult:
-        """Can ``queue`` hold a permanently stuck ``color`` packet?"""
-        name = queue if isinstance(queue, str) else queue.name
-        return self.verify_case(
-            self.encoding.case_of("queue", name, color), deadline=deadline
-        )
-
-    def verify_source(
-        self, source: Source | str, color: Color, deadline=None
-    ) -> VerificationResult:
-        """Can ``source`` be permanently refused ``color`` packets?"""
-        name = source if isinstance(source, str) else source.name
-        return self.verify_case(
-            self.encoding.case_of("source", name, color), deadline=deadline
-        )
-
     def verify_all_cases(self, deadline=None) -> list[VerificationResult]:
         """One verdict per deadlock case, in encoding order.
 
@@ -879,7 +987,7 @@ INVARIANT_MODES = ("eager", "lazy", "partial", "none")
 
 
 class Strengthening:
-    """The invariant-strengthening policy of one session's probe walk.
+    """The invariant-strengthening policy of one session's probes.
 
     Decides when the cross-layer invariants are conjoined, and records
     what that cost.  The ``invariants=`` modes:
@@ -901,10 +1009,24 @@ class Strengthening:
     does.  One object serves one session, because the rows it conjoined
     stay in that session's solver.
 
+    The policy serves every engine that runs probes — the sequential
+    :class:`VerificationSession`, pool shard workers and portfolio
+    racers (:class:`~repro.core.parallel.WorkerSession`) — through one
+    narrow session protocol:
+
+    * ``add_invariants()`` conjoins the full set and returns the rows in
+      force (:meth:`prepare` needs only this);
+    * ``ranked_rows()`` gives the rows in static rank order as plain data
+      and ``conjoin_rows(indices)`` conjoins some of them by index;
+    * ``invariant_value_of()`` reads the last SAT model by variable uid;
+    * ``is_candidate(answer)`` says whether an answer is a surviving
+      deadlock candidate (not deadlock-free, not timed out).
+
     Accounting: ``invariants_used`` (rows in force), ``lazy_escalations``
     (escalation steps), ``invariants_generated`` (rows encoded),
     ``rank_histogram`` (partial: rows per static-rank tier) and
-    ``seconds`` (time spent generating and conjoining rows).
+    ``seconds`` (time spent generating and conjoining rows);
+    :meth:`counters` snapshots the first three for per-probe deltas.
     """
 
     def __init__(
@@ -922,6 +1044,9 @@ class Strengthening:
         self.upfront = invariants == "eager"
         self.deferred = invariants == "lazy"
         self.refining = invariants == "partial"
+        # Whether the policy ever conjoins rows (every mode but "none"):
+        # an engine serving it needs the rows at hand.
+        self.strengthens = self.upfront or self.deferred or self.refining
         self.rank_budget, self.rank_growth = InvariantSelector.schedule(
             rank_budget, rank_growth
         )
@@ -932,57 +1057,61 @@ class Strengthening:
         self.seconds = 0.0
         self._selector: InvariantSelector | None = None
 
-    def prepare(self, session: VerificationSession) -> None:
+    def prepare(self, session) -> None:
         """Strengthen ``session`` before its first probe (eager mode)."""
         if self.upfront:
             self._conjoin_all(session)
 
-    def settle(
-        self,
-        session: VerificationSession,
-        result: VerificationResult,
-        reask: Callable[[], VerificationResult],
-    ) -> VerificationResult:
+    def settle(self, session, answer, reask: Callable):
         """The final answer to one probe, strengthening as the mode asks.
 
-        ``reask`` re-runs the probe (capacity pins included).  A TIMEOUT
-        or deadlock-free ``result`` comes back untouched: an expired probe
-        has no model to refine against, and its budget is the caller's.
+        ``reask`` re-runs the probe (capacity pins and budget included).
+        An answer that is not a surviving candidate comes back untouched:
+        a deadlock-free one stays so under more rows, and an expired one
+        has no model to refine against.  Eager and ``"none"`` answers
+        are final as asked and never touch ``session``.
         """
-        if result.timed_out or result.deadlock_free:
-            return result
-        if self.deferred and not self.invariants_used:
+        escalating = self.refining or (
+            self.deferred and not self.invariants_used
+        )
+        if not escalating or not session.is_candidate(answer):
+            return answer
+        if self.deferred:
             self._conjoin_all(session)
             self.lazy_escalations += 1
             return reask()
-        if not self.refining:
-            return result
-        ranked = self._timed(session.spec.ranked_invariants)
         if self._selector is None:
             self._selector = InvariantSelector(
-                encode_invariant_rows(ranked), self.rank_budget, self.rank_growth
+                self._timed(session.ranked_rows),
+                self.rank_budget,
+                self.rank_growth,
             )
         selector = self._selector
-        result, delta = selector.refine(
-            result,
-            lambda answer: not answer.deadlock_free and not answer.timed_out,
+        answer = selector.refine(
+            answer,
+            session.is_candidate,
             session.invariant_value_of,
-            lambda batch: self._timed(
-                lambda: session.conjoin_invariants([ranked[i] for i in batch])
-            ),
+            lambda batch: self._timed(lambda: session.conjoin_rows(batch)),
             reask,
         )
-        result.stats["invariant_selection"] = delta
         self.lazy_escalations = selector.escalations
         self.invariants_generated = selector.generated
         self.rank_histogram = dict(selector.rank_histogram)
         self.invariants_used = self.invariants_generated > 0
-        return result
+        return answer
 
-    def _conjoin_all(self, session: VerificationSession) -> None:
-        self._timed(session.add_invariants)
+    def counters(self) -> dict:
+        """The accounting so far, in
+        :meth:`~repro.core.invariants.InvariantSelector.counters` shape."""
+        return {
+            "invariants_generated": self.invariants_generated,
+            "escalations": self.lazy_escalations,
+            "rank_histogram": dict(self.rank_histogram),
+        }
+
+    def _conjoin_all(self, session) -> None:
+        self.invariants_generated = len(self._timed(session.add_invariants))
         self.invariants_used = True
-        self.invariants_generated = len(session.invariants)
 
     def _timed(self, thunk: Callable):
         start = perf_counter()

@@ -616,7 +616,7 @@ class InvariantSelector:
         model_values: Callable[[], Callable[[int], int]],
         conjoin: Callable[[list[int]], None],
         reask: Callable[[], T],
-    ) -> tuple[T, dict]:
+    ) -> T:
         """The CEGAR loop over one probe's answer.
 
         While ``is_candidate(answer)`` holds, conjoin the next batch of
@@ -626,14 +626,11 @@ class InvariantSelector:
         or once the full set is in force — in each case the final answer
         is the one eager mode gives.  ``model_values`` is called after
         each candidate answer for the :meth:`next_batch` lookup.
-
-        Returns the final answer and this probe's :meth:`counters_delta`.
         """
-        before = self.counters()
         while is_candidate(answer) and not self.exhausted:
             batch = self.next_batch(model_values())
             if not batch:
                 break  # the model satisfies the full remainder: final
             conjoin(batch)
             answer = reask()
-        return answer, self.counters_delta(self.counters(), before)
+        return answer

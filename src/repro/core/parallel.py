@@ -16,7 +16,13 @@ are independent queries over one fixed encoding.
   ``(queue, size)`` pin list — and results travel back as verdict +
   unsat-core names or a model-value slice, from which the parent rebuilds
   :class:`~repro.core.result.VerificationResult`\\ s (witnesses included)
-  in its own term space;
+  in its own term space (:meth:`~repro.core.engine.SessionSpec.read_payload`,
+  the one payload reader);
+* one ``"shard"`` job kind carries an ordered probe list plus an
+  invariant mode and schedule: the worker settles every probe through
+  its own :class:`~repro.core.engine.Strengthening` (eager, lazy,
+  partial or none) over the ranked rows shipped in the pool snapshot,
+  escalating locally exactly as the sequential walk does;
 * merged result lists are deterministic: :meth:`verify_all_cases` returns
   results in encoding order regardless of worker completion order
   (first-witness-stable), and sharded probes preserve submission order;
@@ -53,25 +59,26 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from fractions import Fraction
+from functools import partial
 from multiprocessing import get_all_start_methods, get_context
 from time import perf_counter
-from typing import Hashable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from ..smt import Model, Result, boolvar, eq, implies
+from ..smt import Result, boolvar, eq, implies
 from ..smt.serialize import restore_solver
-from ..xmas import Network, Queue, Source
+from ..xmas import Network
 from .deadlock import DeadlockCase
 from .engine import (
-    ANY_CASE_LABEL,
+    SessionBase,
     SessionSnapshot,
     SessionSpec,
+    Strengthening,
     VerificationSession,
     resolve_resize,
 )
 from .invariants import InvariantSelector
-from .proof import extract_witness
 from .resilience import Deadline, RetryPolicy, maybe_inject
-from .result import DeadlockWitness, Invariant, Verdict, VerificationResult
+from .result import DeadlockWitness, Invariant, VerificationResult
 
 __all__ = [
     "ParallelVerificationSession",
@@ -83,14 +90,13 @@ __all__ = [
     "shutdown_scenario_executors",
 ]
 
-Color = Hashable
-
 # A query target is resolved against the snapshot's guard tables inside
 # the worker: None = the master "any case" guard, an int = that index
 # into the encoding's deadlock cases.  A query job is
 # ("check", target, ((queue, size), ...) | None, want witness); a shard
-# job bundles ordered probes for one worker:
-# ("shard", ((target, sizes), ...), want witness).
+# job bundles ordered probes for one worker under one invariant policy:
+# ("shard", ((target, sizes), ...), want witness, mode, rank budget,
+# rank growth).
 Job = tuple
 Target = int | None
 SizesKey = tuple[tuple[str, int], ...]
@@ -230,6 +236,10 @@ class WorkerSession:
     ``(queue, size)`` exactly like the sequential session does, so a
     worker probing a shard of ascending sizes warm-starts each probe with
     everything learned on the previous ones.
+
+    It also serves :class:`~repro.core.engine.Strengthening`'s session
+    protocol over the snapshot's pending invariant rows, so shard probes
+    and portfolio racers strengthen exactly as the sequential walk does.
     """
 
     def __init__(
@@ -249,9 +259,10 @@ class WorkerSession:
         self._witness_vars = [
             (uid, ints[uid]) for uid in snapshot.witness_int_uids
         ]
-        # Partial-invariant escalation state, built lazily from the
-        # snapshot's pending rows on the first escalating job.
-        self._selector: InvariantSelector | None = None
+        # Indices of the pending rows conjoined so far, and the shard
+        # policies serving this worker by (mode, budget, growth).
+        self._conjoined: set[int] = set()
+        self._policies: dict[tuple, Strengthening] = {}
 
     def fork(self) -> "WorkerSession":
         """An independent clone over the same solver state (in-process).
@@ -266,11 +277,11 @@ class WorkerSession:
         clone._ints = self._ints  # immutable vocabulary
         clone._capacities = self._capacities
         clone._witness_vars = self._witness_vars
-        # Guard definitions already minted live in the forked clauses.
+        # Guard definitions and conjoined rows live in the forked clauses.
         clone._size_guard_names = dict(self._size_guard_names)
-        # Escalation state is per-clone: the template never runs jobs, so
-        # clones start with every pending row still selectable.
-        clone._selector = None
+        clone._conjoined = set(self._conjoined)
+        # Policies are per-clone: the template never runs jobs.
+        clone._policies = {}
         return clone
 
     # ------------------------------------------------------------------
@@ -327,7 +338,7 @@ class WorkerSession:
         elapsed = perf_counter() - start
         stats = dict(self.solver.stats)
         # Ride the existing stats slot so the payload tuple shape stays
-        # frozen; the parent pops this back out in _merge.
+        # frozen; the parent pops this back out in SessionSpec.read_payload.
         stats["profile"] = dict(self.solver.profile)
         if outcome == Result.UNKNOWN:
             return ("unknown", None, None, stats, elapsed)
@@ -348,18 +359,28 @@ class WorkerSession:
         return ("sat", ints, bools, stats, elapsed)
 
     # ------------------------------------------------------------------
-    # Partial-invariant escalation (see repro.core.invariants)
+    # Strengthening's session protocol over the pending invariant rows
     # ------------------------------------------------------------------
-    def _ensure_selector(
-        self, rank_budget: int | None, rank_growth: int | None
-    ) -> InvariantSelector:
-        if self._selector is None:
-            self._selector = InvariantSelector(
-                self.snapshot.pending_invariant_rows,
-                rank_budget=rank_budget,
-                rank_growth=rank_growth,
-            )
-        return self._selector
+    def add_invariants(self) -> tuple:
+        """Conjoin every pending row (idempotent); returns them all."""
+        rows = self.snapshot.pending_invariant_rows
+        self.conjoin_rows(range(len(rows)))
+        return rows
+
+    def ranked_rows(self) -> tuple:
+        return self.snapshot.pending_invariant_rows
+
+    def conjoin_rows(self, indices: Iterable[int]) -> None:
+        """Conjoin pending rows by index, skipping held ones."""
+        rows = self.snapshot.pending_invariant_rows
+        for index in indices:
+            if index not in self._conjoined:
+                self.solver.add_global(self._row_term(rows[index]))
+                self._conjoined.add(index)
+
+    @staticmethod
+    def is_candidate(payload: tuple) -> bool:
+        return payload[0] == "sat"
 
     def _row_term(self, row):
         """Re-build one plain-data invariant row over the restored vars."""
@@ -370,53 +391,22 @@ class WorkerSession:
             expr = piece if expr is None else expr + piece
         return eq(expr, -Fraction(const_num, const_den))
 
-    def _model_value_of(self):
+    def invariant_value_of(self) -> Callable[[int], int]:
         model = self.solver.model()
         ints = self._ints
+        return lambda uid: int(model[ints[uid]])
 
-        def value_of(uid: int) -> int:
-            return int(model[ints[uid]])
-
-        return value_of
-
-    def check_escalating(
-        self,
-        target: Target,
-        sizes: SizesKey | None,
-        want_witness: bool,
-        selector: InvariantSelector,
-        conflict_limit: int | None = None,
-        should_stop=None,
+    def settle_probe(
+        self, policy: Strengthening, ask: Callable[[], tuple]
     ) -> tuple:
-        """One probe under partial invariants (worker-local CEGAR loop).
-
-        Runs :meth:`~repro.core.invariants.InvariantSelector.refine` over
-        the probe payload.  The strengthening is permanent, so later
-        probes on this worker continue from it.  Returns the probe payload
-        extended with this probe's selection delta.
-
-        Slice bounds apply per inner :meth:`check`; an ``"unknown"``
-        payload exits the loop (conjoined rows persist), so the next call
-        resumes the escalation where this slice stopped.
-        """
-
-        def ask() -> tuple:
-            return self.check(
-                target, sizes, want_witness, conflict_limit, should_stop
-            )
-
-        def conjoin(batch: list[int]) -> None:
-            for index in batch:
-                self.solver.add_global(self._row_term(selector.rows[index]))
-
-        payload, delta = selector.refine(
-            ask(),
-            lambda answer: answer[0] == "sat",
-            self._model_value_of,
-            conjoin,
-            ask,
-        )
-        return (*payload, delta)
+        """One probe under ``policy``: ``ask`` it, strengthen and re-ask
+        as the policy says, and append the probe's selection delta
+        (:meth:`~repro.core.invariants.InvariantSelector.counters_delta`)
+        to the final payload as its sixth element."""
+        before = policy.counters()
+        payload = policy.settle(self, ask(), ask)
+        delta = InvariantSelector.counters_delta(policy.counters(), before)
+        return (*payload[:5], delta)
 
     def _seed_phases_from_sat(self, payload: tuple) -> None:
         # Phase-seed the next probe from this witness's block booleans:
@@ -434,27 +424,24 @@ class WorkerSession:
         if bools:
             self.solver.phase_hints(bools)
 
-    def _bounded_check(
-        self, deadline, target, sizes, want_witness, selector=None
+    def bounded_check(
+        self, deadline, target, sizes, want_witness, should_stop=None
     ) -> tuple:
-        """One probe under a worker-local :class:`Deadline` (or none).
+        """One check under a worker-local :class:`Deadline` (or none).
 
         An expired budget short-circuits to the ``"unknown"`` payload
         without entering the solver; otherwise the remaining budget
-        becomes this check's ``conflict_limit``/``should_stop`` and the
-        conflicts actually spent are charged back, so a shard's probes
-        share one budget.
+        becomes this check's ``conflict_limit`` and the conflicts actually
+        spent are charged back, so every check of a shard (re-asks
+        included) shares one budget.  ``should_stop`` overrides the
+        deadline's wall-clock poll.
         """
         if deadline is not None and deadline.expired():
             return ("unknown", None, None, {"timed_out": True}, 0.0)
         limit = deadline.remaining_conflicts() if deadline else None
-        stop = deadline.should_stop if deadline else None
-        if selector is not None:
-            payload = self.check_escalating(
-                target, sizes, want_witness, selector, limit, stop
-            )
-        else:
-            payload = self.check(target, sizes, want_witness, limit, stop)
+        if should_stop is None and deadline is not None:
+            should_stop = deadline.should_stop
+        payload = self.check(target, sizes, want_witness, limit, should_stop)
         if deadline is not None:
             deadline.charge(payload[3].get("conflicts", 0))
         return payload
@@ -468,23 +455,24 @@ class WorkerSession:
         if kind == "check":
             _, target, sizes, want_witness, *rest = job
             deadline = Deadline.from_wire(rest[0]) if rest else None
-            return self._bounded_check(deadline, target, sizes, want_witness)
-        if kind in ("shard", "eshard"):
-            # An ordered walk over one shard's probes.  An escalating shard
-            # ("eshard") first runs the worker-local escalation loop over
-            # the snapshot's pending invariant rows on every surviving
-            # candidate.
-            selector = None
-            if kind == "shard":
-                _, probes, want_witness, *rest = job
-            else:
-                _, probes, want_witness, rank_budget, rank_growth, *rest = job
-                selector = self._ensure_selector(rank_budget, rank_growth)
+            return self.bounded_check(deadline, target, sizes, want_witness)
+        if kind == "shard":
+            # An ordered walk over one shard's probes, each settled by
+            # this worker's policy for the job's mode and schedule.
+            _, probes, want_witness, mode, budget, growth, *rest = job
+            key = (mode, budget, growth)
             deadline = Deadline.from_wire(rest[0]) if rest else None
+            policy = self._policies.get(key)
+            if policy is None:
+                policy = self._policies[key] = Strengthening(*key)
+                policy.prepare(self)
             payloads = []
             for target, sizes in probes:
-                payload = self._bounded_check(
-                    deadline, target, sizes, want_witness, selector
+                payload = self.settle_probe(
+                    policy,
+                    partial(
+                        self.bounded_check, deadline, target, sizes, want_witness
+                    ),
                 )
                 payloads.append(payload)
                 if payload[0] == "sat":
@@ -519,7 +507,7 @@ def _run_job(job: Job):
     return _WORKER.session.run(job)
 
 
-class ParallelVerificationSession:
+class ParallelVerificationSession(SessionBase):
     """Fan guard-literal queries of one network out over a worker pool.
 
     Exposes the :class:`~repro.core.engine.VerificationSession` query API
@@ -556,18 +544,14 @@ class ParallelVerificationSession:
     reduction_opts:
         Lifecycle knobs (``reduce_base`` etc.) for the local session and,
         via the snapshot, every worker — shard-locality tuning.
-    partial_invariants:
-        Ship the spec's *ranked, not-yet-conjoined* invariant rows with
-        the pool snapshot so workers can escalate through them locally
-        (``invariants="partial"`` sweeps; see
-        :meth:`probe_shards`'s ``escalation``).  Triggers ranked
-        generation at pool-snapshot time.
     rotating_precision, max_splits, parametric_queues, spec:
         As for :class:`~repro.core.engine.VerificationSession`.
 
     The pool is started lazily on the first query (building the session
     snapshot once), restarted when :meth:`add_invariants` strengthens the
-    encoding, and released by :meth:`close` / the context manager.
+    encoding or when :meth:`probe_shards` first needs the pending
+    invariant rows shipped, and released by :meth:`close` / the context
+    manager.
     """
 
     def __init__(
@@ -582,7 +566,6 @@ class ParallelVerificationSession:
         learned_cap: int = 4000,
         force_pool: bool = False,
         reduction_opts: Mapping | None = None,
-        partial_invariants: bool = False,
         spec: SessionSpec | None = None,
         retry_policy: RetryPolicy | None = None,
     ):
@@ -610,7 +593,9 @@ class ParallelVerificationSession:
         self.warm_start = warm_start
         self._learned_cap = learned_cap
         self._force_pool = force_pool
-        self._partial_invariants = partial_invariants
+        # Whether worker snapshots carry the ranked rows not yet conjoined
+        # (set once shards run under a strengthening policy).
+        self._ship_rows = False
         self._reduction_opts = dict(reduction_opts or {}) or None
         self._max_splits = max_splits
         self.retry_policy = retry_policy or RetryPolicy()
@@ -622,24 +607,10 @@ class ParallelVerificationSession:
         self._sizes: dict[str, int] = dict(spec.initial_sizes)
         self._executor = None
         self._pool_size = 0
-        self._pool_has_invariants = False
+        self._pool_key: tuple | None = None
         self._inline: WorkerSession | None = None
-        self._inline_has_invariants = False
+        self._inline_key: tuple | None = None
         self._local: VerificationSession | None = None
-        self._var_by_uid = {
-            var.uid: var for _, var in spec.pool.state_items()
-        }
-        self._var_by_uid.update(
-            (var.uid, var) for _, var in spec.pool.occupancy_items()
-        )
-        self._label_by_guard_name = {
-            case.guard.name: case.label for case in self.encoding.cases
-        }
-        self._label_by_guard_name[self.encoding.any_guard.name] = ANY_CASE_LABEL
-        self._index_by_guard_name = {
-            case.guard.name: index
-            for index, case in enumerate(self.encoding.cases)
-        }
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -653,12 +624,6 @@ class ParallelVerificationSession:
     def close(self) -> None:
         """Release pool workers (the spec and local session stay usable)."""
         self._shutdown_pool()
-
-    def __enter__(self) -> "ParallelVerificationSession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def __del__(self) -> None:  # best effort; close() is the real API
         try:
@@ -675,13 +640,14 @@ class ParallelVerificationSession:
         # Re-targeting sticks: later default-jobs queries reuse this pool
         # instead of thrashing a teardown/rebuild per call.
         self.jobs = want
-        spec_has_invariants = self.spec.invariants is not None
+        key = self._snapshot_key()
         if self._executor is not None and (
             self._pool_size != want
             # The spec was strengthened (possibly by *another* session
-            # sharing it) after these workers rehydrated: restart so the
-            # pool answers from the same encoding a fresh session would.
-            or self._pool_has_invariants != spec_has_invariants
+            # sharing it) after these workers rehydrated, or shards now
+            # need the pending rows: restart so the pool answers from the
+            # snapshot a fresh session would ship.
+            or self._pool_key != key
         ):
             self._shutdown_pool()
         if self._executor is None:
@@ -701,8 +667,13 @@ class ParallelVerificationSession:
                     initargs=(template,),
                 )
             self._pool_size = want
-            self._pool_has_invariants = spec_has_invariants
+            self._pool_key = key
         return self._executor
+
+    def _snapshot_key(self) -> tuple[bool, bool]:
+        """What a worker snapshot taken now would hold: conjoined
+        invariants, and pending rows."""
+        return (self.spec.invariants is not None, self._ship_rows)
 
     def _local_session(self) -> VerificationSession:
         if self._local is None:
@@ -732,14 +703,14 @@ class ParallelVerificationSession:
             return self.spec.snapshot(
                 max_splits=self._max_splits,
                 reduction_opts=self._reduction_opts,
-                include_pending_invariants=self._partial_invariants,
+                include_pending_invariants=self._ship_rows,
             )
         local = self._local_session()
         local.verify()
         return local.snapshot(
             include_learned=True,
             learned_cap=self._learned_cap,
-            include_pending_invariants=self._partial_invariants,
+            include_pending_invariants=self._ship_rows,
         )
 
     def _sequential_fallback(self, want: int) -> bool:
@@ -756,15 +727,12 @@ class ParallelVerificationSession:
         )
 
     def _ensure_inline(self) -> WorkerSession:
-        spec_has_invariants = self.spec.invariants is not None
-        if (
-            self._inline is not None
-            and self._inline_has_invariants != spec_has_invariants
-        ):
-            self._inline = None  # stale: spec strengthened since rehydration
-        if self._inline is None:
+        key = self._snapshot_key()
+        if self._inline is None or self._inline_key != key:
+            # (Re)hydrate: first use, or stale since the spec was
+            # strengthened or shards began needing the pending rows.
             self._inline = WorkerSession(self._pool_snapshot())
-            self._inline_has_invariants = spec_has_invariants
+            self._inline_key = key
         return self._inline
 
     # ------------------------------------------------------------------
@@ -787,80 +755,13 @@ class ParallelVerificationSession:
     def invariants(self) -> list[Invariant]:
         return self.spec.invariants or []
 
-    def resize_queues(self, sizes: int | Mapping[str, int]) -> None:
-        """Re-target later queries; pins travel with each job, so no
-        worker restart is needed."""
-        self._sizes = resolve_resize(self._sizes, sizes, self._parametric)
-
-    @property
-    def queue_sizes(self) -> dict[str, int]:
-        return dict(self._sizes)
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _sizes_key(self, sizes: Mapping[str, int] | None = None) -> SizesKey | None:
+    def _sizes_key(self) -> SizesKey | None:
         if not self._parametric:
             return None
-        mapping = self._sizes if sizes is None else sizes
-        return tuple(sorted(mapping.items()))
-
-    def _merge(
-        self, payload: tuple, sizes: Mapping[str, int] | None = None
-    ) -> VerificationResult:
-        """One worker payload → a parent-space VerificationResult."""
-        kind, a, b, solver_stats, elapsed = payload[:5]
-        solver_stats = dict(solver_stats)
-        solver_profile = solver_stats.pop("profile", {})
-        invariants = self.spec.invariants or []
-        stats = {
-            "network": self.network.stats(),
-            "color_pairs": self.colors.total_pairs(),
-            "invariant_count": len(invariants),
-            "solver": solver_stats,
-            "solver_profile": solver_profile,
-            "solve_seconds": elapsed,
-        }
-        if self._parametric:
-            stats["queue_sizes"] = dict(
-                self._sizes if sizes is None else sizes
-            )
-        if len(payload) > 5 and payload[5] is not None:
-            # Escalating probes report their worker-local selection delta.
-            stats["invariant_selection"] = payload[5]
-        if kind == "unknown":
-            # The worker's slice of the run budget expired: a first-class
-            # TIMEOUT, with whatever stats the cutoff left behind.
-            stats["timed_out"] = True
-            return VerificationResult(
-                Verdict.TIMEOUT,
-                invariants=list(invariants),
-                stats=stats,
-            )
-        if kind == "unsat":
-            core = [
-                self._label_by_guard_name.get(name, name) for name in a
-            ]
-            stats["formula_unsat"] = b
-            return VerificationResult(
-                Verdict.DEADLOCK_FREE,
-                invariants=list(invariants),
-                stats=stats,
-                unsat_core=core,
-            )
-        witness = None
-        if a is not None:
-            model = Model(
-                {self._var_by_uid[uid]: value for uid, value in a.items()},
-                dict(b),
-            )
-            witness = extract_witness(self.network, self.colors, self.pool, model)
-        return VerificationResult(
-            Verdict.DEADLOCK_CANDIDATE,
-            witness=witness,
-            invariants=list(invariants),
-            stats=stats,
-        )
+        return tuple(sorted(self._sizes.items()))
 
     def _dispatch(self, jobs_list: list[Job], jobs: int | None = None, chunksize: int = 1):
         want = jobs if jobs is not None else self.jobs
@@ -912,42 +813,18 @@ class ParallelVerificationSession:
             return ()
         return (Deadline.coerce(deadline).to_wire(),)
 
+    def _check(self, target: Target, deadline) -> VerificationResult:
+        """One guard query, answered by one pool worker."""
+        job = ("check", target, self._sizes_key(), True, *self._job_tail(deadline))
+        payload = self._dispatch([job])[0]
+        return self.spec.read_payload(payload, self._sizes, self.invariants)
+
     def verify(self, deadline=None) -> VerificationResult:
         """The full deadlock check, answered by one pool worker."""
-        payload = self._dispatch(
-            [("check", None, self._sizes_key(), True, *self._job_tail(deadline))]
-        )[0]
-        return self._merge(payload)
+        return self._check(None, deadline)
 
     def verify_case(self, case: DeadlockCase, deadline=None) -> VerificationResult:
-        payload = self._dispatch(
-            [
-                (
-                    "check",
-                    self._index_by_guard_name[case.guard.name],
-                    self._sizes_key(),
-                    True,
-                    *self._job_tail(deadline),
-                )
-            ]
-        )[0]
-        return self._merge(payload)
-
-    def verify_channel(
-        self, queue: Queue | str, color: Color, deadline=None
-    ) -> VerificationResult:
-        name = queue if isinstance(queue, str) else queue.name
-        return self.verify_case(
-            self.encoding.case_of("queue", name, color), deadline=deadline
-        )
-
-    def verify_source(
-        self, source: Source | str, color: Color, deadline=None
-    ) -> VerificationResult:
-        name = source if isinstance(source, str) else source.name
-        return self.verify_case(
-            self.encoding.case_of("source", name, color), deadline=deadline
-        )
+        return self._check(self.spec.case_index[case.guard.name], deadline)
 
     def verify_all_cases(
         self, jobs: int | None = None, deadline=None
@@ -970,13 +847,17 @@ class ParallelVerificationSession:
         pool_size = jobs if jobs is not None else self.jobs
         chunksize = max(1, len(job_list) // max(1, pool_size * 4))
         payloads = self._dispatch(job_list, jobs=jobs, chunksize=chunksize)
-        return [self._merge(payload) for payload in payloads]
+        invariants = self.invariants
+        return [
+            self.spec.read_payload(payload, self._sizes, invariants)
+            for payload in payloads
+        ]
 
     def probe_shards(
         self,
         shards: Sequence[Sequence[Mapping[str, int]]],
         want_witness: bool = True,
-        escalation: tuple[int | None, int | None] | None = None,
+        strengthening: Strengthening | None = None,
         deadline=None,
     ) -> list[list[VerificationResult]]:
         """Run the full check under each capacity assignment, sharded.
@@ -987,22 +868,21 @@ class ParallelVerificationSession:
         learned on the previous ones.  Returns results aligned with the
         input structure.
 
-        ``escalation=(rank_budget, rank_growth)`` switches the workers to
-        partial-invariant probes: every surviving candidate runs the
-        worker-local CEGAR loop over the snapshot's pending invariant
-        rows before its verdict lands (requires
-        ``partial_invariants=True`` at construction, which ships those
-        rows with the pool snapshot).  Each result's
-        ``stats["invariant_selection"]`` carries the per-probe delta.
+        ``strengthening`` is the invariant policy of the shards: each
+        worker settles every probe through its own
+        :class:`~repro.core.engine.Strengthening` of the same mode and
+        schedule, over the ranked rows not yet conjoined, which then
+        travel with the pool snapshot.  (Preparing an eager policy on
+        this session first bakes the rows into the snapshot instead.)
+        Without one,
+        probes answer under the encoding as it stands.  Each result's
+        ``stats["invariant_selection"]`` carries its worker's per-probe
+        accounting delta.
         """
         if not self._parametric:
             raise RuntimeError("probe_shards() requires parametric_queues=True")
-        if escalation is not None and not self._partial_invariants:
-            raise RuntimeError(
-                "probe_shards(escalation=...) requires "
-                "partial_invariants=True (the pool snapshot must carry "
-                "the ranked invariant rows)"
-            )
+        policy = strengthening or Strengthening("none")
+        self._ship_rows = self._ship_rows or policy.strengthens
         full_shards = [
             [
                 resolve_resize(self._sizes, dict(assignment), True)
@@ -1010,14 +890,11 @@ class ParallelVerificationSession:
             ]
             for shard in shards
         ]
-        # An escalating shard ("eshard") carries the rank schedule.
-        kind, schedule = (
-            ("shard", ()) if escalation is None else ("eshard", escalation)
-        )
+        schedule = (policy.mode, policy.rank_budget, policy.rank_growth)
         tail = self._job_tail(deadline)
         job_list: list[Job] = [
             (
-                kind,
+                "shard",
                 tuple((None, tuple(sorted(full.items()))) for full in shard),
                 want_witness,
                 *schedule,
@@ -1026,9 +903,10 @@ class ParallelVerificationSession:
             for shard in full_shards
         ]
         payload_lists = self._dispatch(job_list)
+        invariants = self.invariants
         return [
             [
-                self._merge(payload, sizes=full)
+                self.spec.read_payload(payload, full, invariants)
                 for full, payload in zip(shard, payloads)
             ]
             for shard, payloads in zip(full_shards, payload_lists)

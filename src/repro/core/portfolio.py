@@ -9,11 +9,15 @@ ManySAT recipe applied to ADVOCAT's strategy space:
 * N **racers** rehydrate :class:`~repro.core.parallel.WorkerSession`\\ s
   from one shared cold :class:`~repro.core.engine.SessionSnapshot`
   (pending invariant rows included) and each applies one
-  :class:`StrategyConfig` — eager / lazy / partial invariants, optionally
-  with re-tuned clause-lifecycle knobs or a jittered phase vector;
+  :class:`StrategyConfig` — eager / lazy / partial invariants through
+  its own :class:`~repro.core.engine.Strengthening` (the policy the
+  sequential walk and the pool shards run too), optionally with
+  re-tuned clause-lifecycle knobs or a jittered phase vector;
 * every racer runs in bounded **slices**
   (``Cdcl.solve(conflict_limit=..., should_stop=...)`` → UNKNOWN, all
-  learning retained), importing peer clauses between slices;
+  learning retained), importing peer clauses between slices; a slice is
+  one check settled by the racer's policy, whose re-asks share the
+  slice's conflict budget;
 * the **first verdict wins**; losers are cancelled cooperatively and stop
   within one propagate cycle of the ``should_stop`` event firing.
 
@@ -60,14 +64,16 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from queue import Empty
+from time import perf_counter
 from typing import Mapping, Sequence
 
 from ..xmas import Network
 from .engine import (
-    ANY_CASE_LABEL,
     SessionSnapshot,
     SessionSpec,
+    Strengthening,
     resolve_resize,
 )
 from .parallel import (
@@ -76,7 +82,6 @@ from .parallel import (
     _process_context,
     default_jobs,
 )
-from .proof import extract_witness
 from .resilience import (
     Deadline,
     RetryPolicy,
@@ -86,8 +91,7 @@ from .resilience import (
     maybe_inject,
     reap_process,
 )
-from .result import Verdict, VerificationResult
-from ..smt import Model
+from .result import VerificationResult
 
 __all__ = [
     "StrategyConfig",
@@ -151,14 +155,16 @@ def default_strategies(
             reduction_overrides={"reduce_base": 2000, "glue_keep": 3},
         ),
     ]
-    if lead is not None:
-        for index, strategy in enumerate(roster):
-            if strategy.name == lead:
-                roster.insert(0, roster.pop(index))
-                break
+    roster = _lead_first(roster, lead)
     if limit is not None:
         roster = roster[: max(1, limit)]
     return tuple(roster)
+
+
+def _lead_first(roster, lead: str | None) -> list[StrategyConfig]:
+    """``roster`` with the strategy named ``lead`` moved to the front
+    (a stable sort: the others keep their order; no match, no change)."""
+    return sorted(roster, key=lambda strategy: strategy.name != lead)
 
 
 def racer_budget(n_strategies: int, jobs: int | None = None) -> int:
@@ -182,11 +188,12 @@ def racer_budget(n_strategies: int, jobs: int | None = None) -> int:
 class Racer:
     """One strategy's query engine over the shared base snapshot.
 
-    Wraps a :class:`WorkerSession` with the strategy applied — rows
-    conjoined (eager), a selector armed (partial), or deferred
-    strengthening (lazy) — plus the clause-exchange bookkeeping: exports
-    are filtered to base-numbering clauses and deduplicated both ways so
-    a clause never ping-pongs between peers.
+    Wraps a :class:`WorkerSession` under the strategy's own
+    :class:`~repro.core.engine.Strengthening` (eager conjoins the pending
+    rows up front, lazy and partial escalate inside each slice), plus the
+    clause-exchange bookkeeping: exports are filtered to base-numbering
+    clauses and deduplicated both ways so a clause never ping-pongs
+    between peers.
     """
 
     def __init__(self, snapshot: SessionSnapshot, strategy: StrategyConfig):
@@ -199,21 +206,12 @@ class Racer:
         self.worker = WorkerSession(snapshot, reduction_overrides=overrides)
         self.base_n_vars = snapshot.solver.n_vars
         self._shared: set[frozenset] = set()
-        self._strengthened = strategy.mode == "eager"
-        self._selector = None
-        if strategy.mode == "eager":
-            self._conjoin_all_rows()
-        elif strategy.mode == "partial":
-            self._selector = self.worker._ensure_selector(
-                strategy.rank_budget, strategy.rank_growth
-            )
+        self.policy = Strengthening(
+            strategy.mode, strategy.rank_budget, strategy.rank_growth
+        )
+        self.policy.prepare(self.worker)
         if strategy.phase_seed is not None:
             self._jitter_phases(strategy.phase_seed)
-
-    def _conjoin_all_rows(self) -> None:
-        worker = self.worker
-        for row in worker.snapshot.pending_invariant_rows:
-            worker.solver.add_global(worker._row_term(row))
 
     def _jitter_phases(self, seed: int) -> None:
         # Deterministic LCG walk flipping ~half the saved phases: same
@@ -240,31 +238,25 @@ class Racer:
     ) -> tuple[bool, tuple]:
         """Run one bounded slice; returns ``(final, payload)``.
 
-        ``final=False`` means the slice expired (payload kind
-        ``"unknown"``) or a lazy candidate triggered full strengthening —
-        either way the caller should exchange clauses and re-slice.
+        The slice's check and every re-ask its strengthening needs share
+        ``conflict_limit``.  ``final=False`` means the slice expired
+        (payload kind ``"unknown"``); the caller should exchange clauses
+        and re-slice, and the escalation resumes where it stopped.
         """
-        strategy = self.strategy
-        if strategy.mode == "partial":
-            payload = self.worker.check_escalating(
+        budget = (
+            None if conflict_limit is None else Deadline(conflicts=conflict_limit)
+        )
+        payload = self.worker.settle_probe(
+            self.policy,
+            partial(
+                self.worker.bounded_check,
+                budget,
                 target,
                 sizes,
                 want_witness,
-                self._selector,
-                conflict_limit,
                 should_stop,
-            )
-            return payload[0] != "unknown", payload
-        payload = self.worker.check(
-            target, sizes, want_witness, conflict_limit, should_stop
+            ),
         )
-        if payload[0] == "sat" and not self._strengthened:
-            # Lazy escalation: the candidate survived the base encoding;
-            # conjoin the full row set and keep racing — only a candidate
-            # that also survives the strengthened encoding is genuine.
-            self._conjoin_all_rows()
-            self._strengthened = True
-            return False, ("unknown", None, None, payload[3], payload[4])
         return payload[0] != "unknown", payload
 
     # ------------------------------------------------------------------
@@ -451,11 +443,7 @@ class PortfolioSession:
         names = [strategy.name for strategy in roster]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate strategy names: {names}")
-        if lead is not None:
-            for index, strategy in enumerate(roster):
-                if strategy.name == lead:
-                    roster = (strategy, *roster[:index], *roster[index + 1:])
-                    break
+        roster = tuple(_lead_first(roster, lead))
         budget = racer_budget(len(roster), jobs)
         if not force_race:
             roster = roster[:budget]
@@ -501,22 +489,10 @@ class PortfolioSession:
             strategy.name: 0 for strategy in roster
         }
         self.races = 0
-        self._var_by_uid = {
-            var.uid: var for _, var in spec.pool.state_items()
-        }
-        self._var_by_uid.update(
-            (var.uid, var) for _, var in spec.pool.occupancy_items()
-        )
-        self._label_by_guard_name = {
-            case.guard.name: case.label for case in self.encoding.cases
-        }
-        self._label_by_guard_name[self.encoding.any_guard.name] = (
-            ANY_CASE_LABEL
-        )
-        self._index_by_guard_name = {
-            case.guard.name: index
-            for index, case in enumerate(self.encoding.cases)
-        }
+        # How each racer process ended at the last teardown: strategy,
+        # reap outcome ("joined"/"terminated"/"killed"/"lost") and the
+        # seconds its reap took.
+        self.last_teardown: list[dict] = []
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -558,8 +534,17 @@ class PortfolioSession:
                 inbox.put(("quit",))
             except Exception:
                 pass
-        for proc in self._procs:
-            reap_process(proc, timeout=self.shutdown_timeout)
+        self.last_teardown = []
+        for strategy, proc in zip(self.strategies, self._procs):
+            start = perf_counter()
+            outcome = reap_process(proc, timeout=self.shutdown_timeout)
+            self.last_teardown.append(
+                {
+                    "strategy": strategy.name,
+                    "outcome": outcome,
+                    "seconds": perf_counter() - start,
+                }
+            )
         for inbox in self._inboxes or ():
             drain_queue(inbox)
         if self._outbox is not None:
@@ -608,12 +593,6 @@ class PortfolioSession:
         """No-op: each racer keeps its own phases warm across probes."""
         return 0
 
-    def _sizes_key(self, sizes: Mapping[str, int] | None = None):
-        if not self._parametric:
-            return None
-        mapping = self._sizes if sizes is None else sizes
-        return tuple(sorted(mapping.items()))
-
     # ------------------------------------------------------------------
     # Racing
     # ------------------------------------------------------------------
@@ -639,33 +618,30 @@ class PortfolioSession:
         inline backend once the attempts are exhausted.
         """
         deadline = Deadline.coerce(deadline)
-        full = (
-            resolve_resize(self._sizes, dict(sizes), True)
-            if (sizes is not None and self._parametric)
-            else None
-        )
-        sizes_key = (
-            tuple(sorted(full.items()))
-            if full is not None
-            else self._sizes_key()
-        )
+        full = self._sizes
+        if sizes is not None and self._parametric:
+            full = resolve_resize(self._sizes, dict(sizes), True)
+        sizes_key = tuple(sorted(full.items())) if self._parametric else None
         winner, payload, rounds, summaries = self._race_with_recovery(
             target, sizes_key, want_witness, deadline
         )
         self.races += 1
         if winner is not None:
             self.strategy_wins[winner] += 1
-        return self._merge(
+        return self.spec.read_payload(
             payload,
-            sizes=full if full is not None else None,
-            portfolio={
-                "winner": winner,
-                "rounds": rounds,
-                "backend": self.backend,
-                "share_clauses": self.share_clauses,
-                "racers": summaries,
-                "recoveries": self.recoveries,
-                "degraded": self.degraded,
+            full,
+            invariant_count=self.invariants_generated,
+            extra_stats={
+                "portfolio": {
+                    "winner": winner,
+                    "rounds": rounds,
+                    "backend": self.backend,
+                    "share_clauses": self.share_clauses,
+                    "racers": summaries,
+                    "recoveries": self.recoveries,
+                    "degraded": self.degraded,
+                }
             },
         )
 
@@ -705,9 +681,23 @@ class PortfolioSession:
         self.degraded = True
         return self._race_inline(target, sizes_key, want_witness, deadline)
 
-    def _round_limit(self, round_index: int) -> int:
-        limit = self.slice_conflicts * (self.slice_growth ** round_index)
-        return max(1, int(limit))
+    def _round_limit(self, round_index: int, deadline=None) -> int:
+        """A slice's conflict budget in round ``round_index`` (0-based),
+        capped by what is left of ``deadline``'s conflict budget."""
+        limit = max(1, int(self.slice_conflicts * (self.slice_growth ** round_index)))
+        remaining = None if deadline is None else deadline.remaining_conflicts()
+        return limit if remaining is None else max(1, min(limit, remaining))
+
+    def _share(self, exports, index: int, pending: list, seen: set) -> None:
+        """Queue racer ``index``'s fresh exports for every peer, once."""
+        for clause in exports:
+            key = frozenset(clause[1])
+            if key in seen:
+                continue
+            seen.add(key)
+            for peer_index, queued in enumerate(pending):
+                if peer_index != index:
+                    queued.append(clause)
 
     # -- inline backend -------------------------------------------------
     def _ensure_inline_racers(self) -> list[Racer]:
@@ -728,53 +718,43 @@ class PortfolioSession:
         Losing racers simply receive no further slices once a verdict
         lands, so "cancellation" is immediate by construction.  The
         deadline's conflict budget is shared across the whole roster
-        (every slice's conflicts are charged against it) and its wall
-        clock additionally cancels mid-slice via ``should_stop``.
+        (every slice's conflicts, re-asks included, are charged against
+        it) and its wall clock additionally cancels mid-slice via
+        ``should_stop``.
         """
         racers = self._ensure_inline_racers()
         pending: list[list] = [[] for _ in racers]
         shared_seen: set[frozenset] = set()
         rounds = 0
         while True:
-            limit = self._round_limit(rounds)
             rounds += 1
             for index, racer in enumerate(racers):
                 if deadline is not None and deadline.expired():
                     summaries = [peer.summary() for peer in racers]
                     return None, self._timeout_payload(), rounds, summaries
-                slice_limit = limit
-                if deadline is not None:
-                    remaining = deadline.remaining_conflicts()
-                    if remaining is not None:
-                        slice_limit = max(1, min(limit, remaining))
                 if pending[index]:
                     racer.import_clauses(pending[index])
                     pending[index] = []
+                spent = racer.summary()["conflicts"]
                 final, payload = racer.slice(
                     target,
                     sizes_key,
                     want_witness,
-                    slice_limit,
+                    self._round_limit(rounds - 1, deadline),
                     should_stop=deadline.should_stop if deadline else None,
                 )
-                if deadline is not None and isinstance(payload[3], dict):
-                    deadline.charge(payload[3].get("conflicts", 0))
+                if deadline is not None:
+                    deadline.charge(racer.summary()["conflicts"] - spent)
                 if final:
                     summaries = [peer.summary() for peer in racers]
                     return (
                         racer.strategy.name, payload, rounds, summaries
                     )
                 if self.share_clauses:
-                    for clause in racer.export_clauses(
+                    exports = racer.export_clauses(
                         self.exchange_cap, self.exchange_lbd
-                    ):
-                        key = frozenset(clause[1])
-                        if key in shared_seen:
-                            continue
-                        shared_seen.add(key)
-                        for peer_index in range(len(racers)):
-                            if peer_index != index:
-                                pending[peer_index].append(clause)
+                    )
+                    self._share(exports, index, pending, shared_seen)
 
     # -- process backend ------------------------------------------------
     def _ensure_procs(self):
@@ -869,11 +849,7 @@ class PortfolioSession:
 
         def issue(index: int) -> None:
             self._seqs[index] += 1
-            limit = self._round_limit(round_of.get(index, 0))
-            if deadline is not None:
-                remaining = deadline.remaining_conflicts()
-                if remaining is not None:
-                    limit = max(1, min(limit, remaining))
+            limit = self._round_limit(round_of.get(index, 0), deadline)
             self._inboxes[index].put(
                 (
                     "slice",
@@ -927,14 +903,7 @@ class PortfolioSession:
                             event.set()
             if winner is None and not expired:
                 if self.share_clauses:
-                    for clause in exports:
-                        key = frozenset(clause[1])
-                        if key in shared_seen:
-                            continue
-                        shared_seen.add(key)
-                        for peer_index in range(len(self.strategies)):
-                            if peer_index != index:
-                                pending[peer_index].append(clause)
+                    self._share(exports, index, pending, shared_seen)
                 issue(index)
         for event in self._events:
             event.clear()
@@ -947,69 +916,6 @@ class PortfolioSession:
             return None, self._timeout_payload(), rounds, ordered
         index, payload = winner
         return self.strategies[index].name, payload, rounds, ordered
-
-    # ------------------------------------------------------------------
-    # Result merge (parent term space), mirroring the parallel session
-    # ------------------------------------------------------------------
-    def _merge(
-        self,
-        payload: tuple,
-        sizes: Mapping[str, int] | None = None,
-        portfolio: dict | None = None,
-    ) -> VerificationResult:
-        kind, a, b, solver_stats, elapsed = payload[:5]
-        solver_stats = dict(solver_stats)
-        solver_profile = solver_stats.pop("profile", {})
-        stats = {
-            "network": self.network.stats(),
-            "color_pairs": self.colors.total_pairs(),
-            "invariant_count": self.invariants_generated,
-            "solver": solver_stats,
-            "solver_profile": solver_profile,
-            "solve_seconds": elapsed,
-        }
-        if portfolio is not None:
-            stats["portfolio"] = portfolio
-        if self._parametric:
-            stats["queue_sizes"] = dict(
-                self._sizes if sizes is None else sizes
-            )
-        if len(payload) > 5 and payload[5] is not None:
-            stats["invariant_selection"] = payload[5]
-        if kind == "unknown":
-            # The race's run budget expired before any racer finished.
-            stats["timed_out"] = True
-            return VerificationResult(
-                Verdict.TIMEOUT,
-                invariants=[],
-                stats=stats,
-            )
-        if kind == "unsat":
-            core = [
-                self._label_by_guard_name.get(name, name) for name in a
-            ]
-            stats["formula_unsat"] = b
-            return VerificationResult(
-                Verdict.DEADLOCK_FREE,
-                invariants=[],
-                stats=stats,
-                unsat_core=core,
-            )
-        witness = None
-        if a is not None:
-            model = Model(
-                {self._var_by_uid[uid]: value for uid, value in a.items()},
-                dict(b),
-            )
-            witness = extract_witness(
-                self.network, self.colors, self.pool, model
-            )
-        return VerificationResult(
-            Verdict.DEADLOCK_CANDIDATE,
-            witness=witness,
-            invariants=[],
-            stats=stats,
-        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1025,4 +931,5 @@ class PortfolioSession:
             "strategy_wins": dict(self.strategy_wins),
             "recoveries": self.recoveries,
             "degraded": self.degraded,
+            "teardown": [dict(entry) for entry in self.last_teardown],
         }

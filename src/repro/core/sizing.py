@@ -42,7 +42,10 @@ the last step ended on instead of from scratch.
 hand it to one :class:`~repro.core.engine.Strengthening`, the policy that
 decides when the cross-layer invariants are conjoined and records the
 selection ablation (``invariants_used``, ``lazy_escalations``,
-``invariants_generated``, ``rank_histogram``) per scenario.
+``invariants_generated``, ``rank_histogram``) per scenario.  A sharded
+sweep runs the same policy inside each pool worker: lazy and partial
+workers escalate at their own surviving candidates, in one pass over the
+sizes, and the per-probe accounting the workers report is summed.
 
 **Timing split.**  Results separate ``build_seconds`` (network
 construction, encoding, invariant generation) from ``query_seconds``
@@ -54,10 +57,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from ..xmas import Network
 from .engine import Strengthening, VerificationSession
+from .invariants import InvariantSelector
 from .resilience import Deadline
 from .result import VerificationResult
 
@@ -85,15 +89,17 @@ class SizingResult:
     the solver queries; ``invariants_used`` and ``lazy_escalations`` record
     the invariant-mode ablation (see the module docstring).
     ``lazy_escalations`` counts escalation steps — probes re-answered
-    under a strengthened encoding — *under this schedule*: a sequential
-    lazy walk strengthens at the first surviving candidate (at most 1),
-    the batched lazy pool pass re-answers every surviving size, and a
-    partial walk counts every CEGAR refinement step — verdicts are
-    identical in every case.  ``invariants_generated`` counts the
-    invariant rows actually encoded (eager/escalated lazy: the full set;
-    partial: the selected subset; schedule-dependent, summed across
-    shards by :meth:`merge`) and ``rank_histogram`` buckets those rows by
-    static-rank tier (partial mode only).
+    under a strengthened encoding — *under this schedule*: a lazy walk
+    strengthens at its first surviving candidate (at most 1 per session,
+    so a pool sweep reports the sum over its workers, at most one per
+    shard), and a partial walk counts every CEGAR refinement step, again
+    summed over the workers of a pool — verdicts are identical in every
+    case.  ``invariants_generated`` counts the invariant rows actually
+    encoded (eager: the full set once; escalated lazy: the full set per
+    escalating session; partial: the selected subset; schedule-dependent,
+    summed across workers and across shards by :meth:`merge`) and
+    ``rank_histogram`` buckets those rows by static-rank tier (partial
+    mode only).
     """
 
     minimal_size: int | None
@@ -238,6 +244,16 @@ def _capacity_only_assignment(
     return assignment
 
 
+def _accounting(policy: Strengthening) -> dict:
+    """A policy's selection ablation as :class:`SizingResult` fields."""
+    return {
+        "invariants_used": policy.invariants_used,
+        "lazy_escalations": policy.lazy_escalations,
+        "invariants_generated": policy.invariants_generated,
+        "rank_histogram": dict(policy.rank_histogram),
+    }
+
+
 class _Walk:
     """Probes queue sizes one at a time on one warm session.
 
@@ -302,7 +318,11 @@ class _Walk:
             session = self.session
             session.resize_queues(self.assignment(size))
             session.seed_phases_from_witness()
+            before = self.policy.counters()
             result = self.policy.settle(session, self._ask(), self._ask)
+            result.stats["invariant_selection"] = InvariantSelector.counters_delta(
+                self.policy.counters(), before
+            )
             self.results[size] = result
             if result.timed_out:
                 raise _DeadlineExpired
@@ -312,19 +332,15 @@ class _Walk:
     def outcome(
         self, minimal_size: int | None, timed_out: bool = False
     ) -> SizingResult:
-        policy = self.policy
         result = SizingResult(
             minimal_size=minimal_size,
             probes=self.probes,
             results=self.results,
-            build_seconds=self.timer.build + policy.seconds,
+            build_seconds=self.timer.build + self.policy.seconds,
             query_seconds=self.timer.query,
             invariants_mode=self.mode,
-            invariants_used=policy.invariants_used,
-            lazy_escalations=policy.lazy_escalations,
-            invariants_generated=policy.invariants_generated,
-            rank_histogram=dict(policy.rank_histogram),
             timed_out=timed_out,
+            **_accounting(self.policy),
         )
         if self.portfolio:
             result.invariants_used = True
@@ -442,84 +458,6 @@ def minimal_queue_size(
         return walk.outcome(high)
 
 
-def _pool_sweep(
-    base_network: Network,
-    size_list: Sequence[int],
-    assignments: dict[int, dict[str, int]],
-    jobs: int,
-    backend: str,
-    want_witness: bool,
-    add_invariants: bool,
-    timer: _SplitTimer,
-    verify_kwargs: dict,
-    escalation: tuple[int | None, int | None] | None = None,
-    deadline=None,
-) -> SizingResult:
-    """One sharded pass over ``size_list`` (striped shards, warm-start
-    ascending order within each shard).  With ``escalation`` the workers
-    run partial-invariant probes: the pool snapshot carries the ranked
-    rows and every surviving candidate escalates worker-locally."""
-    from .parallel import ParallelVerificationSession
-
-    session = timer.timed(
-        "build",
-        lambda: ParallelVerificationSession(
-            base_network,
-            jobs=jobs,
-            backend=backend,
-            parametric_queues=True,
-            partial_invariants=escalation is not None,
-            **verify_kwargs,
-        ),
-    )
-    with session:
-        if add_invariants:
-            timer.timed("build", session.add_invariants)
-        shard_sizes = [size_list[w::jobs] for w in range(jobs)]
-        shard_sizes = [shard for shard in shard_sizes if shard]
-        shard_results = timer.timed(
-            "query",
-            lambda: session.probe_shards(
-                [[assignments[size] for size in shard] for shard in shard_sizes],
-                want_witness=want_witness,
-                escalation=escalation,
-                deadline=deadline,
-            ),
-        )
-        generated_full = len(session.invariants) if add_invariants else 0
-    parts = []
-    for shard, results_list in zip(shard_sizes, shard_results):
-        part = SizingResult(minimal_size=None)
-        for size, result in zip(shard, results_list):
-            if result.timed_out:
-                # The shard's budget expired at this probe: keep the
-                # TIMEOUT result but no boolean verdict (the size stays
-                # undecided) and mark the part partial.
-                part.results[size] = result
-                part.timed_out = True
-                continue
-            part.probes[size] = result.deadlock_free
-            part.results[size] = result
-            selection = result.stats.get("invariant_selection")
-            if selection:
-                part.invariants_generated += selection["invariants_generated"]
-                part.lazy_escalations += selection["escalations"]
-                for tier, count in selection["rank_histogram"].items():
-                    part.rank_histogram[tier] = (
-                        part.rank_histogram.get(tier, 0) + count
-                    )
-        free = [size for size, ok in part.probes.items() if ok]
-        part.minimal_size = min(free) if free else None
-        parts.append(part)
-    merged = SizingResult.merge(parts)
-    merged.invariants_used = (
-        add_invariants or merged.invariants_generated > 0
-    )
-    if add_invariants:
-        merged.invariants_generated = generated_full
-    return merged
-
-
 def sweep_queue_sizes(
     build: Callable[[int], Network],
     sizes: Iterable[int],
@@ -548,13 +486,12 @@ def sweep_queue_sizes(
     :meth:`SizingResult.merge`.
 
     ``invariants`` selects the :class:`~repro.core.engine.Strengthening`
-    mode.  Across a pool, ``"lazy"`` batches the strengthening: a first
-    pass probes every size without invariants, then only the sizes whose
-    candidate survived are re-probed with the invariants conjoined
-    (sharded again) — verdict-identical to eager mode.  ``"partial"``
-    ships the ranked rows inside the pool snapshot and each worker
-    escalates locally (``rank_budget`` / ``rank_growth`` shape the
-    schedule) — also verdict-identical to eager mode.
+    mode.  Across a pool every worker settles its probes under its own
+    policy of that mode: ``"eager"`` bakes the rows into the pool
+    snapshot, while ``"lazy"`` and ``"partial"`` ship the ranked rows
+    inside it and each worker escalates locally at its own surviving
+    candidates (``rank_budget`` / ``rank_growth`` shape the partial
+    schedule) — verdict-identical to eager mode, in one pass.
 
     ``portfolio=True`` walks the size list sequentially through one
     persistent :class:`~repro.core.portfolio.PortfolioSession` instead of
@@ -614,52 +551,56 @@ def sweep_queue_sizes(
             free = [size for size, ok in walk.probes.items() if ok]
             return walk.outcome(min(free) if free else None, timed_out)
 
-    def pool_pass(sizes, add_invariants, shards=jobs, escalation=None):
-        return _pool_sweep(
-            base_network,
-            sizes,
-            assignments,
-            shards,
-            backend,
-            want_witness,
-            add_invariants,
-            timer,
-            verify_kwargs,
-            escalation=escalation,
-            deadline=deadline,
-        )
+    # Sharded: striped shards, ascending within each.  The policy is
+    # prepared on the pool session (eager: the rows are baked into the
+    # worker snapshot) and every worker settles its probes under a copy
+    # of it; the per-probe accounting the workers report sums on top.
+    from .parallel import ParallelVerificationSession
 
-    if strengthening.refining:
-        merged = pool_pass(
-            size_list,
-            False,
-            escalation=(strengthening.rank_budget, strengthening.rank_growth),
+    session = timer.timed(
+        "build",
+        lambda: ParallelVerificationSession(
+            base_network,
+            jobs=jobs,
+            backend=backend,
+            parametric_queues=True,
+            **verify_kwargs,
+        ),
+    )
+    with session:
+        strengthening.prepare(session)
+        shard_sizes = [size_list[w::jobs] for w in range(jobs)]
+        shard_sizes = [shard for shard in shard_sizes if shard]
+        shard_results = timer.timed(
+            "query",
+            lambda: session.probe_shards(
+                [[assignments[size] for size in shard] for shard in shard_sizes],
+                want_witness=want_witness,
+                strengthening=strengthening,
+                deadline=deadline,
+            ),
         )
-    elif not strengthening.deferred:
-        merged = pool_pass(size_list, strengthening.upfront)
-    else:
-        # Batched strengthening across the pool: one unstrengthened pass
-        # over every size, then a second sharded pass (invariants
-        # conjoined) over only the sizes whose candidate survived.
-        first = pool_pass(size_list, False)
-        # A timed-out size is absent from ``probes``; it is not a
-        # survivor — its TIMEOUT result stands as recorded.
-        surviving = [size for size in size_list if not first.probes.get(size, True)]
-        if not surviving:
-            merged = first
-        else:
-            for size in surviving:
-                # Drop the unstrengthened candidate verdicts: the second
-                # pass re-answers them under the stronger encoding.
-                first.probes.pop(size)
-                first.results.pop(size, None)
-            second = pool_pass(
-                surviving, True, shards=min(jobs, len(surviving))
-            )
-            merged = SizingResult.merge([first, second])
-            merged.invariants_used = True
-            merged.lazy_escalations = len(surviving)
+    parts = [SizingResult(minimal_size=None, **_accounting(strengthening))]
+    for shard, results_list in zip(shard_sizes, shard_results):
+        part = SizingResult(minimal_size=None)
+        for size, result in zip(shard, results_list):
+            part.results[size] = result
+            selection = result.stats["invariant_selection"]
+            part.invariants_generated += selection["invariants_generated"]
+            part.lazy_escalations += selection["escalations"]
+            for tier, count in selection["rank_histogram"].items():
+                part.rank_histogram[tier] = part.rank_histogram.get(tier, 0) + count
+            if result.timed_out:
+                # The shard's budget expired at this probe: keep the
+                # TIMEOUT result but no boolean verdict (the size stays
+                # undecided) and mark the part partial.
+                part.timed_out = True
+            else:
+                part.probes[size] = result.deadlock_free
+        part.invariants_used = part.invariants_generated > 0
+        parts.append(part)
+    merged = SizingResult.merge(parts)
     merged.invariants_mode = strengthening.mode
-    merged.build_seconds = timer.build
+    merged.build_seconds = timer.build + strengthening.seconds
     merged.query_seconds = timer.query
     return merged

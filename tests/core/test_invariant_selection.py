@@ -24,18 +24,23 @@ from hypothesis import strategies as st
 import repro
 from repro.core import (
     DEFAULT_RANK_BUDGET,
+    Deadline,
     InvariantSelector,
     Invariant,
     ParallelVerificationSession,
     SessionSpec,
     SizingResult,
+    Strengthening,
     VerificationSession,
+    WorkerSession,
     encode_invariant_rows,
     invariant_features,
     rank_invariants,
     sweep_queue_sizes,
 )
+from repro.core import parallel as parallel_module
 from repro.netlib import running_example
+from repro.protocols import abstract_mi_mesh
 from repro.smt import intvar
 
 
@@ -362,17 +367,15 @@ def test_sharded_partial_sweep_accounts_per_worker_rows():
 def test_forced_pool_escalation_matches_sequential_verdicts():
     network = _build(1)
     with ParallelVerificationSession(
-        network,
-        jobs=2,
-        backend="thread",
-        force_pool=True,
-        partial_invariants=True,
+        network, jobs=2, backend="thread", force_pool=True
     ) as session:
         shards = [
             [{"q0": 1, "q1": 1}, {"q0": 3, "q1": 3}],
             [{"q0": 2, "q1": 2}],
         ]
-        sharded = session.probe_shards(shards, escalation=(None, None))
+        sharded = session.probe_shards(
+            shards, strengthening=Strengthening("partial")
+        )
     flat = {1: sharded[0][0], 3: sharded[0][1], 2: sharded[1][0]}
     eager = sweep_queue_sizes(_build, range(1, 4), jobs=1)
     for size, result in flat.items():
@@ -380,12 +383,71 @@ def test_forced_pool_escalation_matches_sequential_verdicts():
         assert "invariant_selection" in result.stats
 
 
-def test_escalation_requires_partial_snapshot():
-    with ParallelVerificationSession(
-        _build(1), jobs=2, backend="thread", force_pool=True
-    ) as session:
-        with pytest.raises(RuntimeError, match="partial_invariants"):
-            session.probe_shards([[{"q0": 1, "q1": 1}]], escalation=(None, None))
+def _mesh(size):
+    return abstract_mi_mesh(2, 2, queue_size=size).network
+
+
+def test_lazy_pool_sweep_escalates_inside_one_pool(monkeypatch):
+    # Lazy workers strengthen at their own first surviving candidate:
+    # the sweep opens one pool, never a second one for the survivors.
+    opened = []
+    original_init = parallel_module.ParallelVerificationSession.__init__
+
+    def counting_init(self, *args, **kwargs):
+        opened.append(self)
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(
+        parallel_module.ParallelVerificationSession, "__init__", counting_init
+    )
+    lazy = sweep_queue_sizes(
+        _mesh, range(1, 5), jobs=2, backend="thread", invariants="lazy"
+    )
+    assert len(opened) == 1
+    eager = sweep_queue_sizes(_mesh, range(1, 5), jobs=2, backend="thread")
+    assert lazy.probes == eager.probes
+    assert lazy.invariants_used
+    assert 1 <= lazy.lazy_escalations <= 2  # at most one per shard
+
+
+def _partial_probe(snapshot, sizes, deadline=None):
+    """One partial-mode shard probe on a fresh worker; returns the
+    payload and the conflicts each inner check spent."""
+    worker = WorkerSession(snapshot)
+    spent = []
+    check = worker.check
+
+    def recording_check(*args, **kwargs):
+        payload = check(*args, **kwargs)
+        spent.append(payload[3].get("conflicts", 0))
+        return payload
+
+    worker.check = recording_check
+    tail = () if deadline is None else (deadline.to_wire(),)
+    job = ("shard", ((None, sizes),), True, "partial", None, None, *tail)
+    (payload,) = worker.run(job)
+    return payload, spent
+
+
+def test_escalation_reasks_share_the_probe_conflict_budget():
+    # Every re-ask of a partial probe draws on what is left of the
+    # probe's budget and is charged to it, so a budget one conflict short
+    # of the probe's total answers TIMEOUT.  (A check that ends SAT after
+    # c conflicts needs a limit of c + 1: the solver stops at the limit
+    # before its final propagation, so the full answer needs T + 1.)
+    spec = SessionSpec(_mesh(2))
+    snapshot = spec.snapshot(include_pending_invariants=True)
+    sizes = tuple(sorted(spec.initial_sizes.items()))
+    unbounded, spent = _partial_probe(snapshot, sizes)
+    assert unbounded[0] == "sat" and len(spent) >= 2
+    total = sum(spent)
+    short, _ = _partial_probe(snapshot, sizes, Deadline(conflicts=total - 1))
+    assert short[0] == "unknown"
+    enough, again = _partial_probe(
+        snapshot, sizes, Deadline(conflicts=total + 1)
+    )
+    assert enough[0] == unbounded[0]
+    assert again == spent
 
 
 def test_snapshot_ships_pending_rows_only_when_asked():

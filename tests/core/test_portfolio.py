@@ -150,6 +150,28 @@ def test_inline_portfolio_matches_sequential_eager_across_resizes():
         assert sum(session.strategy_wins.values()) == 2
 
 
+@pytest.mark.parametrize("mode", ["eager", "lazy", "partial"])
+def test_single_strategy_inline_roster_matches_eager(mode):
+    # One racer per roster, so every race is decided by that strategy's
+    # own Strengthening — small slices make lazy and partial escalations
+    # straddle slice boundaries.
+    with PortfolioSession(
+        network=_network(1),
+        strategies=[StrategyConfig(mode, mode)],
+        backend="inline",
+        force_race=True,
+        slice_conflicts=20,
+    ) as session:
+        for size in (1, 2, 3):
+            session.resize_queues(size)
+            got = session.race()
+            reference = _eager_reference(size)
+            assert got.verdict == reference.verdict, (mode, size)
+            assert (got.witness is None) == (reference.witness is None)
+            assert got.stats["portfolio"]["winner"] == mode
+        assert session.strategy_wins == {mode: 3}
+
+
 def test_process_backend_matches_inline_and_cancels_losers():
     with PortfolioSession(
         network=_network(),

@@ -388,6 +388,33 @@ def test_racer_kill_recovers_with_identical_verdict(tmp_path):
         # Recovery tears the fleet down with quit commands: healthy idle
         # racers exit at once instead of sitting out the join timeout.
         assert elapsed < RECOVERY_BUDGET_S, f"racer recovery took {elapsed:.1f}s"
+        # The recovery teardown is on record: every racer of the broken
+        # fleet was reaped, each within the session's shutdown timeout.
+        teardown = session.stats()["teardown"]
+        assert [entry["strategy"] for entry in teardown] == [
+            strategy.name for strategy in session.strategies
+        ]
+        for entry in teardown:
+            assert entry["outcome"] in ("joined", "terminated", "killed")
+            assert entry["seconds"] < session.shutdown_timeout
+
+
+def test_healthy_racer_close_records_joined_teardown():
+    with PortfolioSession(
+        network=_network(),
+        force_race=True,
+        backend="process",
+        jobs=2,
+        slice_conflicts=30,
+    ) as session:
+        session.race()
+        assert session.stats()["teardown"] == []  # no teardown yet
+    teardown = session.stats()["teardown"]
+    assert len(teardown) == len(session.strategies)
+    for entry in teardown:
+        assert entry["outcome"] == "joined", entry
+        # An idle racer answers its quit command at once.
+        assert entry["seconds"] < session.shutdown_timeout / 4, entry
 
 
 def test_racer_dropped_reply_detected_as_hang(tmp_path):
