@@ -155,11 +155,15 @@ class SessionSnapshot:
         """Stable SHA-256 identity of the canonical encoding image.
 
         Two snapshots of the *same* encoding hash identically even when
-        built in different processes: integer-variable uids are
-        process-local counters, so the hash renumbers them by rank in
-        the name-sorted variable table (every variable reachable from a
-        deadlock encoding carries a deterministic name — guards, pool
-        occupancies, ``cap[q]`` capacities).  Scheduling state is
+        built in different processes, provided those processes share a
+        ``PYTHONHASHSEED``: integer-variable uids are process-local
+        counters, so the hash renumbers them by rank in the name-sorted
+        variable table (every variable reachable from a deadlock encoding
+        carries a deterministic name — guards, pool occupancies,
+        ``cap[q]`` capacities), but the build still iterates sets, so the
+        clause list and SAT-variable numbering follow the hash seed.  Under
+        different hash seeds one network can hash differently (see the
+        ROADMAP item "Canonical encoding order").  Scheduling state is
         excluded — learned clauses, saved phases, the clause-reduction
         policy and its knobs, the split budget and pending invariant
         rows steer the *search*, never the encoded formula — so warm or

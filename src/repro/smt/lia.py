@@ -14,10 +14,38 @@ Connects the CDCL core (:mod:`repro.smt.sat`) to the exact simplex
 * rational feasibility is enforced incrementally along the SAT trail, and
   integrality of the problem variables is obtained by branch-and-bound
   splitting, driven by :class:`repro.smt.solver.Solver`.
+
+Bound axioms
+------------
+The atoms of one column are not independent: ``x ≥ 4`` already refutes
+``x ≤ 2``.  Left to the simplex, every such pair costs a decision and a
+two-bound theory conflict.  Instead :meth:`LiaBridge.register_atom`
+returns the theory-valid binary clauses that link a new atom to its
+neighbours on the same column (Dutertre & de Moura, CAV 2006, §4), and
+the solver adds them to the CDCL core as problem clauses.
+
+Every atom is normalised to a rung ``(c, L)`` of its column's *ladder*,
+with ``L ⇔ column ≤ c``: a positively signed atom gives ``c = bound``,
+``L = satvar``; a negatively signed one (a slack carrying the negated
+form, or ``-x ≤ b``) gives ``c = -bound - 1``, ``L = -satvar``.  Rungs are
+kept sorted by ``c``.  Inserting ``(c, L)`` between ``(c₁, L₁)`` and
+``(c₂, L₂)`` yields ``¬L₁ ∨ L`` and ``¬L ∨ L₂``, plus ``¬L ∨ L₁`` when
+``c₁ = c``.  Links between former neighbours stay valid, so atoms
+registered late (invariant rows, resized capacities, branch-and-bound
+splits) need no rebuild, and unit propagation over the chain derives
+every implication between the atoms of one column.
+
+The axioms are clauses rather than a propagation hook on purpose: the
+CDCL core needs every implied literal's reason as a clause reference,
+and a static binary clause *is* that reason.  They never enter the
+:class:`~repro.smt.cnf.CnfBuilder` image, so snapshots and their content
+hashes are unchanged; a restored or forked solver regenerates them when
+its bridge re-registers the atoms.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from .simplex import Simplex
@@ -33,9 +61,8 @@ class LiaBridge:
         self.simplex = Simplex()
         self._var_of_int: dict[IntVar, int] = {}
         self._slack_of_form: dict[tuple[tuple[int, int], ...], int] = {}
-        # satvar -> (theory var, coeff sign, pos bound, neg bound);
-        # "pos bound" is asserted as upper bound when the literal is positive.
-        self._atom_info: dict[int, tuple[int, int, int]] = {}
+        # column -> ladder of (c, L) rungs sorted by c, with L <=> column <= c.
+        self._ladder: dict[int, list[tuple[int, int]]] = {}
         # Per-atom prebuilt assertion plans keyed by the *signed* literal:
         # assert_index is the solver's hottest theory path, so the bound
         # arithmetic happens once at registration, not per assertion.
@@ -62,18 +89,20 @@ class LiaBridge:
             self._var_of_int[var] = column
         return column
 
-    def register_atom(self, satvar: int, atom: LinearAtom) -> None:
-        """Make ``satvar``'s polarity control the constraint ``atom``."""
-        if satvar in self._atom_info:
-            return
+    def register_atom(self, satvar: int, atom: LinearAtom) -> list[list[int]]:
+        """Make ``satvar``'s polarity control the constraint ``atom``.
+
+        Returns the bound axioms linking the atom into its column's ladder
+        (see the module docstring); empty when ``satvar`` is known.
+        """
+        if satvar in self.atom_vars:
+            return []
         if len(atom.coeffs) == 1:
             var, coeff = atom.coeffs[0]
             # gcd normalisation leaves single-variable coefficients at ±1.
             assert coeff in (1, -1), atom
             column = self.theory_var(var)
-            self._atom_info[satvar] = (column, coeff, atom.bound)
-            self._plan_bounds(satvar, column, coeff, atom.bound)
-            return
+            return self._plan_bounds(satvar, column, coeff, atom.bound)
         form = tuple((v.uid, c) for v, c in atom.coeffs)
         sign = 1
         negated = tuple((uid, -c) for uid, c in form)
@@ -84,22 +113,35 @@ class LiaBridge:
             combo = {self.theory_var(v): c for v, c in atom.coeffs}
             slack = self.simplex.define(combo)
             self._slack_of_form[form] = slack
-        self._atom_info[satvar] = (slack, sign, atom.bound)
-        self._plan_bounds(satvar, slack, sign, atom.bound)
+        return self._plan_bounds(satvar, slack, sign, atom.bound)
 
-    def _plan_bounds(self, satvar: int, column: int, sign: int, bound: int) -> None:
+    def _plan_bounds(
+        self, satvar: int, column: int, sign: int, bound: int
+    ) -> list[list[int]]:
         self.atom_vars.add(satvar)
         # sign=-1 means the shared slack carries the *negated* form, so the
         # atom "form <= bound" reads "slack >= -bound" on that column.
         if sign > 0:
             self._assert_plan[satvar] = (True, column, bound)
             self._assert_plan[-satvar] = (False, column, bound + 1)
+            threshold, lit = bound, satvar
         else:
             self._assert_plan[satvar] = (False, column, -bound)
             self._assert_plan[-satvar] = (True, column, -bound - 1)
-
-    def has_atom(self, satvar: int) -> bool:
-        return satvar in self._atom_info
+            threshold, lit = -bound - 1, -satvar
+        # Link the rung (threshold, lit) to its ladder neighbours.
+        ladder = self._ladder.setdefault(column, [])
+        at = bisect_right(ladder, threshold, key=lambda rung: rung[0])
+        axioms = []
+        if at:
+            below, below_lit = ladder[at - 1]
+            axioms.append([-below_lit, lit])
+            if below == threshold:
+                axioms.append([-lit, below_lit])
+        if at < len(ladder):
+            axioms.append([-lit, ladder[at][1]])
+        ladder.insert(at, (threshold, lit))
+        return axioms
 
     # ------------------------------------------------------------------
     # TheoryListener interface

@@ -90,6 +90,7 @@ class Simplex:
         self.asserts = 0
         self.checks = 0
         self.conflicts = 0
+        self.bound_conflicts = 0
 
     def profile(self) -> dict[str, int]:
         """Work counters, cumulative like ``Cdcl.profile``.
@@ -100,7 +101,9 @@ class Simplex:
         whose division left the integers (a non-integral β step or pivot
         coefficient, so never more than ``pivots``); ``asserts`` — bound
         assertions; ``checks`` — :meth:`check` calls; ``conflicts`` —
-        conflicts reported by either.
+        infeasible rows reported by :meth:`check`; ``bound_conflicts`` —
+        assertions refuted by the opposite bound of the same variable
+        (the two-bound conflicts that bound axioms leave to the SAT core).
         """
         return {
             "pivots": self.pivots,
@@ -109,6 +112,7 @@ class Simplex:
             "asserts": self.asserts,
             "checks": self.checks,
             "conflicts": self.conflicts,
+            "bound_conflicts": self.bound_conflicts,
         }
 
     # ------------------------------------------------------------------
@@ -180,7 +184,7 @@ class Simplex:
             return None
         lower = self._lower[var]
         if lower is not None and bound < lower:
-            self.conflicts += 1
+            self.bound_conflicts += 1
             return [self._lower_reason[var], reason]  # type: ignore[list-item]
         bound = _as_int(bound)
         self._undo.append((var, "U", current, self._upper_reason[var]))
@@ -201,7 +205,7 @@ class Simplex:
             return None
         upper = self._upper[var]
         if upper is not None and bound > upper:
-            self.conflicts += 1
+            self.bound_conflicts += 1
             return [self._upper_reason[var], reason]  # type: ignore[list-item]
         bound = _as_int(bound)
         self._undo.append((var, "L", current, self._lower_reason[var]))

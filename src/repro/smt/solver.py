@@ -17,7 +17,12 @@ boolean structure.  Rational relaxations are solved by the exact simplex;
 integrality is enforced by branch-and-bound: whenever the SAT+LRA search
 finds a model with a fractional integer variable ``x = v``, the globally
 valid split clause ``(x ≤ ⌊v⌋) ∨ (x ≥ ⌊v⌋+1)`` is added and the search
-resumes with all learned clauses intact.
+resumes with all learned clauses intact.  Atoms over the same variable or
+linear form are linked by binary *bound axioms* (``x ≥ 4`` implies
+``¬(x ≤ 2)``) that the theory bridge returns at registration and the
+facade adds to the CDCL core, so unit propagation rather than the simplex
+settles which of a column's bounds can hold together (see
+:mod:`repro.smt.lia`).
 
 The facade is *incremental*: the CNF conversion, the CDCL core, the theory
 bridge and every learned clause and branch-and-bound split persist across
@@ -304,7 +309,11 @@ class Solver:
     # Solving
     # ------------------------------------------------------------------
     def _sync(self) -> None:
-        """Hand new vars, atoms and clauses to the SAT core and bridge."""
+        """Hand new vars, atoms and clauses to the SAT core and bridge.
+
+        Each new atom's bound axioms (see :mod:`repro.smt.lia`) go to the
+        SAT core as problem clauses, never into the CNF image.
+        """
         cnf = self._cnf
         self._sat.ensure_vars(cnf.n_vars)
         if len(cnf.atom_of_var) > self._registered_atoms:
@@ -312,7 +321,8 @@ class Solver:
             for satvar, atom in islice(
                 cnf.atom_of_var.items(), self._registered_atoms, None
             ):
-                self._bridge.register_atom(satvar, atom)
+                for axiom in self._bridge.register_atom(satvar, atom):
+                    self._sat.add_clause(axiom)
             self._registered_atoms = len(cnf.atom_of_var)
         for clause in cnf.clauses[self._flushed_clauses:]:
             self._sat.add_clause(clause)

@@ -179,6 +179,7 @@ def test_profile_zeroed_on_early_unsat():
         "simplex_asserts",
         "simplex_checks",
         "simplex_conflicts",
+        "simplex_bound_conflicts",
     }
     assert all(value == 0 for value in solver.profile.values())
     assert all(value == 0 for value in solver.stats.values())

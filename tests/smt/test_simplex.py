@@ -226,7 +226,8 @@ def test_counters_track_asserts_checks_and_conflicts():
         "rational_quotients": 0,
         "asserts": 4,
         "checks": 1,
-        "conflicts": 2,
+        "conflicts": 1,
+        "bound_conflicts": 1,
     }
 
 
