@@ -157,9 +157,9 @@ def _function_rows(network, colors, cols, function: Function, rows) -> None:
     for color in colors.of(in_channel):
         by_output.setdefault(function.fn(color), []).append(color)
     for out_color, preimages in by_output.items():
-        entries = {cols.lam(out_channel, out_color): Fraction(1)}
+        entries = {cols.lam(out_channel, out_color): 1}
         for color in preimages:
-            entries[cols.lam(in_channel, color)] = Fraction(-1)
+            entries[cols.lam(in_channel, color)] = -1
         rows.append(SparseVector(entries))
 
 
@@ -171,9 +171,9 @@ def _fork_rows(network, colors, cols, fork: Fork, rows) -> None:
         for color in colors.of(in_channel):
             by_output.setdefault(transform(color), []).append(color)
         for out_color, preimages in by_output.items():
-            entries = {cols.lam(out_channel, out_color): Fraction(1)}
+            entries = {cols.lam(out_channel, out_color): 1}
             for color in preimages:
-                entries[cols.lam(in_channel, color)] = Fraction(-1)
+                entries[cols.lam(in_channel, color)] = -1
             rows.append(SparseVector(entries))
 
 
@@ -181,12 +181,12 @@ def _join_rows(network, colors, cols, join: Join, rows) -> None:
     chan_a = network.channel_of(join.a)
     chan_b = network.channel_of(join.b)
     chan_o = network.channel_of(join.o)
-    total_o = {cols.lam(chan_o, d): Fraction(1) for d in colors.of(chan_o)}
+    total_o = {cols.lam(chan_o, d): 1 for d in colors.of(chan_o)}
     for in_channel in (chan_a, chan_b):
         entries = dict(total_o)
         for color in colors.of(in_channel):
             entries[cols.lam(in_channel, color)] = (
-                entries.get(cols.lam(in_channel, color), Fraction(0)) - 1
+                entries.get(cols.lam(in_channel, color), 0) - 1
             )
         rows.append(SparseVector(entries))
 
@@ -208,11 +208,11 @@ def _switch_rows(network, colors, cols, switch: Switch, rows) -> None:
 def _merge_rows(network, colors, cols, merge: Merge, rows) -> None:
     out_channel = network.channel_of(merge.o)
     for color in colors.of(out_channel):
-        entries = {cols.lam(out_channel, color): Fraction(1)}
+        entries = {cols.lam(out_channel, color): 1}
         for port in merge.ins:
             in_channel = network.channel_of(port)
             if color in colors.of(in_channel):
-                entries[cols.lam(in_channel, color)] = Fraction(-1)
+                entries[cols.lam(in_channel, color)] = -1
         rows.append(SparseVector(entries))
 
 
@@ -247,8 +247,8 @@ class _UnionFind:
 
 def _automaton_rows(network, colors, cols, automaton: Automaton, rows) -> None:
     # (Family 1)  Σ_s A.s − 1 = 0
-    entries = {cols.state(automaton, s): Fraction(1) for s in automaton.states}
-    entries[FlowColumns.CONST] = Fraction(-1)
+    entries = {cols.state(automaton, s): 1 for s in automaton.states}
+    entries[FlowColumns.CONST] = -1
     rows.append(SparseVector(entries))
 
     # (Family 2)  per state s: Σ_in κ − Σ_out κ − A.s + (s = s₀) = 0
@@ -256,7 +256,7 @@ def _automaton_rows(network, colors, cols, automaton: Automaton, rows) -> None:
         entries = {}
 
         def bump(column: int, delta: int) -> None:
-            entries[column] = entries.get(column, Fraction(0)) + delta
+            entries[column] = entries.get(column, 0) + delta
 
         for t in automaton.transitions_into(state):
             bump(cols.kappa(automaton, t.name), +1)
@@ -295,11 +295,11 @@ def _automaton_rows(network, colors, cols, automaton: Automaton, rows) -> None:
         transitions: set[str] = set()
         for port_name, color in tuple_members:
             in_channel = network.channel_of(automaton.port(port_name))
-            entries[cols.lam(in_channel, color)] = Fraction(1)
+            entries[cols.lam(in_channel, color)] = 1
             transitions.update(t.name for t in acceptors[(port_name, color)])
         for name in transitions:
             entries[cols.kappa(automaton, name)] = (
-                entries.get(cols.kappa(automaton, name), Fraction(0)) - 1
+                entries.get(cols.kappa(automaton, name), 0) - 1
             )
         rows.append(SparseVector(entries))
 
@@ -338,11 +338,11 @@ def _automaton_rows(network, colors, cols, automaton: Automaton, rows) -> None:
         transitions = set()
         for port_name, color in tuple_members:
             out_channel = network.channel_of(automaton.port(port_name))
-            entries[cols.lam(out_channel, color)] = Fraction(1)
+            entries[cols.lam(out_channel, color)] = 1
             transitions.update(producers[(port_name, color)])
         for name in transitions:
             entries[cols.kappa(automaton, name)] = (
-                entries.get(cols.kappa(automaton, name), Fraction(0)) - 1
+                entries.get(cols.kappa(automaton, name), 0) - 1
             )
         rows.append(SparseVector(entries))
 
@@ -372,7 +372,7 @@ def generate_invariants(
     for row in survivors:
         row = row.normalized_integer()
         coeffs = {}
-        constant = Fraction(0)
+        constant = 0
         for column, coeff in row:
             if column == FlowColumns.CONST:
                 constant = coeff
@@ -482,9 +482,10 @@ def encode_invariant_rows(invariants: Sequence[Invariant]) -> tuple[PlainRow, ..
 
 def _row_satisfied(row: PlainRow, value_of: Callable[[int], int]) -> bool:
     entries, const_num, const_den = row
-    total = Fraction(const_num, const_den)
+    # Generated rows are integral (normalized_integer), so this stays in ints.
+    total = const_num if const_den == 1 else Fraction(const_num, const_den)
     for uid, num, den, _ in entries:
-        total += Fraction(num, den) * value_of(uid)
+        total += (num if den == 1 else Fraction(num, den)) * value_of(uid)
     return total == 0
 
 

@@ -20,9 +20,9 @@ immediate.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .vector import Rational, SparseVector
+from .vector import SparseVector
 
 __all__ = ["rref", "eliminate_columns", "row_space_contains", "rank"]
 
@@ -46,9 +46,11 @@ def _install_pivot(
     row: SparseVector, pivot_col: int, pivots: dict[int, SparseVector]
 ) -> None:
     """Normalise ``row`` on ``pivot_col`` and back-substitute into ``pivots``."""
-    row.scale_inplace(Fraction(1) / row[pivot_col])
+    pivot = row.entries[pivot_col]
+    # A ±1 pivot is its own inverse, so the common flow-row case stays in ints.
+    row.scale_inplace(pivot if pivot in (1, -1) else Fraction(1, pivot))
     for other in pivots.values():
-        coeff = other[pivot_col]
+        coeff = other.entries.get(pivot_col)
         if coeff:
             other.add_scaled_inplace(row, -coeff)
     pivots[pivot_col] = row
@@ -136,7 +138,3 @@ def rank(rows: Iterable[SparseVector]) -> int:
     reduced, _ = rref(rows)
     return len(reduced)
 
-
-def evaluate(row: SparseVector, assignment: Mapping[int, Rational]) -> Fraction:
-    """Evaluate a row as a linear form over ``assignment`` (missing = 0)."""
-    return row.dot(assignment)

@@ -1,10 +1,12 @@
 """Sparse rational vectors.
 
-A :class:`SparseVector` maps integer column indices to non-zero
-:class:`~fractions.Fraction` coefficients.  It is the row representation used
-throughout the invariant-generation pipeline, where flow matrices are
-extremely sparse (a handful of non-zeros per equation over tens of thousands
-of columns).
+A :class:`SparseVector` maps integer column indices to non-zero exact
+coefficients in one normal form: an ``int`` when the value is integral and
+a :class:`~fractions.Fraction` only when it is not.  It is the row
+representation used throughout the invariant-generation pipeline, where flow
+matrices are extremely sparse (a handful of ±1 entries per equation over tens
+of thousands of columns), so elimination stays in machine ints on the common
+path.
 
 All arithmetic is exact; zeros are never stored.
 """
@@ -20,6 +22,15 @@ Rational = Fraction | int
 __all__ = ["SparseVector"]
 
 
+def _normal(value: Rational) -> Rational:
+    """``value`` as an ``int`` when integral, else as an exact Fraction."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 class SparseVector:
     """An immutable-by-convention sparse vector of exact rationals.
 
@@ -31,10 +42,10 @@ class SparseVector:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Mapping[int, Rational] | None = None):
-        self.entries: dict[int, Fraction] = {}
+        self.entries: dict[int, Rational] = {}
         if entries:
             for col, value in entries.items():
-                value = Fraction(value)
+                value = _normal(value)
                 if value:
                     self.entries[col] = value
 
@@ -44,7 +55,7 @@ class SparseVector:
     @classmethod
     def unit(cls, col: int) -> "SparseVector":
         """The standard basis vector with a 1 in position ``col``."""
-        return cls({col: Fraction(1)})
+        return cls({col: 1})
 
     def copy(self) -> "SparseVector":
         fresh = SparseVector()
@@ -60,17 +71,17 @@ class SparseVector:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __iter__(self) -> Iterator[tuple[int, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[int, Rational]]:
         return iter(self.entries.items())
 
     def __contains__(self, col: int) -> bool:
         return col in self.entries
 
-    def __getitem__(self, col: int) -> Fraction:
-        return self.entries.get(col, Fraction(0))
+    def __getitem__(self, col: int) -> Rational:
+        return self.entries.get(col, 0)
 
-    def get(self, col: int, default: Rational = 0) -> Fraction:
-        return self.entries.get(col, Fraction(default))
+    def get(self, col: int, default: Rational = 0) -> Rational:
+        return self.entries.get(col, _normal(default))
 
     def columns(self) -> Iterable[int]:
         return self.entries.keys()
@@ -95,21 +106,21 @@ class SparseVector:
     # Arithmetic (pure)
     # ------------------------------------------------------------------
     def scaled(self, factor: Rational) -> "SparseVector":
-        factor = Fraction(factor)
+        factor = _normal(factor)
         if not factor:
             return SparseVector()
         fresh = SparseVector()
-        fresh.entries = {c: v * factor for c, v in self.entries.items()}
+        fresh.entries = {c: _normal(v * factor) for c, v in self.entries.items()}
         return fresh
 
     def __add__(self, other: "SparseVector") -> "SparseVector":
         result = self.copy()
-        result.add_scaled_inplace(other, Fraction(1))
+        result.add_scaled_inplace(other, 1)
         return result
 
     def __sub__(self, other: "SparseVector") -> "SparseVector":
         result = self.copy()
-        result.add_scaled_inplace(other, Fraction(-1))
+        result.add_scaled_inplace(other, -1)
         return result
 
     def __neg__(self) -> "SparseVector":
@@ -129,26 +140,27 @@ class SparseVector:
     # ------------------------------------------------------------------
     def add_scaled_inplace(self, other: "SparseVector", factor: Rational) -> None:
         """``self += factor * other`` without allocating a new vector."""
-        factor = Fraction(factor)
+        factor = _normal(factor)
         if not factor:
             return
         entries = self.entries
         for col, value in other.entries.items():
-            updated = entries.get(col, Fraction(0)) + value * factor
+            updated = entries.get(col, 0) + value * factor
             if updated:
-                entries[col] = updated
+                entries[col] = _normal(updated)
             else:
                 entries.pop(col, None)
 
     def scale_inplace(self, factor: Rational) -> None:
-        factor = Fraction(factor)
+        factor = _normal(factor)
         if factor == 1:
             return
         if not factor:
             self.entries.clear()
             return
-        for col in self.entries:
-            self.entries[col] *= factor
+        entries = self.entries
+        for col, value in entries.items():
+            entries[col] = _normal(value * factor)
 
     # ------------------------------------------------------------------
     # Normalisation

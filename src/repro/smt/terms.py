@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import floor, gcd
+from math import gcd
 from typing import Iterable, Mapping, Union
 
 __all__ = [
@@ -227,7 +227,7 @@ def _normalise_le(expr: LinExpr) -> "Term":
     for coeff in int_coeffs.values():
         divisor = gcd(divisor, abs(coeff))
     # Integer tightening: a.x <= -const with a = g*a' gives a'.x <= floor(-const/g).
-    bound = floor(Fraction(-const, divisor))
+    bound = -const // divisor
     coeffs = tuple(
         sorted(
             ((v, c // divisor) for v, c in int_coeffs.items()),

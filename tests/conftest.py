@@ -8,7 +8,7 @@ CI step), or the code it drives has a latency defect.
 
 import pytest
 
-TEST_BUDGET_S = 30.0
+TEST_BUDGET_S = 10.0
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -118,10 +118,45 @@ def test_repr_is_sorted_and_stable():
     assert repr(vec) == "SparseVector({1: 2, 5: 1})"
 
 
-def test_getitem_missing_is_zero_fraction():
-    value = SparseVector()[42]
-    assert value == 0
-    assert isinstance(value, Fraction)
+def assert_normal_form(vec):
+    """Integral values are stored as ``int``; no zero is ever stored."""
+    for value in vec.entries.values():
+        assert value != 0
+        assert type(value) is int or (
+            type(value) is Fraction and value.denominator != 1
+        )
+
+
+def test_getitem_missing_is_int_zero():
+    vec = SparseVector()
+    assert type(vec[42]) is int and vec[42] == 0
+    assert type(vec.get(42)) is int and vec.get(42) == 0
+
+
+def test_values_are_int_when_integral_and_exact_otherwise():
+    vec = SparseVector({0: Fraction(4, 2), 1: Fraction(1, 3), 2: Fraction(0), 3: -1})
+    assert_normal_form(vec)
+    assert vec.entries == {0: 2, 1: Fraction(1, 3), 3: -1}
+    assert type(vec[0]) is int and type(vec[1]) is Fraction
+
+    vec.add_scaled_inplace(SparseVector({1: Fraction(2, 3), 3: 1}), Fraction(1, 1))
+    assert_normal_form(vec)
+    assert vec.entries == {0: 2, 1: 1}
+
+    vec.scale_inplace(Fraction(3, 2))
+    assert_normal_form(vec)
+    assert vec.entries == {0: 3, 1: Fraction(3, 2)}
+
+    doubled = vec.scaled(Fraction(2))
+    assert_normal_form(doubled)
+    assert doubled.entries == {0: 6, 1: 3}
+
+    norm = vec.normalized_integer()
+    assert_normal_form(norm)
+    assert norm.entries == {0: 2, 1: 1}
+    assert all(type(v) is int for v in norm.entries.values())
+
+    assert_normal_form(SparseVector.unit(5))
 
 
 def test_contains():
