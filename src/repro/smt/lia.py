@@ -186,7 +186,7 @@ class LiaBridge:
     def rational_value(self, var: IntVar) -> Fraction | int:
         column = self._var_of_int.get(var)
         if column is None:
-            return Fraction(0)
+            return 0
         return self.simplex.value(column)
 
     def fractional_var(self) -> tuple[IntVar, Fraction] | None:

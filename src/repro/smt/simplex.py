@@ -4,8 +4,12 @@ This is the *general simplex* of Dutertre and de Moura ("A Fast
 Linear-Arithmetic Solver for DPLL(T)", CAV 2006): variables carry dynamic
 lower/upper bounds asserted and retracted by the SAT search, a tableau of
 linear definitions relates *basic* to *non-basic* variables, and
-:meth:`Simplex.check` restores feasibility by Bland-rule pivoting or reports
-a minimal-ish conflict (the bounds of one infeasible row).
+:meth:`Simplex.check` restores feasibility by pivoting or reports a
+minimal-ish conflict (the bounds of one infeasible row).  Half of Bland's
+rule is kept throughout: the smallest violated basic variable leaves.  The
+entering variable is the eligible column used by the fewest rows, which
+keeps pivots sparse; a check that runs past ``_BLAND_AFTER`` pivots enters
+the lowest eligible index instead, and full Bland's rule terminates.
 
 All arithmetic is exact, and every stored value — tableau cell, β value,
 bound — is kept in one normal form: a plain ``int`` whenever its
@@ -30,6 +34,7 @@ from typing import Mapping
 __all__ = ["Simplex", "Conflict"]
 
 _NO_BOUND = None
+_BLAND_AFTER = 50  # pivots per check() before entering falls back to Bland's
 
 
 def _as_int(value: Fraction | int) -> Fraction | int:
@@ -86,6 +91,7 @@ class Simplex:
         # Work counters (cumulative; see profile()).
         self.pivots = 0
         self.row_updates = 0
+        self.bland_pivots = 0
         self.rational_quotients = 0
         self.asserts = 0
         self.checks = 0
@@ -97,7 +103,9 @@ class Simplex:
 
         ``pivots`` — basis changes made by :meth:`check`; ``row_updates`` —
         tableau cells rewritten while substituting a pivot's entering
-        variable out of the other rows; ``rational_quotients`` — pivots
+        variable out of the other rows; ``bland_pivots`` — pivots whose
+        entering variable came from the Bland fallback (see :meth:`_repair`),
+        0 unless a check ran long; ``rational_quotients`` — pivots
         whose division left the integers (a non-integral β step or pivot
         coefficient, so never more than ``pivots``); ``asserts`` — bound
         assertions; ``checks`` — :meth:`check` calls; ``conflicts`` —
@@ -108,6 +116,7 @@ class Simplex:
         return {
             "pivots": self.pivots,
             "row_updates": self.row_updates,
+            "bland_pivots": self.bland_pivots,
             "rational_quotients": self.rational_quotients,
             "asserts": self.asserts,
             "checks": self.checks,
@@ -242,13 +251,15 @@ class Simplex:
         self.checks += 1
         if full:
             self._dirty.update(self._rows)
+        pivots = 0
         while True:
             violated = self._find_violated_basic()
             if violated is None:
                 return None
             basic, needs_increase = violated
+            bland = pivots >= _BLAND_AFTER
             try:
-                self._repair(basic, needs_increase)
+                self._repair(basic, needs_increase, bland)
             except Conflict as conflict:
                 # Keep the violation visible: the conflicting bound will be
                 # retracted on backjump, after which this row may still need
@@ -256,6 +267,8 @@ class Simplex:
                 self._dirty.add(basic)
                 self.conflicts += 1
                 return conflict.reasons
+            pivots += 1
+            self.bland_pivots += bland
 
     def _violation(self, basic: int) -> bool | None:
         """None if within bounds, else True (below lower) / False (above upper)."""
@@ -268,7 +281,7 @@ class Simplex:
         return None
 
     def _find_violated_basic(self) -> tuple[int, bool] | None:
-        """Smallest violated basic variable (Bland's anti-cycling rule)."""
+        """Smallest violated basic: the leaving half of Bland's rule, always kept."""
         stale: list[int] = []
         best: tuple[int, bool] | None = None
         for basic in self._dirty:
@@ -286,24 +299,33 @@ class Simplex:
             self._dirty.discard(best[0])
         return best
 
-    def _repair(self, basic: int, needs_increase: bool) -> None:
+    def _repair(self, basic: int, needs_increase: bool, bland: bool) -> None:
+        """Pivot ``basic`` onto its violated bound, or raise :class:`Conflict`.
+
+        Enters the eligible column used by the fewest rows; with ``bland``,
+        the lowest eligible index, which completes Bland's rule and so
+        cannot cycle (the sparse rule may).
+        """
         row = self._rows[basic]
         target = self._lower[basic] if needs_increase else self._upper[basic]
         assert target is not None
         candidate: int | None = None
-        for var in sorted(row):
-            coeff = row[var]
-            grows = coeff > 0 if needs_increase else coeff < 0
-            if grows:
+        fewest: tuple[int, int] | None = None
+        for var in sorted(row) if bland else row:
+            if (row[var] > 0) == needs_increase:
                 upper = self._upper[var]
-                if upper is None or self._beta[var] < upper:
-                    candidate = var
-                    break
+                if upper is not None and self._beta[var] >= upper:
+                    continue
             else:
                 lower = self._lower[var]
-                if lower is None or self._beta[var] > lower:
-                    candidate = var
-                    break
+                if lower is not None and self._beta[var] <= lower:
+                    continue
+            if bland:
+                candidate = var
+                break
+            key = (len(self._cols.get(var, ())), var)
+            if fewest is None or key < fewest:
+                fewest, candidate = key, var
         if candidate is None:
             reasons: list[int] = []
             own_reason = (

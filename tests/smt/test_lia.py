@@ -9,6 +9,7 @@ that the clauses stay out of the snapshot image.
 """
 
 import pickle
+from collections import Counter
 from itertools import product
 
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from repro.core import VerificationSession
 from repro.protocols import abstract_mi_mesh
 from repro.smt import Result, Solver, disj, ge, intvar, le, neg
+from repro.smt import simplex as simplex_module
 from repro.smt.lia import LiaBridge
 from repro.smt.terms import LinearAtom
 
@@ -209,6 +211,32 @@ def test_no_two_bound_conflicts_reach_the_simplex():
     assert results
     for result in results:
         assert result.stats["solver_profile"]["simplex_bound_conflicts"] == 0
+
+
+def _all_cases_with_invariants():
+    session = VerificationSession(abstract_mi_mesh(2, 2, queue_size=2).network)
+    session.add_invariants()
+    results = session.verify_all_cases()
+    totals = Counter()
+    for result in results:
+        totals.update(result.stats["solver_profile"])
+    return [result.verdict for result in results], totals
+
+
+def test_sparse_entering_rewrites_fewer_rows_than_bland(monkeypatch):
+    # Without the invariant rows every pivot's column has no other user,
+    # so no row is rewritten under either entering rule.
+    verdicts, sparse = _all_cases_with_invariants()
+    monkeypatch.setattr(simplex_module, "_BLAND_AFTER", 0)
+    bland_verdicts, bland = _all_cases_with_invariants()
+    assert verdicts == bland_verdicts
+    assert sparse["simplex_bland_pivots"] == 0
+    assert bland["simplex_bland_pivots"] == bland["simplex_pivots"] > 0
+    assert sparse["simplex_row_updates"] <= 0.75 * bland["simplex_row_updates"]
+
+
+def test_unregistered_rational_value_is_int_zero():
+    assert type(LiaBridge().rational_value(intvar("unseen"))) is int
 
 
 def test_bound_axioms_stay_out_of_the_snapshot_image():

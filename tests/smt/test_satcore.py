@@ -175,6 +175,7 @@ def test_profile_zeroed_on_early_unsat():
         "arena_gc_words",
         "simplex_pivots",
         "simplex_row_updates",
+        "simplex_bland_pivots",
         "simplex_rational_quotients",
         "simplex_asserts",
         "simplex_checks",

@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.smt import Result, Solver, eq, ge, intvar, le
+from repro.smt import simplex as simplex_module
 from repro.smt.simplex import Simplex
 
 
@@ -136,8 +138,8 @@ def test_full_check_rescans_everything():
     assert simplex.check(full=True) is None
 
 
-def test_many_pivots_terminate():
-    # A chain of rows forcing repeated pivoting (Bland's rule must terminate).
+def _pivot_chain():
+    """A chain of rows whose check() must pivot repeatedly."""
     simplex = Simplex()
     xs = [simplex.new_var() for _ in range(6)]
     sums = [
@@ -152,6 +154,19 @@ def test_many_pivots_terminate():
     assert simplex.check() is None
     for i, s in enumerate(sums):
         assert simplex.value(s) >= 1
+    return simplex
+
+
+def test_many_pivots_terminate():
+    # The sparsest-column entering rule alone could cycle; check() ends
+    # because it falls back to Bland's rule after _BLAND_AFTER pivots.
+    assert _pivot_chain().bland_pivots == 0
+
+
+def test_many_pivots_terminate_under_bland_fallback(monkeypatch):
+    monkeypatch.setattr(simplex_module, "_BLAND_AFTER", 0)
+    simplex = _pivot_chain()
+    assert simplex.bland_pivots == simplex.pivots > 0
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +238,7 @@ def test_counters_track_asserts_checks_and_conflicts():
     assert simplex.profile() == {
         "pivots": 0,
         "row_updates": 0,
+        "bland_pivots": 0,
         "rational_quotients": 0,
         "asserts": 4,
         "checks": 1,
@@ -250,9 +266,9 @@ def _systems(draw):
     return n_vars, rows, bounds
 
 
-@settings(max_examples=150, deadline=None)
-@given(_systems())
-def test_feasible_states_are_exact_and_in_normal_form(system):
+def _solve(system, keep=None):
+    """Assert ``system``'s bounds (only reasons in ``keep``, if given), then
+    check; returns the simplex, its variables and the conflict or None."""
     n_vars, rows, bounds = system
     simplex = Simplex()
     xs = [simplex.new_var() for _ in range(n_vars)]
@@ -263,10 +279,15 @@ def test_feasible_states_are_exact_and_in_normal_form(system):
             if bound is None:
                 continue
             reason += 1
-            if assert_bound(var, bound, reason) is not None:
-                return
-    if simplex.check() is not None:
-        return
+            if keep is not None and reason not in keep:
+                continue
+            conflict = assert_bound(var, bound, reason)
+            if conflict is not None:
+                return simplex, xs, slacks, conflict
+    return simplex, xs, slacks, simplex.check()
+
+
+def _assert_feasible_state(simplex, xs, slacks, rows):
     beta = simplex._beta
     for basic, row in simplex._rows.items():
         assert beta[basic] == sum(coeff * beta[var] for var, coeff in row.items())
@@ -278,6 +299,32 @@ def test_feasible_states_are_exact_and_in_normal_form(system):
         assert upper is None or beta[var] <= upper
     assert _integral_fractions(simplex) == []
     assert simplex.rational_quotients <= simplex.pivots
+
+
+@settings(max_examples=150, deadline=None)
+@given(_systems())
+def test_feasible_states_are_exact_and_in_normal_form(system):
+    simplex, xs, slacks, conflict = _solve(system)
+    if conflict is None:
+        _assert_feasible_state(simplex, xs, slacks, system[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_systems())
+def test_sparse_entering_agrees_with_bland_fallback(system):
+    sparse = _solve(system)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex_module, "_BLAND_AFTER", 0)
+        bland = _solve(system)
+    assert (sparse[3] is None) == (bland[3] is None)
+    assert sparse[0].bland_pivots == 0
+    assert bland[0].bland_pivots == bland[0].pivots
+    for simplex, xs, slacks, conflict in (sparse, bland):
+        if conflict is None:
+            _assert_feasible_state(simplex, xs, slacks, system[1])
+        else:
+            # The reasons alone, on the same rows, are infeasible already.
+            assert _solve(system, keep=set(conflict))[3] is not None
 
 
 def test_solver_profile_reports_simplex_deltas():
