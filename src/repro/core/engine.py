@@ -171,6 +171,12 @@ class SessionSnapshot:
         identity.  A false identity collision would be a wrong cached
         verdict, which is why the service layer keys its verdict store
         on this hash.
+
+        The hash covers the clause list, so a change of encoding moves it:
+        clausifying top-level assertions directly instead of through one
+        Tseitin gate each moved every content hash once.  A store written
+        by a build from before that change then misses and rebuilds; it
+        never returns a wrong answer.
         """
         solver = self.solver
         order = sorted(

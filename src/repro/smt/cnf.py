@@ -1,9 +1,13 @@
-"""Tseitin conversion of the term language into CNF.
+"""Conversion of the term language into CNF.
 
-Every distinct subterm receives one SAT variable (``Not`` is represented by
-literal polarity, not a variable).  Arithmetic atoms keep a side table
-mapping their SAT variable to the :class:`~repro.smt.terms.LinearAtom`, which
-the theory bridge consumes.
+Top-level assertions are clausified directly: a conjunction asserts each
+conjunct and a disjunction becomes a single clause.  Below the top level,
+every distinct subterm receives one SAT variable defined by both Tseitin
+directions (``Not`` is represented by literal polarity, not a variable), so
+a nested literal names an equivalence that assumptions and scope selectors
+can rely on.  Arithmetic atoms keep a side table mapping their SAT variable
+to the :class:`~repro.smt.terms.LinearAtom`, which the theory bridge
+consumes.
 
 The conversion is iterative (explicit stack), so arbitrarily deep formulas
 cannot overflow the Python recursion limit.
@@ -73,14 +77,31 @@ class CnfBuilder:
         return var
 
     # ------------------------------------------------------------------
-    def assert_term(self, term: Term) -> None:
-        """Add ``term`` as a top-level assertion."""
+    def assert_term(self, term: Term, guard: int | None = None) -> None:
+        """Add ``term`` as a top-level assertion, clausified directly.
+
+        A top-level ``And`` asserts each conjunct and a top-level ``Or``
+        becomes one clause of its disjuncts' literals, so neither mints a
+        gate.  ``_flatten`` keeps ``And`` children non-``And``, so this
+        recurses one level at most.  With ``guard``, every emitted clause
+        carries ``-guard``: the assertion binds only while ``guard`` holds.
+        """
         if term is TRUE:
             return
         if term is FALSE:
-            self.unsatisfiable = True
+            if guard is None:
+                self.unsatisfiable = True
+            else:
+                self.clauses.append([-guard])
             return
-        self.clauses.append([self.literal(term)])
+        prefix = [] if guard is None else [-guard]
+        if isinstance(term, And):
+            for conjunct in term.args:
+                self.assert_term(conjunct, guard)
+        elif isinstance(term, Or):
+            self.clauses.append(prefix + [self.literal(arg) for arg in term.args])
+        else:
+            self.clauses.append(prefix + [self.literal(term)])
 
     def literal(self, term: Term) -> int:
         """The literal standing for ``term``, emitting definition clauses."""

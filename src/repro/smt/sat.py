@@ -327,7 +327,7 @@ class Cdcl:
             yield cref
             cref += _HDR + (arena[cref] >> 2)
 
-    def _clause_codes(self, cref: int) -> array:
+    def _clause_codes(self, cref: int) -> list[int]:
         base = cref + _HDR
         return self._arena[base : base + (self._arena[cref] >> 2)]
 

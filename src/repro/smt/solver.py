@@ -53,7 +53,7 @@ from typing import Callable, Sequence
 from .cnf import CnfBuilder
 from .lia import LiaBridge
 from .sat import SAT, UNKNOWN, Cdcl
-from .terms import TRUE, IntVar, Term, ge, le
+from .terms import IntVar, Term, ge, le
 
 __all__ = ["Solver", "Result", "Model", "SolverBudgetError"]
 
@@ -253,11 +253,8 @@ class Solver:
         elif self._scopes:
             selector = self._scopes[-1]
         else:
-            self._cnf.assert_term(term)
-            return
-        if term is TRUE:
-            return
-        self._cnf.clauses.append([-selector, self._cnf.literal(term)])
+            selector = None
+        self._cnf.assert_term(term, selector)
 
     def add_global(self, term: Term) -> None:
         """Assert ``term`` at the base level, bypassing any open scope.
