@@ -11,8 +11,10 @@ Figure-4 queue-size sweep.  The work splits into two phases:
   ``cap[q]`` capacities) and, on demand, the cross-layer invariants.  All
   of it is computed once per network and shared by every session over it.
 * **query** — :class:`VerificationSession` loads a spec into one
-  incremental :class:`~repro.smt.Solver` and answers every query by
-  *assumption*:
+  incremental :class:`~repro.smt.Solver`, binds the one query engine
+  (:class:`~repro.core.parallel.WorkerSession`) to it without a snapshot
+  or restore, renders answers with :meth:`SessionSpec.read_payload`, and
+  answers every query by *assumption*:
 
   - each disjunct of the deadlock assertion carries a guard literal
     (:class:`~repro.core.deadlock.DeadlockCase`), so ``verify_channel``
@@ -52,7 +54,6 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from ..smt import (
     IntVar,
     Model,
-    Result,
     Solver,
     SolverSnapshot,
     Term,
@@ -134,7 +135,9 @@ class SessionSnapshot:
     themselves cannot cross a process boundary.
     """
 
-    solver: SolverSnapshot
+    # None when the snapshot only carries the tables of a live binding
+    # (WorkerSession.over), whose solver is already loaded.
+    solver: SolverSnapshot | None
     case_guard_names: tuple[str, ...]  # aligned with encoding.cases
     any_guard_name: str
     capacity_uids: tuple[tuple[str, int], ...]  # (queue name, cap var uid)
@@ -568,8 +571,8 @@ class SessionBase:
         ``sizes`` is either one uniform size or a mapping from queue name
         to size (unmentioned queues keep their current size).  Requires
         ``parametric_queues``; nothing is re-encoded or restarted — the
-        pins travel with each query (a sequential session lazily mints a
-        guard literal implying ``cap[q] == size`` per pair).
+        pins travel with each query (the engine lazily mints a guard
+        literal implying ``cap[q] == size`` per pair).
         """
         self._sizes = resolve_resize(self._sizes, sizes, self._parametric)
 
@@ -625,6 +628,9 @@ class VerificationSession(SessionBase):
     Invariants are *not* generated up front; call :meth:`add_invariants`
     to derive and conjoin them (idempotent).  This keeps the plain
     block/idle mode (paper Section 3) available from the same session.
+
+    Queries run on :class:`~repro.core.parallel.WorkerSession` bound to
+    this session's solver, and render through :meth:`SessionSpec.read_payload`.
     """
 
     def __init__(
@@ -654,15 +660,8 @@ class VerificationSession(SessionBase):
         self.encoding = spec.encoding
         self._parametric = spec.parametric
         self._sizes: dict[str, int] = dict(spec.initial_sizes)
-        self._capacities = spec.capacities
-        self._size_guards: dict[tuple[str, int], Term] = {}
-        self._guard_labels: dict[int, str] = {
-            case.guard.uid: case.label for case in self.encoding.cases
-        }
-        self._guard_labels[self.encoding.any_guard.uid] = ANY_CASE_LABEL
         self._invariants: list[Invariant] = []
         self._invariants_added = False
-        self._witness_bool_names: tuple[str, ...] | None = None
         self._last_witness_bools: dict[str, bool] | None = None
         with self.watch.phase("smt solving"):
             self.solver = spec.load_solver(
@@ -670,6 +669,15 @@ class VerificationSession(SessionBase):
                 clause_reduction=clause_reduction,
                 reduction_opts=reduction_opts,
             )
+        # The one query engine over this live solver; the snapshot only
+        # carries the tables.  (Lazy import: parallel imports this module.)
+        from .parallel import WorkerSession
+
+        ints = dict(spec.var_by_uid)
+        ints.update((var.uid, var) for var in spec.capacities.values())
+        self._engine = WorkerSession.over(
+            spec.wrap_solver_snapshot(None), self.solver, ints
+        )
         if spec.invariants is not None:
             self._invariants = spec.invariants
             self._invariants_added = True
@@ -731,15 +739,9 @@ class VerificationSession(SessionBase):
         return not result.deadlock_free and not result.timed_out
 
     def invariant_value_of(self) -> "Callable[[int], int]":
-        """``uid → model value`` over the pool's state/occupancy variables.
-
-        Valid after a SAT query; this is what
-        :meth:`~repro.core.invariants.InvariantSelector.next_batch`
-        evaluates candidate rows against.
-        """
-        model = self.solver.model()
-        lookup = self.spec.var_by_uid
-        return lambda uid: int(model[lookup[uid]])
+        """``uid → value`` in the last SAT model (what
+        :meth:`~repro.core.invariants.InvariantSelector.next_batch` reads)."""
+        return self._engine.invariant_value_of()
 
     # ------------------------------------------------------------------
     # Warm-start state
@@ -803,122 +805,35 @@ class VerificationSession(SessionBase):
             return 0
         return self.solver.phase_hints(self._last_witness_bools)
 
-    def _capacity_assumptions(self) -> list[Term]:
-        if not self._parametric:
-            return []
-        assumptions = []
-        for name, size in self._sizes.items():
-            guard = self._size_guards.get((name, size))
-            if guard is None:
-                guard = boolvar(f"cap[{name}=={size}]")
-                # add_global: the guard definition must outlive any scope
-                # open at first use (e.g. during witness enumeration).
-                self.solver.add_global(
-                    implies(guard, eq(self._capacities[name], size))
-                )
-                self._size_guards[(name, size)] = guard
-                self._guard_labels[guard.uid] = guard.name
-            assumptions.append(guard)
-        return assumptions
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _label_of(self, term: Term) -> str:
-        label = self._guard_labels.get(term.uid)
-        if label is not None:
-            return label
-        return getattr(term, "name", repr(term))
-
-    def _run(
-        self, assumptions: list[Term], deadline=None
-    ) -> VerificationResult:
-        deadline = Deadline.coerce(deadline)
-        solve_start = perf_counter()
-        pre_expired = deadline is not None and deadline.expired()
-        if pre_expired:
-            # Budget already gone: answer TIMEOUT without entering the
-            # solver (an expired deadline must never hang or mislead).
-            outcome = Result.UNKNOWN
-        else:
-            limit = deadline.remaining_conflicts() if deadline else None
-            stop = deadline.should_stop if deadline else None
-            with self.watch.phase("smt solving"):
-                outcome = self.solver.check(
-                    assumptions=assumptions,
-                    conflict_limit=limit,
-                    should_stop=stop,
-                )
-            if deadline is not None:
-                deadline.charge(self.solver.stats.get("conflicts", 0))
-        stats = {
-            "network": self.network.stats(),
-            "color_pairs": self.colors.total_pairs(),
-            "invariant_count": len(self._invariants),
-            # Per-query deltas: this check's solver counters and wall time.
-            # (Empty when the deadline expired before the solver ran —
-            # the previous query's counters would be misleading here.)
-            "solver": {} if pre_expired else dict(self.solver.stats),
-            # Hot-loop counters from the CDCL core and the simplex (see
-            # Solver.profile).
-            "solver_profile": {} if pre_expired else dict(self.solver.profile),
-            "solve_seconds": perf_counter() - solve_start,
+    def _run(self, target, deadline=None, extra=()) -> VerificationResult:
+        """Ask the engine about ``target`` (``None`` for the master guard,
+        a case index otherwise) under the current pins, then render."""
+        sizes = tuple(self._sizes.items()) if self._parametric else None
+        with self.watch.phase("smt solving"):
+            payload = self._engine.bounded_check(
+                Deadline.coerce(deadline), target, sizes, True, extra=extra
+            )
+        if payload[0] == "sat":
+            self._last_witness_bools = payload[2]
+        return self.spec.read_payload(
+            payload,
+            self._sizes,
+            self._invariants,
             # Cumulative session phase times (encoding built once, queries
             # accumulate under "smt solving") — not per-query.
-            "durations": dict(self.watch.durations),
-        }
-        if self._parametric:
-            stats["queue_sizes"] = dict(self._sizes)
-        if outcome == Result.UNKNOWN:
-            # Deadline expired (cooperative cancel or conflict-limit hit).
-            # Learning up to the cutoff stays in the solver; the session
-            # remains reusable, so a later retry resumes warm.
-            stats["timed_out"] = True
-            return VerificationResult(
-                Verdict.TIMEOUT,
-                invariants=list(self._invariants),
-                stats=stats,
-            )
-        if outcome == Result.UNSAT:
-            # Which assumed guards forced UNSAT — for a per-case query the
-            # responsible deadlock case, for a parametric query the
-            # cap[q==k] pins that make the configuration infeasible.
-            core = [self._label_of(term) for term in self.solver.unsat_core()]
-            stats["formula_unsat"] = self.solver.formula_unsat
-            return VerificationResult(
-                Verdict.DEADLOCK_FREE,
-                invariants=list(self._invariants),
-                stats=stats,
-                unsat_core=core,
-            )
-        from .proof import extract_witness
-
-        model = self.solver.model()
-        witness = extract_witness(self.network, self.colors, self.pool, model)
-        if self._witness_bool_names is None:
-            self._witness_bool_names = self.spec._witness_recipe()[1]
-        self._last_witness_bools = {
-            name: bool(model[name]) for name in self._witness_bool_names
-        }
-        return VerificationResult(
-            Verdict.DEADLOCK_CANDIDATE,
-            witness=witness,
-            invariants=list(self._invariants),
-            stats=stats,
+            extra_stats={"durations": dict(self.watch.durations)},
         )
 
     def verify(self, deadline=None) -> VerificationResult:
         """The full deadlock check: "does *some* disjunct fire?"."""
-        return self._run(
-            [self.encoding.any_guard, *self._capacity_assumptions()],
-            deadline=deadline,
-        )
+        return self._run(None, deadline)
 
     def verify_case(self, case: DeadlockCase, deadline=None) -> VerificationResult:
         """Check one tagged disjunct of the deadlock assertion."""
-        return self._run(
-            [case.guard, *self._capacity_assumptions()], deadline=deadline
-        )
+        return self._run(self.spec.case_index[case.guard.name], deadline)
 
     def verify_all_cases(self, deadline=None) -> list[VerificationResult]:
         """One verdict per deadlock case, in encoding order.
@@ -948,13 +863,7 @@ class VerificationSession(SessionBase):
         enum_guard = boolvar()  # fresh anonymous guard per enumeration
         try:
             for _ in range(limit):
-                result = self._run(
-                    [
-                        self.encoding.any_guard,
-                        enum_guard,
-                        *self._capacity_assumptions(),
-                    ]
-                )
+                result = self._run(None, extra=(enum_guard.name,))
                 if result.deadlock_free:
                     return
                 # Capture the blocking shape *before* yielding: while this

@@ -35,6 +35,9 @@ are independent queries over one fixed encoding.
   so the parallel API never loses to the sequential session on machines
   that cannot parallelise.
 
+:class:`WorkerSession` is the one query engine: pool workers, racers and
+the service restore it, the sequential session binds it in place.
+
 Backends: ``"process"`` (default) runs workers in separate processes —
 real parallelism for the pure-Python solver — each rehydrating the
 snapshot independently; ``"thread"`` rehydrates one template
@@ -225,8 +228,11 @@ def shutdown_scenario_executors(wait: bool = True) -> None:
 
 
 class WorkerSession:
-    """Worker-side query engine rehydrated from a session snapshot.
+    """The one query engine: every verification query's ``Solver.check``.
 
+    Usually rehydrated from a session snapshot; :meth:`over` instead binds
+    an already-loaded solver (the sequential session's), in which case
+    ``snapshot.solver`` is ``None`` and only the tables are read.
     Self-contained: everything it consults — the solver's CNF image, the
     deadlock-case guard tables, the ``cap[q]`` variable keys, the default
     sizes and the witness recipe — comes from the snapshot, so a bare
@@ -247,10 +253,22 @@ class WorkerSession:
         snapshot: SessionSnapshot,
         reduction_overrides: dict | None = None,
     ):
-        self.snapshot = snapshot
-        self.solver, ints = restore_solver(
+        solver, ints = restore_solver(
             snapshot.solver, reduction_overrides=reduction_overrides
         )
+        self._bind(snapshot, solver, ints)
+
+    @classmethod
+    def over(cls, snapshot: SessionSnapshot, solver, ints) -> "WorkerSession":
+        """The engine over an already-loaded ``solver`` (no restore);
+        ``ints`` maps every uid the snapshot's tables name to its term."""
+        session = object.__new__(cls)
+        session._bind(snapshot, solver, ints)
+        return session
+
+    def _bind(self, snapshot: SessionSnapshot, solver, ints) -> None:
+        self.snapshot = snapshot
+        self.solver = solver
         self._ints = ints
         self._capacities = {
             name: ints[uid] for name, uid in snapshot.capacity_uids
@@ -270,18 +288,12 @@ class WorkerSession:
         Thread pools rehydrate the snapshot once and fork the template
         per worker thread — :meth:`Solver.fork` copies the CNF tables and
         shares the immutable restored terms, so no re-minting happens.
+        Policies are per-clone: the template never runs jobs.
         """
-        clone = object.__new__(WorkerSession)
-        clone.snapshot = self.snapshot
-        clone.solver = self.solver.fork()
-        clone._ints = self._ints  # immutable vocabulary
-        clone._capacities = self._capacities
-        clone._witness_vars = self._witness_vars
+        clone = WorkerSession.over(self.snapshot, self.solver.fork(), self._ints)
         # Guard definitions and conjoined rows live in the forked clauses.
         clone._size_guard_names = dict(self._size_guard_names)
         clone._conjoined = set(self._conjoined)
-        # Policies are per-clone: the template never runs jobs.
-        clone._policies = {}
         return clone
 
     # ------------------------------------------------------------------
@@ -312,12 +324,15 @@ class WorkerSession:
         want_witness: bool = True,
         conflict_limit: int | None = None,
         should_stop=None,
+        extra: Sequence[str] = (),
     ) -> tuple:
         """Answer one guard-literal query; returns a plain-data payload.
 
         ``sizes=None`` falls back to the snapshot's default sizes when
         the encoding is parametric (a bare-snapshot consumer probing the
         as-built configuration); an explicit pin list overrides.
+        ``extra`` names further boolean guards to assume after the target
+        (a witness enumeration's blocking guard).
 
         ``conflict_limit``/``should_stop`` bound the call cooperatively
         (see :meth:`Solver.check`); an expired slice yields the payload
@@ -325,7 +340,7 @@ class WorkerSession:
         retained, so the caller can import peer clauses and re-ask.
         """
         start = perf_counter()
-        names = [self._guard_name(target)]
+        names = [self._guard_name(target), *extra]
         if sizes is None and self.snapshot.parametric:
             sizes = self.snapshot.default_sizes
         if sizes is not None:
@@ -425,7 +440,7 @@ class WorkerSession:
             self.solver.phase_hints(bools)
 
     def bounded_check(
-        self, deadline, target, sizes, want_witness, should_stop=None
+        self, deadline, target, sizes, want_witness, should_stop=None, extra=()
     ) -> tuple:
         """One check under a worker-local :class:`Deadline` (or none).
 
@@ -434,14 +449,14 @@ class WorkerSession:
         becomes this check's ``conflict_limit`` and the conflicts actually
         spent are charged back, so every check of a shard (re-asks
         included) shares one budget.  ``should_stop`` overrides the
-        deadline's wall-clock poll.
+        deadline's wall-clock poll.  ``extra`` is as for :meth:`check`.
         """
         if deadline is not None and deadline.expired():
-            return ("unknown", None, None, {"timed_out": True}, 0.0)
+            return ("unknown", None, None, {}, 0.0)
         limit = deadline.remaining_conflicts() if deadline else None
         if should_stop is None and deadline is not None:
             should_stop = deadline.should_stop
-        payload = self.check(target, sizes, want_witness, limit, should_stop)
+        payload = self.check(target, sizes, want_witness, limit, should_stop, extra)
         if deadline is not None:
             deadline.charge(payload[3].get("conflicts", 0))
         return payload

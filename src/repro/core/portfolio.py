@@ -710,7 +710,7 @@ class PortfolioSession:
 
     @staticmethod
     def _timeout_payload() -> tuple:
-        return ("unknown", None, None, {"timed_out": True}, 0.0)
+        return ("unknown", None, None, {}, 0.0)
 
     def _race_inline(self, target, sizes_key, want_witness, deadline=None):
         """Deterministic round-robin: one slice per racer per round.

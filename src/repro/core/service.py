@@ -196,6 +196,18 @@ def _translate(session: WorkerSession, payload: tuple) -> dict:
     return out
 
 
+def _answer(
+    session: WorkerSession, target, overrides, want_witness: bool, wire_deadline
+) -> dict:
+    """One guard query on ``session`` → its response dict (every tier
+    answers through here, one :meth:`WorkerSession.run` each)."""
+    sizes = _resolved_sizes(session.snapshot, overrides)
+    job = ("check", target, sizes, want_witness)
+    if wire_deadline is not None:
+        job = (*job, tuple(wire_deadline))
+    return _translate(session, session.run(job))
+
+
 def _check_job(
     cache_dir: str,
     encoding_hash: str,
@@ -207,11 +219,7 @@ def _check_job(
     """Answer one guard query on a tier-2-rehydrated worker session."""
     maybe_inject("service-worker")
     session = _worker_session(cache_dir, encoding_hash)
-    sizes = _resolved_sizes(session.snapshot, overrides)
-    job = ("check", target, sizes, want_witness)
-    if wire_deadline is not None:
-        job = (*job, tuple(wire_deadline))
-    return _translate(session, session.run(job))
+    return _answer(session, target, overrides, want_witness, wire_deadline)
 
 
 def _build_job(
@@ -243,13 +251,8 @@ def _build_job(
     encoding_hash = SnapshotStore(cache_dir).store(snapshot, meta)
     answer = None
     if job_request is not None:
-        target, overrides, want_witness, wire_deadline = job_request
         session = _worker_session(cache_dir, encoding_hash, snapshot)
-        sizes = _resolved_sizes(snapshot, overrides)
-        job = ("check", target, sizes, want_witness)
-        if wire_deadline is not None:
-            job = (*job, tuple(wire_deadline))
-        answer = _translate(session, session.run(job))
+        answer = _answer(session, *job_request)
     return encoding_hash, meta, answer
 
 
@@ -298,11 +301,7 @@ class ServiceSession:
     ) -> dict:
         if self.closed or self.worker is None:
             raise RuntimeError("hot session is closed")
-        sizes = _resolved_sizes(self.worker.snapshot, overrides)
-        job = ("check", target, sizes, want_witness)
-        if wire_deadline is not None:
-            job = (*job, tuple(wire_deadline))
-        return _translate(self.worker, self.worker.run(job))
+        return _answer(self.worker, target, overrides, want_witness, wire_deadline)
 
     def close(self) -> None:
         self.worker = None

@@ -228,6 +228,48 @@ def test_witnesses_respect_queue_domains():
             assert 0 <= held <= session.queue_sizes[queue.name]
 
 
+def test_every_query_goes_through_the_one_engine(monkeypatch):
+    from repro.core.parallel import WorkerSession
+    from repro.protocols import abstract_mi_mesh
+
+    calls = {"engine": 0, "solver": 0, "restore": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        WorkerSession, "check", counted("engine", WorkerSession.check)
+    )
+    monkeypatch.setattr(Solver, "check", counted("solver", Solver.check))
+    monkeypatch.setattr(
+        WorkerSession, "__init__", counted("restore", WorkerSession.__init__)
+    )
+    session = VerificationSession(abstract_mi_mesh(2, 2, queue_size=2).network)
+    assert calls == {"engine": 0, "solver": 0, "restore": 0}
+    queue_case = next(
+        case for case in session.encoding.cases if case.kind == "queue"
+    )
+    witnesses = session.enumerate_witnesses(limit=2)
+    queries = [
+        session.verify,
+        lambda: session.verify_case(session.encoding.cases[0]),
+        lambda: session.verify_channel(queue_case.subject, queue_case.color),
+        lambda: next(witnesses),
+        lambda: next(witnesses),
+    ]
+    for query in queries:
+        before = dict(calls)
+        query()
+        assert calls["engine"] == before["engine"] + 1
+        assert calls["solver"] == before["solver"] + 1
+    witnesses.close()
+    assert calls["restore"] == 0
+
+
 # ---------------------------------------------------------------------------
 # Randomized differential test: any query order, any assumption order
 # ---------------------------------------------------------------------------

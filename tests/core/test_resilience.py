@@ -240,10 +240,22 @@ def test_engine_conflict_budget_times_out_and_session_survives():
     assert session.verify().verdict == _eager_reference().verdict
 
 
-def test_pre_expired_deadline_skips_the_solver():
-    session = VerificationSession(_network())
-    result = session.verify(deadline=Deadline(seconds=0.0))
+@pytest.mark.parametrize(
+    "open_session",
+    [
+        lambda network: VerificationSession(network),
+        lambda network: ParallelVerificationSession(
+            network, jobs=1, backend="thread"
+        ),
+        lambda network: PortfolioSession(network=network, backend="inline"),
+    ],
+    ids=["sequential", "parallel", "portfolio"],
+)
+def test_pre_expired_deadline_skips_the_solver(open_session):
+    with open_session(_network()) as session:
+        result = session.verify(deadline=Deadline(seconds=0.0))
     assert result.verdict == Verdict.TIMEOUT
+    assert result.stats["timed_out"] is True
     assert result.stats["solver"] == {}  # no stale stats from prior queries
 
 
