@@ -334,17 +334,22 @@ class WorkerSession:
         ``extra`` names further boolean guards to assume after the target
         (a witness enumeration's blocking guard).
 
+        Assumptions go stable-first: capacity pins, then the target guard,
+        then ``extra``.  The CDCL core keeps the trail between queries and
+        rewinds only to the first assumption that changed, so a run of
+        case queries under the same pins decides the pins once.
+
         ``conflict_limit``/``should_stop`` bound the call cooperatively
         (see :meth:`Solver.check`); an expired slice yields the payload
         ``("unknown", None, None, stats, elapsed)`` with all learning
         retained, so the caller can import peer clauses and re-ask.
         """
         start = perf_counter()
-        names = [self._guard_name(target), *extra]
         if sizes is None and self.snapshot.parametric:
             sizes = self.snapshot.default_sizes
-        if sizes is not None:
-            names.extend(self._capacity_assumption_names(sizes))
+        names = [] if sizes is None else self._capacity_assumption_names(sizes)
+        names.append(self._guard_name(target))
+        names.extend(extra)
         outcome = self.solver.check(
             assumptions=[boolvar(name) for name in names],
             conflict_limit=conflict_limit,

@@ -11,7 +11,12 @@ stack; it exists so that
   speedup on the same instances and record it in ``BENCH_satcore.json``.
 
 Do not edit the algorithm here: its whole value is that it preserves the
-old trajectory.  The original module docstring follows.
+old trajectory.  The one deliberate exception mirrors a search-order
+change of the arena core, so the lockstep contract keeps holding:
+``solve`` keeps the trail after a SAT or assumption-UNSAT verdict and
+rewinds only to the first assumption that differs from the previous
+call's, and ``seed_phases``/``set_phase`` rewind to the root first.  The
+original module docstring follows.
 
 ----
 
@@ -155,6 +160,7 @@ class Cdcl:
         self._reduce_growth = reduce_growth
         self._learnt_live = 0
         self.final_core: list[int] = []
+        self._assumed: tuple[int, ...] = ()  # the last solve()'s assumptions
         self.stats = {
             "conflicts": 0,
             "decisions": 0,
@@ -720,11 +726,13 @@ class Cdcl:
         is how warm snapshots make a fresh solver search near the parent's
         (or a previous probe's) last model first.
         """
+        self._backjump(0)
         limit = min(len(phases), self.n_vars)
         for var in range(1, limit + 1):
             self._phase[var] = bool(phases[var - 1])
 
     def set_phase(self, var: int, phase: bool) -> None:
+        self._backjump(0)
         if 1 <= var <= self.n_vars:
             self._phase[var] = bool(phase)
 
@@ -752,12 +760,20 @@ class Cdcl:
         self.final_core = []
         if not self._ok:
             return UNSAT
-        self._backjump(0)
+        # Keep the levels of the longest assumption prefix shared with the
+        # previous call (level i + 1 holds assumption i).
+        previous, self._assumed = self._assumed, tuple(assumptions)
+        kept = 0
+        limit = min(self.decision_level, len(previous), len(assumptions))
+        while kept < limit and previous[kept] == assumptions[kept]:
+            kept += 1
+        self._backjump(kept)
         conflicts_entry = self.stats["conflicts"]
         if self.reduction and self._learnt_live >= self._reduce_limit:
             # Reduce between queries: bring root propagation to fixpoint
             # first (reduce_db's precondition; clauses added since the
             # last call may still have pending root units).
+            self._backjump(0)
             if self._propagate() is not None:
                 self._ok = False
                 return UNSAT
@@ -835,7 +851,6 @@ class Cdcl:
                     continue
                 if value == -1:
                     self.final_core = self._analyze_final(lit)
-                    self._backjump(0)
                     return UNSAT
                 self.stats["decisions"] += 1
                 self._trail_lim.append(len(self._trail))

@@ -18,6 +18,17 @@ the instance is unsatisfiable *because of* the assumptions, ``final_core``
 holds an inconsistent subset of them (the failed core); a root-level
 conflict leaves the core empty and marks the solver permanently UNSAT.
 
+The trail outlives a verdict.  After SAT (the model is read off it) and
+after an assumption-caused UNSAT, :meth:`Cdcl.solve` leaves it in place;
+the next call backjumps only to the first assumption that differs from
+the previous call's, since level ``i + 1`` holds assumption ``i``.  A
+query mix that repeats a long assumption prefix (ADVOCAT's capacity pins
+under per-case guards) therefore decides and propagates that prefix once.
+Callers should pass their stable assumptions first.  Whatever needs the
+root still rewinds there: a due clause-database reduction at entry,
+restarts, ``UNKNOWN`` slices, :meth:`add_clause`, :meth:`import_learned`,
+:meth:`compact` and the phase seeders.
+
 Learnt clauses have a managed *lifecycle* (the Glucose discipline): each
 is tagged at derivation time with its LBD ("glue") — the number of
 distinct decision levels among its literals — and accumulates activity
@@ -246,6 +257,7 @@ class Cdcl:
         self._reduce_growth = reduce_growth
         self._learnt_live = 0
         self.final_core: list[int] = []
+        self._assumed: tuple[int, ...] = ()  # the last solve()'s assumptions
         self.stats = {
             "conflicts": 0,
             "decisions": 0,
@@ -1092,13 +1104,18 @@ class Cdcl:
 
         Phases only steer branching order — seeding is always sound and
         is how warm snapshots make a fresh solver search near the parent's
-        (or a previous probe's) last model first.
+        (or a previous probe's) last model first.  Rewinds to the root
+        first, like :meth:`set_phase`.
         """
+        self._backjump(0)
         limit = min(len(phases), self.n_vars)
         for var in range(1, limit + 1):
             self._phase[var] = 1 if phases[var - 1] else 0
 
     def set_phase(self, var: int, phase: bool) -> None:
+        """Seed one saved phase; rewinds to the root first, so that the
+        next backjump cannot overwrite the seed with the trail's value."""
+        self._backjump(0)
         if 1 <= var <= self.n_vars:
             self._phase[var] = 1 if phase else 0
 
@@ -1118,6 +1135,12 @@ class Cdcl:
         every regular decision.  An UNSAT verdict caused by them leaves an
         inconsistent subset in :attr:`final_core`; a root-level conflict
         leaves the core empty and the solver permanently unsatisfiable.
+
+        The trail persists after a SAT or assumption-UNSAT verdict, and
+        the next call rewinds only to the first assumption that changed:
+        the levels of the longest prefix it shares with this call's
+        ``assumptions`` are kept (a due reduction rewinds to the root).
+        Pass the assumptions that stay the same across calls first.
 
         Two cooperative bounds turn a call into a *slice* (the portfolio
         racing primitive): ``conflict_limit`` caps the conflicts spent in
@@ -1151,12 +1174,21 @@ class Cdcl:
         self.final_core = []
         if not self._ok:
             return UNSAT
-        self._backjump(0)
+        # Keep the levels of the longest assumption prefix shared with the
+        # previous call (level i + 1 holds assumption i, an empty level if
+        # it was already implied), capped by the current level.
+        previous, self._assumed = self._assumed, tuple(assumptions)
+        kept = 0
+        limit = min(len(self._trail_lim), len(previous), len(assumptions))
+        while kept < limit and previous[kept] == assumptions[kept]:
+            kept += 1
+        self._backjump(kept)
         conflicts_entry = self.stats["conflicts"]
         if self.reduction and self._learnt_live >= self._reduce_limit:
             # Reduce between queries: bring root propagation to fixpoint
             # first (reduce_db's precondition; clauses added since the
             # last call may still have pending root units).
+            self._backjump(0)
             if self._propagate() >= 0:
                 self._ok = False
                 return UNSAT
@@ -1254,7 +1286,6 @@ class Cdcl:
                     continue
                 if value == -1:
                     self.final_core = self._analyze_final(lit)
-                    self._backjump(0)
                     return UNSAT
                 self.stats["decisions"] += 1
                 self._trail_lim.append(self._trail_len)

@@ -270,6 +270,57 @@ def test_every_query_goes_through_the_one_engine(monkeypatch):
     assert calls["restore"] == 0
 
 
+@pytest.mark.parametrize("invariants", [False, True], ids=["sat", "unsat"])
+def test_unchanged_pins_stay_on_the_trail_between_cases(monkeypatch, invariants):
+    """Case queries under unchanged pins keep the pins' assumption levels:
+    the engine assumes the pins first, and the CDCL core rewinds only to
+    the first assumption that changed (the case guard).  Without
+    invariants every case is a candidate; with them most are refuted, and
+    each core names only that query's assumptions."""
+    from repro.protocols import abstract_mi_mesh
+    from repro.smt.sat import Cdcl
+
+    solves = []  # per solve(): [assumptions, entry rewind level, decided]
+    solve, enqueue, backjump = Cdcl.solve, Cdcl._enqueue_code, Cdcl._backjump
+
+    def spy_solve(self, *args, **kwargs):
+        solves.append([tuple(kwargs.get("assumptions", ())), None, set()])
+        return solve(self, *args, **kwargs)
+
+    def spy_enqueue(self, code, reason):
+        if reason == -1 and self.decision_level:  # a decision
+            solves[-1][2].add(-(code >> 1) if code & 1 else code >> 1)
+        return enqueue(self, code, reason)
+
+    def spy_backjump(self, level):
+        if solves and solves[-1][1] is None:
+            solves[-1][1] = level
+        return backjump(self, level)
+
+    monkeypatch.setattr(Cdcl, "solve", spy_solve)
+    monkeypatch.setattr(Cdcl, "_enqueue_code", spy_enqueue)
+    monkeypatch.setattr(Cdcl, "_backjump", spy_backjump)
+    session = VerificationSession(abstract_mi_mesh(2, 2, queue_size=2).network)
+    if invariants:
+        session.add_invariants()
+    pin_labels = {f"cap[{q}=={s}]" for q, s in session.queue_sizes.items()}
+    refuted = 0
+    for case in session.encoding.cases:
+        result = session.verify_case(case)
+        if result.deadlock_free:
+            refuted += 1
+            assert set(result.unsat_core) <= pin_labels | {case.label}
+    assert (refuted > 0) is invariants
+    (first, _, _), (second, kept, decided) = solves[0], solves[1]
+    pins = set(first) & set(second)
+    assert len(pins) == len(session.queue_sizes)
+    assert kept == len(pins)
+    if not invariants:
+        # (A refutation may learn ``¬pin ∨ ¬guard``, which asserts at the
+        # pin's level and re-decides the pins above it — by design.)
+        assert not pins & decided, "a pin was decided again"
+
+
 # ---------------------------------------------------------------------------
 # Randomized differential test: any query order, any assumption order
 # ---------------------------------------------------------------------------

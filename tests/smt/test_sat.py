@@ -123,3 +123,33 @@ def test_stats_populated():
     solver = solve_clauses(2, [[1, 2], [-1, 2], [1, -2], [-1, -2]])
     solver.solve()
     assert solver.stats["conflicts"] >= 1
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        lambda core: core.set_phase(2, True),
+        lambda core: core.seed_phases([True, True, True]),
+    ],
+    ids=["set_phase", "seed_phases"],
+)
+def test_phase_hint_survives_the_next_query(seed):
+    """A phase seeded after a SAT verdict steers the next query, although
+    that query keeps the shared assumption level on the trail."""
+    solver = solve_clauses(3, [[1, 2, 3]])
+    assert solver.solve(assumptions=[1]) == SAT
+    assert not solver.model_value(2)  # saved phases start out false
+    seed(solver)
+    assert solver.solve(assumptions=[1]) == SAT
+    assert solver.model_value(2)
+
+
+def test_only_changed_assumptions_are_decided_again():
+    solver = solve_clauses(4, [[1, 2, 3, 4]])
+    assert solver.solve(assumptions=[1, -2]) == SAT
+    before = solver.stats["decisions"]
+    assert solver.solve(assumptions=[1, -2]) == SAT
+    assert solver.stats["decisions"] - before == 2  # variables 3 and 4
+    before = solver.stats["decisions"]
+    assert solver.solve(assumptions=[1, 3]) == SAT
+    assert solver.stats["decisions"] - before == 3  # 3, then 2 and 4

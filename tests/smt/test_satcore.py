@@ -11,6 +11,9 @@ behavioural contract against the pre-arena core it replaced, kept in
 * the learned export must carry the same clauses (compared as multisets
   of ``(lbd, sorted literals)`` — slot order inside a clause is the one
   representational freedom the arena keeps);
+* back-to-back solves with shared, partially shared and disjoint
+  assumption prefixes (SAT, assumption-UNSAT and sliced calls) stay in
+  lockstep call by call, so both cores keep the same trail prefix;
 * warm session snapshots must round-trip through a real ``spawn`` worker
   (the strictest start method), with ``SNAPSHOT_VERSION`` still 2 since
   the export format did not change;
@@ -121,6 +124,43 @@ def test_arena_matches_reference_incremental(
         arena.solve(assumptions=assumptions),
         reference.solve(assumptions=assumptions),
     )
+
+
+# Back-to-back solves: each query keeps a prefix of one base list and
+# appends its own tail, so consecutive calls share all, part or none of
+# their assumption prefix (the levels the cores keep on the trail); some
+# calls are conflict-limited slices.
+query_strategy = st.tuples(
+    st.integers(min_value=0, max_value=4),
+    st.lists(literals, min_size=0, max_size=3),
+    st.sampled_from([None, None, None, 0, 1, 3]),
+)
+
+
+@given(
+    clauses_strategy,
+    st.lists(literals, min_size=0, max_size=4),
+    st.lists(query_strategy, min_size=3, max_size=5),
+    knobs_strategy,
+)
+@settings(max_examples=200, deadline=None)
+def test_arena_matches_reference_back_to_back(clauses, base, queries, knobs):
+    """Consecutive solves with no clause added in between (so no root
+    rewind) stay in lockstep query by query."""
+    arena, reference = _pair(knobs)
+    arena.ensure_vars(N_VARS)
+    reference.ensure_vars(N_VARS)
+    for clause in clauses:
+        arena.add_clause(clause)
+        reference.add_clause(clause)
+    for keep, tail, limit in queries:
+        assumptions = base[:keep] + tail
+        _assert_in_lockstep(
+            arena,
+            reference,
+            arena.solve(assumptions=assumptions, conflict_limit=limit),
+            reference.solve(assumptions=assumptions, conflict_limit=limit),
+        )
 
 
 # ---------------------------------------------------------------------------
