@@ -149,11 +149,29 @@ def encode_deadlock(
     enc = DeadlockEncoding()
     _encode_domains(network, colors, pool, enc, capacities)
     for channel in network.channels:
-        for color in colors.of(channel):
-            block_def = _block_rhs(
-                network, colors, pool, channel, color, rotating_precision, capacities
+        channel_colors = colors.of(channel)
+        if not channel_colors:
+            continue
+        # A queue's block and an automaton's idle read the same terms for
+        # every color of the channel: build them once here.
+        target, initiator = channel.target.owner, channel.initiator.owner
+        queue_block = produced = None
+        if isinstance(target, Queue):
+            queue_block = _queue_block_rhs(
+                network, colors, pool, target, rotating_precision, capacities
             )
-            idle_def = _idle_rhs(network, colors, pool, channel, color)
+        if isinstance(initiator, Automaton):
+            produced = _automaton_outputs(network, colors, initiator, channel.initiator.name)
+        for color in channel_colors:
+            if queue_block is None:
+                block_def = _block_rhs(network, colors, pool, channel, color)
+            else:
+                block_def = queue_block
+            if produced is None:
+                idle_def = _idle_rhs(network, colors, pool, channel, color)
+            else:
+                # paper: (∀t,i,d. ε → φ ≠ (o,d')) ∨ dead(A)
+                idle_def = pool.dead(initiator) if color in produced else TRUE
             enc.definitions.append(iff(pool.block(channel, color), block_def))
             enc.definitions.append(iff(pool.idle(channel, color), idle_def))
     for automaton in network.automata():
@@ -229,42 +247,51 @@ def _queue_full(
 # ---------------------------------------------------------------------------
 
 
+def _queue_block_rhs(
+    network: Network,
+    colors: ColorMap,
+    pool: VarPool,
+    queue: Queue,
+    rotating_precision: bool,
+    capacities: Capacities | None,
+) -> Term:
+    """Block of a queue's in-channel: the same term for every color."""
+    out_channel = network.channel_of(queue.o)
+    head_colors = colors.of(out_channel)
+    full = _queue_full(queue, colors, pool, network, capacities)
+    if queue.rotating and rotating_precision:
+        # Rotation lets consumable heads bypass stuck ones: the queue
+        # only blocks when every color actually present is stuck.
+        stuck_all = conj(
+            *(
+                implies(
+                    ge(pool.occupancy(queue, d), 1),
+                    pool.block(out_channel, d),
+                )
+                for d in head_colors
+            )
+        )
+        return conj(full, stuck_all)
+    stuck_head = disj(
+        *(
+            conj(ge(pool.occupancy(queue, d), 1), pool.block(out_channel, d))
+            for d in head_colors
+        )
+    )
+    return conj(full, stuck_head)
+
+
 def _block_rhs(
     network: Network,
     colors: ColorMap,
     pool: VarPool,
     channel: Channel,
     color: Color,
-    rotating_precision: bool,
-    capacities: Capacities | None,
 ) -> Term:
+    """Block of ``channel`` for ``color``; queue targets go through
+    :func:`_queue_block_rhs`."""
     target = channel.target.owner
     port = channel.target
-
-    if isinstance(target, Queue):
-        out_channel = network.channel_of(target.o)
-        head_colors = colors.of(out_channel)
-        full = _queue_full(target, colors, pool, network, capacities)
-        if target.rotating and rotating_precision:
-            # Rotation lets consumable heads bypass stuck ones: the queue
-            # only blocks when every color actually present is stuck.
-            stuck_all = conj(
-                *(
-                    implies(
-                        ge(pool.occupancy(target, d), 1),
-                        pool.block(out_channel, d),
-                    )
-                    for d in head_colors
-                )
-            )
-            return conj(full, stuck_all)
-        stuck_head = disj(
-            *(
-                conj(ge(pool.occupancy(target, d), 1), pool.block(out_channel, d))
-                for d in head_colors
-            )
-        )
-        return conj(full, stuck_head)
 
     if isinstance(target, Function):
         out_channel = network.channel_of(target.o)
@@ -329,6 +356,21 @@ def _block_rhs(
 # ---------------------------------------------------------------------------
 
 
+def _automaton_outputs(
+    network: Network, colors: ColorMap, automaton: Automaton, port_name: str
+) -> set[Color]:
+    """Every color some transition of ``automaton`` can emit on ``port_name``."""
+    produced: set[Color] = set()
+    for transition in automaton.transitions:
+        if transition.out_port != port_name:
+            continue
+        in_channel = network.channel_of(automaton.port(transition.in_port))
+        for d in colors.of(in_channel):
+            if transition.accepts(d):
+                produced.add(transition.output(d)[1])
+    return produced
+
+
 def _idle_rhs(
     network: Network,
     colors: ColorMap,
@@ -336,6 +378,8 @@ def _idle_rhs(
     channel: Channel,
     color: Color,
 ) -> Term:
+    """Idle of ``channel`` for ``color``; automaton initiators go through
+    :func:`_automaton_outputs`."""
     initiator = channel.initiator.owner
     port = channel.initiator
 
@@ -416,21 +460,6 @@ def _idle_rhs(
             if color in colors.of(network.channel_of(p))
         ]
         return conj(*(pool.idle(f, color) for f in feeders))
-
-    if isinstance(initiator, Automaton):
-        port_name = port.name
-        producers = []
-        for transition in initiator.transitions:
-            if transition.out_port != port_name:
-                continue
-            in_channel = network.channel_of(initiator.port(transition.in_port))
-            for d in colors.of(in_channel):
-                if transition.accepts(d) and transition.output(d) == (port_name, color):
-                    producers.append(transition)
-                    break
-        if not producers:
-            return TRUE  # paper: (∀t,i,d. ε → φ ≠ (o,d')) ∨ dead(A)
-        return pool.dead(initiator)
 
     raise TypeError(f"no idle equation for {type(initiator).__name__}")
 

@@ -39,6 +39,19 @@ class VarPool:
         self._idle: dict[tuple[str, Color], Term] = {}
         self._dead: dict[str, Term] = {}
         self._dead_sink: dict[str, Term] = {}
+        self._color_names: set[str] = set()
+
+    def _claim(self, name: str) -> str:
+        """Hand ``name`` to one (primitive, color) key only.
+
+        Two colors can print alike (``Message`` src ``(1, 11)`` and
+        ``(11, 1)`` both read ``111``), and boolvars are interned by
+        name: a second key would silently share the first one's variable.
+        """
+        if name in self._color_names:
+            raise ValueError(f"two different colors are both named {name!r}")
+        self._color_names.add(name)
+        return name
 
     # -- integer-valued ------------------------------------------------
     def occupancy(self, queue: Queue, color: Color) -> IntVar:
@@ -46,7 +59,7 @@ class VarPool:
         key = (queue.name, color)
         var = self._occupancy.get(key)
         if var is None:
-            var = intvar(f"#{queue.name}.{color_label(color)}")
+            var = intvar(self._claim(f"#{queue.name}.{color_label(color)}"))
             self._occupancy[key] = var
         return var
 
@@ -65,7 +78,7 @@ class VarPool:
         key = (channel.name, color)
         var = self._block.get(key)
         if var is None:
-            var = boolvar(f"blk[{channel.name}:{color_label(color)}]")
+            var = boolvar(self._claim(f"blk[{channel.name}:{color_label(color)}]"))
             self._block[key] = var
         return var
 
@@ -74,7 +87,7 @@ class VarPool:
         key = (channel.name, color)
         var = self._idle.get(key)
         if var is None:
-            var = boolvar(f"idl[{channel.name}:{color_label(color)}]")
+            var = boolvar(self._claim(f"idl[{channel.name}:{color_label(color)}]"))
             self._idle[key] = var
         return var
 

@@ -214,27 +214,45 @@ class LinearAtom:
         return f"({lhs} <= {self.bound})"
 
 
-def _normalise_le(expr: LinExpr) -> "Term":
-    """Normalise ``expr ≤ 0`` into an :class:`Atom` or boolean constant."""
-    if not expr.coeffs:
-        return TRUE if expr.const <= 0 else FALSE
-    denom_lcm = expr.const.denominator
-    for coeff in expr.coeffs.values():
-        denom_lcm = denom_lcm * coeff.denominator // gcd(denom_lcm, coeff.denominator)
-    int_coeffs = {v: int(c * denom_lcm) for v, c in expr.coeffs.items()}
-    const = int(expr.const * denom_lcm)
-    divisor = 0
-    for coeff in int_coeffs.values():
-        divisor = gcd(divisor, abs(coeff))
+def _normalise_le(left: ExprLike, right: ExprLike, offset: int = 0) -> "Term":
+    """Normalise ``left + offset ≤ right`` into an :class:`Atom` or constant.
+
+    Both sides accumulate straight into one coefficient dict, with no
+    intermediate :class:`LinExpr`.  Values stay machine ints, and the
+    denominators' lcm is taken only when some value is not an ``int`` (a
+    ``Fraction``).  That test is on ``type``: ``isinstance(v, Fraction)``
+    is a slow ABC check.
+    """
+    coeffs: dict[IntVar, Fraction | int] = {}
+    const: Fraction | int = offset
+    for side, sign in ((left, 1), (right, -1)):
+        if isinstance(side, IntVar):
+            coeffs[side] = coeffs.get(side, 0) + sign
+        elif isinstance(side, LinExpr):
+            for var, coeff in side.coeffs.items():
+                coeffs[var] = coeffs.get(var, 0) + sign * coeff
+            const += sign * side.const
+        elif isinstance(side, (int, Fraction)):
+            const += sign * side
+        else:
+            raise TypeError(f"cannot interpret {side!r} as a linear expression")
+    items = [(var, coeff) for var, coeff in coeffs.items() if coeff]
+    if not items:
+        return TRUE if const <= 0 else FALSE
+    if type(const) is not int or any(type(c) is not int for _, c in items):
+        denom_lcm = const.denominator
+        for _, coeff in items:
+            denom_lcm = denom_lcm * coeff.denominator // gcd(denom_lcm, coeff.denominator)
+        items = [(var, int(coeff * denom_lcm)) for var, coeff in items]
+        const = int(const * denom_lcm)
+    divisor = gcd(*(coeff for _, coeff in items))
     # Integer tightening: a.x <= -const with a = g*a' gives a'.x <= floor(-const/g).
     bound = -const // divisor
-    coeffs = tuple(
-        sorted(
-            ((v, c // divisor) for v, c in int_coeffs.items()),
-            key=lambda item: item[0].uid,
-        )
-    )
-    return _intern(Atom, (LinearAtom(coeffs, bound),))
+    if divisor != 1:
+        items = [(var, coeff // divisor) for var, coeff in items]
+    if len(items) > 1:
+        items.sort(key=lambda item: item[0].uid)
+    return _intern(Atom, (LinearAtom(tuple(items), bound),))
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +418,13 @@ def _flatten(cls: type, terms: Iterable[Term], absorbing: Term, neutral: Term) -
             continue
         if term.uid in seen:
             continue
-        # x & !x == false ; x | !x == true
-        complement = neg(term)
-        if complement.uid in seen:
+        # x & !x == false ; x | !x == true.  The complement is looked up,
+        # not interned: a Not nobody has built cannot be in ``seen``.
+        if isinstance(term, Not):
+            complement = term.arg
+        else:
+            complement = _intern_table.get((Not, (term,)))
+        if complement is not None and complement.uid in seen:
             return absorbing
         seen.add(term.uid)
         flat.append(term)
@@ -456,7 +478,7 @@ def exactly_one(*terms: Term) -> Term:
 
 
 def le(left: ExprLike, right: ExprLike) -> Term:
-    return _normalise_le(as_linexpr(left) - as_linexpr(right))
+    return _normalise_le(left, right)
 
 
 def ge(left: ExprLike, right: ExprLike) -> Term:
@@ -464,7 +486,7 @@ def ge(left: ExprLike, right: ExprLike) -> Term:
 
 
 def lt(left: ExprLike, right: ExprLike) -> Term:
-    return le(as_linexpr(left) + 1, right)
+    return _normalise_le(left, right, 1)
 
 
 def gt(left: ExprLike, right: ExprLike) -> Term:

@@ -1,8 +1,11 @@
 """Unit tests for the block/idle equation compiler."""
 
+import pytest
+
 from repro.core import VarPool, derive_colors, encode_deadlock, verify
 from repro.core.deadlock import DeadlockEncoding
 from repro.netlib import producer_consumer
+from repro.protocols.messages import Message
 from repro.smt import Result, Solver, ge
 from repro.xmas import NetworkBuilder
 
@@ -147,3 +150,26 @@ def test_function_block_passes_through():
     builder.pipeline(src.o, fn.i, fn.o, q.i, q.o, snk.i)
     verdict, *_ = solve_encoding(builder.build())
     assert verdict == Result.SAT
+
+
+def test_var_pool_rejects_two_colors_with_one_name():
+    # Message labels concatenate coordinates: src (1, 11) and (11, 1)
+    # both print "111".  Interned by name, the two colors would share one
+    # Block/Idle variable and couple their equations.
+    first = Message("GetX", src=(1, 11), dst=(0, 0))
+    second = Message("GetX", src=(11, 1), dst=(0, 0))
+    assert first != second and first.label() == second.label()
+    network = producer_consumer()
+    channel = network.channels[0]
+    queue = network.queues()[0]
+    for make in (
+        lambda pool, color: pool.block(channel, color),
+        lambda pool, color: pool.idle(channel, color),
+        lambda pool, color: pool.occupancy(queue, color),
+    ):
+        pool = VarPool()
+        var = make(pool, first)
+        assert make(pool, first) is var
+        with pytest.raises(ValueError, match="111"):
+            make(pool, second)
+

@@ -4,7 +4,9 @@ A top-level ``And`` asserts each conjunct and a top-level ``Or`` becomes one
 clause, so neither mints a Tseitin gate; nested connectives keep their
 two-directional gates.  The size pins below are deterministic: they
 depend on the encoding's structure, not on the hash seed (which only
-reorders clauses).
+reorders clauses).  The content-hash pins are per hash seed, and guard
+the whole CNF image: a change that only speeds up the build must leave
+them alone.
 """
 
 from __future__ import annotations
@@ -153,31 +155,46 @@ def test_check_matches_evaluation_under_every_assignment(spec, scoped):
         assert solver.check() == Result.SAT
 
 
-_SIZE_SCRIPT = """
+_IMAGE_SCRIPT = """
 import json
 from repro.core import VerificationSession
+from repro.fabrics import traffic_mesh
 from repro.protocols import abstract_mi_mesh, msi_mesh
 from repro.smt import serialize
-sizes = []
-for case in (abstract_mi_mesh(2, 2, queue_size=3), msi_mesh(2, 2, queue_size=4)):
-    session = VerificationSession(case.network)
+sizes, hashes = [], []
+for network in (
+    abstract_mi_mesh(2, 2, queue_size=3).network,
+    msi_mesh(2, 2, queue_size=4).network,
+    traffic_mesh(3, 3, queue_size=2),
+):
+    session = VerificationSession(network)
     session.add_invariants()
     snap = serialize.snapshot_solver(session.solver)
     sizes.append([len(snap.clauses), snap.n_vars])
-print(json.dumps(sizes))
+    hashes.append(session.snapshot().content_hash()[:16])
+print(json.dumps({"sizes": sizes, "hashes": hashes}))
 """
 
-PINNED_SIZES = [[1293, 705], [4931, 2458]]
+# abstract-MI 2x2, MSI 2x2 and traffic_mesh 3x3 with invariants.  The
+# sizes hold under every hash seed; the content hashes follow the hash
+# seed (see SessionSnapshot.content_hash), so each pinned seed has its own.
+PINNED_SIZES = [[1293, 705], [4931, 2458], [7333, 3946]]
+PINNED_HASHES = {
+    "0": ["980680835b3c9ec5", "ddcfcae2512b0233", "9abe1d70774b6e74"],
+    "1": ["ce0559c58250559a", "a90e113abc265c28", "346acedc61f3cc0c"],
+}
 
 
 @pytest.mark.parametrize("seed", ["0", "1"])
 def test_parametric_session_cnf_size_is_pinned(seed):
     env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
     out = subprocess.run(
-        [sys.executable, "-c", _SIZE_SCRIPT],
+        [sys.executable, "-c", _IMAGE_SCRIPT],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     ).stdout
-    assert json.loads(out) == PINNED_SIZES
+    image = json.loads(out)
+    assert image["sizes"] == PINNED_SIZES
+    assert image["hashes"] == PINNED_HASHES[seed]

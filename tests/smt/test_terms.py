@@ -1,14 +1,19 @@
 """Unit tests for the term language and its normalisations."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.smt import (
     FALSE,
     TRUE,
     And,
     Atom,
+    LinearAtom,
+    LinExpr,
     Not,
     Or,
     as_linexpr,
@@ -28,6 +33,7 @@ from repro.smt import (
     ne,
     neg,
 )
+from repro.smt import terms
 
 
 def test_boolvar_interned_by_name():
@@ -202,3 +208,106 @@ def test_negated_atom_is_not_node():
     term = neg(le(x, 3))
     assert isinstance(term, Not)
     assert isinstance(term.arg, Atom)
+
+
+# ---------------------------------------------------------------------------
+# The atom normaliser against the two-LinExpr formula it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_normalise_le(expr):
+    """``expr ≤ 0`` as an interned Atom, the way the old constructors did
+    it: subtract two ``LinExpr`` copies, then normalise the difference."""
+    if not expr.coeffs:
+        return TRUE if expr.const <= 0 else FALSE
+    denom_lcm = expr.const.denominator
+    for coeff in expr.coeffs.values():
+        denom_lcm = denom_lcm * coeff.denominator // gcd(denom_lcm, coeff.denominator)
+    int_coeffs = {v: int(c * denom_lcm) for v, c in expr.coeffs.items()}
+    const = int(expr.const * denom_lcm)
+    divisor = 0
+    for coeff in int_coeffs.values():
+        divisor = gcd(divisor, abs(coeff))
+    bound = -const // divisor
+    coeffs = tuple(
+        sorted(
+            ((v, c // divisor) for v, c in int_coeffs.items()),
+            key=lambda item: item[0].uid,
+        )
+    )
+    return terms._intern(Atom, (LinearAtom(coeffs, bound),))
+
+
+def _reference_le(left, right):
+    return _reference_normalise_le(as_linexpr(left) - as_linexpr(right))
+
+
+def _reference_lt(left, right):
+    return _reference_le(as_linexpr(left) + 1, right)
+
+
+_VARS = [intvar(f"v{i}") for i in range(3)]
+_numbers = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=4),
+)
+_expressions = st.one_of(
+    _numbers,
+    st.sampled_from(_VARS),
+    st.builds(
+        LinExpr,
+        st.dictionaries(st.sampled_from(_VARS), _numbers, max_size=3),
+        _numbers,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(left=_expressions, right=_expressions)
+def test_comparisons_intern_the_reference_node(left, right):
+    assert le(left, right) is _reference_le(left, right)
+    assert ge(left, right) is _reference_le(right, left)
+    assert lt(left, right) is _reference_lt(left, right)
+    assert gt(left, right) is _reference_lt(right, left)
+    assert eq(left, right) is conj(_reference_le(left, right), _reference_le(right, left))
+
+
+def test_normalised_atoms_hold_machine_ints():
+    x, y = intvar("x"), intvar("y")
+    atom = le(Fraction(2, 3) * x + Fraction(4, 3) * y, Fraction(5, 1))
+    assert all(type(c) is int for _, c in atom.constraint.coeffs)
+    assert type(atom.constraint.bound) is int
+    assert atom is le(x + 2 * y, 7)
+
+
+# ---------------------------------------------------------------------------
+# Complement folding without minting Not nodes
+# ---------------------------------------------------------------------------
+
+
+def test_complements_fold_in_either_order_and_under_nesting():
+    x, y, z = boolvar("x"), boolvar("y"), boolvar("z")
+    a = le(intvar("n"), 3)
+    for p in (x, a, neg(x)):
+        assert conj(p, neg(p)) is FALSE
+        assert conj(neg(p), p) is FALSE
+        assert disj(p, neg(p)) is TRUE
+        assert disj(neg(p), p) is TRUE
+        assert conj(conj(y, p), z, conj(neg(p), y)) is FALSE
+        assert disj(neg(p), disj(y, disj(z, p))) is TRUE
+    # A complement nested under the other connective is not folded.
+    assert isinstance(conj(x, disj(neg(x), y)), And)
+
+
+def _interned_nots():
+    return sum(1 for cls, _ in terms._intern_table if cls is Not)
+
+
+def test_flattening_fresh_atoms_interns_no_not():
+    n = intvar("n")
+    atoms = [le(n, k) for k in range(100, 110)]
+    before = _interned_nots()
+    conj(*atoms)
+    disj(*atoms)
+    conj(boolvar("fresh_p"), boolvar("fresh_q"), *atoms)
+    assert _interned_nots() == before
