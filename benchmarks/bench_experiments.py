@@ -7,7 +7,7 @@ benchmark measures sharding the outer loop itself
 ``ScenarioSpec`` to a scenario worker, which builds its own encoding and
 runs its minimal-queue-size search locally.
 
-Three records, one acceptance gate each:
+Two records, one acceptance gate each:
 
 * **grid sharding** — the 2×2 / 2×3 / 3×3 directory-position grid answered
   by the inline ``jobs=1`` scheduler (the sequential outer loop) and by
@@ -18,10 +18,6 @@ Three records, one acceptance gate each:
   would make the benchmark flaky instead of informative).
 * **resume** — the sharded result is checkpointed to JSON and the grid is
   re-run against it: zero scenarios may be rebuilt.
-* **lazy invariants ablation** — the same grid with
-  ``invariants="lazy"`` (batched strengthening: invariants generated only
-  when a candidate survives plain block/idle) must be verdict-identical
-  to eager mode, with the per-scenario on/off record preserved.
 
 Results land in ``BENCH_experiments.json`` at the repository root.  Run
 standalone (``python benchmarks/bench_experiments.py [--jobs 4] [--smoke]``).
@@ -51,7 +47,7 @@ RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_experiments.json"
 GRID_SPEEDUP_TARGET = 1.5  # acceptance: >= 1.5x with 4 workers on >= 4 cores
 
 
-def build_grid(smoke: bool, invariants: str = "eager") -> Experiment:
+def build_grid(smoke: bool) -> Experiment:
     """Mesh sizes × directory positions, one search scenario per point."""
     meshes = [(2, 2), (2, 3)] if smoke else [(2, 2), (2, 3), (3, 3)]
     scenarios = []
@@ -66,7 +62,6 @@ def build_grid(smoke: bool, invariants: str = "eager") -> Experiment:
                         "directory_node": position,
                     },
                     mode="search",
-                    invariants=invariants,
                     label=f"{width}x{height} dir {position}",
                 )
             )
@@ -125,33 +120,6 @@ def bench_resume(jobs: int, smoke: bool, prior) -> dict:
     }
 
 
-def bench_lazy_ablation(jobs: int, smoke: bool, eager) -> dict:
-    lazy_grid = build_grid(smoke, invariants="lazy")
-    start = time.perf_counter()
-    lazy = lazy_grid.run(jobs=jobs)
-    lazy_s = time.perf_counter() - start
-    # Verdict payloads embed the scenario key (which names the invariant
-    # mode), so compare the semantic content: minima and probe maps.
-    eager_verdicts = [(s.minimal_size, s.probes) for s in eager.scenarios]
-    lazy_verdicts = [(s.minimal_size, s.probes) for s in lazy.scenarios]
-    assert eager_verdicts == lazy_verdicts, (
-        "lazy invariant strengthening changed verdicts"
-    )
-    return {
-        "jobs": jobs,
-        "lazy_s": round(lazy_s, 3),
-        "verdicts_match_eager": True,
-        "per_scenario": [
-            {
-                "label": s.label,
-                "invariants_used": s.invariants_used,
-                "lazy_escalations": s.lazy_escalations,
-            }
-            for s in lazy.scenarios
-        ],
-    }
-
-
 def run_benchmarks(jobs: int = 4, smoke: bool = False) -> dict:
     cpus = os.cpu_count() or 1
     grid, sharded = bench_grid_sharding(jobs, smoke)
@@ -162,7 +130,6 @@ def run_benchmarks(jobs: int = 4, smoke: bool = False) -> dict:
         "speedup_asserted": cpus >= 4 and jobs >= 4,
         "grid_sharding": grid,
         "resume": bench_resume(jobs, smoke, sharded),
-        "lazy_invariants": bench_lazy_ablation(jobs, smoke, sharded),
     }
     shutdown_scenario_executors()
     return results
@@ -178,9 +145,6 @@ def _record_and_report(results: dict) -> None:
         f"resume: {results['resume']['rebuilt']} rebuilt / "
         f"{results['resume']['reused']} reused in "
         f"{results['resume']['resumed_s']}s",
-        f"lazy invariants: verdict-identical, "
-        f"{sum(p['lazy_escalations'] for p in results['lazy_invariants']['per_scenario'])}"
-        " escalations",
         f"cpus={results['cpu_count']}, "
         f"speedup asserted: {results['speedup_asserted']}",
     ]
@@ -197,7 +161,6 @@ def check_acceptance(results: dict) -> None:
     grid = results["grid_sharding"]
     assert grid["verdicts_byte_identical"]
     assert results["resume"]["rebuilt"] == 0
-    assert results["lazy_invariants"]["verdicts_match_eager"]
     if results["speedup_asserted"]:
         assert grid["speedup"] >= GRID_SPEEDUP_TARGET, (
             f"grid sharding speedup {grid['speedup']}x with "

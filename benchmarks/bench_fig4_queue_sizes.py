@@ -2,8 +2,7 @@
 
 Regenerates the Figure-4 grid for 2×2 and 3×3 meshes (the paper's 4×4 and
 6×6 scenarios behind the ``ADVOCAT_BIG`` environment variable — several
-minutes in pure Python; they run with ``invariants="partial"`` so each
-deep boundary search encodes only the ranked invariant rows it needs).
+minutes in pure Python).
 Each mesh's directory-position row is declared as an experiment grid
 (:class:`repro.core.Experiment`) and answered by the deterministic
 ``jobs=1`` scheduler, so the reported numbers are exactly what the sharded
@@ -24,15 +23,14 @@ from repro.core import Experiment, ScenarioSpec
 from repro.fabrics import MeshTopology
 
 
-def _sweep(n: int, invariants: str = "eager") -> dict[tuple[int, int], int]:
+def _sweep(n: int) -> dict[tuple[int, int], int]:
     experiment = Experiment(
-        f"fig4-{n}x{n}" + ("" if invariants == "eager" else f"-{invariants}"),
+        f"fig4-{n}x{n}",
         [
             ScenarioSpec(
                 builder="abstract_mi_mesh",
                 kwargs={"width": n, "height": n, "directory_node": pos},
                 mode="search",
-                invariants=invariants,
             )
             for pos in MeshTopology(n, n).probe_positions()
         ],
@@ -70,11 +68,9 @@ def test_fig4_4x4(benchmark):
         import pytest
 
         pytest.skip("set ADVOCAT_BIG=1 for the 4x4 sweep")
-    sizes = benchmark.pedantic(
-        lambda: _sweep(4, invariants="partial"), rounds=1, iterations=1
-    )
+    sizes = benchmark.pedantic(lambda: _sweep(4), rounds=1, iterations=1)
     report(
-        "E4/Figure 4: 4x4 minimal queue sizes (partial invariants)",
+        "E4/Figure 4: 4x4 minimal queue sizes",
         [f"directory {pos}: {size}" for pos, size in sorted(sizes.items())],
     )
     assert all(size > 8 for size in sizes.values()), (
@@ -87,12 +83,10 @@ def test_fig4_6x6(benchmark):
         import pytest
 
         pytest.skip("set ADVOCAT_BIG=1 for the 6x6 sweep")
-    sizes = benchmark.pedantic(
-        lambda: _sweep(6, invariants="partial"), rounds=1, iterations=1
-    )
+    sizes = benchmark.pedantic(lambda: _sweep(6), rounds=1, iterations=1)
     report(
         "E4/Figure 4: 6x6 minimal queue sizes "
-        "(paper: 29 per-VC / 58 without; partial invariants)",
+        "(paper: 29 per-VC / 58 without)",
         [f"directory {pos}: {size}" for pos, size in sorted(sizes.items())],
     )
     assert all(size > 15 for size in sizes.values()), (

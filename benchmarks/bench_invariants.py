@@ -1,4 +1,4 @@
-"""E5 + E11 — case-study invariants and the ranked-selection ablation.
+"""E5 + E11 — case-study invariants and the eager sweep per mesh.
 
 Two halves:
 
@@ -6,13 +6,9 @@ Two halves:
   cache of the 2×2 abstract-MI case study (the paper reports 6 invariants
   for its three caches) and the invariant counts for the full MI protocol
   (paper: 14 in its 2×2 setting).
-* **standalone section (E11)** — the eager/lazy/partial invariant-mode
-  ablation over the mesh family, written to ``BENCH_invariants.json``:
-  per mesh the same size sweep is answered in all three modes and the
-  record captures verdict byte-identity, the rows actually encoded
-  (eager always pays the full set; partial escalates CEGAR-style through
-  the ranked rows — see :mod:`repro.core.invariants`), the escalation
-  counts/rank histogram, and the wall-clock split.
+* **standalone section (E11)** — one eager size sweep per mesh of the
+  family, written to ``BENCH_invariants.json``: the record captures the
+  verdict SHA, the invariant rows encoded and the wall-clock split.
 
 Run standalone:  ``python benchmarks/bench_invariants.py [--smoke]``
 (``--smoke`` keeps it to the 2×2/3×3 meshes for CI containers; the full
@@ -40,8 +36,6 @@ from repro.linalg import SparseVector, row_space_contains
 from repro.protocols import Message, abstract_mi_mesh, mi_mesh
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_invariants.json"
-
-ABLATION_MODES = ("eager", "lazy", "partial")
 
 
 # ---------------------------------------------------------------------------
@@ -132,20 +126,19 @@ def test_full_mi_invariants(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# E11 (standalone): the eager / lazy / partial ablation
+# E11 (standalone): the eager sweep per mesh
 # ---------------------------------------------------------------------------
 
 
 def _mesh_cases(smoke: bool) -> list[dict]:
-    """The ablation grid: mesh → probed sizes.
+    """The grid: mesh → probed sizes.
 
     In this reproduction's single-ejection-queue router the minimal
     deadlock-free uniform size is ``caches = w*h - 1`` (EXPERIMENTS.md),
     so each small mesh probes the boundary pair (one deadlocked size, one
-    free size) — the deadlocked probe is what forces escalation.  The
-    6×6 mesh probes the free size only: a deadlocked 6×6 probe costs
-    minutes per refinement step in pure Python without changing what the
-    ablation shows.
+    free size).  The 6×6 mesh probes the free size only: a deadlocked 6×6
+    probe costs minutes in pure Python without changing what the record
+    shows.
     """
     cases = [
         {"mesh": (2, 2), "sizes": (2, 3)},
@@ -161,18 +154,11 @@ def _verdict_sha(probes: dict[int, bool]) -> str:
     return verdict_sha(sorted(probes.items()))
 
 
-def _run_mode(build, sizes, mode: str, rank_budget: int | None) -> dict:
+def _run_mode(build, sizes) -> dict:
     start = time.perf_counter()
-    sizing = sweep_queue_sizes(
-        build,
-        sizes,
-        jobs=1,
-        invariants=mode,
-        rank_budget=rank_budget,
-        want_witness=False,
-    )
+    sizing = sweep_queue_sizes(build, sizes, jobs=1, want_witness=False)
     wall = time.perf_counter() - start
-    entry = {
+    return {
         "wall_s": round(wall, 3),
         "build_s": round(sizing.build_seconds, 3),
         "query_s": round(sizing.query_seconds, 3),
@@ -180,17 +166,10 @@ def _run_mode(build, sizes, mode: str, rank_budget: int | None) -> dict:
         "verdict_sha": _verdict_sha(sizing.probes),
         "invariants_used": sizing.invariants_used,
         "invariants_generated": sizing.invariants_generated,
-        "escalations": sizing.lazy_escalations,
     }
-    if mode == "partial":
-        entry["rank_histogram"] = {
-            str(tier): count
-            for tier, count in sorted(sizing.rank_histogram.items())
-        }
-    return entry
 
 
-def run_benchmarks(smoke: bool = False, rank_budget: int | None = None) -> dict:
+def run_benchmarks(smoke: bool = False) -> dict:
     meshes = []
     for case in _mesh_cases(smoke):
         width, height = case["mesh"]
@@ -199,99 +178,54 @@ def run_benchmarks(smoke: bool = False, rank_budget: int | None = None) -> dict:
         def build(size, width=width, height=height):
             return abstract_mi_mesh(width, height, queue_size=size).network
 
-        modes = {
-            mode: _run_mode(build, sizes, mode, rank_budget)
-            for mode in ABLATION_MODES
-        }
-        shas = {entry["verdict_sha"] for entry in modes.values()}
-        assert len(shas) == 1, (
-            f"{width}x{height}: verdicts diverged across invariant modes"
-        )
-        eager_rows = modes["eager"]["invariants_generated"]
-        partial_rows = modes["partial"]["invariants_generated"]
-        if width * height >= 9:
-            # The acceptance gate: ranked selection must beat the full
-            # set on every mesh >= 3x3.
-            assert partial_rows < eager_rows, (
-                f"{width}x{height}: partial mode encoded {partial_rows} "
-                f"rows, not fewer than eager's {eager_rows}"
-            )
+        eager = _run_mode(build, sizes)
         meshes.append(
             {
                 "mesh": f"{width}x{height}",
                 "sizes": list(sizes),
-                "total_invariants": eager_rows,
-                "verdict_sha": modes["eager"]["verdict_sha"],
-                "modes": modes,
-                "partial_rows_vs_eager": f"{partial_rows}/{eager_rows}",
-                "partial_speedup_vs_eager": round(
-                    modes["eager"]["wall_s"]
-                    / max(modes["partial"]["wall_s"], 1e-9),
-                    2,
-                ),
+                "total_invariants": eager["invariants_generated"],
+                "verdict_sha": eager["verdict_sha"],
+                "modes": {"eager": eager},
             }
         )
     return {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "cpu_count": os.cpu_count() or 1,
         "smoke": smoke,
-        "rank_budget": rank_budget,
-        "verdicts_byte_identical": True,
         "meshes": meshes,
     }
 
 
 def check_acceptance(results: dict) -> None:
-    """Machine-independent gates (the wall-clock columns are informative).
-
-    Verdict byte-identity across all three modes, eager always paying the
-    full set, and partial encoding strictly fewer rows than eager on
-    every mesh >= 3x3 — re-asserted here so a loaded record fails loudly
-    even if the producing run's asserts were edited out.
-    """
-    assert results["verdicts_byte_identical"]
+    """Machine-independent gates (the wall-clock columns are informative):
+    every mesh encodes a non-empty invariant set, all of it."""
     for mesh in results["meshes"]:
-        modes = mesh["modes"]
-        assert len({m["verdict_sha"] for m in modes.values()}) == 1, mesh["mesh"]
-        assert modes["eager"]["invariants_generated"] == mesh["total_invariants"]
+        eager = mesh["modes"]["eager"]
+        assert eager["verdict_sha"] == mesh["verdict_sha"], mesh["mesh"]
+        assert eager["invariants_generated"] == mesh["total_invariants"]
         assert mesh["total_invariants"] > 0, mesh["mesh"]
-        width, height = (int(n) for n in mesh["mesh"].split("x"))
-        if width * height >= 9:
-            assert (
-                modes["partial"]["invariants_generated"]
-                < modes["eager"]["invariants_generated"]
-            ), mesh["mesh"]
 
 
 def _record_and_report(results: dict) -> None:
     RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n")
     rows = []
     for mesh in results["meshes"]:
-        modes = mesh["modes"]
+        eager = mesh["modes"]["eager"]
         rows.append(
             f"{mesh['mesh']} (sizes {mesh['sizes']}): "
-            f"rows partial {mesh['partial_rows_vs_eager']} "
-            f"(lazy {modes['lazy']['invariants_generated']}), "
-            f"wall eager {modes['eager']['wall_s']}s / "
-            f"lazy {modes['lazy']['wall_s']}s / "
-            f"partial {modes['partial']['wall_s']}s, "
+            f"{mesh['total_invariants']} rows, wall {eager['wall_s']}s "
+            f"(build {eager['build_s']}s / query {eager['query_s']}s), "
             f"verdict sha {mesh['verdict_sha']}"
         )
-    report(
-        "E11: invariant-mode ablation — eager vs lazy vs ranked-partial "
-        "(BENCH_invariants.json)",
-        rows,
-    )
+    report("E11: eager invariants per mesh (BENCH_invariants.json)", rows)
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="2x2 + 3x3 only (CI containers)")
-    parser.add_argument("--rank-budget", type=int, default=None,
-                        help="partial-mode initial escalation batch size")
     args = parser.parse_args()
-    results = run_benchmarks(smoke=args.smoke, rank_budget=args.rank_budget)
+    results = run_benchmarks(smoke=args.smoke)
     _record_and_report(results)
     check_acceptance(results)
     print(json.dumps(results, indent=2))

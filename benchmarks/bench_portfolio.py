@@ -1,14 +1,13 @@
-"""E13 — clause-sharing strategy portfolio vs the best single mode.
+"""E13 — clause-sharing strategy portfolio vs sequential eager.
 
 Standalone benchmark behind ``BENCH_portfolio.json``: every mesh of the
-E11 ablation grid is swept once per single invariant mode (eager / lazy /
-partial, sequential) and once through a racing
-:class:`~repro.core.portfolio.PortfolioSession` (full roster,
+E11 grid is swept once sequentially in eager mode and once through a
+racing :class:`~repro.core.portfolio.PortfolioSession` (full roster,
 ``force_race``), recording
 
 * **verdict byte-identity** — the portfolio's probe map must hash
-  identically to every single mode's (fatal anywhere, any CPU count);
-* the **wall-clock race** — portfolio vs the best single mode.  The
+  identically to the sequential sweep's (fatal anywhere, any CPU count);
+* the **wall-clock race** — portfolio vs the sequential sweep.  The
   speedup column and its acceptance assert (portfolio <= best single
   + tolerance) only arm on >= 4 CPUs: below that the racers share one
   core and the race is round-robined, so the ratio measures scheduling
@@ -36,7 +35,7 @@ from repro.protocols import abstract_mi_mesh
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_portfolio.json"
 
-SINGLE_MODES = ("eager", "lazy", "partial")
+SINGLE_MODES = ("eager",)
 # Portfolio-vs-best acceptance slack: geometric slicing and the merge
 # layer cost a little; the race may not lose more than this.
 SPEED_TOLERANCE = 0.25
@@ -45,7 +44,7 @@ SPEEDUP_CPU_GATE = 4  # mirrors benchmarks/check_bench.py
 
 
 def _mesh_cases(smoke: bool) -> list[dict]:
-    """The E11 ablation grid (see bench_invariants): mesh → probed sizes."""
+    """The E11 grid (see bench_invariants): mesh → probed sizes."""
     cases = [
         {"mesh": (2, 2), "sizes": (2, 3)},
         {"mesh": (3, 3), "sizes": (7, 8)},
@@ -207,8 +206,7 @@ def _record_and_report(results: dict) -> None:
             f"{mesh['verdict_sha']}"
         )
     report(
-        "E13: strategy portfolio vs best single invariant mode "
-        "(BENCH_portfolio.json)",
+        "E13: strategy portfolio vs sequential eager (BENCH_portfolio.json)",
         rows,
     )
 

@@ -21,17 +21,15 @@ from conftest import report
 from repro.core import Experiment, ScenarioSpec
 
 
-def _mesh_spec(width: int, height: int, queue_size: int, vcs: int = 1,
-               invariants: str = "eager") -> ScenarioSpec:
+def _mesh_spec(width: int, height: int, queue_size: int,
+               vcs: int = 1) -> ScenarioSpec:
     return ScenarioSpec(
         builder="abstract_mi_mesh",
         kwargs={"width": width, "height": height, "vcs": vcs},
         mode="sweep",
         sizes=(queue_size,),
-        invariants=invariants,
         label=f"{width}x{height} q{queue_size}"
-              + (f" {vcs}VC" if vcs > 1 else "")
-              + (f" [{invariants}]" if invariants != "eager" else ""),
+              + (f" {vcs}VC" if vcs > 1 else ""),
     )
 
 
@@ -65,12 +63,12 @@ def test_model_size_scaling(benchmark):
 
 def test_verification_time_scaling(benchmark):
     # The paper's headline axis ends at 6x6; the 4x4/6x6 points verify at
-    # their free size with ranked-partial invariants (ADVOCAT_BIG only —
-    # minutes in pure Python; see BENCH_invariants.json for the ablation).
+    # their free size (ADVOCAT_BIG only — minutes in pure Python; see
+    # BENCH_invariants.json).
     specs = [_mesh_spec(w, h, queue_size=3) for w, h in ((2, 2), (2, 3), (3, 3))]
     if os.environ.get("ADVOCAT_BIG"):
-        specs.append(_mesh_spec(4, 4, queue_size=15, invariants="partial"))
-        specs.append(_mesh_spec(6, 6, queue_size=35, invariants="partial"))
+        specs.append(_mesh_spec(4, 4, queue_size=15))
+        specs.append(_mesh_spec(6, 6, queue_size=35))
     experiment = Experiment("scalability-mesh-axis", specs)
 
     def measure():

@@ -16,23 +16,20 @@ the comparison against the paper's per-direction numbers).
 
 ``--sweep`` probes the full Figure-4 *curve* (every size up to
 ``--max-size``) instead of binary-searching the boundary;
-``--invariants`` picks the strengthening mode — ``eager`` (full set up
-front), ``lazy`` (full set on the first surviving candidate),
-``partial`` (ranked rows, CEGAR-style escalation — the mode that opens
-the 4x4 and 6x6 meshes, where the full set is the dominant encoding
-cost; tune with ``--rank-budget``) or ``none``; ``--save``/``--resume``
-checkpoint the grid so an interrupted run re-builds nothing.
+``--invariants`` picks the strengthening mode — ``eager`` (the full
+invariant set, conjoined up front) or ``none`` (plain block/idle);
+``--save``/``--resume`` checkpoint the grid so an interrupted run
+re-builds nothing.
 
 ``--portfolio`` answers every probe through a racing
 :class:`repro.core.PortfolioSession` instead of committing to one
-strategy: diverse configurations (eager/lazy/partial × reduction and
-phase-seed variants) race from the same snapshot, the first verdict
-wins, losers are cancelled, and learned clauses flow between racers.
+search configuration: eager variants (reduction and phase-seed tuning)
+race from the same snapshot, the first verdict wins, losers are
+cancelled, and learned clauses flow between racers.
 ``--query-jobs`` caps the racer count; resumed runs seed each scenario
 family's learned leader from the checkpoint's win record.
 
 Run:  python examples/queue_sizing.py [--max-mesh 3] [--jobs 4] [--sweep]
-      python examples/queue_sizing.py --max-mesh 6 --invariants partial
 """
 
 import argparse
@@ -46,15 +43,11 @@ def fig4_experiment(
     sweep: bool = False,
     max_size: int = 6,
     invariants: str = "eager",
-    rank_budget: int | None = None,
 ) -> Experiment:
     """The Figure-4 grid: mesh sizes × directory positions.
 
     Meshes beyond 3x3 (the paper's 4x4 and 6x6 scenarios) are included
-    whenever ``max_mesh`` asks for them; on those, ``invariants=
-    "partial"`` is the practical setting — the boundary searches probe
-    deep size ranges and the ranked selection keeps each probe's
-    encoding small.
+    whenever ``max_mesh`` asks for them.
     """
     scenarios = []
     for n in range(2, max_mesh + 1):
@@ -66,7 +59,6 @@ def fig4_experiment(
                     mode="sweep" if sweep else "search",
                     sizes=tuple(range(1, max_size + 1)) if sweep else (),
                     invariants=invariants,
-                    rank_budget=rank_budget,
                     label=f"{n}x{n} directory at {position}",
                 )
             )
@@ -83,15 +75,10 @@ def main() -> None:
                         help="probe the full size curve instead of the boundary")
     parser.add_argument("--max-size", type=int, default=6,
                         help="largest queue size probed with --sweep (default 6)")
-    parser.add_argument("--invariants", default=None,
-                        choices=["eager", "lazy", "partial", "none"],
+    parser.add_argument("--invariants", default="eager",
+                        choices=["eager", "none"],
                         help="invariant strengthening mode (default eager; "
-                             "partial = ranked rows with CEGAR escalation, "
-                             "recommended for --max-mesh 4/6)")
-    parser.add_argument("--rank-budget", type=int, default=None,
-                        help="partial mode: initial escalation batch size")
-    parser.add_argument("--lazy", action="store_true",
-                        help="alias for --invariants lazy")
+                             "none = plain block/idle)")
     parser.add_argument("--portfolio", action="store_true",
                         help="race the strategy portfolio per probe (first "
                              "verdict wins, learned clauses shared); "
@@ -107,13 +94,11 @@ def main() -> None:
                         help="print per-scenario solver lifecycle totals")
     args = parser.parse_args()
 
-    invariants = args.invariants or ("lazy" if args.lazy else "eager")
     experiment = fig4_experiment(
         args.max_mesh,
         sweep=args.sweep,
         max_size=args.max_size,
-        invariants=invariants,
-        rank_budget=args.rank_budget,
+        invariants=args.invariants,
     )
     result = experiment.run(
         jobs=args.jobs,
@@ -133,13 +118,6 @@ def main() -> None:
         )
         print(f"{scenario.label}: minimal queue size = "
               f"{scenario.minimal_size}   (probes: {probed})")
-        if invariants != "eager":
-            print(f"    invariants used: {scenario.invariants_used} "
-                  f"(escalations: {scenario.lazy_escalations}, "
-                  f"rows encoded: {scenario.invariants_generated}"
-                  + (f", rank histogram: {scenario.rank_histogram}"
-                     if invariants == "partial" else "")
-                  + ")")
         if args.stats:
             totals = scenario.stats.get("solver_totals", {})
             print("    learned-clause lifecycle (scenario totals): "

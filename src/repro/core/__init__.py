@@ -46,12 +46,7 @@ from .cache import (
 )
 from .colors import ColorDerivationError, ColorMap, derive_colors
 from .deadlock import DeadlockCase, DeadlockEncoding, encode_deadlock
-from .engine import (
-    SessionSnapshot,
-    SessionSpec,
-    Strengthening,
-    VerificationSession,
-)
+from .engine import SessionSnapshot, SessionSpec, VerificationSession
 from .experiments import (
     Experiment,
     ExperimentResult,
@@ -62,16 +57,7 @@ from .experiments import (
     resolve_builder,
     run_scenario,
 )
-from .invariants import (
-    DEFAULT_RANK_BUDGET,
-    DEFAULT_RANK_GROWTH,
-    InvariantSelector,
-    build_flow_rows,
-    encode_invariant_rows,
-    generate_invariants,
-    invariant_features,
-    rank_invariants,
-)
+from .invariants import build_flow_rows, generate_invariants
 from .parallel import (
     ParallelVerificationSession,
     WorkerSession,
@@ -153,13 +139,6 @@ __all__ = [
     "VarPool",
     "color_label",
     "build_flow_rows",
-    "InvariantSelector",
-    "invariant_features",
-    "rank_invariants",
-    "encode_invariant_rows",
-    "Strengthening",
-    "DEFAULT_RANK_BUDGET",
-    "DEFAULT_RANK_GROWTH",
     "Deadline",
     "RetryPolicy",
     "FaultPlan",

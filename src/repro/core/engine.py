@@ -40,6 +40,14 @@ recipe), from which worker processes rehydrate query sessions without
 re-deriving colors, invariants or the encoding — see
 :mod:`repro.core.parallel`.
 
+The sizing and experiment layers take an ``invariants=`` mode:
+``"eager"`` conjoins the full invariant set before the first probe
+(:meth:`VerificationSession.add_invariants`, or
+:meth:`SessionSpec.generate_invariants` before a snapshot, which bakes
+the rows into every worker's image) and ``"none"`` never strengthens.
+:func:`eager_invariants` validates the mode; it is the one place that
+branches on it.
+
 :func:`repro.core.proof.verify` and friends are thin wrappers over a
 throwaway session, so the one-shot API is unchanged.
 """
@@ -48,8 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from time import perf_counter
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterator, Mapping, Sequence
 
 from ..smt import (
     IntVar,
@@ -71,12 +78,7 @@ from ..xmas import Network, Queue, Source
 from .cache import stable_hash
 from .colors import derive_colors
 from .deadlock import DeadlockCase, encode_deadlock
-from .invariants import (
-    InvariantSelector,
-    encode_invariant_rows,
-    generate_invariants,
-    rank_invariants,
-)
+from .invariants import generate_invariants
 from .resilience import Deadline
 from .result import DeadlockWitness, Invariant, Verdict, VerificationResult
 from .vars import VarPool
@@ -86,7 +88,8 @@ __all__ = [
     "SessionSnapshot",
     "SessionBase",
     "VerificationSession",
-    "Strengthening",
+    "INVARIANT_MODES",
+    "eager_invariants",
 ]
 
 Color = Hashable
@@ -148,11 +151,6 @@ class SessionSnapshot:
     # How many invariants are baked into the solver image — reporting
     # metadata for consumers that only hold the snapshot.
     invariant_count: int
-    # Ranked invariant rows *not* baked into the solver image, as plain
-    # data (static rank order) — a rehydrated worker escalates through
-    # them locally in partial mode (see repro.core.invariants).  Empty
-    # unless the snapshot was taken for partial-invariant orchestration.
-    pending_invariant_rows: tuple = ()
 
     def content_hash(self) -> str:
         """Stable SHA-256 identity of the canonical encoding image.
@@ -168,10 +166,9 @@ class SessionSnapshot:
         different hash seeds one network can hash differently (see the
         ROADMAP item "Canonical encoding order").  Scheduling state is
         excluded — learned clauses, saved phases, the clause-reduction
-        policy and its knobs, the split budget and pending invariant
-        rows steer the *search*, never the encoded formula — so warm or
-        differently tuned variants of one encoding share a cache
-        identity.  A false identity collision would be a wrong cached
+        policy and its knobs and the split budget steer the *search*,
+        never the encoded formula — so warm or differently tuned variants
+        of one encoding share a cache identity.  A false identity collision would be a wrong cached
         verdict, which is why the service layer keys its verdict store
         on this hash.
 
@@ -220,8 +217,8 @@ class SessionSnapshot:
 class SessionSpec:
     """The build phase: network → colors → encoding (→ invariants), once.
 
-    A spec is immutable except for lazy invariant generation and carries
-    no solver; any number of :class:`VerificationSession` (or parallel
+    A spec is immutable except for on-demand invariant generation and
+    carries no solver; any number of :class:`VerificationSession` (or parallel
     worker sessions, via :meth:`snapshot`) can be opened over one spec
     without re-deriving anything.
 
@@ -265,7 +262,6 @@ class SessionSpec:
             else {}
         )
         self._invariants: list[Invariant] | None = None
-        self._ranked: list[Invariant] | None = None
         with watch.phase("deadlock encoding"):
             self.encoding = encode_deadlock(
                 network,
@@ -308,46 +304,19 @@ class SessionSpec:
     # ------------------------------------------------------------------
     @property
     def invariants(self) -> list[Invariant] | None:
-        """The invariants *meant to be conjoined eagerly*, or ``None``.
-
-        Stays ``None`` after :meth:`ranked_invariants` alone: ranked
-        generation is derived data for partial-mode selection and must
-        not mark the shared spec as strengthened (sessions and pools
-        treat a non-``None`` value as "conjoin on load").
-        """
+        """The generated invariants, or ``None`` before
+        :meth:`generate_invariants`.  Sessions and pools treat a
+        non-``None`` value as "conjoin on load"."""
         return None if self._invariants is None else list(self._invariants)
-
-    def _generate_all(self, watch: Stopwatch) -> list[Invariant]:
-        with watch.phase("invariant generation"):
-            return generate_invariants(self.network, self.colors, self.pool)
 
     def generate_invariants(self, watch: Stopwatch | None = None) -> list[Invariant]:
         """Derive the cross-layer invariants (idempotent)."""
         if self._invariants is None:
-            self._invariants = (
-                self._ranked
-                if self._ranked is not None
-                else self._generate_all(watch or Stopwatch())
-            )
+            with (watch or Stopwatch()).phase("invariant generation"):
+                self._invariants = generate_invariants(
+                    self.network, self.colors, self.pool
+                )
         return list(self._invariants)
-
-    def ranked_invariants(
-        self, watch: Stopwatch | None = None
-    ) -> list[Invariant]:
-        """The full invariant set in static rank order (idempotent).
-
-        Shares the elimination work with :meth:`generate_invariants` but
-        does *not* flip the spec into the eagerly-strengthened state —
-        partial-mode sessions select from this list row by row.
-        """
-        if self._ranked is None:
-            base = (
-                self._invariants
-                if self._invariants is not None
-                else self._generate_all(watch or Stopwatch())
-            )
-            self._ranked = rank_invariants(base)
-        return list(self._ranked)
 
     # ------------------------------------------------------------------
     def base_terms(self) -> Iterator[Term]:
@@ -400,7 +369,6 @@ class SessionSpec:
         self,
         max_splits: int = 100_000,
         reduction_opts: Mapping | None = None,
-        include_pending_invariants: bool = False,
     ) -> SessionSnapshot:
         """Flatten the built encoding into a :class:`SessionSnapshot`.
 
@@ -411,28 +379,17 @@ class SessionSpec:
         :meth:`VerificationSession.snapshot` to capture a live session's
         learned clauses and phases along with it.  ``reduction_opts``
         bakes lifecycle knobs into the snapshot so rehydrated workers run
-        the tuned policy.  ``include_pending_invariants`` additionally
-        ships the ranked rows *not* asserted in the image (the full
-        ranked set unless this spec was strengthened eagerly) for
-        worker-side partial escalation.
+        the tuned policy.
         """
-        pending: tuple = ()
-        if include_pending_invariants and self._invariants is None:
-            pending = encode_invariant_rows(self.ranked_invariants())
         return self.wrap_solver_snapshot(
             snapshot_solver(
                 self.load_solver(max_splits, reduction_opts=reduction_opts)
-            ),
-            pending_invariant_rows=pending,
+            )
         )
 
-    def wrap_solver_snapshot(
-        self, solver_snapshot, pending_invariant_rows: tuple = ()
-    ) -> SessionSnapshot:
+    def wrap_solver_snapshot(self, solver_snapshot) -> SessionSnapshot:
         """Bundle an already-captured solver image with this spec's guard
-        tables, witness recipe and size defaults.
-        ``pending_invariant_rows`` ships plain-data invariant rows *not*
-        asserted in the image, for worker-side partial escalation."""
+        tables, witness recipe and size defaults."""
         witness_ints, witness_bools = self._witness_recipe()
         return SessionSnapshot(
             solver=solver_snapshot,
@@ -448,7 +405,6 @@ class SessionSpec:
             default_sizes=tuple(self.initial_sizes.items()),
             parametric=self.parametric,
             invariant_count=len(self._invariants or ()),
-            pending_invariant_rows=tuple(pending_invariant_rows),
         )
 
     # ------------------------------------------------------------------
@@ -488,14 +444,12 @@ class SessionSpec:
         """One worker payload → a :class:`VerificationResult` here.
 
         ``payload`` is what :meth:`repro.core.parallel.WorkerSession.check`
-        returns, optionally extended by a sixth element (the probe's
-        invariant-selection delta).  ``sizes`` are the capacities the
-        probe pinned, ``invariants`` the rows the result reports
-        (``invariant_count`` overrides their count) and ``extra_stats``
-        joins the stats dict.  Unsat-core guard names become case labels
+        returns.  ``sizes`` are the capacities the probe pinned,
+        ``invariants`` the rows the result reports (``invariant_count``
+        overrides their count) and ``extra_stats`` joins the stats dict.  Unsat-core guard names become case labels
         and a witness slice becomes a witness over this spec's variables.
         """
-        kind, a, b, solver_stats, elapsed = payload[:5]
+        kind, a, b, solver_stats, elapsed = payload
         solver_stats = dict(solver_stats)
         solver_profile = solver_stats.pop("profile", {})
         stats = {
@@ -511,8 +465,6 @@ class SessionSpec:
         }
         if self.parametric:
             stats["queue_sizes"] = dict(sizes)
-        if len(payload) > 5 and payload[5] is not None:
-            stats["invariant_selection"] = payload[5]
         witness = core = None
         if kind == "unknown":
             # The worker's share of the run budget expired: a first-class
@@ -660,8 +612,8 @@ class VerificationSession(SessionBase):
         self.encoding = spec.encoding
         self._parametric = spec.parametric
         self._sizes: dict[str, int] = dict(spec.initial_sizes)
-        self._invariants: list[Invariant] = []
-        self._invariants_added = False
+        # The invariants loaded into the solver; None until conjoined.
+        self._invariants: list[Invariant] | None = spec.invariants
         self._last_witness_bools: dict[str, bool] | None = None
         with self.watch.phase("smt solving"):
             self.solver = spec.load_solver(
@@ -678,9 +630,6 @@ class VerificationSession(SessionBase):
         self._engine = WorkerSession.over(
             spec.wrap_solver_snapshot(None), self.solver, ints
         )
-        if spec.invariants is not None:
-            self._invariants = spec.invariants
-            self._invariants_added = True
 
     # ------------------------------------------------------------------
     # Configuration
@@ -690,58 +639,18 @@ class VerificationSession(SessionBase):
 
         Invariants hold in every reachable configuration, so adding them is
         a permanent, sound strengthening — there is nothing to retract.
-        Rows already conjoined partially (:meth:`conjoin_invariants`) are
-        not re-asserted.
         """
-        if not self._invariants_added:
-            self.conjoin_invariants(
-                self.spec.generate_invariants(watch=self.watch)
-            )
-            self._invariants_added = True
+        if self._invariants is None:
+            invariants = self.spec.generate_invariants(watch=self.watch)
+            with self.watch.phase("smt solving"):
+                for invariant in invariants:
+                    self.solver.add_global(invariant.term())
+            self._invariants = invariants
         return list(self._invariants)
-
-    def conjoin_invariants(self, invariants: Iterable[Invariant]) -> int:
-        """Permanently conjoin *specific* invariant rows (partial mode).
-
-        Each row is a sound strengthening on its own, so any subset may be
-        asserted in any order; rows this session already holds are skipped.
-        Returns the number of newly asserted rows.  Does not mark the full
-        set as loaded — a later :meth:`add_invariants` tops up to it.
-        """
-        held = set(self._invariants)
-        added = 0
-        with self.watch.phase("smt solving"):
-            for invariant in invariants:
-                if invariant in held:
-                    continue
-                self.solver.add_global(invariant.term())
-                self._invariants.append(invariant)
-                held.add(invariant)
-                added += 1
-        return added
 
     @property
     def invariants(self) -> list[Invariant]:
-        return list(self._invariants)
-
-    # The session side of Strengthening's protocol (the invariant rows
-    # in static rank order, conjoined by index; candidates are answers
-    # neither deadlock-free nor timed out).
-    def ranked_rows(self) -> tuple:
-        return encode_invariant_rows(self.spec.ranked_invariants(watch=self.watch))
-
-    def conjoin_rows(self, indices: Iterable[int]) -> int:
-        ranked = self.spec.ranked_invariants(watch=self.watch)
-        return self.conjoin_invariants([ranked[index] for index in indices])
-
-    @staticmethod
-    def is_candidate(result: VerificationResult) -> bool:
-        return not result.deadlock_free and not result.timed_out
-
-    def invariant_value_of(self) -> "Callable[[int], int]":
-        """``uid → value`` in the last SAT model (what
-        :meth:`~repro.core.invariants.InvariantSelector.next_batch` reads)."""
-        return self._engine.invariant_value_of()
+        return list(self._invariants or ())
 
     # ------------------------------------------------------------------
     # Warm-start state
@@ -751,7 +660,6 @@ class VerificationSession(SessionBase):
         include_learned: bool = True,
         learned_cap: int = 4000,
         max_lbd: int | None = None,
-        include_pending_invariants: bool = False,
     ) -> SessionSnapshot:
         """A :class:`SessionSnapshot` of this *live* session.
 
@@ -760,31 +668,14 @@ class VerificationSession(SessionBase):
         default, its learned-clause tail and saved phases — so workers
         rehydrated from it answer their first query without re-deriving
         what this session already learned.
-
-        ``include_pending_invariants`` additionally ships the ranked
-        invariant rows this session has *not* conjoined, so rehydrated
-        workers can escalate through them locally (partial mode).
         """
-        pending: tuple = ()
-        if include_pending_invariants:
-            held = set(self._invariants)
-            pending = encode_invariant_rows(
-                [
-                    invariant
-                    for invariant in self.spec.ranked_invariants(
-                        watch=self.watch
-                    )
-                    if invariant not in held
-                ]
-            )
         return self.spec.wrap_solver_snapshot(
             snapshot_solver(
                 self.solver,
                 include_learned=include_learned,
                 learned_cap=learned_cap,
                 max_lbd=max_lbd,
-            ),
-            pending_invariant_rows=pending,
+            )
         )
 
     def compact(self) -> int:
@@ -821,7 +712,7 @@ class VerificationSession(SessionBase):
         return self.spec.read_payload(
             payload,
             self._sizes,
-            self._invariants,
+            self.invariants,
             # Cumulative session phase times (encoding built once, queries
             # accumulate under "smt solving") — not per-query.
             extra_stats={"durations": dict(self.watch.durations)},
@@ -896,145 +787,28 @@ class VerificationSession(SessionBase):
         return {
             "network": self.network.stats(),
             "color_pairs": self.colors.total_pairs(),
-            "invariant_count": len(self._invariants),
+            "invariant_count": len(self.invariants),
             "clauses": self.solver.clause_count(),
             "durations": dict(self.watch.durations),
         }
 
 
-INVARIANT_MODES = ("eager", "lazy", "partial", "none")
+INVARIANT_MODES = ("eager", "none")
 
 
-class Strengthening:
-    """The invariant-strengthening policy of one session's probes.
+def eager_invariants(mode: str) -> bool:
+    """Validate an ``invariants=`` mode; ``True`` means ``"eager"``.
 
-    Decides when the cross-layer invariants are conjoined, and records
-    what that cost.  The ``invariants=`` modes:
-
-    * ``"eager"`` — :meth:`prepare` conjoins the full set before the
-      first probe;
-    * ``"lazy"`` — the first deadlock candidate that survives plain
-      block/idle detection conjoins the full set and is re-asked
-      (invariants only strengthen, so a deadlock-free verdict without
-      them stays deadlock-free with them);
-    * ``"partial"`` — every surviving candidate runs the CEGAR loop
-      (:meth:`~repro.core.invariants.InvariantSelector.refine`) through
-      the statically ranked rows its model violates, in geometrically
-      growing ``rank_budget`` / ``rank_growth`` batches, ending at the
-      full set at the latest;
-    * ``"none"`` — never strengthen: plain block/idle detection.
-
-    Every mode but ``"none"`` answers each probe exactly as eager mode
-    does.  One object serves one session, because the rows it conjoined
-    stay in that session's solver.
-
-    The policy serves every engine that runs probes — the sequential
-    :class:`VerificationSession`, pool shard workers and portfolio
-    racers (:class:`~repro.core.parallel.WorkerSession`) — through one
-    narrow session protocol:
-
-    * ``add_invariants()`` conjoins the full set and returns the rows in
-      force (:meth:`prepare` needs only this);
-    * ``ranked_rows()`` gives the rows in static rank order as plain data
-      and ``conjoin_rows(indices)`` conjoins some of them by index;
-    * ``invariant_value_of()`` reads the last SAT model by variable uid;
-    * ``is_candidate(answer)`` says whether an answer is a surviving
-      deadlock candidate (not deadlock-free, not timed out).
-
-    Accounting: ``invariants_used`` (rows in force), ``lazy_escalations``
-    (escalation steps), ``invariants_generated`` (rows encoded),
-    ``rank_histogram`` (partial: rows per static-rank tier) and
-    ``seconds`` (time spent generating and conjoining rows);
-    :meth:`counters` snapshots the first three for per-probe deltas.
+    ``"eager"`` conjoins the full cross-layer invariant set before the
+    first probe (:meth:`VerificationSession.add_invariants`); ``"none"``
+    never strengthens: plain block/idle detection (paper Section 3).
+    The retired ``"lazy"`` and ``"partial"`` modes answered every probe
+    exactly as ``"eager"`` does, so the error names it.
     """
-
-    def __init__(
-        self,
-        invariants: str = "eager",
-        rank_budget: int | None = None,
-        rank_growth: int | None = None,
-    ):
-        if invariants not in INVARIANT_MODES:
-            raise ValueError(
-                f"invariants must be one of {INVARIANT_MODES}, "
-                f"got {invariants!r}"
-            )
-        self.mode = invariants
-        self.upfront = invariants == "eager"
-        self.deferred = invariants == "lazy"
-        self.refining = invariants == "partial"
-        # Whether the policy ever conjoins rows (every mode but "none"):
-        # an engine serving it needs the rows at hand.
-        self.strengthens = self.upfront or self.deferred or self.refining
-        self.rank_budget, self.rank_growth = InvariantSelector.schedule(
-            rank_budget, rank_growth
+    if mode not in INVARIANT_MODES:
+        raise ValueError(
+            f"invariants must be one of {INVARIANT_MODES}, got {mode!r} "
+            "(the former 'lazy' and 'partial' modes gave the same "
+            "verdicts as 'eager'; use 'eager')"
         )
-        self.invariants_used = False
-        self.lazy_escalations = 0
-        self.invariants_generated = 0
-        self.rank_histogram: dict[int, int] = {}
-        self.seconds = 0.0
-        self._selector: InvariantSelector | None = None
-
-    def prepare(self, session) -> None:
-        """Strengthen ``session`` before its first probe (eager mode)."""
-        if self.upfront:
-            self._conjoin_all(session)
-
-    def settle(self, session, answer, reask: Callable):
-        """The final answer to one probe, strengthening as the mode asks.
-
-        ``reask`` re-runs the probe (capacity pins and budget included).
-        An answer that is not a surviving candidate comes back untouched:
-        a deadlock-free one stays so under more rows, and an expired one
-        has no model to refine against.  Eager and ``"none"`` answers
-        are final as asked and never touch ``session``.
-        """
-        escalating = self.refining or (
-            self.deferred and not self.invariants_used
-        )
-        if not escalating or not session.is_candidate(answer):
-            return answer
-        if self.deferred:
-            self._conjoin_all(session)
-            self.lazy_escalations += 1
-            return reask()
-        if self._selector is None:
-            self._selector = InvariantSelector(
-                self._timed(session.ranked_rows),
-                self.rank_budget,
-                self.rank_growth,
-            )
-        selector = self._selector
-        answer = selector.refine(
-            answer,
-            session.is_candidate,
-            session.invariant_value_of,
-            lambda batch: self._timed(lambda: session.conjoin_rows(batch)),
-            reask,
-        )
-        self.lazy_escalations = selector.escalations
-        self.invariants_generated = selector.generated
-        self.rank_histogram = dict(selector.rank_histogram)
-        self.invariants_used = self.invariants_generated > 0
-        return answer
-
-    def counters(self) -> dict:
-        """The accounting so far, in
-        :meth:`~repro.core.invariants.InvariantSelector.counters` shape."""
-        return {
-            "invariants_generated": self.invariants_generated,
-            "escalations": self.lazy_escalations,
-            "rank_histogram": dict(self.rank_histogram),
-        }
-
-    def _conjoin_all(self, session) -> None:
-        self.invariants_generated = len(self._timed(session.add_invariants))
-        self.invariants_used = True
-
-    def _timed(self, thunk: Callable):
-        start = perf_counter()
-        try:
-            return thunk()
-        finally:
-            self.seconds += perf_counter() - start
+    return mode == "eager"

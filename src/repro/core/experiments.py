@@ -13,8 +13,8 @@ The pieces:
   *builder name* (resolved through the registry below, so no closures
   cross process boundaries) plus kwargs (mesh dims, directory position,
   VC count, protocol), the probe mode (boundary ``search`` or full-curve
-  ``sweep``) and the invariant mode (``eager`` / ``lazy`` / ``none`` —
-  see :mod:`repro.core.sizing`).
+  ``sweep``) and the invariant mode (``eager`` / ``none`` — see
+  :mod:`repro.core.sizing`).
 * the **builder registry** — :func:`register_builder` maps names to
   network builders; :mod:`repro.protocols` and :mod:`repro.netlib`
   register theirs on import, and :func:`resolve_builder` imports both
@@ -49,7 +49,6 @@ from __future__ import annotations
 import inspect
 import itertools
 import json
-import warnings
 from concurrent.futures import BrokenExecutor, as_completed
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -58,7 +57,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..xmas import Network
 from .cache import atomic_write_json
-from .engine import Strengthening
+from .engine import eager_invariants
 from .parallel import (
     default_jobs,
     discard_scenario_executor,
@@ -298,16 +297,7 @@ class ScenarioSpec:
     size_param:
         The builder kwarg the probed size is passed as.
     invariants:
-        ``"eager"`` / ``"lazy"`` / ``"partial"`` / ``"none"`` — see
-        :mod:`repro.core.sizing`.
-    rank_budget, rank_growth:
-        Partial-mode selection schedule (initial batch size / per-step
-        growth; ``None`` = the
-        :class:`~repro.core.invariants.InvariantSelector` defaults).
-        Verdict-invariant by construction, so — like the scheduling
-        hints — they are *excluded* from :meth:`key`; the policy actually
-        used is recorded on the :class:`ScenarioResult` and a resumed run
-        warns when it differs from the requested one.
+        ``"eager"`` or ``"none"`` — see :mod:`repro.core.sizing`.
     query_jobs:
         Inner query-level worker count for this scenario's sweep;
         ``None`` defers to the scheduler's nested-jobs budget.
@@ -331,8 +321,6 @@ class ScenarioSpec:
     max_size: int = 512
     size_param: str = "queue_size"
     invariants: str = "eager"
-    rank_budget: int | None = None
-    rank_growth: int | None = None
     query_jobs: int | None = None
     portfolio: bool = False
     label: str | None = None
@@ -342,8 +330,7 @@ class ScenarioSpec:
             raise ValueError(
                 f"mode must be one of {SCENARIO_MODES}, got {self.mode!r}"
             )
-        # Rejects an unknown mode or a rank schedule below 1.
-        Strengthening(self.invariants, self.rank_budget, self.rank_growth)
+        eager_invariants(self.invariants)  # rejects an unknown mode
         raw = self.kwargs
         if isinstance(raw, Mapping):
             pairs = raw.items()
@@ -366,14 +353,9 @@ class ScenarioSpec:
     def key(self) -> str:
         """Canonical identity of this grid point (resume / dedup key).
 
-        Scheduling hints (``query_jobs``, ``label``, ``portfolio``) and
-        the partial-mode selection schedule (``rank_budget``,
-        ``rank_growth``) are excluded: they do not change the scenario's
-        verdicts (escalation terminates at the full set and portfolio
-        racing reports the canonical verdicts, so any schedule is
-        byte-identical).
-        :meth:`Experiment.run` warns when a resumed result was recorded
-        under a different selection policy.
+        Scheduling hints (``query_jobs``, ``label``, ``portfolio``) are
+        excluded: they do not change the scenario's verdicts (portfolio
+        racing reports the canonical verdicts).
         """
         payload = {
             "builder": self.builder,
@@ -444,15 +426,8 @@ class ScenarioResult:
     total_seconds: float
     invariants_mode: str
     invariants_used: bool
-    lazy_escalations: int
-    # Selection ablation (see repro.core.invariants): rows actually
-    # encoded, their static-rank-tier histogram, and the partial-mode
-    # schedule the run used (None outside partial mode) — the "recorded
-    # selection policy" resume runs are checked against.
+    # Invariant rows encoded (the full set under eager mode).
     invariants_generated: int = 0
-    rank_histogram: dict[int, int] = field(default_factory=dict)
-    rank_budget: int | None = None
-    rank_growth: int | None = None
     # Portfolio racing record (strategy name -> probes won, and the race
     # count behind them).  Empty/zero when the scenario ran without a
     # portfolio — and on results loaded from pre-portfolio checkpoints,
@@ -486,7 +461,6 @@ class ScenarioResult:
             total_seconds=round(total_seconds, 6),
             invariants_mode=spec.invariants,
             invariants_used=False,
-            lazy_escalations=0,
             failure={
                 "type": type(error).__name__,
                 "message": str(error),
@@ -509,9 +483,6 @@ class ScenarioResult:
             for key, value in result.stats.get("solver", {}).items():
                 if isinstance(value, (int, float)):
                     solver_totals[key] = solver_totals.get(key, 0) + value
-        selection = Strengthening(
-            spec.invariants, spec.rank_budget, spec.rank_growth
-        )
         return cls(
             key=spec.key(),
             label=spec.display_label,
@@ -522,11 +493,7 @@ class ScenarioResult:
             total_seconds=round(total_seconds, 6),
             invariants_mode=sizing.invariants_mode,
             invariants_used=sizing.invariants_used,
-            lazy_escalations=sizing.lazy_escalations,
             invariants_generated=sizing.invariants_generated,
-            rank_histogram=dict(sorted(sizing.rank_histogram.items())),
-            rank_budget=selection.rank_budget if selection.refining else None,
-            rank_growth=selection.rank_growth if selection.refining else None,
             strategy_wins=dict(sorted(sizing.strategy_wins.items())),
             portfolio_races=sizing.portfolio_races,
             stats={"network": network_stats, "solver_totals": solver_totals},
@@ -535,9 +502,6 @@ class ScenarioResult:
     def to_json(self) -> dict:
         data = {f.name: getattr(self, f.name) for f in fields(self)}
         data["probes"] = {str(size): free for size, free in self.probes.items()}
-        data["rank_histogram"] = {
-            str(tier): count for tier, count in self.rank_histogram.items()
-        }
         return data
 
     @classmethod
@@ -546,11 +510,12 @@ class ScenarioResult:
         payload["probes"] = {
             int(size): bool(free) for size, free in payload["probes"].items()
         }
-        if "rank_histogram" in payload:
-            payload["rank_histogram"] = {
-                int(tier): int(count)
-                for tier, count in payload["rank_histogram"].items()
-            }
+        # Checkpoints written while the lazy and partial invariant modes
+        # existed carry their escalation record; it has no field now.
+        for retired in (
+            "lazy_escalations", "rank_histogram", "rank_budget", "rank_growth"
+        ):
+            payload.pop(retired, None)
         # Pre-portfolio checkpoints carry neither field; the dataclass
         # defaults (no wins, zero races) make them load unchanged.
         if "strategy_wins" in payload:
@@ -720,8 +685,6 @@ def run_scenario(
             low=spec.low,
             max_size=spec.max_size,
             invariants=spec.invariants,
-            rank_budget=spec.rank_budget,
-            rank_growth=spec.rank_growth,
             portfolio=use_portfolio,
             portfolio_jobs=inner,
             portfolio_lead=portfolio_lead,
@@ -734,8 +697,6 @@ def run_scenario(
             jobs=inner,
             backend=backend,
             invariants=spec.invariants,
-            rank_budget=spec.rank_budget,
-            rank_growth=spec.rank_growth,
             portfolio=use_portfolio,
             portfolio_lead=portfolio_lead,
             deadline=deadline,
@@ -779,8 +740,6 @@ class Experiment:
         max_size: int = 512,
         size_param: str = "queue_size",
         invariants: str = "eager",
-        rank_budget: int | None = None,
-        rank_growth: int | None = None,
         query_jobs: int | None = None,
     ) -> "Experiment":
         """Expand ``axes`` (kwarg name → values) into a cartesian grid.
@@ -806,8 +765,6 @@ class Experiment:
                     max_size=max_size,
                     size_param=size_param,
                     invariants=invariants,
-                    rank_budget=rank_budget,
-                    rank_growth=rank_growth,
                     query_jobs=query_jobs,
                 )
             )
@@ -841,8 +798,7 @@ class Experiment:
         query_jobs:
             Inner per-scenario query worker budget.  Defaults to ``1`` —
             each scenario answers its sweep sequentially, so results
-            (including the lazy-invariant escalation record) are
-            identical on every machine.  Pass ``"auto"`` to split the
+            are identical on every machine.  Pass ``"auto"`` to split the
             machine budget instead
             (:func:`~repro.core.parallel.nested_jobs` of the outer
             count, so N scenarios × M query workers never exceed it;
@@ -916,33 +872,9 @@ class Experiment:
         pending = [
             spec for spec in self.scenarios if spec.key() not in completed
         ]
-        reused = sum(1 for key in grid_keys if key in completed)
         # Reusing a completed key is sound: keys pin every
-        # verdict-relevant field (including the invariants *mode*), and
-        # any partial-mode escalation schedule is verdict-identical.  The
-        # schedule is deliberately outside the key, though, so a result
-        # recorded under a different rank_budget/rank_growth can be
-        # spliced in — its ablation counters reflect the recorded policy,
-        # which must be loud, not silent.
-        for spec in self.scenarios:
-            selection = Strengthening(
-                spec.invariants, spec.rank_budget, spec.rank_growth
-            )
-            prior = completed.get(spec.key())
-            if not selection.refining or prior is None:
-                continue
-            wanted = (selection.rank_budget, selection.rank_growth)
-            recorded = (prior.rank_budget, prior.rank_growth)
-            if recorded != wanted:
-                warnings.warn(
-                    f"resume: reusing scenario {prior.label!r} recorded "
-                    f"under a different selection policy: rank schedule "
-                    f"{recorded} (requested {wanted}) — verdicts are "
-                    "identical by construction, but its "
-                    "invariant-selection counters reflect the recorded "
-                    "policy",
-                    stacklevel=2,
-                )
+        # verdict-relevant field, the invariants mode included.
+        reused = sum(1 for key in grid_keys if key in completed)
         if jobs is None:
             jobs = min(default_jobs(), max(1, len(pending)))
         if jobs < 1:

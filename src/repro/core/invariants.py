@@ -28,8 +28,7 @@ unreachable deadlock candidates.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from typing import Callable, Hashable, Sequence, TypeVar
+from typing import Hashable
 
 from ..linalg import SparseVector, eliminate_columns
 from ..xmas import (
@@ -53,12 +52,6 @@ __all__ = [
     "generate_invariants",
     "build_flow_rows",
     "FlowColumns",
-    "invariant_features",
-    "rank_invariants",
-    "encode_invariant_rows",
-    "InvariantSelector",
-    "DEFAULT_RANK_BUDGET",
-    "DEFAULT_RANK_GROWTH",
 ]
 
 Color = Hashable
@@ -386,252 +379,3 @@ def generate_invariants(
                 raise AssertionError("eliminable column survived elimination")
         invariants.append(Invariant(coeffs, constant))
     return invariants
-
-
-# ---------------------------------------------------------------------------
-# Ranked partial invariant sets (the selection engine)
-# ---------------------------------------------------------------------------
-#
-# Any subset of the generated invariants is itself sound (each row holds in
-# every reachable configuration independently of the others), so a session
-# may conjoin rows *selectively*: a deadlock-free verdict under a subset is
-# deadlock-free under the full set, and a SAT model that satisfies every
-# not-yet-conjoined row satisfies the fully strengthened system too.  Those
-# two facts make rank-limited strengthening verdict-identical to eager mode
-# while typically encoding far fewer rows — the flow-specification
-# observation of Sethi et al. (see PAPERS.md).
-#
-# The engine below ranks rows statically (most local first), then escalates
-# CEGAR-style: only rows *violated* by the current spurious witness are
-# candidates, ordered by how much of the witness's occupied channels they
-# touch, and the per-step batch size grows geometrically so pathological
-# networks still terminate at the full set quickly.
-
-DEFAULT_RANK_BUDGET = 8
-DEFAULT_RANK_GROWTH = 2
-
-# A plain-data invariant row: (((var uid, coeff numerator, coeff
-# denominator, is channel column), ...), constant numerator, constant
-# denominator).  Uids are the generating process's variable uids — the
-# same tokens a SolverSnapshot keys restored IntVars by, so rows travel to
-# pool workers and are re-built as terms over the restored vocabulary.
-PlainRow = tuple[tuple[tuple[int, int, int, bool], ...], int, int]
-
-T = TypeVar("T")
-
-
-def invariant_features(invariant: Invariant) -> tuple[int, int, int]:
-    """The static ranking features of one invariant row.
-
-    ``(channel support, automaton rank, total support)`` — the number of
-    queue-occupancy columns the row touches, the number of distinct
-    automata whose state indicators it mentions, and its total support.
-    Smaller is ranked earlier: rows relating few channels and few
-    automata are the local conservation laws (the paper's equations (3)
-    and (4) are the archetype) that rule out most spurious candidates,
-    and they cost the least to encode.
-    """
-    channels = 0
-    automata = set()
-    for var, _ in invariant.coeffs:
-        if var.name.startswith("#"):
-            channels += 1
-        else:
-            automata.add(var.name.split(".", 1)[0])
-    return (channels, len(automata), len(invariant.coeffs))
-
-
-def rank_invariants(invariants: Sequence[Invariant]) -> list[Invariant]:
-    """``invariants`` in static rank order (deterministic).
-
-    Ascending by :func:`invariant_features` with the rendered row as the
-    tie-break, so the ranking is identical across processes and runs.
-    """
-    return sorted(
-        invariants, key=lambda inv: (*invariant_features(inv), inv.pretty())
-    )
-
-
-def encode_invariant_rows(invariants: Sequence[Invariant]) -> tuple[PlainRow, ...]:
-    """Flatten invariant rows into picklable plain data (rank order kept).
-
-    Each coefficient travels as ``(uid, numerator, denominator, is
-    channel)`` so a worker process can both re-build the row as a term
-    over its restored variables and evaluate it against a model without
-    any term object crossing the boundary.
-    """
-    rows: list[PlainRow] = []
-    for invariant in invariants:
-        rows.append(
-            (
-                tuple(
-                    (
-                        var.uid,
-                        coeff.numerator,
-                        coeff.denominator,
-                        var.name.startswith("#"),
-                    )
-                    for var, coeff in invariant.coeffs
-                ),
-                invariant.constant.numerator,
-                invariant.constant.denominator,
-            )
-        )
-    return tuple(rows)
-
-
-def _row_satisfied(row: PlainRow, value_of: Callable[[int], int]) -> bool:
-    entries, const_num, const_den = row
-    # Generated rows are integral (normalized_integer), so this stays in ints.
-    total = const_num if const_den == 1 else Fraction(const_num, const_den)
-    for uid, num, den, _ in entries:
-        total += (num if den == 1 else Fraction(num, den)) * value_of(uid)
-    return total == 0
-
-
-def _row_overlap(row: PlainRow, value_of: Callable[[int], int]) -> int:
-    """How many of the row's *channel* columns the model occupies."""
-    entries, _, _ = row
-    return sum(
-        1 for uid, _, _, is_channel in entries if is_channel and value_of(uid)
-    )
-
-
-class InvariantSelector:
-    """CEGAR-style escalation state over a statically ranked row list.
-
-    Operates purely on :data:`PlainRow` data so one implementation drives
-    both the parent-side sequential sessions and rehydrated pool workers
-    (the rows ship inside a
-    :class:`~repro.core.engine.SessionSnapshot`).  The protocol, per
-    surviving deadlock candidate:
-
-    1. the caller evaluates :meth:`next_batch` against the candidate's
-       model — only rows the model *violates* are candidates (a model
-       satisfying every remaining row satisfies the fully strengthened
-       encoding, so the candidate is final and byte-identical to eager
-       mode without asserting anything);
-    2. violated rows are ordered by witness-channel overlap (descending),
-       then static rank, and the top ``budget`` are handed back to be
-       conjoined;
-    3. the budget grows by ``rank_growth`` per escalation, so repeated
-       refinement reaches the full set in logarithmically many steps.
-
-    Counters (``generated``, ``escalations``, ``rank_histogram``) record
-    the selection ablation; ``rank_histogram`` buckets generated rows by
-    ``static rank // rank_budget`` — how deep into the ranking the
-    refinement had to reach.
-    """
-
-    def __init__(
-        self,
-        rows: Sequence[PlainRow],
-        rank_budget: int | None = None,
-        rank_growth: int | None = None,
-    ):
-        self.rows = tuple(rows)
-        self.rank_budget, self.rank_growth = self.schedule(
-            rank_budget, rank_growth
-        )
-        self._budget = self.rank_budget
-        self._remaining: list[int] = list(range(len(self.rows)))
-        self.generated = 0
-        self.escalations = 0
-        self.rank_histogram: dict[int, int] = {}
-
-    @staticmethod
-    def schedule(
-        rank_budget: int | None = None, rank_growth: int | None = None
-    ) -> tuple[int, int]:
-        """``(rank_budget, rank_growth)``, defaults applied; both >= 1."""
-        budget = DEFAULT_RANK_BUDGET if rank_budget is None else int(rank_budget)
-        growth = DEFAULT_RANK_GROWTH if rank_growth is None else int(rank_growth)
-        if budget < 1:
-            raise ValueError(f"rank_budget must be >= 1, got {rank_budget}")
-        if growth < 1:
-            raise ValueError(f"rank_growth must be >= 1, got {rank_growth}")
-        return budget, growth
-
-    @property
-    def exhausted(self) -> bool:
-        """True once every row has been handed out (the full set)."""
-        return not self._remaining
-
-    def counters(self) -> dict:
-        """Snapshot of the selection ablation counters."""
-        return {
-            "invariants_generated": self.generated,
-            "escalations": self.escalations,
-            "rank_histogram": dict(self.rank_histogram),
-        }
-
-    @staticmethod
-    def counters_delta(after: dict, before: dict) -> dict:
-        """Per-probe delta between two :meth:`counters` snapshots."""
-        histogram = dict(after["rank_histogram"])
-        for tier, count in before["rank_histogram"].items():
-            histogram[tier] = histogram.get(tier, 0) - count
-        return {
-            "invariants_generated": (
-                after["invariants_generated"] - before["invariants_generated"]
-            ),
-            "escalations": after["escalations"] - before["escalations"],
-            "rank_histogram": {
-                tier: count for tier, count in histogram.items() if count
-            },
-        }
-
-    def next_batch(self, value_of: Callable[[int], int]) -> list[int]:
-        """Static-rank indices of the rows to conjoin next.
-
-        ``value_of`` maps a variable uid to its value in the current
-        (SAT) model.  Returns ``[]`` when the model satisfies every
-        remaining row — the candidate survives the full set and the
-        caller must report it as final.
-        """
-        violated = [
-            index
-            for index in self._remaining
-            if not _row_satisfied(self.rows[index], value_of)
-        ]
-        if not violated:
-            return []
-        violated.sort(
-            key=lambda index: (-_row_overlap(self.rows[index], value_of), index)
-        )
-        batch = violated[: self._budget]
-        chosen = set(batch)
-        self._remaining = [i for i in self._remaining if i not in chosen]
-        self.generated += len(batch)
-        self.escalations += 1
-        self._budget *= self.rank_growth
-        for index in batch:
-            tier = index // self.rank_budget
-            self.rank_histogram[tier] = self.rank_histogram.get(tier, 0) + 1
-        return batch
-
-    def refine(
-        self,
-        answer: T,
-        is_candidate: Callable[[T], bool],
-        model_values: Callable[[], Callable[[int], int]],
-        conjoin: Callable[[list[int]], None],
-        reask: Callable[[], T],
-    ) -> T:
-        """The CEGAR loop over one probe's answer.
-
-        While ``is_candidate(answer)`` holds, conjoin the next batch of
-        rows the candidate's model violates (``conjoin`` receives their
-        static-rank indices) and ``reask`` the same probe.  Stops when the
-        candidate is refuted, when its model satisfies every remaining row,
-        or once the full set is in force — in each case the final answer
-        is the one eager mode gives.  ``model_values`` is called after
-        each candidate answer for the :meth:`next_batch` lookup.
-        """
-        while is_candidate(answer) and not self.exhausted:
-            batch = self.next_batch(model_values())
-            if not batch:
-                break  # the model satisfies the full remainder: final
-            conjoin(batch)
-            answer = reask()
-        return answer

@@ -18,11 +18,10 @@ are independent queries over one fixed encoding.
   :class:`~repro.core.result.VerificationResult`\\ s (witnesses included)
   in its own term space (:meth:`~repro.core.engine.SessionSpec.read_payload`,
   the one payload reader);
-* one ``"shard"`` job kind carries an ordered probe list plus an
-  invariant mode and schedule: the worker settles every probe through
-  its own :class:`~repro.core.engine.Strengthening` (eager, lazy,
-  partial or none) over the ranked rows shipped in the pool snapshot,
-  escalating locally exactly as the sequential walk does;
+* one ``"shard"`` job kind carries an ordered probe list: the worker
+  walks it on its own warm solver, phase-seeding each probe from the
+  previous witness exactly as the sequential walk does (invariants, when
+  the spec has them, are already baked into the pool snapshot);
 * merged result lists are deterministic: :meth:`verify_all_cases` returns
   results in encoding order regardless of worker completion order
   (first-witness-stable), and sharded probes preserve submission order;
@@ -61,11 +60,9 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
-from fractions import Fraction
-from functools import partial
 from multiprocessing import get_all_start_methods, get_context
 from time import perf_counter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from ..smt import Result, boolvar, eq, implies
 from ..smt.serialize import restore_solver
@@ -75,11 +72,9 @@ from .engine import (
     SessionBase,
     SessionSnapshot,
     SessionSpec,
-    Strengthening,
     VerificationSession,
     resolve_resize,
 )
-from .invariants import InvariantSelector
 from .resilience import Deadline, RetryPolicy, maybe_inject
 from .result import DeadlockWitness, Invariant, VerificationResult
 
@@ -97,9 +92,8 @@ __all__ = [
 # the worker: None = the master "any case" guard, an int = that index
 # into the encoding's deadlock cases.  A query job is
 # ("check", target, ((queue, size), ...) | None, want witness); a shard
-# job bundles ordered probes for one worker under one invariant policy:
-# ("shard", ((target, sizes), ...), want witness, mode, rank budget,
-# rank growth).
+# job bundles ordered probes for one worker:
+# ("shard", ((target, sizes), ...), want witness).
 Job = tuple
 Target = int | None
 SizesKey = tuple[tuple[str, int], ...]
@@ -242,10 +236,6 @@ class WorkerSession:
     ``(queue, size)`` exactly like the sequential session does, so a
     worker probing a shard of ascending sizes warm-starts each probe with
     everything learned on the previous ones.
-
-    It also serves :class:`~repro.core.engine.Strengthening`'s session
-    protocol over the snapshot's pending invariant rows, so shard probes
-    and portfolio racers strengthen exactly as the sequential walk does.
     """
 
     def __init__(
@@ -277,10 +267,6 @@ class WorkerSession:
         self._witness_vars = [
             (uid, ints[uid]) for uid in snapshot.witness_int_uids
         ]
-        # Indices of the pending rows conjoined so far, and the shard
-        # policies serving this worker by (mode, budget, growth).
-        self._conjoined: set[int] = set()
-        self._policies: dict[tuple, Strengthening] = {}
 
     def fork(self) -> "WorkerSession":
         """An independent clone over the same solver state (in-process).
@@ -288,12 +274,10 @@ class WorkerSession:
         Thread pools rehydrate the snapshot once and fork the template
         per worker thread — :meth:`Solver.fork` copies the CNF tables and
         shares the immutable restored terms, so no re-minting happens.
-        Policies are per-clone: the template never runs jobs.
         """
         clone = WorkerSession.over(self.snapshot, self.solver.fork(), self._ints)
-        # Guard definitions and conjoined rows live in the forked clauses.
+        # Guard definitions live in the forked clauses.
         clone._size_guard_names = dict(self._size_guard_names)
-        clone._conjoined = set(self._conjoined)
         return clone
 
     # ------------------------------------------------------------------
@@ -378,56 +362,6 @@ class WorkerSession:
         }
         return ("sat", ints, bools, stats, elapsed)
 
-    # ------------------------------------------------------------------
-    # Strengthening's session protocol over the pending invariant rows
-    # ------------------------------------------------------------------
-    def add_invariants(self) -> tuple:
-        """Conjoin every pending row (idempotent); returns them all."""
-        rows = self.snapshot.pending_invariant_rows
-        self.conjoin_rows(range(len(rows)))
-        return rows
-
-    def ranked_rows(self) -> tuple:
-        return self.snapshot.pending_invariant_rows
-
-    def conjoin_rows(self, indices: Iterable[int]) -> None:
-        """Conjoin pending rows by index, skipping held ones."""
-        rows = self.snapshot.pending_invariant_rows
-        for index in indices:
-            if index not in self._conjoined:
-                self.solver.add_global(self._row_term(rows[index]))
-                self._conjoined.add(index)
-
-    @staticmethod
-    def is_candidate(payload: tuple) -> bool:
-        return payload[0] == "sat"
-
-    def _row_term(self, row):
-        """Re-build one plain-data invariant row over the restored vars."""
-        entries, const_num, const_den = row
-        expr = None
-        for uid, num, den, _ in entries:
-            piece = Fraction(num, den) * self._ints[uid]
-            expr = piece if expr is None else expr + piece
-        return eq(expr, -Fraction(const_num, const_den))
-
-    def invariant_value_of(self) -> Callable[[int], int]:
-        model = self.solver.model()
-        ints = self._ints
-        return lambda uid: int(model[ints[uid]])
-
-    def settle_probe(
-        self, policy: Strengthening, ask: Callable[[], tuple]
-    ) -> tuple:
-        """One probe under ``policy``: ``ask`` it, strengthen and re-ask
-        as the policy says, and append the probe's selection delta
-        (:meth:`~repro.core.invariants.InvariantSelector.counters_delta`)
-        to the final payload as its sixth element."""
-        before = policy.counters()
-        payload = policy.settle(self, ask(), ask)
-        delta = InvariantSelector.counters_delta(policy.counters(), before)
-        return (*payload[:5], delta)
-
     def _seed_phases_from_sat(self, payload: tuple) -> None:
         # Phase-seed the next probe from this witness's block booleans:
         # shards walk sizes in ascending order, so the previous blocking
@@ -445,25 +379,30 @@ class WorkerSession:
             self.solver.phase_hints(bools)
 
     def bounded_check(
-        self, deadline, target, sizes, want_witness, should_stop=None, extra=()
+        self, deadline, target, sizes, want_witness, extra=()
     ) -> tuple:
         """One check under a worker-local :class:`Deadline` (or none).
 
         An expired budget short-circuits to the ``"unknown"`` payload
         without entering the solver; otherwise the remaining budget
-        becomes this check's ``conflict_limit`` and the conflicts actually
-        spent are charged back, so every check of a shard (re-asks
-        included) shares one budget.  ``should_stop`` overrides the
-        deadline's wall-clock poll.  ``extra`` is as for :meth:`check`.
+        becomes this check's ``conflict_limit``, the deadline's wall clock
+        its ``should_stop`` poll, and the conflicts actually spent are
+        charged back, so every check of a shard shares one budget.
+        ``extra`` is as for :meth:`check`.
         """
-        if deadline is not None and deadline.expired():
+        if deadline is None:
+            return self.check(target, sizes, want_witness, extra=extra)
+        if deadline.expired():
             return ("unknown", None, None, {}, 0.0)
-        limit = deadline.remaining_conflicts() if deadline else None
-        if should_stop is None and deadline is not None:
-            should_stop = deadline.should_stop
-        payload = self.check(target, sizes, want_witness, limit, should_stop, extra)
-        if deadline is not None:
-            deadline.charge(payload[3].get("conflicts", 0))
+        payload = self.check(
+            target,
+            sizes,
+            want_witness,
+            deadline.remaining_conflicts(),
+            deadline.should_stop,
+            extra,
+        )
+        deadline.charge(payload[3].get("conflicts", 0))
         return payload
 
     def run(self, job: Job):
@@ -477,22 +416,13 @@ class WorkerSession:
             deadline = Deadline.from_wire(rest[0]) if rest else None
             return self.bounded_check(deadline, target, sizes, want_witness)
         if kind == "shard":
-            # An ordered walk over one shard's probes, each settled by
-            # this worker's policy for the job's mode and schedule.
-            _, probes, want_witness, mode, budget, growth, *rest = job
-            key = (mode, budget, growth)
+            # An ordered walk over one shard's probes under one budget.
+            _, probes, want_witness, *rest = job
             deadline = Deadline.from_wire(rest[0]) if rest else None
-            policy = self._policies.get(key)
-            if policy is None:
-                policy = self._policies[key] = Strengthening(*key)
-                policy.prepare(self)
             payloads = []
             for target, sizes in probes:
-                payload = self.settle_probe(
-                    policy,
-                    partial(
-                        self.bounded_check, deadline, target, sizes, want_witness
-                    ),
+                payload = self.bounded_check(
+                    deadline, target, sizes, want_witness
                 )
                 payloads.append(payload)
                 if payload[0] == "sat":
@@ -569,9 +499,7 @@ class ParallelVerificationSession(SessionBase):
 
     The pool is started lazily on the first query (building the session
     snapshot once), restarted when :meth:`add_invariants` strengthens the
-    encoding or when :meth:`probe_shards` first needs the pending
-    invariant rows shipped, and released by :meth:`close` / the context
-    manager.
+    encoding, and released by :meth:`close` / the context manager.
     """
 
     def __init__(
@@ -613,9 +541,6 @@ class ParallelVerificationSession(SessionBase):
         self.warm_start = warm_start
         self._learned_cap = learned_cap
         self._force_pool = force_pool
-        # Whether worker snapshots carry the ranked rows not yet conjoined
-        # (set once shards run under a strengthening policy).
-        self._ship_rows = False
         self._reduction_opts = dict(reduction_opts or {}) or None
         self._max_splits = max_splits
         self.retry_policy = retry_policy or RetryPolicy()
@@ -627,9 +552,11 @@ class ParallelVerificationSession(SessionBase):
         self._sizes: dict[str, int] = dict(spec.initial_sizes)
         self._executor = None
         self._pool_size = 0
-        self._pool_key: tuple | None = None
+        # Whether the spec was strengthened when the pool / inline worker
+        # took its snapshot.
+        self._pool_key: bool | None = None
         self._inline: WorkerSession | None = None
-        self._inline_key: tuple | None = None
+        self._inline_key: bool | None = None
         self._local: VerificationSession | None = None
 
     # ------------------------------------------------------------------
@@ -660,13 +587,12 @@ class ParallelVerificationSession(SessionBase):
         # Re-targeting sticks: later default-jobs queries reuse this pool
         # instead of thrashing a teardown/rebuild per call.
         self.jobs = want
-        key = self._snapshot_key()
+        key = self.spec.invariants is not None
         if self._executor is not None and (
             self._pool_size != want
             # The spec was strengthened (possibly by *another* session
-            # sharing it) after these workers rehydrated, or shards now
-            # need the pending rows: restart so the pool answers from the
-            # snapshot a fresh session would ship.
+            # sharing it) after these workers rehydrated: restart so the
+            # pool answers from the snapshot a fresh session would ship.
             or self._pool_key != key
         ):
             self._shutdown_pool()
@@ -689,11 +615,6 @@ class ParallelVerificationSession(SessionBase):
             self._pool_size = want
             self._pool_key = key
         return self._executor
-
-    def _snapshot_key(self) -> tuple[bool, bool]:
-        """What a worker snapshot taken now would hold: conjoined
-        invariants, and pending rows."""
-        return (self.spec.invariants is not None, self._ship_rows)
 
     def _local_session(self) -> VerificationSession:
         if self._local is None:
@@ -723,14 +644,11 @@ class ParallelVerificationSession(SessionBase):
             return self.spec.snapshot(
                 max_splits=self._max_splits,
                 reduction_opts=self._reduction_opts,
-                include_pending_invariants=self._ship_rows,
             )
         local = self._local_session()
         local.verify()
         return local.snapshot(
-            include_learned=True,
-            learned_cap=self._learned_cap,
-            include_pending_invariants=self._ship_rows,
+            include_learned=True, learned_cap=self._learned_cap
         )
 
     def _sequential_fallback(self, want: int) -> bool:
@@ -747,10 +665,10 @@ class ParallelVerificationSession(SessionBase):
         )
 
     def _ensure_inline(self) -> WorkerSession:
-        key = self._snapshot_key()
+        key = self.spec.invariants is not None
         if self._inline is None or self._inline_key != key:
             # (Re)hydrate: first use, or stale since the spec was
-            # strengthened or shards began needing the pending rows.
+            # strengthened.
             self._inline = WorkerSession(self._pool_snapshot())
             self._inline_key = key
         return self._inline
@@ -877,7 +795,6 @@ class ParallelVerificationSession(SessionBase):
         self,
         shards: Sequence[Sequence[Mapping[str, int]]],
         want_witness: bool = True,
-        strengthening: Strengthening | None = None,
         deadline=None,
     ) -> list[list[VerificationResult]]:
         """Run the full check under each capacity assignment, sharded.
@@ -886,23 +803,12 @@ class ParallelVerificationSession(SessionBase):
         worker ``w`` probes on its own rehydrated session — ascending
         order within a shard warm-starts each probe with the clauses
         learned on the previous ones.  Returns results aligned with the
-        input structure.
-
-        ``strengthening`` is the invariant policy of the shards: each
-        worker settles every probe through its own
-        :class:`~repro.core.engine.Strengthening` of the same mode and
-        schedule, over the ranked rows not yet conjoined, which then
-        travel with the pool snapshot.  (Preparing an eager policy on
-        this session first bakes the rows into the snapshot instead.)
-        Without one,
-        probes answer under the encoding as it stands.  Each result's
-        ``stats["invariant_selection"]`` carries its worker's per-probe
-        accounting delta.
+        input structure.  Probes answer under the encoding as it stands:
+        call :meth:`add_invariants` first to bake the invariants into the
+        worker snapshot.
         """
         if not self._parametric:
             raise RuntimeError("probe_shards() requires parametric_queues=True")
-        policy = strengthening or Strengthening("none")
-        self._ship_rows = self._ship_rows or policy.strengthens
         full_shards = [
             [
                 resolve_resize(self._sizes, dict(assignment), True)
@@ -910,14 +816,12 @@ class ParallelVerificationSession(SessionBase):
             ]
             for shard in shards
         ]
-        schedule = (policy.mode, policy.rank_budget, policy.rank_growth)
         tail = self._job_tail(deadline)
         job_list: list[Job] = [
             (
                 "shard",
                 tuple((None, tuple(sorted(full.items()))) for full in shard),
                 want_witness,
-                *schedule,
                 *tail,
             )
             for shard in full_shards

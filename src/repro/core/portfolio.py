@@ -1,23 +1,17 @@
-"""Clause-sharing portfolio racing across invariant strategies.
+"""Clause-sharing portfolio racing of eager search strategies.
 
-``BENCH_invariants.json`` shows no invariant mode dominates: eager wins
-wall-clock at the deadlock boundary (the full row set prunes search),
-while partial wins encoding size and deferred generation on every mesh.
-:class:`PortfolioSession` stops picking a mode and *races* them — the
-ManySAT recipe applied to ADVOCAT's strategy space:
+:class:`PortfolioSession` races several search configurations of the one
+eager encoding on each query — the ManySAT recipe applied to ADVOCAT's
+queries:
 
 * N **racers** rehydrate :class:`~repro.core.parallel.WorkerSession`\\ s
-  from one shared cold :class:`~repro.core.engine.SessionSnapshot`
-  (pending invariant rows included) and each applies one
-  :class:`StrategyConfig` — eager / lazy / partial invariants through
-  its own :class:`~repro.core.engine.Strengthening` (the policy the
-  sequential walk and the pool shards run too), optionally with
-  re-tuned clause-lifecycle knobs or a jittered phase vector;
+  from one shared cold :class:`~repro.core.engine.SessionSnapshot` with
+  the full invariant set baked in, and each applies one
+  :class:`StrategyConfig`: re-tuned clause-lifecycle knobs or a
+  jittered phase vector;
 * every racer runs in bounded **slices**
   (``Cdcl.solve(conflict_limit=..., should_stop=...)`` → UNKNOWN, all
-  learning retained), importing peer clauses between slices; a slice is
-  one check settled by the racer's policy, whose re-asks share the
-  slice's conflict budget;
+  learning retained), importing peer clauses between slices;
 * the **first verdict wins**; losers are cancelled cooperatively and stop
   within one propagate cycle of the ``should_stop`` event firing.
 
@@ -26,24 +20,18 @@ Soundness of the clause exchange
 
 All racers restore from the *same* base snapshot, so variable numbering
 agrees for every variable the snapshot minted (``var ≤ base_n_vars``).
-Variables minted after restoration — invariant-row atoms, capacity pins,
-branch-and-bound splits — are trajectory-local, so exports are filtered
-to clauses over base variables only (and :meth:`Cdcl.import_learned`
-independently rejects anything above the importer's numbering).
+Variables minted after restoration — capacity pins, branch-and-bound
+splits — are trajectory-local, so exports are filtered to clauses over
+base variables only (and :meth:`Cdcl.import_learned` independently
+rejects anything above the importer's numbering).
 
-Every clause a racer learns is a consequence of
-``base ∧ conjoined-invariant-rows ∧ LIA-valid lemmas``.  Invariant rows
-are sound strengthenings of the network semantics, and the repository's
-canonical verdict is *defined* under the full row set (eager mode; lazy
-and partial both escalate to it before ever reporting a candidate).
-Hence any base-variable clause learned anywhere is a consequence of
-``base ∧ full-row-set``, and importing it into any racer preserves final
-verdicts: an UNSAT under imports implies UNSAT of ``base ∧ full set``
-(deadlock-free, same as eager), and a SAT is only ever final after the
-model explicitly survives every remaining row (a genuine candidate under
-the full set).  The ``"none"`` invariant mode is deliberately *not* a
-portfolio strategy — its verdicts diverge from eager on spurious
-candidates, which would break the byte-identity contract.
+Every clause a racer learns over base variables is a consequence of
+``base ∧ invariants ∧ LIA-valid lemmas``, the formula every racer
+holds, so importing it into any racer preserves verdicts: each racer
+answers exactly as a sequential eager session does.  The ``"none"``
+invariant mode is deliberately *not* a portfolio strategy — its verdicts
+diverge from eager on spurious candidates, which would break the
+byte-identity contract.
 
 Backends
 --------
@@ -64,18 +52,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import partial
 from queue import Empty
 from time import perf_counter
 from typing import Mapping, Sequence
 
 from ..xmas import Network
-from .engine import (
-    SessionSnapshot,
-    SessionSpec,
-    Strengthening,
-    resolve_resize,
-)
+from .engine import SessionSnapshot, SessionSpec, resolve_resize
 from .parallel import (
     Target,
     WorkerSession,
@@ -103,32 +85,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StrategyConfig:
-    """One racer's configuration: an invariant mode plus search tuning.
+    """One racer's search tuning over the shared eager snapshot.
 
-    ``mode`` is ``"eager"`` (conjoin the full pending row set before the
-    first slice), ``"lazy"`` (strengthen with the full set only when a
-    candidate survives the base encoding), or ``"partial"`` (CEGAR
-    escalation through the ranked rows, ``rank_budget``/``rank_growth``
-    as in ``invariants="partial"``).  ``reduction_overrides`` re-tunes
-    the restored solver's clause-lifecycle knobs and ``phase_seed``
-    deterministically jitters the saved phase vector — both diversify
-    search trajectories without touching verdicts.
+    ``reduction_overrides`` re-tunes the restored solver's
+    clause-lifecycle knobs and ``phase_seed`` deterministically jitters
+    the saved phase vector — both diversify search trajectories without
+    touching verdicts.
     """
 
     name: str
-    mode: str = "eager"
-    rank_budget: int | None = None
-    rank_growth: int | None = None
     reduction_overrides: Mapping | None = None
     phase_seed: int | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("eager", "lazy", "partial"):
-            raise ValueError(
-                f"unknown portfolio strategy mode {self.mode!r}; "
-                "'none' is excluded by design (its verdicts diverge "
-                "from eager on spurious candidates)"
-            )
 
 
 def default_strategies(
@@ -136,22 +103,15 @@ def default_strategies(
 ) -> tuple[StrategyConfig, ...]:
     """The stock racer roster, optionally trimmed and re-led.
 
-    Ordered by standalone win expectation (``BENCH_invariants``): eager
-    first, then partial, then diversity variants.  ``limit`` trims from
-    the tail; ``lead`` moves the named strategy to the front (the
+    Plain eager first, then the diversity variants.  ``limit`` trims
+    from the tail; ``lead`` moves the named strategy to the front (the
     scheduler's learned per-family leader gets the first inline slice).
     """
     roster = [
-        StrategyConfig("eager", "eager"),
-        StrategyConfig("partial", "partial"),
-        StrategyConfig("lazy", "lazy"),
-        StrategyConfig("eager-jitter", "eager", phase_seed=0x9E3779B9),
-        StrategyConfig(
-            "partial-wide", "partial", rank_budget=32, rank_growth=4
-        ),
+        StrategyConfig("eager"),
+        StrategyConfig("eager-jitter", phase_seed=0x9E3779B9),
         StrategyConfig(
             "eager-hoard",
-            "eager",
             reduction_overrides={"reduce_base": 2000, "glue_keep": 3},
         ),
     ]
@@ -188,12 +148,10 @@ def racer_budget(n_strategies: int, jobs: int | None = None) -> int:
 class Racer:
     """One strategy's query engine over the shared base snapshot.
 
-    Wraps a :class:`WorkerSession` under the strategy's own
-    :class:`~repro.core.engine.Strengthening` (eager conjoins the pending
-    rows up front, lazy and partial escalate inside each slice), plus the
-    clause-exchange bookkeeping: exports are filtered to base-numbering
-    clauses and deduplicated both ways so a clause never ping-pongs
-    between peers.
+    Wraps a :class:`WorkerSession` restored with the strategy's tuning,
+    plus the clause-exchange bookkeeping: exports are filtered to
+    base-numbering clauses and deduplicated both ways so a clause never
+    ping-pongs between peers.
     """
 
     def __init__(self, snapshot: SessionSnapshot, strategy: StrategyConfig):
@@ -206,10 +164,6 @@ class Racer:
         self.worker = WorkerSession(snapshot, reduction_overrides=overrides)
         self.base_n_vars = snapshot.solver.n_vars
         self._shared: set[frozenset] = set()
-        self.policy = Strengthening(
-            strategy.mode, strategy.rank_budget, strategy.rank_growth
-        )
-        self.policy.prepare(self.worker)
         if strategy.phase_seed is not None:
             self._jitter_phases(strategy.phase_seed)
 
@@ -238,24 +192,15 @@ class Racer:
     ) -> tuple[bool, tuple]:
         """Run one bounded slice; returns ``(final, payload)``.
 
-        The slice's check and every re-ask its strengthening needs share
-        ``conflict_limit``.  ``final=False`` means the slice expired
-        (payload kind ``"unknown"``); the caller should exchange clauses
-        and re-slice, and the escalation resumes where it stopped.
+        ``final=False`` means the slice expired (payload kind
+        ``"unknown"``); the caller should exchange clauses and re-slice.
         """
-        budget = (
-            None if conflict_limit is None else Deadline(conflicts=conflict_limit)
-        )
-        payload = self.worker.settle_probe(
-            self.policy,
-            partial(
-                self.worker.bounded_check,
-                budget,
-                target,
-                sizes,
-                want_witness,
-                should_stop,
-            ),
+        payload = self.worker.check(
+            target,
+            sizes,
+            want_witness,
+            conflict_limit=conflict_limit,
+            should_stop=should_stop,
         )
         return payload[0] != "unknown", payload
 
@@ -266,7 +211,7 @@ class Racer:
         """Fresh glue-capped learned clauses over the *base* numbering.
 
         Clauses touching variables this racer minted post-restore
-        (invariant atoms, capacity pins, splits) are skipped — peer
+        (capacity pins, splits) are skipped — peer
         numberings diverge there, and the exchange soundness argument
         (module docstring) only covers the shared base image.
         """
@@ -299,7 +244,6 @@ class Racer:
         stats = self.worker.solver._sat.stats
         return {
             "strategy": self.strategy.name,
-            "mode": self.strategy.mode,
             "conflicts": stats["conflicts"],
             "learned": stats["learned"],
             "conflict_limit_hits": stats["conflict_limit_hits"],
@@ -368,9 +312,9 @@ class PortfolioSession:
     Parameters
     ----------
     network / spec:
-        What to verify; the spec must *not* have invariants conjoined
-        (the session ships the ranked rows as pending data so every
-        racer shares one base numbering).
+        What to verify.  The session generates the spec's invariants (a
+        no-op if it already has them) and bakes them into the one base
+        snapshot every racer restores, so all share one base numbering.
     strategies:
         Racer roster (default :func:`default_strategies`).  The roster is
         trimmed to :func:`racer_budget` (``jobs``/``ADVOCAT_JOBS``/CPU
@@ -416,12 +360,6 @@ class PortfolioSession:
             if network is None:
                 raise TypeError("PortfolioSession needs a network or a spec")
             spec = SessionSpec(network)
-        if spec.invariants is not None:
-            raise ValueError(
-                "PortfolioSession requires a spec without conjoined "
-                "invariants: racers strengthen the shared base image "
-                "per-strategy from the pending row data"
-            )
         if slice_conflicts < 1:
             raise ValueError(
                 f"slice_conflicts must be >= 1, got {slice_conflicts}"
@@ -499,13 +437,11 @@ class PortfolioSession:
     # ------------------------------------------------------------------
     def _base_snapshot(self) -> SessionSnapshot:
         if self._snapshot is None:
-            # Cold and unstrengthened on purpose: every racer must share
-            # the base variable numbering (clause-exchange soundness), and
-            # strategies diverge only in what they add on top.
-            self._snapshot = self.spec.snapshot(
-                max_splits=self._max_splits,
-                include_pending_invariants=True,
-            )
+            # Cold on purpose: every racer must share the base variable
+            # numbering (clause-exchange soundness), and strategies diverge
+            # only in search tuning.
+            self.spec.generate_invariants()
+            self._snapshot = self.spec.snapshot(max_splits=self._max_splits)
         return self._snapshot
 
     def _teardown_procs(self) -> None:
@@ -586,8 +522,8 @@ class PortfolioSession:
 
     @property
     def invariants_generated(self) -> int:
-        """Invariant rows the racers strengthen from (the full ranked set)."""
-        return len(self._base_snapshot().pending_invariant_rows)
+        """Invariant rows baked into the racers' base snapshot."""
+        return self._base_snapshot().invariant_count
 
     def seed_phases_from_witness(self) -> int:
         """No-op: each racer keeps its own phases warm across probes."""
@@ -718,8 +654,8 @@ class PortfolioSession:
         Losing racers simply receive no further slices once a verdict
         lands, so "cancellation" is immediate by construction.  The
         deadline's conflict budget is shared across the whole roster
-        (every slice's conflicts, re-asks included, are charged against
-        it) and its wall clock additionally cancels mid-slice via
+        (every slice's conflicts are charged against it) and its wall
+        clock additionally cancels mid-slice via
         ``should_stop``.
         """
         racers = self._ensure_inline_racers()

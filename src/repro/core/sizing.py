@@ -38,14 +38,12 @@ the shard workers), so each capacity step starts its search at the model
 the last step ended on instead of from scratch.
 
 **Invariant modes.**  Both entry points take ``invariants=`` —
-``"eager"`` (the default), ``"lazy"``, ``"partial"`` or ``"none"`` — and
-hand it to one :class:`~repro.core.engine.Strengthening`, the policy that
-decides when the cross-layer invariants are conjoined and records the
-selection ablation (``invariants_used``, ``lazy_escalations``,
-``invariants_generated``, ``rank_histogram``) per scenario.  A sharded
-sweep runs the same policy inside each pool worker: lazy and partial
-workers escalate at their own surviving candidates, in one pass over the
-sizes, and the per-probe accounting the workers report is summed.
+``"eager"`` (the default) or ``"none"``, validated by
+:func:`~repro.core.engine.eager_invariants`.  Eager conjoins the full
+cross-layer invariant set once, before the first probe: on the walk's
+session, or on the pool session of a sharded sweep, whose worker
+snapshot then carries the rows.  ``invariants_generated`` records the
+rows encoded and ``invariants_used`` whether any were.
 
 **Timing split.**  Results separate ``build_seconds`` (network
 construction, encoding, invariant generation) from ``query_seconds``
@@ -60,8 +58,7 @@ from time import perf_counter
 from typing import Callable, Iterable
 
 from ..xmas import Network
-from .engine import Strengthening, VerificationSession
-from .invariants import InvariantSelector
+from .engine import VerificationSession, eager_invariants
 from .resilience import Deadline
 from .result import VerificationResult
 
@@ -86,20 +83,9 @@ class SizingResult:
 
     ``build_seconds`` / ``query_seconds`` split the wall-clock between the
     build phase (network construction, encoding, invariant generation) and
-    the solver queries; ``invariants_used`` and ``lazy_escalations`` record
-    the invariant-mode ablation (see the module docstring).
-    ``lazy_escalations`` counts escalation steps — probes re-answered
-    under a strengthened encoding — *under this schedule*: a lazy walk
-    strengthens at its first surviving candidate (at most 1 per session,
-    so a pool sweep reports the sum over its workers, at most one per
-    shard), and a partial walk counts every CEGAR refinement step, again
-    summed over the workers of a pool — verdicts are identical in every
-    case.  ``invariants_generated`` counts the invariant rows actually
-    encoded (eager: the full set once; escalated lazy: the full set per
-    escalating session; partial: the selected subset; schedule-dependent,
-    summed across workers and across shards by :meth:`merge`) and
-    ``rank_histogram`` buckets those rows by static-rank tier (partial
-    mode only).
+    the solver queries.  ``invariants_generated`` counts the invariant
+    rows encoded (the full set under eager mode, none under ``"none"``)
+    and ``invariants_used`` says whether any were.
     """
 
     minimal_size: int | None
@@ -109,9 +95,7 @@ class SizingResult:
     query_seconds: float = 0.0
     invariants_mode: str = "eager"
     invariants_used: bool = True
-    lazy_escalations: int = 0
     invariants_generated: int = 0
-    rank_histogram: dict[int, int] = field(default_factory=dict)
     # Portfolio racing (strategy name -> races won); empty unless the
     # search ran through a PortfolioSession.  ``portfolio_races`` counts
     # the races behind those wins, so win *rates* survive aggregation.
@@ -139,18 +123,16 @@ class SizingResult:
         Probe maps are unioned (a size probed by two shards must agree —
         verdicts are semantically determined) and the minimal size is
         recomputed from the union, so partial shards with
-        ``minimal_size=None`` merge cleanly.  Timing splits are summed;
-        the invariant-mode ablation fields aggregate conservatively
-        (``invariants_used`` if any part used them).
+        ``minimal_size=None`` merge cleanly.  Timing splits and
+        ``invariants_generated`` are summed; ``invariants_used`` holds if
+        any part used them.
         """
         probes: dict[int, bool] = {}
         results: dict[int, VerificationResult] = {}
         build_s = query_s = 0.0
         mode: str | None = None
         used = False
-        escalations = 0
         generated = 0
-        histogram: dict[int, int] = {}
         wins: dict[str, int] = {}
         races = 0
         timed_out = False
@@ -167,10 +149,7 @@ class SizingResult:
             query_s += part.query_seconds
             mode = part.invariants_mode if mode is None else mode
             used = used or part.invariants_used
-            escalations += part.lazy_escalations
             generated += part.invariants_generated
-            for tier, count in part.rank_histogram.items():
-                histogram[tier] = histogram.get(tier, 0) + count
             for name, count in part.strategy_wins.items():
                 wins[name] = wins.get(name, 0) + count
             races += part.portfolio_races
@@ -184,9 +163,7 @@ class SizingResult:
             query_seconds=query_s,
             invariants_mode=mode or "eager",
             invariants_used=used,
-            lazy_escalations=escalations,
             invariants_generated=generated,
-            rank_histogram=histogram,
             strategy_wins=wins,
             portfolio_races=races,
             timed_out=timed_out,
@@ -244,31 +221,22 @@ def _capacity_only_assignment(
     return assignment
 
 
-def _accounting(policy: Strengthening) -> dict:
-    """A policy's selection ablation as :class:`SizingResult` fields."""
-    return {
-        "invariants_used": policy.invariants_used,
-        "lazy_escalations": policy.lazy_escalations,
-        "invariants_generated": policy.invariants_generated,
-        "rank_histogram": dict(policy.rank_histogram),
-    }
-
-
 class _Walk:
     """Probes queue sizes one at a time on one warm session.
 
     The session, opened over ``base_network``, is a parametric
-    :class:`VerificationSession` under ``strengthening`` or, with
-    ``portfolio``, a :class:`~repro.core.portfolio.PortfolioSession`,
-    whose racers strengthen per strategy.  ``assignment`` maps a size to
-    the per-queue sizes to probe.
+    :class:`VerificationSession`, strengthened up front when ``mode`` is
+    ``"eager"``, or, with ``portfolio``, a
+    :class:`~repro.core.portfolio.PortfolioSession`, whose base snapshot
+    carries the invariants.  ``assignment`` maps a size to the per-queue
+    sizes to probe.
     """
 
     def __init__(
         self,
         base_network: Network,
         assignment: Callable[[int], dict[str, int]],
-        strengthening: Strengthening,
+        mode: str,
         timer: _SplitTimer,
         deadline: Deadline | None,
         verify_kwargs: dict,
@@ -277,8 +245,9 @@ class _Walk:
         lead: str | None = None,
     ):
         self.assignment = assignment
-        self.mode = strengthening.mode
-        self.policy = strengthening
+        self.mode = mode
+        # The rows conjoined up front (eager mode); None when none were.
+        self.invariants: list | None = None
         self.timer = timer
         self.deadline = deadline
         self.portfolio = portfolio
@@ -287,7 +256,6 @@ class _Walk:
         if portfolio:
             from .portfolio import PortfolioSession
 
-            self.policy = Strengthening("none")
             self.session = timer.timed(
                 "build",
                 lambda: PortfolioSession(
@@ -304,12 +272,8 @@ class _Walk:
                     base_network, parametric_queues=True, **verify_kwargs
                 ),
             )
-        self.policy.prepare(self.session)
-
-    def _ask(self) -> VerificationResult:
-        return self.timer.timed(
-            "query", lambda: self.session.verify(deadline=self.deadline)
-        )
+            if eager_invariants(mode):
+                self.invariants = timer.timed("build", self.session.add_invariants)
 
     def probe(self, size: int) -> bool:
         """Whether ``size`` verifies; raises :class:`_DeadlineExpired`
@@ -318,10 +282,8 @@ class _Walk:
             session = self.session
             session.resize_queues(self.assignment(size))
             session.seed_phases_from_witness()
-            before = self.policy.counters()
-            result = self.policy.settle(session, self._ask(), self._ask)
-            result.stats["invariant_selection"] = InvariantSelector.counters_delta(
-                self.policy.counters(), before
+            result = self.timer.timed(
+                "query", lambda: session.verify(deadline=self.deadline)
             )
             self.results[size] = result
             if result.timed_out:
@@ -336,11 +298,12 @@ class _Walk:
             minimal_size=minimal_size,
             probes=self.probes,
             results=self.results,
-            build_seconds=self.timer.build + self.policy.seconds,
+            build_seconds=self.timer.build,
             query_seconds=self.timer.query,
             invariants_mode=self.mode,
+            invariants_used=self.invariants is not None,
+            invariants_generated=len(self.invariants or ()),
             timed_out=timed_out,
-            **_accounting(self.policy),
         )
         if self.portfolio:
             result.invariants_used = True
@@ -356,8 +319,6 @@ def minimal_queue_size(
     max_size: int = 512,
     exhaustive: bool = False,
     invariants: str = "eager",
-    rank_budget: int | None = None,
-    rank_growth: int | None = None,
     portfolio: bool = False,
     portfolio_jobs: int | None = None,
     portfolio_lead: str | None = None,
@@ -379,19 +340,14 @@ def minimal_queue_size(
         Verify every size in ``[low, found)`` is deadlocked rather than
         trusting monotonicity.
     invariants:
-        ``"eager"`` / ``"lazy"`` / ``"partial"`` / ``"none"`` — see the
-        module docstring and :class:`~repro.core.engine.Strengthening`.
-    rank_budget, rank_growth:
-        Partial-mode escalation schedule: the first batch size and the
-        per-step growth factor
-        (:class:`~repro.core.invariants.InvariantSelector` defaults).
+        ``"eager"`` or ``"none"`` — see the module docstring.
     portfolio:
         Answer every probe through one persistent
         :class:`~repro.core.portfolio.PortfolioSession` racing the
-        strategy roster (eager/lazy/partial + variants) with shared
+        strategy roster (eager plus search variants) with shared
         clauses — verdicts identical to eager, wall-clock tracks the best
-        strategy per probe.  ``invariants`` is ignored (the roster spans
-        the modes).  ``portfolio_jobs`` caps concurrent racers
+        strategy per probe.  ``invariants`` is ignored (every racer is
+        eager).  ``portfolio_jobs`` caps concurrent racers
         (``ADVOCAT_JOBS``/CPU budget otherwise) and ``portfolio_lead``
         names the strategy to race first (the experiment scheduler passes
         its learned per-family leader).  The result's ``strategy_wins``
@@ -407,14 +363,14 @@ def minimal_queue_size(
         Forwarded to :class:`~repro.core.engine.VerificationSession`
         (``rotating_precision``, ``max_splits``).
     """
-    strengthening = Strengthening(invariants, rank_budget, rank_growth)
+    eager_invariants(invariants)
     deadline = Deadline.coerce(deadline)
     timer = _SplitTimer()
     base_network = timer.timed("build", lambda: build(low))
     walk = _Walk(
         base_network,
         _capacity_only_assignment(build, base_network, timer),
-        strengthening,
+        invariants,
         timer,
         deadline,
         verify_kwargs,
@@ -465,8 +421,6 @@ def sweep_queue_sizes(
     backend: str = "process",
     want_witness: bool = True,
     invariants: str = "eager",
-    rank_budget: int | None = None,
-    rank_growth: int | None = None,
     portfolio: bool = False,
     portfolio_lead: str | None = None,
     deadline=None,
@@ -485,13 +439,9 @@ def sweep_queue_sizes(
     Per-shard :class:`SizingResult`\\ s are aggregated with
     :meth:`SizingResult.merge`.
 
-    ``invariants`` selects the :class:`~repro.core.engine.Strengthening`
-    mode.  Across a pool every worker settles its probes under its own
-    policy of that mode: ``"eager"`` bakes the rows into the pool
-    snapshot, while ``"lazy"`` and ``"partial"`` ship the ranked rows
-    inside it and each worker escalates locally at its own surviving
-    candidates (``rank_budget`` / ``rank_growth`` shape the partial
-    schedule) — verdict-identical to eager mode, in one pass.
+    ``invariants`` is ``"eager"`` or ``"none"``; across a pool,
+    ``"eager"`` strengthens the pool session first, which bakes the rows
+    into the worker snapshot.
 
     ``portfolio=True`` walks the size list sequentially through one
     persistent :class:`~repro.core.portfolio.PortfolioSession` instead of
@@ -499,7 +449,7 @@ def sweep_queue_sizes(
     routed through :func:`~repro.core.portfolio.racer_budget`) goes to
     concurrent *racers* per probe rather than concurrent probes, and the
     racers stay warm across the ascending walk.  ``invariants`` is
-    ignored (the roster spans the modes); ``strategy_wins`` records the
+    ignored (every racer is eager); ``strategy_wins`` records the
     per-probe winners.
 
     ``build`` must vary only queue capacities (checked, ``ValueError``),
@@ -510,7 +460,7 @@ def sweep_queue_sizes(
     are simply absent from ``probes`` (their TIMEOUT results stay in
     ``results``) and the result carries ``timed_out=True``.
     """
-    strengthening = Strengthening(invariants, rank_budget, rank_growth)
+    eager = eager_invariants(invariants)
     deadline = Deadline.coerce(deadline)
     size_list = sorted(set(sizes))
     if not size_list:
@@ -528,7 +478,7 @@ def sweep_queue_sizes(
         walk = _Walk(
             base_network,
             assignments.__getitem__,
-            strengthening,
+            invariants,
             timer,
             deadline,
             verify_kwargs,
@@ -551,10 +501,9 @@ def sweep_queue_sizes(
             free = [size for size, ok in walk.probes.items() if ok]
             return walk.outcome(min(free) if free else None, timed_out)
 
-    # Sharded: striped shards, ascending within each.  The policy is
-    # prepared on the pool session (eager: the rows are baked into the
-    # worker snapshot) and every worker settles its probes under a copy
-    # of it; the per-probe accounting the workers report sums on top.
+    # Sharded: striped shards, ascending within each.  Eager mode
+    # strengthens the pool session first, so the rows ride the worker
+    # snapshot.
     from .parallel import ParallelVerificationSession
 
     session = timer.timed(
@@ -568,7 +517,9 @@ def sweep_queue_sizes(
         ),
     )
     with session:
-        strengthening.prepare(session)
+        generated = (
+            len(timer.timed("build", session.add_invariants)) if eager else 0
+        )
         shard_sizes = [size_list[w::jobs] for w in range(jobs)]
         shard_sizes = [shard for shard in shard_sizes if shard]
         shard_results = timer.timed(
@@ -576,20 +527,14 @@ def sweep_queue_sizes(
             lambda: session.probe_shards(
                 [[assignments[size] for size in shard] for shard in shard_sizes],
                 want_witness=want_witness,
-                strengthening=strengthening,
                 deadline=deadline,
             ),
         )
-    parts = [SizingResult(minimal_size=None, **_accounting(strengthening))]
+    parts = []
     for shard, results_list in zip(shard_sizes, shard_results):
         part = SizingResult(minimal_size=None)
         for size, result in zip(shard, results_list):
             part.results[size] = result
-            selection = result.stats["invariant_selection"]
-            part.invariants_generated += selection["invariants_generated"]
-            part.lazy_escalations += selection["escalations"]
-            for tier, count in selection["rank_histogram"].items():
-                part.rank_histogram[tier] = part.rank_histogram.get(tier, 0) + count
             if result.timed_out:
                 # The shard's budget expired at this probe: keep the
                 # TIMEOUT result but no boolean verdict (the size stays
@@ -597,10 +542,11 @@ def sweep_queue_sizes(
                 part.timed_out = True
             else:
                 part.probes[size] = result.deadlock_free
-        part.invariants_used = part.invariants_generated > 0
         parts.append(part)
     merged = SizingResult.merge(parts)
-    merged.invariants_mode = strengthening.mode
-    merged.build_seconds = timer.build + strengthening.seconds
+    merged.invariants_mode = invariants
+    merged.invariants_used = eager
+    merged.invariants_generated = generated
+    merged.build_seconds = timer.build
     merged.query_seconds = timer.query
     return merged

@@ -12,6 +12,7 @@ under the strictest start method.
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from repro.core import (
     run_scenario,
     sweep_queue_sizes,
 )
+from repro.core.engine import INVARIANT_MODES
 from repro.core.parallel import WorkerSession, _initialize_worker, _run_job
 from repro.netlib import running_example
 
@@ -139,18 +141,22 @@ def test_scenario_spec_key_excludes_scheduling_hints():
     assert plain.key() == hinted.key()
 
 
-def test_scenario_spec_key_excludes_selection_schedule():
-    # rank_budget/rank_growth are verdict-invariant (escalation terminates
-    # at the full set), so resumes across schedules must match keys ...
-    plain = _running_spec(invariants="partial")
-    tuned = _running_spec(invariants="partial", rank_budget=32, rank_growth=3)
-    assert plain.key() == tuned.key()
-    # ... while the invariant *mode* stays part of the identity.
-    assert plain.key() != _running_spec(invariants="eager").key()
-    with pytest.raises(ValueError):
-        _running_spec(invariants="partial", rank_budget=0)
-    with pytest.raises(ValueError):
-        _running_spec(invariants="partial", rank_growth=0)
+def test_scenario_spec_key_includes_the_invariant_mode():
+    assert _running_spec(invariants="none").key() != _running_spec().key()
+    assert _running_spec().key() == _running_spec(invariants="eager").key()
+
+
+@pytest.mark.parametrize("retired", ["lazy", "partial"])
+def test_retired_invariant_modes_name_eager_as_replacement(retired):
+    assert INVARIANT_MODES == ("eager", "none")
+    with pytest.raises(ValueError, match="'eager'"):
+        _running_spec(invariants=retired)
+    with pytest.raises(ValueError, match="'eager'"):
+        sweep_queue_sizes(
+            lambda size: running_example(queue_size=size).network,
+            (1,),
+            invariants=retired,
+        )
 
 
 def test_scenario_spec_validation():
@@ -208,7 +214,7 @@ def test_scenario_spec_pickle_round_trip():
         {"width": 2, "height": 2, "directory_node": (1, 1)},
         mode="sweep",
         sizes=(1, 2, 3),
-        invariants="lazy",
+        invariants="none",
     )
     clone = pickle.loads(pickle.dumps(spec))
     assert clone == spec
@@ -338,49 +344,28 @@ def test_resume_skips_completed_scenarios(tmp_path):
     assert cold.verdict_bytes() == full.verdict_bytes()
 
 
-def test_resume_warns_on_selection_policy_mismatch(tmp_path):
-    # A completed key recorded under one selection schedule, resumed with
-    # another: the result is reused (verdicts are schedule-invariant) but
-    # the splice must be loud, not silent.
-    checkpoint = tmp_path / "partial.json"
-    grid = Experiment(
-        "policy", [_running_spec(invariants="partial", rank_budget=8)]
-    )
-    grid.run(jobs=1, save_path=checkpoint)
-    retuned = Experiment(
-        "policy", [_running_spec(invariants="partial", rank_budget=32)]
-    )
-    with pytest.warns(UserWarning, match="selection policy"):
-        resumed = retuned.run(jobs=1, resume=checkpoint)
-    assert resumed.computed == 0
-    assert resumed.reused == 1
-    # Same schedule: silent reuse.
-    import warnings as warnings_module
-
-    with warnings_module.catch_warnings():
-        warnings_module.simplefilter("error")
-        again = grid.run(jobs=1, resume=checkpoint)
-    assert again.computed == 0
+# Written by the last build that had the lazy and partial invariant
+# modes: one eager, one lazy and one partial running_example sweep, each
+# carrying the retired escalation fields.
+RETIRED_MODES_CHECKPOINT = (
+    Path(__file__).resolve().parent / "data" / "checkpoint_with_retired_modes.json"
+)
 
 
-def test_partial_scenario_records_selection_policy_and_counters():
-    grid = Experiment(
-        "partial-record",
-        [_running_spec(invariants="partial", rank_budget=4, rank_growth=2)],
-    )
-    scenario = grid.run(jobs=1).scenarios[0]
-    assert scenario.invariants_mode == "partial"
-    assert scenario.rank_budget == 4
-    assert scenario.rank_growth == 2
-    assert scenario.invariants_used
-    assert scenario.invariants_generated >= 1
-    assert sum(scenario.rank_histogram.values()) == scenario.invariants_generated
-    eager = Experiment(
-        "eager-record", [_running_spec(invariants="eager")]
-    ).run(jobs=1).scenarios[0]
-    assert scenario.probes == eager.probes
-    assert scenario.invariants_generated < eager.invariants_generated
-    assert eager.rank_budget is None  # policy recorded only in partial mode
+def test_checkpoint_with_retired_modes_loads_and_resumes_eager_only():
+    loaded = ExperimentResult.load(RETIRED_MODES_CHECKPOINT)
+    assert [s.invariants_mode for s in loaded.scenarios] == [
+        "eager", "lazy", "partial",
+    ]
+    assert all(s.probes == {1: True, 2: True} for s in loaded.scenarios)
+    for retired in ("lazy_escalations", "rank_histogram", "rank_budget"):
+        assert all(retired not in s.to_json() for s in loaded.scenarios)
+    grid = Experiment("resumed", [_running_spec(), _running_spec(invariants="none")])
+    resumed = grid.run(jobs=1, resume=RETIRED_MODES_CHECKPOINT)
+    assert resumed.reused == 1  # the eager result; lazy/partial keys never match
+    assert resumed.computed == 1
+    assert resumed.scenarios[0] == loaded.scenarios[0]
+    assert [s.invariants_mode for s in resumed.scenarios] == ["eager", "none"]
 
 
 def test_resume_from_missing_checkpoint_starts_fresh(tmp_path):
@@ -445,7 +430,7 @@ def test_query_jobs_auto_splits_the_budget(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Timing split and the lazy-invariants ablation
+# Timing split and the invariant-mode accounting
 # ---------------------------------------------------------------------------
 
 
@@ -459,48 +444,33 @@ def test_sizing_reports_build_query_split():
     assert sizing.invariants_used
 
 
-def test_lazy_sweep_matches_eager_sequential_and_sharded():
+def test_sizing_accounting_is_pinned():
+    # The search and the sequential sweep walk the same sizes on one
+    # session; eager encodes the full set of 13 rows once, up front.
     def build(size):
-        return running_example(queue_size=size).network
+        return resolve_builder("abstract_mi_mesh")(
+            width=2, height=2, queue_size=size
+        ).network
 
-    eager = sweep_queue_sizes(build, range(1, 4), jobs=1)
-    for jobs in (1, 2):
-        lazy = sweep_queue_sizes(
-            build, range(1, 4), jobs=jobs, backend="thread", invariants="lazy"
-        )
-        assert lazy.probes == eager.probes, jobs
-        assert lazy.minimal_size == eager.minimal_size
-        assert lazy.invariants_mode == "lazy"
+    def accounting(sizing):
+        return [
+            sorted(sizing.probes.items()),
+            sizing.minimal_size,
+            sizing.invariants_used,
+            sizing.invariants_generated,
+        ]
 
-
-def test_lazy_never_generates_invariants_when_block_idle_suffices():
-    # producer_consumer verifies under plain block/idle at every size, so
-    # the lazy walk must never pay for invariant generation.
-    sizing = minimal_queue_size(
-        lambda size: resolve_builder("producer_consumer")(queue_size=size),
-        invariants="lazy",
-    )
-    assert sizing.minimal_size == 1
-    assert not sizing.invariants_used
-    assert sizing.lazy_escalations == 0
-
-
-def test_lazy_mode_recorded_per_scenario():
-    grid = Experiment(
-        "ablation",
-        [
-            _running_spec(invariants="lazy"),
-            _running_spec(invariants="eager", sizes=(1, 2)),
-        ],
-    )
-    by_mode = {
-        scenario.invariants_mode: scenario
-        for scenario in grid.run(jobs=1).scenarios
-    }
-    assert by_mode["lazy"].lazy_escalations >= 1
-    assert by_mode["lazy"].invariants_used
-    assert by_mode["eager"].lazy_escalations == 0
-    assert by_mode["lazy"].probes == by_mode["eager"].probes
+    verified = [(1, False), (2, False), (3, True), (4, True)]
+    walk = [verified, 3, True, 13]
+    assert accounting(sweep_queue_sizes(build, range(1, 5))) == walk
+    assert accounting(minimal_queue_size(build, max_size=8)) == walk
+    plain = sweep_queue_sizes(build, range(1, 5), invariants="none")
+    assert accounting(plain) == [
+        [(size, False) for size in range(1, 5)], None, False, 0
+    ]
+    # Block/idle alone never proves the 2x2 mesh: the search cannot end.
+    with pytest.raises(RuntimeError, match="size-independent"):
+        minimal_queue_size(build, max_size=8, invariants="none")
 
 
 def test_none_mode_reports_plain_block_idle():
@@ -610,7 +580,7 @@ grids = st.lists(
 
 @given(
     size_sets=grids,
-    invariants=st.sampled_from(["eager", "lazy", "partial", "none"]),
+    invariants=st.sampled_from(["eager", "none"]),
 )
 @settings(max_examples=10, deadline=None)
 def test_sharded_grid_equals_sequential_grid(size_sets, invariants):

@@ -268,6 +268,34 @@ def test_sharded_sweep_matches_sequential_sweep():
         assert set(sharded.results) == set(sequential.results)
 
 
+@pytest.mark.parametrize("invariants", ["eager", "none"])
+def test_forced_pool_probe_shards_match_sequential_sweep(invariants):
+    # Real pool workers (never the inline fallback) answer every shard
+    # from the pool snapshot; eager mode bakes the rows into it first.
+    def build(size):
+        return running_example(queue_size=size).network
+
+    sequential = sweep_queue_sizes(
+        build, range(1, 4), jobs=1, invariants=invariants
+    )
+    with ParallelVerificationSession(
+        build(1), jobs=2, backend="thread", force_pool=True
+    ) as session:
+        if invariants == "eager":
+            session.add_invariants()
+        shards = session.probe_shards(
+            [
+                [{"q0": 1, "q1": 1}, {"q0": 3, "q1": 3}],
+                [{"q0": 2, "q1": 2}],
+            ]
+        )
+        assert session.stats()["pool_running"]
+    flat = {1: shards[0][0], 3: shards[0][1], 2: shards[1][0]}
+    for size, result in flat.items():
+        assert result.deadlock_free == sequential.probes[size], size
+        assert len(result.invariants) == sequential.invariants_generated
+
+
 def test_sweep_without_invariants_differs_and_still_merges():
     def build(size):
         return running_example(queue_size=size).network
@@ -380,3 +408,23 @@ def test_sizing_merge_rejects_conflicting_verdicts():
         pass
     else:
         raise AssertionError("merge must reject conflicting probe verdicts")
+
+
+def test_sizing_merge_sums_rows_across_shards():
+    shard_a = SizingResult(
+        minimal_size=None,
+        probes={1: False},
+        invariants_used=True,
+        invariants_generated=5,
+    )
+    shard_b = SizingResult(
+        minimal_size=3,
+        probes={3: True},
+        invariants_used=False,
+        invariants_generated=2,
+    )
+    merged = SizingResult.merge([shard_a, shard_b])
+    assert merged.minimal_size == 3
+    assert merged.probes == {1: False, 3: True}
+    assert merged.invariants_used  # any shard used them
+    assert merged.invariants_generated == 7

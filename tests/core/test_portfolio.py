@@ -1,8 +1,8 @@
 """PortfolioSession must be observationally equal to a sequential eager
 session — whichever strategy wins the race.
 
-The portfolio races diverse strategy configurations from one shared cold
-snapshot, exchanging glue-capped learned clauses between slices.  The
+The portfolio races diverse search configurations from one shared cold
+eager snapshot, exchanging glue-capped learned clauses between slices.  The
 contracts under test: verdict byte-identity with racing/sharing on or
 off, exports filtered to the shared base numbering (and imports across
 diverged numberings rejected loudly), the jobs-budget routing that keeps
@@ -26,6 +26,7 @@ from repro.core import (
 from repro.core.parallel import WorkerSession
 from repro.core.portfolio import Racer
 from repro.netlib import running_example
+from repro.protocols import abstract_mi_mesh
 
 
 def _network(queue_size=2):
@@ -85,29 +86,41 @@ def test_force_race_keeps_the_whole_roster():
 # ---------------------------------------------------------------------------
 
 
-def test_strategy_config_rejects_the_none_mode():
-    with pytest.raises(ValueError, match="excluded by design"):
-        StrategyConfig("no-invariants", "none")
-
-
-def test_portfolio_rejects_strengthened_specs():
+def test_portfolio_strengthens_the_spec_it_is_given():
     spec = SessionSpec(_network())
-    spec.generate_invariants()  # conjoin the rows into the shared image
-    with pytest.raises(ValueError, match="without conjoined"):
-        PortfolioSession(spec=spec)
+    with PortfolioSession(spec=spec, jobs=1) as session:
+        assert session.invariants_generated == len(spec.invariants)
+        assert session.verify().verdict == _eager_reference().verdict
+    # A spec that is already strengthened is taken as it is.
+    with PortfolioSession(spec=spec, jobs=1) as session:
+        assert session.invariants_generated == len(spec.invariants)
+
+
+def test_portfolio_leaves_the_eager_content_hash_unchanged():
+    # The service keys its verdict store on this hash: a spec a
+    # portfolio raced on must hash like a fresh eager spec.
+    def eager_hash(spec):
+        spec.generate_invariants()
+        return spec.snapshot().content_hash()
+
+    fresh = SessionSpec(abstract_mi_mesh(2, 2, queue_size=3).network)
+    raced = SessionSpec(abstract_mi_mesh(2, 2, queue_size=3).network)
+    with PortfolioSession(spec=raced, jobs=1) as session:
+        assert session.invariants_generated > 0
+    assert eager_hash(raced) == eager_hash(fresh)
 
 
 def test_lead_reorders_and_unknown_lead_is_ignored():
-    roster = default_strategies(lead="lazy")
-    assert roster[0].name == "lazy"
+    roster = default_strategies(lead="eager-hoard")
+    assert roster[0].name == "eager-hoard"
     assert {s.name for s in roster} == {
         s.name for s in default_strategies()
     }
     assert default_strategies(lead="no-such") == default_strategies()
     with PortfolioSession(
-        network=_network(), jobs=2, lead="partial"
+        network=_network(), jobs=2, lead="eager-jitter"
     ) as session:
-        assert session.strategies[0].name == "partial"
+        assert session.strategies[0].name == "eager-jitter"
 
 
 def test_duplicate_strategy_names_rejected():
@@ -115,8 +128,8 @@ def test_duplicate_strategy_names_rejected():
         PortfolioSession(
             network=_network(),
             strategies=[
-                StrategyConfig("same", "eager"),
-                StrategyConfig("same", "lazy"),
+                StrategyConfig("same"),
+                StrategyConfig("same", phase_seed=7),
             ],
         )
 
@@ -150,14 +163,14 @@ def test_inline_portfolio_matches_sequential_eager_across_resizes():
         assert sum(session.strategy_wins.values()) == 2
 
 
-@pytest.mark.parametrize("mode", ["eager", "lazy", "partial"])
-def test_single_strategy_inline_roster_matches_eager(mode):
-    # One racer per roster, so every race is decided by that strategy's
-    # own Strengthening — small slices make lazy and partial escalations
-    # straddle slice boundaries.
+@pytest.mark.parametrize("name", [s.name for s in default_strategies()])
+def test_single_strategy_inline_roster_matches_eager(name):
+    # One racer per roster, so every race is decided by that strategy;
+    # small slices make each answer straddle slice boundaries.
+    (strategy,) = [s for s in default_strategies() if s.name == name]
     with PortfolioSession(
         network=_network(1),
-        strategies=[StrategyConfig(mode, mode)],
+        strategies=[strategy],
         backend="inline",
         force_race=True,
         slice_conflicts=20,
@@ -166,10 +179,10 @@ def test_single_strategy_inline_roster_matches_eager(mode):
             session.resize_queues(size)
             got = session.race()
             reference = _eager_reference(size)
-            assert got.verdict == reference.verdict, (mode, size)
+            assert got.verdict == reference.verdict, (name, size)
             assert (got.witness is None) == (reference.witness is None)
-            assert got.stats["portfolio"]["winner"] == mode
-        assert session.strategy_wins == {mode: 3}
+            assert got.stats["portfolio"]["winner"] == name
+        assert session.strategy_wins == {name: 3}
 
 
 def test_process_backend_matches_inline_and_cancels_losers():
@@ -221,14 +234,16 @@ def test_sharing_on_off_verdict_identity(queue_size, slice_conflicts, share):
 
 
 def _base_snapshot():
-    return SessionSpec(_network()).snapshot(include_pending_invariants=True)
+    spec = SessionSpec(_network())
+    spec.generate_invariants()
+    return spec.snapshot()
 
 
 def test_exports_are_filtered_to_the_base_numbering():
     snapshot = _base_snapshot()
-    racer = Racer(snapshot, StrategyConfig("eager", "eager"))
-    # Eager mode minted invariant-row atoms above the base image; burn a
-    # few slices so there is learnt state worth exporting.
+    racer = Racer(snapshot, StrategyConfig("eager"))
+    # The default-size capacity pins are minted above the base image;
+    # burn a few slices so there is learnt state worth exporting.
     for _ in range(5):
         final, _ = racer.slice(None, None, False, 10)
         if final:
@@ -255,8 +270,8 @@ def test_import_rejects_clauses_over_a_diverged_numbering():
 
 def test_imported_clauses_round_trip_between_restored_peers():
     snapshot = _base_snapshot()
-    exporter = Racer(snapshot, StrategyConfig("eager", "eager"))
-    importer = Racer(snapshot, StrategyConfig("lazy", "lazy"))
+    exporter = Racer(snapshot, StrategyConfig("eager"))
+    importer = Racer(snapshot, StrategyConfig("eager-jitter", phase_seed=7))
     for _ in range(5):
         final, _ = exporter.slice(None, None, False, 10)
         if final:
