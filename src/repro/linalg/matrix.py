@@ -11,15 +11,22 @@ rows:
   are swept away and the surviving rows are invariants over queue occupancy
   and automaton-state columns only.
 
-Both kernels maintain the Gauss–Jordan invariant that every pivot column
-occurs in exactly one row, which makes the "rows free of the eliminated
-columns span exactly the eliminable subspace of the row space" argument
-immediate.
+:func:`rref` maintains the Gauss–Jordan invariant that every pivot column
+occurs in exactly one row.  :func:`eliminate_columns` only eliminates
+forward: each pivot row is free of the pivot columns installed before it,
+and is never back-substituted into when later pivots arrive.  Reducing a
+new row against the pivots in install order still clears every pivot
+column (a pivot row cannot bring back an earlier pivot column), and the
+result is the same vector Gauss–Jordan reduction gives: both subtract a
+member of the pivot rows' span, and only one member of that span leaves
+no support on the pivot columns.  So the leftover rows, and the
+:func:`rref` of them that is returned, are the same.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Sequence
 
 from .vector import SparseVector
@@ -42,13 +49,18 @@ def _reduce_against(row: SparseVector, pivots: dict[int, SparseVector]) -> None:
             row.add_scaled_inplace(pivot_row, -coeff)
 
 
+def _normalise(row: SparseVector, pivot_col: int) -> None:
+    """Scale ``row`` to a unit coefficient on ``pivot_col``."""
+    pivot = row.entries[pivot_col]
+    # A ±1 pivot is its own inverse, so the common flow-row case stays in ints.
+    row.scale_inplace(pivot if pivot in (1, -1) else Fraction(1, pivot))
+
+
 def _install_pivot(
     row: SparseVector, pivot_col: int, pivots: dict[int, SparseVector]
 ) -> None:
     """Normalise ``row`` on ``pivot_col`` and back-substitute into ``pivots``."""
-    pivot = row.entries[pivot_col]
-    # A ±1 pivot is its own inverse, so the common flow-row case stays in ints.
-    row.scale_inplace(pivot if pivot in (1, -1) else Fraction(1, pivot))
+    _normalise(row, pivot_col)
     for other in pivots.values():
         coeff = other.entries.get(pivot_col)
         if coeff:
@@ -99,17 +111,35 @@ def eliminate_columns(
     row space whose members have zero coefficients on every eliminated
     column.  For flow matrices this is exactly the set of independent
     invariants that mention only state variables and queue occupancies.
+    Elimination is forward only (see the module docstring).
     """
-    pivots: dict[int, SparseVector] = {}
+    order: dict[int, int] = {}  # pivot column -> install index
+    pivots: list[tuple[int, SparseVector]] = []
     leftover: list[SparseVector] = []
     for original in rows:
         row = original.copy()
-        _reduce_against(row, pivots)
-        if not row:
+        entries = row.entries
+        # Pivot k's row holds only later pivot columns, so a heap of the
+        # install indices met so far visits them in install order.
+        pending = [order[col] for col in entries if col in order]
+        heapify(pending)
+        while pending:
+            col, pivot_row = pivots[heappop(pending)]
+            coeff = entries.get(col)
+            if not coeff:
+                continue  # cancelled by an earlier pivot row
+            for other in pivot_row.entries:
+                if other not in entries and other in order:
+                    heappush(pending, order[other])
+            row.add_scaled_inplace(pivot_row, -coeff)
+        if not entries:
             continue
-        elim_support = [col for col in row.columns() if col in eliminate]
+        elim_support = [col for col in entries if col in eliminate]
         if elim_support:
-            _install_pivot(row, min(elim_support), pivots)
+            pivot_col = min(elim_support)
+            _normalise(row, pivot_col)
+            order[pivot_col] = len(pivots)
+            pivots.append((pivot_col, row))
         else:
             leftover.append(row)
     reduced, _ = rref(leftover)

@@ -11,12 +11,19 @@ stack; it exists so that
   speedup on the same instances and record it in ``BENCH_satcore.json``.
 
 Do not edit the algorithm here: its whole value is that it preserves the
-old trajectory.  The one deliberate exception mirrors a search-order
-change of the arena core, so the lockstep contract keeps holding:
-``solve`` keeps the trail after a SAT or assumption-UNSAT verdict and
-rewinds only to the first assumption that differs from the previous
-call's, and ``seed_phases``/``set_phase`` rewind to the root first.  The
-original module docstring follows.
+old trajectory.  Two deliberate exceptions mirror search-order changes of
+the arena core, so the lockstep contract keeps holding:
+
+* ``solve`` keeps the trail after a SAT or assumption-UNSAT verdict and
+  rewinds only to the first assumption that differs from the previous
+  call's, and ``seed_phases``/``set_phase`` rewind to the root first;
+* an activity rescale rebuilds the VSIDS heap from the rescaled
+  activities of the unassigned variables.  Before, pre-rescale entries
+  stayed in the heap and outranked every current one; the arena core
+  de-duplicates its entries, so the two cores then picked different
+  decisions.
+
+The original module docstring follows.
 
 ----
 
@@ -56,7 +63,7 @@ verification results.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Protocol, Sequence
 
 __all__ = ["Cdcl", "TheoryListener", "SAT", "UNSAT", "UNKNOWN"]
@@ -367,6 +374,14 @@ class Cdcl:
             for v in range(1, self.n_vars + 1):
                 self._activity[v] *= 1e-100
             self._var_inc *= 1e-100
+            # Rebuild: one entry per unassigned variable at its rescaled
+            # activity (pre-rescale entries would outrank them all).
+            self._heap = [
+                (-self._activity[v], v)
+                for v in range(1, self.n_vars + 1)
+                if self._assign[v] == _UNDEF
+            ]
+            heapify(self._heap)
         heappush(self._heap, (-self._activity[var], var))
 
     def _bump_clause(self, index: int) -> None:

@@ -79,7 +79,13 @@ preallocated buffers instead of per-clause Python objects:
   encodings.  The freshness check is what keeps the skip
   trajectory-faithful: a stale-but-true blocker falls through to the
   full inspection so the keep-vs-move decision matches the reference
-  core exactly.
+  core exactly.  A binary clause (82% of the clauses of the 2×2
+  Figure-4 designs) is marked in its two entries by storing ``~cref``,
+  a negative int, in the cref slot; its blocker is always the other
+  literal, so propagation settles it from the entry alone and touches
+  the arena only to write the reference core's slot order on a unit or
+  a conflict.  The marker adds no object: the entries hold ``~cref``
+  instead of ``cref``.
 
 * **Trail and assignment.**  The assignment is indexed *by literal
   code* (``_val[code] ∈ {1, 0, -1}``; ``_val[code ^ 1]`` mirrors the
@@ -89,18 +95,24 @@ preallocated buffers instead of per-clause Python objects:
   the variable count — no per-conflict allocation.
 
 * **Lazy VSIDS heap without the fallback scan.**  ``_heap`` is a stdlib
-  ``heapq`` max-heap over ``(activity desc, var asc)`` tuples.  The
-  invariant — every *unassigned* variable always has an entry at its
-  current activity (pushed at creation, on every bump, and on every
-  backjump-unassign) — makes heap exhaustion the full-assignment test,
-  so :meth:`_decide` never falls back to a linear scan over all
-  variables (the old stale-heap pathology); stale and assigned entries
-  are discarded lazily at pop.  The ``_incur`` flag skips the
-  backjump-push when the variable's current-key entry never left the
-  heap, which removes most of the duplicate-entry churn.  (An indexed
-  binary heap with in-place decrease-key was tried first and *lost*:
-  tens of thousands of interpreted sift steps cost more than C-level
-  ``heappush``/``heappop`` on duplicates.)
+  ``heapq`` min-heap of int keys ``var − (IEEE-754 bits of activity <<
+  32)`` (:func:`_heap_key`), which order exactly like the reference
+  core's ``(−activity, var)`` tuples.  ``_key[var]`` holds the current
+  key, computed once per bump, so a backjump pushes a stored int
+  instead of building a tuple, and the C heap compares ints instead of
+  tuples of floats.  The invariant — every *unassigned* variable always
+  has an entry at its current key (pushed at creation, on every bump,
+  and on every backjump-unassign) — makes heap exhaustion the
+  full-assignment test, so :meth:`_decide` never falls back to a linear
+  scan over all variables (the old stale-heap pathology); stale and
+  assigned entries are discarded lazily at pop.  The ``_incur`` flag
+  skips the backjump-push when the variable's current-key entry never
+  left the heap, which removes most of the duplicate-entry churn.  An
+  activity rescale rebuilds the heap with one entry per unassigned
+  variable, in both cores.  (An indexed binary heap with in-place
+  decrease-key was tried first and *lost*: tens of thousands of
+  interpreted sift steps cost more than C-level ``heappush``/``heappop``
+  on duplicates.)
 
 The rewrite is *trajectory-faithful*: decisions, propagations, learnt
 clauses and models are identical to the retained reference implementation
@@ -116,7 +128,8 @@ verification results.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
+from struct import Struct
 from typing import Callable, Iterable, Protocol, Sequence
 
 __all__ = ["Cdcl", "TheoryListener", "SAT", "UNSAT", "UNKNOWN"]
@@ -131,6 +144,22 @@ _UNDEF = 0
 _HDR = 3
 _LEARNT = 1
 _PROTECTED = 2
+
+_pack_double = Struct("<d").pack
+_from_bytes = int.from_bytes
+_VAR_MASK = (1 << 32) - 1
+
+
+def _heap_key(var: int, activity: float) -> int:
+    """``var``'s VSIDS heap key: ``var − (IEEE-754 bits of activity << 32)``.
+
+    The bits of a non-negative double order like the double itself, so
+    the smallest key is the highest activity, ties broken toward the
+    lower variable — the order of the reference core's ``(−activity,
+    var)`` tuples, for variables below 2³².  ``key & _VAR_MASK`` is
+    ``var``.
+    """
+    return var - (_from_bytes(_pack_double(activity), "little") << 32)
 
 
 class TheoryListener(Protocol):
@@ -230,22 +259,23 @@ class Cdcl:
         self._trail_lim: list[int] = []
         self._qhead = 0
         self._theory_qhead = 0
-        # --- VSIDS order: a C-heapq lazy max-heap of (-act, var) entries.
+        # --- VSIDS order: a C-heapq lazy min-heap of int keys (see
+        # _heap_key); ``_key[var]`` is the variable's current key.
         # Invariant: every *unassigned* variable always has an entry at
-        # its current activity (pushed at creation, on every bump, and on
+        # its current key (pushed at creation, on every bump, and on
         # every backjump-unassign), so :meth:`_decide` never needs a
         # fallback scan; entries for assigned variables and stale
         # lower-activity duplicates are discarded lazily at pop time.
-        # ``_incur[var]`` flags "an entry at the current activity is in
-        # the heap right now": backjump skips the push when set, which
-        # cuts the dominant heappush/heappop churn (most trail entries
-        # are propagations whose entry never left the heap).  Bumps set
-        # it (the new key *is* the current one), pops of a current-key
+        # ``_incur[var]`` flags "an entry at the current key is in the
+        # heap right now": backjump skips the push when set, which cuts
+        # the dominant heappush/heappop churn (most trail entries are
+        # propagations whose entry never left the heap).  Bumps set it
+        # (the new key *is* the current one), pops of a current-key
         # entry clear it.  Undercounting is harmless (one duplicate
         # push); overcounting cannot happen because a bump always moves
-        # the key, so at most one entry per variable carries the current
-        # activity.
-        self._heap: list[tuple[float, int]] = []
+        # the key, so at most one entry per variable carries it.
+        self._heap: list[int] = []
+        self._key: list[int] = [0]  # by var
         self._incur = bytearray([0])
         self._var_inc = 1.0
         self._ok = True
@@ -377,7 +407,8 @@ class Cdcl:
         self._watches.append([])
         self._watches.append([])
         self._trail.append(0)  # capacity: one slot per variable
-        heappush(self._heap, (0.0, var))
+        self._key.append(var)  # _heap_key(var, 0.0)
+        heappush(self._heap, var)
         self._incur.append(1)
         return var
 
@@ -432,11 +463,12 @@ class Cdcl:
         if lbd:
             self._learnt_live += 1
         # Watch the first two literals; the blocker is the other watch.
+        ref = ~cref if len(codes) == 2 else cref
         wl = self._watches[codes[0] ^ 1]
-        wl.append(cref)
+        wl.append(ref)
         wl.append(codes[1])
         wl = self._watches[codes[1] ^ 1]
-        wl.append(cref)
+        wl.append(ref)
         wl.append(codes[0])
         return cref
 
@@ -468,7 +500,7 @@ class Cdcl:
             return
         boundary = self._trail_lim[level]
         trail, val, phase = self._trail, self._val, self._phase
-        activity, heap, incur = self._activity, self._heap, self._incur
+        key, heap, incur = self._key, self._heap, self._incur
         for index in range(boundary, self._trail_len):
             code = trail[index]
             var = code >> 1
@@ -476,7 +508,7 @@ class Cdcl:
             val[code] = 0
             val[code ^ 1] = 0
             if not incur[var]:
-                heappush(heap, (-activity[var], var))
+                heappush(heap, key[var])
                 incur[var] = 1
         self._trail_len = boundary
         del self._trail_lim[level:]
@@ -496,6 +528,10 @@ class Cdcl:
         The hot loop: every structure it touches is a flat buffer cached
         in a local.  Watcher entries are interleaved ``[cref, blocker]``
         pairs; a true blocker skips the clause without an arena access.
+        A binary clause's entry holds ``~cref`` and its blocker is the
+        clause's other literal, so it is settled without reading the
+        arena; the arena is written only to make the reference core's
+        slot swap on a unit or a conflict.
         """
         val = self._val
         arena = self._arena
@@ -520,6 +556,31 @@ class Cdcl:
             for i in range(0, n, 2):
                 cref = wl[i]
                 blocker = wl[i + 1]
+                if cref < 0:
+                    # Binary clause {blocker, fc}: keep the watch either way.
+                    if j != i:
+                        wl[j] = cref
+                        wl[j + 1] = blocker
+                    j += 2
+                    value = val[blocker]
+                    if value == 1:
+                        bhits += 1
+                        continue
+                    cref = ~cref
+                    base = cref + 3  # _HDR
+                    arena[base] = blocker
+                    arena[base + 1] = fc
+                    if value == -1:
+                        conflict = cref
+                        break
+                    val[blocker] = 1
+                    val[blocker ^ 1] = -1
+                    var = blocker >> 1
+                    level[var] = n_levels
+                    reason[var] = cref
+                    trail[trail_len] = blocker
+                    trail_len += 1
+                    continue
                 base = cref + 3  # _HDR
                 first = arena[base]
                 if val[blocker] == 1 and (
@@ -639,24 +700,30 @@ class Cdcl:
     # Conflict analysis
     # ------------------------------------------------------------------
     def _rescale_activity(self) -> None:
-        # Uniform rescale preserves the heap order — no re-sift.  Heap
-        # entry keys are *not* rescaled, so none of them carries the
-        # current activity any more: clear every _incur flag (undercount
-        # is safe — the next backjump simply pushes a fresh entry).
-        activity = self._activity
-        incur = self._incur
-        for v in range(1, self.n_vars + 1):
-            activity[v] *= 1e-100
-            incur[v] = 0
-        self._var_inc *= 1e-100
+        """Scale every activity by 1e-100 and rebuild the heap.
 
-    def _bump(self, var: int) -> None:
+        The rebuilt heap holds exactly one entry per unassigned variable,
+        at its rescaled key, as the reference core's rebuild does: a
+        pre-rescale entry left in the heap would outrank every current
+        key and steer the next decisions.
+        """
         activity = self._activity
-        activity[var] += self._var_inc
-        if activity[var] > 1e100:
-            self._rescale_activity()
-        heappush(self._heap, (-activity[var], var))
-        self._incur[var] = 1
+        key = self._key
+        incur = self._incur
+        val = self._val
+        heap = self._heap
+        heap.clear()
+        for v in range(1, self.n_vars + 1):
+            act = activity[v] * 1e-100
+            activity[v] = act
+            key[v] = _heap_key(v, act)
+            if val[v << 1] == 0:
+                heap.append(key[v])
+                incur[v] = 1
+            else:
+                incur[v] = 0
+        heapify(heap)
+        self._var_inc *= 1e-100
 
     def _bump_clause(self, cref: int) -> None:
         slot = self._arena[cref + 2]
@@ -686,6 +753,7 @@ class Cdcl:
         seen = self._seen
         arena = self._arena
         activity = self._activity
+        key = self._key
         heap = self._heap
         incur = self._incur
         var_inc = self._var_inc
@@ -705,18 +773,17 @@ class Cdcl:
                     continue
                 seen[var] = 1
                 marked.append(var)
-                # Inlined _bump (the rescale path stays out of line).
+                # Bump, with _heap_key inlined (the rescale path stays
+                # out of line).
                 act = activity[var] + var_inc
                 activity[var] = act
                 if act > 1e100:
                     self._rescale_activity()
                     var_inc = self._var_inc
-                    # ``-act`` is a pre-rescale key now; leave _incur
-                    # clear so backjump re-pushes a current entry.
-                    heappush(heap, (-act, var))
                 else:
-                    heappush(heap, (-act, var))
-                    incur[var] = 1
+                    key[var] = var - (_from_bytes(_pack_double(act), "little") << 32)
+                heappush(heap, key[var])
+                incur[var] = 1
                 if lvl == current:
                     counter += 1
                 else:
@@ -826,11 +893,12 @@ class Cdcl:
         """
         val = self._val
         heap = self._heap
-        activity = self._activity
+        key = self._key
         incur = self._incur
         while heap:
-            negact, var = heappop(heap)
-            if -negact == activity[var]:
+            entry = heappop(heap)
+            var = entry & _VAR_MASK
+            if entry == key[var]:
                 incur[var] = 0  # the current-key entry just left the heap
             code = var << 1
             if val[code] == 0:
@@ -946,11 +1014,12 @@ class Cdcl:
         for cref in self._iter_crefs():
             base = cref + _HDR
             first, second = new_arena[base], new_arena[base + 1]
+            ref = ~cref if new_arena[cref] >> 2 == 2 else cref
             wl = watches[first ^ 1]
-            wl.append(cref)
+            wl.append(ref)
             wl.append(second)
             wl = watches[second ^ 1]
-            wl.append(cref)
+            wl.append(ref)
             wl.append(first)
         self.stats["reductions"] += 1
         self.stats["reduced"] += deleted

@@ -11,27 +11,28 @@ entering variable is the eligible column used by the fewest rows, which
 keeps pivots sparse; a check that runs past ``_BLAND_AFTER`` pivots enters
 the lowest eligible index instead, and full Bland's rule terminates.
 
-All arithmetic is exact, and every stored value — tableau cell, β value,
-bound — is kept in one normal form: a plain ``int`` whenever its
-denominator is 1, an exact :class:`fractions.Fraction` otherwise.  Python
-ints and Fractions interoperate exactly, but ``Fraction`` arithmetic never
-returns an ``int`` by itself, so the form is enforced at the two pivot
-divisions (an integral quotient comes back from ``divmod`` as an ``int``)
-and wherever a sum or product can land on an integral Fraction: row
-additions, the pivot substitution loop and the β updates.  On the ±1
-tableaus the engine generates this keeps the hot bound-assertion and
-pivoting paths on C-int arithmetic instead of ``fractions.py``.  The
-counters (:meth:`Simplex.profile`) record how often a pivot left the
-integers.  Bound retraction is O(1) per change via an undo trail; pivots
-are never undone (the tableau is a basis change, not a logical state).
+All arithmetic is exact.  A tableau row is stored as ``int`` cells over
+one positive row denominator: basic ``b`` equals ``Σ cell[v] / den[b] · v``,
+with the denominator and the cells sharing no common factor, so each row
+has exactly one representation.  On the ±1 tableaus the engine generates
+nearly every denominator is 1, and a pivot on a coefficient of 2 no longer
+spreads ``fractions.Fraction`` cells through the rows it is substituted
+into: the substitution scales the user row by an int and reduces it by one
+gcd.  β values and bounds are kept in the int-or-Fraction normal form (a
+plain ``int`` whenever the value is integral), which keeps the hot bound
+assertion and β update paths on C-int arithmetic.  The counters
+(:meth:`Simplex.profile`) record how often a pivot left the integers.
+Bound retraction is O(1) per change via an undo trail; pivots are never
+undone (the tableau is a basis change, not a logical state).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping
 
-__all__ = ["Simplex", "Conflict"]
+__all__ = ["Simplex"]
 
 _NO_BOUND = None
 _BLAND_AFTER = 50  # pivots per check() before entering falls back to Bland's
@@ -44,7 +45,7 @@ def _as_int(value: Fraction | int) -> Fraction | int:
     return value
 
 
-def _quotient(numerator: Fraction | int, denominator: Fraction | int) -> Fraction | int:
+def _quotient(numerator: Fraction | int, denominator: int) -> Fraction | int:
     """Exact ``numerator / denominator`` in normal form.
 
     ``int / int`` would fall to float, so an integral quotient is taken
@@ -55,18 +56,6 @@ def _quotient(numerator: Fraction | int, denominator: Fraction | int) -> Fractio
     if rest:
         return Fraction(numerator, denominator)
     return whole
-
-
-class Conflict(Exception):
-    """Raised internally to surface an infeasible bound set.
-
-    ``reasons`` holds the SAT literals whose asserted bounds are jointly
-    infeasible.
-    """
-
-    def __init__(self, reasons: list[int]):
-        super().__init__(f"theory conflict from {reasons}")
-        self.reasons = reasons
 
 
 class Simplex:
@@ -80,8 +69,11 @@ class Simplex:
         self._lower_reason: list[int | None] = []
         self._upper_reason: list[int | None] = []
         self._beta: list[Fraction | int] = []
-        # Tableau: row per basic variable, mapping non-basic var -> coeff.
-        self._rows: dict[int, dict[int, Fraction | int]] = {}
+        # Tableau: row per basic variable, mapping non-basic var -> int
+        # cell; ``_den[basic]`` is the row's positive denominator (read
+        # only while the variable is basic).
+        self._rows: dict[int, dict[int, int]] = {}
+        self._den: list[int] = []
         # Column index: non-basic var -> set of basic vars whose row uses it.
         self._cols: dict[int, set[int]] = {}
         # Undo trail of (var, 'L'/'U', old_bound, old_reason).
@@ -107,8 +99,8 @@ class Simplex:
         entering variable came from the Bland fallback (see :meth:`_repair`),
         0 unless a check ran long; ``rational_quotients`` — pivots
         whose division left the integers (a non-integral β step or pivot
-        coefficient, so never more than ``pivots``); ``asserts`` — bound
-        assertions; ``checks`` — :meth:`check` calls; ``conflicts`` —
+        coefficient inverse, so never more than ``pivots``); ``asserts`` —
+        bound assertions; ``checks`` — :meth:`check` calls; ``conflicts`` —
         infeasible rows reported by :meth:`check`; ``bound_conflicts`` —
         assertions refuted by the opposite bound of the same variable
         (the two-bound conflicts that bound axioms leave to the SAT core).
@@ -135,6 +127,7 @@ class Simplex:
         self._lower_reason.append(None)
         self._upper_reason.append(None)
         self._beta.append(0)
+        self._den.append(1)
         return var
 
     def define(self, combo: Mapping[int, Fraction | int]) -> int:
@@ -151,14 +144,25 @@ class Simplex:
             if definition is None:
                 self._row_add(row, var, coeff)
             else:
-                for inner, inner_coeff in definition.items():
-                    self._row_add(row, inner, coeff * inner_coeff)
-        self._rows[slack] = row
-        for var in row:
-            self._cols.setdefault(var, set()).add(slack)
+                den = self._den[var]
+                for inner, cell in definition.items():
+                    self._row_add(row, inner, _quotient(coeff * cell, den))
         self._beta[slack] = _as_int(
             sum((coeff * self._beta[var] for var, coeff in row.items()), 0)
         )
+        # Scale the rational row to int cells over the lcm of its
+        # denominators, which leaves no factor common to cells and lcm.
+        den = 1
+        for coeff in row.values():
+            if coeff.__class__ is not int:
+                den = lcm(den, coeff.denominator)
+        if den != 1:
+            for var, coeff in row.items():
+                row[var] = _as_int(coeff * den)
+        self._rows[slack] = row  # type: ignore[assignment]
+        self._den[slack] = den
+        for var in row:
+            self._cols.setdefault(var, set()).add(slack)
         return slack
 
     @staticmethod
@@ -229,10 +233,15 @@ class Simplex:
 
     def _update_nonbasic(self, var: int, value: Fraction | int) -> None:
         beta = self._beta
+        rows = self._rows
+        den = self._den
         delta = value - beta[var]
         beta[var] = value
         for basic in self._cols.get(var, ()):
-            moved = beta[basic] + self._rows[basic][var] * delta
+            step = rows[basic][var] * delta
+            if den[basic] != 1:
+                step = _quotient(step, den[basic])
+            moved = beta[basic] + step
             if moved.__class__ is not int and moved.denominator == 1:
                 moved = moved.numerator
             beta[basic] = moved
@@ -258,15 +267,14 @@ class Simplex:
                 return None
             basic, needs_increase = violated
             bland = pivots >= _BLAND_AFTER
-            try:
-                self._repair(basic, needs_increase, bland)
-            except Conflict as conflict:
+            reasons = self._repair(basic, needs_increase, bland)
+            if reasons is not None:
                 # Keep the violation visible: the conflicting bound will be
                 # retracted on backjump, after which this row may still need
                 # repair under the looser bounds.
                 self._dirty.add(basic)
                 self.conflicts += 1
-                return conflict.reasons
+                return reasons
             pivots += 1
             self.bland_pivots += bland
 
@@ -299,12 +307,15 @@ class Simplex:
             self._dirty.discard(best[0])
         return best
 
-    def _repair(self, basic: int, needs_increase: bool, bland: bool) -> None:
-        """Pivot ``basic`` onto its violated bound, or raise :class:`Conflict`.
+    def _repair(self, basic: int, needs_increase: bool, bland: bool) -> list[int] | None:
+        """Pivot ``basic`` onto its violated bound, or return the conflict.
 
         Enters the eligible column used by the fewest rows; with ``bland``,
         the lowest eligible index, which completes Bland's rule and so
-        cannot cycle (the sparse rule may).
+        cannot cycle (the sparse rule may).  When no column is eligible the
+        row is infeasible, and the result is the SAT literals of its
+        bounds: ``basic``'s own violated bound first, then one per cell in
+        row order.
         """
         row = self._rows[basic]
         target = self._lower[basic] if needs_increase else self._upper[basic]
@@ -336,68 +347,101 @@ class Simplex:
                 grows = coeff > 0 if needs_increase else coeff < 0
                 reason = self._upper_reason[var] if grows else self._lower_reason[var]
                 reasons.append(reason)  # type: ignore[arg-type]
-            raise Conflict([r for r in reasons if r is not None])
+            return [r for r in reasons if r is not None]
         self._pivot_and_update(basic, candidate, target)
+        return None
 
     def _pivot_and_update(self, basic: int, entering: int, value: Fraction | int) -> None:
         beta = self._beta
         rows = self._rows
-        theta = _quotient(value - beta[basic], rows[basic][entering])
+        den = self._den
+        denominator = den[basic]
+        cell = rows[basic][entering]
+        theta = _quotient((value - beta[basic]) * denominator, cell)
         beta[basic] = value
         beta[entering] = _as_int(beta[entering] + theta)
         for other in self._cols.get(entering, ()):
             if other != basic:
-                beta[other] = _as_int(beta[other] + rows[other][entering] * theta)
+                step = rows[other][entering] * theta
+                if den[other] != 1:
+                    step = _quotient(step, den[other])
+                beta[other] = _as_int(beta[other] + step)
                 self._dirty.add(other)
-        inv = self._pivot(basic, entering)
+        self._pivot(basic, entering)
         self.pivots += 1
-        if theta.__class__ is not int or inv.__class__ is not int:
+        # The entering coefficient's inverse is denominator / cell.
+        if theta.__class__ is not int or denominator % cell:
             self.rational_quotients += 1
         # The entering variable is basic now and may overshoot its own
         # opposite bound; later iterations repair it.
         self._dirty.add(entering)
 
-    def _pivot(self, leaving: int, entering: int) -> Fraction | int:
+    def _pivot(self, leaving: int, entering: int) -> None:
         """Swap ``leaving`` out of the basis for ``entering``.
 
-        Returns the pivot coefficient's inverse, the basis change's only
-        division besides the β step in :meth:`_pivot_and_update`.
+        Solving ``leaving = Σ c·v / d`` for ``entering`` (cell ``a``) gives
+        ``entering = (d·leaving − Σ c·v) / a``: the same ints with ``a`` as
+        the denominator, sign-flipped when ``a < 0``, so the new row needs
+        no gcd.  Each user row ``u = Σ u·v / D`` absorbing ``f/D`` times it
+        is scaled by ``a / gcd(f, a)`` to stay integral, then reduced.
         """
         cols = self._cols
-        row = self._rows.pop(leaving)
+        rows = self._rows
+        den = self._den
+        row = rows.pop(leaving)
         for var in row:
             cols[var].discard(leaving)
-        inv = _quotient(1, row.pop(entering))
-        new_row = {leaving: inv}
-        for var, c in row.items():
-            new_row[var] = _as_int(-c * inv)
-        self._rows[entering] = new_row
+        pivot = row.pop(entering)
+        # Cell insertion and deletion order matters: ``row.items()`` order
+        # is the order of a conflict's reasons (see _repair).
+        if pivot > 0:
+            new_row = {leaving: den[leaving]}
+            for var, c in row.items():
+                new_row[var] = -c
+            new_den = pivot
+        else:
+            new_row = {leaving: -den[leaving]}
+            new_row.update(row)
+            new_den = -pivot
+        rows[entering] = new_row
+        den[entering] = new_den
         for var in new_row:
             cols.setdefault(var, set()).add(entering)
-        # Substitute the entering variable out of every other row.  Cell
-        # insertion and deletion order matters: ``row.items()`` order is
-        # the order of a conflict's reasons (see _repair).
+        # Substitute the entering variable out of every other row.
         users = cols.pop(entering, set())
         users.discard(entering)
         self.row_updates += len(new_row) * len(users)
         for user in users:
-            user_row = self._rows[user]
+            user_row = rows[user]
             factor = user_row.pop(entering)
+            user_den = den[user]
+            if new_den != 1:
+                common = gcd(factor, new_den)
+                scale = new_den // common
+                factor //= common
+                if scale != 1:
+                    for var, c in user_row.items():
+                        user_row[var] = c * scale
+                    user_den *= scale
             for var, c in new_row.items():
                 old = user_row.get(var)
                 if old is None:
-                    cell = factor * c
+                    user_row[var] = factor * c
                     cols[var].add(user)
                 else:
                     cell = old + factor * c
-                    if not cell:
+                    if cell:
+                        user_row[var] = cell
+                    else:
                         del user_row[var]
                         cols[var].discard(user)
-                        continue
-                if cell.__class__ is not int and cell.denominator == 1:
-                    cell = cell.numerator
-                user_row[var] = cell
-        return inv
+            if user_den != 1:
+                common = gcd(user_den, *user_row.values())
+                if common != 1:
+                    for var, c in user_row.items():
+                        user_row[var] = c // common
+                    user_den //= common
+            den[user] = user_den
 
     # ------------------------------------------------------------------
     # Model access

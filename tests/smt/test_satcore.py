@@ -14,6 +14,9 @@ behavioural contract against the pre-arena core it replaced, kept in
 * back-to-back solves with shared, partially shared and disjoint
   assumption prefixes (SAT, assumption-UNSAT and sliced calls) stay in
   lockstep call by call, so both cores keep the same trail prefix;
+* searches whose activities pass 1e100 (``_var_inc`` preset near it)
+  stay in lockstep through each rescale, which rebuilds the VSIDS heap
+  in both cores;
 * warm session snapshots must round-trip through a real ``spawn`` worker
   (the strictest start method), with ``SNAPSHOT_VERSION`` still 2 since
   the export format did not change;
@@ -25,6 +28,7 @@ behavioural contract against the pre-arena core it replaced, kept in
 from __future__ import annotations
 
 import inspect
+import random
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 
@@ -164,6 +168,63 @@ def test_arena_matches_reference_back_to_back(clauses, base, queries, knobs):
 
 
 # ---------------------------------------------------------------------------
+# Activity rescales: both cores rebuild the heap and stay in lockstep
+# ---------------------------------------------------------------------------
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1e97, 1e98, 1e99, 5e99]))
+@settings(max_examples=200, deadline=None)
+def test_arena_matches_reference_across_activity_rescales(seed, var_inc):
+    """A preset ``_var_inc`` pushes activities past 1e100 within the first
+    conflicts, so the search runs through rescales; the cores must make
+    the same decisions before and after each one.  The instances are
+    random 3-CNFs over 30 variables near the satisfiability threshold
+    (128 clauses), where searches run long enough to rescale."""
+    n_vars = 30
+    rng = random.Random(seed)
+    clauses = [
+        [rng.choice((1, -1)) * var for var in rng.sample(range(1, n_vars + 1), 3)]
+        for _ in range(128)
+    ]
+    arena, reference = _pair({})
+    for core in (arena, reference):
+        core.ensure_vars(n_vars)
+        for clause in clauses:
+            core.add_clause(clause)
+        core._var_inc = var_inc
+    verdict_a, verdict_r = arena.solve(), reference.solve()
+    assert verdict_a == verdict_r
+    assert arena.stats == reference.stats, "search trajectories diverged"
+    assert arena._var_inc == reference._var_inc
+    if verdict_a == sat.SAT:
+        model_a = [arena.model_value(v) for v in range(1, n_vars + 1)]
+        model_r = [reference.model_value(v) for v in range(1, n_vars + 1)]
+        assert model_a == model_r
+
+
+def test_forced_rescale_case_rescales_and_stays_in_lockstep():
+    # Pigeonhole, 5 pigeons into 4 holes: UNSAT after dozens of conflicts.
+    # var_inc starts at 1e99 and grows by 1/0.95 per conflict, so activity
+    # passes 1e100 within the first conflicts and is rescaled.
+    def hole(pigeon, slot):
+        return 4 * pigeon + slot + 1
+
+    clauses = [[hole(p, h) for h in range(4)] for p in range(5)]
+    clauses += [
+        [-hole(p, h), -hole(q, h)] for h in range(4) for p in range(5) for q in range(p + 1, 5)
+    ]
+    arena, reference = _pair({})
+    for core in (arena, reference):
+        core.ensure_vars(20)
+        for clause in clauses:
+            core.add_clause(clause)
+        core._var_inc = 1e99
+    assert arena.solve() == reference.solve() == sat.UNSAT
+    assert arena.stats == reference.stats
+    assert arena._var_inc < 1e90 and reference._var_inc < 1e90, "no rescale happened"
+    assert arena._var_inc == reference._var_inc
+
+
+# ---------------------------------------------------------------------------
 # Satellite: no fallback scan in _decide
 # ---------------------------------------------------------------------------
 
@@ -171,7 +232,7 @@ def test_arena_matches_reference_back_to_back(clauses, base, queries, knobs):
 def test_decide_has_no_fallback_scan():
     """Repeated solve() calls keep the heap invariant that makes the
     scan-free ``_decide`` correct: every unassigned variable always has a
-    heap entry carrying its *current* activity."""
+    heap entry carrying its *current* key, the one its activity gives."""
     core = sat.Cdcl()
     core.ensure_vars(N_VARS)
     for clause in [[1, 2], [-1, 3], [-2, -3], [4, 5, 6], [-4, -5], [7, -8]]:
@@ -180,8 +241,9 @@ def test_decide_has_no_fallback_scan():
         assert core.solve(assumptions=assumptions) == sat.SAT
         entries = set(core._heap)
         for var in range(1, N_VARS + 1):
+            assert core._key[var] == sat._heap_key(var, core._activity[var])
             if core._val[var << 1] == 0:
-                assert (-core._activity[var], var) in entries, (
+                assert core._key[var] in entries, (
                     f"unassigned var {var} lost its current-key heap entry"
                 )
     # The old core walked every variable when the heap ran dry; the arena

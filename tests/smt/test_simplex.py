@@ -1,11 +1,13 @@
 """Unit tests for the exact incremental simplex."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _simplex_reference
 from repro.smt import Result, Solver, eq, ge, intvar, le
 from repro.smt import simplex as simplex_module
 from repro.smt.simplex import Simplex
@@ -170,14 +172,13 @@ def test_many_pivots_terminate_under_bland_fallback(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Normal form: integral values are stored as ints, others as exact Fractions
+# Integer rows: int cells over one positive, gcd-reduced row denominator;
+# β values and bounds are ints when integral, exact Fractions otherwise
 # ---------------------------------------------------------------------------
 
 
 def _stored_values(simplex):
-    """Every tableau cell, β value and bound the simplex holds."""
-    for row in simplex._rows.values():
-        yield from row.values()
+    """Every β value and bound the simplex holds."""
     yield from simplex._beta
     for var in range(simplex._n):
         yield from (bound for bound in simplex.bounds(var) if bound is not None)
@@ -191,9 +192,23 @@ def _integral_fractions(simplex):
     ]
 
 
+def _assert_integer_rows(simplex):
+    for basic, row in simplex._rows.items():
+        den = simplex._den[basic]
+        assert type(den) is int and den > 0
+        assert all(type(cell) is int and cell for cell in row.values())
+        assert gcd(den, *row.values()) == 1, (basic, den, row)
+
+
+def _rational_row(simplex, basic):
+    den = simplex._den[basic]
+    return {var: Fraction(cell, den) for var, cell in simplex._rows[basic].items()}
+
+
 def test_unit_pivots_keep_every_value_an_int():
     # The chain of test_many_pivots_terminate with int coefficients: every
-    # pivot coefficient is ±1, so no division may leave the integers.
+    # pivot coefficient is ±1, so no division may leave the integers and
+    # every row keeps denominator 1.
     simplex = Simplex()
     xs = [simplex.new_var() for _ in range(6)]
     sums = [simplex.define({xs[i]: 1, xs[i + 1]: -1 if i % 2 else 1}) for i in range(5)]
@@ -205,6 +220,8 @@ def test_unit_pivots_keep_every_value_an_int():
     assert simplex.check() is None
     assert simplex.pivots >= 3
     assert simplex.rational_quotients == 0
+    _assert_integer_rows(simplex)
+    assert all(simplex._den[basic] == 1 for basic in simplex._rows)
     assert all(type(value) is int for value in _stored_values(simplex))
 
 
@@ -217,11 +234,36 @@ def test_non_unit_pivot_stays_exact():
     assert simplex.check() is None
     assert simplex.pivots == 1
     assert simplex.rational_quotients == 1
-    # x = s/2 now: the pivot coefficient and the value are exact halves.
-    assert simplex._rows[x] == {s: Fraction(1, 2)}
-    assert type(simplex._rows[x][s]) is Fraction
+    # x = s/2 now: one int cell over the row denominator 2, and an exact
+    # half as the value.
+    assert simplex._rows[x] == {s: 1}
+    assert simplex._den[x] == 2
+    _assert_integer_rows(simplex)
     assert simplex.value(x) == Fraction(1, 2)
     assert type(simplex.value(s)) is int
+    assert _integral_fractions(simplex) == []
+
+
+def test_substitution_rescales_and_reduces_user_rows():
+    # s = 2x + 2y pivots x in: x = (s - 2y)/2.  Substituted into t = x + y
+    # the user row is scaled by 2 and its y cells cancel: t = s/2.  In
+    # u = 2x + y the factor 2 shares the divisor 2, so no scale: u = s - y.
+    simplex = Simplex()
+    x, y = simplex.new_var(), simplex.new_var()
+    s = simplex.define({x: 2, y: 2})
+    t = simplex.define({x: 1, y: 1})
+    u = simplex.define({x: 2, y: 1})
+    assert simplex.assert_lower(s, 1, reason=1) is None
+    assert simplex.check() is None
+    assert simplex.pivots == 1
+    assert list(simplex._rows[x].items()) == [(s, 1), (y, -2)]
+    assert simplex._den[x] == 2
+    assert simplex._rows[t] == {s: 1}
+    assert simplex._den[t] == 2
+    assert list(simplex._rows[u].items()) == [(y, -1), (s, 1)]
+    assert simplex._den[u] == 1
+    _assert_integer_rows(simplex)
+    assert [simplex.value(v) for v in (x, t, u)] == [Fraction(1, 2), Fraction(1, 2), 1]
     assert _integral_fractions(simplex) == []
 
 
@@ -289,7 +331,9 @@ def _solve(system, keep=None):
 
 def _assert_feasible_state(simplex, xs, slacks, rows):
     beta = simplex._beta
-    for basic, row in simplex._rows.items():
+    _assert_integer_rows(simplex)
+    for basic in simplex._rows:
+        row = _rational_row(simplex, basic)
         assert beta[basic] == sum(coeff * beta[var] for var, coeff in row.items())
     for slack, row in zip(slacks, rows):
         assert beta[slack] == sum(coeff * beta[xs[var]] for var, coeff in row.items())
@@ -342,3 +386,80 @@ def test_solver_profile_reports_simplex_deltas():
     # so it reports fewer assertions than the first query made.
     assert solver.check() == Result.SAT
     assert solver.profile["simplex_asserts"] < first["simplex_asserts"]
+
+
+# ---------------------------------------------------------------------------
+# Lockstep against the Fraction-cell reference (tests/smt/_simplex_reference.py)
+# ---------------------------------------------------------------------------
+
+_RATIONAL = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+)
+_LIMIT = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=3))
+_OPS = st.one_of(
+    st.tuples(st.sampled_from(["lower", "upper"]), st.integers(0, 15), _LIMIT),
+    st.tuples(st.just("check"), st.booleans()),
+    st.tuples(
+        st.just("define"),
+        st.dictionaries(st.integers(0, 15), _RATIONAL, min_size=1, max_size=3),
+    ),
+    st.tuples(st.just("push")),
+    st.tuples(st.just("pop")),
+)
+
+
+def _assert_same_state(simplex, reference):
+    assert [(type(b), b) for b in simplex._beta] == [(type(b), b) for b in reference._beta]
+    assert list(simplex._rows) == list(reference._rows)
+    for basic, row in reference._rows.items():
+        # Same cells in the same order (the order of a conflict's reasons).
+        assert list(_rational_row(simplex, basic).items()) == list(row.items())
+    assert simplex._cols == reference._cols
+    assert simplex._dirty == reference._dirty
+    assert simplex.profile() == reference.profile()
+    _assert_integer_rows(simplex)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.lists(st.dictionaries(st.integers(0, 3), _RATIONAL, min_size=1, max_size=4),
+             min_size=1, max_size=4),
+    st.lists(_OPS, max_size=30),
+    st.sampled_from([50, 0]),
+)
+def test_integer_rows_match_the_fraction_reference(n_vars, rows, ops, bland_after):
+    """Same conflicts (reasons in the same order), β values, rational rows
+    and counters as the Fraction-cell simplex, op by op."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex_module, "_BLAND_AFTER", bland_after)
+        patch.setattr(_simplex_reference, "_BLAND_AFTER", bland_after)
+        pair = (Simplex(), _simplex_reference.Simplex())
+        for core in pair:
+            for _ in range(n_vars):
+                core.new_var()
+            for row in rows:
+                core.define({var % n_vars: coeff for var, coeff in row.items()})
+        marks = []
+        reason = 0
+        for op in ops:
+            n = pair[0]._n
+            if op[0] in ("lower", "upper"):
+                reason += 1
+                results = [
+                    getattr(core, f"assert_{op[0]}")(op[1] % n, op[2], reason) for core in pair
+                ]
+            elif op[0] == "check":
+                results = [core.check(full=op[1]) for core in pair]
+            elif op[0] == "define":
+                combo = {var % n: coeff for var, coeff in op[1].items()}
+                results = [core.define(combo) for core in pair]
+            elif op[0] == "push":
+                marks.append(pair[0].undo_length())
+                results = [None, None]
+            else:
+                mark = marks.pop() if marks else 0
+                results = [core.undo_to(mark) for core in pair]
+            assert results[0] == results[1], op
+            _assert_same_state(*pair)
