@@ -12,7 +12,9 @@ core it replaced:
 * **end-to-end query fan-out** — every per-channel deadlock query of an
   MI mesh answered through the full ``VerificationSession`` stack, once
   with the production arena core and once with ``repro.smt.solver.Cdcl``
-  monkeypatched to the reference core.  Verdict SHAs must be identical.
+  monkeypatched to the reference core.  Verdict SHAs must be identical;
+  the reference core does no theory propagation, so only verdicts, not
+  search paths, are comparable here.
 
 Results land in ``BENCH_satcore.json`` at the repository root.  Run
 standalone (``python benchmarks/bench_satcore.py [--smoke]``); CI runs the

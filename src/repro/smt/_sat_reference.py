@@ -23,6 +23,12 @@ the arena core, so the lockstep contract keeps holding:
   de-duplicates its entries, so the two cores then picked different
   decisions.
 
+Theory propagation is deliberately *not* mirrored: this core never calls
+a listener's ``derive``/``explain``.  The lockstep suite runs on pure
+CNF, where no listener is attached, so it is unaffected; with the LIA
+bridge attached the two cores search differently, and
+``benchmarks/bench_satcore.py`` compares their verdicts only.
+
 The original module docstring follows.
 
 ----

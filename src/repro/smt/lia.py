@@ -27,25 +27,49 @@ the solver adds them to the CDCL core as problem clauses.
 Every atom is normalised to a rung ``(c, L)`` of its column's *ladder*,
 with ``L ⇔ column ≤ c``: a positively signed atom gives ``c = bound``,
 ``L = satvar``; a negatively signed one (a slack carrying the negated
-form, or ``-x ≤ b``) gives ``c = -bound - 1``, ``L = -satvar``.  Rungs are
-kept sorted by ``c``.  Inserting ``(c, L)`` between ``(c₁, L₁)`` and
+form, or ``-x ≤ b``) gives ``c = -bound - 1``, ``L = -satvar``.  A ladder
+is two parallel lists, the thresholds ``c`` sorted ascending and their
+literals, so both the axioms and the row derivations below bisect the
+thresholds directly.  Inserting ``(c, L)`` between ``(c₁, L₁)`` and
 ``(c₂, L₂)`` yields ``¬L₁ ∨ L`` and ``¬L ∨ L₂``, plus ``¬L ∨ L₁`` when
 ``c₁ = c``.  Links between former neighbours stay valid, so atoms
 registered late (invariant rows, resized capacities, branch-and-bound
 splits) need no rebuild, and unit propagation over the chain derives
 every implication between the atoms of one column.
 
-The axioms are clauses rather than a propagation hook on purpose: the
-CDCL core needs every implied literal's reason as a clause reference,
-and a static binary clause *is* that reason.  They never enter the
+The ladder axioms are clauses rather than a propagation hook on
+purpose: their reasons never depend on the trail, and a static binary
+clause *is* the reason.  They never enter the
 :class:`~repro.smt.cnf.CnfBuilder` image, so snapshots and their content
 hashes are unchanged; a restored or forked solver regenerates them when
 its bridge re-registers the atoms.
+
+Row-derived bounds
+------------------
+The axioms relate atoms of one column; a tableau row relates columns.
+With every other term of a row at its bound, the row bounds the last
+one (Dutertre & de Moura, CAV 2006, §4): from ``s = x + y``, ``s ≤ 3``
+and ``x ≥ 2`` follows ``y ≤ 1``.  Such a bound depends on the trail, so
+it travels through the CDCL core's theory-propagation hook instead of
+a clause.  After each consistent assertion batch the core calls
+:meth:`LiaBridge.derive`: :meth:`Simplex.derive
+<repro.smt.simplex.Simplex.derive>` reads both sides of every row
+holding a bound the batch tightened and returns every bound tighter
+than its column's own, and the bridge maps each to the nearest rung it
+implies on the column's ladder: ``column ≤ U`` to the lowest rung
+``c`` with ``c + 1 > U``, ``column ≥ V`` to the negation of the highest
+rung ``c < V``.  The ladder axioms propagate every farther rung, and a
+rung that the column's asserted bound already implies is dropped as
+redundant.  The core asks :meth:`LiaBridge.explain` for the reason only
+when it enqueues the literal: the bound literals of the other terms of
+that row side, which with the negated rung are infeasible.  A reason is
+one row's Farkas combination, like a simplex conflict.  The columns
+are integral, so rounding a rational bound to the rung is sound.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .simplex import Simplex
@@ -61,8 +85,12 @@ class LiaBridge:
         self.simplex = Simplex()
         self._var_of_int: dict[IntVar, int] = {}
         self._slack_of_form: dict[tuple[tuple[int, int], ...], int] = {}
-        # column -> ladder of (c, L) rungs sorted by c, with L <=> column <= c.
-        self._ladder: dict[int, list[tuple[int, int]]] = {}
+        # column -> its ladder as parallel lists: thresholds c sorted
+        # ascending, and the literals L with L <=> column <= c.
+        self._ladders: dict[int, tuple[list[int], list[int]]] = {}
+        # column -> (lowest c, highest c + 1): a derived bound says nothing
+        # about the ladder beyond that range.
+        self._ranges: dict[int, tuple[int, int]] = {}
         # Per-atom prebuilt assertion plans keyed by the *signed* literal:
         # assert_index is the solver's hottest theory path, so the bound
         # arithmetic happens once at registration, not per assertion.
@@ -78,6 +106,9 @@ class LiaBridge:
         # asserted.  Non-atom trail positions never touch the simplex, so
         # they need no mark.
         self._asserted: list[tuple[int, int]] = []
+        # Row-derived bound counters (see derive()).
+        self.implied = 0
+        self.implied_redundant = 0
 
     # ------------------------------------------------------------------
     # Registration
@@ -130,17 +161,22 @@ class LiaBridge:
             self._assert_plan[-satvar] = (True, column, -bound - 1)
             threshold, lit = -bound - 1, -satvar
         # Link the rung (threshold, lit) to its ladder neighbours.
-        ladder = self._ladder.setdefault(column, [])
-        at = bisect_right(ladder, threshold, key=lambda rung: rung[0])
+        ladder = self._ladders.get(column)
+        if ladder is None:
+            ladder = self._ladders[column] = ([], [])
+        thresholds, lits = ladder
+        at = bisect_right(thresholds, threshold)
         axioms = []
         if at:
-            below, below_lit = ladder[at - 1]
+            below_lit = lits[at - 1]
             axioms.append([-below_lit, lit])
-            if below == threshold:
+            if thresholds[at - 1] == threshold:
                 axioms.append([-lit, below_lit])
-        if at < len(ladder):
-            axioms.append([-lit, ladder[at][1]])
-        ladder.insert(at, (threshold, lit))
+        if at < len(lits):
+            axioms.append([-lit, lits[at]])
+        thresholds.insert(at, threshold)
+        lits.insert(at, lit)
+        self._ranges[column] = (thresholds[0], thresholds[-1] + 1)
         return axioms
 
     # ------------------------------------------------------------------
@@ -176,6 +212,62 @@ class LiaBridge:
 
     def final_check(self) -> list[int] | None:
         return self.simplex.check(full=True)
+
+    def derive(self) -> list[tuple[int, tuple[int, int, int]]]:
+        """Rung literals implied by the rows the last batch tightened.
+
+        Each row-derived bound (:meth:`Simplex.derive`) maps to the nearest
+        rung it implies on its column's ladder: ``column ≤ U`` to the
+        lowest ``c`` with ``c + 1 > U``, ``column ≥ V`` to ``¬L`` of the
+        highest ``c < V``.  A rung the column's own bound already implies
+        is counted as redundant and dropped; the ladder axioms propagate
+        everything beyond the nearest rung.  Returns ``(literal, token)``
+        pairs; :meth:`explain` maps a token to the literals behind it.
+        """
+        simplex = self.simplex
+        if not simplex._touched:
+            return []
+        ladders = self._ladders
+        implied = []
+        redundant = 0
+        # The ranges keep every derived bound inside its ladder, so the
+        # nearest rung always exists.
+        for column, upper, bound, token in simplex.derive(self._ranges):
+            thresholds, lits = ladders[column]
+            if upper:
+                at = bisect_right(thresholds, bound - 1)
+                current = simplex._upper[column]
+                if current is not None and current <= thresholds[at]:
+                    redundant += 1
+                    continue
+                implied.append((lits[at], token))
+            else:
+                at = bisect_left(thresholds, bound)
+                current = simplex._lower[column]
+                if current is not None and current > thresholds[at - 1]:
+                    redundant += 1
+                    continue
+                implied.append((-lits[at - 1], token))
+        self.implied += len(implied)
+        self.implied_redundant += redundant
+        return implied
+
+    def explain(self, token: tuple[int, int, int]) -> list[int]:
+        """The asserted literals that imply a :meth:`derive` literal."""
+        return self.simplex.explain(token)
+
+    def profile(self) -> dict[str, int]:
+        """Row-derivation counters, cumulative like ``Simplex.profile``.
+
+        ``derived_rows`` — tableau rows :meth:`derive` read; ``implied`` —
+        rung literals it returned; ``implied_redundant`` — derived bounds
+        whose nearest rung was already true.
+        """
+        return {
+            "derived_rows": self.simplex.derived_rows,
+            "implied": self.implied,
+            "implied_redundant": self.implied_redundant,
+        }
 
     # ------------------------------------------------------------------
     # Model access / branching support

@@ -4,9 +4,10 @@ Implements the standard modern architecture: two-watched-literal
 propagation with blocker literals, first-UIP conflict analysis with clause
 learning, VSIDS branching on an indexed binary heap with in-place
 decrease-key, phase saving, and Luby restarts.  A theory listener can be
-attached for DPLL(T) integration; it is kept in sync with the trail and may
+attached for DPLL(T) integration; it is kept in sync with the trail, may
 report conflicts as lists of literals (the negation of a theory-inconsistent
-set of asserted literals).
+set of asserted literals), and may imply literals of its own (theory
+propagation, below).
 
 Solving is *incremental and assumption-based* (the MiniSat ``solve(assumps)``
 discipline): :meth:`Cdcl.solve` accepts a sequence of assumption literals
@@ -114,12 +115,29 @@ preallocated buffers instead of per-clause Python objects:
   interpreted sift steps cost more than C-level ``heappush``/``heappop``
   on duplicates.)
 
-The rewrite is *trajectory-faithful*: decisions, propagations, learnt
-clauses and models are identical to the retained reference implementation
+* **Theory reasons.**  After each consistent theory sync the core asks
+  the listener to :meth:`~TheoryListener.derive` the literals its new
+  assertions imply, and enqueues those not yet assigned at the current
+  level (as facts at the root).  The reason of such a literal is ``-2 -
+  i``: an index into ``_treasons``, a side table holding the listener's
+  :meth:`~TheoryListener.explain` list, which is asked for only when the
+  literal is new.  Conflict analysis, minimisation and the failed-core
+  walk turn an entry into false literal codes when they read it, and a
+  backjump cuts the table back with the trail, so the table always holds
+  exactly the theory-implied literals above the root.  An implied literal
+  that is already false makes its reason the conflict clause.  The loop
+  goes back to propagation before it decides or restarts, and the root
+  is settled to a fixpoint of all three steps before a reduction.
+
+On clause-only instances (no theory listener) the rewrite is
+*trajectory-faithful*: decisions, propagations, learnt clauses and models
+are identical to the retained reference implementation
 (:mod:`repro.smt._sat_reference`), which the differential suite in
-``tests/smt/test_satcore.py`` enforces.  :meth:`Cdcl.profile` exposes
-hot-loop counters (watcher visits, blocker hits, analyze steps, arena GC
-volume) for benchmarks and regression tests.
+``tests/smt/test_satcore.py`` enforces.  The reference core never asks a
+listener to derive, so with a theory attached the two cores agree on
+verdicts only.  :meth:`Cdcl.profile` exposes hot-loop counters (watcher
+visits, blocker hits, analyze steps, arena GC volume) for benchmarks and
+regression tests.
 
 The solver remains deliberately self-contained (stdlib only, no numpy) so
 its behaviour is easy to audit — it is part of the trusted base of the
@@ -128,6 +146,7 @@ verification results.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 from struct import Struct
 from typing import Callable, Iterable, Protocol, Sequence
@@ -165,12 +184,14 @@ def _heap_key(var: int, activity: float) -> int:
 class TheoryListener(Protocol):
     """Callbacks the CDCL core uses to keep a theory solver in sync.
 
-    Listeners may additionally expose an ``atom_vars`` attribute — the set
-    of SAT variables that carry theory atoms.  When present, the core only
-    calls :meth:`assert_index` for literals over those variables; the
-    listener must then tolerate gaps in the ``index`` sequence (undo
-    bookkeeping keyed by index rather than dense per-position marks).
+    ``atom_vars`` is the set of SAT variables that carry theory atoms: the
+    core calls :meth:`assert_index` only for literals over those
+    variables, so the listener must tolerate gaps in the ``index``
+    sequence (undo bookkeeping keyed by index rather than dense
+    per-position marks).
     """
+
+    atom_vars: set[int]
 
     def assert_index(self, index: int, lit: int) -> list[int] | None:
         """Notify that trail position ``index`` holds ``lit``.
@@ -184,6 +205,17 @@ class TheoryListener(Protocol):
 
     def final_check(self) -> list[int] | None:
         """Full-assignment check; same contract as :meth:`assert_index`."""
+
+    def derive(self) -> list[tuple[int, object]]:
+        """Literals the assertions since the last call imply.
+
+        Called after each consistent :meth:`assert_index` batch.  Returns
+        ``(literal, token)`` pairs; a token stays valid for :meth:`explain`
+        until the next :meth:`assert_index` or :meth:`pop_to`.
+        """
+
+    def explain(self, token: object) -> list[int]:
+        """Asserted literals whose conjunction implies a derived literal."""
 
 
 def _luby(i: int) -> int:
@@ -259,6 +291,13 @@ class Cdcl:
         self._trail_lim: list[int] = []
         self._qhead = 0
         self._theory_qhead = 0
+        # Theory reasons: a literal the listener implied above the root has
+        # ``_reason[var] == -2 - i``; ``_treasons[i]`` is its explanation
+        # (true signed literals, turned into false codes only when conflict
+        # analysis reads them) and ``_tpos[i]`` its trail position.  Both
+        # lists are cut back on backjump.
+        self._treasons: list[list[int]] = []
+        self._tpos: list[int] = []
         # --- VSIDS order: a C-heapq lazy min-heap of int keys (see
         # _heap_key); ``_key[var]`` is the variable's current key.
         # Invariant: every *unassigned* variable always has an entry at
@@ -514,6 +553,11 @@ class Cdcl:
         del self._trail_lim[level:]
         if self._qhead > boundary:
             self._qhead = boundary
+        tpos = self._tpos
+        if tpos and tpos[-1] >= boundary:
+            cut = bisect_left(tpos, boundary)
+            del tpos[cut:]
+            del self._treasons[cut:]
         if self.theory is not None:
             self.theory.pop_to(boundary)
             if self._theory_qhead > boundary:
@@ -656,11 +700,10 @@ class Cdcl:
         return conflict
 
     def _theory_sync(self) -> list[int] | None:
-        """Feed newly assigned literals to the theory listener.
+        """Feed newly assigned atom literals to the theory listener.
 
-        When the listener exposes ``atom_vars`` (the set of SAT variables
-        carrying theory atoms), pure-boolean trail literals are skipped
-        with a set probe instead of a call per literal — on engine
+        Pure-boolean trail literals are skipped with a probe of the
+        listener's ``atom_vars`` instead of a call per literal — on engine
         workloads ~80% of trail entries are guards and auxiliaries the
         theory would ignore anyway.
         """
@@ -673,28 +716,75 @@ class Cdcl:
         if index >= trail_len:
             return None
         assert_index = theory.assert_index
-        atom_vars = getattr(theory, "atom_vars", None)
-        if atom_vars is not None:
-            while index < trail_len:
-                code = trail[index]
-                index += 1
-                if code >> 1 in atom_vars:
-                    lit = -(code >> 1) if code & 1 else code >> 1
-                    self._theory_qhead = index
-                    explanation = assert_index(index - 1, lit)
-                    if explanation is not None:
-                        return [-lit for lit in explanation]
-            self._theory_qhead = trail_len
-            return None
+        atom_vars = theory.atom_vars
         while index < trail_len:
             code = trail[index]
-            lit = -(code >> 1) if code & 1 else code >> 1
             index += 1
-            self._theory_qhead = index
-            explanation = assert_index(index - 1, lit)
-            if explanation is not None:
-                return [-lit for lit in explanation]
+            if code >> 1 in atom_vars:
+                lit = -(code >> 1) if code & 1 else code >> 1
+                self._theory_qhead = index
+                explanation = assert_index(index - 1, lit)
+                if explanation is not None:
+                    return [-lit for lit in explanation]
+        self._theory_qhead = trail_len
         return None
+
+    def _theory_propagate(self) -> list[int] | None:
+        """Enqueue the literals the listener derives; returns a conflict.
+
+        An implied literal goes on the trail at the current level with a
+        theory reason (a fact at the root); its explanation is asked for
+        only when the literal is not already true.  An implied literal
+        that is already false makes its reason the conflict clause, which
+        is returned as false signed literals like a :meth:`_theory_sync`
+        conflict.
+        """
+        theory = self.theory
+        if theory is None:
+            return None
+        implied = theory.derive()
+        if not implied:
+            return None
+        val = self._val
+        root = not self._trail_lim
+        for lit, token in implied:
+            code = 2 * lit if lit > 0 else -2 * lit + 1
+            value = val[code]
+            if value == 1:
+                continue
+            explanation = theory.explain(token)
+            if value == -1:
+                return [lit, *[-other for other in explanation]]
+            if root:
+                self._enqueue_code(code, -1)
+                continue
+            self._tpos.append(self._trail_len)
+            self._enqueue_code(code, -2 - len(self._treasons))
+            self._treasons.append(explanation)
+        return None
+
+    def _theory_antecedent(self, rref: int) -> list[int]:
+        """The false literal codes of theory reason ``rref`` (``<= -2``)."""
+        return [
+            2 * lit + 1 if lit > 0 else -2 * lit
+            for lit in self._treasons[-2 - rref]
+        ]
+
+    def _settle_root(self) -> bool:
+        """Propagate at the root to a fixpoint; False on a root conflict.
+
+        Theory propagation may enqueue root facts, so boolean propagation,
+        theory sync and derivation repeat until none of them moves.
+        """
+        while True:
+            if self._propagate() >= 0:
+                return False
+            if self._theory_sync() is not None:
+                return False
+            if self._theory_propagate() is not None:
+                return False
+            if self._qhead == self._trail_len:
+                return True
 
     # ------------------------------------------------------------------
     # Conflict analysis
@@ -800,13 +890,16 @@ class Cdcl:
                 asserting = p ^ 1
                 break
             rref = reason[var]
-            if arena[rref] & _LEARNT:
-                self._bump_clause(rref)
-            base = rref + _HDR
-            reason_lits = [
-                code for code in arena[base : base + (arena[rref] >> 2)]
-                if code != p
-            ]
+            if rref < -1:
+                reason_lits = self._theory_antecedent(rref)
+            else:
+                if arena[rref] & _LEARNT:
+                    self._bump_clause(rref)
+                base = rref + _HDR
+                reason_lits = [
+                    code for code in arena[base : base + (arena[rref] >> 2)]
+                    if code != p
+                ]
         self._acc_steps += steps
         learnt.insert(0, asserting)
         # Conflict-clause minimisation: drop literals implied by the rest.
@@ -821,8 +914,9 @@ class Cdcl:
         return learnt, level[learnt[1] >> 1]
 
     def _minimise(self, learnt: list[int]) -> list[int]:
-        """Cheap local minimisation: a literal whose reason is a subset of
-        the clause (plus level-0 literals) is redundant."""
+        """Cheap local minimisation: a literal whose reason (a clause or a
+        theory reason) is a subset of the clause (plus level-0 literals)
+        is redundant."""
         marked = {code >> 1 for code in learnt}
         level = self._level
         reason = self._reason
@@ -834,10 +928,14 @@ class Cdcl:
             if rref == -1:
                 result.append(code)
                 continue
-            base = rref + _HDR
+            if rref < -1:
+                antecedent = self._theory_antecedent(rref)
+            else:
+                base = rref + _HDR
+                antecedent = arena[base : base + (arena[rref] >> 2)]
             if all(
                 other >> 1 in marked or level[other >> 1] == 0
-                for other in arena[base : base + (arena[rref] >> 2)]
+                for other in antecedent
                 if other >> 1 != var
             ):
                 continue  # redundant
@@ -872,12 +970,16 @@ class Cdcl:
                 # A decision below the regular search == an assumption
                 # (covers directly contradictory assumption pairs too).
                 core.append(-(code >> 1) if code & 1 else code >> 1)
+                continue
+            if rref < -1:
+                antecedent = self._theory_antecedent(rref)
             else:
                 base = rref + _HDR
-                for other in arena[base : base + (arena[rref] >> 2)]:
-                    overt = other >> 1
-                    if overt != var and level[overt] > 0:
-                        seen.add(overt)
+                antecedent = arena[base : base + (arena[rref] >> 2)]
+            for other in antecedent:
+                overt = other >> 1
+                if overt != var and level[overt] > 0:
+                    seen.add(overt)
         return core
 
     # ------------------------------------------------------------------
@@ -1043,10 +1145,7 @@ class Cdcl:
             return 0
         try:
             self._backjump(0)
-            if self._propagate() >= 0:
-                self._ok = False
-                return 0
-            if self.theory is not None and self._theory_sync() is not None:
+            if not self._settle_root():
                 self._ok = False
                 return 0
             return self.reduce_db()
@@ -1258,10 +1357,7 @@ class Cdcl:
             # first (reduce_db's precondition; clauses added since the
             # last call may still have pending root units).
             self._backjump(0)
-            if self._propagate() >= 0:
-                self._ok = False
-                return UNSAT
-            if self.theory is not None and self._theory_sync() is not None:
+            if not self._settle_root():
                 self._ok = False
                 return UNSAT
             self.reduce_db()
@@ -1290,6 +1386,10 @@ class Cdcl:
             arena = self._arena  # _propagate may follow a reduce_db swap
             if conflict_ref < 0:
                 theory_conflict = self._theory_sync()
+                if theory_conflict is None:
+                    theory_conflict = self._theory_propagate()
+                    if theory_conflict is None and self._qhead < self._trail_len:
+                        continue  # propagate the implied literals first
                 if theory_conflict is None:
                     conflict_codes = None
                 else:

@@ -24,12 +24,19 @@ assertion and β update paths on C-int arithmetic.  The counters
 (:meth:`Simplex.profile`) record how often a pivot left the integers.
 Bound retraction is O(1) per change via an undo trail; pivots are never
 undone (the tableau is a basis change, not a logical state).
+
+:meth:`Simplex.derive` reads the bounds that single rows imply from the
+asserted ones (CAV 2006, §4), for the rows whose bounds tightened since
+its last call, and :meth:`Simplex.explain` names the bound literals
+behind one of them; the theory bridge turns these into propagated
+literals (see :mod:`repro.smt.lia`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Mapping
 
 __all__ = ["Simplex"]
@@ -76,10 +83,16 @@ class Simplex:
         self._den: list[int] = []
         # Column index: non-basic var -> set of basic vars whose row uses it.
         self._cols: dict[int, set[int]] = {}
+        # basic -> its row's terms split by sign (see _split), built on
+        # demand by derive() and explain(), dropped when a pivot rewrites
+        # the row.
+        self._terms: dict[int, tuple[list[int], list[int], list[int], list[int]]] = {}
         # Undo trail of (var, 'L'/'U', old_bound, old_reason).
         self._undo: list[tuple[int, str, Fraction | int | None, int | None]] = []
         # Basic variables whose β may violate a bound (lazily validated).
         self._dirty: set[int] = set()
+        # Variables whose bounds tightened since the last derive().
+        self._touched: list[int] = []
         # Work counters (cumulative; see profile()).
         self.pivots = 0
         self.row_updates = 0
@@ -89,6 +102,8 @@ class Simplex:
         self.checks = 0
         self.conflicts = 0
         self.bound_conflicts = 0
+        # Rows read by derive(); the theory bridge reports it.
+        self.derived_rows = 0
 
     def profile(self) -> dict[str, int]:
         """Work counters, cumulative like ``Cdcl.profile``.
@@ -180,6 +195,9 @@ class Simplex:
         return len(self._undo)
 
     def undo_to(self, length: int) -> None:
+        # The pending rows were touched by bounds a backjump may just have
+        # retracted; a row is read again when one of its bounds tightens.
+        self._touched.clear()
         while len(self._undo) > length:
             var, which, bound, reason = self._undo.pop()
             if which == "L":
@@ -203,6 +221,7 @@ class Simplex:
         self._undo.append((var, "U", current, self._upper_reason[var]))
         self._upper[var] = bound
         self._upper_reason[var] = reason
+        self._touched.append(var)
         if var in self._rows:
             if self._beta[var] > bound:
                 self._dirty.add(var)
@@ -224,6 +243,7 @@ class Simplex:
         self._undo.append((var, "L", current, self._lower_reason[var]))
         self._lower[var] = bound
         self._lower_reason[var] = reason
+        self._touched.append(var)
         if var in self._rows:
             if self._beta[var] < bound:
                 self._dirty.add(var)
@@ -246,6 +266,128 @@ class Simplex:
                 moved = moved.numerator
             beta[basic] = moved
             self._dirty.add(basic)
+
+    # ------------------------------------------------------------------
+    # Row-derived bounds
+    # ------------------------------------------------------------------
+    def derive(
+        self, wanted: Mapping[int, tuple[Fraction | int, Fraction | int]]
+    ) -> list[tuple[int, bool, Fraction | int, tuple[int, int, int]]]:
+        """Bounds that single tableau rows imply from the asserted bounds.
+
+        Row ``b`` reads ``d·b − Σ cell[v]·v = 0``: one term ``a·x`` per
+        variable, ``a = d`` for ``b`` and ``a = −cell[v]`` for each cell.
+        Its *low side* holds every term at its minimum (``x`` at its lower
+        bound when ``a > 0``, at its upper bound otherwise), its high side
+        at its maximum.  When every term has its side's bound ``u``, the
+        side misses the row's zero by a slack ``s ≥ 0``, and no ``x`` can
+        leave ``u`` by more than ``s / |a|``: a bound opposite to ``u``.
+        When exactly one term lacks its bound, the others bound it alone.
+
+        Both sides of every row holding a bound tightened since the last
+        call are read: the side the bound is not on may still imply what
+        a backjump undid while keeping its bounds.  ``wanted`` maps each
+        column of interest to the ``(lower, upper)`` range beyond which
+        its bounds are of no use.  Returns ``(column, is_upper, bound,
+        token)`` for each bound on such a column that is tighter than the
+        column's own bound, or than its range end where it has none;
+        :meth:`explain` turns a token into the bound literals behind it,
+        valid until the next assertion or pivot.
+        """
+        touched = self._touched
+        if not touched:
+            return []
+        rows = self._rows
+        cols = self._cols
+        # The rows of the tightened columns, in first-touch order.
+        basics: dict[int, None] = {}
+        for var in touched:
+            if var in rows:
+                basics[var] = None
+            else:
+                for basic in cols.get(var, ()):
+                    basics[basic] = None
+        touched.clear()
+        self.derived_rows += len(basics)
+        lower = self._lower
+        upper = self._upper
+        implied: list[tuple[int, bool, Fraction | int, tuple[int, int, int]]] = []
+        for basic in basics:
+            down, down_a, up, up_a = self._terms.get(basic) or self._split(basic)
+            for low in (1, 0):
+                # The terms' bounds on this side: ``first`` for the a < 0
+                # terms, ``second`` for the a > 0 ones.
+                first, second = (upper, lower) if low else (lower, upper)
+                down_at = list(map(first.__getitem__, down))
+                missing = down_at.count(None)
+                if missing > 1:
+                    continue
+                up_at = list(map(second.__getitem__, up))
+                missing += up_at.count(None)
+                if missing > 1:
+                    continue
+                groups = ((down, down_a, down_at, second), (up, up_a, up_at, first))
+                if missing:
+                    # Only the term without its bound gets one: standing
+                    # in at 0, it lies within slack / |a| of 0 like any
+                    # term of a complete side (here the slack may be < 0).
+                    if None in down_at:
+                        at = down_at.index(None)
+                        down_at[at] = 0
+                        groups = (([down[at]], [down_a[at]], [0], second),)
+                    else:
+                        at = up_at.index(None)
+                        up_at[at] = 0
+                        groups = (([up[at]], [up_a[at]], [0], first),)
+                slack = sum(map(mul, up_a, up_at)) - sum(map(mul, down_a, down_at))
+                if low:
+                    slack = -slack
+                # Each term's derived bound lies in the other list: no term
+                # can leave its side bound by more than slack / |a|.
+                for terms, mags, ats, into in groups:
+                    is_upper = into is upper
+                    for column, a, at in zip(terms, mags, ats):
+                        span = wanted.get(column)
+                        if span is None:
+                            continue
+                        current = into[column]
+                        if current is None:
+                            current = span[is_upper]
+                        if a * (current - at if is_upper else at - current) > slack:
+                            step = _quotient(slack, a) if slack else 0
+                            bound = at + step if is_upper else at - step
+                            implied.append((column, is_upper, bound, (basic, low, column)))
+        return implied
+
+    def _split(self, basic: int) -> tuple[list[int], list[int], list[int], list[int]]:
+        """Cache ``basic``'s row as its terms with ``a < 0`` and ``a > 0``
+        (the basic variable last), each with its ``|a|``."""
+        row = self._rows[basic]
+        down = [var for var, cell in row.items() if cell > 0]
+        up = [var for var, cell in row.items() if cell < 0]
+        terms = self._terms[basic] = (
+            down,
+            [row[var] for var in down],
+            [*up, basic],
+            [-row[var] for var in up] + [self._den[basic]],
+        )
+        return terms
+
+    def explain(self, token: tuple[int, int, int]) -> list[int]:
+        """The bound literals behind one bound from :meth:`derive`: the
+        reasons of the other terms' bounds on that row side."""
+        basic, low, column = token
+        down, _, up, _ = self._terms.get(basic) or self._split(basic)
+        if low:
+            first, second = self._upper_reason, self._lower_reason
+        else:
+            first, second = self._lower_reason, self._upper_reason
+        reasons = list(map(first.__getitem__, down))
+        reasons += map(second.__getitem__, up)
+        # A positive cell is a term with a < 0; the basic variable has no cell.
+        own = first if self._rows[basic].get(column, 0) > 0 else second
+        reasons.remove(own[column])
+        return reasons  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # Feasibility restoration
@@ -389,6 +531,8 @@ class Simplex:
         rows = self._rows
         den = self._den
         row = rows.pop(leaving)
+        terms = self._terms
+        terms.pop(leaving, None)
         for var in row:
             cols[var].discard(leaving)
         pivot = row.pop(entering)
@@ -412,6 +556,7 @@ class Simplex:
         users.discard(entering)
         self.row_updates += len(new_row) * len(users)
         for user in users:
+            terms.pop(user, None)
             user_row = rows[user]
             factor = user_row.pop(entering)
             user_den = den[user]

@@ -21,8 +21,9 @@ resumes with all learned clauses intact.  Atoms over the same variable or
 linear form are linked by binary *bound axioms* (``x ≥ 4`` implies
 ``¬(x ≤ 2)``) that the theory bridge returns at registration and the
 facade adds to the CDCL core, so unit propagation rather than the simplex
-settles which of a column's bounds can hold together (see
-:mod:`repro.smt.lia`).
+settles which of a column's bounds can hold together.  Bounds that one
+tableau row implies from the others' reach the core the same way, as
+theory-propagated atom literals (see :mod:`repro.smt.lia`).
 
 The facade is *incremental*: the CNF conversion, the CDCL core, the theory
 bridge and every learned clause and branch-and-bound split persist across
@@ -159,9 +160,10 @@ class Solver:
         self._formula_unsat: bool | None = None
         self.stats: dict[str, int] = {}
         # Per-query deltas of the CDCL core's hot-loop profile counters
-        # (see Cdcl.profile) and of the simplex work counters, prefixed
-        # ``simplex_`` (see Simplex.profile); same delta discipline as
-        # ``stats``.
+        # (see Cdcl.profile), of the simplex work counters, prefixed
+        # ``simplex_`` (see Simplex.profile), and of the bridge's
+        # row-derivation counters, prefixed ``lia_`` (see
+        # LiaBridge.profile); same delta discipline as ``stats``.
         self.profile: dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -424,10 +426,13 @@ class Solver:
         }
 
     def _profile_counters(self) -> dict[str, int]:
-        """Cumulative CDCL and simplex counters (the source of ``profile``)."""
+        """Cumulative CDCL, simplex and row-derivation counters (the
+        source of ``profile``)."""
         counters = self._sat.profile()
         for key, value in self._bridge.simplex.profile().items():
             counters["simplex_" + key] = value
+        for key, value in self._bridge.profile().items():
+            counters["lia_" + key] = value
         return counters
 
     def _extract_model(self) -> Model:

@@ -283,6 +283,9 @@ def test_profile_zeroed_on_early_unsat():
         "simplex_checks",
         "simplex_conflicts",
         "simplex_bound_conflicts",
+        "lia_derived_rows",
+        "lia_implied",
+        "lia_implied_redundant",
     }
     assert all(value == 0 for value in solver.profile.values())
     assert all(value == 0 for value in solver.stats.values())
