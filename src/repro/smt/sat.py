@@ -110,10 +110,21 @@ preallocated buffers instead of per-clause Python objects:
   skips the backjump-push when the variable's current-key entry never
   left the heap, which removes most of the duplicate-entry churn.  An
   activity rescale rebuilds the heap with one entry per unassigned
-  variable, in both cores.  (An indexed binary heap with in-place
-  decrease-key was tried first and *lost*: tens of thousands of
-  interpreted sift steps cost more than C-level ``heappush``/``heappop``
-  on duplicates.)
+  variable, in both cores, and so does a conflict that leaves more than
+  two entries per variable in the heap: every bump pushes a new entry,
+  so without the bound stale keys pile up between decisions.  A rebuild
+  keeps each variable's smallest (current) key, so the pick order does
+  not change.  (An indexed binary heap with in-place decrease-key was
+  tried first and *lost*: tens of thousands of interpreted sift steps
+  cost more than C-level ``heappush``/``heappop`` on duplicates.)
+
+* **Eliminated variables.**  :meth:`Cdcl.eliminate` takes variables out
+  of the search for good: the facade merges equivalent literals before
+  they reach the core (see :mod:`repro.smt.solver`), so a merged
+  variable occurs in no clause.  It has no heap entry, is never decided
+  and never reaches the trail, so heap exhaustion stays the
+  full-assignment test; :meth:`model_value` reports it unassigned
+  (false), and the facade reads it through its representative instead.
 
 * **Theory reasons.**  After each consistent theory sync the core asks
   the listener to :meth:`~TheoryListener.derive` the literals its new
@@ -316,6 +327,7 @@ class Cdcl:
         self._heap: list[int] = []
         self._key: list[int] = [0]  # by var
         self._incur = bytearray([0])
+        self._elim = bytearray([0])  # by var: 1 once eliminate() took it
         self._var_inc = 1.0
         self._ok = True
         self.reduction = reduction
@@ -449,11 +461,25 @@ class Cdcl:
         self._key.append(var)  # _heap_key(var, 0.0)
         heappush(self._heap, var)
         self._incur.append(1)
+        self._elim.append(0)
         return var
 
     def ensure_vars(self, n: int) -> None:
         while self.n_vars < n:
             self.new_var()
+
+    def eliminate(self, variables: Iterable[int]) -> None:
+        """Keep ``variables`` out of the search for good.
+
+        The caller vouches that none of them occurs in a clause, an
+        assumption or a theory atom, now or later (they are the merged
+        copies of :mod:`repro.smt.solver`'s substitution), so they are
+        never decided and a model leaves them unassigned.
+        """
+        elim = self._elim
+        for var in variables:
+            elim[var] = 1
+        self._rebuild_heap()
 
     @staticmethod
     def _code(lit: int) -> int:
@@ -789,6 +815,29 @@ class Cdcl:
     # ------------------------------------------------------------------
     # Conflict analysis
     # ------------------------------------------------------------------
+    def _rebuild_heap(self) -> None:
+        """Refill the heap with one current-key entry per live variable.
+
+        Live means unassigned and not eliminated.  The list is refilled
+        in place, because :meth:`_analyze` holds it in a local.  Every
+        stale entry carries a larger key than its variable's current
+        one, so dropping them does not change which variable
+        :meth:`_decide` picks.
+        """
+        key = self._key
+        incur = self._incur
+        val = self._val
+        elim = self._elim
+        heap = self._heap
+        heap.clear()
+        for v in range(1, self.n_vars + 1):
+            if val[v << 1] == 0 and not elim[v]:
+                heap.append(key[v])
+                incur[v] = 1
+            else:
+                incur[v] = 0
+        heapify(heap)
+
     def _rescale_activity(self) -> None:
         """Scale every activity by 1e-100 and rebuild the heap.
 
@@ -799,20 +848,11 @@ class Cdcl:
         """
         activity = self._activity
         key = self._key
-        incur = self._incur
-        val = self._val
-        heap = self._heap
-        heap.clear()
         for v in range(1, self.n_vars + 1):
             act = activity[v] * 1e-100
             activity[v] = act
             key[v] = _heap_key(v, act)
-            if val[v << 1] == 0:
-                heap.append(key[v])
-                incur[v] = 1
-            else:
-                incur[v] = 0
-        heapify(heap)
+        self._rebuild_heap()
         self._var_inc *= 1e-100
 
     def _bump_clause(self, cref: int) -> None:
@@ -1433,6 +1473,8 @@ class Cdcl:
                     self._enqueue_code(learnt[0], cref)
                 self._var_inc /= 0.95
                 self._cla_inc /= 0.999
+                if len(self._heap) > 2 * self.n_vars:
+                    self._rebuild_heap()
                 continue
             if conflicts_here >= budget:
                 self.stats["restarts"] += 1
@@ -1489,6 +1531,8 @@ class Cdcl:
                         else:
                             cref = self._attach(learnt, lbd=lbd)
                             self._enqueue_code(learnt[0], cref)
+                        if len(self._heap) > 2 * self.n_vars:
+                            self._rebuild_heap()
                         continue
                 return SAT
 

@@ -197,20 +197,18 @@ def restore_solver(
         atom = LinearAtom(tuple((ints[uid], c) for uid, c in coeffs), bound)
         cnf.atom_of_var[satvar] = atom
         cnf.var_of_atom[atom] = satvar
-    if snapshot.phases or snapshot.learned:
-        # Warm start: the export references the snapshot's variable
-        # numbering, which the CNF image preserves verbatim, so phases
-        # seed and resolvents re-attach before the first query flushes
-        # the formula into the core.
-        solver._sat.ensure_vars(snapshot.n_vars)
-        if snapshot.phases:
-            solver._sat.seed_phases(snapshot.phases)
-        if snapshot.learned:
-            # Demote non-binary imports below glue protection: the
-            # parent's "hot" is not this worker's "hot" (shard locality);
-            # what the local query mix uses re-earns activity, the rest
-            # is evictable by the first reduction.
-            solver._sat.import_learned(
-                snapshot.learned, demote_to=solver._sat.glue_keep + 1
-            )
+    # Warm start: the export references the snapshot's variable
+    # numbering, which the CNF image preserves verbatim.  Both calls load
+    # the formula into the core first, so the resolvents are mapped
+    # through the restored solver's substitution table.
+    if snapshot.phases:
+        solver.seed_phases(snapshot.phases)
+    if snapshot.learned:
+        # Demote non-binary imports below glue protection: the parent's
+        # "hot" is not this worker's "hot" (shard locality); what the
+        # local query mix uses re-earns activity, the rest is evictable
+        # by the first reduction.
+        solver.import_learned(
+            snapshot.learned, demote_to=solver._sat.glue_keep + 1
+        )
     return solver, ints

@@ -42,6 +42,36 @@ Branch-and-bound terminates whenever every integer variable is bounded by
 the constraints (true for every formula ADVOCAT generates: occupancies lie
 in ``[0, queue.size]`` and state variables in ``[0, 1]``).  A ``max_splits``
 safety valve raises :class:`SolverBudgetError` otherwise.
+
+Substitution
+------------
+
+Many of ADVOCAT's block/idle equations are plain copies (a ``Function``
+primitive's ``Block(in, d) ⇔ Block(out, f(d))``, a one-literal right-hand
+side ``blk ⇔ gate``), so the CNF carries chains of equivalent variables:
+28–42% of the variables of the 2×2 designs.  The first load into the CDCL
+core merges them.  Each pair of binary clauses ``{a, b}`` and ``{¬a, ¬b}``
+says ``a ≡ ¬b``; joining the pairs gives signed classes of equivalent
+literals, and every class gets one representative: its theory atom if it
+has one, otherwise its lowest variable.  A class that holds two atoms, or
+both ``x`` and ``¬x``, stays unmerged, and the core sees it as before.
+(Tarjan's SCC over the whole binary implication graph finds the same
+classes on the registered 2×2 builders, at about three times the cost;
+the tests keep that checked.)
+
+The table sits between the CNF image and the core, like the bound
+axioms: the CNF image, its ``content_hash()`` and the snapshot bytes do
+not change, and a forked or restored solver derives the same table from
+the same clauses.  Everything on its way to the core goes through it —
+clauses, bound axioms, branch-and-bound splits, ``pop`` units,
+assumptions, scope selectors, imported learned clauses — and results
+come back through it: model booleans, the :meth:`Solver.unsat_core`
+match, :meth:`Solver.phase_hints`.  That is sound because the formula
+implies ``x ≡ rep(x)`` and no clause is ever removed, so a merge holds
+for every later assertion.  Later loads map through the table but merge
+nothing new.  The merged variables are eliminated from the core's
+decisions (:meth:`~repro.smt.sat.Cdcl.eliminate`), and
+``profile["substituted"]`` counts them.
 """
 
 from __future__ import annotations
@@ -49,7 +79,7 @@ from __future__ import annotations
 import enum
 from itertools import islice
 from math import floor
-from typing import Callable, Sequence
+from typing import Callable, Container, Sequence
 
 from .cnf import CnfBuilder
 from .lia import LiaBridge
@@ -120,6 +150,58 @@ class Model:
         return dict(self._bools)
 
 
+def equivalent_literals(
+    clauses: Sequence[Sequence[int]], atom_vars: Container[int]
+) -> dict[int, int]:
+    """The substitution table of ``clauses`` (see *Substitution* above).
+
+    Maps both literals of every merged variable to the matching literal
+    of its class's representative; representatives and unmerged
+    variables are absent.
+    """
+    binaries = set()
+    for clause in clauses:
+        if len(clause) == 2:
+            a, b = clause
+            binaries.add((a, b) if a < b else (b, a))
+    # links[v]: (w, s) for each pair saying v ≡ s·w.
+    links: dict[int, list[tuple[int, int]]] = {}
+    for a, b in binaries:
+        # {a, b} and {¬a, ¬b} (stored as (-b, -a)) give a ≡ ¬b; each pair
+        # is met from both of its clauses, so take it from one.
+        if a < -b and abs(a) != abs(b) and (-b, -a) in binaries:
+            parity = -1 if (a > 0) == (b > 0) else 1
+            links.setdefault(abs(a), []).append((abs(b), parity))
+            links.setdefault(abs(b), []).append((abs(a), parity))
+    table: dict[int, int] = {}
+    sign: dict[int, int] = {}  # var ≡ sign[var] · (its class's first var)
+    for first in links:
+        if first in sign:
+            continue
+        sign[first] = 1
+        members = [first]
+        consistent = True
+        for var in members:  # breadth-first: members grows as it is read
+            for other, parity in links[var]:
+                want = sign[var] * parity
+                have = sign.get(other)
+                if have is None:
+                    sign[other] = want
+                    members.append(other)
+                elif have != want:
+                    consistent = False  # the class holds x and ¬x
+        atoms = [var for var in members if var in atom_vars]
+        if not consistent or len(atoms) > 1:
+            continue
+        rep = atoms[0] if atoms else min(members)
+        for var in members:
+            if var != rep:
+                lit = rep if sign[var] == sign[rep] else -rep
+                table[var] = lit
+                table[-var] = -lit
+    return table
+
+
 class Solver:
     """Incremental QF_LIA solver over the repro term language.
 
@@ -154,6 +236,9 @@ class Solver:
         self._sat = Cdcl(theory=self._bridge, **self._reduction_knobs)
         self._flushed_clauses = 0
         self._registered_atoms = 0
+        # The substitution table, set by the first _sync: both literals
+        # of a merged variable → its representative's literal.
+        self._subst: dict[int, int] | None = None
         self._scopes: list[int] = []  # selector SAT variables, innermost last
         self._model: Model | None = None
         self._core: list[Term] | None = None
@@ -173,22 +258,20 @@ class Solver:
         """An independent solver over the same asserted formula.
 
         The CNF state (clauses, variable tables, scope stack) is copied;
-        the clone gets a fresh CDCL core and theory bridge, populated
-        lazily on its first :meth:`check`.  The learned-clause export and
-        saved phases carry over (demoted below glue protection, like a
-        snapshot restore), so a fork starts warm but evicts what its own
-        query mix doesn't re-use.  Forks share immutable term objects
-        with the original, so they are thread-cloning tools; use
-        :meth:`snapshot` to cross processes.
+        the clone gets a fresh CDCL core and theory bridge, loaded from
+        the copied CNF (deriving its own substitution table).  The
+        learned-clause export and saved phases carry over (demoted below
+        glue protection, like a snapshot restore), so a fork starts warm
+        but evicts what its own query mix doesn't re-use.  Forks share
+        immutable term objects with the original, so they are
+        thread-cloning tools; use :meth:`snapshot` to cross processes.
         """
         clone = Solver(max_splits=self._max_splits, **self._fork_kwargs())
         clone._cnf = self._cnf.clone()
         clone._scopes = list(self._scopes)
-        clone._sat.ensure_vars(clone._cnf.n_vars)
-        clone._sat.seed_phases(self._sat.phase_vector())
-        clone._sat.import_learned(
-            self._sat.learned_clauses(),
-            demote_to=clone._sat.glue_keep + 1,
+        clone.seed_phases(self.saved_phases())
+        clone.import_learned(
+            self.learned_clauses(), demote_to=clone._sat.glue_keep + 1
         )
         return clone
 
@@ -310,22 +393,42 @@ class Solver:
     def _sync(self) -> None:
         """Hand new vars, atoms and clauses to the SAT core and bridge.
 
-        Each new atom's bound axioms (see :mod:`repro.smt.lia`) go to the
-        SAT core as problem clauses, never into the CNF image.
+        The first call derives the substitution table from the clauses
+        asserted so far and eliminates the merged variables; every call
+        maps what it loads through the table.  Each new atom's bound
+        axioms (see :mod:`repro.smt.lia`) go to the SAT core as problem
+        clauses, never into the CNF image.
         """
         cnf = self._cnf
         self._sat.ensure_vars(cnf.n_vars)
+        if self._subst is None:
+            self._subst = equivalent_literals(cnf.clauses, cnf.atom_of_var)
+            merged = [var for var in self._subst if var > 0]
+            if merged:
+                self._sat.eliminate(merged)
+        load = self._load
         if len(cnf.atom_of_var) > self._registered_atoms:
             # Dicts preserve insertion order: only the unseen tail is new.
             for satvar, atom in islice(
                 cnf.atom_of_var.items(), self._registered_atoms, None
             ):
                 for axiom in self._bridge.register_atom(satvar, atom):
-                    self._sat.add_clause(axiom)
+                    load(axiom)
             self._registered_atoms = len(cnf.atom_of_var)
         for clause in cnf.clauses[self._flushed_clauses:]:
-            self._sat.add_clause(clause)
+            load(clause)
         self._flushed_clauses = len(cnf.clauses)
+
+    def _lit(self, lit: int) -> int:
+        """``lit`` as the core sees it (after the first :meth:`_sync`)."""
+        return self._subst.get(lit, lit)
+
+    def _load(self, clause: Sequence[int]) -> None:
+        """Add ``clause`` to the core through the substitution table."""
+        subst = self._subst
+        if subst:
+            clause = [subst.get(lit, lit) for lit in clause]
+        self._sat.add_clause(clause)
 
     def check(
         self,
@@ -360,11 +463,15 @@ class Solver:
             self._core = []
             self._formula_unsat = True
             return Result.UNSAT
-        assumption_lits = [self._cnf.literal(term) for term in assumptions]
+        cnf_lits = [self._cnf.literal(term) for term in assumptions]
         before = dict(self._sat.stats)
         before_profile = self._profile_counters()
         self._sync()
-        solve_assumptions = [*self._scopes, *assumption_lits]
+        assumption_lits = [self._lit(lit) for lit in cnf_lits]
+        solve_assumptions = [
+            *(self._lit(selector) for selector in self._scopes),
+            *assumption_lits,
+        ]
         splits = 0
         while True:
             remaining = None
@@ -408,7 +515,7 @@ class Solver:
                 self._cnf.literal(ge(var, cut + 1)),
             ]
             self._sync()
-            self._sat.add_clause(split_lits)
+            self._load(split_lits)
 
     def _finish_stats(
         self,
@@ -429,6 +536,7 @@ class Solver:
         """Cumulative CDCL, simplex and row-derivation counters (the
         source of ``profile``)."""
         counters = self._sat.profile()
+        counters["substituted"] = len(self._subst or ()) // 2
         for key, value in self._bridge.simplex.profile().items():
             counters["simplex_" + key] = value
         for key, value in self._bridge.profile().items():
@@ -441,10 +549,11 @@ class Solver:
             value = self._bridge.rational_value(var)
             assert value.denominator == 1, "model extraction on fractional value"
             ints[var] = int(value)
-        bools = {
-            name: self._sat.model_value(satvar)
-            for name, satvar in self._cnf.var_of_boolname.items()
-        }
+        model_value = self._sat.model_value
+        bools = {}
+        for name, satvar in self._cnf.var_of_boolname.items():
+            lit = self._lit(satvar)
+            bools[name] = model_value(lit) if lit > 0 else not model_value(-lit)
         return Model(ints, bools)
 
     # ------------------------------------------------------------------
@@ -507,6 +616,12 @@ class Solver:
         of clauses retained.
         """
         self._sync()  # imported literals must reference existing SAT vars
+        subst = self._subst
+        if subst:
+            clauses = [
+                (lbd, [subst.get(lit, lit) for lit in lits])
+                for lbd, lits in clauses
+            ]
         return self._sat.import_learned(clauses, demote_to=demote_to)
 
     def compact(self) -> int:
@@ -538,7 +653,8 @@ class Solver:
         for name, value in hints.items():
             var = self._cnf.var_of_boolname.get(name)
             if var is not None and var <= self._sat.n_vars:
-                self._sat.set_phase(var, bool(value))
+                lit = self._lit(var)
+                self._sat.set_phase(abs(lit), bool(value) == (lit > 0))
                 applied += 1
         return applied
 

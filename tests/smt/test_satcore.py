@@ -41,7 +41,7 @@ from repro.netlib import running_example
 from repro.smt import _sat_reference, sat
 from repro.smt import serialize
 from repro.smt.solver import Result, Solver
-from repro.smt.terms import boolvar
+from repro.smt.terms import boolvar, disj
 
 N_VARS = 8
 
@@ -259,10 +259,13 @@ def test_decide_has_no_fallback_scan():
 
 def test_profile_zeroed_on_early_unsat():
     solver = Solver()
-    x = boolvar("x")
+    x, y = boolvar("x"), boolvar("y")
     solver.add(x)
+    solver.add(disj(x, y))
+    solver.add(disj(~x, ~y))  # x ≡ ¬y: y merges into x at the first load
     assert solver.check() == Result.SAT
     assert solver.profile["propagations"] >= 0
+    assert solver.profile["substituted"] == 1
     solver.add(~x)
     assert solver.check() == Result.UNSAT
     # Permanently UNSAT now: the next check takes the early-UNSAT path
@@ -275,6 +278,7 @@ def test_profile_zeroed_on_early_unsat():
         "blocker_hits",
         "analyze_steps",
         "arena_gc_words",
+        "substituted",
         "simplex_pivots",
         "simplex_row_updates",
         "simplex_bland_pivots",
