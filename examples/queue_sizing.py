@@ -15,7 +15,8 @@ cache count but not with the directory position (see EXPERIMENTS.md for
 the comparison against the paper's per-direction numbers).
 
 ``--sweep`` probes the full Figure-4 *curve* (every size up to
-``--max-size``) instead of binary-searching the boundary;
+``--max-size``) instead of searching for the boundary (a climb one size
+at a time up to 16, then a bisection of the last gap);
 ``--invariants`` picks the strengthening mode — ``eager`` (the full
 invariant set, conjoined up front) or ``none`` (plain block/idle);
 ``--save``/``--resume`` checkpoint the grid so an interrupted run

@@ -286,7 +286,8 @@ class ScenarioSpec:
         Builder keyword arguments *except* the size parameter; mappings
         and sequences are canonicalised to sorted tuples.
     mode:
-        ``"search"`` — binary-search the minimal deadlock-free size
+        ``"search"`` — climb to the minimal deadlock-free size, one
+        size at a time up to 16, and bisect the last gap
         (:func:`~repro.core.sizing.minimal_queue_size`); ``"sweep"`` —
         probe every size in :attr:`sizes`
         (:func:`~repro.core.sizing.sweep_queue_sizes`).

@@ -5,8 +5,14 @@ deadlock that exists with larger queues can be replayed with the same
 packet placement when queues shrink only if it still fits, while enlarging
 queues only adds slack (the paper's Figure 3 argument: the third slot can
 not be occupied and therefore breaks the cycle).  The search exploits this:
-exponential climb until a deadlock-free size is found, then binary search
-for the boundary.
+it climbs ``size += 1 + size // 16`` until a deadlock-free size is found,
+then bisects only the last gap, between the largest deadlocked probe and
+the first free one.  Up to 16 the climb goes up one size at a time, so
+for a minimum of at most 16 deadlock freedom (UNSAT, the expensive
+answer) is proved exactly once, at the minimum, and every deadlocked step
+seeds the next with its witness (below).  Above 16 the step grows with
+the size, so a fabric that deadlocks at every size still fails after a
+bounded number of probes (65 at the default ``max_size=512``).
 
 The search runs on one :class:`~repro.core.engine.VerificationSession` with
 *parametric* queue capacities: the block/idle encoding, the invariants and
@@ -20,7 +26,8 @@ is rejected with ``ValueError``.
 ``minimal_queue_size`` is deliberately defensive: monotonicity is an
 assumption about the *model family*, so the result records every probed
 size and its verdict, and ``exhaustive=True`` re-checks every size below
-the reported minimum.
+the reported minimum that the walk skipped (none when the minimum is at
+most 18: the climb probes every size up to 16, the bisection 17).
 
 :func:`sweep_queue_sizes` is the counterpart for the *curve* rather than
 the boundary: probe an explicit list of sizes (Figure 4 plots one verdict
@@ -67,6 +74,11 @@ __all__ = [
     "minimal_queue_size",
     "sweep_queue_sizes",
 ]
+
+
+# The climb's step is ``1 + size // _CLIMB_DIVISOR``: one size at a time
+# up to the divisor, then a step that grows with the size.
+_CLIMB_DIVISOR = 16
 
 
 class _DeadlineExpired(Exception):
@@ -327,6 +339,10 @@ def minimal_queue_size(
 ) -> SizingResult:
     """Smallest uniform queue size for which ``build(size)`` verifies.
 
+    The walk climbs from ``low`` by ``1 + size // 16`` to the first
+    deadlock-free size, then bisects the gap above the largest deadlocked
+    probe, so a minimum of at most 16 is the only size proved free.
+
     Parameters
     ----------
     build:
@@ -335,10 +351,14 @@ def minimal_queue_size(
     low:
         Smallest size to consider.
     max_size:
-        Upper limit of the exponential climb; exceeded ⇒ ``RuntimeError``.
+        Upper limit of the climb; the next climb step exceeding it ⇒
+        ``RuntimeError``.  The probe count of a climb that never finds
+        a free size grows with the logarithm of ``max_size`` above 16:
+        65 probes from size 1 at the default 512.
     exhaustive:
         Verify every size in ``[low, found)`` is deadlocked rather than
-        trusting monotonicity.
+        trusting monotonicity.  A no-op when the minimum is at most 18:
+        the walk has probed every smaller size already.
     invariants:
         ``"eager"`` or ``"none"`` — see the module docstring.
     portfolio:
@@ -380,18 +400,18 @@ def minimal_queue_size(
     )
     with walk.session:
         try:
-            # Exponential climb to the first deadlock-free size.
-            size = low
+            # Gentle climb to the first deadlock-free size.
+            size = low_bound = low
             while not walk.probe(size):
-                size *= 2
+                low_bound = size + 1
+                size += 1 + size // _CLIMB_DIVISOR
                 if size > max_size:
                     raise RuntimeError(
                         f"no deadlock-free size found up to {max_size}; "
                         "the deadlock may be size-independent"
                     )
-            # Binary search in (last deadlocked, first free].
+            # Binary search in (largest deadlocked, first free].
             high = size
-            low_bound = max(low, size // 2)
             while low_bound < high:
                 middle = (low_bound + high) // 2
                 if walk.probe(middle):

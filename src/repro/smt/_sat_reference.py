@@ -699,17 +699,18 @@ class Cdcl:
         self.stats["imported_rounds"] += 1
         imported = 0
         for lbd, lits in clauses:
-            if not self._ok:
-                break
             if any(abs(lit) > self.n_vars for lit in lits):
                 # Importing across diverged variable numberings is unsound
                 # (split atoms are minted per trajectory) — only exports
-                # over this solver's own CNF image are accepted.
+                # over this solver's own CNF image are accepted, also by
+                # a solver that is already UNSAT.
                 raise ValueError(
                     "imported clause references a variable this solver "
                     "never minted; import only exports taken over the "
                     "same CNF image (fork at rest, snapshot/restore)"
                 )
+            if not self._ok:
+                break
             seen: set[int] = set()
             filtered: list[int] = []
             satisfied = False

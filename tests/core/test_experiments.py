@@ -445,8 +445,9 @@ def test_sizing_reports_build_query_split():
 
 
 def test_sizing_accounting_is_pinned():
-    # The search and the sequential sweep walk the same sizes on one
-    # session; eager encodes the full set of 13 rows once, up front.
+    # The search climbs one size at a time and stops at the first free
+    # size, a prefix of the sequential sweep's walk on one session;
+    # eager encodes the full set of 13 rows once, up front.
     def build(size):
         return resolve_builder("abstract_mi_mesh")(
             width=2, height=2, queue_size=size
@@ -461,9 +462,12 @@ def test_sizing_accounting_is_pinned():
         ]
 
     verified = [(1, False), (2, False), (3, True), (4, True)]
-    walk = [verified, 3, True, 13]
-    assert accounting(sweep_queue_sizes(build, range(1, 5))) == walk
-    assert accounting(minimal_queue_size(build, max_size=8)) == walk
+    assert accounting(sweep_queue_sizes(build, range(1, 5))) == [
+        verified, 3, True, 13
+    ]
+    assert accounting(minimal_queue_size(build, max_size=8)) == [
+        verified[:3], 3, True, 13
+    ]
     plain = sweep_queue_sizes(build, range(1, 5), invariants="none")
     assert accounting(plain) == [
         [(size, False) for size in range(1, 5)], None, False, 0

@@ -21,8 +21,9 @@ behavioural contract against the pre-arena core it replaced, kept in
   (the strictest start method), with ``SNAPSHOT_VERSION`` still 2 since
   the export format did not change;
 * the satellite regressions: ``_decide`` may never fall back to a
-  full-array scan, and the ``profile()`` counters must be zeroed on the
-  early-UNSAT path exactly like ``stats``.
+  full-array scan, the ``profile()`` counters must be zeroed on the
+  early-UNSAT path exactly like ``stats``, and a permanently UNSAT core
+  still rejects an import naming a variable it never minted.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -304,6 +306,19 @@ def test_cdcl_profile_counts_propagations_consistently():
     profile = core.profile()
     assert profile["propagations"] == core.stats["propagations"]
     assert profile["visited_watchers"] >= profile["blocker_hits"]
+
+
+@pytest.mark.parametrize("core", [sat, _sat_reference], ids=["arena", "reference"])
+def test_unsat_solver_rejects_an_import_naming_an_unminted_variable(core):
+    solver = core.Cdcl()
+    solver.ensure_vars(2)
+    solver.add_clause([1])
+    solver.add_clause([-1])
+    assert solver.solve() == core.UNSAT
+    # Permanently UNSAT: the numbering check still comes first.
+    with pytest.raises(ValueError, match="never minted"):
+        solver.import_learned([(2, (2, 3))])
+    assert solver.import_learned([(2, (1, 2))]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ enqueues them with a theory reason kept in a side table, and explains them
 through ``LiaBridge.explain`` (see :mod:`repro.smt.lia` and
 :mod:`repro.smt.sat`).  These tests pin that every explanation implies its
 literal, that verdicts and models match a core that derives nothing, that
-the side table is used and cut back with the trail, and that the root is
-propagated to a fixpoint before a clause-database reduction.
+the side table is used and cut back with the trail, that the cached
+reasons drop root-level literals without changing the search, and that
+the root is propagated to a fixpoint before a clause-database reduction.
 """
 
 from itertools import product
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import VerificationSession
-from repro.protocols import abstract_mi_mesh
+from repro.protocols import abstract_mi_mesh, mi_mesh
 from repro.smt import Result, Solver, disj, ge, intvar, le
 from repro.smt.cnf import CnfBuilder
 from repro.smt.lia import LiaBridge
@@ -219,7 +220,12 @@ def test_side_table_tracks_the_trail_across_back_to_back_queries(monkeypatch):
 
     def checked_solve(self, *args, **kwargs):
         verdict = solve(self, *args, **kwargs)
-        assert len(self._treasons) == len(self._tpos) == _implied_above_root(self)
+        assert (
+            len(self._treasons)
+            == len(self._tcodes)
+            == len(self._tpos)
+            == _implied_above_root(self)
+        )
         lengths.append(len(self._treasons))
         return verdict
 
@@ -233,3 +239,38 @@ def test_side_table_tracks_the_trail_across_back_to_back_queries(monkeypatch):
     assert max(lengths[rounds:]) <= max(lengths[:rounds])
     profile = session.solver.profile
     assert set(profile) >= {"lia_derived_rows", "lia_implied", "lia_implied_redundant"}
+
+
+def _every_literal(self, rref):
+    """A theory reason's false codes with the root-level literals kept,
+    converted again on every read."""
+    return [2 * lit + 1 if lit > 0 else -2 * lit for lit in self._treasons[-2 - rref]]
+
+
+def _mi_mesh_search():
+    session = VerificationSession(mi_mesh(2, 2, queue_size=5).network)
+    session.add_invariants()
+    verdict = session.verify().verdict
+    core = session.solver._sat
+    return verdict, dict(core.stats), core.learned_clauses(), core.profile()
+
+
+def test_cached_reasons_drop_root_literals_and_keep_the_search(monkeypatch):
+    reads = []
+    antecedent = Cdcl._theory_antecedent
+
+    def checked(self, rref):
+        codes = antecedent(self, rref)
+        assert codes is self._tcodes[-2 - rref]  # converted once, then cached
+        assert all(self._level[code >> 1] for code in codes)
+        reads.append(len(codes) < len(self._treasons[-2 - rref]))
+        return codes
+
+    monkeypatch.setattr(Cdcl, "_theory_antecedent", checked)
+    verdict, stats, learned, profile = _mi_mesh_search()
+    assert any(reads)  # some explanation did carry root-level literals
+    monkeypatch.setattr(Cdcl, "_theory_antecedent", _every_literal)
+    full_verdict, full_stats, full_learned, full_profile = _mi_mesh_search()
+    assert (verdict, stats, learned) == (full_verdict, full_stats, full_learned)
+    assert profile["propagations"] == full_profile["propagations"]
+    assert profile["analyze_steps"] < full_profile["analyze_steps"]
