@@ -71,6 +71,12 @@ MISS_SPEC = {"builder": "running_example", "kwargs": {"queue_size": 2}}
 BURST_SPEC = {"builder": "producer_consumer", "kwargs": {"queue_size": 4}}
 #: The spec the ``size`` query searches (small cap keeps it cheap).
 SIZE_SPEC = {"builder": "producer_consumer", "kwargs": {"queue_size": 2}}
+#: Interned terms the server may still hold after the hot-tier churn.
+#: The server interns only what its hot sessions assume (guard variables
+#: and capacity pins); the smoke run ends with 59 held by the two live hot
+#: sessions, where an intern table that never drops a term keeps the 89
+#: that every hot session ever built.
+TERMS_LIVE_CAP = 64
 
 
 def _specs(smoke: bool) -> list[dict]:
@@ -406,6 +412,7 @@ def run_benchmarks(smoke: bool = False) -> dict:
             "rejected": stats["rejected"],
             "errors": stats["errors"],
             "verdicts_stored": stats["store"]["verdicts"],
+            "terms_live": stats["terms_live"],
         },
         "clean_shutdown": {"leaked_children": leaked},
         "verdicts_service_identical": True,
@@ -416,9 +423,9 @@ def run_benchmarks(smoke: bool = False) -> dict:
 def check_acceptance(results: dict) -> None:
     """Machine-independent gates, re-asserted on the loaded record.
 
-    Verdict identity and cache hygiene are absolute; the latency gate is
-    a same-machine ratio (hit p50 vs cold p50), so it holds on any
-    runner fast or slow.
+    Verdict identity, cache hygiene and the live-term cap are absolute;
+    the latency gate is a same-machine ratio (hit p50 vs cold p50), so
+    it holds on any runner fast or slow.
     """
     assert results["verdicts_service_identical"]
     assert results["clean_shutdown"]["leaked_children"] == 0
@@ -426,6 +433,10 @@ def check_acceptance(results: dict) -> None:
         "hot tier never churned: capacity bound was not exercised"
     )
     assert results["tiers"]["errors"] == 0 and results["tiers"]["rejected"] == 0
+    assert results["tiers"]["terms_live"] <= TERMS_LIVE_CAP, (
+        f"server holds {results['tiers']['terms_live']} interned terms after "
+        f"the hot-tier churn (cap {TERMS_LIVE_CAP}): evicted encodings leak"
+    )
     assert results["burst"]["coalesced"] >= BURST_WIDTH - 2, (
         f"only {results['burst']['coalesced']} of {BURST_WIDTH} concurrent "
         "identical queries coalesced"
@@ -455,6 +466,7 @@ def _record_and_report(results: dict) -> None:
             f"hit p99 {steady['hit_p99_ms']}ms",
             f"steady: {steady['requests']} requests, hit rate "
             f"{steady['hit_rate']}, {steady['queries_per_s']} queries/s",
+            f"terms live after the churn: {tiers['terms_live']}",
             f"burst: {results['burst']['coalesced']}/"
             f"{results['burst']['width'] - 1} coalesced; clean shutdown "
             f"({results['clean_shutdown']['leaked_children']} leaked children)",

@@ -56,6 +56,7 @@ from concurrent.futures import (
 from functools import partial
 from typing import Any
 
+from ..smt.terms import live_terms
 from .cache import (
     LruSessionCache,
     SnapshotStore,
@@ -815,6 +816,10 @@ class VerificationService:
 
     # -- stats / lifecycle ----------------------------------------------
     def stats(self) -> dict:
+        """Counters of the service so far.  ``terms_live`` is how many
+        interned terms this process still holds after a sweep: the terms
+        of live encodings, which stays bounded however many designs the
+        service has built and evicted."""
         hits = dict(self.counters["hits"])
         return {
             "builders": {
@@ -829,6 +834,7 @@ class VerificationService:
             "pool_recoveries": self.counters["pool_recoveries"],
             "evictions": self.hot.evictions,
             "hot_live": len(self.hot),
+            "terms_live": live_terms(),
             "inflight": len(self._inflight),
             "pending": self._pending,
             "store": {
@@ -888,15 +894,6 @@ class VerificationService:
     def port(self) -> int:
         assert self._server is not None, "serve() first"
         return self._server.sockets[0].getsockname()[1]
-
-    async def run_until_shutdown(
-        self, host: str = "127.0.0.1", port: int = 0
-    ) -> None:
-        await self.serve(host, port)
-        try:
-            await self._shutdown.wait()
-        finally:
-            await self.aclose()
 
     async def aclose(self) -> None:
         """Stop serving and release every held resource: hot sessions

@@ -34,7 +34,10 @@ class CnfBuilder:
         self.atom_of_var: dict[int, LinearAtom] = {}
         self.var_of_atom: dict[LinearAtom, int] = {}
         self.var_of_boolname: dict[str, int] = {}
-        self._lit_cache: dict[int, int] = {}
+        # Keyed by the term itself, not its uid: holding the term keeps it
+        # interned, so building it again finds this entry instead of a
+        # fresh term under a new uid (a second gate, another CNF).
+        self._lit_cache: dict[Term, int] = {}
 
     # ------------------------------------------------------------------
     def clone(self) -> "CnfBuilder":
@@ -43,7 +46,9 @@ class CnfBuilder:
         Term and :class:`LinearAtom` objects themselves are shared (they
         are immutable and interned), so a clone is only meaningful within
         the process that built the original — cross-process transfer goes
-        through :mod:`repro.smt.serialize` instead.
+        through :mod:`repro.smt.serialize` instead.  Like the original,
+        the clone holds every term it has a literal for, so none of them
+        is swept from the intern table while either builder lives.
         """
         copy = CnfBuilder()
         copy.n_vars = self.n_vars
@@ -105,7 +110,8 @@ class CnfBuilder:
 
     def literal(self, term: Term) -> int:
         """The literal standing for ``term``, emitting definition clauses."""
-        cached = self._lit_cache.get(term.uid)
+        cache = self._lit_cache
+        cached = cache.get(term)
         if cached is not None:
             return cached
 
@@ -113,11 +119,11 @@ class CnfBuilder:
         stack: list[tuple[Term, bool]] = [(term, False)]
         while stack:
             node, expanded = stack.pop()
-            if node.uid in self._lit_cache:
+            if node in cache:
                 continue
             if isinstance(node, Not):
-                if node.arg.uid in self._lit_cache:
-                    self._lit_cache[node.uid] = -self._lit_cache[node.arg.uid]
+                if node.arg in cache:
+                    cache[node] = -cache[node.arg]
                 else:
                     stack.append((node, False))
                     stack.append((node.arg, False))
@@ -128,13 +134,13 @@ class CnfBuilder:
                 # handled in assert_term.  Encode defensively anyway.
                 var = self.new_var()
                 self.clauses.append([var] if node.value else [-var])
-                self._lit_cache[node.uid] = var
+                cache[node] = var
                 continue
             if isinstance(node, BoolVar):
-                self._lit_cache[node.uid] = self.var_for_boolname(node.name)
+                cache[node] = self.var_for_boolname(node.name)
                 continue
             if isinstance(node, Atom):
-                self._lit_cache[node.uid] = self.var_for_atom(node.constraint)
+                cache[node] = self.var_for_atom(node.constraint)
                 continue
             # And / Or
             children = node.args  # type: ignore[attr-defined]
@@ -142,7 +148,7 @@ class CnfBuilder:
                 stack.append((node, True))
                 stack.extend((child, False) for child in children)
                 continue
-            child_lits = [self._lit_cache[child.uid] for child in children]
+            child_lits = [cache[child] for child in children]
             gate = self.new_var()
             if isinstance(node, And):
                 for lit in child_lits:
@@ -154,6 +160,6 @@ class CnfBuilder:
                 self.clauses.append([-gate] + child_lits)
             else:  # pragma: no cover - exhaustive over term kinds
                 raise TypeError(f"unexpected term {node!r}")
-            self._lit_cache[node.uid] = gate
+            cache[node] = gate
 
-        return self._lit_cache[term.uid]
+        return cache[term]

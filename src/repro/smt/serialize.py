@@ -1,8 +1,10 @@
 """Pickle-safe snapshots of a built solver state.
 
 The term language is hash-consed with identity-based equality (``IntVar``
-equality is ``is``, interning keys use process-local ``uid`` counters), so
-:class:`~repro.smt.terms.Term` objects cannot cross a process boundary.
+equality is ``is``, interning keys use process-local ``uid`` counters, and
+a term is unique only while it is alive: a swept term built again comes
+back under a new ``uid``), so :class:`~repro.smt.terms.Term` objects
+cannot cross a process boundary.
 What *can* cross is the CNF level: by the time an encoding has been loaded
 into a :class:`~repro.smt.Solver`, every assertion is integer clauses, a
 ``name → SAT var`` table for boolean variables, and a ``SAT var → linear
@@ -19,7 +21,9 @@ The restored solver connects to snapshot state **by name**: asserting or
 assuming a ``boolvar("g")`` resolves to the snapshot's SAT variable for
 ``g``, which is how worker processes re-use guard literals minted by the
 parent (deadlock-case guards, ``cap[q==k]`` capacity pins) without ever
-shipping a term.  New arithmetic over the *restored* ``IntVar`` objects
+shipping a term.  For the same reason a snapshot keeps no term alive in
+the intern table, and a sweep between snapshot and restore changes
+nothing the restored solver sees.  New arithmetic over the *restored* ``IntVar`` objects
 (returned in the uid map) composes with snapshot constraints exactly like
 new arithmetic in the original solver would.
 

@@ -13,15 +13,28 @@ The solver works on a small, normalised term language:
 
 Smart constructors perform constant folding and flattening so that the
 formulas handed to the CNF converter are already compact.  Terms are
-immutable and hash-consed per :class:`TermFactory`-free global table, which
-makes structural sharing cheap and equality checks O(1).
+immutable and hash-consed in one global table, which makes structural
+sharing cheap and equality checks O(1).
+
+Interning contract: a term is unique *while it is alive*.  Two live terms
+are structurally equal exactly when they are the same object, and every
+term carries a ``uid`` that no other term ever gets, not even after the
+term dies.  The table keys a node by its children's uids, not by the
+children, so it holds no term but the one it maps to; once nothing else
+references a term, a sweep drops it (see :func:`_sweep`) and building the
+same structure again mints a new term under a new uid.  Whoever keys data
+by a term must therefore hold the term itself, never only its uid: the
+CNF builder keys its literal cache by term for this reason.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import threading
 from fractions import Fraction
 from math import gcd
+from sys import getrefcount
 from typing import Iterable, Mapping, Union
 
 __all__ = [
@@ -201,10 +214,6 @@ class LinearAtom:
     def variables(self) -> Iterable[IntVar]:
         return (v for v, _ in self.coeffs)
 
-    def negated_bounds(self) -> tuple[tuple[tuple[IntVar, int], ...], int]:
-        """The atom's negation ``Σ −aᵢ·xᵢ ≤ −b − 1`` as raw data."""
-        return tuple((v, -c) for v, c in self.coeffs), -self.bound - 1
-
     def evaluate(self, assignment: Mapping[IntVar, int]) -> bool:
         total = sum(c * assignment[v] for v, c in self.coeffs)
         return total <= self.bound
@@ -252,24 +261,94 @@ def _normalise_le(left: ExprLike, right: ExprLike, offset: int = 0) -> "Term":
         items = [(var, coeff // divisor) for var, coeff in items]
     if len(items) > 1:
         items.sort(key=lambda item: item[0].uid)
-    return _intern(Atom, (LinearAtom(tuple(items), bound),))
+    atom = LinearAtom(tuple(items), bound)
+    return _intern(Atom, atom._key, atom)
 
 
 # ---------------------------------------------------------------------------
 # Boolean terms (hash-consed)
 # ---------------------------------------------------------------------------
 
+# Keys are ``(cls, key)`` with ``key`` built from plain data: a name, a
+# LinearAtom's ``_key``, a child's uid or a tuple of child uids.  So the
+# table's only reference to a term is its value, and a term nothing else
+# holds can be found by its reference count.
 _intern_table: dict[tuple, "Term"] = {}
 
+#: The table size below which no sweep runs.
+_SWEEP_FLOOR = 4096
+#: A miss that finds the table this large sweeps it first.
+_sweep_at = _SWEEP_FLOOR
+# Serialises misses and sweeps between threads; the hit path takes no lock.
+# A fork while another thread minted or swept would hand the child a lock
+# nobody releases, so every fork waits for it (as the logging module does).
+_mint_lock = threading.Lock()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        before=_mint_lock.acquire,
+        after_in_parent=_mint_lock.release,
+        after_in_child=_mint_lock.release,
+    )
 
-def _intern(cls: type, args: tuple) -> "Term":
-    key = (cls, args)
-    cached = _intern_table.get(key)
+
+def _intern(cls: type, key, payload) -> "Term":
+    full_key = (cls, key)
+    cached = _intern_table.get(full_key)
     if cached is None:
-        cached = object.__new__(cls)
-        cached._init(*args)  # type: ignore[attr-defined]
-        _intern_table[key] = cached
+        cached = _mint(full_key, cls, payload)
     return cached
+
+
+def _mint(full_key: tuple, cls: type, payload) -> "Term":
+    """The miss path of :func:`_intern`: sweep if the table has doubled
+    since the last sweep, then build and enter the new term."""
+    with _mint_lock:
+        cached = _intern_table.get(full_key)
+        if cached is not None:  # another thread minted it first
+            return cached
+        if len(_intern_table) >= _sweep_at:
+            _sweep()
+        term = object.__new__(cls)
+        term._init(payload)  # type: ignore[attr-defined]
+        _intern_table[full_key] = term
+        return term
+
+
+def _sweep() -> None:
+    """Drop every interned term that nothing outside the table references.
+    The caller holds ``_mint_lock``.
+
+    Entries are visited newest first.  A parent is always newer than its
+    children, so dropping a dead parent frees it, and with it the last
+    reference to a child, before the pass reaches that child.  A term a
+    thread picks up on the hit path between the test and the removal is
+    put back, so a term in use is never dropped.
+    """
+    global _sweep_at
+    table = _intern_table
+    # The counts of an object held by a dict alone and, once popped, by a
+    # local alone, read the same ways the pass reads them, so they hold
+    # under any interpreter's reference counting.
+    probe = {None: object()}
+    dead = getrefcount(probe[None])
+    term = probe.pop(None)
+    popped = getrefcount(term)
+    del term
+    for key in reversed(list(table)):
+        if getrefcount(table[key]) == dead:
+            term = table.pop(key)
+            if getrefcount(term) != popped:
+                table[key] = term
+            del term  # frees the term now, before the pass reaches its children
+    _sweep_at = max(_SWEEP_FLOOR, 2 * len(table))
+
+
+def live_terms() -> int:
+    """Sweep the intern table now and return how many terms it keeps:
+    the terms that something outside the table still references."""
+    with _mint_lock:
+        _sweep()
+        return len(_intern_table)
 
 
 class Term:
@@ -331,9 +410,9 @@ class Not(Term):
 class And(Term):
     __slots__ = ("args",)
 
-    def _init(self, args: tuple[Term, ...]) -> None:
+    def _init(self, args: Iterable[Term]) -> None:
         super()._init()
-        self.args = args
+        self.args = tuple(args)
 
     def __repr__(self) -> str:
         return "(" + " & ".join(map(repr, self.args)) + ")"
@@ -342,9 +421,9 @@ class And(Term):
 class Or(Term):
     __slots__ = ("args",)
 
-    def _init(self, args: tuple[Term, ...]) -> None:
+    def _init(self, args: Iterable[Term]) -> None:
         super()._init()
-        self.args = args
+        self.args = tuple(args)
 
     def __repr__(self) -> str:
         return "(" + " | ".join(map(repr, self.args)) + ")"
@@ -361,8 +440,8 @@ class Atom(Term):
         return repr(self.constraint)
 
 
-TRUE: Term = _intern(BoolConst, (True,))
-FALSE: Term = _intern(BoolConst, (False,))
+TRUE: Term = _intern(BoolConst, True, True)
+FALSE: Term = _intern(BoolConst, False, False)
 
 _fresh_names = itertools.count()
 
@@ -371,7 +450,7 @@ def boolvar(name: str | None = None) -> Term:
     """A boolean variable.  Distinct calls with the same name are the same var."""
     if name is None:
         name = f"_b{next(_fresh_names)}"
-    return _intern(BoolVar, (name,))
+    return _intern(BoolVar, name, name)
 
 
 def intvar(name: str | None = None) -> IntVar:
@@ -393,7 +472,7 @@ def neg(term: Term) -> Term:
         return TRUE
     if isinstance(term, Not):
         return term.arg
-    return _intern(Not, (term,))
+    return _intern(Not, term.uid, term)
 
 
 def _flatten(cls: type, terms: Iterable[Term], absorbing: Term, neutral: Term) -> Term:
@@ -402,8 +481,9 @@ def _flatten(cls: type, terms: Iterable[Term], absorbing: Term, neutral: Term) -
     # interned node.  Without this, incrementally combined encodings of
     # large meshes degenerate into deeply nested binary trees that cost one
     # Tseitin gate (and three clauses) per internal node.
-    seen: set[int] = set()
-    flat: list[Term] = []
+    # ``seen`` maps each kept child's uid to the child, in order: its keys
+    # are the intern key of the result and its values the result's args.
+    seen: dict[int, Term] = {}
     stack: list[Term] = list(terms)
     stack.reverse()
     while stack:
@@ -416,23 +496,23 @@ def _flatten(cls: type, terms: Iterable[Term], absorbing: Term, neutral: Term) -
             children = term.args  # type: ignore[attr-defined]
             stack.extend(reversed(children))
             continue
-        if term.uid in seen:
+        uid = term.uid
+        if uid in seen:
             continue
         # x & !x == false ; x | !x == true.  The complement is looked up,
         # not interned: a Not nobody has built cannot be in ``seen``.
         if isinstance(term, Not):
             complement = term.arg
         else:
-            complement = _intern_table.get((Not, (term,)))
+            complement = _intern_table.get((Not, uid))
         if complement is not None and complement.uid in seen:
             return absorbing
-        seen.add(term.uid)
-        flat.append(term)
-    if not flat:
+        seen[uid] = term
+    if not seen:
         return neutral
-    if len(flat) == 1:
-        return flat[0]
-    return _intern(cls, (tuple(flat),))
+    if len(seen) == 1:
+        return next(iter(seen.values()))
+    return _intern(cls, tuple(seen), seen.values())
 
 
 def conj(*terms: Term) -> Term:

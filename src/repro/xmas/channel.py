@@ -10,6 +10,7 @@ model (:mod:`repro.mc`).
 from __future__ import annotations
 
 import enum
+import weakref
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -24,15 +25,30 @@ class Direction(enum.Enum):
 
 
 class Port:
-    """One directed connection point of a primitive."""
+    """One directed connection point of a primitive.
 
-    __slots__ = ("owner", "name", "direction", "channel")
+    A port refers to its owner and its channel weakly: the primitive
+    holds its ports and the network holds its channels, which hold their
+    ports, so a dropped network is freed by reference counting alone,
+    without waiting for the cyclic collector.
+    """
+
+    __slots__ = ("_owner", "name", "direction", "_channel")
 
     def __init__(self, owner: "Primitive", name: str, direction: Direction):
-        self.owner = owner
+        self._owner = weakref.ref(owner)
         self.name = name
         self.direction = direction
-        self.channel: Channel | None = None
+        self._channel: weakref.ref[Channel] | None = None
+
+    @property
+    def owner(self) -> "Primitive":
+        return self._owner()
+
+    @property
+    def channel(self) -> "Channel | None":
+        ref = self._channel
+        return None if ref is None else ref()
 
     @property
     def qualified_name(self) -> str:
@@ -48,7 +64,7 @@ class Port:
 class Channel:
     """A point-to-point link from an output port to an input port."""
 
-    __slots__ = ("name", "initiator", "target")
+    __slots__ = ("name", "initiator", "target", "__weakref__")
 
     def __init__(self, name: str, initiator: Port, target: Port):
         if initiator.direction is not Direction.OUT:
@@ -68,8 +84,7 @@ class Channel:
         self.name = name
         self.initiator = initiator
         self.target = target
-        initiator.channel = self
-        target.channel = self
+        initiator._channel = target._channel = weakref.ref(self)
 
     def __repr__(self) -> str:
         return (

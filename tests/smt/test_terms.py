@@ -235,7 +235,8 @@ def _reference_normalise_le(expr):
             key=lambda item: item[0].uid,
         )
     )
-    return terms._intern(Atom, (LinearAtom(coeffs, bound),))
+    atom = LinearAtom(coeffs, bound)
+    return terms._intern(Atom, atom._key, atom)
 
 
 def _reference_le(left, right):
