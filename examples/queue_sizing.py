@@ -20,15 +20,8 @@ at a time up to 16, then a bisection of the last gap);
 ``--invariants`` picks the strengthening mode — ``eager`` (the full
 invariant set, conjoined up front) or ``none`` (plain block/idle);
 ``--save``/``--resume`` checkpoint the grid so an interrupted run
-re-builds nothing.
-
-``--portfolio`` answers every probe through a racing
-:class:`repro.core.PortfolioSession` instead of committing to one
-search configuration: eager variants (reduction and phase-seed tuning)
-race from the same snapshot, the first verdict wins, losers are
-cancelled, and learned clauses flow between racers.
-``--query-jobs`` caps the racer count; resumed runs seed each scenario
-family's learned leader from the checkpoint's win record.
+re-builds nothing; ``--query-jobs`` shards each ``--sweep`` scenario's
+sizes across that many pool workers.
 
 Run:  python examples/queue_sizing.py [--max-mesh 3] [--jobs 4] [--sweep]
 """
@@ -80,13 +73,9 @@ def main() -> None:
                         choices=["eager", "none"],
                         help="invariant strengthening mode (default eager; "
                              "none = plain block/idle)")
-    parser.add_argument("--portfolio", action="store_true",
-                        help="race the strategy portfolio per probe (first "
-                             "verdict wins, learned clauses shared); "
-                             "--query-jobs caps the racer count")
     parser.add_argument("--query-jobs", type=int, default=None,
-                        help="inner per-scenario worker budget (racers with "
-                             "--portfolio); default 1")
+                        help="inner per-scenario worker budget (shards the "
+                             "sizes of a --sweep); default 1")
     parser.add_argument("--save", metavar="PATH",
                         help="checkpoint results to PATH after each scenario")
     parser.add_argument("--resume", metavar="PATH",
@@ -106,7 +95,6 @@ def main() -> None:
         query_jobs=args.query_jobs,
         resume=args.resume,
         save_path=args.save,
-        portfolio=True if args.portfolio else None,
     )
     if result.reused:
         print(f"(resumed: {result.reused} scenarios reused, "
@@ -130,11 +118,6 @@ def main() -> None:
     print(f"\ngrid: {len(result.scenarios)} scenarios, "
           f"build {result.build_seconds:.2f}s / "
           f"query {result.query_seconds:.2f}s")
-    if args.portfolio:
-        wins = result.strategy_wins()
-        rendered = ", ".join(f"{name}:{count}" for name, count in wins.items())
-        print(f"portfolio: {result.portfolio_races} races won by "
-              f"{rendered or '<none>'}")
 
 
 if __name__ == "__main__":

@@ -67,12 +67,6 @@ from .parallel import (
     scenario_executor,
     shutdown_scenario_executors,
 )
-from .portfolio import (
-    PortfolioSession,
-    StrategyConfig,
-    default_strategies,
-    racer_budget,
-)
 from .proof import enumerate_witnesses, verify
 from .resilience import (
     Deadline,
@@ -80,9 +74,6 @@ from .resilience import (
     FaultSpec,
     InjectedFault,
     RetryPolicy,
-    WorkerCrashError,
-    WorkerFault,
-    WorkerHangError,
     active_fault_plan,
     install_fault_plan,
 )
@@ -103,10 +94,6 @@ __all__ = [
     "VerificationSession",
     "ParallelVerificationSession",
     "WorkerSession",
-    "PortfolioSession",
-    "StrategyConfig",
-    "default_strategies",
-    "racer_budget",
     "Experiment",
     "ExperimentResult",
     "ScenarioSpec",
@@ -144,9 +131,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
-    "WorkerFault",
-    "WorkerCrashError",
-    "WorkerHangError",
     "active_fault_plan",
     "install_fault_plan",
     "LruSessionCache",

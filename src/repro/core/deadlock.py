@@ -109,9 +109,6 @@ class DeadlockEncoding:
         """Labelled disjuncts of the assertion (derived from ``cases``)."""
         return [(case.label, case.term) for case in self.cases]
 
-    def all_terms(self) -> list[Term]:
-        return [*self.definitions, *self.domain, self.assertion]
-
     def guard_terms(self) -> list[Term]:
         """Guard wiring for assumption-based querying.
 

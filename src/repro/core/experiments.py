@@ -302,14 +302,6 @@ class ScenarioSpec:
     query_jobs:
         Inner query-level worker count for this scenario's sweep;
         ``None`` defers to the scheduler's nested-jobs budget.
-    portfolio:
-        Answer this scenario's probes through a racing
-        :class:`~repro.core.portfolio.PortfolioSession` (the query-jobs
-        budget becomes the racer budget).  Verdict-invariant by
-        construction — the portfolio's canonical verdicts are
-        byte-identical to sequential eager mode — so, like the
-        scheduling hints, it is *excluded* from :meth:`key`; the
-        per-strategy win record lands on the :class:`ScenarioResult`.
     label:
         Display label; defaults to a rendering of builder + kwargs.
     """
@@ -323,7 +315,6 @@ class ScenarioSpec:
     size_param: str = "queue_size"
     invariants: str = "eager"
     query_jobs: int | None = None
-    portfolio: bool = False
     label: str | None = None
 
     def __post_init__(self):
@@ -354,9 +345,8 @@ class ScenarioSpec:
     def key(self) -> str:
         """Canonical identity of this grid point (resume / dedup key).
 
-        Scheduling hints (``query_jobs``, ``label``, ``portfolio``) are
-        excluded: they do not change the scenario's verdicts (portfolio
-        racing reports the canonical verdicts).
+        Scheduling hints (``query_jobs``, ``label``) are excluded: they
+        do not change the scenario's verdicts.
         """
         payload = {
             "builder": self.builder,
@@ -429,12 +419,6 @@ class ScenarioResult:
     invariants_used: bool
     # Invariant rows encoded (the full set under eager mode).
     invariants_generated: int = 0
-    # Portfolio racing record (strategy name -> probes won, and the race
-    # count behind them).  Empty/zero when the scenario ran without a
-    # portfolio — and on results loaded from pre-portfolio checkpoints,
-    # which carry neither field.
-    strategy_wins: dict[str, int] = field(default_factory=dict)
-    portfolio_races: int = 0
     stats: dict = field(default_factory=dict)
     # Structured failure record (None on success): set when a scenario
     # exhausted the whole quarantine ladder (pool retries, then inline
@@ -495,8 +479,6 @@ class ScenarioResult:
             invariants_mode=sizing.invariants_mode,
             invariants_used=sizing.invariants_used,
             invariants_generated=sizing.invariants_generated,
-            strategy_wins=dict(sorted(sizing.strategy_wins.items())),
-            portfolio_races=sizing.portfolio_races,
             stats={"network": network_stats, "solver_totals": solver_totals},
         )
 
@@ -512,18 +494,13 @@ class ScenarioResult:
             int(size): bool(free) for size, free in payload["probes"].items()
         }
         # Checkpoints written while the lazy and partial invariant modes
-        # existed carry their escalation record; it has no field now.
+        # or the strategy portfolio existed carry their records; they
+        # have no field now.
         for retired in (
-            "lazy_escalations", "rank_histogram", "rank_budget", "rank_growth"
+            "lazy_escalations", "rank_histogram", "rank_budget", "rank_growth",
+            "strategy_wins", "portfolio_races",
         ):
             payload.pop(retired, None)
-        # Pre-portfolio checkpoints carry neither field; the dataclass
-        # defaults (no wins, zero races) make them load unchanged.
-        if "strategy_wins" in payload:
-            payload["strategy_wins"] = {
-                str(name): int(count)
-                for name, count in payload["strategy_wins"].items()
-            }
         return cls(**payload)
 
     def verdicts(self) -> list:
@@ -570,18 +547,6 @@ class ExperimentResult:
     @property
     def query_seconds(self) -> float:
         return sum(result.query_seconds for result in self.scenarios)
-
-    @property
-    def portfolio_races(self) -> int:
-        return sum(result.portfolio_races for result in self.scenarios)
-
-    def strategy_wins(self) -> dict[str, int]:
-        """Per-strategy probe wins summed over every scenario."""
-        wins: dict[str, int] = {}
-        for result in self.scenarios:
-            for name, count in result.strategy_wins.items():
-                wins[name] = wins.get(name, 0) + count
-        return dict(sorted(wins.items()))
 
     def verdict_bytes(self) -> bytes:
         """Canonical byte encoding of every scenario's verdicts — the
@@ -653,8 +618,7 @@ def run_scenario(
     spec: ScenarioSpec,
     query_jobs: int | None = None,
     backend: str = "process",
-    portfolio: bool | None = None,
-    portfolio_lead: str | None = None,
+    portfolio: bool = False,
     deadline=None,
 ) -> ScenarioResult:
     """Build and answer one scenario end to end (the worker body).
@@ -664,21 +628,22 @@ def run_scenario(
     own sessions — nothing but the spec comes in and nothing but the
     compact result goes out.  ``query_jobs`` is the scheduler's
     nested-jobs budget; the spec's own :attr:`ScenarioSpec.query_jobs`
-    overrides it.  When the probes race through a portfolio, that same
-    budget caps the racer count (:func:`~repro.core.portfolio.racer_budget`),
-    so the two-level jobs accounting is unchanged.  ``portfolio=None``
-    defers to :attr:`ScenarioSpec.portfolio`; ``portfolio_lead`` names
-    the strategy the scheduler wants raced first (its learned leader for
-    this scenario's family).  ``deadline`` bounds every probe
+    overrides it.  ``portfolio`` must be ``False``: the strategy
+    portfolio was deleted, and ``True`` raises ``ValueError``.
+    ``deadline`` bounds every probe
     (:class:`~repro.core.resilience.Deadline` or wire tuple — it crosses
     the scenario-pool boundary as plain data); sizes the budget could not
     answer land as ``TIMEOUT`` probes, never hangs.
     """
+    if portfolio:
+        raise ValueError(
+            "the strategy portfolio was deleted (it never beat "
+            "sequential eager); pass portfolio=False"
+        )
     start = perf_counter()
     maybe_inject("scenario-worker")
     deadline = Deadline.coerce(deadline)
     inner = spec.query_jobs if spec.query_jobs is not None else (query_jobs or 1)
-    use_portfolio = spec.portfolio if portfolio is None else portfolio
     build = spec.build_callable()
     if spec.mode == "search":
         sizing = minimal_queue_size(
@@ -686,9 +651,6 @@ def run_scenario(
             low=spec.low,
             max_size=spec.max_size,
             invariants=spec.invariants,
-            portfolio=use_portfolio,
-            portfolio_jobs=inner,
-            portfolio_lead=portfolio_lead,
             deadline=deadline,
         )
     else:
@@ -698,8 +660,6 @@ def run_scenario(
             jobs=inner,
             backend=backend,
             invariants=spec.invariants,
-            portfolio=use_portfolio,
-            portfolio_lead=portfolio_lead,
             deadline=deadline,
         )
     return ScenarioResult.from_sizing(spec, sizing, perf_counter() - start)
@@ -783,7 +743,6 @@ class Experiment:
         resume: "ExperimentResult | str | Path | None" = None,
         save_path: str | Path | None = None,
         progress: Callable[[ScenarioResult], None] | None = None,
-        portfolio: bool | None = None,
         retry_policy: RetryPolicy | None = None,
         deadline=None,
     ) -> ExperimentResult:
@@ -821,16 +780,6 @@ class Experiment:
             Callback invoked with each newly computed
             :class:`ScenarioResult` as it lands (worker completion
             order).
-        portfolio:
-            ``None`` (default) defers to each spec's
-            :attr:`ScenarioSpec.portfolio`; ``True``/``False`` overrides
-            the whole grid.  Portfolio scenarios are seeded with a
-            *learned leader*: the scheduler tallies per-strategy wins
-            from prior results of the same scenario family (same
-            builder) — resumed checkpoints and, on the inline path,
-            results landing earlier in this run — and races that
-            family's winningest strategy first.  Verdicts are unchanged
-            either way; only which racer tends to finish first is.
         retry_policy:
             Backoff schedule for the fault-tolerant scheduler (defaults
             to :class:`~repro.core.resilience.RetryPolicy`).  A scenario
@@ -898,31 +847,6 @@ class Experiment:
         retries = 0
         degraded = 0
 
-        # Leader learning: per scenario *family* (builder name — the
-        # finest grain the grid shares solver behaviour across), tally
-        # which portfolio strategy won the most probes so far.  Scenario
-        # keys are JSON payloads, so the family of a resumed result is
-        # recoverable without its spec.
-        family_wins: dict[str, dict[str, int]] = {}
-
-        def credit_wins(key: str, wins: Mapping[str, int]) -> None:
-            family = json.loads(key)["builder"]
-            tally = family_wins.setdefault(family, {})
-            for name, count in wins.items():
-                tally[name] = tally.get(name, 0) + int(count)
-
-        for key, prior in completed.items():
-            if prior.strategy_wins:
-                credit_wins(key, prior.strategy_wins)
-
-        def lead_for(spec: ScenarioSpec) -> str | None:
-            tally = family_wins.get(spec.builder)
-            if not tally:
-                return None
-            # Deterministic argmax: most wins, ties broken by name.
-            best = max(sorted(tally), key=lambda name: tally[name])
-            return best if tally[best] > 0 else None
-
         def checkpoint() -> None:
             if save_path is None:
                 return
@@ -945,8 +869,6 @@ class Experiment:
             nonlocal computed
             results_by_key[result.key] = result
             computed += 1
-            if result.strategy_wins:
-                credit_wins(result.key, result.strategy_wins)
             checkpoint()
             if progress is not None:
                 progress(result)
@@ -957,8 +879,8 @@ class Experiment:
             A scenario lands here after exhausting its pool attempts (or
             after its worker answered with an exception): first re-run it
             inline exactly as spec'd, then degrade to a sequential-eager
-            single-session replay (same key — ``portfolio``/``query_jobs``
-            are verdict-invariant scheduling hints), and only when that
+            single-session replay (same key — ``query_jobs`` is a
+            verdict-invariant scheduling hint), and only when that
             also fails return a structured failure placeholder so the
             rest of the grid still completes.
             """
@@ -967,24 +889,15 @@ class Experiment:
             retries += 1
             try:
                 return run_scenario(
-                    spec,
-                    query_jobs=inner,
-                    backend=backend,
-                    portfolio=portfolio,
-                    portfolio_lead=lead_for(spec),
-                    deadline=deadline,
+                    spec, query_jobs=inner, backend=backend, deadline=deadline
                 )
             except Exception:
                 pass
             degraded += 1
-            fallback = replace(spec, portfolio=False, query_jobs=1)
+            fallback = replace(spec, query_jobs=1)
             try:
                 return run_scenario(
-                    fallback,
-                    query_jobs=1,
-                    backend=backend,
-                    portfolio=False,
-                    deadline=deadline,
+                    fallback, query_jobs=1, backend=backend, deadline=deadline
                 )
             except Exception as error:
                 failures += 1
@@ -997,8 +910,6 @@ class Experiment:
 
         if pending:
             if jobs == 1:
-                # Inline scheduling learns within the run: each scenario's
-                # leader reflects every earlier result of its family.
                 for spec in pending:
                     try:
                         land(
@@ -1006,8 +917,6 @@ class Experiment:
                                 spec,
                                 query_jobs=inner,
                                 backend=backend,
-                                portfolio=portfolio,
-                                portfolio_lead=lead_for(spec),
                                 deadline=deadline,
                             )
                         )
@@ -1043,11 +952,8 @@ class Experiment:
                     executor = scenario_executor(
                         jobs, backend, epoch=registry_generation()
                     )
-                    # Pool submissions are all in flight at once, so
-                    # leaders come from the resume seed only
-                    # (cross-*run* learning).  The deadline crosses the
-                    # pool boundary as its wire tuple: worker clocks are
-                    # not comparable with ours.
+                    # The deadline crosses the pool boundary as its wire
+                    # tuple: worker clocks are not comparable with ours.
                     future_spec = {}
                     for spec in pooled:
                         attempts[spec.key()] += 1
@@ -1056,9 +962,7 @@ class Experiment:
                             spec,
                             inner,
                             backend,
-                            portfolio,
-                            lead_for(spec),
-                            wire,
+                            deadline=wire,
                         )
                         future_spec[future] = spec
                     try:

@@ -34,8 +34,8 @@ are independent queries over one fixed encoding.
   so the parallel API never loses to the sequential session on machines
   that cannot parallelise.
 
-:class:`WorkerSession` is the one query engine: pool workers, racers and
-the service restore it, the sequential session binds it in place.
+:class:`WorkerSession` is the one query engine: pool workers and the
+service restore it, the sequential session binds it in place.
 
 Backends: ``"process"`` (default) runs workers in separate processes —
 real parallelism for the pure-Python solver — each rehydrating the
@@ -238,14 +238,8 @@ class WorkerSession:
     everything learned on the previous ones.
     """
 
-    def __init__(
-        self,
-        snapshot: SessionSnapshot,
-        reduction_overrides: dict | None = None,
-    ):
-        solver, ints = restore_solver(
-            snapshot.solver, reduction_overrides=reduction_overrides
-        )
+    def __init__(self, snapshot: SessionSnapshot):
+        solver, ints = restore_solver(snapshot.solver)
         self._bind(snapshot, solver, ints)
 
     @classmethod
@@ -324,9 +318,10 @@ class WorkerSession:
         case queries under the same pins decides the pins once.
 
         ``conflict_limit``/``should_stop`` bound the call cooperatively
-        (see :meth:`Solver.check`); an expired slice yields the payload
-        ``("unknown", None, None, stats, elapsed)`` with all learning
-        retained, so the caller can import peer clauses and re-ask.
+        (see :meth:`Solver.check`; :meth:`bounded_check` sets them from a
+        :class:`~repro.core.resilience.Deadline`); an expired slice yields
+        the payload ``("unknown", None, None, stats, elapsed)`` with all
+        learning retained, so the caller can re-ask.
         """
         start = perf_counter()
         if sizes is None and self.snapshot.parametric:

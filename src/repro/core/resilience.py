@@ -1,11 +1,10 @@
 """Fault tolerance for the execution stack: deadlines, retries, fault injection.
 
 The orchestration layers built on top of the incremental engine —
-:mod:`repro.core.parallel` (query pools), :mod:`repro.core.portfolio`
-(slice-serving racer children) and :mod:`repro.core.experiments`
-(scenario grids) — all assume a healthy machine: workers never die,
-solves never wedge, children always reply.  This module supplies the
-primitives that drop that assumption without touching verdicts:
+:mod:`repro.core.parallel` (query pools), :mod:`repro.core.experiments`
+(scenario grids) and :mod:`repro.core.service` — all assume a healthy
+machine: workers never die and solves never wedge.  This module supplies
+the primitives that drop that assumption without touching verdicts:
 
 * :class:`Deadline` — a run budget (wall-clock seconds and/or a conflict
   budget) riding the solver's cooperative-cancellation hooks
@@ -16,12 +15,9 @@ primitives that drop that assumption without touching verdicts:
   (:meth:`Deadline.to_wire`), so a worker enforces the *remaining*
   budget locally.
 * :class:`RetryPolicy` — capped exponential backoff with deterministic
-  jitter, shared by every recovery loop (pool rebuilds, racer restarts,
-  scenario retries).
-* :exc:`WorkerCrashError` / :exc:`WorkerHangError` — typed faults the
-  orchestration layers raise when a child dies or stops replying; the
-  recovery paths catch exactly these (plus
-  :class:`concurrent.futures.BrokenExecutor`) and replay from the same
+  jitter, shared by every recovery loop (pool rebuilds, scenario
+  retries).  The recovery paths catch
+  :class:`concurrent.futures.BrokenExecutor` and replay from the same
   :class:`~repro.core.engine.SessionSnapshot`, which is why recovered
   verdicts stay byte-identical.
 * :class:`FaultPlan` / :func:`maybe_inject` — a deterministic fault
@@ -44,21 +40,20 @@ site                 where
                      once per job)
 ``parallel-pool``    :meth:`ParallelVerificationSession._dispatch` (parent,
                      once per pool dispatch)
-``racer-slice``      :func:`repro.core.portfolio._racer_main` (slice
-                     server, once per slice command)
 ``scenario-worker``  :func:`repro.core.experiments.run_scenario` (once per
                      scenario)
 ``builder``          :meth:`ScenarioSpec.build` (once per network build)
+``service-worker``   :mod:`repro.core.service` pool jobs (once per query
+                     or size search)
+``service-builder``  :mod:`repro.core.service` build-tier job (once per
+                     cold build)
 ===================  =======================================================
 
 Actions: ``kill`` (``os._exit`` — a hard worker crash; downgraded to
 ``raise`` in the plan's owner process so an injected kill can never take
 down the test runner), ``raise`` (:exc:`InjectedFault`), ``break``
 (:class:`~concurrent.futures.BrokenExecutor` — a simulated pool break),
-``drop`` (returned to the caller, which swallows its reply — the parent
-observes a hang), ``hang`` (sleep ``HANG_SECONDS`` — the parent's reply
-timeout must recover and reap the child), ``delay`` (a short sleep, then
-proceed normally).
+``delay`` (a short sleep, then proceed normally).
 
 A plan may carry a *latch directory*: each trigger then fires at most
 once **globally** (across every process), via an atomically created
@@ -73,7 +68,6 @@ import os
 import time
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
-from queue import Empty
 
 __all__ = [
     "Deadline",
@@ -81,14 +75,9 @@ __all__ = [
     "FaultSpec",
     "FaultPlan",
     "InjectedFault",
-    "WorkerFault",
-    "WorkerCrashError",
-    "WorkerHangError",
     "install_fault_plan",
     "active_fault_plan",
     "maybe_inject",
-    "reap_process",
-    "drain_queue",
     "ENV_FAULTS",
     "ENV_FAULT_LATCH",
     "ENV_FAULT_PID",
@@ -97,10 +86,6 @@ __all__ = [
 ENV_FAULTS = "ADVOCAT_FAULTS"
 ENV_FAULT_LATCH = "ADVOCAT_FAULT_LATCH"
 ENV_FAULT_PID = "ADVOCAT_FAULT_PID"
-
-#: How long an injected ``hang`` sleeps — far beyond any reply timeout,
-#: so the parent must detect the hang and reap the child.
-HANG_SECONDS = 3600.0
 
 #: How long an injected ``delay`` sleeps before proceeding normally.
 DELAY_SECONDS = 0.2
@@ -117,18 +102,6 @@ KILL_EXIT_CODE = 17
 class InjectedFault(RuntimeError):
     """Raised by an injected ``raise`` action (and by a ``kill`` that
     fires in the plan's owner process, where ``os._exit`` is unsafe)."""
-
-
-class WorkerFault(RuntimeError):
-    """Base of the detected child-process faults the recovery paths catch."""
-
-
-class WorkerCrashError(WorkerFault):
-    """A child process died (or reported a fatal error) mid-task."""
-
-
-class WorkerHangError(WorkerFault):
-    """A live child stopped replying within the reply timeout."""
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +262,7 @@ class RetryPolicy:
 # Fault injection
 # ---------------------------------------------------------------------------
 
-_ACTIONS = ("kill", "raise", "break", "drop", "hang", "delay")
+_ACTIONS = ("kill", "raise", "break", "delay")
 
 
 @dataclass(frozen=True)
@@ -463,9 +436,8 @@ def active_fault_plan() -> FaultPlan | None:
 def maybe_inject(site: str) -> str | None:
     """One injection point: no-op without a plan (one dict lookup).
 
-    Executes ``kill``/``raise``/``break``/``hang``/``delay`` directly;
-    returns ``"drop"`` (and ``"delay"``, after its sleep) to the caller,
-    which decides what swallowing a reply means at its site.
+    Executes ``kill``/``raise``/``break`` directly; returns ``"delay"``
+    after its sleep.
     """
     plan = active_fault_plan()
     if plan is None:
@@ -484,65 +456,6 @@ def maybe_inject(site: str) -> str | None:
         raise InjectedFault(f"injected fault at {site!r}")
     if action == "break":
         raise BrokenExecutor(f"injected pool break at {site!r}")
-    if action == "hang":
-        time.sleep(HANG_SECONDS)
-        return "hang"
-    if action == "delay":
-        time.sleep(DELAY_SECONDS)
+    time.sleep(DELAY_SECONDS)
     return action
 
-
-# ---------------------------------------------------------------------------
-# Child-process hygiene
-# ---------------------------------------------------------------------------
-
-
-def reap_process(proc, timeout: float = 5.0) -> str:
-    """Stop ``proc`` with escalation: join → ``terminate()`` → ``kill()``.
-
-    Returns how it died (``"joined"`` / ``"terminated"`` / ``"killed"`` /
-    ``"lost"``) — a hung child that ignores SIGTERM is force-killed, so
-    no zombie survives a session's :meth:`close`.
-    """
-    proc.join(timeout)
-    if not proc.is_alive():
-        return "joined"
-    proc.terminate()
-    proc.join(timeout)
-    if not proc.is_alive():
-        return "terminated"
-    kill = getattr(proc, "kill", None)
-    if kill is not None:
-        kill()
-        proc.join(timeout)
-        if not proc.is_alive():
-            return "killed"
-    return "lost"
-
-
-def drain_queue(queue) -> int:
-    """Empty a multiprocessing queue and detach its feeder thread.
-
-    Dropping a queue with items still buffered can block interpreter
-    shutdown on the feeder thread; recovery paths drain before
-    rebuilding.  Returns the number of items discarded.
-    """
-    drained = 0
-    try:
-        while True:
-            queue.get_nowait()
-            drained += 1
-    except Empty:
-        pass
-    except (OSError, ValueError):
-        pass  # already closed
-    cancel = getattr(queue, "cancel_join_thread", None)
-    if cancel is not None:
-        cancel()
-    close = getattr(queue, "close", None)
-    if close is not None:
-        try:
-            close()
-        except (OSError, ValueError):
-            pass
-    return drained

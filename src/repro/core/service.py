@@ -265,8 +265,7 @@ def _scenario_job(spec_kwargs: dict, wire_deadline) -> dict:
         tuple(wire_deadline) if wire_deadline is not None else None
     )
     result = run_scenario(
-        spec, query_jobs=1, backend="process", portfolio=False,
-        deadline=deadline,
+        spec, query_jobs=1, backend="process", deadline=deadline
     )
     return {
         "minimal_size": result.minimal_size,

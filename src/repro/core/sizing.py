@@ -108,11 +108,6 @@ class SizingResult:
     invariants_mode: str = "eager"
     invariants_used: bool = True
     invariants_generated: int = 0
-    # Portfolio racing (strategy name -> races won); empty unless the
-    # search ran through a PortfolioSession.  ``portfolio_races`` counts
-    # the races behind those wins, so win *rates* survive aggregation.
-    strategy_wins: dict[str, int] = field(default_factory=dict)
-    portfolio_races: int = 0
     # True when a run budget expired before the search/sweep completed:
     # ``probes`` then holds only the sizes decided in budget (TIMEOUT
     # probes appear in ``results`` but never in ``probes``), and a
@@ -145,8 +140,6 @@ class SizingResult:
         mode: str | None = None
         used = False
         generated = 0
-        wins: dict[str, int] = {}
-        races = 0
         timed_out = False
         for part in parts:
             for size, free in part.probes.items():
@@ -162,9 +155,6 @@ class SizingResult:
             mode = part.invariants_mode if mode is None else mode
             used = used or part.invariants_used
             generated += part.invariants_generated
-            for name, count in part.strategy_wins.items():
-                wins[name] = wins.get(name, 0) + count
-            races += part.portfolio_races
             timed_out = timed_out or part.timed_out
         free_sizes = [size for size, free in probes.items() if free]
         return cls(
@@ -176,8 +166,6 @@ class SizingResult:
             invariants_mode=mode or "eager",
             invariants_used=used,
             invariants_generated=generated,
-            strategy_wins=wins,
-            portfolio_races=races,
             timed_out=timed_out,
         )
 
@@ -238,10 +226,8 @@ class _Walk:
 
     The session, opened over ``base_network``, is a parametric
     :class:`VerificationSession`, strengthened up front when ``mode`` is
-    ``"eager"``, or, with ``portfolio``, a
-    :class:`~repro.core.portfolio.PortfolioSession`, whose base snapshot
-    carries the invariants.  ``assignment`` maps a size to the per-queue
-    sizes to probe.
+    ``"eager"``.  ``assignment`` maps a size to the per-queue sizes to
+    probe.
     """
 
     def __init__(
@@ -252,9 +238,6 @@ class _Walk:
         timer: _SplitTimer,
         deadline: Deadline | None,
         verify_kwargs: dict,
-        portfolio: bool = False,
-        racer_jobs: int | None = None,
-        lead: str | None = None,
     ):
         self.assignment = assignment
         self.mode = mode
@@ -262,30 +245,16 @@ class _Walk:
         self.invariants: list | None = None
         self.timer = timer
         self.deadline = deadline
-        self.portfolio = portfolio
         self.probes: dict[int, bool] = {}
         self.results: dict[int, VerificationResult] = {}
-        if portfolio:
-            from .portfolio import PortfolioSession
-
-            self.session = timer.timed(
-                "build",
-                lambda: PortfolioSession(
-                    network=base_network,
-                    jobs=racer_jobs,
-                    lead=lead,
-                    max_splits=verify_kwargs.get("max_splits", 100_000),
-                ),
-            )
-        else:
-            self.session = timer.timed(
-                "build",
-                lambda: VerificationSession(
-                    base_network, parametric_queues=True, **verify_kwargs
-                ),
-            )
-            if eager_invariants(mode):
-                self.invariants = timer.timed("build", self.session.add_invariants)
+        self.session = timer.timed(
+            "build",
+            lambda: VerificationSession(
+                base_network, parametric_queues=True, **verify_kwargs
+            ),
+        )
+        if eager_invariants(mode):
+            self.invariants = timer.timed("build", self.session.add_invariants)
 
     def probe(self, size: int) -> bool:
         """Whether ``size`` verifies; raises :class:`_DeadlineExpired`
@@ -306,7 +275,7 @@ class _Walk:
     def outcome(
         self, minimal_size: int | None, timed_out: bool = False
     ) -> SizingResult:
-        result = SizingResult(
+        return SizingResult(
             minimal_size=minimal_size,
             probes=self.probes,
             results=self.results,
@@ -317,12 +286,6 @@ class _Walk:
             invariants_generated=len(self.invariants or ()),
             timed_out=timed_out,
         )
-        if self.portfolio:
-            result.invariants_used = True
-            result.invariants_generated = self.session.invariants_generated
-            result.strategy_wins = dict(self.session.strategy_wins)
-            result.portfolio_races = self.session.races
-        return result
 
 
 def minimal_queue_size(
@@ -331,9 +294,6 @@ def minimal_queue_size(
     max_size: int = 512,
     exhaustive: bool = False,
     invariants: str = "eager",
-    portfolio: bool = False,
-    portfolio_jobs: int | None = None,
-    portfolio_lead: str | None = None,
     deadline=None,
     **verify_kwargs,
 ) -> SizingResult:
@@ -361,17 +321,6 @@ def minimal_queue_size(
         the walk has probed every smaller size already.
     invariants:
         ``"eager"`` or ``"none"`` — see the module docstring.
-    portfolio:
-        Answer every probe through one persistent
-        :class:`~repro.core.portfolio.PortfolioSession` racing the
-        strategy roster (eager plus search variants) with shared
-        clauses — verdicts identical to eager, wall-clock tracks the best
-        strategy per probe.  ``invariants`` is ignored (every racer is
-        eager).  ``portfolio_jobs`` caps concurrent racers
-        (``ADVOCAT_JOBS``/CPU budget otherwise) and ``portfolio_lead``
-        names the strategy to race first (the experiment scheduler passes
-        its learned per-family leader).  The result's ``strategy_wins``
-        records who won each probe.
     deadline:
         Optional :class:`~repro.core.resilience.Deadline` (or bare
         seconds / a wire tuple) bounding the *whole search*.  On expiry
@@ -394,9 +343,6 @@ def minimal_queue_size(
         timer,
         deadline,
         verify_kwargs,
-        portfolio=portfolio,
-        racer_jobs=portfolio_jobs,
-        lead=portfolio_lead,
     )
     with walk.session:
         try:
@@ -441,8 +387,6 @@ def sweep_queue_sizes(
     backend: str = "process",
     want_witness: bool = True,
     invariants: str = "eager",
-    portfolio: bool = False,
-    portfolio_lead: str | None = None,
     deadline=None,
     **verify_kwargs,
 ) -> SizingResult:
@@ -462,15 +406,6 @@ def sweep_queue_sizes(
     ``invariants`` is ``"eager"`` or ``"none"``; across a pool,
     ``"eager"`` strengthens the pool session first, which bakes the rows
     into the worker snapshot.
-
-    ``portfolio=True`` walks the size list sequentially through one
-    persistent :class:`~repro.core.portfolio.PortfolioSession` instead of
-    sharding sizes across workers: the parallelism budget (``jobs``,
-    routed through :func:`~repro.core.portfolio.racer_budget`) goes to
-    concurrent *racers* per probe rather than concurrent probes, and the
-    racers stay warm across the ascending walk.  ``invariants`` is
-    ignored (every racer is eager); ``strategy_wins`` records the
-    per-probe winners.
 
     ``build`` must vary only queue capacities (checked, ``ValueError``),
     as for :func:`minimal_queue_size`.  ``verify_kwargs`` forwards
@@ -494,7 +429,7 @@ def sweep_queue_sizes(
     for size in size_list[1:]:
         assignments[size] = assignment(size)
 
-    if portfolio or jobs == 1:
+    if jobs == 1:
         walk = _Walk(
             base_network,
             assignments.__getitem__,
@@ -502,9 +437,6 @@ def sweep_queue_sizes(
             timer,
             deadline,
             verify_kwargs,
-            portfolio=portfolio,
-            racer_jobs=jobs,
-            lead=portfolio_lead,
         )
         with walk.session:
             timed_out = False

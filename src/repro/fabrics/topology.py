@@ -119,9 +119,6 @@ class Topology(ABC):
         """Short stable label used in fabric element names."""
         return port.short if isinstance(port, Direction) else str(port)
 
-    def degree(self, node: Node) -> int:
-        return len(self.ports(node))
-
     # ---- experiment support ---------------------------------------------
     @abstractmethod
     def probe_positions(self) -> list[Node]:

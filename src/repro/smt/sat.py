@@ -353,10 +353,11 @@ class Cdcl:
             "reductions": 0,
             "reduced": 0,
             "kept_glue": 0,
-            # Cooperative-slicing counters (the portfolio layer): budget
-            # expiries, cancellation polls that fired, and import rounds
-            # accepted through import_learned.  Part of the stable stat
-            # key set, so the early-UNSAT zeroing contract covers them.
+            # Cooperative-slicing counters (Deadline-bounded queries):
+            # budget expiries, cancellation polls that fired, and import
+            # rounds accepted through import_learned (warm snapshots).
+            # Part of the stable stat key set, so the early-UNSAT zeroing
+            # contract covers them.
             "conflict_limit_hits": 0,
             "cancelled": 0,
             "imported_rounds": 0,
@@ -1370,14 +1371,14 @@ class Cdcl:
         ``assumptions`` are kept (a due reduction rewinds to the root).
         Pass the assumptions that stay the same across calls first.
 
-        Two cooperative bounds turn a call into a *slice* (the portfolio
-        racing primitive): ``conflict_limit`` caps the conflicts spent in
-        *this call* and ``should_stop`` is a zero-argument callable polled
-        once per propagate cycle.  When either fires the call backjumps to
-        the root and returns :data:`UNKNOWN` — no verdict, no core, and
-        the solver stays fully reusable: everything learned during the
-        slice is kept, so a later call (possibly after importing peer
-        clauses) resumes where this one stopped.  ``conflict_limit``
+        Two cooperative bounds turn a call into a *slice* (what a
+        ``Deadline`` bounds a query with): ``conflict_limit`` caps the
+        conflicts spent in *this call* and ``should_stop`` is a
+        zero-argument callable polled once per propagate cycle.  When
+        either fires the call backjumps to the root and returns
+        :data:`UNKNOWN` — no verdict, no core, and the solver stays fully
+        reusable: everything learned during the slice is kept, so a later
+        call resumes where this one stopped.  ``conflict_limit``
         expiry bumps ``stats["conflict_limit_hits"]``; a ``should_stop``
         hit bumps ``stats["cancelled"]``.  (``max_conflicts`` is the older
         *cumulative* budget that raises :class:`BudgetExceeded` instead —
@@ -1429,7 +1430,7 @@ class Cdcl:
         conflicts_here = 0
         while True:
             # Cooperative slice bounds, polled once per propagate cycle so
-            # a losing racer stops within one cycle of being beaten.  Both
+            # an expired deadline stops the search within one cycle.  Both
             # exits leave the solver at the root with all learning kept.
             if should_stop is not None and should_stop():
                 self._backjump(0)

@@ -147,10 +147,7 @@ def snapshot_solver(
     )
 
 
-def restore_solver(
-    snapshot: SolverSnapshot,
-    reduction_overrides: dict[str, object] | None = None,
-):
+def restore_solver(snapshot: SolverSnapshot):
     """Rehydrate ``(solver, ints)`` from a :class:`SolverSnapshot`.
 
     ``ints`` maps each *original* integer-variable uid to the freshly
@@ -158,12 +155,6 @@ def restore_solver(
     to build new arithmetic (capacity pins, blocking shapes) that composes
     with the snapshot's constraints.  Boolean variables need no map — a
     restored solver resolves them by name.
-
-    ``reduction_overrides`` replaces individual reduction-policy knobs
-    (``clause_reduction``, ``reduce_base``, ``glue_keep``, …) for the
-    restored solver only — the portfolio layer uses this to race
-    differently tuned lifecycles over one shared snapshot.  Overrides
-    never change verdicts, only search scheduling.
     """
     from .solver import Solver
 
@@ -176,20 +167,6 @@ def restore_solver(
         "clause_reduction": snapshot.reduction,
         **{name: value for name, value in snapshot.reduction_knobs},
     }
-    if reduction_overrides:
-        unknown = set(reduction_overrides) - {
-            "clause_reduction",
-            "reduce_base",
-            "reduce_growth",
-            "glue_keep",
-            "glue_cap",
-            "reduce_keep",
-        }
-        if unknown:
-            raise ValueError(
-                f"unknown reduction override(s): {sorted(unknown)}"
-            )
-        knobs.update(reduction_overrides)
     solver = Solver(max_splits=snapshot.max_splits, **knobs)
     cnf = solver._cnf
     cnf.n_vars = snapshot.n_vars

@@ -93,8 +93,8 @@ class Result(enum.Enum):
     SAT = "sat"
     UNSAT = "unsat"
     # A cooperatively bounded check() ran out of its conflict slice or was
-    # told to stop (portfolio racing); no verdict, every learned clause and
-    # branch-and-bound split is retained for the next call.
+    # told to stop (an expired Deadline); no verdict, every learned clause
+    # and branch-and-bound split is retained for the next call.
     UNKNOWN = "unknown"
 
 
@@ -145,9 +145,6 @@ class Model:
 
     def int_items(self) -> dict[IntVar, int]:
         return dict(self._ints)
-
-    def bool_items(self) -> dict[str, bool]:
-        return dict(self._bools)
 
 
 def equivalent_literals(
@@ -447,7 +444,8 @@ class Solver:
         polled inside the search; when either fires the call returns
         :attr:`Result.UNKNOWN` with no model/core, keeping every learned
         clause and split so a later ``check`` resumes the work.  This is
-        the slice primitive the portfolio layer races on.
+        the primitive a :class:`~repro.core.resilience.Deadline` bounds
+        queries with.
         """
         self._model = None
         self._core = None

@@ -54,9 +54,6 @@ class Port:
     def qualified_name(self) -> str:
         return f"{self.owner.name}.{self.name}"
 
-    def is_connected(self) -> bool:
-        return self.channel is not None
-
     def __repr__(self) -> str:
         return f"Port({self.qualified_name}, {self.direction.value})"
 

@@ -6,7 +6,7 @@ The service layer (PR 9) keys everything on two canonical identities —
 hypothesis sections here pin the invariances those keys promise:
 
 * ``ScenarioSpec.key()`` ignores kwarg ordering and the scheduling-only
-  knobs (``query_jobs``, ``portfolio``, ``label``, rank budgets);
+  knobs (``query_jobs``, ``label``);
 * ``content_hash()`` ignores scheduling hints (``max_splits``, clause
   reduction knobs) and survives pickle round-trips and rebuilds, while
   still separating genuinely different encodings.
@@ -145,16 +145,14 @@ def test_scenario_spec_key_invariant_under_kwarg_order(kwargs, data):
 @settings(max_examples=20, deadline=None)
 @given(
     query_jobs=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
-    portfolio=st.booleans(),
     label=st.one_of(st.none(), st.text(max_size=10)),
 )
-def test_scenario_spec_key_ignores_scheduling_hints(query_jobs, portfolio, label):
+def test_scenario_spec_key_ignores_scheduling_hints(query_jobs, label):
     base = ScenarioSpec(builder="producer_consumer", kwargs={"queue_size": 2})
     hinted = ScenarioSpec(
         builder="producer_consumer",
         kwargs={"queue_size": 2},
         query_jobs=query_jobs,
-        portfolio=portfolio,
         label=label,
     )
     assert base.key() == hinted.key()

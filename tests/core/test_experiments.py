@@ -358,7 +358,10 @@ def test_checkpoint_with_retired_modes_loads_and_resumes_eager_only():
         "eager", "lazy", "partial",
     ]
     assert all(s.probes == {1: True, 2: True} for s in loaded.scenarios)
-    for retired in ("lazy_escalations", "rank_histogram", "rank_budget"):
+    for retired in (
+        "lazy_escalations", "rank_histogram", "rank_budget",
+        "strategy_wins", "portfolio_races",
+    ):
         assert all(retired not in s.to_json() for s in loaded.scenarios)
     grid = Experiment("resumed", [_running_spec(), _running_spec(invariants="none")])
     resumed = grid.run(jobs=1, resume=RETIRED_MODES_CHECKPOINT)
@@ -488,86 +491,20 @@ def test_none_mode_reports_plain_block_idle():
 
 
 # ---------------------------------------------------------------------------
-# Portfolio scheduling: win records, resumable defaults, leader learning
+# The deleted strategy portfolio
 # ---------------------------------------------------------------------------
 
 
-def test_scenario_spec_key_excludes_portfolio_flag():
-    # Racing is verdict-invariant, so a portfolio run must resume from
-    # (and be resumable by) a sequential run of the same grid point.
-    assert _running_spec().key() == _running_spec(portfolio=True).key()
-
-
-def test_portfolio_scenario_records_wins_and_round_trips():
-    plain = run_scenario(_running_spec())
-    raced = run_scenario(_running_spec(portfolio=True), query_jobs=2)
-    assert raced.probes == plain.probes
-    assert raced.portfolio_races == len(raced.probes)
-    assert sum(raced.strategy_wins.values()) == raced.portfolio_races
-    clone = ScenarioResult.from_json(raced.to_json())
-    assert clone == raced
-    assert clone.strategy_wins == raced.strategy_wins
-    assert clone.portfolio_races == raced.portfolio_races
-
-
-def test_pre_portfolio_checkpoints_load_with_default_win_fields():
-    # Checkpoints written before the portfolio fields existed carry
-    # neither key; loading them must not crash and must report no wins.
-    payload = run_scenario(_running_spec()).to_json()
-    del payload["strategy_wins"]
-    del payload["portfolio_races"]
-    legacy = ScenarioResult.from_json(payload)
-    assert legacy.strategy_wins == {}
-    assert legacy.portfolio_races == 0
-    wrapped = ExperimentResult(name="old", scenarios=[legacy])
-    clone = ExperimentResult.from_json(wrapped.to_json())
-    assert clone.strategy_wins() == {}
-    assert clone.portfolio_races == 0
-
-
-def test_run_portfolio_matches_sequential_and_aggregates_wins():
-    grid = Experiment("race", [_running_spec(), _running_spec(sizes=(2, 3))])
-    sequential = grid.run(jobs=1)
-    raced = grid.run(jobs=1, portfolio=True, query_jobs=2)
-    assert raced.verdict_bytes() == sequential.verdict_bytes()
-    assert raced.portfolio_races == sum(
-        len(s.probes) for s in raced.scenarios
-    )
-    assert sum(raced.strategy_wins().values()) == raced.portfolio_races
-    # The run-level override beats the specs' own (unset) flag; spec-level
-    # opt-in works without the override.
-    spec_raced = Experiment(
-        "spec-race", [_running_spec(portfolio=True)]
-    ).run(jobs=1, query_jobs=2)
-    assert spec_raced.portfolio_races > 0
-
-
-def test_resume_seeds_the_learned_leader(tmp_path):
-    # A resumed portfolio run leads each scenario family with the
-    # strategy its checkpointed wins favour — and reuses the rest.
-    checkpoint = tmp_path / "race.json"
-    grid = Experiment("lead", [_running_spec(), _running_spec(sizes=(2, 3))])
-    first = Experiment("lead", grid.scenarios[:1]).run(
-        jobs=1, portfolio=True, query_jobs=2, save_path=checkpoint
-    )
-    leader = max(
-        sorted(first.strategy_wins()),
-        key=lambda name: first.strategy_wins()[name],
-    )
-    seen = []
-    resumed = grid.run(
-        jobs=1,
-        portfolio=True,
-        query_jobs=2,
-        resume=checkpoint,
-        progress=seen.append,
-    )
-    assert resumed.reused == 1 and resumed.computed == 1
-    # The newly computed scenario raced the learned leader first: with an
-    # inline backend the leader takes the first slice, so a one-sided
-    # family keeps crediting the same strategy.
-    assert seen[0].strategy_wins.get(leader, 0) > 0
-    assert resumed.verdict_bytes() == grid.run(jobs=1).verdict_bytes()
+def test_run_scenario_accepts_only_a_false_portfolio_flag():
+    # perfbench's fig4-search passes portfolio=False; it must still get
+    # the sequential eager minimum.  Asking for the deleted portfolio fails.
+    spec = ScenarioSpec(builder="running_example", max_size=8)
+    eager = minimal_queue_size(spec.build_callable(), max_size=8)
+    result = run_scenario(spec, query_jobs=1, portfolio=False)
+    assert result.minimal_size == eager.minimal_size
+    assert result.probes == eager.probes
+    with pytest.raises(ValueError, match="portfolio was deleted"):
+        run_scenario(spec, query_jobs=1, portfolio=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Chaos suite: the fault-tolerance layer must never change verdicts.
 
 Every test here drives the execution stack through an injected fault —
-killed workers, dropped replies, broken pools, raising builders, expired
-budgets — and asserts the two resilience contracts:
+killed workers, broken pools, raising builders, expired budgets — and
+asserts the two resilience contracts:
 
 * **liveness** — grids and sweeps complete (degrading through the
   quarantine ladder if they must), deadline-expired queries return a
@@ -34,7 +34,6 @@ from repro.core import (
     FaultSpec,
     InjectedFault,
     ParallelVerificationSession,
-    PortfolioSession,
     RetryPolicy,
     ScenarioSpec,
     SessionSpec,
@@ -49,16 +48,11 @@ from repro.core.parallel import discard_scenario_executor, scenario_executor
 from repro.core.resilience import (
     KILL_EXIT_CODE,
     active_fault_plan,
-    drain_queue,
     maybe_inject,
-    reap_process,
 )
 from repro.netlib import running_example
 
 pytestmark = pytest.mark.chaos
-
-# Wall-time bound on one race that recovers from a racer fault.
-RECOVERY_BUDGET_S = 10.0
 
 
 def _network(queue_size=2):
@@ -169,12 +163,12 @@ def test_retry_policy_validation():
 
 
 def test_fault_plan_parse_round_trip():
-    plan = FaultPlan.parse("query-worker:kill@2, racer-slice:drop")
+    plan = FaultPlan.parse("query-worker:kill@2, scenario-worker:delay")
     assert plan.specs == (
         FaultSpec("query-worker", "kill", 2),
-        FaultSpec("racer-slice", "drop", 1),
+        FaultSpec("scenario-worker", "delay", 1),
     )
-    assert plan.describe() == "query-worker:kill@2,racer-slice:drop@1"
+    assert plan.describe() == "query-worker:kill@2,scenario-worker:delay@1"
     with pytest.raises(ValueError):
         FaultPlan.parse("site-without-action")
     with pytest.raises(ValueError):
@@ -212,12 +206,13 @@ def test_install_fault_plan_environment_round_trip(tmp_path):
 
 def test_maybe_inject_actions():
     assert maybe_inject("anything") is None  # no plan: cheap no-op
-    install_fault_plan("s:raise@1,t:break@1,u:drop@1,v:kill@1")
+    install_fault_plan("s:raise@1,t:break@1,u:delay@1,v:kill@1")
     with pytest.raises(InjectedFault):
         maybe_inject("s")
     with pytest.raises(BrokenExecutor):
         maybe_inject("t")
-    assert maybe_inject("u") == "drop"
+    assert maybe_inject("u") == "delay"  # after its short sleep
+    assert maybe_inject("u") is None  # fired on the first arrival only
     # kill in the plan's owner process is downgraded to a raise — an
     # injected kill can never take down the test runner itself.
     with pytest.raises(InjectedFault):
@@ -247,9 +242,8 @@ def test_engine_conflict_budget_times_out_and_session_survives():
         lambda network: ParallelVerificationSession(
             network, jobs=1, backend="thread"
         ),
-        lambda network: PortfolioSession(network=network, backend="inline"),
     ],
-    ids=["sequential", "parallel", "portfolio"],
+    ids=["sequential", "parallel"],
 )
 def test_pre_expired_deadline_skips_the_solver(open_session):
     with open_session(_network()) as session:
@@ -275,14 +269,6 @@ def test_parallel_session_deadline_yields_timeouts_then_recovers():
             assert got.verdict in (want, Verdict.TIMEOUT)
         clean = pool.verify_all_cases()
         assert [r.verdict for r in clean] == reference
-
-
-def test_portfolio_inline_deadline_timeout_wins_no_strategy():
-    with PortfolioSession(network=_network(), force_race=True) as session:
-        result = session.race(deadline=Deadline(conflicts=1))
-        assert result.verdict == Verdict.TIMEOUT
-        assert sum(session.strategy_wins.values()) == 0
-        assert session.race().verdict == _eager_reference().verdict
 
 
 def test_sizing_deadline_returns_partial_result():
@@ -375,115 +361,8 @@ def _sequential_all_cases():
 
 
 # ---------------------------------------------------------------------------
-# Worker-crash recovery: the portfolio slice servers
+# Injected kills
 # ---------------------------------------------------------------------------
-
-
-def test_racer_kill_recovers_with_identical_verdict(tmp_path):
-    reference = _eager_reference()
-    install_fault_plan(
-        FaultPlan.parse("racer-slice:kill@1"), latch_dir=str(tmp_path)
-    )
-    with PortfolioSession(
-        network=_network(),
-        force_race=True,
-        backend="process",
-        jobs=3,
-        slice_conflicts=30,
-    ) as session:
-        start = time.monotonic()
-        result = session.race()
-        elapsed = time.monotonic() - start
-        assert result.verdict == reference.verdict
-        assert session.recoveries == 1
-        assert not session.degraded
-        # Recovery tears the fleet down with quit commands: healthy idle
-        # racers exit at once instead of sitting out the join timeout.
-        assert elapsed < RECOVERY_BUDGET_S, f"racer recovery took {elapsed:.1f}s"
-        # The recovery teardown is on record: every racer of the broken
-        # fleet was reaped, each within the session's shutdown timeout.
-        teardown = session.stats()["teardown"]
-        assert [entry["strategy"] for entry in teardown] == [
-            strategy.name for strategy in session.strategies
-        ]
-        for entry in teardown:
-            assert entry["outcome"] in ("joined", "terminated", "killed")
-            assert entry["seconds"] < session.shutdown_timeout
-
-
-def test_healthy_racer_close_records_joined_teardown():
-    with PortfolioSession(
-        network=_network(),
-        force_race=True,
-        backend="process",
-        jobs=2,
-        slice_conflicts=30,
-    ) as session:
-        session.race()
-        assert session.stats()["teardown"] == []  # no teardown yet
-    teardown = session.stats()["teardown"]
-    assert len(teardown) == len(session.strategies)
-    for entry in teardown:
-        assert entry["outcome"] == "joined", entry
-        # An idle racer answers its quit command at once.
-        assert entry["seconds"] < session.shutdown_timeout / 4, entry
-
-
-def test_racer_dropped_reply_detected_as_hang(tmp_path):
-    reference = _eager_reference()
-    install_fault_plan(
-        FaultPlan.parse("racer-slice:drop@1"), latch_dir=str(tmp_path)
-    )
-    with PortfolioSession(
-        network=_network(),
-        force_race=True,
-        backend="process",
-        jobs=3,
-        slice_conflicts=30,
-        reply_timeout=2.0,
-    ) as session:
-        start = time.monotonic()
-        result = session.race()
-        elapsed = time.monotonic() - start
-        assert result.verdict == reference.verdict
-        assert session.recoveries == 1
-        # The 2 s reply timeout detects the hang; the teardown after it
-        # must not add a join timeout per surviving racer.
-        assert elapsed < RECOVERY_BUDGET_S, f"racer recovery took {elapsed:.1f}s"
-
-
-def test_persistent_racer_kill_degrades_to_inline():
-    reference = _eager_reference()
-    install_fault_plan(FaultPlan.parse("racer-slice:kill@1"))
-    with PortfolioSession(
-        network=_network(),
-        force_race=True,
-        backend="process",
-        jobs=3,
-        slice_conflicts=30,
-        retry_policy=RetryPolicy(max_attempts=2, base_delay=0.01),
-    ) as session:
-        result = session.race()
-        assert result.verdict == reference.verdict
-        assert session.degraded
-        assert session.backend == "inline"
-
-
-# ---------------------------------------------------------------------------
-# Child-process hygiene primitives
-# ---------------------------------------------------------------------------
-
-
-def test_reap_process_escalation():
-    quick = multiprocessing.Process(target=time.sleep, args=(0.0,))
-    quick.start()
-    assert reap_process(quick, timeout=5.0) == "joined"
-
-    stubborn = multiprocessing.Process(target=time.sleep, args=(600.0,))
-    stubborn.start()
-    # Join times out immediately; SIGTERM must bring it down.
-    assert reap_process(stubborn, timeout=0.05) == "terminated"
-    assert not stubborn.is_alive()
 
 
 def test_injected_kill_exit_code_is_recognisable():
@@ -495,14 +374,6 @@ def test_injected_kill_exit_code_is_recognisable():
     child.start()
     child.join(10.0)
     assert child.exitcode == KILL_EXIT_CODE
-
-
-def test_drain_queue_counts_and_detaches():
-    queue = multiprocessing.get_context("fork").Queue()
-    for item in range(3):
-        queue.put(item)
-    time.sleep(0.2)  # let the feeder thread flush
-    assert drain_queue(queue) == 3
 
 
 # ---------------------------------------------------------------------------

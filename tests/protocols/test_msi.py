@@ -113,9 +113,9 @@ def test_torus_and_ring_minima_match_mesh():
     )
 
 
-def _msi_grid(invariants: str, portfolio: bool = False) -> Experiment:
+def _msi_grid(invariants: str) -> Experiment:
     return Experiment(
-        f"msi-identity-{invariants}" + ("-portfolio" if portfolio else ""),
+        f"msi-identity-{invariants}",
         [
             ScenarioSpec(
                 builder="msi_mesh",
@@ -123,7 +123,6 @@ def _msi_grid(invariants: str, portfolio: bool = False) -> Experiment:
                 mode="sweep",
                 sizes=(3, 4),
                 invariants=invariants,
-                portfolio=portfolio,
             )
         ],
     )
@@ -132,7 +131,7 @@ def _msi_grid(invariants: str, portfolio: bool = False) -> Experiment:
 def test_verdicts_identical_across_jobs_and_invariant_modes():
     """The acceptance bar: byte-identical eager verdicts whether the grid
     runs sequentially, sharded across scenarios or across the probes of
-    one scenario, or raced by the portfolio."""
+    one scenario."""
     eager = _msi_grid("eager")
     sequential = eager.run(jobs=1)
     sharded = eager.run(jobs=2, backend="thread")
@@ -142,8 +141,3 @@ def test_verdicts_identical_across_jobs_and_invariant_modes():
     # worker snapshot.
     probes_sharded = eager.run(jobs=1, query_jobs=2, backend="thread")
     assert probes_sharded.verdict_bytes() == sequential.verdict_bytes()
-
-    # The strategy portfolio races the same grid point; its canonical
-    # verdicts are byte-identical (the flag is excluded from the key).
-    raced = _msi_grid("eager", portfolio=True).run(jobs=1)
-    assert raced.verdict_bytes() == sequential.verdict_bytes()

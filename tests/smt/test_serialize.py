@@ -180,8 +180,9 @@ CANONICAL_STAT_KEYS = {
     "reduced",
     "kept_glue",
     "splits",
-    # Cooperative-slicing counters (portfolio racing): covered by the same
-    # zeroing contract — an early-UNSAT check() must report zeros for them.
+    # Cooperative-slicing counters (Deadline slices, warm imports): covered
+    # by the same zeroing contract — an early-UNSAT check() must report
+    # zeros for them.
     "conflict_limit_hits",
     "cancelled",
     "imported_rounds",

@@ -1,11 +1,11 @@
 """Cooperative slice bounds: ``conflict_limit`` / ``should_stop``.
 
-Portfolio racing runs every racer in bounded slices — the solver must
-return UNKNOWN at a slice boundary with *all* learning retained, answer
-the same query correctly when re-sliced, and stop within one propagate
-cycle of a cancellation callback firing.  These are the unit-level
-contracts under ``core/portfolio.py``; the session-level differentials
-live in ``tests/core/test_portfolio.py``.
+A :class:`~repro.core.resilience.Deadline` bounds every query with these
+slices — the solver must return UNKNOWN at a slice boundary with *all*
+learning retained, answer the same query correctly when re-sliced, and
+stop within one propagate cycle of a cancellation callback firing.  These
+are the unit-level contracts under ``Deadline``; the session-level
+timeout tests live in ``tests/core/test_resilience.py``.
 """
 
 import pytest
