@@ -1,14 +1,16 @@
-"""E8 — parallel worker-pool session vs the sequential session.
+"""E8 — a session's worker-pool fan-out vs its sequential one.
 
 Two workloads, both answered twice from one shared
 :class:`~repro.core.SessionSpec` (the build phase is deliberately outside
 every timing — the point of the spec split is that it is paid once):
 
 * **per-channel fan-out** — every deadlock case of a 3×3 MI mesh, answered
-  by the sequential incremental session vs a
-  :class:`~repro.core.ParallelVerificationSession` worker pool (pool
-  startup, snapshot serialization and worker rehydration all *included*
-  in the parallel wall time — this is the honest end-to-end cost);
+  by ``verify_all_cases`` on a ``jobs=1``
+  :class:`~repro.core.VerificationSession` vs one opened with
+  ``jobs=N``, whose fan-out runs on a worker pool (the priming query,
+  pool startup, snapshot serialization and worker rehydration all
+  *included* in the parallel wall time — this is the honest end-to-end
+  cost);
 * **sharded Figure-4 sweep** — the verdict-per-size curve of a 2×2 mesh
   probed on one session vs striped across workers with warm-start
   ordering inside each shard.
@@ -35,7 +37,6 @@ from pathlib import Path
 from conftest import report
 
 from repro.core import (
-    ParallelVerificationSession,
     SessionSpec,
     VerificationSession,
     sha_bytes,
@@ -67,7 +68,7 @@ def bench_fanout(jobs: int, backend: str) -> dict:
     seq_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    with ParallelVerificationSession(spec=spec, jobs=jobs, backend=backend) as pool:
+    with VerificationSession(spec=spec, jobs=jobs, backend=backend) as pool:
         par_results = pool.verify_all_cases()
     par_s = time.perf_counter() - start
 

@@ -11,13 +11,14 @@ driven through three drills:
   a few percent (the hot path is one ``time.monotonic`` per propagate
   cycle plus a per-query conflict charge).
 * **recovery drill** — a *latched* ``query-worker:kill`` (exactly one
-  pool worker dies, once).  The session must rebuild the pool, replay
+  pool worker dies, once) under a ``VerificationSession`` opened with
+  ``jobs=2, force_pool=True``.  The session must rebuild the pool, replay
   from the same snapshot, and report verdicts byte-identical to the
   sequential reference; ``recovery_latency_s`` is the wall-clock price
   of the crash vs the clean pooled run.
 * **quarantine drill** — an *unlatched* kill (every fresh worker dies on
   its first job).  The session must burn its retry budget, degrade to
-  in-process execution, and still answer identically.
+  answering on its own solver, and still answer identically.
 
 Verdict byte-identity is machine-independent and gated fatally by
 ``benchmarks/check_bench.py`` (``verdict_sha`` + ``verdicts_*`` flags);
@@ -41,7 +42,6 @@ from conftest import report
 from repro.core import (
     Deadline,
     FaultPlan,
-    ParallelVerificationSession,
     RetryPolicy,
     SessionSpec,
     VerificationSession,
@@ -100,7 +100,7 @@ def _overhead_case(width: int, height: int) -> dict:
 def _recovery_drill(spec: SessionSpec, reference_sha: str) -> dict:
     """Latched single worker kill: one crash, one rebuild, same verdicts."""
     start = time.perf_counter()
-    with ParallelVerificationSession(
+    with VerificationSession(
         spec=spec, jobs=2, backend="process", force_pool=True
     ) as pool:
         clean = pool.verify_all_cases()
@@ -111,7 +111,7 @@ def _recovery_drill(spec: SessionSpec, reference_sha: str) -> dict:
         install_fault_plan(FaultPlan.parse("query-worker:kill@1"), latch_dir=latch)
         try:
             start = time.perf_counter()
-            with ParallelVerificationSession(
+            with VerificationSession(
                 spec=spec, jobs=2, backend="process", force_pool=True
             ) as pool:
                 recovered = pool.verify_all_cases()
@@ -137,7 +137,7 @@ def _quarantine_drill(spec: SessionSpec, reference_sha: str) -> dict:
     install_fault_plan(FaultPlan.parse("query-worker:kill@1"))
     try:
         start = time.perf_counter()
-        with ParallelVerificationSession(
+        with VerificationSession(
             spec=spec,
             jobs=2,
             backend="process",

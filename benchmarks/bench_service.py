@@ -18,8 +18,9 @@ load generator in four phases:
   cold store.  Client-observed p50/p99 hit latency, hit rate and
   queries/sec come from this phase.
 * **identity** — every distinct verdict the service served is re-derived
-  by a fresh *sequential* eager solve (no server, no pool, no cache) and
-  must match exactly; the canonical table is hashed into ``verdict_sha``
+  by a fresh *sequential* eager solve on a
+  :class:`~repro.core.VerificationSession` (no server, no pool, no
+  cache, none of the service's worker code) and must match exactly; the canonical table is hashed into ``verdict_sha``
   (machine-independent, gated fatally by ``benchmarks/check_bench.py``).
 
 The wall-clock acceptance is the tier contrast itself — cache-hit p50 at
@@ -51,8 +52,8 @@ from conftest import report
 from repro.core import (
     AsyncServiceClient,
     ScenarioSpec,
-    ServiceSession,
     VerificationService,
+    VerificationSession,
     run_scenario,
     verdict_sha,
 )
@@ -288,26 +289,17 @@ def _sequential_reference(smoke: bool, miss_sizes: list[int]) -> dict[str, str]:
         )
         session_spec = scenario.session_spec(parametric_queues=True)
         session_spec.generate_invariants()
-        snapshot = session_spec.snapshot()
-        session = ServiceSession(snapshot.content_hash(), snapshot)
-        try:
-            answers[f"{label}|verify"] = session.run(None, None, False, None)[
-                "verdict"
-            ]
-            if spec != BURST_SPEC:
-                answers[f"{label}|channel0"] = session.run(
-                    0, None, False, None
-                )["verdict"]
-                answers[f"{label}|witness"] = session.run(
-                    None, None, True, None
-                )["verdict"]
-            if spec == MISS_SPEC:
-                for size in miss_sizes:
-                    answers[f"{label}|sizes={size}"] = session.run(
-                        None, size, False, None
-                    )["verdict"]
-        finally:
-            session.close()
+        session = VerificationSession(spec=session_spec)
+        answers[f"{label}|verify"] = session.verify().verdict.value
+        if spec != BURST_SPEC:
+            answers[f"{label}|channel0"] = session.verify_case(
+                session_spec.encoding.cases[0]
+            ).verdict.value
+            answers[f"{label}|witness"] = session.verify().verdict.value
+        if spec == MISS_SPEC:
+            for size in miss_sizes:
+                session.resize_queues(size)
+                answers[f"{label}|sizes={size}"] = session.verify().verdict.value
 
     search = ScenarioSpec(
         builder=SIZE_SPEC["builder"],

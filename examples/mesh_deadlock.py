@@ -9,17 +9,17 @@ requests.  With queue size 3 the same system verifies deadlock-free.
 One parametric session carries the whole script: it finds the size-2
 candidates, a replayed explicit-state trace *confirms* one is reachable,
 and ``resize_queues(3)`` re-proves the system deadlock-free without
-rebuilding the encoding.  With ``--jobs N`` the queries are answered by a
-worker pool (``ParallelVerificationSession``) over the same encoding —
-witness enumeration stays on the pool's local session, everything else
-fans out.
+rebuilding the encoding.  With ``--jobs N`` the session's per-case
+fan-out (``verify_all_cases``) runs on a pool of N workers over the same
+encoding; the single queries and the witness enumeration stay on the
+session's own solver.
 
 Run:  python examples/mesh_deadlock.py [--jobs 4]
 """
 
 import argparse
 
-from repro import ParallelVerificationSession, VerificationSession
+from repro import Verdict, VerificationSession
 from repro.mc import Explorer
 from repro.protocols import abstract_mi_mesh
 
@@ -27,7 +27,7 @@ from repro.protocols import abstract_mi_mesh
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--jobs", type=int, default=1,
-                        help="answer queries on a pool of N workers")
+                        help="fan the per-case checks out to N workers")
     parser.add_argument("--stats", action="store_true",
                         help="print learned-clause lifecycle counters")
     args = parser.parse_args()
@@ -35,18 +35,19 @@ def main() -> None:
     # --- queue size 2: cross-layer deadlock --------------------------------
     inst = abstract_mi_mesh(2, 2, queue_size=2)
     print(f"2x2 mesh, queue size 2: {inst.network.stats()}")
-    if args.jobs > 1:
-        make_session = ParallelVerificationSession(
-            inst.network, jobs=args.jobs, parametric_queues=True
-        )
-        print(f"(parallel session, {args.jobs} workers)")
-    else:
-        make_session = VerificationSession(inst.network, parametric_queues=True)
-    with make_session as session:
+    with VerificationSession(inst.network, jobs=args.jobs) as session:
         session.add_invariants()
         result = session.verify()
         print(f"ADVOCAT verdict: {result.verdict.value}")
         assert not result.deadlock_free
+        if args.jobs > 1:
+            fanned = [r.verdict for r in session.verify_all_cases()]
+            local = [session.verify_case(case).verdict
+                     for case in session.encoding.cases]
+            stuck = fanned.count(Verdict.DEADLOCK_CANDIDATE)
+            print(f"per-case fan-out on {args.jobs} workers: "
+                  f"{stuck} of {len(fanned)} cases are candidates")
+            assert fanned == local and stuck
 
         explorer = Explorer(inst.network)
         print("\nsearching for a reachable witness among SMT candidates ...")
@@ -83,9 +84,11 @@ def main() -> None:
                   + ", ".join(f"{key}={solver_stats[key]}"
                               for key in ("learned", "reductions", "reduced",
                                           "kept_glue")))
-            if args.jobs <= 1:
-                print(f"live learned clauses in the session: "
-                      f"{session.solver.learned_count()}")
+            print(f"live learned clauses in the session: "
+                  f"{session.solver.learned_count()}")
+            stats = session.stats()
+            print(f"pool: running={stats['pool_running']}, "
+                  f"recoveries={stats['recoveries']}")
 
     inst3 = abstract_mi_mesh(2, 2, queue_size=3)
     exploration = Explorer(inst3.network).find_deadlock(max_states=500_000)

@@ -21,7 +21,6 @@ from .core import (
     Experiment,
     ExperimentResult,
     Invariant,
-    ParallelVerificationSession,
     ScenarioResult,
     ScenarioSpec,
     SessionSpec,
@@ -41,7 +40,6 @@ __version__ = "1.3.0"
 __all__ = [
     "SessionSpec",
     "VerificationSession",
-    "ParallelVerificationSession",
     "Experiment",
     "ExperimentResult",
     "ScenarioSpec",

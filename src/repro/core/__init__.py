@@ -6,9 +6,11 @@ Public entry points:
   (→ invariants), computed once and shared by any number of sessions.
 * :class:`VerificationSession` — incremental engine: load a spec into one
   solver, answer many queries (full check, per-channel checks, witness
-  enumeration, queue resizing) by assumption.
-* :class:`ParallelVerificationSession` — same query API, answered by a
-  worker pool over serialized session snapshots.
+  enumeration, queue resizing) by assumption; with ``jobs > 1`` its
+  per-case and per-size fan-outs go to a worker pool over serialized
+  session snapshots.
+* :class:`WorkerSession` — the one query engine under every session,
+  pool worker and service hot-tier entry.
 * :func:`verify` — one-shot full pipeline (colors → invariants →
   block/idle → SMT), a thin wrapper over a throwaway session.
 * :func:`derive_colors` — the T-derivation (Section 3).
@@ -59,7 +61,6 @@ from .experiments import (
 )
 from .invariants import build_flow_rows, generate_invariants
 from .parallel import (
-    ParallelVerificationSession,
     WorkerSession,
     default_jobs,
     discard_scenario_executor,
@@ -82,7 +83,6 @@ from .service import (
     AsyncServiceClient,
     ServiceClient,
     ServiceError,
-    ServiceSession,
     VerificationService,
 )
 from .sizing import SizingResult, minimal_queue_size, sweep_queue_sizes
@@ -92,7 +92,6 @@ __all__ = [
     "SessionSpec",
     "SessionSnapshot",
     "VerificationSession",
-    "ParallelVerificationSession",
     "WorkerSession",
     "Experiment",
     "ExperimentResult",
@@ -144,7 +143,6 @@ __all__ = [
     "stable_hash",
     "verdict_sha",
     "VerificationService",
-    "ServiceSession",
     "ServiceClient",
     "ServiceError",
     "AsyncServiceClient",

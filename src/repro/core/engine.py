@@ -37,8 +37,10 @@ The split is what makes parallel orchestration possible:
 :meth:`SessionSpec.snapshot` flattens the built encoding into a
 pickle-safe :class:`SessionSnapshot` (CNF image + guard names + witness
 recipe), from which worker processes rehydrate query sessions without
-re-deriving colors, invariants or the encoding — see
-:mod:`repro.core.parallel`.
+re-deriving colors, invariants or the encoding.  A session opened with
+``jobs > 1`` sends its two fan-outs, ``verify_all_cases`` and
+``probe_shards``, to such workers (:mod:`repro.core.parallel`); its
+single queries never leave its own solver.
 
 The sizing and experiment layers take an ``invariants=`` mode:
 ``"eager"`` conjoins the full invariant set before the first probe
@@ -54,6 +56,8 @@ throwaway session, so the one-shot API is unchanged.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterator, Mapping, Sequence
@@ -79,14 +83,14 @@ from .cache import stable_hash
 from .colors import derive_colors
 from .deadlock import DeadlockCase, encode_deadlock
 from .invariants import generate_invariants
-from .resilience import Deadline
+from .parallel import WorkerSession, gather, start_pool
+from .resilience import Deadline, RetryPolicy, maybe_inject
 from .result import DeadlockWitness, Invariant, Verdict, VerificationResult
 from .vars import VarPool
 
 __all__ = [
     "SessionSpec",
     "SessionSnapshot",
-    "SessionBase",
     "VerificationSession",
     "INVARIANT_MODES",
     "eager_invariants",
@@ -102,8 +106,8 @@ def resolve_resize(
 ) -> dict[str, int]:
     """Validate a ``resize_queues`` request against the current size map.
 
-    Returns the full updated map.  Shared by the sequential and parallel
-    sessions so both reject the same inputs identically.
+    Returns the full updated map.  Shared by the session and the service
+    so both reject the same inputs identically.
     """
     if not parametric:
         raise RuntimeError(
@@ -494,64 +498,7 @@ class SessionSpec:
         )
 
 
-class SessionBase:
-    """The query surface the sequential and pool sessions share.
-
-    Subclasses hold the current capacity pins in ``_sizes`` (with
-    ``_parametric`` from the spec) and answer ``verify_case``; this adds
-    the pin re-targeting, the per-channel and per-source wrappers and the
-    context-manager contract over ``close``, so drivers treat both
-    uniformly (``with make_session(...) as session:``).
-    """
-
-    _sizes: dict[str, int]
-    _parametric: bool
-    encoding: object
-
-    def close(self) -> None:
-        """Release what the session holds (the spec stays usable)."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def resize_queues(self, sizes: int | Mapping[str, int]) -> None:
-        """Re-target later queries at different queue capacities.
-
-        ``sizes`` is either one uniform size or a mapping from queue name
-        to size (unmentioned queues keep their current size).  Requires
-        ``parametric_queues``; nothing is re-encoded or restarted — the
-        pins travel with each query (the engine lazily mints a guard
-        literal implying ``cap[q] == size`` per pair).
-        """
-        self._sizes = resolve_resize(self._sizes, sizes, self._parametric)
-
-    @property
-    def queue_sizes(self) -> dict[str, int]:
-        return dict(self._sizes)
-
-    def verify_channel(
-        self, queue: Queue | str, color: Color, deadline=None
-    ) -> VerificationResult:
-        """Can ``queue`` hold a permanently stuck ``color`` packet?"""
-        name = queue if isinstance(queue, str) else queue.name
-        return self.verify_case(
-            self.encoding.case_of("queue", name, color), deadline=deadline
-        )
-
-    def verify_source(
-        self, source: Source | str, color: Color, deadline=None
-    ) -> VerificationResult:
-        """Can ``source`` be permanently refused ``color`` packets?"""
-        name = source if isinstance(source, str) else source.name
-        return self.verify_case(
-            self.encoding.case_of("source", name, color), deadline=deadline
-        )
-
-
-class VerificationSession(SessionBase):
+class VerificationSession:
     """Incremental, assumption-based verification of one xMAS network.
 
     Parameters
@@ -576,6 +523,22 @@ class VerificationSession(SessionBase):
         A prebuilt :class:`SessionSpec` to open a query session over
         without repeating the build phase.  If the spec already has
         invariants generated, they are loaded immediately.
+    jobs:
+        Workers for the two fan-outs, :meth:`verify_all_cases` and
+        :meth:`probe_shards`.  With 1 (the default), or on a machine with
+        one CPU, they run on this session's own solver like every other
+        query.  The physical CPU count decides that, not
+        :func:`~repro.core.parallel.default_jobs`, so an explicit
+        ``jobs=N`` beats an ``ADVOCAT_JOBS`` cap.
+    backend:
+        ``"process"`` (true parallelism) or ``"thread"`` (GIL-bound, for
+        tests and debugging).
+    retry_policy:
+        How often a fan-out rebuilds a pool whose worker died before it
+        quarantines the pool (:class:`~repro.core.resilience.RetryPolicy`).
+    force_pool:
+        Start a real pool even where the fan-outs would run here (tests
+        and benchmarks of the pool machinery itself).
 
     Invariants are *not* generated up front; call :meth:`add_invariants`
     to derive and conjoin them (idempotent).  This keeps the plain
@@ -583,6 +546,11 @@ class VerificationSession(SessionBase):
 
     Queries run on :class:`~repro.core.parallel.WorkerSession` bound to
     this session's solver, and render through :meth:`SessionSpec.read_payload`.
+    Only a fan-out with more than one worker leaves the process: its
+    pool starts on first use from a warm :meth:`snapshot`, restarts
+    when :meth:`add_invariants` strengthens the encoding, and is
+    released by :meth:`close` or the context manager.  Opening a session
+    starts no pool and takes no snapshot.
     """
 
     def __init__(
@@ -594,7 +562,26 @@ class VerificationSession(SessionBase):
         clause_reduction: bool = True,
         reduction_opts: Mapping | None = None,
         spec: SessionSpec | None = None,
+        jobs: int = 1,
+        backend: str = "process",
+        retry_policy: RetryPolicy | None = None,
+        force_pool: bool = False,
     ):
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        if backend not in ("process", "thread"):
+            raise ValueError(f"unknown backend {backend!r}")
+        self.jobs = jobs
+        self.backend = backend
+        self.retry_policy = retry_policy or RetryPolicy()
+        self._force_pool = force_pool
+        # Recovery accounting: pool rebuilds after a BrokenExecutor, and
+        # whether the fan-outs fell back to this session's solver for good.
+        self.recoveries = 0
+        self.degraded = False
+        self._executor = None
+        # Whether invariants were loaded when the pool took its snapshot.
+        self._pool_key: bool | None = None
         self.watch = Stopwatch()
         if spec is None:
             if network is None:
@@ -622,9 +609,7 @@ class VerificationSession(SessionBase):
                 reduction_opts=reduction_opts,
             )
         # The one query engine over this live solver; the snapshot only
-        # carries the tables.  (Lazy import: parallel imports this module.)
-        from .parallel import WorkerSession
-
+        # carries the tables.
         ints = dict(spec.var_by_uid)
         ints.update((var.uid, var) for var in spec.capacities.values())
         self._engine = WorkerSession.over(
@@ -632,13 +617,57 @@ class VerificationSession(SessionBase):
         )
 
     # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def _shutdown_pool(self, wait: bool = True) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(wait=wait, cancel_futures=True)
+            self._executor = None
+
+    def close(self) -> None:
+        """Release the worker pool, if one runs (idempotent).  The session
+        stays usable; a later pooled fan-out starts a fresh pool."""
+        self._shutdown_pool()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def __del__(self) -> None:  # best effort; close() is the real API
+        try:
+            # wait=False: a finalizer must not block the GC thread on an
+            # in-flight solver query (running jobs cannot be cancelled).
+            self._shutdown_pool(wait=False)
+        except Exception:
+            pass
+
+    # ------------------------------------------------------------------
     # Configuration
     # ------------------------------------------------------------------
+    def resize_queues(self, sizes: int | Mapping[str, int]) -> None:
+        """Re-target later queries at different queue capacities.
+
+        ``sizes`` is either one uniform size or a mapping from queue name
+        to size (unmentioned queues keep their current size).  Requires
+        ``parametric_queues``; nothing is re-encoded or restarted — the
+        pins travel with each query (the engine lazily mints a guard
+        literal implying ``cap[q] == size`` per pair).
+        """
+        self._sizes = resolve_resize(self._sizes, sizes, self._parametric)
+
+    @property
+    def queue_sizes(self) -> dict[str, int]:
+        return dict(self._sizes)
+
     def add_invariants(self) -> list[Invariant]:
         """Derive the cross-layer invariants and conjoin them (idempotent).
 
         Invariants hold in every reachable configuration, so adding them is
         a permanent, sound strengthening — there is nothing to retract.
+        A running pool restarts from the strengthened encoding at the
+        next pooled fan-out.
         """
         if self._invariants is None:
             invariants = self.spec.generate_invariants(watch=self.watch)
@@ -726,20 +755,156 @@ class VerificationSession(SessionBase):
         """Check one tagged disjunct of the deadlock assertion."""
         return self._run(self.spec.case_index[case.guard.name], deadline)
 
+    def verify_channel(
+        self, queue: Queue | str, color: Color, deadline=None
+    ) -> VerificationResult:
+        """Can ``queue`` hold a permanently stuck ``color`` packet?"""
+        name = queue if isinstance(queue, str) else queue.name
+        return self.verify_case(
+            self.encoding.case_of("queue", name, color), deadline=deadline
+        )
+
+    def verify_source(
+        self, source: Source | str, color: Color, deadline=None
+    ) -> VerificationResult:
+        """Can ``source`` be permanently refused ``color`` packets?"""
+        name = source if isinstance(source, str) else source.name
+        return self.verify_case(
+            self.encoding.case_of("source", name, color), deadline=deadline
+        )
+
     def verify_all_cases(self, deadline=None) -> list[VerificationResult]:
         """One verdict per deadlock case, in encoding order.
 
-        The per-channel fan-out of the paper's workflow; the parallel
-        session (:class:`repro.core.parallel.ParallelVerificationSession`)
-        answers the same list concurrently.  One deadline bounds the
-        whole list: once it expires the remaining cases answer
-        ``TIMEOUT`` immediately.
+        The per-channel fan-out of the paper's workflow.  With one worker
+        the cases run here, one :meth:`verify_case` each; with more they
+        go to the pool, and result ``i`` still answers
+        ``encoding.cases[i]`` whichever worker finished first.
+
+        One deadline bounds the whole fan-out.  Run here, every case
+        charges the caller's one :class:`Deadline`, so once it expires
+        the remaining cases answer ``TIMEOUT`` without entering the
+        solver.  On a pool, the priming query runs under it, each job
+        carries the budget left at dispatch, and the parent stops
+        waiting when the wall clock runs out: cases not answered by then
+        answer ``TIMEOUT``.  A conflict budget is per case on a pool.
         """
         deadline = Deadline.coerce(deadline)
+        cases = self.encoding.cases
+        sizes = tuple(sorted(self._sizes.items())) if self._parametric else None
+        payloads = self._fan_out(
+            [("check", index, sizes, True) for index in range(len(cases))],
+            deadline,
+            chunksize=max(1, len(cases) // (self.jobs * 4)),
+        )
+        if payloads is None:
+            return [self.verify_case(case, deadline) for case in cases]
+        invariants = self.invariants
         return [
-            self.verify_case(case, deadline=deadline)
-            for case in self.encoding.cases
+            self.spec.read_payload(payload, self._sizes, invariants)
+            for payload in payloads
         ]
+
+    def probe_shards(
+        self,
+        shards: Sequence[Sequence[Mapping[str, int]]],
+        want_witness: bool = True,
+        deadline=None,
+    ) -> list[list[VerificationResult]]:
+        """Run the full check under each capacity assignment, sharded.
+
+        ``shards[w]`` is the ordered list of per-queue size assignments
+        worker ``w`` probes on its own solver — ascending order within a
+        shard warm-starts each probe with the clauses learned on the
+        previous ones.  Returns results aligned with the input
+        structure.  Probes answer under the encoding as it stands: call
+        :meth:`add_invariants` first to bake the invariants into the
+        worker snapshot.  ``deadline`` bounds the whole call as for
+        :meth:`verify_all_cases`.
+        """
+        if not self._parametric:
+            raise RuntimeError("probe_shards() requires parametric_queues=True")
+        deadline = Deadline.coerce(deadline)
+        full_shards = [
+            [
+                resolve_resize(self._sizes, dict(assignment), True)
+                for assignment in shard
+            ]
+            for shard in shards
+        ]
+        probe_lists = [
+            tuple((None, tuple(sorted(full.items()))) for full in shard)
+            for shard in full_shards
+        ]
+        payload_lists = self._fan_out(
+            [("shard", probes, want_witness) for probes in probe_lists],
+            deadline,
+        )
+        if payload_lists is None:
+            payload_lists = [
+                self._engine.walk(probes, want_witness, deadline)
+                for probes in probe_lists
+            ]
+        invariants = self.invariants
+        return [
+            [
+                self.spec.read_payload(payload, full, invariants)
+                for full, payload in zip(shard, payloads)
+            ]
+            for shard, payloads in zip(full_shards, payload_lists)
+        ]
+
+    # ------------------------------------------------------------------
+    # The worker pool behind the fan-outs
+    # ------------------------------------------------------------------
+    def _ensure_pool(self, deadline):
+        """The running executor; ``None`` if the deadline ran out while
+        priming its snapshot.
+
+        The pool starts from a *warm* snapshot: one master-guard
+        :meth:`verify` drives this solver through the case analysis every
+        job repeats, and its learned clauses and saved phases ship with
+        the CNF image.  A pool whose snapshot predates
+        :meth:`add_invariants` is restarted.
+        """
+        key = self._invariants is not None
+        if self._executor is not None and self._pool_key != key:
+            self._shutdown_pool()
+        if self._executor is None:
+            self.verify(deadline)
+            if deadline is not None and deadline.expired():
+                return None
+            self._executor = start_pool(self.snapshot(), self.jobs, self.backend)
+            self._pool_key = key
+        return self._executor
+
+    def _fan_out(self, job_list, deadline, chunksize: int = 1):
+        """The pool's payloads for ``job_list``; ``None`` when the fan-out
+        runs on this session instead: one worker or one CPU (unless
+        ``force_pool``), or a quarantined pool."""
+        if self.degraded or not (
+            self._force_pool or (self.jobs > 1 and (os.cpu_count() or 1) > 1)
+        ):
+            return None
+        policy = self.retry_policy
+        for attempt in range(policy.max_attempts):
+            try:
+                maybe_inject("parallel-pool")
+                executor = self._ensure_pool(deadline)
+                return gather(executor, job_list, deadline, chunksize)
+            except BrokenExecutor:
+                # A worker died and poisoned the pool.  Rebuild it and
+                # replay the identical job list: every job answers from
+                # the same encoding, so recovered verdicts are identical.
+                self._shutdown_pool(wait=False)
+                self.recoveries += 1
+                if attempt + 1 < policy.max_attempts:
+                    policy.sleep(attempt)
+        # Workers died on every attempt (say a job deterministically
+        # crashes its process): quarantine the pool for good and answer
+        # on this session's own solver.
+        self.degraded = True
+        return None
 
     def enumerate_witnesses(self, limit: int = 16) -> Iterator[DeadlockWitness]:
         """Yield distinct deadlock candidates (up to ``limit``).
@@ -783,13 +948,19 @@ class VerificationSession(SessionBase):
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Cumulative session statistics (durations, solver clause count)."""
+        """Cumulative session statistics (durations, solver clause count)
+        and the state of the fan-out pool."""
         return {
             "network": self.network.stats(),
             "color_pairs": self.colors.total_pairs(),
             "invariant_count": len(self.invariants),
             "clauses": self.solver.clause_count(),
             "durations": dict(self.watch.durations),
+            "jobs": self.jobs,
+            "backend": self.backend,
+            "pool_running": self._executor is not None,
+            "recoveries": self.recoveries,
+            "degraded": self.degraded,
         }
 
 

@@ -38,8 +38,8 @@ site                 where
 ===================  =======================================================
 ``query-worker``     :func:`repro.core.parallel._run_job` (pool worker,
                      once per job)
-``parallel-pool``    :meth:`ParallelVerificationSession._dispatch` (parent,
-                     once per pool dispatch)
+``parallel-pool``    :meth:`VerificationSession._fan_out` (parent, once per
+                     pooled fan-out attempt)
 ``scenario-worker``  :func:`repro.core.experiments.run_scenario` (once per
                      scenario)
 ``builder``          :meth:`ScenarioSpec.build` (once per network build)

@@ -18,7 +18,8 @@ network.  This module turns the stack into a long-lived TCP service:
   :mod:`repro.core.cache`): the cold :class:`VerdictStore` keyed by
   ``(encoding content hash, canonical query)`` — a hit answers without
   any solver; the hot :class:`LruSessionCache` of live in-server
-  sessions (eviction calls ``close()``); the warm
+  :class:`~repro.core.parallel.WorkerSession`\\ s (eviction calls
+  ``close()``, which drops the solver); the warm
   :class:`SnapshotStore` of pickled
   :class:`~repro.core.engine.SessionSnapshot` images that worker
   processes rehydrate (:class:`~repro.core.parallel.WorkerSession`)
@@ -79,7 +80,6 @@ __all__ = [
     "VerificationService",
     "ServiceClient",
     "AsyncServiceClient",
-    "ServiceSession",
     "ServiceError",
     "read_frame",
     "write_frame",
@@ -275,37 +275,6 @@ def _scenario_job(spec_kwargs: dict, wire_deadline) -> dict:
         "timed_out": bool(deadline.expired()) if deadline else False,
         "failure": result.failure,
     }
-
-
-# ---------------------------------------------------------------------------
-# Hot tier entries
-# ---------------------------------------------------------------------------
-
-
-class ServiceSession:
-    """One hot-tier entry: a live worker session inside the server.
-
-    Honours the session ``close()`` contract (idempotent; drops the
-    solver so eviction reclaims the CNF arena immediately).  All calls
-    are serialised by the service's per-spec lock — concurrent queries
-    against one spec batch through this one session's guard API.
-    """
-
-    def __init__(self, encoding_hash: str, snapshot: SessionSnapshot):
-        self.encoding_hash = encoding_hash
-        self.worker: WorkerSession | None = WorkerSession(snapshot)
-        self.closed = False
-
-    def run(
-        self, target, overrides, want_witness: bool, wire_deadline
-    ) -> dict:
-        if self.closed or self.worker is None:
-            raise RuntimeError("hot session is closed")
-        return _answer(self.worker, target, overrides, want_witness, wire_deadline)
-
-    def close(self) -> None:
-        self.worker = None
-        self.closed = True
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +498,7 @@ class VerificationService:
                 self._ehash_by_spec[spec_key] = ehash
         return ehash
 
-    async def _promote(self, ehash: str) -> ServiceSession | None:
+    async def _promote(self, ehash: str) -> WorkerSession | None:
         """Load a warm snapshot into the hot tier (LRU may evict)."""
         entry = self.hot.get(ehash)
         if entry is not None:
@@ -537,7 +506,7 @@ class VerificationService:
         snapshot = await self._in_threads(self.snapshots.load, ehash)
         if snapshot is None:
             return None
-        entry = ServiceSession(ehash, snapshot)
+        entry = WorkerSession(snapshot)
         self.hot.put(ehash, entry)
         return entry
 
@@ -782,10 +751,12 @@ class VerificationService:
             self.counters["hits"]["cold"] += 1
             return {**cached, "cache": "cold"}
 
+        # Hot tier: a live engine in this process, serialised per spec by
+        # the spec lock.
         entry = self.hot.get(ehash)
-        if entry is not None and not entry.closed:
+        if entry is not None:
             answer = await self._in_threads(
-                entry.run, target, overrides, want_witness, wire
+                _answer, entry, target, overrides, want_witness, wire
             )
             self.counters["hits"]["hot"] += 1
             return self._finish(ehash, qkey, case_label, answer, "hot")

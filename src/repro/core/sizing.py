@@ -48,8 +48,8 @@ the last step ended on instead of from scratch.
 ``"eager"`` (the default) or ``"none"``, validated by
 :func:`~repro.core.engine.eager_invariants`.  Eager conjoins the full
 cross-layer invariant set once, before the first probe: on the walk's
-session, or on the pool session of a sharded sweep, whose worker
-snapshot then carries the rows.  ``invariants_generated`` records the
+session, or on the ``jobs > 1`` session of a sharded sweep, whose
+worker snapshot then carries the rows.  ``invariants_generated`` records the
 rows encoded and ``invariants_used`` whether any were.
 
 **Timing split.**  Results separate ``build_seconds`` (network
@@ -404,8 +404,8 @@ def sweep_queue_sizes(
     :meth:`SizingResult.merge`.
 
     ``invariants`` is ``"eager"`` or ``"none"``; across a pool,
-    ``"eager"`` strengthens the pool session first, which bakes the rows
-    into the worker snapshot.
+    ``"eager"`` strengthens the sharding session first, which bakes the
+    rows into the worker snapshot.
 
     ``build`` must vary only queue capacities (checked, ``ValueError``),
     as for :func:`minimal_queue_size`.  ``verify_kwargs`` forwards
@@ -454,13 +454,11 @@ def sweep_queue_sizes(
             return walk.outcome(min(free) if free else None, timed_out)
 
     # Sharded: striped shards, ascending within each.  Eager mode
-    # strengthens the pool session first, so the rows ride the worker
+    # strengthens the session first, so the rows ride the worker
     # snapshot.
-    from .parallel import ParallelVerificationSession
-
     session = timer.timed(
         "build",
-        lambda: ParallelVerificationSession(
+        lambda: VerificationSession(
             base_network,
             jobs=jobs,
             backend=backend,

@@ -1,23 +1,27 @@
-"""ParallelVerificationSession must be observationally equal to the
-sequential VerificationSession.
+"""A pooled VerificationSession must be observationally equal to a
+sequential one.
 
-The parallel session re-routes every query through serialized session
-snapshots and worker rehydration, so these tests are really end-to-end
-checks of the whole chain: spec build → snapshot → worker restore →
-guard-name query → payload merge.  Thread-backend pools keep the
-hypothesis differentials fast (same code path, no fork cost); a couple of
-directed tests cross real process boundaries.
+With ``jobs > 1`` the session sends its fan-outs through serialized
+session snapshots and worker rehydration, so these tests are really
+end-to-end checks of the whole chain: spec build → snapshot → worker
+restore → guard-name query → payload merge.  Single queries stay on the
+session's own solver and never start a pool.  Thread-backend pools keep
+the hypothesis differentials fast (same code path, no fork cost); a
+couple of directed tests cross real process boundaries.
 """
 
+import multiprocessing
 import os
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    ParallelVerificationSession,
+    Deadline,
     SessionSpec,
+    Verdict,
     VerificationSession,
     default_jobs,
     nested_jobs,
@@ -27,6 +31,7 @@ from repro.core.engine import ANY_CASE_LABEL
 from repro.core.parallel import WorkerSession
 from repro.core.sizing import SizingResult
 from repro.netlib import running_example
+from repro.protocols import abstract_mi_mesh
 
 
 def _network(queue_size=2):
@@ -43,7 +48,7 @@ def test_verify_all_cases_matches_sequential_across_job_counts():
     sequential = VerificationSession(spec=spec)
     expected = sequential.verify_all_cases()
     for jobs in (1, 2, 4):
-        with ParallelVerificationSession(
+        with VerificationSession(
             spec=spec, jobs=jobs, backend="thread"
         ) as pool:
             got = pool.verify_all_cases()
@@ -60,7 +65,7 @@ def test_verify_all_cases_matches_sequential_across_job_counts():
 
 def test_process_backend_matches_thread_backend():
     spec = SessionSpec(_network(), parametric_queues=True)
-    with ParallelVerificationSession(
+    with VerificationSession(
         spec=spec, jobs=2, backend="process"
     ) as pool:
         process_results = pool.verify_all_cases()
@@ -77,7 +82,7 @@ def test_process_backend_matches_thread_backend():
 def test_single_query_api_parity():
     spec = SessionSpec(_network(), parametric_queues=True)
     sequential = VerificationSession(spec=spec)
-    with ParallelVerificationSession(
+    with VerificationSession(
         spec=spec, jobs=2, backend="thread"
     ) as pool:
         assert pool.verify().verdict == sequential.verify().verdict
@@ -94,7 +99,7 @@ def test_single_query_api_parity():
 
 def test_enumeration_delegates_and_stays_consistent():
     spec = SessionSpec(_network(), parametric_queues=True)
-    with ParallelVerificationSession(
+    with VerificationSession(
         spec=spec, jobs=2, backend="thread"
     ) as pool:
         witnesses = list(pool.enumerate_witnesses(limit=8))
@@ -105,14 +110,76 @@ def test_enumeration_delegates_and_stays_consistent():
 
 
 def test_add_invariants_restarts_workers_with_strengthened_encoding():
-    with ParallelVerificationSession(
-        _network(), jobs=2, backend="thread"
+    with VerificationSession(
+        _network(), jobs=2, backend="thread", force_pool=True
     ) as pool:
         assert not pool.verify().deadlock_free  # block/idle only: candidate
+        assert not all(r.deadlock_free for r in pool.verify_all_cases())
+        executor = pool._executor
         pool.add_invariants()
         result = pool.verify()
-        assert result.deadlock_free  # workers rehydrated with invariants
+        assert result.deadlock_free
         assert result.stats["invariant_count"] == len(pool.invariants) > 0
+        # The next fan-out restarts the workers from the strengthened
+        # encoding.
+        fanned = pool.verify_all_cases()
+        assert pool._executor is not executor
+        assert all(r.deadlock_free for r in fanned)
+        assert fanned[0].stats["invariant_count"] == len(pool.invariants)
+
+
+# ---------------------------------------------------------------------------
+# Single queries stay on the session; one deadline bounds a pooled fan-out
+# ---------------------------------------------------------------------------
+
+
+def test_opening_a_pooled_session_starts_no_process():
+    before = set(multiprocessing.active_children())
+    session = VerificationSession(_network(), jobs=2)
+    assert set(multiprocessing.active_children()) == before
+    assert session.stats()["pool_running"] is False
+    session.close()
+
+
+def test_single_queries_on_a_pooled_session_start_no_pool():
+    spec = SessionSpec(_network(), parametric_queues=True)
+    local = VerificationSession(spec=spec)
+    before = set(multiprocessing.active_children())
+    with VerificationSession(spec=spec, jobs=2) as pooled:
+        assert pooled.verify().verdict == local.verify().verdict
+        for case in spec.encoding.cases:
+            assert (
+                pooled.verify_case(case).verdict
+                == local.verify_case(case).verdict
+            ), case.label
+        assert len(list(pooled.enumerate_witnesses(limit=8))) == len(
+            list(local.enumerate_witnesses(limit=8))
+        )
+        assert pooled.stats()["pool_running"] is False
+        assert set(multiprocessing.active_children()) == before
+
+
+def test_one_deadline_bounds_a_pooled_fan_out():
+    # Self-calibrating: a fan-out given a twentieth of the time the
+    # unbounded one took must return within a quarter of it, priming
+    # query and pool start included; what it could not decide is TIMEOUT.
+    spec = SessionSpec(
+        abstract_mi_mesh(3, 3, queue_size=2).network, parametric_queues=True
+    )
+
+    def fan_out(seconds=None):
+        with VerificationSession(spec=spec, jobs=2, force_pool=True) as session:
+            start = time.perf_counter()
+            deadline = None if seconds is None else Deadline(seconds=seconds)
+            results = session.verify_all_cases(deadline=deadline)
+            return results, time.perf_counter() - start
+
+    unbounded, full = fan_out()
+    assert not any(r.timed_out for r in unbounded)
+    bounded, wall = fan_out(full / 20)
+    assert wall < full / 4, (wall, full)
+    for got, want in zip(bounded, unbounded):
+        assert got.verdict in (want.verdict, Verdict.TIMEOUT)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +203,7 @@ def test_unsat_core_names_responsible_guards_sequential_and_parallel():
     )
     assert set(result.unsat_core) <= valid_labels
 
-    with ParallelVerificationSession(
+    with VerificationSession(
         spec=spec, jobs=2, backend="thread"
     ) as pool:
         par = pool.verify()
@@ -220,7 +287,7 @@ operations = st.lists(
 def test_parallel_equals_sequential_across_op_orders(ops, jobs):
     spec = SessionSpec(_network(), parametric_queues=True)
     sequential = VerificationSession(spec=spec)
-    with ParallelVerificationSession(
+    with VerificationSession(
         spec=spec, jobs=jobs, backend="thread"
     ) as pool:
         for op in ops:
@@ -278,7 +345,7 @@ def test_forced_pool_probe_shards_match_sequential_sweep(invariants):
     sequential = sweep_queue_sizes(
         build, range(1, 4), jobs=1, invariants=invariants
     )
-    with ParallelVerificationSession(
+    with VerificationSession(
         build(1), jobs=2, backend="thread", force_pool=True
     ) as session:
         if invariants == "eager":
@@ -309,14 +376,14 @@ def test_sweep_without_invariants_differs_and_still_merges():
     assert "no deadlock-free queue size" in plain.pretty()
 
 
-def test_jobs_retargeting_sticks_without_pool_thrash():
-    with ParallelVerificationSession(
-        _network(), jobs=4, backend="thread"
+def test_default_jobs_fan_outs_reuse_one_executor():
+    with VerificationSession(
+        _network(), jobs=2, backend="thread", force_pool=True
     ) as pool:
-        pool.verify_all_cases(jobs=2)
-        assert pool.jobs == 2
+        pool.verify_all_cases()
         executor = pool._executor
-        pool.verify()  # default-jobs query must reuse the re-targeted pool
+        assert executor is not None
+        pool.verify_all_cases()  # the second fan-out reuses the pool
         assert pool._executor is executor
 
 
@@ -372,18 +439,12 @@ def test_explicit_jobs_argument_beats_env(monkeypatch):
     # jobs=2 request to the inline fallback at dispatch time (simulate a
     # multi-core machine so the physical-CPU fallback stays out of play).
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    with ParallelVerificationSession(
+    with VerificationSession(
         _network(), jobs=2, backend="thread"
     ) as pool:
         assert pool.jobs == 2
-        pool.verify()
+        pool.verify_all_cases()
         assert pool._executor is not None  # real pool, not inline fallback
-
-
-def test_env_supplies_the_default_job_count(monkeypatch):
-    monkeypatch.setenv("ADVOCAT_JOBS", "2")
-    with ParallelVerificationSession(_network(), backend="thread") as pool:
-        assert pool.jobs == 2
 
 
 def test_nested_jobs_splits_the_budget():

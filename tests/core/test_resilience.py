@@ -33,7 +33,6 @@ from repro.core import (
     FaultPlan,
     FaultSpec,
     InjectedFault,
-    ParallelVerificationSession,
     RetryPolicy,
     ScenarioSpec,
     SessionSpec,
@@ -239,8 +238,8 @@ def test_engine_conflict_budget_times_out_and_session_survives():
     "open_session",
     [
         lambda network: VerificationSession(network),
-        lambda network: ParallelVerificationSession(
-            network, jobs=1, backend="thread"
+        lambda network: VerificationSession(
+            network, jobs=2, backend="thread", force_pool=True
         ),
     ],
     ids=["sequential", "parallel"],
@@ -248,14 +247,18 @@ def test_engine_conflict_budget_times_out_and_session_survives():
 def test_pre_expired_deadline_skips_the_solver(open_session):
     with open_session(_network()) as session:
         result = session.verify(deadline=Deadline(seconds=0.0))
+        fanned = session.verify_all_cases(deadline=Deadline(seconds=0.0))
     assert result.verdict == Verdict.TIMEOUT
     assert result.stats["timed_out"] is True
     assert result.stats["solver"] == {}  # no stale stats from prior queries
+    # The fan-out, pooled or not, never enters a solver either.
+    assert all(r.verdict == Verdict.TIMEOUT for r in fanned)
+    assert all(r.stats["solver"] == {} for r in fanned)
 
 
 def test_parallel_session_deadline_yields_timeouts_then_recovers():
     spec = SessionSpec(_network(), parametric_queues=True)
-    with ParallelVerificationSession(
+    with VerificationSession(
         spec=spec, jobs=2, backend="thread", force_pool=True
     ) as pool:
         # An exhausted budget times out every shipped job...
@@ -306,7 +309,7 @@ def test_pool_worker_kill_recovers_with_identical_verdicts(tmp_path):
         FaultPlan.parse("query-worker:kill@1"), latch_dir=str(tmp_path)
     )
     spec = SessionSpec(_network(), parametric_queues=True)
-    with ParallelVerificationSession(
+    with VerificationSession(
         spec=spec, jobs=2, backend="process", force_pool=True
     ) as pool:
         got = pool.verify_all_cases()
@@ -322,7 +325,7 @@ def test_pool_worker_persistent_kill_quarantines_to_inline():
     install_fault_plan(FaultPlan.parse("query-worker:kill@1"))
     spec = SessionSpec(_network(), parametric_queues=True)
     policy = RetryPolicy(max_attempts=2, base_delay=0.01)
-    with ParallelVerificationSession(
+    with VerificationSession(
         spec=spec,
         jobs=2,
         backend="process",
@@ -346,7 +349,7 @@ def test_parent_side_pool_break_is_retried(tmp_path):
         FaultPlan.parse("parallel-pool:break@1"), latch_dir=str(tmp_path)
     )
     spec = SessionSpec(_network(), parametric_queues=True)
-    with ParallelVerificationSession(
+    with VerificationSession(
         spec=spec, jobs=2, backend="thread", force_pool=True
     ) as pool:
         got = pool.verify_all_cases()

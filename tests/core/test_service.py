@@ -10,8 +10,9 @@ End-to-end coverage for the PR-9 service layer
   answer in-server (``"hot"``);
 * single-flight coalescing, bounded-queue backpressure, and the
   TIMEOUT-is-never-archived rule;
-* the ``close()`` contract regression suite — idempotent on every
-  session flavour, and pool workers actually released (the chaos
+* the ``close()`` contract regression suite — idempotent on the session
+  and on the worker engine the hot tier holds, and pool workers actually
+  released (the chaos
   suite's no-leaked-children fixture is re-used verbatim);
 * hot-tier LRU eviction under ``hot_capacity < distinct specs`` and
   cold-tier persistence across a service restart on the same cache dir;
@@ -24,22 +25,24 @@ children/eviction are the point, the thread backend everywhere else.
 
 import asyncio
 import multiprocessing
+import sys
+import threading
 import time
 
 import pytest
 
 from repro.core import (
     AsyncServiceClient,
-    ParallelVerificationSession,
     ServiceClient,
-    ServiceSession,
     SessionSpec,
     VerificationService,
     VerificationSession,
+    WorkerSession,
     install_fault_plan,
     shutdown_scenario_executors,
 )
 from repro.netlib import running_example
+from repro.protocols import abstract_mi_mesh
 
 pytestmark = pytest.mark.chaos
 
@@ -273,7 +276,7 @@ def test_parallel_session_close_releases_workers_and_is_idempotent():
         running_example(queue_size=2).network, parametric_queues=True
     )
     spec.generate_invariants()
-    session = ParallelVerificationSession(
+    session = VerificationSession(
         spec=spec, jobs=2, backend="process", force_pool=True
     )
     results = session.verify_all_cases()
@@ -287,21 +290,56 @@ def test_parallel_session_close_releases_workers_and_is_idempotent():
     session.close()  # second close: no-op, no error
 
 
-def test_service_session_close_is_idempotent():
+def test_worker_session_close_is_idempotent():
     spec = SessionSpec(
         running_example(queue_size=2).network, parametric_queues=True
     )
     spec.generate_invariants()
-    snapshot = spec.snapshot()
-    entry = ServiceSession(snapshot.content_hash(), snapshot)
-    answer = entry.run(None, None, False, None)
-    assert answer["verdict"] == "deadlock-free"
+    entry = WorkerSession(spec.snapshot())
+    assert entry.run(("check", None, None, False))[0] == "unsat"
 
     entry.close()
     entry.close()  # idempotent
-    assert entry.closed and entry.worker is None
+    assert entry.solver is None  # the CNF arena is released
     with pytest.raises(RuntimeError):
-        entry.run(None, None, False, None)
+        entry.run(("check", None, None, False))
+
+
+def test_closing_a_worker_mid_check_lets_the_check_finish():
+    # The hot tier evicts (closes) an entry from another request's
+    # coroutine while a thread may still be solving on it: the running
+    # check must finish, and only later runs may refuse.
+    spec = SessionSpec(
+        abstract_mi_mesh(2, 2, queue_size=2).network, parametric_queues=True
+    )
+    spec.generate_invariants()
+    snapshot = spec.snapshot()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            entry = WorkerSession(snapshot)
+            outcomes = []
+
+            def solve():
+                try:
+                    for target in range(len(spec.encoding.cases)):
+                        job = ("check", target, None, True)
+                        outcomes.append(entry.run(job)[0])
+                except RuntimeError:
+                    outcomes.append("closed")
+                except Exception as error:  # recorded for the assertion
+                    outcomes.append(repr(error))
+
+            thread = threading.Thread(target=solve)
+            thread.start()
+            time.sleep(0.005)
+            entry.close()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            assert outcomes and set(outcomes) <= {"sat", "unsat", "closed"}, outcomes
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------

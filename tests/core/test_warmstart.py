@@ -4,9 +4,8 @@ A warm snapshot ships the parent's learned clauses (demoted below glue
 protection) and saved phases; both are pure search heuristics, so a warm
 worker must answer every query exactly like a cold one — and like the
 sequential session — across job counts.  The fallback satellite pins the
-in-process path: on one CPU (or one worker) the parallel session answers
-through an inline :class:`WorkerSession` with no executor, including the
-invariant-staleness healing the pool path has.
+in-process path: on one CPU (or one worker) a session's fan-outs answer on
+its own solver with no executor, invariants included.
 """
 
 import os
@@ -16,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    ParallelVerificationSession,
     SessionSpec,
     VerificationSession,
     sweep_queue_sizes,
@@ -59,8 +57,8 @@ def test_warm_worker_answers_every_case_like_a_cold_one():
 def test_warm_pool_equals_sequential_across_job_counts(sizes, jobs):
     spec = SessionSpec(_network(), parametric_queues=True)
     sequential = VerificationSession(spec=spec)
-    with ParallelVerificationSession(
-        spec=spec, jobs=jobs, backend="thread", warm_start=True
+    with VerificationSession(
+        spec=spec, jobs=jobs, backend="thread"
     ) as pool:
         for size in sizes:
             sequential.resize_queues(size)
@@ -72,27 +70,14 @@ def test_warm_pool_equals_sequential_across_job_counts(sizes, jobs):
             ]
 
 
-def test_warm_start_off_still_matches_on():
-    spec = SessionSpec(_network(), parametric_queues=True)
-    with ParallelVerificationSession(
-        spec=spec, jobs=2, backend="thread", warm_start=True
-    ) as warm_pool:
-        warm = warm_pool.verify_all_cases()
-    with ParallelVerificationSession(
-        spec=spec, jobs=2, backend="thread", warm_start=False
-    ) as cold_pool:
-        cold = cold_pool.verify_all_cases()
-    assert [r.verdict for r in warm] == [r.verdict for r in cold]
-
-
 def test_forced_pool_still_matches_inline_fallback():
     spec = SessionSpec(_network(), parametric_queues=True)
-    with ParallelVerificationSession(
+    with VerificationSession(
         spec=spec, jobs=2, backend="thread", force_pool=True
     ) as pool:
         forced = pool.verify_all_cases()
         assert pool._executor is not None  # a real executor ran
-    with ParallelVerificationSession(
+    with VerificationSession(
         spec=spec, jobs=1, backend="thread"
     ) as inline:
         fallback = inline.verify_all_cases()
@@ -109,32 +94,26 @@ def test_default_jobs_tracks_cpu_count():
     assert default_jobs() == max(1, os.cpu_count() or 1)
 
 
-def test_jobs_default_is_cpu_count():
-    pool = ParallelVerificationSession(_network(), backend="thread")
-    assert pool.jobs == default_jobs()
-    pool.close()
-
-
 def test_single_worker_runs_inline_without_an_executor():
-    with ParallelVerificationSession(
-        _network(), jobs=1, backend="thread"
-    ) as pool:
+    with VerificationSession(_network(), backend="thread") as pool:
+        assert pool.jobs == 1  # the default
         result = pool.verify()
         assert not result.deadlock_free
-        stats = pool.stats()
-        assert stats["pool_running"] is False
-        assert stats["inline_worker"] is True
+        assert not all(r.deadlock_free for r in pool.verify_all_cases())
+        assert pool.stats()["pool_running"] is False
 
 
 def test_inline_fallback_heals_invariant_staleness():
-    with ParallelVerificationSession(
+    with VerificationSession(
         _network(), jobs=1, backend="thread"
     ) as pool:
         assert not pool.verify().deadlock_free  # block/idle only
         pool.add_invariants()
-        result = pool.verify()  # inline worker must rehydrate strengthened
+        result = pool.verify()
         assert result.deadlock_free
         assert result.stats["invariant_count"] == len(pool.invariants) > 0
+        # The inline fan-out answers from the strengthened solver too.
+        assert all(r.deadlock_free for r in pool.verify_all_cases())
 
 
 # ---------------------------------------------------------------------------
