@@ -6,7 +6,7 @@ term-construction fast path):
 
 * **query fan-out** — every per-channel deadlock query of a 2×2 MI mesh,
   answered by one session vs a fresh encoding + solver per query;
-* **Figure-4 sweep** — ``minimal_queue_size`` with the shared parametric
+* **Figure-4 sweep** — ``minimal_queue_size`` with the shared
   session vs one :func:`verify` per size that search probed;
 * **witness enumeration** — blocking-clause enumeration inside one
   session vs the seed behavior of re-encoding per witness.
@@ -66,7 +66,7 @@ def _scratch_sizing(build, sizes):
 
 
 def _session_case_queries(network):
-    session = VerificationSession(network, parametric_queues=False)
+    session = VerificationSession(network)
     return [
         session.verify_case(case).deadlock_free
         for case in session.encoding.cases
@@ -147,7 +147,7 @@ def run_benchmarks() -> dict:
     enum_network = abstract_mi_mesh(2, 2, queue_size=2).network
 
     def session_enumerate():
-        session = VerificationSession(enum_network, parametric_queues=False)
+        session = VerificationSession(enum_network)
         return len(list(session.enumerate_witnesses(limit=limit)))
 
     session_count, senum_s = _timed(session_enumerate)

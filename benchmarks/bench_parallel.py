@@ -59,7 +59,7 @@ def _verdict_bytes(results) -> bytes:
 def bench_fanout(jobs: int, backend: str) -> dict:
     network = abstract_mi_mesh(3, 3, queue_size=2).network
     build_start = time.perf_counter()
-    spec = SessionSpec(network, parametric_queues=True)
+    spec = SessionSpec(network)
     build_s = time.perf_counter() - build_start
 
     sequential = VerificationSession(spec=spec)

@@ -62,7 +62,7 @@ OVERHEAD_SLACK_S = 0.05
 
 def _spec(width: int, height: int, queue_size: int = 3) -> SessionSpec:
     network = abstract_mi_mesh(width, height, queue_size=queue_size).network
-    return SessionSpec(network, parametric_queues=True)
+    return SessionSpec(network)
 
 
 def _verdict_sha(results) -> str:

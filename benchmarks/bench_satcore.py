@@ -116,7 +116,7 @@ def bench_propagation(smoke: bool) -> dict:
 # End-to-end query fan-out through the full session stack
 # ----------------------------------------------------------------------
 def _session_fanout(network):
-    session = VerificationSession(network, parametric_queues=False)
+    session = VerificationSession(network)
     return [
         session.verify_case(case).deadlock_free
         for case in session.encoding.cases

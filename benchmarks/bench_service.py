@@ -287,7 +287,7 @@ def _sequential_reference(smoke: bool, miss_sizes: list[int]) -> dict[str, str]:
         scenario = ScenarioSpec(
             builder=spec["builder"], kwargs=tuple(spec["kwargs"].items())
         )
-        session_spec = scenario.session_spec(parametric_queues=True)
+        session_spec = scenario.session_spec()
         session_spec.generate_invariants()
         session = VerificationSession(spec=session_spec)
         answers[f"{label}|verify"] = session.verify().verdict.value

@@ -5,8 +5,8 @@ Two experiments over the solver stack's learned-clause lifecycle (PR 3):
 * **cold vs warm worker first query** — a parent session primes one
   master-guard query on the 3×3 MI mesh, then two workers rehydrate from
   a cold snapshot (CNF image only — what every pool shipped before) and a
-  warm one (``include_learned=True``: the parent's LBD-sorted learned
-  tail plus saved phases).  The warm worker's first per-case query must
+  warm one (``VerificationSession.snapshot()``: the parent's LBD-sorted
+  learned tail plus saved phases).  The warm worker's first per-case query must
   skip the re-learning cost.  Both workers then answer the *full* 145
   deadlock-case fan-out; the verdict byte-encodings must be identical,
   and identical again with clause-database reduction on vs off.
@@ -57,7 +57,7 @@ SWEEP_REDUCTION_OPTS = {
 def bench_warm_worker(mesh: int) -> dict:
     """Cold vs warm worker rehydration on the per-case fan-out."""
     network = abstract_mi_mesh(mesh, mesh, queue_size=2).network
-    spec = SessionSpec(network, parametric_queues=True)
+    spec = SessionSpec(network)
     cases = len(spec.encoding.cases)
 
     parent = VerificationSession(spec=spec)
@@ -67,7 +67,7 @@ def bench_warm_worker(mesh: int) -> dict:
 
     snapshots = {
         "cold": spec.snapshot(),
-        "warm": parent.snapshot(include_learned=True),
+        "warm": parent.snapshot(),
     }
     sizes = tuple(sorted(spec.initial_sizes.items()))
     runs = {}
@@ -123,7 +123,7 @@ def bench_warm_worker(mesh: int) -> dict:
 def bench_bounded_session(n_sizes: int) -> dict:
     """Monotone Figure-4 sweep: reduction on vs off over one session."""
     network = abstract_mi_mesh(2, 2, queue_size=2).network
-    spec = SessionSpec(network, parametric_queues=True)
+    spec = SessionSpec(network)
     spec.generate_invariants()
 
     def run(reduction: bool):

@@ -6,7 +6,7 @@ deadlock-free XY mesh deadlocks: the directory waits for the owner's putX,
 which cannot reach it past an ejection queue full of other caches' stalled
 requests.  With queue size 3 the same system verifies deadlock-free.
 
-One parametric session carries the whole script: it finds the size-2
+One session carries the whole script: it finds the size-2
 candidates, a replayed explicit-state trace *confirms* one is reachable,
 and ``resize_queues(3)`` re-proves the system deadlock-free without
 rebuilding the encoding.  With ``--jobs N`` the session's per-case

@@ -68,8 +68,9 @@ __all__ = ["DeadlockCase", "DeadlockEncoding", "encode_deadlock"]
 Color = Hashable
 
 # How queue capacities enter the encoding: by default the literal
-# ``queue.size``; a ``VerificationSession`` may instead supply one IntVar
-# per queue so different sizes can be probed by assumption alone.
+# ``queue.size`` (the from-scratch form tests and benchmarks check
+# against); ``SessionSpec`` supplies one IntVar per queue so different
+# sizes can be probed by assumption alone.
 Capacities = Mapping[str, IntVar]
 
 

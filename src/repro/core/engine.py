@@ -7,9 +7,9 @@ queries, invariant-strengthened re-checks, witness enumeration, and the
 Figure-4 queue-size sweep.  The work splits into two phases:
 
 * **build** — :class:`SessionSpec` derives the colors, the deadlock
-  encoding (with guard-tagged disjuncts and, optionally, parametric
-  ``cap[q]`` capacities) and, on demand, the cross-layer invariants.  All
-  of it is computed once per network and shared by every session over it.
+  encoding (with guard-tagged disjuncts and symbolic ``cap[q]``
+  capacities) and, on demand, the cross-layer invariants.  All of it is
+  computed once per network and shared by every session over it.
 * **query** — :class:`VerificationSession` loads a spec into one
   incremental :class:`~repro.smt.Solver`, binds the one query engine
   (:class:`~repro.core.parallel.WorkerSession`) to it without a snapshot
@@ -20,9 +20,9 @@ Figure-4 queue-size sweep.  The work splits into two phases:
     (:class:`~repro.core.deadlock.DeadlockCase`), so ``verify_channel``
     asks about a single queue/color by assuming that one guard;
   - ``verify`` assumes the master guard ("some disjunct fires");
-  - queue capacities are (by default) symbolic ``cap[q]`` variables pinned
-    by assumption, so ``resize_queues`` re-probes a different size without
-    rebuilding anything;
+  - queue capacities are symbolic ``cap[q]`` variables pinned by
+    assumption (the network's own sizes until ``resize_queues``), so a
+    different size is re-probed without rebuilding anything;
   - ``enumerate_witnesses`` guards its blocking clauses behind a fresh
     per-enumeration assumption literal (assumed only by its own checks and
     retired when the generator finishes), so enumeration leaves the
@@ -102,18 +102,13 @@ ANY_CASE_LABEL = "deadlock assertion (any case)"
 
 
 def resolve_resize(
-    current: Mapping[str, int], sizes: int | Mapping[str, int], parametric: bool
+    current: Mapping[str, int], sizes: int | Mapping[str, int]
 ) -> dict[str, int]:
     """Validate a ``resize_queues`` request against the current size map.
 
     Returns the full updated map.  Shared by the session and the service
     so both reject the same inputs identically.
     """
-    if not parametric:
-        raise RuntimeError(
-            "resize_queues() requires parametric_queues=True "
-            "(queue sizes were baked into the encoding)"
-        )
     if isinstance(sizes, int):
         update = {name: sizes for name in current}
     else:
@@ -151,7 +146,6 @@ class SessionSnapshot:
     witness_int_uids: tuple[int, ...]
     witness_bool_names: tuple[str, ...]
     default_sizes: tuple[tuple[str, int], ...]
-    parametric: bool
     # How many invariants are baked into the solver image — reporting
     # metadata for consumers that only hold the snapshot.
     invariant_count: int
@@ -213,7 +207,8 @@ class SessionSnapshot:
             "default_sizes": sorted(
                 [name, size] for name, size in self.default_sizes
             ),
-            "parametric": self.parametric,
+            # Always True (every capacity is a cap[q] variable); kept so stored keys hold.
+            "parametric": True,
         }
         return stable_hash(payload)
 
@@ -221,8 +216,11 @@ class SessionSnapshot:
 class SessionSpec:
     """The build phase: network → colors → encoding (→ invariants), once.
 
-    A spec is immutable except for on-demand invariant generation and
-    carries no solver; any number of :class:`VerificationSession` (or parallel
+    Queue capacities are symbolic ``cap[q]`` variables (``capacities``)
+    that every query pins by assumption, so one spec answers for any
+    queue sizes; ``initial_sizes`` are the network's own.  A spec is
+    immutable except for on-demand invariant generation and carries no
+    solver; any number of :class:`VerificationSession` (or parallel
     worker sessions, via :meth:`snapshot`) can be opened over one spec
     without re-deriving anything.
 
@@ -233,10 +231,6 @@ class SessionSpec:
     rotating_precision:
         Use the stronger block rule for ``rotating`` queues (see
         :mod:`repro.core.deadlock`).
-    parametric_queues:
-        Encode queue capacities as symbolic ``cap[q]`` variables to be
-        pinned by assumption.  With ``False`` the literal ``queue.size``
-        values are baked in, reproducing the one-shot encoding exactly.
     watch:
         Optional :class:`~repro.util.Stopwatch` to record the build
         phases into (a session building its own spec passes its own).
@@ -246,13 +240,11 @@ class SessionSpec:
         self,
         network: Network,
         rotating_precision: bool = True,
-        parametric_queues: bool = True,
         watch: Stopwatch | None = None,
     ):
         network.validate()
         self.network = network
         self.rotating_precision = rotating_precision
-        self.parametric = parametric_queues
         watch = watch or Stopwatch()
         with watch.phase("color derivation"):
             self.colors = derive_colors(network)
@@ -260,11 +252,9 @@ class SessionSpec:
         self.initial_sizes: dict[str, int] = {
             q.name: q.size for q in network.queues()
         }
-        self.capacities: dict[str, IntVar] = (
-            {q.name: intvar(f"cap[{q.name}]") for q in network.queues()}
-            if parametric_queues
-            else {}
-        )
+        self.capacities: dict[str, IntVar] = {
+            q.name: intvar(f"cap[{q.name}]") for q in network.queues()
+        }
         self._invariants: list[Invariant] | None = None
         with watch.phase("deadlock encoding"):
             self.encoding = encode_deadlock(
@@ -272,38 +262,8 @@ class SessionSpec:
                 self.colors,
                 self.pool,
                 rotating_precision=rotating_precision,
-                capacities=self.capacities if parametric_queues else None,
+                capacities=self.capacities,
             )
-
-    @classmethod
-    def from_builder(
-        cls,
-        builder: str,
-        builder_kwargs: Mapping | None = None,
-        rotating_precision: bool = True,
-        parametric_queues: bool = True,
-        watch: Stopwatch | None = None,
-    ) -> "SessionSpec":
-        """Open the build phase from a *description* of the network.
-
-        ``builder`` names a registered network builder
-        (:func:`repro.core.experiments.register_builder`); the network is
-        constructed here and the build phase runs on it.  This is the
-        engine-side hook the experiment layer rests on: a
-        :class:`~repro.core.experiments.ScenarioSpec` can describe a
-        build as plain data, ship it to a worker process, and the worker
-        materialises the spec with this constructor.
-        """
-        from .experiments import resolve_builder
-
-        built = resolve_builder(builder)(**dict(builder_kwargs or {}))
-        network = getattr(built, "network", built)
-        return cls(
-            network,
-            rotating_precision=rotating_precision,
-            parametric_queues=parametric_queues,
-            watch=watch,
-        )
 
     # ------------------------------------------------------------------
     @property
@@ -333,7 +293,6 @@ class SessionSpec:
 
     def load_solver(
         self,
-        max_splits: int = 100_000,
         clause_reduction: bool = True,
         reduction_opts: Mapping | None = None,
     ) -> Solver:
@@ -342,9 +301,7 @@ class SessionSpec:
         knobs (``reduce_base``, ``reduce_growth``, ``glue_keep``,
         ``glue_cap``, ``reduce_keep``) to the solver."""
         solver = Solver(
-            max_splits=max_splits,
-            clause_reduction=clause_reduction,
-            **dict(reduction_opts or {}),
+            clause_reduction=clause_reduction, **dict(reduction_opts or {})
         )
         for term in self.base_terms():
             solver.add(term)
@@ -369,11 +326,7 @@ class SessionSpec:
                 bool_names.append(self.pool.block(out_channel, color).name)
         return tuple(int_uids), tuple(bool_names)
 
-    def snapshot(
-        self,
-        max_splits: int = 100_000,
-        reduction_opts: Mapping | None = None,
-    ) -> SessionSnapshot:
+    def snapshot(self, reduction_opts: Mapping | None = None) -> SessionSnapshot:
         """Flatten the built encoding into a :class:`SessionSnapshot`.
 
         Loads a throwaway solver (cheap relative to the build phase) and
@@ -386,9 +339,7 @@ class SessionSpec:
         the tuned policy.
         """
         return self.wrap_solver_snapshot(
-            snapshot_solver(
-                self.load_solver(max_splits, reduction_opts=reduction_opts)
-            )
+            snapshot_solver(self.load_solver(reduction_opts=reduction_opts))
         )
 
     def wrap_solver_snapshot(self, solver_snapshot) -> SessionSnapshot:
@@ -407,7 +358,6 @@ class SessionSpec:
             witness_int_uids=witness_ints,
             witness_bool_names=witness_bools,
             default_sizes=tuple(self.initial_sizes.items()),
-            parametric=self.parametric,
             invariant_count=len(self._invariants or ()),
         )
 
@@ -466,9 +416,8 @@ class SessionSpec:
             "solver_profile": solver_profile,
             "solve_seconds": elapsed,
             **(extra_stats or {}),
+            "queue_sizes": dict(sizes),
         }
-        if self.parametric:
-            stats["queue_sizes"] = dict(sizes)
         witness = core = None
         if kind == "unknown":
             # The worker's share of the run budget expired: a first-class
@@ -505,11 +454,9 @@ class VerificationSession:
     ----------
     network:
         The network to verify; ignored when ``spec`` is given.
-    rotating_precision, parametric_queues:
-        Build options, forwarded to :class:`SessionSpec` (ignored when
-        ``spec`` is given — the spec already fixed them).
-    max_splits:
-        Branch-and-bound budget forwarded to the SMT solver, per query.
+    rotating_precision:
+        Build option, forwarded to :class:`SessionSpec` (ignored when
+        ``spec`` is given — the spec already fixed it).
     clause_reduction:
         Enable the solver's learned-clause lifecycle (LBD-based database
         reduction) so long sessions stay bounded.  ``False`` reproduces
@@ -557,8 +504,6 @@ class VerificationSession:
         self,
         network: Network | None = None,
         rotating_precision: bool = True,
-        max_splits: int = 100_000,
-        parametric_queues: bool = True,
         clause_reduction: bool = True,
         reduction_opts: Mapping | None = None,
         spec: SessionSpec | None = None,
@@ -587,26 +532,20 @@ class VerificationSession:
             if network is None:
                 raise TypeError("VerificationSession needs a network or a spec")
             spec = SessionSpec(
-                network,
-                rotating_precision=rotating_precision,
-                parametric_queues=parametric_queues,
-                watch=self.watch,
+                network, rotating_precision=rotating_precision, watch=self.watch
             )
         self.spec = spec
         self.network = spec.network
         self.colors = spec.colors
         self.pool = spec.pool
         self.encoding = spec.encoding
-        self._parametric = spec.parametric
         self._sizes: dict[str, int] = dict(spec.initial_sizes)
         # The invariants loaded into the solver; None until conjoined.
         self._invariants: list[Invariant] | None = spec.invariants
         self._last_witness_bools: dict[str, bool] | None = None
         with self.watch.phase("smt solving"):
             self.solver = spec.load_solver(
-                max_splits=max_splits,
-                clause_reduction=clause_reduction,
-                reduction_opts=reduction_opts,
+                clause_reduction=clause_reduction, reduction_opts=reduction_opts
             )
         # The one query engine over this live solver; the snapshot only
         # carries the tables.
@@ -650,12 +589,12 @@ class VerificationSession:
         """Re-target later queries at different queue capacities.
 
         ``sizes`` is either one uniform size or a mapping from queue name
-        to size (unmentioned queues keep their current size).  Requires
-        ``parametric_queues``; nothing is re-encoded or restarted — the
-        pins travel with each query (the engine lazily mints a guard
-        literal implying ``cap[q] == size`` per pair).
+        to size (unmentioned queues keep their current size).  Nothing is
+        re-encoded or restarted — the pins travel with each query (the
+        engine lazily mints a guard literal implying ``cap[q] == size``
+        per pair).
         """
-        self._sizes = resolve_resize(self._sizes, sizes, self._parametric)
+        self._sizes = resolve_resize(self._sizes, sizes)
 
     @property
     def queue_sizes(self) -> dict[str, int]:
@@ -684,27 +623,18 @@ class VerificationSession:
     # ------------------------------------------------------------------
     # Warm-start state
     # ------------------------------------------------------------------
-    def snapshot(
-        self,
-        include_learned: bool = True,
-        learned_cap: int = 4000,
-        max_lbd: int | None = None,
-    ) -> SessionSnapshot:
-        """A :class:`SessionSnapshot` of this *live* session.
+    def snapshot(self) -> SessionSnapshot:
+        """A warm :class:`SessionSnapshot` of this *live* session.
 
         Unlike :meth:`SessionSpec.snapshot` (which loads a cold throwaway
-        solver), this captures the session's own solver — including, by
-        default, its learned-clause tail and saved phases — so workers
-        rehydrated from it answer their first query without re-deriving
-        what this session already learned.
+        solver), this captures the session's own solver — including its
+        learned-clause tail (at :func:`~repro.smt.snapshot_solver`'s
+        default cap) and saved phases — so workers rehydrated from it
+        answer their first query without re-deriving what this session
+        already learned.
         """
         return self.spec.wrap_solver_snapshot(
-            snapshot_solver(
-                self.solver,
-                include_learned=include_learned,
-                learned_cap=learned_cap,
-                max_lbd=max_lbd,
-            )
+            snapshot_solver(self.solver, include_learned=True)
         )
 
     def compact(self) -> int:
@@ -731,7 +661,7 @@ class VerificationSession:
     def _run(self, target, deadline=None, extra=()) -> VerificationResult:
         """Ask the engine about ``target`` (``None`` for the master guard,
         a case index otherwise) under the current pins, then render."""
-        sizes = tuple(self._sizes.items()) if self._parametric else None
+        sizes = tuple(self._sizes.items())
         with self.watch.phase("smt solving"):
             payload = self._engine.bounded_check(
                 Deadline.coerce(deadline), target, sizes, True, extra=extra
@@ -791,7 +721,7 @@ class VerificationSession:
         """
         deadline = Deadline.coerce(deadline)
         cases = self.encoding.cases
-        sizes = tuple(sorted(self._sizes.items())) if self._parametric else None
+        sizes = tuple(sorted(self._sizes.items()))
         payloads = self._fan_out(
             [("check", index, sizes, True) for index in range(len(cases))],
             deadline,
@@ -822,12 +752,10 @@ class VerificationSession:
         worker snapshot.  ``deadline`` bounds the whole call as for
         :meth:`verify_all_cases`.
         """
-        if not self._parametric:
-            raise RuntimeError("probe_shards() requires parametric_queues=True")
         deadline = Deadline.coerce(deadline)
         full_shards = [
             [
-                resolve_resize(self._sizes, dict(assignment), True)
+                resolve_resize(self._sizes, dict(assignment))
                 for assignment in shard
             ]
             for shard in shards

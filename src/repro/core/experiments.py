@@ -384,14 +384,14 @@ class ScenarioSpec:
         """The ``build(size)`` callable the sizing functions consume."""
         return lambda size: self.build(size)
 
-    def session_spec(self, size: int | None = None, **spec_kwargs):
+    def session_spec(self, size: int | None = None):
         """Open the build phase this spec *describes*
         (:class:`~repro.core.engine.SessionSpec`) without going through a
         size search — the engine hook for one-off queries on a grid point.
         """
         from .engine import SessionSpec
 
-        return SessionSpec(self.build(size), **spec_kwargs)
+        return SessionSpec(self.build(size))
 
 
 # ---------------------------------------------------------------------------

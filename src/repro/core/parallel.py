@@ -299,9 +299,9 @@ class WorkerSession:
     ) -> tuple:
         """Answer one guard-literal query; returns a plain-data payload.
 
-        ``sizes=None`` falls back to the snapshot's default sizes when
-        the encoding is parametric (a bare-snapshot consumer probing the
-        as-built configuration); an explicit pin list overrides.
+        ``sizes=None`` pins the snapshot's default sizes (a bare-snapshot
+        consumer probing the as-built configuration); an explicit pin
+        list overrides.
         ``extra`` names further boolean guards to assume after the target
         (a witness enumeration's blocking guard).
 
@@ -320,9 +320,9 @@ class WorkerSession:
         # One read of the solver: a concurrent close() cannot pull it out
         # from under this check.
         solver = self.solver
-        if sizes is None and self.snapshot.parametric:
+        if sizes is None:
             sizes = self.snapshot.default_sizes
-        names = [] if sizes is None else self._capacity_assumption_names(solver, sizes)
+        names = self._capacity_assumption_names(solver, sizes)
         names.append(self._guard_name(target))
         names.extend(extra)
         outcome = solver.check(

@@ -33,7 +33,6 @@ def verify(
     network: Network,
     use_invariants: bool = True,
     rotating_precision: bool = True,
-    max_splits: int = 100_000,
     deadline=None,
 ) -> VerificationResult:
     """Run the full ADVOCAT pipeline on ``network``.
@@ -49,18 +48,11 @@ def verify(
     rotating_precision:
         Use the stronger block rule for ``rotating`` queues (see
         :mod:`repro.core.deadlock`).
-    max_splits:
-        Branch-and-bound budget forwarded to the SMT solver.
     deadline:
         Optional :class:`~repro.core.resilience.Deadline` (or bare
         seconds); an expired budget yields a ``TIMEOUT`` verdict.
     """
-    session = VerificationSession(
-        network,
-        rotating_precision=rotating_precision,
-        max_splits=max_splits,
-        parametric_queues=False,
-    )
+    session = VerificationSession(network, rotating_precision=rotating_precision)
     if use_invariants:
         session.add_invariants()
     return session.verify(deadline=deadline)
@@ -80,9 +72,7 @@ def enumerate_witnesses(
     candidate among false negatives (confirm each with
     :class:`repro.mc.Explorer`).
     """
-    session = VerificationSession(
-        network, rotating_precision=rotating_precision, parametric_queues=False
-    )
+    session = VerificationSession(network, rotating_precision=rotating_precision)
     if use_invariants:
         session.add_invariants()
     yield from session.enumerate_witnesses(limit=limit)

@@ -160,9 +160,7 @@ def _resolved_sizes(snapshot: SessionSnapshot, overrides):
     """
     if overrides is None:
         return None
-    merged = resolve_resize(
-        dict(snapshot.default_sizes), overrides, snapshot.parametric
-    )
+    merged = resolve_resize(dict(snapshot.default_sizes), overrides)
     return tuple(sorted(merged.items()))
 
 
@@ -230,7 +228,7 @@ def _build_job(
     and (optionally) answer the triggering query in the same trip."""
     maybe_inject("service-builder")
     spec = ScenarioSpec(builder=builder, kwargs=kwargs)
-    session_spec = spec.session_spec(parametric_queues=True)
+    session_spec = spec.session_spec()
     session_spec.generate_invariants()
     snapshot = session_spec.snapshot()
     meta = {

@@ -14,14 +14,14 @@ seeds the next with its witness (below).  Above 16 the step grows with
 the size, so a fabric that deadlocks at every size still fails after a
 bounded number of probes (65 at the default ``max_size=512``).
 
-The search runs on one :class:`~repro.core.engine.VerificationSession` with
-*parametric* queue capacities: the block/idle encoding, the invariants and
-every clause the solver learns are shared across all probed sizes — only
-the ``cap[q] == size`` assumptions change per probe.  This assumes
-``build(size)`` changes only queue capacities, never network structure —
-true of every sweep in this repository (and of the paper's Figure 4); a
-builder whose primitive/channel counts or queue names change with the size
-is rejected with ``ValueError``.
+The search runs on one :class:`~repro.core.engine.VerificationSession`,
+whose queue capacities are symbolic: the block/idle encoding, the
+invariants and every clause the solver learns are shared across all
+probed sizes — only the ``cap[q] == size`` assumptions change per
+probe.  This assumes ``build(size)`` changes only queue capacities,
+never network structure — true of every sweep in this repository (and
+of the paper's Figure 4); a builder whose primitive/channel counts or
+queue names change with the size is rejected with ``ValueError``.
 
 ``minimal_queue_size`` is deliberately defensive: monotonicity is an
 assumption about the *model family*, so the result records every probed
@@ -32,7 +32,7 @@ most 18: the climb probes every size up to 16, the bisection 17).
 :func:`sweep_queue_sizes` is the counterpart for the *curve* rather than
 the boundary: probe an explicit list of sizes (Figure 4 plots one verdict
 per point), in ascending order on one session, or sharded across pool
-workers.  Each worker holds one rehydrated parametric session and walks
+workers.  Each worker holds one rehydrated session and walks
 its shard in ascending order, so every probe warm-starts on the clauses
 learned by the previous ones — the same locality the sequential sweep
 exploits, multiplied by the worker count.  Per-shard outcomes are
@@ -224,7 +224,7 @@ def _capacity_only_assignment(
 class _Walk:
     """Probes queue sizes one at a time on one warm session.
 
-    The session, opened over ``base_network``, is a parametric
+    The session, opened over ``base_network``, is a
     :class:`VerificationSession`, strengthened up front when ``mode`` is
     ``"eager"``.  ``assignment`` maps a size to the per-queue sizes to
     probe.
@@ -249,9 +249,7 @@ class _Walk:
         self.results: dict[int, VerificationResult] = {}
         self.session = timer.timed(
             "build",
-            lambda: VerificationSession(
-                base_network, parametric_queues=True, **verify_kwargs
-            ),
+            lambda: VerificationSession(base_network, **verify_kwargs),
         )
         if eager_invariants(mode):
             self.invariants = timer.timed("build", self.session.add_invariants)
@@ -330,7 +328,7 @@ def minimal_queue_size(
         recorded in ``results`` only.
     verify_kwargs:
         Forwarded to :class:`~repro.core.engine.VerificationSession`
-        (``rotating_precision``, ``max_splits``).
+        (``rotating_precision``, ``clause_reduction``, ``reduction_opts``).
     """
     eager_invariants(invariants)
     deadline = Deadline.coerce(deadline)
@@ -395,11 +393,11 @@ def sweep_queue_sizes(
     The Figure-4 *curve*: every size in ``sizes`` is probed (no binary
     search, no monotonicity assumption) and the result records the full
     verdict map.  With ``jobs == 1`` the sizes are walked in ascending
-    order on one parametric session, exactly as
+    order on one session, exactly as
     :func:`minimal_queue_size` probes them.  With ``jobs > 1`` the points
     are striped across pool workers — worker ``w`` probes sizes ``w,
     w+jobs, w+2*jobs, ...`` of the ascending list, in ascending order, on
-    its own rehydrated parametric session (warm-start within the shard).
+    its own rehydrated session (warm-start within the shard).
     Per-shard :class:`SizingResult`\\ s are aggregated with
     :meth:`SizingResult.merge`.
 
@@ -409,7 +407,7 @@ def sweep_queue_sizes(
 
     ``build`` must vary only queue capacities (checked, ``ValueError``),
     as for :func:`minimal_queue_size`.  ``verify_kwargs`` forwards
-    ``rotating_precision`` / ``max_splits``.
+    ``rotating_precision`` / ``clause_reduction`` / ``reduction_opts``.
 
     ``deadline`` bounds the whole sweep; on expiry the undecided sizes
     are simply absent from ``probes`` (their TIMEOUT results stay in
@@ -462,7 +460,6 @@ def sweep_queue_sizes(
             base_network,
             jobs=jobs,
             backend=backend,
-            parametric_queues=True,
             **verify_kwargs,
         ),
     )

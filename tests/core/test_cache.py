@@ -42,6 +42,7 @@ from repro.core import (
     verdict_sha,
 )
 from repro.netlib import producer_consumer, running_example
+from repro.smt import Solver, snapshot_solver
 
 
 def _network(queue_size=2):
@@ -172,7 +173,7 @@ def test_scenario_spec_key_separates_different_requests():
 
 @pytest.fixture(scope="module")
 def reference_hash():
-    spec = SessionSpec(_network(), parametric_queues=True)
+    spec = SessionSpec(_network())
     spec.generate_invariants()
     return spec.snapshot().content_hash()
 
@@ -189,17 +190,25 @@ def test_content_hash_ignores_scheduling_hints(
     # not the solver schedule: split budgets and clause-database knobs
     # must not move it, or the warm/cold tiers would miss on every
     # client-side tuning difference.
-    spec = SessionSpec(_network(), parametric_queues=True)
+    spec = SessionSpec(_network())
     spec.generate_invariants()
-    opts = None if reduce_base is None else {"reduce_base": reduce_base}
-    snapshot = spec.snapshot(max_splits=max_splits, reduction_opts=opts)
+    opts = {} if reduce_base is None else {"reduce_base": reduce_base}
+    assert spec.snapshot(reduction_opts=opts).content_hash() == reference_hash
+    # The split budget is a solver knob no session sets: load the same
+    # encoding into a solver that carries it.
+    solver = Solver(max_splits=max_splits, **opts)
+    for term in spec.base_terms():
+        solver.add(term)
+    for invariant in spec.invariants:
+        solver.add_global(invariant.term())
+    snapshot = spec.wrap_solver_snapshot(snapshot_solver(solver))
     assert snapshot.content_hash() == reference_hash
 
 
 @settings(max_examples=5, deadline=None)
 @given(st.integers(min_value=0, max_value=3))
 def test_content_hash_survives_pickle_round_trips(reference_hash, rounds):
-    spec = SessionSpec(_network(), parametric_queues=True)
+    spec = SessionSpec(_network())
     spec.generate_invariants()
     snapshot = spec.snapshot()
     for _ in range(rounds):
@@ -210,15 +219,15 @@ def test_content_hash_survives_pickle_round_trips(reference_hash, rounds):
 def test_content_hash_is_rebuild_stable_and_discriminating(reference_hash):
     # Two independent builds allocate different process-local uids; the
     # rank-renumbered payload must hash identically anyway.
-    spec = SessionSpec(_network(), parametric_queues=True)
+    spec = SessionSpec(_network())
     spec.generate_invariants()
     assert spec.snapshot().content_hash() == reference_hash
     # ... while a genuinely different encoding must not collide.
-    other = SessionSpec(producer_consumer(queue_size=2), parametric_queues=True)
+    other = SessionSpec(producer_consumer(queue_size=2))
     other.generate_invariants()
     assert other.snapshot().content_hash() != reference_hash
     # Invariants are part of the encoding (they strengthen the CNF).
-    bare = SessionSpec(_network(), parametric_queues=True)
+    bare = SessionSpec(_network())
     assert bare.snapshot().content_hash() != reference_hash
 
 
@@ -258,7 +267,7 @@ def test_verdict_store_memory_only_mode():
 
 
 def test_snapshot_store_round_trip(tmp_path):
-    spec = SessionSpec(_network(), parametric_queues=True)
+    spec = SessionSpec(_network())
     spec.generate_invariants()
     snapshot = spec.snapshot()
     store = SnapshotStore(tmp_path / "snapshots")

@@ -5,6 +5,8 @@ new encoding and a new :class:`~repro.smt.Solver` per query, asserts
 everything, and checks once — the seed implementation's behavior.
 """
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from repro.core import (
 )
 from repro.core.proof import enumerate_witnesses
 from repro.netlib import running_example
+from repro.protocols import abstract_mi_mesh, mi_mesh
 from repro.smt import Result, Solver
 
 
@@ -54,20 +57,36 @@ def session_invariants_hold(session):
 # ---------------------------------------------------------------------------
 
 
+# Designs past the running example, each just below and at its minimal
+# queue size, for the differentials below: (builder, smaller, larger).
+MESH_RESIZES = (
+    (abstract_mi_mesh, 2, 3),
+    (mi_mesh, 5, 6),
+)
+
+
+@lru_cache(maxsize=None)
+def mesh_oracle(builder, size):
+    """The literal-size oracle with invariants on one 2x2 mesh design."""
+    network = builder(2, 2, queue_size=size).network
+    return fresh_verdict(network, use_invariants=True)
+
+
 def test_session_matches_one_shot_verify():
+    # Sessions pin symbolic capacities; the oracle bakes the literal
+    # sizes into a fresh formula, so the two share no encoding step.
     for size in (1, 2, 3):
-        for parametric in (False, True):
-            network = running_example(queue_size=size).network
-            session = VerificationSession(network, parametric_queues=parametric)
-            without = session.verify()
-            assert without.deadlock_free == verify(
-                network, use_invariants=False
-            ).deadlock_free
-            session.add_invariants()
-            with_inv = session.verify()
-            assert with_inv.deadlock_free == verify(
-                network, use_invariants=True
-            ).deadlock_free
+        network = running_example(queue_size=size).network
+        session = VerificationSession(network)
+        assert session.verify().deadlock_free == fresh_verdict(network)
+        session.add_invariants()
+        assert session.verify().deadlock_free == fresh_verdict(
+            network, use_invariants=True
+        )
+    for builder, *sizes in MESH_RESIZES:
+        for size in sizes:
+            network = builder(2, 2, queue_size=size).network
+            assert verify(network).deadlock_free == mesh_oracle(builder, size)
 
 
 def test_verify_channel_agrees_with_restricted_assertion():
@@ -94,38 +113,34 @@ def test_verify_channel_by_name():
 
 
 def test_resize_queues_matches_rebuilt_network():
-    session = VerificationSession(
-        running_example(queue_size=1).network, parametric_queues=True
-    )
+    session = VerificationSession(running_example(queue_size=1).network)
     session.add_invariants()
     for size in (1, 2, 3, 4, 2, 1):  # revisits exercise guard reuse
         session.resize_queues(size)
         incremental = session.verify()
-        fresh = verify(running_example(queue_size=size).network)
-        assert incremental.deadlock_free == fresh.deadlock_free, f"size {size}"
+        fresh = fresh_verdict(
+            running_example(queue_size=size).network, use_invariants=True
+        )
+        assert incremental.deadlock_free == fresh, f"size {size}"
         if not incremental.deadlock_free:
             assert session_invariants_hold(session)
+    for builder, smaller, larger in MESH_RESIZES:
+        session = VerificationSession(builder(2, 2, queue_size=smaller).network)
+        session.add_invariants()
+        verdicts = []
+        for size in (smaller, larger):
+            session.resize_queues(size)
+            verdicts.append(session.verify().deadlock_free)
+            assert verdicts[-1] == mesh_oracle(builder, size), f"size {size}"
+        # Just below and at the minimum: the oracle is not vacuous.
+        assert verdicts == [False, True], builder.__name__
 
 
 def test_resize_queues_per_queue_mapping():
-    session = VerificationSession(
-        running_example(queue_size=2).network, parametric_queues=True
-    )
+    session = VerificationSession(running_example(queue_size=2).network)
     session.resize_queues({"q0": 3})
     assert session.queue_sizes == {"q0": 3, "q1": 2}
     assert not session.verify().deadlock_free  # block/idle only: candidates
-
-
-def test_resize_requires_parametric():
-    session = VerificationSession(
-        running_example().network, parametric_queues=False
-    )
-    try:
-        session.resize_queues(3)
-    except RuntimeError:
-        pass
-    else:
-        raise AssertionError("resize on a baked encoding must fail")
 
 
 def test_enumeration_is_scoped_and_session_reusable():
@@ -189,9 +204,10 @@ def test_sizing_preserves_non_uniform_builders():
         return example.network
 
     sizing = minimal_queue_size(build, max_size=8)
-    # Oracle: a one-shot verify of exactly what the builder produces.
+    # Oracle: a literal-size check of exactly what the builder produces.
     assert sizing.probes == {
-        size: verify(build(size)).deadlock_free for size in sizing.probes
+        size: fresh_verdict(build(size), use_invariants=True)
+        for size in sizing.probes
     }
     assert sizing.minimal_size == min(
         size for size, free in sizing.probes.items() if free
@@ -219,9 +235,7 @@ def test_sizing_rejects_builders_that_change_structure():
 
 
 def test_witnesses_respect_queue_domains():
-    session = VerificationSession(
-        running_example(queue_size=2).network, parametric_queues=True
-    )
+    session = VerificationSession(running_example(queue_size=2).network)
     for witness in session.enumerate_witnesses(limit=8):
         for queue in session.network.queues():
             held = sum(witness.queue_contents.get(queue.name, {}).values())
@@ -230,7 +244,6 @@ def test_witnesses_respect_queue_domains():
 
 def test_every_query_goes_through_the_one_engine(monkeypatch):
     from repro.core.parallel import WorkerSession
-    from repro.protocols import abstract_mi_mesh
 
     calls = {"engine": 0, "solver": 0, "restore": 0}
 
@@ -277,7 +290,6 @@ def test_unchanged_pins_stay_on_the_trail_between_cases(monkeypatch, invariants)
     the first assumption that changed (the case guard).  Without
     invariants every case is a candidate; with them most are refuted, and
     each core names only that query's assumptions."""
-    from repro.protocols import abstract_mi_mesh
     from repro.smt.sat import Cdcl
 
     solves = []  # per solve(): [assumptions, entry rewind level, decided]
@@ -341,9 +353,7 @@ operations = st.lists(
 @given(ops=operations)
 @settings(max_examples=25, deadline=None)
 def test_session_equals_fresh_solver_across_op_orders(ops):
-    session = VerificationSession(
-        running_example(queue_size=2).network, parametric_queues=True
-    )
+    session = VerificationSession(running_example(queue_size=2).network)
     size = 2
     invariants_on = False
 

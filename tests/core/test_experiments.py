@@ -105,13 +105,9 @@ def test_register_builder_default_family_is_misc():
     assert builder_catalog()["test-family-default"]["family"] == "misc"
 
 
-def test_session_spec_from_builder_matches_direct_build():
-    spec = SessionSpec.from_builder(
-        "running_example", {"queue_size": 2}, parametric_queues=True
-    )
-    direct = SessionSpec(
-        running_example(queue_size=2).network, parametric_queues=True
-    )
+def test_scenario_session_spec_matches_direct_build():
+    spec = ScenarioSpec("running_example", {"queue_size": 2}).session_spec()
+    direct = SessionSpec(running_example(queue_size=2).network)
     assert spec.initial_sizes == direct.initial_sizes
     assert len(spec.encoding.cases) == len(direct.encoding.cases)
 
@@ -246,9 +242,7 @@ def test_scenario_spec_round_trips_under_spawn():
 
 
 def test_session_snapshot_round_trips_under_spawn():
-    spec = SessionSpec(
-        running_example(queue_size=2).network, parametric_queues=True
-    )
+    spec = SessionSpec(running_example(queue_size=2).network)
     snapshot = spec.snapshot()
     assert pickle.loads(pickle.dumps(snapshot)).any_guard_name == (
         snapshot.any_guard_name

@@ -11,12 +11,13 @@ from __future__ import annotations
 import gc
 import tracemalloc
 
-from repro.core.engine import SessionSpec, VerificationSession
+from repro.core.engine import VerificationSession
+from repro.core.experiments import ScenarioSpec
 from repro.smt import terms
 
 
 def _run_design(builder: str, kwargs: dict) -> None:
-    session = VerificationSession(spec=SessionSpec.from_builder(builder, kwargs))
+    session = VerificationSession(spec=ScenarioSpec(builder, kwargs).session_spec())
     session.add_invariants()
     session.verify()
     session.close()

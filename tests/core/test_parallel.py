@@ -44,7 +44,7 @@ def _network(queue_size=2):
 
 
 def test_verify_all_cases_matches_sequential_across_job_counts():
-    spec = SessionSpec(_network(), parametric_queues=True)
+    spec = SessionSpec(_network())
     sequential = VerificationSession(spec=spec)
     expected = sequential.verify_all_cases()
     for jobs in (1, 2, 4):
@@ -64,7 +64,7 @@ def test_verify_all_cases_matches_sequential_across_job_counts():
 
 
 def test_process_backend_matches_thread_backend():
-    spec = SessionSpec(_network(), parametric_queues=True)
+    spec = SessionSpec(_network())
     with VerificationSession(
         spec=spec, jobs=2, backend="process"
     ) as pool:
@@ -80,7 +80,7 @@ def test_process_backend_matches_thread_backend():
 
 
 def test_single_query_api_parity():
-    spec = SessionSpec(_network(), parametric_queues=True)
+    spec = SessionSpec(_network())
     sequential = VerificationSession(spec=spec)
     with VerificationSession(
         spec=spec, jobs=2, backend="thread"
@@ -98,7 +98,7 @@ def test_single_query_api_parity():
 
 
 def test_enumeration_delegates_and_stays_consistent():
-    spec = SessionSpec(_network(), parametric_queues=True)
+    spec = SessionSpec(_network())
     with VerificationSession(
         spec=spec, jobs=2, backend="thread"
     ) as pool:
@@ -142,7 +142,7 @@ def test_opening_a_pooled_session_starts_no_process():
 
 
 def test_single_queries_on_a_pooled_session_start_no_pool():
-    spec = SessionSpec(_network(), parametric_queues=True)
+    spec = SessionSpec(_network())
     local = VerificationSession(spec=spec)
     before = set(multiprocessing.active_children())
     with VerificationSession(spec=spec, jobs=2) as pooled:
@@ -163,9 +163,7 @@ def test_one_deadline_bounds_a_pooled_fan_out():
     # Self-calibrating: a fan-out given a twentieth of the time the
     # unbounded one took must return within a quarter of it, priming
     # query and pool start included; what it could not decide is TIMEOUT.
-    spec = SessionSpec(
-        abstract_mi_mesh(3, 3, queue_size=2).network, parametric_queues=True
-    )
+    spec = SessionSpec(abstract_mi_mesh(3, 3, queue_size=2).network)
 
     def fan_out(seconds=None):
         with VerificationSession(spec=spec, jobs=2, force_pool=True) as session:
@@ -188,7 +186,7 @@ def test_one_deadline_bounds_a_pooled_fan_out():
 
 
 def test_unsat_core_names_responsible_guards_sequential_and_parallel():
-    spec = SessionSpec(_network(), parametric_queues=True)
+    spec = SessionSpec(_network())
     sequential = VerificationSession(spec=spec)
     sequential.add_invariants()
     result = sequential.verify()
@@ -237,7 +235,7 @@ sizes_lists = st.lists(
 @given(sizes=sizes_lists, with_invariants=st.booleans())
 @settings(max_examples=15, deadline=None)
 def test_session_snapshot_rehydration_matches_session(sizes, with_invariants):
-    spec = SessionSpec(_network(), parametric_queues=True)
+    spec = SessionSpec(_network())
     session = VerificationSession(spec=spec)
     if with_invariants:
         session.add_invariants()
@@ -285,7 +283,7 @@ operations = st.lists(
 @given(ops=operations, jobs=st.sampled_from([1, 2, 4]))
 @settings(max_examples=20, deadline=None)
 def test_parallel_equals_sequential_across_op_orders(ops, jobs):
-    spec = SessionSpec(_network(), parametric_queues=True)
+    spec = SessionSpec(_network())
     sequential = VerificationSession(spec=spec)
     with VerificationSession(
         spec=spec, jobs=jobs, backend="thread"
@@ -388,7 +386,7 @@ def test_default_jobs_fan_outs_reuse_one_executor():
 
 
 def test_worker_fork_answers_like_the_template():
-    spec = SessionSpec(_network(), parametric_queues=True)
+    spec = SessionSpec(_network())
     template = WorkerSession(spec.snapshot())
     forked = template.fork()
     for target in (None, 0, len(spec.encoding.cases) - 1):

@@ -257,7 +257,7 @@ def test_pre_expired_deadline_skips_the_solver(open_session):
 
 
 def test_parallel_session_deadline_yields_timeouts_then_recovers():
-    spec = SessionSpec(_network(), parametric_queues=True)
+    spec = SessionSpec(_network())
     with VerificationSession(
         spec=spec, jobs=2, backend="thread", force_pool=True
     ) as pool:
@@ -308,7 +308,7 @@ def test_pool_worker_kill_recovers_with_identical_verdicts(tmp_path):
     install_fault_plan(
         FaultPlan.parse("query-worker:kill@1"), latch_dir=str(tmp_path)
     )
-    spec = SessionSpec(_network(), parametric_queues=True)
+    spec = SessionSpec(_network())
     with VerificationSession(
         spec=spec, jobs=2, backend="process", force_pool=True
     ) as pool:
@@ -323,7 +323,7 @@ def test_pool_worker_persistent_kill_quarantines_to_inline():
     # No latch: every fresh worker dies on its first job, so the session
     # must burn its attempts and degrade to in-process execution.
     install_fault_plan(FaultPlan.parse("query-worker:kill@1"))
-    spec = SessionSpec(_network(), parametric_queues=True)
+    spec = SessionSpec(_network())
     policy = RetryPolicy(max_attempts=2, base_delay=0.01)
     with VerificationSession(
         spec=spec,
@@ -348,7 +348,7 @@ def test_parent_side_pool_break_is_retried(tmp_path):
     install_fault_plan(
         FaultPlan.parse("parallel-pool:break@1"), latch_dir=str(tmp_path)
     )
-    spec = SessionSpec(_network(), parametric_queues=True)
+    spec = SessionSpec(_network())
     with VerificationSession(
         spec=spec, jobs=2, backend="thread", force_pool=True
     ) as pool:
@@ -359,7 +359,7 @@ def test_parent_side_pool_break_is_retried(tmp_path):
 
 
 def _sequential_all_cases():
-    spec = SessionSpec(_network(), parametric_queues=True)
+    spec = SessionSpec(_network())
     return VerificationSession(spec=spec).verify_all_cases()
 
 

@@ -272,9 +272,7 @@ def test_verification_session_close_is_idempotent():
 
 
 def test_parallel_session_close_releases_workers_and_is_idempotent():
-    spec = SessionSpec(
-        running_example(queue_size=2).network, parametric_queues=True
-    )
+    spec = SessionSpec(running_example(queue_size=2).network)
     spec.generate_invariants()
     session = VerificationSession(
         spec=spec, jobs=2, backend="process", force_pool=True
@@ -291,9 +289,7 @@ def test_parallel_session_close_releases_workers_and_is_idempotent():
 
 
 def test_worker_session_close_is_idempotent():
-    spec = SessionSpec(
-        running_example(queue_size=2).network, parametric_queues=True
-    )
+    spec = SessionSpec(running_example(queue_size=2).network)
     spec.generate_invariants()
     entry = WorkerSession(spec.snapshot())
     assert entry.run(("check", None, None, False))[0] == "unsat"
@@ -309,9 +305,7 @@ def test_closing_a_worker_mid_check_lets_the_check_finish():
     # The hot tier evicts (closes) an entry from another request's
     # coroutine while a thread may still be solving on it: the running
     # check must finish, and only later runs may refuse.
-    spec = SessionSpec(
-        abstract_mi_mesh(2, 2, queue_size=2).network, parametric_queues=True
-    )
+    spec = SessionSpec(abstract_mi_mesh(2, 2, queue_size=2).network)
     spec.generate_invariants()
     snapshot = spec.snapshot()
     interval = sys.getswitchinterval()

@@ -33,12 +33,12 @@ def _network(queue_size=2):
 
 
 def test_warm_worker_answers_every_case_like_a_cold_one():
-    spec = SessionSpec(_network(), parametric_queues=True)
+    spec = SessionSpec(_network())
     parent = VerificationSession(spec=spec)
     parent.verify()  # accumulate learned state worth shipping
     cold = WorkerSession(spec.snapshot())
-    warm = WorkerSession(parent.snapshot(include_learned=True))
-    assert len(parent.snapshot(include_learned=True).solver.learned) > 0
+    warm = WorkerSession(parent.snapshot())
+    assert len(parent.snapshot().solver.learned) > 0
     for target in (None, *range(len(spec.encoding.cases))):
         for size in (1, 2, 3):
             sizes = tuple(
@@ -55,7 +55,7 @@ def test_warm_worker_answers_every_case_like_a_cold_one():
 )
 @settings(max_examples=15, deadline=None)
 def test_warm_pool_equals_sequential_across_job_counts(sizes, jobs):
-    spec = SessionSpec(_network(), parametric_queues=True)
+    spec = SessionSpec(_network())
     sequential = VerificationSession(spec=spec)
     with VerificationSession(
         spec=spec, jobs=jobs, backend="thread"
@@ -71,7 +71,7 @@ def test_warm_pool_equals_sequential_across_job_counts(sizes, jobs):
 
 
 def test_forced_pool_still_matches_inline_fallback():
-    spec = SessionSpec(_network(), parametric_queues=True)
+    spec = SessionSpec(_network())
     with VerificationSession(
         spec=spec, jobs=2, backend="thread", force_pool=True
     ) as pool:
@@ -135,7 +135,7 @@ def test_sweep_verdicts_identical_with_and_without_reduction():
 
 def test_reduction_knobs_survive_the_snapshot_round_trip():
     opts = {"reduce_base": 123, "reduce_growth": 1.11, "glue_cap": 45}
-    spec = SessionSpec(_network(), parametric_queues=True)
+    spec = SessionSpec(_network())
     session = VerificationSession(spec=spec, reduction_opts=opts)
     worker = WorkerSession(session.snapshot())
     core = worker.solver._sat
@@ -163,9 +163,7 @@ def test_long_monotone_sweep_stays_bounded_with_identical_verdicts():
     """Miniature of bench_warmstart's bounded-session acceptance gate."""
     from repro.protocols import abstract_mi_mesh
 
-    spec = SessionSpec(
-        abstract_mi_mesh(2, 2, queue_size=2).network, parametric_queues=True
-    )
+    spec = SessionSpec(abstract_mi_mesh(2, 2, queue_size=2).network)
     spec.generate_invariants()
 
     def run(reduction):

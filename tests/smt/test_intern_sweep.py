@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import SessionSpec, VerificationSession
+from repro.core.engine import VerificationSession
+from repro.core.experiments import ScenarioSpec
 from repro.smt import terms
 from repro.smt.cnf import CnfBuilder
 from repro.smt.terms import (
@@ -57,7 +58,7 @@ def _is_interned(term) -> bool:
 
 
 def _image(builder: str, kwargs: dict):
-    session = VerificationSession(spec=SessionSpec.from_builder(builder, kwargs))
+    session = VerificationSession(spec=ScenarioSpec(builder, kwargs).session_spec())
     session.add_invariants()
     snapshot = session.snapshot()
     first_case = session.encoding.cases[0].term

@@ -20,9 +20,9 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import VerificationSession
+from repro.core import SessionSpec, VerificationSession
 from repro.protocols import abstract_mi_mesh
-from repro.smt import Result, Solver, disj, ge, intvar, le, neg
+from repro.smt import Result, Solver, disj, ge, intvar, le, neg, snapshot_solver
 from repro.smt.lia import LiaBridge
 from repro.smt.terms import LinearAtom
 
@@ -285,18 +285,26 @@ def test_unregistered_rational_value_is_int_zero():
 def test_bound_axioms_stay_out_of_the_snapshot_image():
     # The service's verdict store keys on content_hash(): the axioms the
     # first check() adds to the SAT core must not reach the CNF image.
-    session = VerificationSession(
-        abstract_mi_mesh(2, 2, queue_size=2).network, parametric_queues=False
-    )
-    before = session.snapshot(include_learned=False)
-    session.verify()
-    after = session.snapshot(include_learned=False)
+    # (A session's first query would also mint its cap[q==size] pin
+    # definitions, which do belong to the image; the bare solver mints
+    # none.)
+    spec = SessionSpec(abstract_mi_mesh(2, 2, queue_size=2).network)
+    solver = spec.load_solver()
+
+    def image():
+        return spec.wrap_solver_snapshot(
+            snapshot_solver(solver, include_learned=False)
+        )
+
+    before = image()
+    solver.check()
+    after = image()
     assert after.content_hash() == before.content_hash()
     assert pickle.dumps(after.solver) == pickle.dumps(before.solver)
     # A restored solver regenerates the same axioms on its first check().
     restored = Solver.from_snapshot(after.solver)
     restored.check()
-    original = session.solver
+    original = solver
     assert (
         restored.clause_count() - restored.learned_count()
         == original.clause_count() - original.learned_count()

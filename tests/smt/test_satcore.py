@@ -333,11 +333,9 @@ def test_snapshot_version_unchanged():
 
 
 def test_warm_snapshot_round_trips_under_spawn():
-    session = VerificationSession(
-        running_example(queue_size=2).network, parametric_queues=True
-    )
+    session = VerificationSession(running_example(queue_size=2).network)
     session.verify()
-    snapshot = session.snapshot(include_learned=True)
+    snapshot = session.snapshot()
     assert snapshot.solver.learned, "warm snapshot shipped no learned clauses"
     job = ("check", None, None, False)
     with ProcessPoolExecutor(

@@ -11,7 +11,13 @@ reasons drop root-level literals without changing the search, and that
 the root is propagated to a fixpoint before a clause-database reduction.
 """
 
+import inspect
+import json
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +28,8 @@ from repro.smt import Result, Solver, disj, ge, intvar, le
 from repro.smt.cnf import CnfBuilder
 from repro.smt.lia import LiaBridge
 from repro.smt.sat import SAT, Cdcl
+
+_SRC = Path(__file__).resolve().parents[2] / "src"
 
 VARS = [intvar(f"r{i}") for i in range(3)]
 
@@ -214,31 +222,66 @@ def test_root_implications_settle_before_a_reduction_at_entry():
     assert core.compact() >= 0 and not core._treasons
 
 
-def test_side_table_tracks_the_trail_across_back_to_back_queries(monkeypatch):
-    lengths = []
-    solve = Cdcl.solve
+# Runs in a child process under a pinned hash seed: the side table's
+# high-water mark follows the search, and the search follows the hash
+# seed and every term the process interned before (``IntVar`` hashes by
+# its global uid), so in-process it would depend on which tests ran first.
+_BACK_TO_BACK_SCRIPT = inspect.getsource(_implied_above_root) + """
+import json
+from repro.core import VerificationSession
+from repro.protocols import abstract_mi_mesh
+from repro.smt.sat import Cdcl
 
-    def checked_solve(self, *args, **kwargs):
-        verdict = solve(self, *args, **kwargs)
-        assert (
-            len(self._treasons)
-            == len(self._tcodes)
-            == len(self._tpos)
-            == _implied_above_root(self)
-        )
-        lengths.append(len(self._treasons))
-        return verdict
+tables = []  # per solve(): the three side-table lengths, implied literals
+solve = Cdcl.solve
 
-    monkeypatch.setattr(Cdcl, "solve", checked_solve)
-    session = VerificationSession(abstract_mi_mesh(2, 2, queue_size=2).network)
-    first = [result.verdict for result in session.verify_all_cases()]
-    rounds = len(lengths)
-    second = [result.verdict for result in session.verify_all_cases()]
-    assert first == second
+def checked_solve(self, *args, **kwargs):
+    verdict = solve(self, *args, **kwargs)
+    tables.append([
+        len(self._treasons),
+        len(self._tcodes),
+        len(self._tpos),
+        _implied_above_root(self),
+    ])
+    return verdict
+
+Cdcl.solve = checked_solve
+session = VerificationSession(abstract_mi_mesh(2, 2, queue_size=2).network)
+first = [result.verdict.value for result in session.verify_all_cases()]
+rounds = len(tables)
+second = [result.verdict.value for result in session.verify_all_cases()]
+print(json.dumps({
+    "first": first,
+    "second": second,
+    "rounds": rounds,
+    "tables": tables,
+    "profile": sorted(session.solver.profile),
+}))
+"""
+
+
+def test_side_table_tracks_the_trail_across_back_to_back_queries():
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(_SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", _BACK_TO_BACK_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    run = json.loads(out)
+    for treasons, tcodes, tpos, implied in run["tables"]:
+        assert treasons == tcodes == tpos == implied
+    lengths = [table[0] for table in run["tables"]]
+    rounds = run["rounds"]
+    assert run["first"] == run["second"]
     assert max(lengths) > 0  # the engine's queries do use theory reasons
     assert max(lengths[rounds:]) <= max(lengths[:rounds])
-    profile = session.solver.profile
-    assert set(profile) >= {"lia_derived_rows", "lia_implied", "lia_implied_redundant"}
+    assert set(run["profile"]) >= {
+        "lia_derived_rows",
+        "lia_implied",
+        "lia_implied_redundant",
+    }
 
 
 def _every_literal(self, rref):
