@@ -7,7 +7,8 @@ term-construction fast path):
 * **query fan-out** — every per-channel deadlock query of a 2×2 MI mesh,
   answered by one session vs a fresh encoding + solver per query;
 * **Figure-4 sweep** — ``minimal_queue_size`` with the shared
-  session vs one :func:`verify` per size that search probed;
+  session vs one literal-size encoding with invariants in a fresh solver
+  per size that search probed;
 * **witness enumeration** — blocking-clause enumeration inside one
   session vs the seed behavior of re-encoding per witness.
 
@@ -29,8 +30,8 @@ from repro.core import (
     VerificationSession,
     derive_colors,
     encode_deadlock,
+    generate_invariants,
     minimal_queue_size,
-    verify,
 )
 from repro.protocols import abstract_mi_mesh
 from repro.smt import Result, Solver, conj, eq, neg
@@ -61,8 +62,25 @@ def _scratch_case_queries(network):
 
 
 def _scratch_sizing(build, sizes):
-    """From-scratch baseline: one fresh :func:`verify` per probed size."""
-    return {size: verify(build(size)).deadlock_free for size in sizes}
+    """From-scratch baseline: per probed size, the literal sizes baked into
+    a fresh encoding with invariants and one fresh solver.  It shares no
+    step with the session, so it is also the sweep's verdict oracle."""
+    verdicts = {}
+    for size in sizes:
+        network = build(size)
+        colors = derive_colors(network)
+        pool = VarPool()
+        encoding = encode_deadlock(network, colors, pool)
+        solver = Solver()
+        for invariant in generate_invariants(network, colors, pool):
+            solver.add(invariant.term())
+        for term in encoding.definitions:
+            solver.add(term)
+        for term in encoding.domain:
+            solver.add(term)
+        solver.add(encoding.assertion)
+        verdicts[size] = solver.check() == Result.UNSAT
+    return verdicts
 
 
 def _session_case_queries(network):

@@ -18,6 +18,7 @@ the cold :class:`~repro.core.cache.VerdictStore`, the warm
 :class:`~repro.core.cache.LruSessionCache` eviction contract.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -42,7 +43,7 @@ from repro.core import (
     verdict_sha,
 )
 from repro.netlib import producer_consumer, running_example
-from repro.smt import Solver, snapshot_solver
+from repro.smt import snapshot_solver
 
 
 def _network(queue_size=2):
@@ -192,17 +193,13 @@ def test_content_hash_ignores_scheduling_hints(
     # client-side tuning difference.
     spec = SessionSpec(_network())
     spec.generate_invariants()
-    opts = {} if reduce_base is None else {"reduce_base": reduce_base}
+    opts = None if reduce_base is None else {"reduce_base": reduce_base}
     assert spec.snapshot(reduction_opts=opts).content_hash() == reference_hash
-    # The split budget is a solver knob no session sets: load the same
-    # encoding into a solver that carries it.
-    solver = Solver(max_splits=max_splits, **opts)
-    for term in spec.base_terms():
-        solver.add(term)
-    for invariant in spec.invariants:
-        solver.add_global(invariant.term())
-    snapshot = spec.wrap_solver_snapshot(snapshot_solver(solver))
-    assert snapshot.content_hash() == reference_hash
+    # The split budget is a solver knob no session sets: give the solver
+    # image a different one.
+    image = snapshot_solver(spec.load_solver(reduction_opts=opts))
+    image = dataclasses.replace(image, max_splits=max_splits)
+    assert spec.wrap_solver_snapshot(image).content_hash() == reference_hash
 
 
 @settings(max_examples=5, deadline=None)

@@ -19,10 +19,9 @@ from repro.core import (
     generate_invariants,
     verify,
 )
-from repro.core.proof import enumerate_witnesses
 from repro.netlib import running_example
 from repro.protocols import abstract_mi_mesh, mi_mesh
-from repro.smt import Result, Solver
+from repro.smt import Result, Solver, conj, eq, neg
 
 
 def fresh_verdict(network, use_invariants=False, case_key=None):
@@ -44,6 +43,36 @@ def fresh_verdict(network, use_invariants=False, case_key=None):
     else:
         solver.add(encoding.case_of(*case_key).term)
     return solver.check() == Result.UNSAT
+
+
+def fresh_witness_count(network, limit):
+    """Literal-size blocking-clause enumeration in one fresh solver: each
+    SAT model's automaton states and queue occupancies are blocked
+    before the next check, the shape the session blocks on."""
+    colors = derive_colors(network)
+    pool = VarPool()
+    encoding = encode_deadlock(network, colors, pool)
+    solver = Solver()
+    for term in encoding.definitions:
+        solver.add(term)
+    for term in encoding.domain:
+        solver.add(term)
+    solver.add(encoding.assertion)
+    count = 0
+    while count < limit and solver.check() == Result.SAT:
+        model = solver.model()
+        count += 1
+        shape = []
+        for automaton in network.automata():
+            for state in automaton.states:
+                var = pool.state(automaton, state)
+                shape.append(eq(var, model[var]))
+        for queue in network.queues():
+            for color in colors.of(network.channel_of(queue.i)):
+                var = pool.occupancy(queue, color)
+                shape.append(eq(var, model[var]))
+        solver.add(neg(conj(*shape)))
+    return count
 
 
 def session_invariants_hold(session):
@@ -147,8 +176,7 @@ def test_enumeration_is_scoped_and_session_reusable():
     network = running_example().network
     session = VerificationSession(network)
     first = list(session.enumerate_witnesses(limit=16))
-    wrapper = list(enumerate_witnesses(network, limit=16, use_invariants=False))
-    assert len(first) == len(wrapper)
+    assert len(first) == fresh_witness_count(network, limit=16)
     assert len(first) >= 2  # the paper's two candidate shapes
     # Blocking clauses were popped: enumeration restarts from scratch ...
     second = list(session.enumerate_witnesses(limit=16))
