@@ -34,7 +34,7 @@ from repro.core import (
     minimal_queue_size,
 )
 from repro.protocols import abstract_mi_mesh
-from repro.smt import Result, Solver, conj, eq, neg
+from repro.smt import Result, Solver, conj, eq, iff, neg
 from repro.util import Stopwatch
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_incremental.json"
@@ -52,8 +52,8 @@ def _scratch_case_queries(network):
         pool = VarPool()
         encoding = encode_deadlock(network, colors, pool)
         solver = Solver()
-        for term in encoding.definitions:
-            solver.add(term)
+        for name, rhs in encoding.definitions:
+            solver.add(iff(name, rhs))
         for term in encoding.domain:
             solver.add(term)
         solver.add(encoding.cases[index].term)
@@ -74,8 +74,8 @@ def _scratch_sizing(build, sizes):
         solver = Solver()
         for invariant in generate_invariants(network, colors, pool):
             solver.add(invariant.term())
-        for term in encoding.definitions:
-            solver.add(term)
+        for name, rhs in encoding.definitions:
+            solver.add(iff(name, rhs))
         for term in encoding.domain:
             solver.add(term)
         solver.add(encoding.assertion)
@@ -100,8 +100,8 @@ def _scratch_enumerate(network, limit):
     witnesses = 0
     while witnesses < limit:
         solver = Solver()
-        for term in encoding.definitions:
-            solver.add(term)
+        for name, rhs in encoding.definitions:
+            solver.add(iff(name, rhs))
         for term in encoding.domain:
             solver.add(term)
         solver.add(encoding.assertion)

@@ -6,12 +6,14 @@ introduced:
 * ``Block(c, d)`` — the target of ``c`` permanently refuses packets ``d``;
 * ``Idle(c, d)``  — the initiator of ``c`` permanently stops offering ``d``.
 
-Each primitive contributes a *biconditional definition* for the block of its
-in-channels and the idle of its out-channels (Gotmanov et al., VMCAI'11,
-extended to k-way switches/merges and — the paper's contribution — to xMAS
-automata).  Cyclic definitions are expected (the network has cycles); any
-satisfying assignment of the equation system conjoined with the *deadlock
-assertion*
+Each primitive contributes a *definition* ``(name, rhs)`` — read as the
+biconditional ``name ⇔ rhs`` — for the block of its in-channels and the
+idle of its out-channels (Gotmanov et al., VMCAI'11, extended to k-way
+switches/merges and — the paper's contribution — to xMAS automata).  A
+solver binds the whole system at once (:meth:`repro.smt.Solver.define`),
+so a name that copies another costs no variable.  Cyclic definitions are
+expected (the network has cycles); any satisfying assignment of the
+equation system conjoined with the *deadlock assertion*
 
     ∃ queue q, d ∈ T(q.o):  #q.d ≥ 1 ∧ Block(q.o, d)
   ∨ ∃ fair source src, d:   Block(src.o, d)
@@ -43,7 +45,6 @@ from ..smt import (
     disj,
     eq,
     ge,
-    iff,
     implies,
     le,
 )
@@ -97,7 +98,8 @@ class DeadlockCase:
 class DeadlockEncoding:
     """The SMT encoding of "a deadlock configuration exists"."""
 
-    definitions: list[Term] = field(default_factory=list)
+    # (name, rhs): the block/idle/dead equations, name ⇔ rhs.
+    definitions: list[tuple[Term, Term]] = field(default_factory=list)
     domain: list[Term] = field(default_factory=list)
     assertion: Term = FALSE
     # The assertion's disjuncts with their assumption guards.
@@ -170,11 +172,11 @@ def encode_deadlock(
             else:
                 # paper: (∀t,i,d. ε → φ ≠ (o,d')) ∨ dead(A)
                 idle_def = pool.dead(initiator) if color in produced else TRUE
-            enc.definitions.append(iff(pool.block(channel, color), block_def))
-            enc.definitions.append(iff(pool.idle(channel, color), idle_def))
+            enc.definitions.append((pool.block(channel, color), block_def))
+            enc.definitions.append((pool.idle(channel, color), idle_def))
     for automaton in network.automata():
         enc.definitions.append(
-            iff(pool.dead(automaton), _dead_rhs(network, colors, pool, automaton))
+            (pool.dead(automaton), _dead_rhs(network, colors, pool, automaton))
         )
     _encode_assertion(network, colors, pool, enc)
     return enc

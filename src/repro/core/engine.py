@@ -78,7 +78,7 @@ from ..smt import (
     snapshot_solver,
 )
 from ..util import Stopwatch
-from ..xmas import Network, Queue, Source
+from ..xmas import Network, Queue
 from .cache import stable_hash
 from .colors import derive_colors
 from .deadlock import DeadlockCase, encode_deadlock
@@ -172,9 +172,10 @@ class SessionSnapshot:
 
         The hash covers the clause list, so a change of encoding moves it:
         clausifying top-level assertions directly instead of through one
-        Tseitin gate each moved every content hash once.  A store written
-        by a build from before that change then misses and rebuilds; it
-        never returns a wrong answer.
+        Tseitin gate each moved every content hash once, and binding the
+        block/idle definitions to shared variables moved it again.  A
+        store written by a build from before such a change then misses
+        and rebuilds; it never returns a wrong answer.
         """
         solver = self.solver
         order = sorted(
@@ -207,8 +208,6 @@ class SessionSnapshot:
             "default_sizes": sorted(
                 [name, size] for name, size in self.default_sizes
             ),
-            # Always True (every capacity is a cap[q] variable); kept so stored keys hold.
-            "parametric": True,
         }
         return stable_hash(payload)
 
@@ -284,8 +283,7 @@ class SessionSpec:
 
     # ------------------------------------------------------------------
     def base_terms(self) -> Iterator[Term]:
-        """Every base-level assertion of the encoding, in load order."""
-        yield from self.encoding.definitions
+        """Every base-level assertion past the definitions, in load order."""
         yield from self.encoding.domain
         yield from self.encoding.guard_terms()
         for capacity in self.capacities.values():
@@ -297,12 +295,14 @@ class SessionSpec:
         reduction_opts: Mapping | None = None,
     ) -> Solver:
         """A fresh solver with the full encoding (and any generated
-        invariants) asserted.  ``reduction_opts`` forwards lifecycle
-        knobs (``reduce_base``, ``reduce_growth``, ``glue_keep``,
-        ``glue_cap``, ``reduce_keep``) to the solver."""
+        invariants) asserted, its definitions bound first.
+        ``reduction_opts`` forwards lifecycle knobs (``reduce_base``,
+        ``reduce_growth``, ``glue_keep``, ``glue_cap``, ``reduce_keep``)
+        to the solver."""
         solver = Solver(
             clause_reduction=clause_reduction, **dict(reduction_opts or {})
         )
+        solver.define(self.encoding.definitions)
         for term in self.base_terms():
             solver.add(term)
         if self._invariants is not None:
@@ -692,15 +692,6 @@ class VerificationSession:
         name = queue if isinstance(queue, str) else queue.name
         return self.verify_case(
             self.encoding.case_of("queue", name, color), deadline=deadline
-        )
-
-    def verify_source(
-        self, source: Source | str, color: Color, deadline=None
-    ) -> VerificationResult:
-        """Can ``source`` be permanently refused ``color`` packets?"""
-        name = source if isinstance(source, str) else source.name
-        return self.verify_case(
-            self.encoding.case_of("source", name, color), deadline=deadline
         )
 
     def verify_all_cases(self, deadline=None) -> list[VerificationResult]:

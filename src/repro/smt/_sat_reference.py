@@ -23,12 +23,6 @@ the arena core, so the lockstep contract keeps holding:
   de-duplicates its entries, so the two cores then picked different
   decisions.
 
-The facade's equivalent-literal substitution needs one more method,
-``eliminate``: the merged variables occur in no clause, and ``_decide``
-skips them, so neither core decides a variable the facade reads through
-its representative.  The lockstep suites never call it, so it cannot
-move their trajectory.
-
 Theory propagation is deliberately *not* mirrored: this core never calls
 a listener's ``derive``/``explain``.  The lockstep suite runs on pure
 CNF, where no listener is attached, so it is unaffected; with the LIA
@@ -169,7 +163,6 @@ class Cdcl:
         self._theory_qhead = 0
         self._conflict_index = -1  # clause index of the last propagation conflict
         self._heap: list[tuple[float, int]] = []
-        self._eliminated: set[int] = set()  # never decided (see eliminate)
         self._var_inc = 1.0
         self._ok = True
         self.reduction = reduction
@@ -238,11 +231,6 @@ class Cdcl:
     def ensure_vars(self, n: int) -> None:
         while self.n_vars < n:
             self.new_var()
-
-    def eliminate(self, variables: Iterable[int]) -> None:
-        """API-compat addition: never decide ``variables`` (which occur in
-        no clause; see the module docstring)."""
-        self._eliminated.update(variables)
 
     @staticmethod
     def _code(lit: int) -> int:
@@ -519,7 +507,7 @@ class Cdcl:
     def _decide(self) -> bool:
         while self._heap:
             _, var = heappop(self._heap)
-            if self._assign[var] == _UNDEF and var not in self._eliminated:
+            if self._assign[var] == _UNDEF:
                 self.stats["decisions"] += 1
                 self._trail_lim.append(len(self._trail))
                 lit = var if self._phase[var] else -var
@@ -527,7 +515,7 @@ class Cdcl:
                 return True
         # Heap exhausted: scan for any unassigned variable (stale heap).
         for var in range(1, self.n_vars + 1):
-            if self._assign[var] == _UNDEF and var not in self._eliminated:
+            if self._assign[var] == _UNDEF:
                 self.stats["decisions"] += 1
                 self._trail_lim.append(len(self._trail))
                 self._enqueue(var if self._phase[var] else -var, -1)

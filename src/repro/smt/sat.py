@@ -118,14 +118,6 @@ preallocated buffers instead of per-clause Python objects:
   tried first and *lost*: tens of thousands of interpreted sift steps
   cost more than C-level ``heappush``/``heappop`` on duplicates.)
 
-* **Eliminated variables.**  :meth:`Cdcl.eliminate` takes variables out
-  of the search for good: the facade merges equivalent literals before
-  they reach the core (see :mod:`repro.smt.solver`), so a merged
-  variable occurs in no clause.  It has no heap entry, is never decided
-  and never reaches the trail, so heap exhaustion stays the
-  full-assignment test; :meth:`model_value` reports it unassigned
-  (false), and the facade reads it through its representative instead.
-
 * **Theory reasons.**  After each consistent theory sync the core asks
   the listener to :meth:`~TheoryListener.derive` the literals its new
   assertions imply, and enqueues those not yet assigned at the current
@@ -332,7 +324,6 @@ class Cdcl:
         self._heap: list[int] = []
         self._key: list[int] = [0]  # by var
         self._incur = bytearray([0])
-        self._elim = bytearray([0])  # by var: 1 once eliminate() took it
         self._var_inc = 1.0
         self._ok = True
         self.reduction = reduction
@@ -467,25 +458,11 @@ class Cdcl:
         self._key.append(var)  # _heap_key(var, 0.0)
         heappush(self._heap, var)
         self._incur.append(1)
-        self._elim.append(0)
         return var
 
     def ensure_vars(self, n: int) -> None:
         while self.n_vars < n:
             self.new_var()
-
-    def eliminate(self, variables: Iterable[int]) -> None:
-        """Keep ``variables`` out of the search for good.
-
-        The caller vouches that none of them occurs in a clause, an
-        assumption or a theory atom, now or later (they are the merged
-        copies of :mod:`repro.smt.solver`'s substitution), so they are
-        never decided and a model leaves them unassigned.
-        """
-        elim = self._elim
-        for var in variables:
-            elim[var] = 1
-        self._rebuild_heap()
 
     @staticmethod
     def _code(lit: int) -> int:
@@ -836,10 +813,11 @@ class Cdcl:
     # Conflict analysis
     # ------------------------------------------------------------------
     def _rebuild_heap(self) -> None:
-        """Refill the heap with one current-key entry per live variable.
+        """Refill the heap with one current-key entry per unassigned
+        variable.
 
-        Live means unassigned and not eliminated.  The list is refilled
-        in place, because :meth:`_analyze` holds it in a local.  Every
+        The list is refilled in place, because :meth:`_analyze` holds it
+        in a local.  Every
         stale entry carries a larger key than its variable's current
         one, so dropping them does not change which variable
         :meth:`_decide` picks.
@@ -847,11 +825,10 @@ class Cdcl:
         key = self._key
         incur = self._incur
         val = self._val
-        elim = self._elim
         heap = self._heap
         heap.clear()
         for v in range(1, self.n_vars + 1):
-            if val[v << 1] == 0 and not elim[v]:
+            if val[v << 1] == 0:
                 heap.append(key[v])
                 incur[v] = 1
             else:

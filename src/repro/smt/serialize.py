@@ -7,7 +7,7 @@ back under a new ``uid``), so :class:`~repro.smt.terms.Term` objects
 cannot cross a process boundary.
 What *can* cross is the CNF level: by the time an encoding has been loaded
 into a :class:`~repro.smt.Solver`, every assertion is integer clauses, a
-``name → SAT var`` table for boolean variables, and a ``SAT var → linear
+``name → literal`` table for boolean variables, and a ``SAT var → linear
 atom`` side table whose atoms are integer coefficient rows over named
 integer variables.  :class:`SolverSnapshot` captures exactly that — plain
 tuples of ints and strings, safely picklable under any multiprocessing
@@ -71,7 +71,7 @@ class SolverSnapshot:
     n_vars: int
     clauses: tuple[tuple[int, ...], ...]
     unsatisfiable: bool
-    bool_vars: tuple[tuple[str, int], ...]  # (name, SAT var)
+    bool_vars: tuple[tuple[str, int], ...]  # (name, literal)
     int_vars: tuple[tuple[int, str], ...]  # (original uid, name)
     atoms: tuple[tuple[int, tuple[tuple[int, int], ...], int], ...]
     # each atom: (SAT var, ((int var uid, coeff), ...), bound)
@@ -179,9 +179,7 @@ def restore_solver(snapshot: SolverSnapshot):
         cnf.atom_of_var[satvar] = atom
         cnf.var_of_atom[atom] = satvar
     # Warm start: the export references the snapshot's variable
-    # numbering, which the CNF image preserves verbatim.  Both calls load
-    # the formula into the core first, so the resolvents are mapped
-    # through the restored solver's substitution table.
+    # numbering, which the CNF image preserves verbatim.
     if snapshot.phases:
         solver.seed_phases(snapshot.phases)
     if snapshot.learned:

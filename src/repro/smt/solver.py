@@ -43,35 +43,15 @@ the constraints (true for every formula ADVOCAT generates: occupancies lie
 in ``[0, queue.size]`` and state variables in ``[0, 1]``).  A ``max_splits``
 safety valve raises :class:`SolverBudgetError` otherwise.
 
-Substitution
-------------
+Definitions
+-----------
 
-Many of ADVOCAT's block/idle equations are plain copies (a ``Function``
-primitive's ``Block(in, d) ⇔ Block(out, f(d))``, a one-literal right-hand
-side ``blk ⇔ gate``), so the CNF carries chains of equivalent variables:
-28–42% of the variables of the 2×2 designs.  The first load into the CDCL
-core merges them.  Each pair of binary clauses ``{a, b}`` and ``{¬a, ¬b}``
-says ``a ≡ ¬b``; joining the pairs gives signed classes of equivalent
-literals, and every class gets one representative: its theory atom if it
-has one, otherwise its lowest variable.  A class that holds two atoms, or
-both ``x`` and ``¬x``, stays unmerged, and the core sees it as before.
-(Tarjan's SCC over the whole binary implication graph finds the same
-classes on the registered 2×2 builders, at about three times the cost;
-the tests keep that checked.)
-
-The table sits between the CNF image and the core, like the bound
-axioms: the CNF image, its ``content_hash()`` and the snapshot bytes do
-not change, and a forked or restored solver derives the same table from
-the same clauses.  Everything on its way to the core goes through it —
-clauses, bound axioms, branch-and-bound splits, ``pop`` units,
-assumptions, scope selectors, imported learned clauses — and results
-come back through it: model booleans, the :meth:`Solver.unsat_core`
-match, :meth:`Solver.phase_hints`.  That is sound because the formula
-implies ``x ≡ rep(x)`` and no clause is ever removed, so a merge holds
-for every later assertion.  Later loads map through the table but merge
-nothing new.  The merged variables are eliminated from the core's
-decisions (:meth:`~repro.smt.sat.Cdcl.eliminate`), and
-``profile["substituted"]`` counts them.
+:meth:`Solver.define` binds a system of ``(name, rhs)`` definitions (the
+block/idle equations) before any clause names them: a name that copies
+another shares its variable, and names with one right-hand side share
+its gate (see :meth:`repro.smt.cnf.CnfBuilder.define`).  The CNF image
+the core loads is therefore free of the copies, with no mapping between
+the two.
 """
 
 from __future__ import annotations
@@ -79,7 +59,7 @@ from __future__ import annotations
 import enum
 from itertools import islice
 from math import floor
-from typing import Callable, Container, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cnf import CnfBuilder
 from .lia import LiaBridge
@@ -147,58 +127,6 @@ class Model:
         return dict(self._ints)
 
 
-def equivalent_literals(
-    clauses: Sequence[Sequence[int]], atom_vars: Container[int]
-) -> dict[int, int]:
-    """The substitution table of ``clauses`` (see *Substitution* above).
-
-    Maps both literals of every merged variable to the matching literal
-    of its class's representative; representatives and unmerged
-    variables are absent.
-    """
-    binaries = set()
-    for clause in clauses:
-        if len(clause) == 2:
-            a, b = clause
-            binaries.add((a, b) if a < b else (b, a))
-    # links[v]: (w, s) for each pair saying v ≡ s·w.
-    links: dict[int, list[tuple[int, int]]] = {}
-    for a, b in binaries:
-        # {a, b} and {¬a, ¬b} (stored as (-b, -a)) give a ≡ ¬b; each pair
-        # is met from both of its clauses, so take it from one.
-        if a < -b and abs(a) != abs(b) and (-b, -a) in binaries:
-            parity = -1 if (a > 0) == (b > 0) else 1
-            links.setdefault(abs(a), []).append((abs(b), parity))
-            links.setdefault(abs(b), []).append((abs(a), parity))
-    table: dict[int, int] = {}
-    sign: dict[int, int] = {}  # var ≡ sign[var] · (its class's first var)
-    for first in links:
-        if first in sign:
-            continue
-        sign[first] = 1
-        members = [first]
-        consistent = True
-        for var in members:  # breadth-first: members grows as it is read
-            for other, parity in links[var]:
-                want = sign[var] * parity
-                have = sign.get(other)
-                if have is None:
-                    sign[other] = want
-                    members.append(other)
-                elif have != want:
-                    consistent = False  # the class holds x and ¬x
-        atoms = [var for var in members if var in atom_vars]
-        if not consistent or len(atoms) > 1:
-            continue
-        rep = atoms[0] if atoms else min(members)
-        for var in members:
-            if var != rep:
-                lit = rep if sign[var] == sign[rep] else -rep
-                table[var] = lit
-                table[-var] = -lit
-    return table
-
-
 class Solver:
     """Incremental QF_LIA solver over the repro term language.
 
@@ -233,9 +161,6 @@ class Solver:
         self._sat = Cdcl(theory=self._bridge, **self._reduction_knobs)
         self._flushed_clauses = 0
         self._registered_atoms = 0
-        # The substitution table, set by the first _sync: both literals
-        # of a merged variable → its representative's literal.
-        self._subst: dict[int, int] | None = None
         self._scopes: list[int] = []  # selector SAT variables, innermost last
         self._model: Model | None = None
         self._core: list[Term] | None = None
@@ -256,7 +181,7 @@ class Solver:
 
         The CNF state (clauses, variable tables, scope stack) is copied;
         the clone gets a fresh CDCL core and theory bridge, loaded from
-        the copied CNF (deriving its own substitution table).  The
+        the copied CNF.  The
         learned-clause export and saved phases carry over (demoted below
         glue protection, like a snapshot restore), so a fork starts warm
         but evicts what its own query mix doesn't re-use.  Forks share
@@ -317,6 +242,13 @@ class Solver:
     # ------------------------------------------------------------------
     # Assertions and scopes
     # ------------------------------------------------------------------
+    def define(self, definitions: Iterable[tuple[Term, Term]]) -> None:
+        """Bind ``(name, rhs)`` definitions, each read as ``name ⇔ rhs``
+        at the base level, before any clause names them (see
+        :meth:`~repro.smt.cnf.CnfBuilder.define`)."""
+        self._model = None
+        self._cnf.define(definitions)
+
     def add(self, term: Term, scope: int | None = None) -> None:
         """Assert ``term``; invalidates any previously extracted model.
 
@@ -390,42 +322,22 @@ class Solver:
     def _sync(self) -> None:
         """Hand new vars, atoms and clauses to the SAT core and bridge.
 
-        The first call derives the substitution table from the clauses
-        asserted so far and eliminates the merged variables; every call
-        maps what it loads through the table.  Each new atom's bound
-        axioms (see :mod:`repro.smt.lia`) go to the SAT core as problem
-        clauses, never into the CNF image.
+        Each new atom's bound axioms (see :mod:`repro.smt.lia`) go to the
+        SAT core as problem clauses, never into the CNF image.
         """
         cnf = self._cnf
         self._sat.ensure_vars(cnf.n_vars)
-        if self._subst is None:
-            self._subst = equivalent_literals(cnf.clauses, cnf.atom_of_var)
-            merged = [var for var in self._subst if var > 0]
-            if merged:
-                self._sat.eliminate(merged)
-        load = self._load
         if len(cnf.atom_of_var) > self._registered_atoms:
             # Dicts preserve insertion order: only the unseen tail is new.
             for satvar, atom in islice(
                 cnf.atom_of_var.items(), self._registered_atoms, None
             ):
                 for axiom in self._bridge.register_atom(satvar, atom):
-                    load(axiom)
+                    self._sat.add_clause(axiom)
             self._registered_atoms = len(cnf.atom_of_var)
         for clause in cnf.clauses[self._flushed_clauses:]:
-            load(clause)
+            self._sat.add_clause(clause)
         self._flushed_clauses = len(cnf.clauses)
-
-    def _lit(self, lit: int) -> int:
-        """``lit`` as the core sees it (after the first :meth:`_sync`)."""
-        return self._subst.get(lit, lit)
-
-    def _load(self, clause: Sequence[int]) -> None:
-        """Add ``clause`` to the core through the substitution table."""
-        subst = self._subst
-        if subst:
-            clause = [subst.get(lit, lit) for lit in clause]
-        self._sat.add_clause(clause)
 
     def check(
         self,
@@ -461,15 +373,11 @@ class Solver:
             self._core = []
             self._formula_unsat = True
             return Result.UNSAT
-        cnf_lits = [self._cnf.literal(term) for term in assumptions]
+        assumption_lits = [self._cnf.literal(term) for term in assumptions]
         before = dict(self._sat.stats)
         before_profile = self._profile_counters()
         self._sync()
-        assumption_lits = [self._lit(lit) for lit in cnf_lits]
-        solve_assumptions = [
-            *(self._lit(selector) for selector in self._scopes),
-            *assumption_lits,
-        ]
+        solve_assumptions = [*self._scopes, *assumption_lits]
         splits = 0
         while True:
             remaining = None
@@ -513,7 +421,7 @@ class Solver:
                 self._cnf.literal(ge(var, cut + 1)),
             ]
             self._sync()
-            self._load(split_lits)
+            self._sat.add_clause(split_lits)
 
     def _finish_stats(
         self,
@@ -534,7 +442,6 @@ class Solver:
         """Cumulative CDCL, simplex and row-derivation counters (the
         source of ``profile``)."""
         counters = self._sat.profile()
-        counters["substituted"] = len(self._subst or ()) // 2
         for key, value in self._bridge.simplex.profile().items():
             counters["simplex_" + key] = value
         for key, value in self._bridge.profile().items():
@@ -549,8 +456,7 @@ class Solver:
             ints[var] = int(value)
         model_value = self._sat.model_value
         bools = {}
-        for name, satvar in self._cnf.var_of_boolname.items():
-            lit = self._lit(satvar)
+        for name, lit in self._cnf.var_of_boolname.items():
             bools[name] = model_value(lit) if lit > 0 else not model_value(-lit)
         return Model(ints, bools)
 
@@ -614,12 +520,6 @@ class Solver:
         of clauses retained.
         """
         self._sync()  # imported literals must reference existing SAT vars
-        subst = self._subst
-        if subst:
-            clauses = [
-                (lbd, [subst.get(lit, lit) for lit in lits])
-                for lbd, lits in clauses
-            ]
         return self._sat.import_learned(clauses, demote_to=demote_to)
 
     def compact(self) -> int:
@@ -649,9 +549,8 @@ class Solver:
         self._sync()
         applied = 0
         for name, value in hints.items():
-            var = self._cnf.var_of_boolname.get(name)
-            if var is not None and var <= self._sat.n_vars:
-                lit = self._lit(var)
+            lit = self._cnf.var_of_boolname.get(name)
+            if lit is not None:
                 self._sat.set_phase(abs(lit), bool(value) == (lit > 0))
                 applied += 1
         return applied

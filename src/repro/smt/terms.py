@@ -276,7 +276,7 @@ def _normalise_le(left: ExprLike, right: ExprLike, offset: int = 0) -> "Term":
 _intern_table: dict[tuple, "Term"] = {}
 
 #: The table size below which no sweep runs.
-_SWEEP_FLOOR = 4096
+_SWEEP_FLOOR = 2048
 #: A miss that finds the table this large sweeps it first.
 _sweep_at = _SWEEP_FLOOR
 # Serialises misses and sweeps between threads; the hit path takes no lock.

@@ -6,7 +6,7 @@ from repro.core import VarPool, derive_colors, encode_deadlock, verify
 from repro.core.deadlock import DeadlockEncoding
 from repro.netlib import producer_consumer
 from repro.protocols.messages import Message
-from repro.smt import Result, Solver, ge
+from repro.smt import Result, Solver, ge, iff
 from repro.xmas import NetworkBuilder
 
 
@@ -17,7 +17,9 @@ def solve_encoding(network, extra=(), rotating_precision=True):
         network, colors, pool, rotating_precision=rotating_precision
     )
     solver = Solver()
-    for term in encoding.definitions + encoding.domain:
+    for name, rhs in encoding.definitions:
+        solver.add(iff(name, rhs))
+    for term in encoding.domain:
         solver.add(term)
     solver.add(encoding.assertion)
     for term in extra:
@@ -103,7 +105,9 @@ def test_domain_constraints_bound_occupancies():
     pool = VarPool()
     encoding = encode_deadlock(net, colors, pool)
     solver = Solver()
-    for term in encoding.definitions + encoding.domain:
+    for name, rhs in encoding.definitions:
+        solver.add(iff(name, rhs))
+    for term in encoding.domain:
         solver.add(term)
     queue = net["q"]
     solver.add(ge(pool.occupancy(queue, "pkt"), 4))  # exceeds size 3

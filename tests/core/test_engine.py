@@ -21,7 +21,7 @@ from repro.core import (
 )
 from repro.netlib import running_example
 from repro.protocols import abstract_mi_mesh, mi_mesh
-from repro.smt import Result, Solver, conj, eq, neg
+from repro.smt import Result, Solver, conj, eq, iff, neg
 
 
 def fresh_verdict(network, use_invariants=False, case_key=None):
@@ -34,8 +34,8 @@ def fresh_verdict(network, use_invariants=False, case_key=None):
     if use_invariants:
         for invariant in generate_invariants(network, colors, pool):
             solver.add(invariant.term())
-    for term in encoding.definitions:
-        solver.add(term)
+    for name, rhs in encoding.definitions:
+        solver.add(iff(name, rhs))
     for term in encoding.domain:
         solver.add(term)
     if case_key is None:
@@ -53,8 +53,8 @@ def fresh_witness_count(network, limit):
     pool = VarPool()
     encoding = encode_deadlock(network, colors, pool)
     solver = Solver()
-    for term in encoding.definitions:
-        solver.add(term)
+    for name, rhs in encoding.definitions:
+        solver.add(iff(name, rhs))
     for term in encoding.domain:
         solver.add(term)
     solver.add(encoding.assertion)

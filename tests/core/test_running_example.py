@@ -112,7 +112,7 @@ def test_without_invariants_candidates_appear():
 def test_candidates_match_paper_exactly():
     """Enumerate SMT models: exactly the paper's two candidate *shapes*."""
     from repro.core import encode_deadlock
-    from repro.smt import Result, Solver, eq, neg, conj
+    from repro.smt import Result, Solver, conj, eq, iff, neg
 
     example = running_example()
     net = example.network
@@ -120,7 +120,9 @@ def test_candidates_match_paper_exactly():
     pool = VarPool()
     encoding = encode_deadlock(net, colors, pool)
     solver = Solver()
-    for term in encoding.definitions + encoding.domain:
+    for name, rhs in encoding.definitions:
+        solver.add(iff(name, rhs))
+    for term in encoding.domain:
         solver.add(term)
     solver.add(encoding.assertion)
 

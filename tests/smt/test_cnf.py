@@ -178,10 +178,10 @@ print(json.dumps({"sizes": sizes, "hashes": hashes}))
 # abstract-MI 2x2, MSI 2x2 and traffic_mesh 3x3 with invariants.  The
 # sizes hold under every hash seed; the content hashes follow the hash
 # seed (see SessionSnapshot.content_hash), so each pinned seed has its own.
-PINNED_SIZES = [[1293, 705], [4931, 2458], [7333, 3946]]
+PINNED_SIZES = [[842, 478], [2832, 1407], [4310, 2363]]
 PINNED_HASHES = {
-    "0": ["980680835b3c9ec5", "ddcfcae2512b0233", "9abe1d70774b6e74"],
-    "1": ["ce0559c58250559a", "a90e113abc265c28", "346acedc61f3cc0c"],
+    "0": ["36b3e10f64f1a5df", "ed8987efef1d855c", "be0db2db5027154c"],
+    "1": ["16bb019a6882cfb6", "dfcabb0071d1c1f2", "e45f03381555e2d8"],
 }
 
 

@@ -43,7 +43,7 @@ from repro.netlib import running_example
 from repro.smt import _sat_reference, sat
 from repro.smt import serialize
 from repro.smt.solver import Result, Solver
-from repro.smt.terms import boolvar, disj
+from repro.smt.terms import boolvar
 
 N_VARS = 8
 
@@ -261,13 +261,10 @@ def test_decide_has_no_fallback_scan():
 
 def test_profile_zeroed_on_early_unsat():
     solver = Solver()
-    x, y = boolvar("x"), boolvar("y")
+    x = boolvar("x")
     solver.add(x)
-    solver.add(disj(x, y))
-    solver.add(disj(~x, ~y))  # x ≡ ¬y: y merges into x at the first load
     assert solver.check() == Result.SAT
     assert solver.profile["propagations"] >= 0
-    assert solver.profile["substituted"] == 1
     solver.add(~x)
     assert solver.check() == Result.UNSAT
     # Permanently UNSAT now: the next check takes the early-UNSAT path
@@ -280,7 +277,6 @@ def test_profile_zeroed_on_early_unsat():
         "blocker_hits",
         "analyze_steps",
         "arena_gc_words",
-        "substituted",
         "simplex_pivots",
         "simplex_row_updates",
         "simplex_bland_pivots",
