@@ -20,6 +20,7 @@ performance trajectory is recorded across PRs.  Run standalone
 from __future__ import annotations
 
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -30,14 +31,18 @@ from repro.core import (
     VerificationSession,
     derive_colors,
     encode_deadlock,
-    generate_invariants,
     minimal_queue_size,
 )
 from repro.protocols import abstract_mi_mesh
-from repro.smt import Result, Solver, conj, eq, iff, neg
-from repro.util import Stopwatch
+from repro.smt import Result
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_incremental.json"
+ROOT = Path(__file__).resolve().parent.parent
+# The literal-size oracle lives with the tests; appended so this
+# directory's ``conftest`` still wins.
+sys.path.append(str(ROOT / "tests"))
+from literal_oracle import LiteralEncoding, fresh_verdict
+
+RESULTS_PATH = ROOT / "BENCH_incremental.json"
 
 
 def _scratch_case_queries(network):
@@ -48,15 +53,8 @@ def _scratch_case_queries(network):
         encode_deadlock(network, probe_colors, VarPool()).cases
     )
     for index in range(n_cases):
-        colors = derive_colors(network)
-        pool = VarPool()
-        encoding = encode_deadlock(network, colors, pool)
-        solver = Solver()
-        for name, rhs in encoding.definitions:
-            solver.add(iff(name, rhs))
-        for term in encoding.domain:
-            solver.add(term)
-        solver.add(encoding.cases[index].term)
+        literal = LiteralEncoding(network)
+        solver = literal.solver(literal.encoding.cases[index].term)
         verdicts.append(solver.check() == Result.UNSAT)
     return verdicts
 
@@ -65,22 +63,7 @@ def _scratch_sizing(build, sizes):
     """From-scratch baseline: per probed size, the literal sizes baked into
     a fresh encoding with invariants and one fresh solver.  It shares no
     step with the session, so it is also the sweep's verdict oracle."""
-    verdicts = {}
-    for size in sizes:
-        network = build(size)
-        colors = derive_colors(network)
-        pool = VarPool()
-        encoding = encode_deadlock(network, colors, pool)
-        solver = Solver()
-        for invariant in generate_invariants(network, colors, pool):
-            solver.add(invariant.term())
-        for name, rhs in encoding.definitions:
-            solver.add(iff(name, rhs))
-        for term in encoding.domain:
-            solver.add(term)
-        solver.add(encoding.assertion)
-        verdicts[size] = solver.check() == Result.UNSAT
-    return verdicts
+    return {size: fresh_verdict(build(size), use_invariants=True) for size in sizes}
 
 
 def _session_case_queries(network):
@@ -93,35 +76,14 @@ def _session_case_queries(network):
 
 def _scratch_enumerate(network, limit):
     """Seed behavior: every ``check`` re-encoded the growing formula."""
-    colors = derive_colors(network)
-    pool = VarPool()
-    encoding = encode_deadlock(network, colors, pool)
+    literal = LiteralEncoding(network)
     blocked = []
-    witnesses = 0
-    while witnesses < limit:
-        solver = Solver()
-        for name, rhs in encoding.definitions:
-            solver.add(iff(name, rhs))
-        for term in encoding.domain:
-            solver.add(term)
-        solver.add(encoding.assertion)
-        for clause in blocked:
-            solver.add(clause)
+    while len(blocked) < limit:
+        solver = literal.solver(literal.encoding.assertion, *blocked)
         if solver.check() != Result.SAT:
             break
-        model = solver.model()
-        witnesses += 1
-        shape = []
-        for automaton in network.automata():
-            for state in automaton.states:
-                var = pool.state(automaton, state)
-                shape.append(eq(var, model[var]))
-        for queue in network.queues():
-            for color in colors.of(network.channel_of(queue.i)):
-                var = pool.occupancy(queue, color)
-                shape.append(eq(var, model[var]))
-        blocked.append(neg(conj(*shape)))
-    return witnesses
+        blocked.append(literal.blocking_clause(solver.model()))
+    return len(blocked)
 
 
 def _timed(fn, *args):
@@ -179,14 +141,12 @@ def run_benchmarks() -> dict:
     }
 
     # 4. Encoding construction (flattened n-ary conj/disj) -------------
-    watch = Stopwatch()
     encode_network = abstract_mi_mesh(3, 3, queue_size=2).network
-    with watch.phase("encode 3x3"):
-        encoding = encode_deadlock(
-            encode_network, derive_colors(encode_network), VarPool()
-        )
+    encoding, encode_s = _timed(
+        encode_deadlock, encode_network, derive_colors(encode_network), VarPool()
+    )
     results["encode_3x3"] = {
-        "seconds": round(watch.durations["encode 3x3"], 3),
+        "seconds": round(encode_s, 3),
         "definitions": len(encoding.definitions),
         "cases": len(encoding.cases),
     }

@@ -141,7 +141,7 @@ def bench_bounded_session(n_sizes: int) -> dict:
         if reduction:
             # End-of-workload housekeeping: a long-lived session compacts
             # before idling, so its retained state is the measured state.
-            session.compact()
+            session.solver.compact()
         elapsed = time.perf_counter() - start
         sat_stats = session.solver._sat.stats
         return {

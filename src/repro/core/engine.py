@@ -77,7 +77,6 @@ from ..smt import (
     neg,
     snapshot_solver,
 )
-from ..util import Stopwatch
 from ..xmas import Network, Queue
 from .cache import stable_hash
 from .colors import derive_colors
@@ -230,23 +229,13 @@ class SessionSpec:
     rotating_precision:
         Use the stronger block rule for ``rotating`` queues (see
         :mod:`repro.core.deadlock`).
-    watch:
-        Optional :class:`~repro.util.Stopwatch` to record the build
-        phases into (a session building its own spec passes its own).
     """
 
-    def __init__(
-        self,
-        network: Network,
-        rotating_precision: bool = True,
-        watch: Stopwatch | None = None,
-    ):
+    def __init__(self, network: Network, rotating_precision: bool = True):
         network.validate()
         self.network = network
         self.rotating_precision = rotating_precision
-        watch = watch or Stopwatch()
-        with watch.phase("color derivation"):
-            self.colors = derive_colors(network)
+        self.colors = derive_colors(network)
         self.pool = VarPool()
         self.initial_sizes: dict[str, int] = {
             q.name: q.size for q in network.queues()
@@ -255,14 +244,13 @@ class SessionSpec:
             q.name: intvar(f"cap[{q.name}]") for q in network.queues()
         }
         self._invariants: list[Invariant] | None = None
-        with watch.phase("deadlock encoding"):
-            self.encoding = encode_deadlock(
-                network,
-                self.colors,
-                self.pool,
-                rotating_precision=rotating_precision,
-                capacities=self.capacities,
-            )
+        self.encoding = encode_deadlock(
+            network,
+            self.colors,
+            self.pool,
+            rotating_precision=rotating_precision,
+            capacities=self.capacities,
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -272,13 +260,12 @@ class SessionSpec:
         non-``None`` value as "conjoin on load"."""
         return None if self._invariants is None else list(self._invariants)
 
-    def generate_invariants(self, watch: Stopwatch | None = None) -> list[Invariant]:
+    def generate_invariants(self) -> list[Invariant]:
         """Derive the cross-layer invariants (idempotent)."""
         if self._invariants is None:
-            with (watch or Stopwatch()).phase("invariant generation"):
-                self._invariants = generate_invariants(
-                    self.network, self.colors, self.pool
-                )
+            self._invariants = generate_invariants(
+                self.network, self.colors, self.pool
+            )
         return list(self._invariants)
 
     # ------------------------------------------------------------------
@@ -326,7 +313,7 @@ class SessionSpec:
                 bool_names.append(self.pool.block(out_channel, color).name)
         return tuple(int_uids), tuple(bool_names)
 
-    def snapshot(self, reduction_opts: Mapping | None = None) -> SessionSnapshot:
+    def snapshot(self) -> SessionSnapshot:
         """Flatten the built encoding into a :class:`SessionSnapshot`.
 
         Loads a throwaway solver (cheap relative to the build phase) and
@@ -334,13 +321,9 @@ class SessionSpec:
         the witness recipe.  Invariants are included iff they have been
         generated on this spec.  The result is a *cold* snapshot — use
         :meth:`VerificationSession.snapshot` to capture a live session's
-        learned clauses and phases along with it.  ``reduction_opts``
-        bakes lifecycle knobs into the snapshot so rehydrated workers run
-        the tuned policy.
+        learned clauses and phases along with it.
         """
-        return self.wrap_solver_snapshot(
-            snapshot_solver(self.load_solver(reduction_opts=reduction_opts))
-        )
+        return self.wrap_solver_snapshot(snapshot_solver(self.load_solver()))
 
     def wrap_solver_snapshot(self, solver_snapshot) -> SessionSnapshot:
         """Bundle an already-captured solver image with this spec's guard
@@ -392,16 +375,14 @@ class SessionSpec:
         payload: tuple,
         sizes: Mapping[str, int],
         invariants: Sequence[Invariant] = (),
-        invariant_count: int | None = None,
-        extra_stats: Mapping | None = None,
     ) -> VerificationResult:
         """One worker payload → a :class:`VerificationResult` here.
 
         ``payload`` is what :meth:`repro.core.parallel.WorkerSession.check`
-        returns.  ``sizes`` are the capacities the probe pinned,
-        ``invariants`` the rows the result reports (``invariant_count``
-        overrides their count) and ``extra_stats`` joins the stats dict.  Unsat-core guard names become case labels
-        and a witness slice becomes a witness over this spec's variables.
+        returns.  ``sizes`` are the capacities the probe pinned and
+        ``invariants`` the rows the result reports.  Unsat-core guard
+        names become case labels and a witness slice becomes a witness
+        over this spec's variables.
         """
         kind, a, b, solver_stats, elapsed = payload
         solver_stats = dict(solver_stats)
@@ -409,13 +390,10 @@ class SessionSpec:
         stats = {
             "network": self.network.stats(),
             "color_pairs": self.colors.total_pairs(),
-            "invariant_count": (
-                len(invariants) if invariant_count is None else invariant_count
-            ),
+            "invariant_count": len(invariants),
             "solver": solver_stats,
             "solver_profile": solver_profile,
             "solve_seconds": elapsed,
-            **(extra_stats or {}),
             "queue_sizes": dict(sizes),
         }
         witness = core = None
@@ -527,13 +505,10 @@ class VerificationSession:
         self._executor = None
         # Whether invariants were loaded when the pool took its snapshot.
         self._pool_key: bool | None = None
-        self.watch = Stopwatch()
         if spec is None:
             if network is None:
                 raise TypeError("VerificationSession needs a network or a spec")
-            spec = SessionSpec(
-                network, rotating_precision=rotating_precision, watch=self.watch
-            )
+            spec = SessionSpec(network, rotating_precision=rotating_precision)
         self.spec = spec
         self.network = spec.network
         self.colors = spec.colors
@@ -543,10 +518,9 @@ class VerificationSession:
         # The invariants loaded into the solver; None until conjoined.
         self._invariants: list[Invariant] | None = spec.invariants
         self._last_witness_bools: dict[str, bool] | None = None
-        with self.watch.phase("smt solving"):
-            self.solver = spec.load_solver(
-                clause_reduction=clause_reduction, reduction_opts=reduction_opts
-            )
+        self.solver = spec.load_solver(
+            clause_reduction=clause_reduction, reduction_opts=reduction_opts
+        )
         # The one query engine over this live solver; the snapshot only
         # carries the tables.
         ints = dict(spec.var_by_uid)
@@ -609,10 +583,9 @@ class VerificationSession:
         next pooled fan-out.
         """
         if self._invariants is None:
-            invariants = self.spec.generate_invariants(watch=self.watch)
-            with self.watch.phase("smt solving"):
-                for invariant in invariants:
-                    self.solver.add_global(invariant.term())
+            invariants = self.spec.generate_invariants()
+            for invariant in invariants:
+                self.solver.add_global(invariant.term())
             self._invariants = invariants
         return list(self._invariants)
 
@@ -637,18 +610,13 @@ class VerificationSession:
             snapshot_solver(self.solver, include_learned=True)
         )
 
-    def compact(self) -> int:
-        """Shed the solver's cold learnt tail now (see
-        :meth:`~repro.smt.Solver.compact`) — end-of-phase housekeeping
-        for long-lived sessions."""
-        return self.solver.compact()
-
     def seed_phases_from_witness(self) -> int:
         """Seed branching phases from the last witness's block booleans.
 
-        Sweeps call this between probes so each probe's search starts at
-        the previous witness (the paper's Figure-4 curve moves by one
-        capacity step; the blocking shape rarely changes wholesale).
+        The queue-size search calls this between probes so each probe's
+        search starts at the previous witness (the paper's Figure-4 curve
+        moves by one capacity step; the blocking shape rarely changes
+        wholesale).
         No-op before the first SAT query; returns the hints applied.
         """
         if not self._last_witness_bools:
@@ -662,20 +630,12 @@ class VerificationSession:
         """Ask the engine about ``target`` (``None`` for the master guard,
         a case index otherwise) under the current pins, then render."""
         sizes = tuple(self._sizes.items())
-        with self.watch.phase("smt solving"):
-            payload = self._engine.bounded_check(
-                Deadline.coerce(deadline), target, sizes, True, extra=extra
-            )
+        payload = self._engine.bounded_check(
+            Deadline.coerce(deadline), target, sizes, True, extra=extra
+        )
         if payload[0] == "sat":
             self._last_witness_bools = payload[2]
-        return self.spec.read_payload(
-            payload,
-            self._sizes,
-            self.invariants,
-            # Cumulative session phase times (encoding built once, queries
-            # accumulate under "smt solving") — not per-query.
-            extra_stats={"durations": dict(self.watch.durations)},
-        )
+        return self.spec.read_payload(payload, self._sizes, self.invariants)
 
     def verify(self, deadline=None) -> VerificationResult:
         """The full deadlock check: "does *some* disjunct fire?"."""
@@ -737,10 +697,12 @@ class VerificationSession:
         ``shards[w]`` is the ordered list of per-queue size assignments
         worker ``w`` probes on its own solver — ascending order within a
         shard warm-starts each probe with the clauses learned on the
-        previous ones.  Returns results aligned with the input
-        structure.  Probes answer under the encoding as it stands: call
-        :meth:`add_invariants` first to bake the invariants into the
-        worker snapshot.  ``deadline`` bounds the whole call as for
+        previous ones, and each deadlocked probe phase-seeds the next.
+        With one worker or one CPU every shard is walked on this
+        session's own solver, one after another.  Returns results
+        aligned with the input structure.  Probes answer under the
+        encoding as it stands: call :meth:`add_invariants` first to bake
+        the invariants into the worker snapshot.  ``deadline`` bounds the whole call as for
         :meth:`verify_all_cases`.
         """
         deadline = Deadline.coerce(deadline)
@@ -867,14 +829,13 @@ class VerificationSession:
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Cumulative session statistics (durations, solver clause count)
-        and the state of the fan-out pool."""
+        """Session statistics (solver clause count) and the state of the
+        fan-out pool."""
         return {
             "network": self.network.stats(),
             "color_pairs": self.colors.total_pairs(),
             "invariant_count": len(self.invariants),
             "clauses": self.solver.clause_count(),
-            "durations": dict(self.watch.durations),
             "jobs": self.jobs,
             "backend": self.backend,
             "pool_running": self._executor is not None,

@@ -18,8 +18,8 @@ are independent queries over one fixed encoding.  Every one of them is a
   in its own term space (:meth:`~repro.core.engine.SessionSpec.read_payload`,
   the one payload reader);
 * one ``"shard"`` job kind carries an ordered probe list: the worker
-  walks it on its own warm solver, phase-seeding each probe from the
-  previous witness exactly as the sequential walk does;
+  walks it on its own warm solver (:meth:`WorkerSession.walk`),
+  phase-seeding each probe from the previous witness;
 * :func:`start_pool` and :func:`gather` are the pool plumbing behind the
   session's two fan-outs (``verify_all_cases`` and ``probe_shards`` with
   ``jobs > 1``): results come back in submission order whatever order

@@ -31,31 +31,31 @@ most 18: the climb probes every size up to 16, the bisection 17).
 
 :func:`sweep_queue_sizes` is the counterpart for the *curve* rather than
 the boundary: probe an explicit list of sizes (Figure 4 plots one verdict
-per point), in ascending order on one session, or sharded across pool
-workers.  Each worker holds one rehydrated session and walks
-its shard in ascending order, so every probe warm-starts on the clauses
-learned by the previous ones — the same locality the sequential sweep
-exploits, multiplied by the worker count.  Per-shard outcomes are
-aggregated with :meth:`SizingResult.merge`.
+per point) with one :meth:`~repro.core.engine.VerificationSession.probe_shards`
+call.  The ascending sizes are striped over ``min(jobs, len(sizes))``
+shards; each shard is walked in ascending order on one warm solver (the
+session's own with one worker or one CPU, a rehydrated pool worker's
+otherwise), so every probe warm-starts on the clauses learned by the
+previous ones.
 
 Every walk is additionally *phase-seeded*: after a deadlocked probe the
 next probe's branching phases are initialised from the previous witness's
-blocking shape (``seed_phases_from_witness`` locally, ``phase_hints`` in
-the shard workers), so each capacity step starts its search at the model
+blocking shape (``seed_phases_from_witness`` in the search, the engine's
+walk in a sweep), so each capacity step starts its search at the model
 the last step ended on instead of from scratch.
 
 **Invariant modes.**  Both entry points take ``invariants=`` —
 ``"eager"`` (the default) or ``"none"``, validated by
 :func:`~repro.core.engine.eager_invariants`.  Eager conjoins the full
-cross-layer invariant set once, before the first probe: on the walk's
-session, or on the ``jobs > 1`` session of a sharded sweep, whose
-worker snapshot then carries the rows.  ``invariants_generated`` records the
-rows encoded and ``invariants_used`` whether any were.
+cross-layer invariant set once, before the first probe, on the one
+session (a pool's worker snapshot then carries the rows).
+``invariants_generated`` records the rows encoded and
+``invariants_used`` whether any were.
 
-**Timing split.**  Results separate ``build_seconds`` (network
-construction, encoding, invariant generation) from ``query_seconds``
-(solver time across probes) so experiment aggregation can attribute
-wall-clock to the right phase.
+**Timing split.**  ``query_seconds`` is the time spent inside the probes
+(each search probe's ``verify``, or the sweep's one ``probe_shards``
+call); ``build_seconds`` is the rest of the call: network construction,
+encoding and invariant generation.
 """
 
 from __future__ import annotations
@@ -90,14 +90,14 @@ class SizingResult:
     """Outcome of a queue-size search or sweep.
 
     ``minimal_size`` is ``None`` when no probed size verified — possible
-    for shard-level partial results (see :meth:`merge`) and for sweeps
-    over a fixed size list that never reaches the boundary.
+    for sweeps over a fixed size list that never reaches the boundary and
+    for runs whose budget expired.
 
-    ``build_seconds`` / ``query_seconds`` split the wall-clock between the
-    build phase (network construction, encoding, invariant generation) and
-    the solver queries.  ``invariants_generated`` counts the invariant
-    rows encoded (the full set under eager mode, none under ``"none"``)
-    and ``invariants_used`` says whether any were.
+    ``build_seconds`` / ``query_seconds`` split the call's wall-clock
+    between the build phase (network construction, encoding, invariant
+    generation) and the solver queries.  ``invariants_generated`` counts
+    the invariant rows encoded (the full set under eager mode, none under
+    ``"none"``) and ``invariants_used`` says whether any were.
     """
 
     minimal_size: int | None
@@ -123,78 +123,13 @@ class SizingResult:
             return f"no deadlock-free queue size probed ({probed})"
         return f"minimal deadlock-free queue size = {self.minimal_size} ({probed})"
 
-    @classmethod
-    def merge(cls, parts: Iterable["SizingResult"]) -> "SizingResult":
-        """Aggregate shard-level results into one.
-
-        Probe maps are unioned (a size probed by two shards must agree —
-        verdicts are semantically determined) and the minimal size is
-        recomputed from the union, so partial shards with
-        ``minimal_size=None`` merge cleanly.  Timing splits and
-        ``invariants_generated`` are summed; ``invariants_used`` holds if
-        any part used them.
-        """
-        probes: dict[int, bool] = {}
-        results: dict[int, VerificationResult] = {}
-        build_s = query_s = 0.0
-        mode: str | None = None
-        used = False
-        generated = 0
-        timed_out = False
-        for part in parts:
-            for size, free in part.probes.items():
-                if size in probes and probes[size] != free:
-                    raise ValueError(
-                        f"conflicting verdicts for queue size {size} "
-                        "across merged SizingResults"
-                    )
-                probes[size] = free
-            results.update(part.results)
-            build_s += part.build_seconds
-            query_s += part.query_seconds
-            mode = part.invariants_mode if mode is None else mode
-            used = used or part.invariants_used
-            generated += part.invariants_generated
-            timed_out = timed_out or part.timed_out
-        free_sizes = [size for size, free in probes.items() if free]
-        return cls(
-            minimal_size=min(free_sizes) if free_sizes else None,
-            probes=probes,
-            results=results,
-            build_seconds=build_s,
-            query_seconds=query_s,
-            invariants_mode=mode or "eager",
-            invariants_used=used,
-            invariants_generated=generated,
-            timed_out=timed_out,
-        )
-
-
-class _SplitTimer:
-    """Accumulates the build/query wall-clock split."""
-
-    def __init__(self) -> None:
-        self.build = 0.0
-        self.query = 0.0
-
-    def timed(self, bucket: str, thunk: Callable):
-        start = perf_counter()
-        try:
-            return thunk()
-        finally:
-            elapsed = perf_counter() - start
-            if bucket == "build":
-                self.build += elapsed
-            else:
-                self.query += elapsed
-
 
 def _queue_sizes(network: Network) -> dict[str, int]:
     return {q.name: q.size for q in network.queues()}
 
 
 def _capacity_only_assignment(
-    build: Callable[[int], Network], base: Network, timer: _SplitTimer
+    build: Callable[[int], Network], base: Network
 ) -> Callable[[int], dict[str, int]]:
     """``size -> per-queue sizes of build(size)``, guarding that the
     builder varies only queue capacities relative to ``base``.
@@ -207,7 +142,7 @@ def _capacity_only_assignment(
     base_queues = {q.name for q in base.queues()}
 
     def assignment(size: int) -> dict[str, int]:
-        built = timer.timed("build", lambda: build(size))
+        built = build(size)
         if (
             built.stats() != base_stats
             or {q.name for q in built.queues()} != base_queues
@@ -222,37 +157,32 @@ def _capacity_only_assignment(
 
 
 class _Walk:
-    """Probes queue sizes one at a time on one warm session.
+    """The search's probes, one at a time on one warm session.
 
-    The session, opened over ``base_network``, is a
-    :class:`VerificationSession`, strengthened up front when ``mode`` is
-    ``"eager"``.  ``assignment`` maps a size to the per-queue sizes to
-    probe.
+    The session, opened over ``base_network``, is strengthened up front
+    when ``mode`` is ``"eager"``; ``build`` must vary only queue
+    capacities relative to it.
     """
 
     def __init__(
         self,
+        build: Callable[[int], Network],
         base_network: Network,
-        assignment: Callable[[int], dict[str, int]],
         mode: str,
-        timer: _SplitTimer,
         deadline: Deadline | None,
         verify_kwargs: dict,
     ):
-        self.assignment = assignment
+        self.assignment = _capacity_only_assignment(build, base_network)
         self.mode = mode
-        # The rows conjoined up front (eager mode); None when none were.
-        self.invariants: list | None = None
-        self.timer = timer
         self.deadline = deadline
         self.probes: dict[int, bool] = {}
         self.results: dict[int, VerificationResult] = {}
-        self.session = timer.timed(
-            "build",
-            lambda: VerificationSession(base_network, **verify_kwargs),
+        self.query_seconds = 0.0
+        self.session = VerificationSession(base_network, **verify_kwargs)
+        # The rows conjoined up front (eager mode); None when none were.
+        self.invariants = (
+            self.session.add_invariants() if eager_invariants(mode) else None
         )
-        if eager_invariants(mode):
-            self.invariants = timer.timed("build", self.session.add_invariants)
 
     def probe(self, size: int) -> bool:
         """Whether ``size`` verifies; raises :class:`_DeadlineExpired`
@@ -261,9 +191,9 @@ class _Walk:
             session = self.session
             session.resize_queues(self.assignment(size))
             session.seed_phases_from_witness()
-            result = self.timer.timed(
-                "query", lambda: session.verify(deadline=self.deadline)
-            )
+            start = perf_counter()
+            result = session.verify(deadline=self.deadline)
+            self.query_seconds += perf_counter() - start
             self.results[size] = result
             if result.timed_out:
                 raise _DeadlineExpired
@@ -271,14 +201,15 @@ class _Walk:
         return self.probes[size]
 
     def outcome(
-        self, minimal_size: int | None, timed_out: bool = False
+        self, minimal_size: int | None, seconds: float, timed_out: bool = False
     ) -> SizingResult:
+        """The result of a search that took ``seconds`` in all."""
         return SizingResult(
             minimal_size=minimal_size,
             probes=self.probes,
             results=self.results,
-            build_seconds=self.timer.build,
-            query_seconds=self.timer.query,
+            build_seconds=seconds - self.query_seconds,
+            query_seconds=self.query_seconds,
             invariants_mode=self.mode,
             invariants_used=self.invariants is not None,
             invariants_generated=len(self.invariants or ()),
@@ -330,18 +261,10 @@ def minimal_queue_size(
         Forwarded to :class:`~repro.core.engine.VerificationSession`
         (``rotating_precision``, ``clause_reduction``, ``reduction_opts``).
     """
+    start = perf_counter()
     eager_invariants(invariants)
     deadline = Deadline.coerce(deadline)
-    timer = _SplitTimer()
-    base_network = timer.timed("build", lambda: build(low))
-    walk = _Walk(
-        base_network,
-        _capacity_only_assignment(build, base_network, timer),
-        invariants,
-        timer,
-        deadline,
-        verify_kwargs,
-    )
+    walk = _Walk(build, build(low), invariants, deadline, verify_kwargs)
     with walk.session:
         try:
             # Gentle climb to the first deadlock-free size.
@@ -374,8 +297,8 @@ def minimal_queue_size(
             # budget as a partial result instead of an answer we cannot
             # stand behind (an unconfirmed minimum from a truncated search
             # would be worse than none).
-            return walk.outcome(None, timed_out=True)
-        return walk.outcome(high)
+            return walk.outcome(None, perf_counter() - start, timed_out=True)
+        return walk.outcome(high, perf_counter() - start)
 
 
 def sweep_queue_sizes(
@@ -392,27 +315,26 @@ def sweep_queue_sizes(
 
     The Figure-4 *curve*: every size in ``sizes`` is probed (no binary
     search, no monotonicity assumption) and the result records the full
-    verdict map.  With ``jobs == 1`` the sizes are walked in ascending
-    order on one session, exactly as
-    :func:`minimal_queue_size` probes them.  With ``jobs > 1`` the points
-    are striped across pool workers — worker ``w`` probes sizes ``w,
-    w+jobs, w+2*jobs, ...`` of the ascending list, in ascending order, on
-    its own rehydrated session (warm-start within the shard).
-    Per-shard :class:`SizingResult`\\ s are aggregated with
-    :meth:`SizingResult.merge`.
+    verdict map.  One session with ``jobs`` workers answers every point
+    in one :meth:`~repro.core.engine.VerificationSession.probe_shards`
+    call: shard ``w`` probes sizes ``w, w+n, w+2n, ...`` of the ascending
+    list, ``n = min(jobs, len(sizes))``, in ascending order on one warm
+    solver — the session's own with one worker or one CPU, a pool
+    worker's otherwise.
 
-    ``invariants`` is ``"eager"`` or ``"none"``; across a pool,
-    ``"eager"`` strengthens the sharding session first, which bakes the
-    rows into the worker snapshot.
+    ``invariants`` is ``"eager"`` or ``"none"``; ``"eager"`` strengthens
+    the session first, which bakes the rows into any worker snapshot.
+    ``want_witness=False`` extracts no witness from deadlocked probes.
 
     ``build`` must vary only queue capacities (checked, ``ValueError``),
     as for :func:`minimal_queue_size`.  ``verify_kwargs`` forwards
     ``rotating_precision`` / ``clause_reduction`` / ``reduction_opts``.
 
-    ``deadline`` bounds the whole sweep; on expiry the undecided sizes
-    are simply absent from ``probes`` (their TIMEOUT results stay in
-    ``results``) and the result carries ``timed_out=True``.
+    ``deadline`` bounds the whole sweep; on expiry every undecided size
+    gets a TIMEOUT result in ``results`` and stays absent from
+    ``probes``, and the result carries ``timed_out=True``.
     """
+    start = perf_counter()
     eager = eager_invariants(invariants)
     deadline = Deadline.coerce(deadline)
     size_list = sorted(set(sizes))
@@ -420,80 +342,45 @@ def sweep_queue_sizes(
         raise ValueError("sweep_queue_sizes() needs at least one size")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    timer = _SplitTimer()
-    base_network = timer.timed("build", lambda: build(size_list[0]))
-    assignment = _capacity_only_assignment(build, base_network, timer)
+    base_network = build(size_list[0])
+    assignment = _capacity_only_assignment(build, base_network)
     assignments = {size_list[0]: _queue_sizes(base_network)}
     for size in size_list[1:]:
         assignments[size] = assignment(size)
-
-    if jobs == 1:
-        walk = _Walk(
-            base_network,
-            assignments.__getitem__,
-            invariants,
-            timer,
-            deadline,
-            verify_kwargs,
+    stripes = min(jobs, len(size_list))
+    shards = [size_list[w::stripes] for w in range(stripes)]
+    with VerificationSession(
+        base_network, jobs=jobs, backend=backend, **verify_kwargs
+    ) as session:
+        rows = session.add_invariants() if eager else []
+        query_start = perf_counter()
+        shard_results = session.probe_shards(
+            [[assignments[size] for size in shard] for shard in shards],
+            want_witness=want_witness,
+            deadline=deadline,
         )
-        with walk.session:
-            timed_out = False
-            try:
-                for size in size_list:
-                    walk.probe(size)
-            except _DeadlineExpired:
-                timed_out = True
-            if not want_witness:
-                # Match the pool path's payload shape: the session always
-                # extracts on SAT, so drop it afterwards.
-                for result in walk.results.values():
-                    result.witness = None
-            free = [size for size, ok in walk.probes.items() if ok]
-            return walk.outcome(min(free) if free else None, timed_out)
-
-    # Sharded: striped shards, ascending within each.  Eager mode
-    # strengthens the session first, so the rows ride the worker
-    # snapshot.
-    session = timer.timed(
-        "build",
-        lambda: VerificationSession(
-            base_network,
-            jobs=jobs,
-            backend=backend,
-            **verify_kwargs,
-        ),
+        query_seconds = perf_counter() - query_start
+    by_size = {
+        size: result
+        for shard, results in zip(shards, shard_results)
+        for size, result in zip(shard, results)
+    }
+    results = {size: by_size[size] for size in size_list}
+    # A TIMEOUT result stays undecided: it never enters ``probes``.
+    probes = {
+        size: result.deadlock_free
+        for size, result in results.items()
+        if not result.timed_out
+    }
+    free = [size for size, ok in probes.items() if ok]
+    return SizingResult(
+        minimal_size=min(free) if free else None,
+        probes=probes,
+        results=results,
+        build_seconds=perf_counter() - start - query_seconds,
+        query_seconds=query_seconds,
+        invariants_mode=invariants,
+        invariants_used=eager,
+        invariants_generated=len(rows),
+        timed_out=any(result.timed_out for result in results.values()),
     )
-    with session:
-        generated = (
-            len(timer.timed("build", session.add_invariants)) if eager else 0
-        )
-        shard_sizes = [size_list[w::jobs] for w in range(jobs)]
-        shard_sizes = [shard for shard in shard_sizes if shard]
-        shard_results = timer.timed(
-            "query",
-            lambda: session.probe_shards(
-                [[assignments[size] for size in shard] for shard in shard_sizes],
-                want_witness=want_witness,
-                deadline=deadline,
-            ),
-        )
-    parts = []
-    for shard, results_list in zip(shard_sizes, shard_results):
-        part = SizingResult(minimal_size=None)
-        for size, result in zip(shard, results_list):
-            part.results[size] = result
-            if result.timed_out:
-                # The shard's budget expired at this probe: keep the
-                # TIMEOUT result but no boolean verdict (the size stays
-                # undecided) and mark the part partial.
-                part.timed_out = True
-            else:
-                part.probes[size] = result.deadlock_free
-        parts.append(part)
-    merged = SizingResult.merge(parts)
-    merged.invariants_mode = invariants
-    merged.invariants_used = eager
-    merged.invariants_generated = generated
-    merged.build_seconds = timer.build
-    merged.query_seconds = timer.query
-    return merged

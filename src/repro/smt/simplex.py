@@ -594,8 +594,5 @@ class Simplex:
     def value(self, var: int) -> Fraction | int:
         return self._beta[var]
 
-    def is_basic(self, var: int) -> bool:
-        return var in self._rows
-
     def bounds(self, var: int) -> tuple[Fraction | int | None, Fraction | int | None]:
         return self._lower[var], self._upper[var]

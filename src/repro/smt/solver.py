@@ -226,19 +226,6 @@ class Solver:
             max_lbd=max_lbd,
         )
 
-    @classmethod
-    def from_snapshot(cls, snapshot) -> "Solver":
-        """Rehydrate a solver from :meth:`snapshot` (possibly cross-process).
-
-        Returns only the solver; use
-        :func:`repro.smt.serialize.restore_solver` when the restored
-        integer variables are needed for new arithmetic.
-        """
-        from .serialize import restore_solver
-
-        solver, _ = restore_solver(snapshot)
-        return solver
-
     # ------------------------------------------------------------------
     # Assertions and scopes
     # ------------------------------------------------------------------

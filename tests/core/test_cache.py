@@ -194,10 +194,10 @@ def test_content_hash_ignores_scheduling_hints(
     spec = SessionSpec(_network())
     spec.generate_invariants()
     opts = None if reduce_base is None else {"reduce_base": reduce_base}
-    assert spec.snapshot(reduction_opts=opts).content_hash() == reference_hash
+    image = snapshot_solver(spec.load_solver(reduction_opts=opts))
+    assert spec.wrap_solver_snapshot(image).content_hash() == reference_hash
     # The split budget is a solver knob no session sets: give the solver
     # image a different one.
-    image = snapshot_solver(spec.load_solver(reduction_opts=opts))
     image = dataclasses.replace(image, max_splits=max_splits)
     assert spec.wrap_solver_snapshot(image).content_hash() == reference_hash
 

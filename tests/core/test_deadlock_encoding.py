@@ -1,30 +1,20 @@
 """Unit tests for the block/idle equation compiler."""
 
 import pytest
+from literal_oracle import LiteralEncoding
 
 from repro.core import VarPool, derive_colors, encode_deadlock, verify
 from repro.core.deadlock import DeadlockEncoding
 from repro.netlib import producer_consumer
 from repro.protocols.messages import Message
-from repro.smt import Result, Solver, ge, iff
+from repro.smt import Result, ge
 from repro.xmas import NetworkBuilder
 
 
 def solve_encoding(network, extra=(), rotating_precision=True):
-    colors = derive_colors(network)
-    pool = VarPool()
-    encoding = encode_deadlock(
-        network, colors, pool, rotating_precision=rotating_precision
-    )
-    solver = Solver()
-    for name, rhs in encoding.definitions:
-        solver.add(iff(name, rhs))
-    for term in encoding.domain:
-        solver.add(term)
-    solver.add(encoding.assertion)
-    for term in extra:
-        solver.add(term)
-    return solver.check(), solver, pool, encoding
+    literal = LiteralEncoding(network, rotating_precision=rotating_precision)
+    solver = literal.solver(literal.encoding.assertion, *extra)
+    return solver.check(), solver, literal.pool, literal.encoding
 
 
 def test_producer_consumer_has_no_deadlock():
@@ -101,16 +91,9 @@ def test_join_starved_partner_blocks():
 
 def test_domain_constraints_bound_occupancies():
     net = producer_consumer(queue_size=3)
-    colors = derive_colors(net)
-    pool = VarPool()
-    encoding = encode_deadlock(net, colors, pool)
-    solver = Solver()
-    for name, rhs in encoding.definitions:
-        solver.add(iff(name, rhs))
-    for term in encoding.domain:
-        solver.add(term)
+    literal = LiteralEncoding(net)
     queue = net["q"]
-    solver.add(ge(pool.occupancy(queue, "pkt"), 4))  # exceeds size 3
+    solver = literal.solver(ge(literal.pool.occupancy(queue, "pkt"), 4))  # exceeds size 3
     assert solver.check() == Result.UNSAT
 
 

@@ -1,8 +1,8 @@
 """VerificationSession: incremental verdicts must equal from-scratch ones.
 
-The fresh baseline deliberately bypasses the session machinery: it builds a
-new encoding and a new :class:`~repro.smt.Solver` per query, asserts
-everything, and checks once — the seed implementation's behavior.
+The fresh baseline (``tests/literal_oracle.py``) deliberately bypasses the
+session machinery: it builds a new literal-size encoding and a new
+:class:`~repro.smt.Solver` per query, asserts everything, and checks once.
 """
 
 from functools import lru_cache
@@ -11,68 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    VarPool,
-    VerificationSession,
-    derive_colors,
-    encode_deadlock,
-    generate_invariants,
-    verify,
-)
+from literal_oracle import fresh_verdict, fresh_witness_count
+
+from repro.core import VerificationSession, verify
 from repro.netlib import running_example
 from repro.protocols import abstract_mi_mesh, mi_mesh
-from repro.smt import Result, Solver, conj, eq, iff, neg
-
-
-def fresh_verdict(network, use_invariants=False, case_key=None):
-    """Seed-style one-shot check; ``case_key=(kind, subject, color)``
-    restricts the assertion to a single disjunct."""
-    colors = derive_colors(network)
-    pool = VarPool()
-    encoding = encode_deadlock(network, colors, pool)
-    solver = Solver()
-    if use_invariants:
-        for invariant in generate_invariants(network, colors, pool):
-            solver.add(invariant.term())
-    for name, rhs in encoding.definitions:
-        solver.add(iff(name, rhs))
-    for term in encoding.domain:
-        solver.add(term)
-    if case_key is None:
-        solver.add(encoding.assertion)
-    else:
-        solver.add(encoding.case_of(*case_key).term)
-    return solver.check() == Result.UNSAT
-
-
-def fresh_witness_count(network, limit):
-    """Literal-size blocking-clause enumeration in one fresh solver: each
-    SAT model's automaton states and queue occupancies are blocked
-    before the next check, the shape the session blocks on."""
-    colors = derive_colors(network)
-    pool = VarPool()
-    encoding = encode_deadlock(network, colors, pool)
-    solver = Solver()
-    for name, rhs in encoding.definitions:
-        solver.add(iff(name, rhs))
-    for term in encoding.domain:
-        solver.add(term)
-    solver.add(encoding.assertion)
-    count = 0
-    while count < limit and solver.check() == Result.SAT:
-        model = solver.model()
-        count += 1
-        shape = []
-        for automaton in network.automata():
-            for state in automaton.states:
-                var = pool.state(automaton, state)
-                shape.append(eq(var, model[var]))
-        for queue in network.queues():
-            for color in colors.of(network.channel_of(queue.i)):
-                var = pool.occupancy(queue, color)
-                shape.append(eq(var, model[var]))
-        solver.add(neg(conj(*shape)))
-    return count
+from repro.smt import Solver
 
 
 def session_invariants_hold(session):

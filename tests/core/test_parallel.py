@@ -29,7 +29,6 @@ from repro.core import (
 )
 from repro.core.engine import ANY_CASE_LABEL
 from repro.core.parallel import WorkerSession
-from repro.core.sizing import SizingResult
 from repro.netlib import running_example
 from repro.protocols import abstract_mi_mesh
 
@@ -457,33 +456,3 @@ def test_nested_jobs_defaults_to_env_budget(monkeypatch):
     monkeypatch.setenv("ADVOCAT_JOBS", "6")
     assert nested_jobs(2) == 3
 
-
-def test_sizing_merge_rejects_conflicting_verdicts():
-    free = SizingResult(minimal_size=2, probes={2: True})
-    stuck = SizingResult(minimal_size=None, probes={2: False})
-    try:
-        SizingResult.merge([free, stuck])
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("merge must reject conflicting probe verdicts")
-
-
-def test_sizing_merge_sums_rows_across_shards():
-    shard_a = SizingResult(
-        minimal_size=None,
-        probes={1: False},
-        invariants_used=True,
-        invariants_generated=5,
-    )
-    shard_b = SizingResult(
-        minimal_size=3,
-        probes={3: True},
-        invariants_used=False,
-        invariants_generated=2,
-    )
-    merged = SizingResult.merge([shard_a, shard_b])
-    assert merged.minimal_size == 3
-    assert merged.probes == {1: False, 3: True}
-    assert merged.invariants_used  # any shard used them
-    assert merged.invariants_generated == 7

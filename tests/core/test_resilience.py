@@ -294,6 +294,8 @@ def test_sweep_deadline_marks_unanswered_sizes_timeout():
     build = lambda size: _network(queue_size=size)  # noqa: E731
     swept = sweep_queue_sizes(build, [1, 2, 3], deadline=Deadline(conflicts=1))
     assert swept.timed_out
+    # Every undecided size answers TIMEOUT, not only the first.
+    assert set(swept.results) == {1, 2, 3}
     assert all(r.timed_out for r in swept.results.values())
     assert swept.probes == {}  # TIMEOUT probes never masquerade as verdicts
 

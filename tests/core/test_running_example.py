@@ -111,20 +111,14 @@ def test_without_invariants_candidates_appear():
 
 def test_candidates_match_paper_exactly():
     """Enumerate SMT models: exactly the paper's two candidate *shapes*."""
-    from repro.core import encode_deadlock
-    from repro.smt import Result, Solver, conj, eq, iff, neg
+    from literal_oracle import LiteralEncoding
+
+    from repro.smt import Result, conj, eq, neg
 
     example = running_example()
-    net = example.network
-    colors = derive_colors(net)
-    pool = VarPool()
-    encoding = encode_deadlock(net, colors, pool)
-    solver = Solver()
-    for name, rhs in encoding.definitions:
-        solver.add(iff(name, rhs))
-    for term in encoding.domain:
-        solver.add(term)
-    solver.add(encoding.assertion)
+    literal = LiteralEncoding(example.network)
+    pool = literal.pool
+    solver = literal.solver(literal.encoding.assertion)
 
     s1 = pool.state(example.sender, "s1")
     t1 = pool.state(example.receiver, "t1")

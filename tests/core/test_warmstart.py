@@ -21,6 +21,7 @@ from repro.core import (
 )
 from repro.core.parallel import WorkerSession, default_jobs
 from repro.netlib import running_example
+from repro.smt import snapshot_solver
 
 
 def _network(queue_size=2):
@@ -142,7 +143,11 @@ def test_reduction_knobs_survive_the_snapshot_round_trip():
     assert core._reduce_limit == 123
     assert core._reduce_growth == 1.11
     assert core.glue_cap == 45
-    cold_worker = WorkerSession(spec.snapshot(reduction_opts=opts))
+    cold_worker = WorkerSession(
+        spec.wrap_solver_snapshot(
+            snapshot_solver(spec.load_solver(reduction_opts=opts))
+        )
+    )
     assert cold_worker.solver._sat._reduce_limit == 123
 
 
@@ -182,7 +187,7 @@ def test_long_monotone_sweep_stays_bounded_with_identical_verdicts():
             session.seed_phases_from_witness()
             verdicts.append(session.verify().verdict)
         if reduction:
-            session.compact()
+            session.solver.compact()
         return verdicts, session.solver.learned_count()
 
     bounded_verdicts, bounded_live = run(True)

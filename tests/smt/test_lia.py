@@ -24,6 +24,7 @@ from repro.core import SessionSpec, VerificationSession
 from repro.protocols import abstract_mi_mesh
 from repro.smt import Result, Solver, disj, ge, intvar, le, neg, snapshot_solver
 from repro.smt.lia import LiaBridge
+from repro.smt.serialize import restore_solver
 from repro.smt.terms import LinearAtom
 
 X = intvar("x")
@@ -302,7 +303,7 @@ def test_bound_axioms_stay_out_of_the_snapshot_image():
     assert after.content_hash() == before.content_hash()
     assert pickle.dumps(after.solver) == pickle.dumps(before.solver)
     # A restored solver regenerates the same axioms on its first check().
-    restored = Solver.from_snapshot(after.solver)
+    restored, _ = restore_solver(after.solver)
     restored.check()
     original = solver
     assert (

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.smt import FALSE, Result, Solver, boolvar, eq, ge, implies, intvar, le
 from repro.smt.sat import SAT, UNSAT, Cdcl
+from repro.smt.serialize import restore_solver
 
 # ---------------------------------------------------------------------------
 # Random instances: base constraints + guard-implied constraints, queried
@@ -90,8 +91,8 @@ def test_import_learned_never_flips_a_verdict(data):
     cold_snapshot = teacher.snapshot()  # before any learning
     for indices in queries:  # accumulate learned state
         teacher.check(assumptions=[guards[i] for i in indices])
-    warm = Solver.from_snapshot(teacher.snapshot(include_learned=True))
-    cold = Solver.from_snapshot(cold_snapshot)
+    warm, _ = restore_solver(teacher.snapshot(include_learned=True))
+    cold, _ = restore_solver(cold_snapshot)
     for indices in queries:
         names = [boolvar(f"rg{i}") for i in indices]
         assert warm.check(assumptions=names) == cold.check(assumptions=names)
