@@ -1,7 +1,7 @@
 """SAT-core data path: flat-arena Cdcl vs the frozen pre-arena reference.
 
 Measures the tentpole of the CDCL rewrite (``src/repro/smt/sat.py``)
-against :mod:`repro.smt._sat_reference`, the byte-frozen object-per-clause
+against ``tests/smt/_sat_reference.py``, the byte-frozen object-per-clause
 core it replaced:
 
 * **propagation throughput** — deterministic random 3-CNF instances near
@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -34,10 +35,15 @@ from conftest import report
 
 from repro.core import VerificationSession, verdict_sha
 from repro.protocols import abstract_mi_mesh
-from repro.smt import _sat_reference, sat
+from repro.smt import sat
 from repro.smt import solver as solver_mod
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_satcore.json"
+ROOT = Path(__file__).resolve().parent.parent
+# The reference core is a test oracle and lives with the tests.
+sys.path.append(str(ROOT / "tests" / "smt"))
+import _sat_reference
+
+RESULTS_PATH = ROOT / "BENCH_satcore.json"
 
 
 # ----------------------------------------------------------------------

@@ -294,7 +294,7 @@ class SessionSpec:
             solver.add(term)
         if self._invariants is not None:
             for invariant in self._invariants:
-                solver.add_global(invariant.term())
+                solver.add(invariant.term())
         return solver
 
     # ------------------------------------------------------------------
@@ -585,7 +585,7 @@ class VerificationSession:
         if self._invariants is None:
             invariants = self.spec.generate_invariants()
             for invariant in invariants:
-                self.solver.add_global(invariant.term())
+                self.solver.add(invariant.term())
             self._invariants = invariants
         return list(self._invariants)
 
@@ -672,7 +672,7 @@ class VerificationSession:
         """
         deadline = Deadline.coerce(deadline)
         cases = self.encoding.cases
-        sizes = tuple(sorted(self._sizes.items()))
+        sizes = tuple(self._sizes.items())
         payloads = self._fan_out(
             [("check", index, sizes, True) for index in range(len(cases))],
             deadline,
@@ -714,7 +714,7 @@ class VerificationSession:
             for shard in shards
         ]
         probe_lists = [
-            tuple((None, tuple(sorted(full.items()))) for full in shard)
+            tuple((None, tuple(full.items())) for full in shard)
             for shard in full_shards
         ]
         payload_lists = self._fan_out(
@@ -817,13 +817,11 @@ class VerificationSession:
                         var = self.pool.occupancy(queue, color)
                         shape.append(eq(var, model[var]))
                 yield result.witness
-                self.solver.add_global(
-                    implies(enum_guard, neg(conj(*shape)))
-                )
+                self.solver.add(implies(enum_guard, neg(conj(*shape))))
         finally:
             # Retire the guard so its blocking clauses are satisfied (and
             # never burden later searches), even on early abandonment.
-            self.solver.add_global(neg(enum_guard))
+            self.solver.add(neg(enum_guard))
 
     # ------------------------------------------------------------------
     # Introspection

@@ -27,12 +27,12 @@ are independent queries over one fixed encoding.  Every one of them is a
   caller's deadline.
 
 Backends: ``"process"`` (default) runs workers in separate processes —
-real parallelism for the pure-Python solver — each rehydrating the
-snapshot independently; ``"thread"`` rehydrates one template
-:class:`WorkerSession` in-process and hands every pool thread a
-:meth:`Solver.fork` clone of it.  The GIL serialises thread workers, but
-the backend exercises the same snapshot + query protocol cheaply (used
-heavily by the differential tests).
+real parallelism for the pure-Python solver — and ``"thread"`` runs them
+as threads of this process.  Either way each worker rehydrates its own
+:class:`WorkerSession` from the snapshot, so thread workers run the same
+restore path as process workers and the service's hot tier.  The GIL
+serialises thread workers, but the backend exercises the same snapshot +
+query protocol cheaply (used heavily by the differential tests).
 
 The module also keeps the reusable scenario executors the experiment
 layer ships whole builds to, and the job budget (:func:`default_jobs`,
@@ -247,18 +247,6 @@ class WorkerSession:
             (uid, ints[uid]) for uid in snapshot.witness_int_uids
         ]
 
-    def fork(self) -> "WorkerSession":
-        """An independent clone over the same solver state (in-process).
-
-        Thread pools rehydrate the snapshot once and fork the template
-        per worker thread — :meth:`Solver.fork` copies the CNF tables and
-        shares the immutable restored terms, so no re-minting happens.
-        """
-        clone = WorkerSession.over(self.snapshot, self.solver.fork(), self._ints)
-        # Guard definitions live in the forked clauses.
-        clone._size_guard_names = dict(self._size_guard_names)
-        return clone
-
     def close(self) -> None:
         """Drop the solver so its CNF arena is reclaimed now (idempotent).
 
@@ -274,17 +262,21 @@ class WorkerSession:
         return self.snapshot.case_guard_names[target]
 
     def _capacity_assumption_names(self, solver, sizes: SizesKey) -> list[str]:
+        """The ``cap[q==k]`` guard names pinning every queue, in the
+        snapshot's queue order whatever order ``sizes`` lists them in.
+
+        A queue missing from ``sizes`` raises :exc:`KeyError`: leaving
+        its capacity floating would change the verdict.
+        """
+        size_of = dict(sizes)
         names = []
-        for queue_name, size in sizes:
-            key = (queue_name, size)
-            name = self._size_guard_names.get(key)
+        for queue_name, capacity in self._capacities.items():
+            size = size_of[queue_name]
+            name = self._size_guard_names.get((queue_name, size))
             if name is None:
                 name = f"cap[{queue_name}=={size}]"
-                guard = boolvar(name)
-                solver.add_global(
-                    implies(guard, eq(self._capacities[queue_name], size))
-                )
-                self._size_guard_names[key] = name
+                solver.add(implies(boolvar(name), eq(capacity, size)))
+                self._size_guard_names[(queue_name, size)] = name
             names.append(name)
         return names
 
@@ -429,8 +421,8 @@ class WorkerSession:
 # ---------------------------------------------------------------------------
 # Pool plumbing.  One WorkerSession per pool worker, stored thread-locally:
 # a process worker executes initializer and tasks on its single main
-# thread and rehydrates the pickled snapshot itself; thread workers each
-# fork() an in-process template rehydrated once by the parent.
+# thread, a thread worker on its own thread; each rehydrates the snapshot
+# itself.
 # ---------------------------------------------------------------------------
 
 _WORKER = threading.local()
@@ -438,10 +430,6 @@ _WORKER = threading.local()
 
 def _initialize_worker(snapshot: SessionSnapshot) -> None:
     _WORKER.session = WorkerSession(snapshot)
-
-
-def _initialize_thread_worker(template: WorkerSession) -> None:
-    _WORKER.session = template.fork()
 
 
 def _run_job(job: Job):
@@ -459,16 +447,14 @@ def _run_chunk(jobs: Sequence[Job]) -> list:
 def start_pool(snapshot: SessionSnapshot, jobs: int, backend: str):
     """An executor of ``jobs`` workers, each answering from ``snapshot``."""
     if backend == "process":
-        return ProcessPoolExecutor(
-            max_workers=jobs,
-            mp_context=_process_context(),
-            initializer=_initialize_worker,
-            initargs=(snapshot,),
-        )
-    return ThreadPoolExecutor(
+        executor, kwargs = ProcessPoolExecutor, {"mp_context": _process_context()}
+    else:
+        executor, kwargs = ThreadPoolExecutor, {}
+    return executor(
         max_workers=jobs,
-        initializer=_initialize_thread_worker,
-        initargs=(WorkerSession(snapshot),),
+        initializer=_initialize_worker,
+        initargs=(snapshot,),
+        **kwargs,
     )
 
 

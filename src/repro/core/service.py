@@ -161,7 +161,7 @@ def _resolved_sizes(snapshot: SessionSnapshot, overrides):
     if overrides is None:
         return None
     merged = resolve_resize(dict(snapshot.default_sizes), overrides)
-    return tuple(sorted(merged.items()))
+    return tuple(merged.items())
 
 
 def _translate(session: WorkerSession, payload: tuple) -> dict:

@@ -4,8 +4,7 @@ Top-level assertions are clausified directly: a conjunction asserts each
 conjunct and a disjunction becomes a single clause.  Below the top level,
 every distinct subterm receives one SAT variable defined by both Tseitin
 directions (``Not`` is represented by literal polarity, not a variable), so
-a nested literal names an equivalence that assumptions and scope selectors
-can rely on.  Arithmetic atoms keep a side table mapping their SAT variable
+a nested literal names an equivalence that assumptions can rely on.  Arithmetic atoms keep a side table mapping their SAT variable
 to the :class:`~repro.smt.terms.LinearAtom`, which the theory bridge
 consumes.
 
@@ -49,27 +48,6 @@ class CnfBuilder:
         self._lit_cache: dict[Term, int] = {}
 
     # ------------------------------------------------------------------
-    def clone(self) -> "CnfBuilder":
-        """An independent copy sharing no mutable state with the original.
-
-        Term and :class:`LinearAtom` objects themselves are shared (they
-        are immutable and interned), so a clone is only meaningful within
-        the process that built the original — cross-process transfer goes
-        through :mod:`repro.smt.serialize` instead.  Like the original,
-        the clone holds every term it has a literal for, so none of them
-        is swept from the intern table while either builder lives.
-        """
-        copy = CnfBuilder()
-        copy.n_vars = self.n_vars
-        copy.clauses = [list(clause) for clause in self.clauses]
-        copy.unsatisfiable = self.unsatisfiable
-        copy.atom_of_var = dict(self.atom_of_var)
-        copy.var_of_atom = dict(self.var_of_atom)
-        copy.var_of_boolname = dict(self.var_of_boolname)
-        copy._lit_cache = dict(self._lit_cache)
-        return copy
-
-    # ------------------------------------------------------------------
     def new_var(self) -> int:
         self.n_vars += 1
         return self.n_vars
@@ -91,31 +69,25 @@ class CnfBuilder:
         return var
 
     # ------------------------------------------------------------------
-    def assert_term(self, term: Term, guard: int | None = None) -> None:
+    def assert_term(self, term: Term) -> None:
         """Add ``term`` as a top-level assertion, clausified directly.
 
         A top-level ``And`` asserts each conjunct and a top-level ``Or``
         becomes one clause of its disjuncts' literals, so neither mints a
         gate.  ``_flatten`` keeps ``And`` children non-``And``, so this
-        recurses one level at most.  With ``guard``, every emitted clause
-        carries ``-guard``: the assertion binds only while ``guard`` holds.
+        recurses one level at most.
         """
         if term is TRUE:
             return
         if term is FALSE:
-            if guard is None:
-                self.unsatisfiable = True
-            else:
-                self.clauses.append([-guard])
-            return
-        prefix = [] if guard is None else [-guard]
-        if isinstance(term, And):
+            self.unsatisfiable = True
+        elif isinstance(term, And):
             for conjunct in term.args:
-                self.assert_term(conjunct, guard)
+                self.assert_term(conjunct)
         elif isinstance(term, Or):
-            self.clauses.append(prefix + [self.literal(arg) for arg in term.args])
+            self.clauses.append([self.literal(arg) for arg in term.args])
         else:
-            self.clauses.append(prefix + [self.literal(term)])
+            self.clauses.append([self.literal(term)])
 
     def literal(self, term: Term) -> int:
         """The literal standing for ``term``, emitting definition clauses."""

@@ -41,8 +41,8 @@ The ladder axioms are clauses rather than a propagation hook on
 purpose: their reasons never depend on the trail, and a static binary
 clause *is* the reason.  They never enter the
 :class:`~repro.smt.cnf.CnfBuilder` image, so snapshots and their content
-hashes are unchanged; a restored or forked solver regenerates them when
-its bridge re-registers the atoms.
+hashes are unchanged; a restored solver regenerates them when its
+bridge re-registers the atoms.
 
 Row-derived bounds
 ------------------

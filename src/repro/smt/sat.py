@@ -138,7 +138,7 @@ preallocated buffers instead of per-clause Python objects:
 On clause-only instances (no theory listener) the rewrite is
 *trajectory-faithful*: decisions, propagations, learnt clauses and models
 are identical to the retained reference implementation
-(:mod:`repro.smt._sat_reference`), which the differential suite in
+(``tests/smt/_sat_reference.py``), which the differential suite in
 ``tests/smt/test_satcore.py`` enforces.  The reference core never asks a
 listener to derive, so with a theory attached the two cores agree on
 verdicts only.  :meth:`Cdcl.profile` exposes hot-loop counters (watcher
@@ -1257,7 +1257,7 @@ class Cdcl:
                 raise ValueError(
                     "imported clause references a variable this solver "
                     "never minted; import only exports taken over the "
-                    "same CNF image (fork at rest, snapshot/restore)"
+                    "same CNF image (snapshot/restore)"
                 )
             if not self._ok:
                 break

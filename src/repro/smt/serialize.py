@@ -92,12 +92,10 @@ def snapshot_solver(
     learned_cap: int = 4000,
     max_lbd: int | None = None,
 ) -> SolverSnapshot:
-    """Capture ``solver``'s base-level assertions as plain data.
+    """Capture ``solver``'s assertions as plain data.
 
-    Requires all :meth:`~repro.smt.Solver.push` scopes to be closed — a
-    snapshot has no way to mark a scope "still open" on the other side.
-    Clauses of *popped* scopes are captured as-is (they carry a retired
-    selector literal and stay permanently satisfied, same as locally).
+    A retired guard's clauses travel as they are, with the unit clause
+    that retires the guard, so they stay satisfied on the other side too.
 
     ``include_learned`` additionally captures the learned-clause tail
     (LBD-sorted, at most ``learned_cap`` clauses, optionally filtered to
@@ -105,11 +103,6 @@ def snapshot_solver(
     a solver restored from it starts with every deduction and branching
     preference the captured solver had accumulated.
     """
-    if solver.scope_depth:
-        raise ValueError(
-            f"cannot snapshot a solver with {solver.scope_depth} open "
-            "push() scope(s); pop them first"
-        )
     cnf = solver._cnf
     int_vars: dict[int, str] = {}
     atoms = []

@@ -27,14 +27,14 @@ theory-propagated atom literals (see :mod:`repro.smt.lia`).
 
 The facade is *incremental*: the CNF conversion, the CDCL core, the theory
 bridge and every learned clause and branch-and-bound split persist across
-:meth:`Solver.check` calls.  Three mechanisms build on that retention:
+:meth:`Solver.check` calls.  Two mechanisms build on that retention:
 
 * ``check(assumptions=[...])`` decides the query under temporary
   assumptions (arbitrary terms); after an UNSAT answer,
-  :meth:`Solver.unsat_core` names the responsible assumptions.
-* :meth:`Solver.push` / :meth:`Solver.pop` scope later assertions with
-  selector literals, so popped assertions are retracted without discarding
-  any learned clause.
+  :meth:`Solver.unsat_core` names the responsible assumptions.  An
+  assertion that must be retractable is guarded: ``add(implies(g,
+  term))`` binds only in checks that assume ``g``, and ``add(neg(g))``
+  retires it for good while every learned clause stays valid.
 * repeated ``check`` calls on a monotonically growing assertion set reuse
   all prior work (the classic ``add``/``check`` loop).
 
@@ -161,7 +161,6 @@ class Solver:
         self._sat = Cdcl(theory=self._bridge, **self._reduction_knobs)
         self._flushed_clauses = 0
         self._registered_atoms = 0
-        self._scopes: list[int] = []  # selector SAT variables, innermost last
         self._model: Model | None = None
         self._core: list[Term] | None = None
         self._formula_unsat: bool | None = None
@@ -174,134 +173,19 @@ class Solver:
         self.profile: dict[str, int] = {}
 
     # ------------------------------------------------------------------
-    # Cloning and serialization
-    # ------------------------------------------------------------------
-    def fork(self) -> "Solver":
-        """An independent solver over the same asserted formula.
-
-        The CNF state (clauses, variable tables, scope stack) is copied;
-        the clone gets a fresh CDCL core and theory bridge, loaded from
-        the copied CNF.  The
-        learned-clause export and saved phases carry over (demoted below
-        glue protection, like a snapshot restore), so a fork starts warm
-        but evicts what its own query mix doesn't re-use.  Forks share
-        immutable term objects with the original, so they are
-        thread-cloning tools; use :meth:`snapshot` to cross processes.
-        """
-        clone = Solver(max_splits=self._max_splits, **self._fork_kwargs())
-        clone._cnf = self._cnf.clone()
-        clone._scopes = list(self._scopes)
-        clone.seed_phases(self.saved_phases())
-        clone.import_learned(
-            self.learned_clauses(), demote_to=clone._sat.glue_keep + 1
-        )
-        return clone
-
-    def _fork_kwargs(self) -> dict:
-        knobs = dict(self._reduction_knobs)
-        knobs["clause_reduction"] = knobs.pop("reduction")
-        return knobs
-
-    def snapshot(
-        self,
-        include_learned: bool = False,
-        learned_cap: int = 4000,
-        max_lbd: int | None = None,
-    ):
-        """A pickle-safe :class:`~repro.smt.serialize.SolverSnapshot`.
-
-        With ``include_learned`` the snapshot additionally carries the
-        CDCL core's learned-clause export (LBD-sorted, capped at
-        ``learned_cap``) and its saved phase vector, so a solver restored
-        from it starts *warm*: the first query replays none of the work
-        this solver already did.  Sound because every exported clause is a
-        resolvent of the snapshotted formula (plus LIA-valid lemmas).
-        """
-        from .serialize import snapshot_solver
-
-        return snapshot_solver(
-            self,
-            include_learned=include_learned,
-            learned_cap=learned_cap,
-            max_lbd=max_lbd,
-        )
-
-    # ------------------------------------------------------------------
-    # Assertions and scopes
+    # Assertions
     # ------------------------------------------------------------------
     def define(self, definitions: Iterable[tuple[Term, Term]]) -> None:
-        """Bind ``(name, rhs)`` definitions, each read as ``name ⇔ rhs``
-        at the base level, before any clause names them (see
+        """Bind ``(name, rhs)`` definitions, each read as ``name ⇔ rhs``,
+        before any clause names them (see
         :meth:`~repro.smt.cnf.CnfBuilder.define`)."""
         self._model = None
         self._cnf.define(definitions)
 
-    def add(self, term: Term, scope: int | None = None) -> None:
-        """Assert ``term``; invalidates any previously extracted model.
-
-        Inside a :meth:`push` scope the assertion is guarded by the scope's
-        selector literal and is retracted by the matching :meth:`pop`.
-        ``scope`` (a token returned by :meth:`push`) targets a specific open
-        scope instead of the innermost one — required for correctness when
-        scopes are interleaved, e.g. two concurrently open witness
-        enumerations.
-        """
-        self._model = None
-        if scope is not None:
-            if scope not in self._scopes:
-                raise RuntimeError(f"scope {scope} is not open")
-            selector = scope
-        elif self._scopes:
-            selector = self._scopes[-1]
-        else:
-            selector = None
-        self._cnf.assert_term(term, selector)
-
-    def add_global(self, term: Term) -> None:
-        """Assert ``term`` at the base level, bypassing any open scope.
-
-        For facts that must survive every :meth:`pop` — e.g. sound
-        strengthenings (invariants) or guard definitions created lazily
-        while a scope happens to be open.
-        """
+    def add(self, term: Term) -> None:
+        """Assert ``term``; invalidates any previously extracted model."""
         self._model = None
         self._cnf.assert_term(term)
-
-    def push(self) -> int:
-        """Open a retraction scope for subsequent :meth:`add` calls.
-
-        Returns a scope token for targeted :meth:`add`/:meth:`pop` — scopes
-        are independent selector literals, so a specific scope can be
-        retired even when it is no longer the innermost one.
-        """
-        selector = self._cnf.new_var()
-        self._scopes.append(selector)
-        return selector
-
-    def pop(self, scope: int | None = None) -> None:
-        """Retract every assertion added under a scope.
-
-        Without ``scope``, pops the innermost open scope; with a token from
-        :meth:`push`, retires exactly that scope wherever it sits in the
-        stack.  Implemented by retiring the scope's selector literal, so
-        clauses learned while the scope was active stay in the solver (they
-        carry the negated selector and are satisfied from now on).
-        """
-        if not self._scopes:
-            raise RuntimeError("pop() without a matching push()")
-        if scope is None:
-            selector = self._scopes.pop()
-        else:
-            if scope not in self._scopes:
-                raise RuntimeError(f"scope {scope} is not open")
-            self._scopes.remove(scope)
-            selector = scope
-        self._cnf.clauses.append([-selector])
-        self._model = None
-
-    @property
-    def scope_depth(self) -> int:
-        return len(self._scopes)
 
     # ------------------------------------------------------------------
     # Solving
@@ -364,7 +248,6 @@ class Solver:
         before = dict(self._sat.stats)
         before_profile = self._profile_counters()
         self._sync()
-        solve_assumptions = [*self._scopes, *assumption_lits]
         splits = 0
         while True:
             remaining = None
@@ -372,7 +255,7 @@ class Solver:
                 spent = self._sat.stats["conflicts"] - before["conflicts"]
                 remaining = conflict_limit - spent
             verdict = self._sat.solve(
-                assumptions=solve_assumptions,
+                assumptions=assumption_lits,
                 conflict_limit=remaining,
                 should_stop=should_stop,
             )
@@ -461,9 +344,7 @@ class Solver:
 
         A subset of the assumptions passed to that call, in passing order.
         Empty when the assumptions are not needed for the contradiction —
-        i.e. the asserted formula (including any assertions in still-open
-        :meth:`push` scopes, whose selectors are filtered from the core)
-        is unsatisfiable by itself.
+        i.e. the asserted formula is unsatisfiable by itself.
         """
         if self._core is None:
             raise RuntimeError("unsat_core() requires a prior UNSAT check()")
@@ -501,7 +382,7 @@ class Solver:
 
         Only sound when the clauses are consequences of *this* solver's
         asserted formula — true for an export taken from a solver over the
-        same CNF image (fork, snapshot/restore).  ``demote_to`` floors the
+        same CNF image (snapshot/restore).  ``demote_to`` floors the
         stored LBD of non-binary imports so they stay evictable (see
         :meth:`~repro.smt.sat.Cdcl.import_learned`).  Returns the number
         of clauses retained.
@@ -513,8 +394,9 @@ class Solver:
         """Run one clause-database reduction now (session housekeeping).
 
         Long-lived sessions call this between workload phases or before
-        :meth:`snapshot` to shed the cold learnt tail immediately instead
-        of waiting for the geometric schedule.  Returns clauses deleted.
+        :func:`~repro.smt.serialize.snapshot_solver` to shed the cold
+        learnt tail immediately instead of waiting for the geometric
+        schedule.  Returns clauses deleted.
         """
         self._sync()
         return self._sat.compact()

@@ -28,7 +28,7 @@ from repro.core import (
     sweep_queue_sizes,
 )
 from repro.core.engine import ANY_CASE_LABEL
-from repro.core.parallel import WorkerSession
+from repro.core.parallel import WorkerSession, gather, start_pool
 from repro.netlib import running_example
 from repro.protocols import abstract_mi_mesh
 
@@ -384,17 +384,53 @@ def test_default_jobs_fan_outs_reuse_one_executor():
         assert pool._executor is executor
 
 
-def test_worker_fork_answers_like_the_template():
-    spec = SessionSpec(_network())
-    template = WorkerSession(spec.snapshot())
-    forked = template.fork()
-    for target in (None, 0, len(spec.encoding.cases) - 1):
-        for size in (1, 2, 3):
-            sizes = tuple(sorted({q: size for q in spec.initial_sizes}.items()))
-            assert (
-                forked.check(target, sizes, want_witness=False)[0]
-                == template.check(target, sizes, want_witness=False)[0]
-            )
+def test_thread_pool_starts_from_the_snapshot():
+    # A thread worker restores the snapshot just as a process worker
+    # does, so from a warm snapshot it answers a run of jobs with the
+    # payloads of a WorkerSession restored from the same snapshot:
+    # verdict, witness and every search count (only the elapsed time
+    # differs).
+    session = VerificationSession(abstract_mi_mesh(2, 2, queue_size=2).network)
+    session.add_invariants()
+    session.verify()
+    snapshot = session.snapshot()
+    assert snapshot.solver.learned and snapshot.solver.phases
+    sizes = {q: 3 for q in session.queue_sizes}
+    jobs = [
+        ("check", None, None, True),
+        ("check", 0, tuple(sizes.items()), False),
+        ("shard", ((None, None), (None, tuple(sizes.items()))), True),
+    ]
+    local_worker = WorkerSession(snapshot)
+    executor = start_pool(snapshot, 1, "thread")
+    try:
+        for job in jobs:
+            pooled = gather(executor, [job])[0]
+            local = local_worker.run(job)
+            if job[0] == "check":
+                pooled, local = [pooled], [local]
+            assert [p[:4] for p in pooled] == [p[:4] for p in local]
+            assert all(p[3]["propagations"] > 0 for p in local)
+    finally:
+        executor.shutdown(wait=True)
+    verdicts = [p[0] for p in WorkerSession(snapshot).run(jobs[2])]
+    assert verdicts == ["sat", "unsat"]
+
+
+def test_capacity_pins_follow_the_snapshot_queue_order():
+    # The pins go in the snapshot's queue order whatever order the
+    # caller lists them in, so the same probe searches the same way from
+    # every entry point; a queue left out raises instead of floating.
+    spec = SessionSpec(abstract_mi_mesh(2, 2, queue_size=2).network)
+    spec.generate_invariants()
+    snapshot = spec.snapshot()
+    sizes = [(name, 3) for name, _ in snapshot.default_sizes]
+    forward = WorkerSession(snapshot).check(None, tuple(sizes), False)
+    backward = WorkerSession(snapshot).check(None, tuple(sizes[::-1]), False)
+    assert forward[0] == "unsat"  # the core lists the pins in passing order
+    assert forward[:4] == backward[:4]
+    with pytest.raises(KeyError):
+        WorkerSession(snapshot).check(None, tuple(sizes[1:]), False)
 
 
 def test_sweep_want_witness_is_consistent_across_job_counts():

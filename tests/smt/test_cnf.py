@@ -58,42 +58,21 @@ def test_nested_gate_keeps_both_directions():
     assert solver.check([conj(a, b)]) == Result.SAT
 
 
-def test_guard_prefixes_every_asserted_clause():
-    a, b, c = boolvar("cnf_a"), boolvar("cnf_b"), boolvar("cnf_c")
-    cnf = CnfBuilder()
-    guard = cnf.new_var()
-    cnf.assert_term(conj(a, disj(b, c), neg(disj(a, c))), guard)
-    va, vb, vc = (cnf.var_of_boolname[n] for n in ("cnf_a", "cnf_b", "cnf_c"))
-    gate = cnf.n_vars  # the nested Or is the only gate; its definition is unguarded
-    assert gate == 5
-    assert cnf.clauses == [
-        [-guard, va],
-        [-guard, vb, vc],
-        [gate, -va],
-        [gate, -vc],
-        [-gate, va, vc],
-        [-guard, -gate],
-    ]
-    cnf.assert_term(TRUE, guard)
-    assert len(cnf.clauses) == 6
-
-
 def test_guarded_false_retracts_without_poisoning():
-    cnf = CnfBuilder()
-    guard = cnf.new_var()
-    cnf.assert_term(FALSE, guard)
-    assert cnf.clauses == [[-guard]]
-    assert not cnf.unsatisfiable
-    cnf.assert_term(FALSE)
-    assert cnf.unsatisfiable
-
+    # A guarded FALSE is the unit clause retiring its guard; only a bare
+    # FALSE makes the formula unsatisfiable.
+    g = boolvar("cnf_g")
     solver = Solver()
     solver.add(boolvar("cnf_a"))
-    solver.push()
-    solver.add(FALSE)
-    assert solver.check() == Result.UNSAT
-    solver.pop()
+    solver.add(implies(g, FALSE))
+    assert solver.check([g]) == Result.UNSAT
     assert solver.check() == Result.SAT
+    assert not solver._cnf.unsatisfiable
+    cnf = CnfBuilder()
+    cnf.assert_term(TRUE)
+    assert cnf.clauses == [] and not cnf.unsatisfiable
+    cnf.assert_term(FALSE)
+    assert cnf.unsatisfiable
 
 
 def _formulas(leaves):
@@ -131,16 +110,14 @@ def _evaluate(spec, truth):
     return all(values) if kind == "and" else any(values)
 
 
-@given(_formulas(LEAVES), st.booleans())
+@given(_formulas(LEAVES))
 @settings(max_examples=150, deadline=None)
-def test_check_matches_evaluation_under_every_assignment(spec, scoped):
+def test_check_matches_evaluation_under_every_assignment(spec):
     x, y = intvar("cnf_x"), intvar("cnf_y")
     leaves = {leaf: boolvar(f"cnf_p{leaf[1]}") for leaf in LEAVES[:4]}
     leaves[("atom", 0)] = le(x, 0)
     leaves[("atom", 1)] = le(y, 0)
     solver = Solver()
-    if scoped:
-        solver.push()
     solver.add(_build(spec, leaves))
     for values in product((False, True), repeat=len(LEAVES)):
         truth = dict(zip(LEAVES, values))
@@ -150,9 +127,6 @@ def test_check_matches_evaluation_under_every_assignment(spec, scoped):
         ]
         expected = Result.SAT if _evaluate(spec, truth) else Result.UNSAT
         assert solver.check(assumptions) == expected
-    if scoped:
-        solver.pop()
-        assert solver.check() == Result.SAT
 
 
 _IMAGE_SCRIPT = """

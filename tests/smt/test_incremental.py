@@ -1,17 +1,17 @@
-"""Incremental solving: assumptions, push/pop, cores, clause retention."""
+"""Incremental solving: assumptions, guard retraction, cores, clause retention."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.smt import (
-    FALSE,
     Result,
     Solver,
     boolvar,
     disj,
     eq,
     ge,
+    implies,
     intvar,
     le,
     neg,
@@ -115,77 +115,28 @@ def test_unsat_core_requires_unsat():
 
 
 # ---------------------------------------------------------------------------
-# Push / pop
+# Guard-literal retraction
 # ---------------------------------------------------------------------------
 
 
 def test_push_pop_retracts():
+    """A guarded assertion binds only in checks that assume its guard,
+    and adding the guard's negation retires it for good."""
     x = intvar("ip_x")
+    g, h = boolvar("ip_g"), boolvar("ip_h")
     solver = Solver()
     solver.add(ge(x, 0))
     solver.add(le(x, 10))
-    solver.push()
-    solver.add(ge(x, 11))
-    assert solver.check() == Result.UNSAT
-    solver.pop()
+    solver.add(implies(g, ge(x, 11)))
+    assert solver.check([g]) == Result.UNSAT
+    solver.add(neg(g))
     assert solver.check() == Result.SAT
-    solver.push()
-    solver.add(eq(x, 4))
-    assert solver.check() == Result.SAT
+    solver.add(implies(h, eq(x, 4)))
+    assert solver.check([h]) == Result.SAT
     assert solver.model()[x] == 4
-    solver.pop()
-
-
-def test_nested_scopes():
-    a, b = boolvar("ip_a"), boolvar("ip_b")
-    solver = Solver()
-    solver.add(disj(a, b))
-    solver.push()
-    solver.add(neg(a))
-    solver.push()
-    solver.add(neg(b))
-    assert solver.check() == Result.UNSAT
-    solver.pop()
-    assert solver.check() == Result.SAT
-    assert solver.model()[b] is True
-    solver.pop()
-    assert solver.check(assumptions=[a]) == Result.SAT
-
-
-def test_scoped_false_is_retractable():
-    solver = Solver()
-    solver.add(boolvar("ip_alive"))
-    solver.push()
-    solver.add(FALSE)
-    assert solver.check() == Result.UNSAT
-    solver.pop()
-    assert solver.check() == Result.SAT
-
-
-def test_pop_without_push():
-    with pytest.raises(RuntimeError):
-        Solver().pop()
-
-
-def test_targeted_scope_pop_and_add():
-    # Scopes are independent selectors: a token from push() lets a caller
-    # retire or extend its *own* scope even after others opened on top.
-    a = boolvar("ts_a")
-    solver = Solver()
-    solver.add(disj(a, neg(a)))
-    outer = solver.push()
-    solver.add(neg(a), scope=outer)
-    inner = solver.push()
-    solver.add(a, scope=inner)
-    assert solver.check() == Result.UNSAT
-    solver.pop(outer)  # retire the *outer* scope while inner stays open
-    assert solver.check() == Result.SAT
-    assert solver.model()[a] is True
-    solver.pop(inner)
-    with pytest.raises(RuntimeError):
-        solver.pop(inner)  # already closed
-    with pytest.raises(RuntimeError):
-        solver.add(a, scope=inner)  # cannot add to a closed scope
+    solver.add(neg(h))
+    assert solver.check([h]) == Result.UNSAT
+    assert solver.unsat_core() == [h]
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +277,14 @@ def test_assumption_checks_match_fresh_solver(base, queries):
 
 
 @given(
-    scoped=st.lists(st.lists(atom_specs, min_size=1, max_size=2), min_size=1, max_size=3),
+    guarded=st.lists(st.lists(atom_specs, min_size=1, max_size=2), min_size=1, max_size=3),
 )
 @settings(max_examples=40, deadline=None)
-def test_push_pop_matches_fresh_solver(scoped):
-    """After arbitrary push/add/check/pop cycles, the base formula must
-    answer exactly as a fresh solver on the base formula."""
+def test_push_pop_matches_fresh_solver(guarded):
+    """The engine's retraction pattern: each group is asserted as
+    ``implies(g, atom)``, checked under ``[g]`` and retired with
+    ``add(neg(g))``.  Every check, and the base formula once every guard
+    is retired, answers exactly as a fresh solver does."""
     variables = [intvar(f"pp_{i}") for i in range(N_VARS)]
     base = []
     for var in variables:
@@ -342,17 +295,17 @@ def test_push_pop_matches_fresh_solver(scoped):
     for term in base:
         incremental.add(term)
 
-    for group in scoped:
+    for index, group in enumerate(guarded):
         atoms = [_build_atom(variables, spec) for spec in group]
-        incremental.push()
+        guard = boolvar(f"pp_g{index}")
         for atom in atoms:
-            incremental.add(atom)
-        verdict = incremental.check()
+            incremental.add(implies(guard, atom))
+        verdict = incremental.check([guard])
         fresh = Solver()
         for term in base + atoms:
             fresh.add(term)
         assert verdict == fresh.check()
-        incremental.pop()
+        incremental.add(neg(guard))
 
     assert incremental.check() == Result.SAT  # plain bounds are satisfiable
 

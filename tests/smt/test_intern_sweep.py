@@ -109,12 +109,6 @@ def test_a_builder_keeps_the_terms_it_mapped():
     assert build().uid == uid
     assert builder.literal(build()) == gate
     assert builder.n_vars == n_vars
-    clone = builder.clone()
-    del builder
-    terms.live_terms()
-    assert build().uid == uid
-    assert clone.literal(build()) == gate
-    assert clone.n_vars == n_vars
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.smt import FALSE, Result, Solver, boolvar, eq, ge, implies, intvar, le
 from repro.smt.sat import SAT, UNSAT, Cdcl
-from repro.smt.serialize import restore_solver
+from repro.smt.serialize import restore_solver, snapshot_solver
 
 # ---------------------------------------------------------------------------
 # Random instances: base constraints + guard-implied constraints, queried
@@ -88,10 +88,10 @@ def test_import_learned_never_flips_a_verdict(data):
     """Warm restore (snapshot + learned import) ≡ cold restore."""
     base, guarded, queries = data
     teacher, guards = _build(base, guarded)
-    cold_snapshot = teacher.snapshot()  # before any learning
+    cold_snapshot = snapshot_solver(teacher)  # before any learning
     for indices in queries:  # accumulate learned state
         teacher.check(assumptions=[guards[i] for i in indices])
-    warm, _ = restore_solver(teacher.snapshot(include_learned=True))
+    warm, _ = restore_solver(snapshot_solver(teacher, include_learned=True))
     cold, _ = restore_solver(cold_snapshot)
     for indices in queries:
         names = [boolvar(f"rg{i}") for i in indices]

@@ -2,7 +2,7 @@
 
 The arena rewrite (:mod:`repro.smt.sat`) promises a byte-for-byte frozen
 behavioural contract against the pre-arena core it replaced, kept in
-:mod:`repro.smt._sat_reference`.  These tests enforce that promise:
+``tests/smt/_sat_reference.py``.  These tests enforce that promise:
 
 * random CNFs (with random reduction knobs and assumption sets) must
   produce identical verdicts, models, failed-assumption cores and search
@@ -37,10 +37,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _sat_reference
 from repro.core import VerificationSession
 from repro.core.parallel import WorkerSession, _initialize_worker, _run_job
 from repro.netlib import running_example
-from repro.smt import _sat_reference, sat
+from repro.smt import sat
 from repro.smt import serialize
 from repro.smt.solver import Result, Solver
 from repro.smt.terms import boolvar

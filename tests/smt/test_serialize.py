@@ -1,4 +1,4 @@
-"""Solver snapshots: round-trip fidelity, forking, early-UNSAT contract.
+"""Solver snapshots: round-trip fidelity, warm copies, early-UNSAT contract.
 
 The serialization layer promises that a restored solver answers every
 query over snapshot state *identically* — same verdicts, same unsat-core
@@ -23,7 +23,9 @@ from repro.smt import (
     implies,
     intvar,
     le,
+    neg,
     restore_solver,
+    snapshot_solver,
 )
 
 # ---------------------------------------------------------------------------
@@ -75,7 +77,7 @@ def test_snapshot_roundtrip_preserves_verdicts_and_cores(data):
     base, guarded, queries = data
     original, guards = _build(base, guarded)
     # Snapshot before any query; ship through pickle like a spawn worker.
-    snapshot = pickle.loads(pickle.dumps(original.snapshot()))
+    snapshot = pickle.loads(pickle.dumps(snapshot_solver(original)))
     restored, _ = restore_solver(snapshot)
     for indices in queries:
         assumptions = [guards[i] for i in indices]
@@ -97,26 +99,18 @@ def test_snapshot_roundtrip_preserves_verdicts_and_cores(data):
 @given(data=instance)
 @settings(max_examples=30, deadline=None)
 def test_fork_answers_like_the_original(data):
+    """A warm copy (learned clauses and phases) taken after the original
+    has answered every query answers each one as the original does."""
     base, guarded, queries = data
     original, guards = _build(base, guarded)
-    clone = original.fork()
+    for indices in queries:
+        original.check(assumptions=[guards[i] for i in indices])
+    clone, _ = restore_solver(snapshot_solver(original, include_learned=True))
     for indices in queries:
         assumptions = [guards[i] for i in indices]
         assert clone.check(assumptions=assumptions) == original.check(
             assumptions=assumptions
         )
-
-
-def test_fork_diverges_independently():
-    x = intvar("fork_x")
-    solver = Solver()
-    solver.add(ge(x, 0))
-    solver.add(le(x, 10))
-    clone = solver.fork()
-    clone.add(eq(x, 3))
-    solver.add(eq(x, 7))
-    assert solver.check() == Result.SAT and solver.model()[x] == 7
-    assert clone.check() == Result.SAT and clone.model()[x] == 3
 
 
 def test_restored_int_vars_compose_with_new_arithmetic():
@@ -125,10 +119,10 @@ def test_restored_int_vars_compose_with_new_arithmetic():
     solver = Solver()
     solver.add(ge(cap, 0))
     solver.add(implies(g2, eq(cap, 2)))
-    restored, ints = restore_solver(solver.snapshot())
+    restored, ints = restore_solver(snapshot_solver(solver))
     cap_r = ints[cap.uid]
     g5 = boolvar("pin5")  # minted on the restored side, like a worker does
-    restored.add_global(implies(g5, eq(cap_r, 5)))
+    restored.add(implies(g5, eq(cap_r, 5)))
     assert restored.check(assumptions=[boolvar("pin2")]) == Result.SAT
     assert restored.model()[cap_r] == 2
     assert restored.check(assumptions=[g5]) == Result.SAT
@@ -138,31 +132,20 @@ def test_restored_int_vars_compose_with_new_arithmetic():
     assert not restored.formula_unsat
 
 
-def test_snapshot_refuses_open_scopes():
-    solver = Solver()
-    solver.add(ge(intvar("scoped"), 0))
-    solver.push()
-    try:
-        solver.snapshot()
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("snapshot() must reject open scopes")
-    solver.pop()
-    solver.snapshot()  # closed scopes are fine
-
-
 def test_snapshot_preserves_popped_scope_retractions():
+    """A guard retired before the snapshot stays retired after restore."""
     x = intvar("scope_x")
+    guard = boolvar("scope_g")
     solver = Solver()
     solver.add(ge(x, 0))
     solver.add(le(x, 9))
-    solver.push()
-    solver.add(eq(x, 1))
-    solver.pop()
-    restored, ints = restore_solver(solver.snapshot())
-    restored.add_global(eq(ints[x.uid], 5))  # contradicts the popped eq(x,1)
-    assert restored.check() == Result.SAT  # pop survived the round-trip
+    solver.add(implies(guard, eq(x, 1)))
+    solver.add(neg(guard))
+    restored, ints = restore_solver(snapshot_solver(solver))
+    restored.add(eq(ints[x.uid], 5))  # contradicts the retired eq(x, 1)
+    assert restored.check() == Result.SAT
+    assert restored.check([boolvar("scope_g")]) == Result.UNSAT
+    assert restored.formula_unsat is False
 
 
 # ---------------------------------------------------------------------------

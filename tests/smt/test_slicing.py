@@ -10,8 +10,8 @@ timeout tests live in ``tests/core/test_resilience.py``.
 
 import pytest
 
+from _sat_reference import Cdcl as ReferenceCdcl
 from repro.smt import Result, Solver, boolvar, ge, implies, intvar, le
-from repro.smt._sat_reference import Cdcl as ReferenceCdcl
 from repro.smt.sat import SAT, UNKNOWN, UNSAT, Cdcl
 
 

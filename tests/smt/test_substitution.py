@@ -7,8 +7,8 @@ copies, names with one right-hand side share its gate, and the CNF image
 the core loads carries no copy.  These tests check that the binding is
 invisible from outside: models satisfy the unsubstituted ``name ⇔ rhs``
 equations, atoms keep their variables, contradictory copies stay unsat,
-and assumptions, cores, phase hints, imports and forks see one variable
-per class of names.
+and assumptions, cores, phase hints, imports and restored copies see
+one variable per class of names.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.core import VerificationSession
 from repro.core.experiments import registered_builders, resolve_builder
 from repro.smt import FALSE, TRUE, And, Atom, BoolConst, BoolVar, Not
+from repro.smt.serialize import restore_solver, snapshot_solver
 from repro.smt.solver import Result, Solver
 from repro.smt.terms import boolvar, conj, disj, iff, intvar, le, neg
 from repro.xmas import Network, Queue
@@ -252,13 +253,22 @@ def test_fork_derives_the_same_table_and_answers():
     parent = session.solver
     case = session.encoding.cases[0]
     assert parent.check([case.guard]) == Result.SAT
-    clone = parent.fork()
+    clone, restored = restore_solver(
+        snapshot_solver(parent, include_learned=True)
+    )
     assert clone._cnf.var_of_boolname == parent._cnf.var_of_boolname
     assert clone._cnf.clauses == parent._cnf.clauses
+    # The copy's integer variables are fresh; read them back by uid.
+    originals = {
+        var
+        for atom in parent._cnf.atom_of_var.values()
+        for var in atom.variables()
+    }
     for guard in [c.guard for c in session.encoding.cases[:6]]:
         verdict = parent.check([guard])
-        assert clone.check([guard]) == verdict
+        assert clone.check([boolvar(guard.name)]) == verdict
         if verdict == Result.SAT:
-            model, ints = clone.model(), clone.model().int_items()
+            model = clone.model()
+            ints = {var: model[restored[var.uid]] for var in originals}
             for defined, rhs in session.encoding.definitions:
                 assert _holds(iff(defined, rhs), model, ints), defined
