@@ -130,33 +130,92 @@ def test_check_matches_evaluation_under_every_assignment(spec):
 
 
 _IMAGE_SCRIPT = """
+import hashlib
 import json
 from repro.core import VerificationSession
-from repro.fabrics import traffic_mesh
-from repro.protocols import abstract_mi_mesh, msi_mesh
+from repro.core.experiments import ScenarioSpec, registered_builders
+from repro.protocols import abstract_mi_ether, mi_ether
 from repro.smt import serialize
-sizes, hashes = [], []
-for network in (
-    abstract_mi_mesh(2, 2, queue_size=3).network,
-    msi_mesh(2, 2, queue_size=4).network,
-    traffic_mesh(3, 3, queue_size=2),
-):
+
+def digest(network):
+    shape = [
+        network.name,
+        [[name, type(p).__name__] for name, p in network.primitives.items()],
+        [[c.name, c.initiator.qualified_name, c.target.qualified_name]
+         for c in network.channels],
+    ]
+    return hashlib.sha256(json.dumps(shape).encode()).hexdigest()[:16]
+
+designs = [
+    ("abstract_mi_mesh", {"width": 2, "height": 2, "queue_size": 3}),
+    ("msi_mesh", {"width": 2, "height": 2, "queue_size": 4}),
+    ("traffic_mesh", {"width": 3, "height": 3, "queue_size": 2}),
+]
+for name in registered_builders():
+    if name in ("running_example", "producer_consumer"):
+        kwargs = {}
+    elif name == "token_ring":
+        kwargs = {"n_stations": 4}
+    elif name.endswith("_ring"):
+        kwargs = {"n_nodes": 4}
+    else:
+        kwargs = {"width": 2, "height": 2}
+    designs.append((name, dict(kwargs, queue_size=2)))
+sizes, hashes, networks = [], [], []
+for name, kwargs in designs:
+    network = ScenarioSpec(name, kwargs).build()
     session = VerificationSession(network)
     session.add_invariants()
     snap = serialize.snapshot_solver(session.solver)
     sizes.append([len(snap.clauses), snap.n_vars])
     hashes.append(session.snapshot().content_hash()[:16])
-print(json.dumps({"sizes": sizes, "hashes": hashes}))
+    networks.append(digest(network))
+networks += [digest(abstract_mi_ether(2, 2)), digest(mi_ether(2, 2))]
+print(json.dumps({"sizes": sizes, "hashes": hashes, "networks": networks}))
 """
 
-# abstract-MI 2x2, MSI 2x2 and traffic_mesh 3x3 with invariants.  The
-# sizes hold under every hash seed; the content hashes follow the hash
+# abstract-MI 2x2 at size 3, MSI 2x2 at size 4 and traffic_mesh 3x3 at
+# size 2, then every registered builder in name order at size 2 (2x2
+# meshes and tori, 4-node rings, netlib defaults, a 4-station token ring),
+# all with invariants.  The sizes and the network digests (primitive
+# names in order, channel names and endpoints; the two handshake ethers
+# last) hold under every hash seed; the content hashes follow the hash
 # seed (see SessionSnapshot.content_hash), so each pinned seed has its own.
-PINNED_SIZES = [[842, 478], [2832, 1407], [4310, 2363]]
+PINNED_SIZES = [
+    [842, 478], [2832, 1407], [4310, 2363],
+    [842, 478], [850, 486], [866, 502],
+    [1590, 848], [1626, 872], [1624, 878],
+    [2832, 1407], [2871, 1440], [2922, 1491],
+    [22, 14], [88, 54], [82, 48],
+    [674, 382], [683, 389], [698, 406],
+]
 PINNED_HASHES = {
-    "0": ["36b3e10f64f1a5df", "ed8987efef1d855c", "be0db2db5027154c"],
-    "1": ["16bb019a6882cfb6", "dfcabb0071d1c1f2", "e45f03381555e2d8"],
+    "0": [
+        "36b3e10f64f1a5df", "ed8987efef1d855c", "be0db2db5027154c",
+        "dbdc25b51e3c459e", "1122935fdafe704f", "e5a98f6bc5fe05d8",
+        "df34c24b76ae03fe", "9cce2cb7ef628bb0", "2ed1765686243251",
+        "099a20b3ee95a1fb", "de8973d8a95d1cc1", "38d8380bb024acd2",
+        "77a8781cf23b52f4", "9d246aeea23a872c", "6dec9f144b60d201",
+        "f25bcff0109ade50", "b1e411e99d590fab", "1114a52734e7eaf8",
+    ],
+    "1": [
+        "16bb019a6882cfb6", "dfcabb0071d1c1f2", "e45f03381555e2d8",
+        "43b1b3a7bf8a0dce", "6e30d3774c2dcef7", "41c098b07a2d83ff",
+        "6945f0795a80865f", "81fbb2bdf38b81f1", "e273a1b33754a7be",
+        "de70e3ee471246d2", "d69dec13858b99d9", "1ce4ea86047f6f24",
+        "77a8781cf23b52f4", "9d246aeea23a872c", "6dec9f144b60d201",
+        "064221404796b4fa", "6b315b0fac62e31e", "a50c060e4c3baf56",
+    ],
 }
+PINNED_NETWORKS = [
+    "bb5682deaa283e63", "6b162e38a841f5a8", "adcfe3606c3acd56",
+    "ec7a30722e8d54b9", "39f55d34c9f71758", "b31a0d79f5c68042",
+    "a37e8ec21ed3546d", "04cdb85e60cb9a31", "f1eb434c9d3f8c50",
+    "b5d0cf692ee12822", "a38ea91a52522b40", "78baef901af9afba",
+    "75c158572537bf36", "dc68507d8021945c", "d6970e8499ded445",
+    "e72c858e97288b5b", "1d7c9ccf7da16527", "3d4e84cf91182574",
+    "e23aff17280e1608", "84cfbd7e6858fd4b",
+]
 
 
 @pytest.mark.parametrize("seed", ["0", "1"])
@@ -172,3 +231,4 @@ def test_parametric_session_cnf_size_is_pinned(seed):
     image = json.loads(out)
     assert image["sizes"] == PINNED_SIZES
     assert image["hashes"] == PINNED_HASHES[seed]
+    assert image["networks"] == PINNED_NETWORKS
