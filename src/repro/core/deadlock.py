@@ -107,11 +107,6 @@ class DeadlockEncoding:
     # Master guard: assuming it asserts "some disjunct fires".
     any_guard: Term = FALSE
 
-    @property
-    def assertion_cases(self) -> list[tuple[str, Term]]:
-        """Labelled disjuncts of the assertion (derived from ``cases``)."""
-        return [(case.label, case.term) for case in self.cases]
-
     def guard_terms(self) -> list[Term]:
         """Guard wiring for assumption-based querying.
 

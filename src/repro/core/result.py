@@ -96,12 +96,6 @@ class DeadlockWitness:
     queue_contents: dict[str, dict[Color, int]]
     blocked_channels: list[str]
 
-    def total_packets(self) -> int:
-        return sum(
-            count for contents in self.queue_contents.values()
-            for count in contents.values()
-        )
-
     def pretty(self) -> str:
         lines = ["deadlock candidate:"]
         for automaton, state in sorted(self.automaton_states.items()):

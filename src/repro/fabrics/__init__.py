@@ -11,9 +11,8 @@ The fabric layer is a plugin API around the abstract
   store-and-forward input-queued router at every node of any topology
   into a :class:`~repro.xmas.NetworkBuilder`; protocol automata attach
   through the returned :class:`Fabric` ports.
-* :mod:`repro.fabrics.mesh` — the historic mesh-shaped front
-  (:class:`MeshConfig` / :func:`build_mesh`), byte-identical to the old
-  mesh-only builder.
+* :mod:`repro.fabrics.routing` — the mesh routers and :func:`route_path`;
+  every router takes ``(topology, node, message)``.
 """
 
 from .fabric import (
@@ -25,8 +24,7 @@ from .fabric import (
     traffic_ring,
     traffic_torus,
 )
-from .mesh import MeshConfig, MeshFabric, build_mesh
-from .routing import as_routing_function, route_path, xy_routing, yx_routing
+from .routing import route_path, xy_routing, yx_routing
 from .topology import (
     Direction,
     MeshTopology,
@@ -45,13 +43,9 @@ __all__ = [
     "FabricConfig",
     "build_fabric",
     "build_traffic",
-    "MeshConfig",
-    "MeshFabric",
-    "build_mesh",
     "traffic_mesh",
     "traffic_torus",
     "traffic_ring",
-    "as_routing_function",
     "xy_routing",
     "yx_routing",
     "route_path",

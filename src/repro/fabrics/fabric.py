@@ -49,7 +49,7 @@ from ..xmas import Network, NetworkBuilder, Port, Queue
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..protocols.messages import Message
-from .routing import RoutingFunction, as_routing_function
+from .routing import RoutingFunction
 from .topology import (
     MeshTopology,
     Node,
@@ -79,7 +79,7 @@ class FabricConfig:
     topology: Topology
     queue_size: int
     vcs: int = 1
-    routing: Callable | None = None
+    routing: RoutingFunction | None = None
     vc_of: Callable[[Message], int] | None = None
     escape_vcs: bool = False
     injection_size: int | None = None
@@ -106,10 +106,6 @@ class FabricConfig:
     def vc_layers(self) -> int:
         """Physical VC count: protocol VCs × (pre/post-dateline split)."""
         return self.vcs * (2 if self.escape_vcs else 1)
-
-    def routing_function(self) -> RoutingFunction:
-        fn = self.routing if self.routing is not None else self.topology.routing()
-        return as_routing_function(fn)
 
 
 @dataclass
@@ -142,7 +138,7 @@ def build_fabric(builder: NetworkBuilder, config: FabricConfig) -> Fabric:
     """
     fabric = Fabric(config)
     topology = config.topology
-    routing = config.routing_function()
+    routing = config.routing or topology.routing()
     inj_size = config.injection_size or config.queue_size
     ej_size = config.ejection_size or config.queue_size
     layers = config.vc_layers
@@ -303,7 +299,7 @@ def build_traffic(
     vcs: int = 1,
     vc_of: Callable[[Message], int] | None = None,
     escape_vcs: bool = False,
-    routing: Callable | None = None,
+    routing: RoutingFunction | None = None,
     validate: bool = True,
 ) -> Network:
     """All-to-all source/sink traffic over ``topology`` — fabric only."""

@@ -1,15 +1,11 @@
 """Routing functions over :class:`~repro.fabrics.topology.Topology`.
 
-The unified routing type is
+Every router has the shape
 
     ``RoutingFunction = (topology, node, message) -> port | None``
 
 (``None`` = deliver locally): the topology argument carries the shape, the
-returned port is one of ``topology.ports(node)``.  The historic mesh
-routers :func:`xy_routing` / :func:`yx_routing` keep their original
-``(node, message) -> Direction | None`` signature as adapters —
-:func:`as_routing_function` lifts either shape to the unified type, so
-existing call sites and configs keep working unchanged.
+returned port is one of ``topology.ports(node)``.
 
 XY (dimension-ordered) mesh routing: correct the x coordinate first, then
 the y coordinate.  The turn restriction (no Y→X turns) makes the routing
@@ -22,7 +18,6 @@ where the deadlocks that remain are cross-layer.  On wraparound fabrics
 
 from __future__ import annotations
 
-import inspect
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .topology import Direction, Node, Port, Topology
@@ -30,21 +25,12 @@ from .topology import Direction, Node, Port, Topology
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..protocols.messages import Message
 
-__all__ = [
-    "RoutingFunction",
-    "as_routing_function",
-    "route_path",
-    "xy_routing",
-    "yx_routing",
-]
+__all__ = ["RoutingFunction", "route_path", "xy_routing", "yx_routing"]
 
 RoutingFunction = Callable[[Topology, Node, "Message"], Optional[Port]]
 
-# Legacy mesh shape, kept for the xy/yx adapters below.
-LegacyRoutingFunction = Callable[[Node, "Message"], Optional[Direction]]
 
-
-def xy_routing(node: Node, message: Message) -> Direction | None:
+def xy_routing(topology: Topology, node: Node, message: Message) -> Direction | None:
     """Dimension-ordered XY: fix x first, then y; None at the destination."""
     x, y = node
     dst_x, dst_y = message.dst
@@ -59,7 +45,7 @@ def xy_routing(node: Node, message: Message) -> Direction | None:
     return None
 
 
-def yx_routing(node: Node, message: Message) -> Direction | None:
+def yx_routing(topology: Topology, node: Node, message: Message) -> Direction | None:
     """Dimension-ordered YX (fix y first) — for ablation experiments."""
     x, y = node
     dst_x, dst_y = message.dst
@@ -74,62 +60,30 @@ def yx_routing(node: Node, message: Message) -> Direction | None:
     return None
 
 
-def as_routing_function(fn: Callable) -> RoutingFunction:
-    """Lift ``fn`` to the unified ``(topology, node, message)`` shape.
-
-    Already-unified functions pass through; two-parameter legacy mesh
-    routers (``(node, message) -> Direction | None``) are wrapped to ignore
-    the topology argument.
-    """
-    try:
-        # follow_wrapped=False: an already-lifted function advertises its
-        # legacy original via __wrapped__ and must not be lifted twice.
-        arity = len(inspect.signature(fn, follow_wrapped=False).parameters)
-    except (TypeError, ValueError):  # builtins / odd callables: assume new
-        return fn
-    if arity >= 3:
-        return fn
-
-    def lifted(topology: Topology, node: Node, message: Message):
-        return fn(node, message)
-
-    lifted.__name__ = getattr(fn, "__name__", "routing")
-    lifted.__wrapped__ = fn
-    return lifted
-
-
 def route_path(
-    routing: Callable,
+    routing: RoutingFunction,
     source: Node,
     message: Message,
+    topology: Topology,
     max_hops: int = 1024,
-    topology: Topology | None = None,
 ) -> list[Node]:
     """The node sequence a message visits from ``source`` to delivery.
 
-    With a ``topology``, hops follow ``topology.neighbour`` (any port
-    shape, wraparound included); without one, the legacy mesh geometry
-    (``Direction`` offsets) is used so historic call sites keep working.
+    Hops follow ``topology.neighbour`` (any port shape, wraparound
+    included).
     """
     path = [source]
     node = source
-    fn = as_routing_function(routing) if topology is not None else None
     for _ in range(max_hops):
-        if topology is None:
-            step = routing(node, message)
-            if step is None:
-                return path
-            node = (node[0] + step.dx, node[1] + step.dy)
-        else:
-            step = fn(topology, node, message)
-            if step is None:
-                return path
-            next_node = topology.neighbour(node, step)
-            if next_node is None:
-                raise RuntimeError(
-                    f"routing stepped off {topology} at {node} via {step!r}"
-                )
-            node = next_node
+        step = routing(topology, node, message)
+        if step is None:
+            return path
+        next_node = topology.neighbour(node, step)
+        if next_node is None:
+            raise RuntimeError(
+                f"routing stepped off {topology} at {node} via {step!r}"
+            )
+        node = next_node
         path.append(node)
     raise RuntimeError(
         f"routing did not converge from {source} to {message.dst} "

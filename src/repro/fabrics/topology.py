@@ -215,11 +215,11 @@ class MeshTopology(Topology):
         return ("xy", "yx")
 
     def routing(self, name: str | None = None) -> "RoutingFunction":
-        from .routing import as_routing_function, xy_routing, yx_routing
+        from .routing import xy_routing, yx_routing
 
         table = {"xy": xy_routing, "yx": yx_routing, None: xy_routing}
         try:
-            return as_routing_function(table[name])
+            return table[name]
         except KeyError:
             raise ValueError(
                 f"unknown mesh routing {name!r} (have {self.routing_names()})"

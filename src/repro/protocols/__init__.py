@@ -6,11 +6,13 @@
   protocol with cache-to-cache forwarding, write-back ack/nack and DMA.
 * :mod:`repro.protocols.msi` — a directory MSI protocol with a bounded
   exact sharer record and request/response/writeback virtual networks.
+* :mod:`repro.protocols.assembly` — the one wiring of controllers onto a
+  fabric or the handshake ether, and the :class:`ProtocolInstance` every
+  fabric builder returns.
 """
 
 from ..core.experiments import register_builder
 from .abstract_mi import (
-    AbstractMIInstance,
     abstract_mi_ether,
     abstract_mi_mesh,
     abstract_mi_network,
@@ -20,9 +22,9 @@ from .abstract_mi import (
     build_directory_automaton,
     request_response_vc,
 )
+from .assembly import ProtocolInstance
 from .messages import TOKEN, Message
 from .mi_gem5 import (
-    MIInstance,
     build_mi_cache,
     build_mi_directory,
     build_mi_dma,
@@ -34,7 +36,6 @@ from .mi_gem5 import (
     mi_vc_assignment,
 )
 from .msi import (
-    MSIInstance,
     build_msi_cache,
     build_msi_directory,
     msi_mesh,
@@ -47,7 +48,7 @@ from .msi import (
 __all__ = [
     "Message",
     "TOKEN",
-    "AbstractMIInstance",
+    "ProtocolInstance",
     "abstract_mi_mesh",
     "abstract_mi_network",
     "abstract_mi_ring",
@@ -56,7 +57,6 @@ __all__ = [
     "build_cache_automaton",
     "build_directory_automaton",
     "request_response_vc",
-    "MIInstance",
     "mi_mesh",
     "mi_network",
     "mi_ring",
@@ -66,7 +66,6 @@ __all__ = [
     "build_mi_directory",
     "build_mi_dma",
     "mi_vc_assignment",
-    "MSIInstance",
     "msi_mesh",
     "msi_network",
     "msi_ring",
@@ -78,8 +77,8 @@ __all__ = [
 
 # Experiment-grid identities: ScenarioSpecs name these builders as plain
 # strings (repro.core.experiments), so grid points stay picklable across
-# any multiprocessing start method.  All return instance objects whose
-# ``.network`` the experiment layer unwraps.  Families group a protocol
+# any multiprocessing start method.  All return ProtocolInstance objects
+# whose ``.network`` the experiment layer unwraps.  Families group a protocol
 # across its topologies for discovery (builder_catalog / service ops).
 register_builder("abstract_mi_mesh", abstract_mi_mesh, family="abstract_mi")
 register_builder("abstract_mi_torus", abstract_mi_torus, family="abstract_mi")

@@ -34,9 +34,7 @@ spontaneous ``putX`` (ditto).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..fabrics import FabricConfig, MeshFabric, build_fabric
+from ..fabrics import Fabric, FabricConfig, build_fabric
 from ..fabrics.routing import RoutingFunction, xy_routing
 from ..fabrics.topology import (
     MeshTopology,
@@ -46,10 +44,11 @@ from ..fabrics.topology import (
     TorusTopology,
 )
 from ..xmas import Automaton, Network, NetworkBuilder, Transition
-from .messages import TOKEN, Message
+from .assembly import ProtocolInstance, attach, ether, message_is
+from .messages import Message
 
 __all__ = [
-    "AbstractMIInstance",
+    "abstract_mi_ether",
     "abstract_mi_mesh",
     "abstract_mi_network",
     "abstract_mi_ring",
@@ -68,15 +67,6 @@ ACK = "ack"
 def request_response_vc(message: Message) -> int:
     """The standard VC assignment: requests on VC0, responses on VC1."""
     return 0 if message.mtype in (GETX, PUTX) else 1
-
-
-def _is(mtype: str, src: Node | None = None):
-    def guard(message) -> bool:
-        if not isinstance(message, Message) or message.mtype != mtype:
-            return False
-        return src is None or message.src == src
-
-    return guard
 
 
 def build_cache_automaton(
@@ -113,7 +103,7 @@ def build_cache_automaton(
             origin="M",
             target="MI",
             in_port="net_in",
-            guard=_is(INV),
+            guard=message_is(INV),
             out_port="net_out",
             produce=lambda _d, m=putx: m,
         ),
@@ -122,7 +112,7 @@ def build_cache_automaton(
             origin="MI",
             target="I",
             in_port="net_in",
-            guard=_is(ACK),
+            guard=message_is(ACK),
         ),
     ]
     if voluntary_replacement:
@@ -143,7 +133,7 @@ def build_cache_automaton(
                     origin="I",
                     target="I",
                     in_port="net_in",
-                    guard=_is(INV),
+                    guard=message_is(INV),
                 )
             )
             transitions.append(
@@ -152,7 +142,7 @@ def build_cache_automaton(
                     origin="MI",
                     target="MI",
                     in_port="net_in",
-                    guard=_is(INV),
+                    guard=message_is(INV),
                 )
             )
     return builder.automaton(
@@ -198,7 +188,7 @@ def build_directory_automaton(
                 origin="I",
                 target=m_state(c),
                 in_port="net_in",
-                guard=_is(GETX, src=c),
+                guard=message_is(GETX, src=c),
             )
         )
         transitions.append(
@@ -232,7 +222,7 @@ def build_directory_automaton(
                     origin=origin,
                     target="I",
                     in_port="net_in",
-                    guard=_is(PUTX, src=c),
+                    guard=message_is(PUTX, src=c),
                     out_port="net_out",
                     produce=lambda _d, m=ack: m,
                 )
@@ -247,18 +237,35 @@ def build_directory_automaton(
     )
 
 
-@dataclass
-class AbstractMIInstance:
-    """A built case-study network with handles to its parts."""
-
-    network: Network
-    fabric: MeshFabric
-    directory: Automaton
-    directory_node: Node
-    caches: dict[Node, Automaton] = field(default_factory=dict)
-
-    def cache_nodes(self) -> list[Node]:
-        return sorted(self.caches)
+def _controllers(
+    builder: NetworkBuilder,
+    fabric: Fabric | None,
+    directory_node: Node,
+    cache_nodes: list[Node],
+    repeat_inv: bool,
+    voluntary_replacement: bool,
+    drop_stale_invs: bool,
+) -> tuple[Automaton, dict[Node, Automaton]]:
+    """Build and :func:`attach` the caches, then the directory."""
+    caches = {
+        node: attach(
+            builder,
+            build_cache_automaton(
+                builder, node, directory_node, voluntary_replacement, drop_stale_invs
+            ),
+            node,
+            fabric,
+        )
+        for node in cache_nodes
+    }
+    directory = build_directory_automaton(
+        builder,
+        directory_node,
+        cache_nodes,
+        repeat_inv=repeat_inv,
+        accept_put_in_m=voluntary_replacement,
+    )
+    return attach(builder, directory, directory_node, fabric), caches
 
 
 def abstract_mi_network(
@@ -273,7 +280,7 @@ def abstract_mi_network(
     drop_stale_invs: bool = True,
     validate: bool = True,
     name: str | None = None,
-) -> AbstractMIInstance:
+) -> ProtocolInstance:
     """The abstract MI protocol over any :class:`Topology`.
 
     Every node except ``directory_node`` (default: the last node in
@@ -296,36 +303,17 @@ def abstract_mi_network(
         escape_vcs=escape_vcs,
     )
     fabric = build_fabric(builder, config)
-    cache_nodes = [n for n in topology.nodes() if n != directory_node]
-
-    caches: dict[Node, Automaton] = {}
-    for node in cache_nodes:
-        automaton = build_cache_automaton(
-            builder, node, directory_node, voluntary_replacement, drop_stale_invs
-        )
-        source = builder.source(f"tok_cache_{node[0]}_{node[1]}", colors={TOKEN})
-        builder.connect(source.o, automaton.port("tok"))
-        builder.connect(automaton.port("net_out"), fabric.inject_ports[node])
-        builder.connect(fabric.deliver_ports[node], automaton.port("net_in"))
-        caches[node] = automaton
-
-    directory = build_directory_automaton(
+    directory, caches = _controllers(
         builder,
+        fabric,
         directory_node,
-        cache_nodes,
-        repeat_inv=repeat_inv,
-        accept_put_in_m=voluntary_replacement,
+        [n for n in topology.nodes() if n != directory_node],
+        repeat_inv,
+        voluntary_replacement,
+        drop_stale_invs,
     )
-    source = builder.source(
-        f"tok_dir_{directory_node[0]}_{directory_node[1]}", colors={TOKEN}
-    )
-    builder.connect(source.o, directory.port("tok"))
-    builder.connect(directory.port("net_out"), fabric.inject_ports[directory_node])
-    builder.connect(fabric.deliver_ports[directory_node], directory.port("net_in"))
-
-    network = builder.build(validate=validate)
-    return AbstractMIInstance(
-        network=network,
+    return ProtocolInstance(
+        network=builder.build(validate=validate),
         fabric=fabric,
         directory=directory,
         directory_node=directory_node,
@@ -344,7 +332,7 @@ def abstract_mi_mesh(
     voluntary_replacement: bool = False,
     drop_stale_invs: bool = True,
     validate: bool = True,
-) -> AbstractMIInstance:
+) -> ProtocolInstance:
     """The paper's case study: abstract MI on a ``width×height`` mesh."""
     return abstract_mi_network(
         MeshTopology(width, height),
@@ -371,7 +359,7 @@ def abstract_mi_torus(
     voluntary_replacement: bool = False,
     drop_stale_invs: bool = True,
     validate: bool = True,
-) -> AbstractMIInstance:
+) -> ProtocolInstance:
     """Abstract MI on a wraparound torus (dateline escape VCs by default)."""
     return abstract_mi_network(
         TorusTopology(width, height),
@@ -396,7 +384,7 @@ def abstract_mi_ring(
     voluntary_replacement: bool = False,
     drop_stale_invs: bool = True,
     validate: bool = True,
-) -> AbstractMIInstance:
+) -> ProtocolInstance:
     """Abstract MI on a bidirectional ring (dateline escape VCs by default)."""
     return abstract_mi_network(
         RingTopology(n_nodes),
@@ -421,51 +409,21 @@ def abstract_mi_ether(
 ) -> Network:
     """The protocol alone, composed by synchronous handshaking (E9 baseline).
 
-    Same automata as :func:`abstract_mi_mesh`, but the interconnect is a
-    queue-free "ether": every ``net_out`` feeds a merge whose output is
-    switched by destination straight into the addressee's ``net_in``.
-    Feed the result to
-    :func:`repro.mc.check_handshake_composition`.
+    The controllers of :func:`abstract_mi_mesh`, closed by the queue-free
+    :func:`~repro.protocols.assembly.ether` instead of a fabric.  Feed the
+    result to :func:`repro.mc.check_handshake_composition`.
     """
+    nodes = list(MeshTopology(width, height).nodes())
     if directory_node is None:
-        directory_node = (width - 1, height - 1)
+        directory_node = nodes[-1]
     builder = NetworkBuilder(f"abstract-mi-ether-{width}x{height}")
-    nodes = [
-        (x, y) for y in range(height) for x in range(width)
-    ]
-    cache_nodes = [n for n in nodes if n != directory_node]
-
-    automata = {}
-    for node in cache_nodes:
-        automaton = build_cache_automaton(
-            builder, node, directory_node, voluntary_replacement, drop_stale_invs
-        )
-        source = builder.source(f"tok_cache_{node[0]}_{node[1]}", colors={TOKEN})
-        builder.connect(source.o, automaton.port("tok"))
-        automata[node] = automaton
-    directory = build_directory_automaton(
+    directory, caches = _controllers(
         builder,
+        None,
         directory_node,
-        cache_nodes,
-        repeat_inv=repeat_inv,
-        accept_put_in_m=voluntary_replacement,
+        [n for n in nodes if n != directory_node],
+        repeat_inv,
+        voluntary_replacement,
+        drop_stale_invs,
     )
-    source = builder.source(
-        f"tok_dir_{directory_node[0]}_{directory_node[1]}", colors={TOKEN}
-    )
-    builder.connect(source.o, directory.port("tok"))
-    automata[directory_node] = directory
-
-    ether = builder.merge("ether", n_inputs=len(automata))
-    ordered = sorted(automata)
-    for position, node in enumerate(ordered):
-        builder.connect(automata[node].port("net_out"), ether.ins[position])
-    deliver = builder.switch(
-        "deliver",
-        route=lambda message: ordered.index(message.dst),
-        n_outputs=len(ordered),
-    )
-    builder.connect(ether.o, deliver.i)
-    for position, node in enumerate(ordered):
-        builder.connect(deliver.outs[position], automata[node].port("net_in"))
-    return builder.build()
+    return ether(builder, {**caches, directory_node: directory})

@@ -50,9 +50,7 @@ write-backs are nacked instead of stalling the directory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..fabrics import FabricConfig, MeshFabric, build_fabric
+from ..fabrics import Fabric, FabricConfig, build_fabric
 from ..fabrics.routing import RoutingFunction, xy_routing
 from ..fabrics.topology import (
     MeshTopology,
@@ -62,10 +60,10 @@ from ..fabrics.topology import (
     TorusTopology,
 )
 from ..xmas import Automaton, Network, NetworkBuilder, Transition
-from .messages import TOKEN, Message
+from .assembly import ProtocolInstance, attach, ether, message_is
+from .messages import Message
 
 __all__ = [
-    "MIInstance",
     "mi_mesh",
     "mi_network",
     "mi_ring",
@@ -92,17 +90,6 @@ RESPONSE_TYPES = (FWD, DATA, UNBLOCK, WBACK, WBNACK)
 def mi_vc_assignment(message: Message) -> int:
     """Requests on VC0, responses/forwards on VC1."""
     return 0 if message.mtype in REQUEST_TYPES else 1
-
-
-def _is(mtype: str, src: Node | None = None, dst: Node | None = None):
-    def guard(message) -> bool:
-        if not isinstance(message, Message) or message.mtype != mtype:
-            return False
-        if src is not None and message.src != src:
-            return False
-        return dst is None or message.dst == dst
-
-    return guard
 
 
 def build_mi_cache(
@@ -138,7 +125,7 @@ def build_mi_cache(
             origin="IM",
             target="M",
             in_port="net_in",
-            guard=_is(DATA, dst=node),
+            guard=message_is(DATA, dst=node),
             out_port="net_out",
             produce=lambda _d, m=unblock: m,
         ),
@@ -155,21 +142,21 @@ def build_mi_cache(
             origin="MI",
             target="I",
             in_port="net_in",
-            guard=_is(WBACK, dst=node),
+            guard=message_is(WBACK, dst=node),
         ),
         Transition(
             name="wbnack?",
             origin="MI",
             target="II",
             in_port="net_in",
-            guard=_is(WBNACK, dst=node),
+            guard=message_is(WBNACK, dst=node),
         ),
         Transition(
             name="wbnack?@II",
             origin="II",
             target="I",
             in_port="net_in",
-            guard=_is(WBNACK, dst=node),
+            guard=message_is(WBNACK, dst=node),
         ),
     ]
     for peer in peer_nodes:
@@ -186,7 +173,7 @@ def build_mi_cache(
                     origin=origin,
                     target=target,
                     in_port="net_in",
-                    guard=_is(FWD, src=peer, dst=node),
+                    guard=message_is(FWD, src=peer, dst=node),
                     out_port="net_out",
                     produce=lambda _d, m=data: m,
                 )
@@ -225,7 +212,7 @@ def build_mi_directory(
                 origin="I",
                 target="MB",
                 in_port="net_in",
-                guard=_is(GETX, src=c),
+                guard=message_is(GETX, src=c),
                 out_port="net_out",
                 produce=lambda _d, m=data: m,
             )
@@ -236,7 +223,7 @@ def build_mi_directory(
                 origin="MB",
                 target=m_state(c),
                 in_port="net_in",
-                guard=_is(UNBLOCK, src=c),
+                guard=message_is(UNBLOCK, src=c),
             )
         )
         transitions.append(
@@ -245,7 +232,7 @@ def build_mi_directory(
                 origin=m_state(c),
                 target="I",
                 in_port="net_in",
-                guard=_is(PUTX, src=c),
+                guard=message_is(PUTX, src=c),
                 out_port="net_out",
                 produce=lambda _d, m=wback: m,
             )
@@ -258,7 +245,7 @@ def build_mi_directory(
                 origin="MB",
                 target="MB",
                 in_port="net_in",
-                guard=_is(PUTX, src=c),
+                guard=message_is(PUTX, src=c),
                 out_port="net_out",
                 produce=lambda _d, m=wbnack: m,
             )
@@ -272,7 +259,7 @@ def build_mi_directory(
                     origin=m_state(owner),
                     target=m_state(owner),
                     in_port="net_in",
-                    guard=_is(PUTX, src=c),
+                    guard=message_is(PUTX, src=c),
                     out_port="net_out",
                     produce=lambda _d, m=wbnack: m,
                 )
@@ -288,7 +275,7 @@ def build_mi_directory(
                     origin=m_state(c),
                     target="MB",
                     in_port="net_in",
-                    guard=_is(GETX, src=requestor),
+                    guard=message_is(GETX, src=requestor),
                     out_port="net_out",
                     produce=lambda _d, m=fwd: m,
                 )
@@ -302,7 +289,7 @@ def build_mi_directory(
                     origin=m_state(c),
                     target=m_state(c),
                     in_port="net_in",
-                    guard=_is(GETX, src=dma_node),
+                    guard=message_is(GETX, src=dma_node),
                     out_port="net_out",
                     produce=lambda _d, m=dma_fwd: m,
                 )
@@ -318,7 +305,7 @@ def build_mi_directory(
                 origin="I",
                 target="DR",
                 in_port="net_in",
-                guard=_is(GETX, src=dma_node),
+                guard=message_is(GETX, src=dma_node),
                 out_port="net_out",
                 produce=lambda _d, m=dma_data: m,
             )
@@ -329,7 +316,7 @@ def build_mi_directory(
                 origin="I",
                 target="DW",
                 in_port="net_in",
-                guard=_is(PUTX, src=dma_node),
+                guard=message_is(PUTX, src=dma_node),
                 out_port="net_out",
                 produce=lambda _d, m=dma_wback: m,
             )
@@ -345,7 +332,7 @@ def build_mi_directory(
                 origin="DR",
                 target="I",
                 in_port="net_in",
-                guard=_is(UNBLOCK, src=dma_node),
+                guard=message_is(UNBLOCK, src=dma_node),
             )
         )
         transitions.append(
@@ -354,7 +341,7 @@ def build_mi_directory(
                 origin="DW",
                 target="I",
                 in_port="net_in",
-                guard=_is(DATA, src=dma_node),
+                guard=message_is(DATA, src=dma_node),
             )
         )
     return builder.automaton(
@@ -408,7 +395,7 @@ def build_mi_dma(
             origin="busy_rd",
             target="idle",
             in_port="net_in",
-            guard=_is(DATA, src=directory_node, dst=node),
+            guard=message_is(DATA, src=directory_node, dst=node),
             out_port="net_out",
             produce=lambda _d, m=unblock: m,
         ),
@@ -417,7 +404,7 @@ def build_mi_dma(
             origin="busy_wr",
             target="idle",
             in_port="net_in",
-            guard=_is(WBACK, dst=node),
+            guard=message_is(WBACK, dst=node),
             out_port="net_out",
             produce=lambda _d, m=wrdata: m,
         ),
@@ -429,7 +416,7 @@ def build_mi_dma(
                 origin="busy_rd",
                 target="idle",
                 in_port="net_in",
-                guard=_is(DATA, src=c, dst=node),
+                guard=message_is(DATA, src=c, dst=node),
             )
         )
     return builder.automaton(
@@ -440,22 +427,6 @@ def build_mi_dma(
         out_ports=["net_out"],
         transitions=transitions,
     )
-
-
-@dataclass
-class MIInstance:
-    """A built full-MI case-study network."""
-
-    network: Network
-    fabric: MeshFabric | None
-    directory: Automaton
-    directory_node: Node
-    caches: dict[Node, Automaton] = field(default_factory=dict)
-    dma: Automaton | None = None
-    dma_node: Node | None = None
-
-    def cache_nodes(self) -> list[Node]:
-        return sorted(self.caches)
 
 
 def _plan_nodes(
@@ -476,6 +447,47 @@ def _plan_nodes(
     return directory_node, dma_node, cache_nodes
 
 
+def _controllers(
+    builder: NetworkBuilder,
+    fabric: Fabric | None,
+    directory_node: Node,
+    dma_node: Node | None,
+    cache_nodes: list[Node],
+) -> tuple[Automaton, dict[Node, Automaton], Automaton | None]:
+    """Build and :func:`attach` the caches, the directory and the DMA."""
+    dma_peers = [dma_node] if dma_node else []
+    caches = {
+        node: attach(
+            builder,
+            build_mi_cache(
+                builder,
+                node,
+                directory_node,
+                [n for n in cache_nodes if n != node] + dma_peers,
+                dma_node=dma_node,
+            ),
+            node,
+            fabric,
+        )
+        for node in cache_nodes
+    }
+    directory = attach(
+        builder,
+        build_mi_directory(builder, directory_node, cache_nodes, dma_node),
+        directory_node,
+        fabric,
+    )
+    dma = None
+    if dma_node is not None:
+        dma = attach(
+            builder,
+            build_mi_dma(builder, dma_node, directory_node, cache_nodes),
+            dma_node,
+            fabric,
+        )
+    return directory, caches, dma
+
+
 def mi_network(
     topology: Topology,
     queue_size: int,
@@ -487,7 +499,7 @@ def mi_network(
     escape_vcs: bool = False,
     validate: bool = True,
     name: str | None = None,
-) -> MIInstance:
+) -> ProtocolInstance:
     """The full MI protocol over any :class:`Topology`.
 
     One node hosts the directory (default: the last node in canonical
@@ -509,37 +521,11 @@ def mi_network(
         escape_vcs=escape_vcs,
     )
     fabric = build_fabric(builder, config)
-
-    peers_of = {
-        c: [n for n in cache_nodes if n != c] + ([dma_node] if dma_node else [])
-        for c in cache_nodes
-    }
-    caches: dict[Node, Automaton] = {}
-    for node in cache_nodes:
-        automaton = build_mi_cache(
-            builder, node, directory_node, peers_of[node], dma_node=dma_node
-        )
-        source = builder.source(f"tok_cache_{node[0]}_{node[1]}", colors={TOKEN})
-        builder.connect(source.o, automaton.port("tok"))
-        builder.connect(automaton.port("net_out"), fabric.inject_ports[node])
-        builder.connect(fabric.deliver_ports[node], automaton.port("net_in"))
-        caches[node] = automaton
-
-    directory = build_mi_directory(builder, directory_node, cache_nodes, dma_node)
-    builder.connect(directory.port("net_out"), fabric.inject_ports[directory_node])
-    builder.connect(fabric.deliver_ports[directory_node], directory.port("net_in"))
-
-    dma = None
-    if dma_node is not None:
-        dma = build_mi_dma(builder, dma_node, directory_node, cache_nodes)
-        source = builder.source(f"tok_dma_{dma_node[0]}_{dma_node[1]}", colors={TOKEN})
-        builder.connect(source.o, dma.port("tok"))
-        builder.connect(dma.port("net_out"), fabric.inject_ports[dma_node])
-        builder.connect(fabric.deliver_ports[dma_node], dma.port("net_in"))
-
-    network = builder.build(validate=validate)
-    return MIInstance(
-        network=network,
+    directory, caches, dma = _controllers(
+        builder, fabric, directory_node, dma_node, cache_nodes
+    )
+    return ProtocolInstance(
+        network=builder.build(validate=validate),
         fabric=fabric,
         directory=directory,
         directory_node=directory_node,
@@ -559,7 +545,7 @@ def mi_mesh(
     vcs: int = 1,
     routing: RoutingFunction = xy_routing,
     validate: bool = True,
-) -> MIInstance:
+) -> ProtocolInstance:
     """The full MI protocol on a ``width × height`` mesh."""
     return mi_network(
         MeshTopology(width, height),
@@ -584,7 +570,7 @@ def mi_torus(
     vcs: int = 1,
     escape_vcs: bool = True,
     validate: bool = True,
-) -> MIInstance:
+) -> ProtocolInstance:
     """The full MI protocol on a torus (dateline escape VCs by default)."""
     return mi_network(
         TorusTopology(width, height),
@@ -607,7 +593,7 @@ def mi_ring(
     vcs: int = 1,
     escape_vcs: bool = True,
     validate: bool = True,
-) -> MIInstance:
+) -> ProtocolInstance:
     """The full MI protocol on a bidirectional ring."""
     return mi_network(
         RingTopology(n_nodes),
@@ -630,43 +616,16 @@ def mi_ether(
 ) -> Network:
     """The full MI protocol under synchronous handshaking (E9 baseline)."""
     directory_node, dma_node, cache_nodes = _plan_nodes(
-        [(x, y) for y in range(height) for x in range(width)],
+        list(MeshTopology(width, height).nodes()),
         directory_node,
         dma_node,
         with_dma,
     )
     builder = NetworkBuilder(f"mi-ether-{width}x{height}")
-    automata: dict[Node, Automaton] = {}
-    peers_of = {
-        c: [n for n in cache_nodes if n != c] + ([dma_node] if dma_node else [])
-        for c in cache_nodes
-    }
-    for node in cache_nodes:
-        automaton = build_mi_cache(
-            builder, node, directory_node, peers_of[node], dma_node=dma_node
-        )
-        source = builder.source(f"tok_cache_{node[0]}_{node[1]}", colors={TOKEN})
-        builder.connect(source.o, automaton.port("tok"))
-        automata[node] = automaton
-    automata[directory_node] = build_mi_directory(
-        builder, directory_node, cache_nodes, dma_node
+    directory, caches, dma = _controllers(
+        builder, None, directory_node, dma_node, cache_nodes
     )
-    if dma_node is not None:
-        dma = build_mi_dma(builder, dma_node, directory_node, cache_nodes)
-        source = builder.source(f"tok_dma_{dma_node[0]}_{dma_node[1]}", colors={TOKEN})
-        builder.connect(source.o, dma.port("tok"))
+    automata = {**caches, directory_node: directory}
+    if dma is not None:
         automata[dma_node] = dma
-
-    ordered = sorted(automata)
-    ether = builder.merge("ether", n_inputs=len(ordered))
-    for position, node in enumerate(ordered):
-        builder.connect(automata[node].port("net_out"), ether.ins[position])
-    deliver = builder.switch(
-        "deliver",
-        route=lambda message: ordered.index(message.dst),
-        n_outputs=len(ordered),
-    )
-    builder.connect(ether.o, deliver.i)
-    for position, node in enumerate(ordered):
-        builder.connect(deliver.outs[position], automata[node].port("net_in"))
-    return builder.build()
+    return ether(builder, automata)

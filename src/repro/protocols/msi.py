@@ -95,9 +95,7 @@ queues behind the requests stalling in front of the directory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..fabrics import FabricConfig, MeshFabric, build_fabric
+from ..fabrics import FabricConfig, build_fabric
 from ..fabrics.routing import RoutingFunction
 from ..fabrics.topology import (
     MeshTopology,
@@ -106,11 +104,11 @@ from ..fabrics.topology import (
     Topology,
     TorusTopology,
 )
-from ..xmas import Automaton, Network, NetworkBuilder, Transition
-from .messages import TOKEN, Message
+from ..xmas import Automaton, NetworkBuilder, Transition
+from .assembly import ProtocolInstance, attach, message_is
+from .messages import Message
 
 __all__ = [
-    "MSIInstance",
     "build_msi_cache",
     "build_msi_directory",
     "msi_mesh",
@@ -146,17 +144,6 @@ def msi_vc_assignment(message: Message) -> int:
     return 2
 
 
-def _is(mtype: str, src: Node | None = None, dst: Node | None = None):
-    def guard(message) -> bool:
-        if not isinstance(message, Message) or message.mtype != mtype:
-            return False
-        if src is not None and message.src != src:
-            return False
-        return dst is None or message.dst == dst
-
-    return guard
-
-
 def _ctag(node: Node) -> str:
     return f"{node[0]}{node[1]}"
 
@@ -188,7 +175,7 @@ def build_msi_cache(
             origin=origin,
             target=target,
             in_port="net_in",
-            guard=_is(DATA, dst=node),
+            guard=message_is(DATA, dst=node),
             out_port="net_out",
             produce=lambda _d, m=unblock: m,
         )
@@ -226,14 +213,14 @@ def build_msi_cache(
             origin="S",
             target="I",
             in_port="net_in",
-            guard=_is(INV, dst=node),
+            guard=message_is(INV, dst=node),
         ),
         Transition(
             name="inv?@SM",
             origin="SM",
             target="IM",
             in_port="net_in",
-            guard=_is(INV, dst=node),
+            guard=message_is(INV, dst=node),
         ),
         Transition(
             name="replace!",
@@ -248,7 +235,7 @@ def build_msi_cache(
             origin="MI",
             target="I",
             in_port="net_in",
-            guard=_is(WBACK, dst=node),
+            guard=message_is(WBACK, dst=node),
         ),
     ]
     # Forwards are served in EVERY state.  Out of M the serve carries the
@@ -273,7 +260,7 @@ def build_msi_cache(
                         origin=origin,
                         target=target,
                         in_port="net_in",
-                        guard=_is(mtype, src=peer, dst=node),
+                        guard=message_is(mtype, src=peer, dst=node),
                         out_port="net_out",
                         produce=lambda _d, m=data: m,
                     )
@@ -289,7 +276,7 @@ def build_msi_cache(
                 origin=state,
                 target=state,
                 in_port="net_in",
-                guard=_is(INV, dst=node),
+                guard=message_is(INV, dst=node),
             )
         )
     return builder.automaton(
@@ -407,7 +394,7 @@ def build_msi_directory(
                 state,
                 state,
                 "net_in",
-                _is(PUTM, src=c),
+                message_is(PUTM, src=c),
                 wback(c),
             )
 
@@ -421,7 +408,7 @@ def build_msi_directory(
                 state,
                 ("BM", r),
                 "net_in",
-                _is(GETM, src=r),
+                message_is(GETM, src=r),
                 data(r),
             )
         else:
@@ -434,7 +421,7 @@ def build_msi_directory(
                 state,
                 target,
                 "net_in",
-                _is(GETM, src=r),
+                message_is(GETM, src=r),
                 inv(pending[0]),
             )
 
@@ -449,7 +436,7 @@ def build_msi_directory(
                     state,
                     ("BS", (), r),
                     "net_in",
-                    _is(GETS, src=r),
+                    message_is(GETS, src=r),
                     data(r),
                 )
                 grant_m(state, r)
@@ -464,7 +451,7 @@ def build_msi_directory(
                             state,
                             ("BS", sharers, r),
                             "net_in",
-                            _is(GETS, src=r),
+                            message_is(GETS, src=r),
                             data(r),
                         )
                     else:
@@ -475,7 +462,7 @@ def build_msi_directory(
                             state,
                             ("GSD", keep, r),
                             "net_in",
-                            _is(GETS, src=r),
+                            message_is(GETS, src=r),
                             inv(evict),
                         )
                 grant_m(state, r)
@@ -490,7 +477,7 @@ def build_msi_directory(
                     state,
                     ("BS", (o,), r),
                     "net_in",
-                    _is(GETS, src=r),
+                    message_is(GETS, src=r),
                     fwd(FWDS, r, o),
                 )
                 emit(
@@ -498,7 +485,7 @@ def build_msi_directory(
                     state,
                     ("BM", r),
                     "net_in",
-                    _is(GETM, src=r),
+                    message_is(GETM, src=r),
                     fwd(FWDM, r, o),
                 )
             emit(
@@ -506,7 +493,7 @@ def build_msi_directory(
                 state,
                 ("I",),
                 "net_in",
-                _is(PUTM, src=o),
+                message_is(PUTM, src=o),
                 wback(o),
             )
             ack_stale_putm(state, real_owner=o)
@@ -520,7 +507,7 @@ def build_msi_directory(
                 state,
                 ("M", r),
                 "net_in",
-                _is(UNBLOCK, src=r),
+                message_is(UNBLOCK, src=r),
             )
             ack_stale_putm(state)
         elif kind == "BS":
@@ -531,7 +518,7 @@ def build_msi_directory(
                 state,
                 ("S", grown),
                 "net_in",
-                _is(UNBLOCK, src=r),
+                message_is(UNBLOCK, src=r),
             )
             ack_stale_putm(state)
         elif kind == "GM":
@@ -577,20 +564,6 @@ def build_msi_directory(
     )
 
 
-@dataclass
-class MSIInstance:
-    """A built MSI case-study network with handles to its parts."""
-
-    network: Network
-    fabric: MeshFabric
-    directory: Automaton
-    directory_node: Node
-    caches: dict[Node, Automaton] = field(default_factory=dict)
-
-    def cache_nodes(self) -> list[Node]:
-        return sorted(self.caches)
-
-
 def msi_network(
     topology: Topology,
     queue_size: int,
@@ -601,7 +574,7 @@ def msi_network(
     max_sharers: int = 2,
     validate: bool = True,
     name: str | None = None,
-) -> MSIInstance:
+) -> ProtocolInstance:
     """Directory MSI over any :class:`Topology`.
 
     Every node except ``directory_node`` (default: the last node in
@@ -624,30 +597,27 @@ def msi_network(
     )
     fabric = build_fabric(builder, config)
     cache_nodes = [n for n in topology.nodes() if n != directory_node]
-
-    caches: dict[Node, Automaton] = {}
-    for node in cache_nodes:
-        peers = [n for n in cache_nodes if n != node]
-        automaton = build_msi_cache(builder, node, directory_node, peers)
-        source = builder.source(f"tok_cache_{node[0]}_{node[1]}", colors={TOKEN})
-        builder.connect(source.o, automaton.port("tok"))
-        builder.connect(automaton.port("net_out"), fabric.inject_ports[node])
-        builder.connect(fabric.deliver_ports[node], automaton.port("net_in"))
-        caches[node] = automaton
-
-    directory = build_msi_directory(
-        builder, directory_node, cache_nodes, max_sharers=max_sharers
+    caches = {
+        node: attach(
+            builder,
+            build_msi_cache(
+                builder, node, directory_node, [n for n in cache_nodes if n != node]
+            ),
+            node,
+            fabric,
+        )
+        for node in cache_nodes
+    }
+    directory = attach(
+        builder,
+        build_msi_directory(
+            builder, directory_node, cache_nodes, max_sharers=max_sharers
+        ),
+        directory_node,
+        fabric,
     )
-    source = builder.source(
-        f"tok_dir_{directory_node[0]}_{directory_node[1]}", colors={TOKEN}
-    )
-    builder.connect(source.o, directory.port("tok"))
-    builder.connect(directory.port("net_out"), fabric.inject_ports[directory_node])
-    builder.connect(fabric.deliver_ports[directory_node], directory.port("net_in"))
-
-    network = builder.build(validate=validate)
-    return MSIInstance(
-        network=network,
+    return ProtocolInstance(
+        network=builder.build(validate=validate),
         fabric=fabric,
         directory=directory,
         directory_node=directory_node,
@@ -663,7 +633,7 @@ def msi_mesh(
     vcs: int = MSI_VNETS,
     max_sharers: int = 2,
     validate: bool = True,
-) -> MSIInstance:
+) -> ProtocolInstance:
     """Directory MSI on a ``width × height`` mesh."""
     return msi_network(
         MeshTopology(width, height),
@@ -684,7 +654,7 @@ def msi_torus(
     escape_vcs: bool = True,
     max_sharers: int = 2,
     validate: bool = True,
-) -> MSIInstance:
+) -> ProtocolInstance:
     """Directory MSI on a torus (dateline escape VCs by default)."""
     return msi_network(
         TorusTopology(width, height),
@@ -705,7 +675,7 @@ def msi_ring(
     escape_vcs: bool = True,
     max_sharers: int = 2,
     validate: bool = True,
-) -> MSIInstance:
+) -> ProtocolInstance:
     """Directory MSI on a bidirectional ring."""
     return msi_network(
         RingTopology(n_nodes),

@@ -8,7 +8,7 @@ an exact rational simplex, and branch-and-bound integrality — all pure
 Python, no external solver required.
 """
 
-from .sat import BudgetExceeded, Cdcl
+from .sat import Cdcl
 from .serialize import SolverSnapshot, restore_solver, snapshot_solver
 from .solver import Model, Result, Solver, SolverBudgetError
 from .terms import (
@@ -51,7 +51,6 @@ __all__ = [
     "snapshot_solver",
     "restore_solver",
     "Cdcl",
-    "BudgetExceeded",
     "Term",
     "BoolVar",
     "BoolConst",

@@ -1330,7 +1330,6 @@ class Cdcl:
     # ------------------------------------------------------------------
     def solve(
         self,
-        max_conflicts: int | None = None,
         assumptions: Sequence[int] = (),
         conflict_limit: int | None = None,
         should_stop: Callable[[], bool] | None = None,
@@ -1357,22 +1356,17 @@ class Cdcl:
         reusable: everything learned during the slice is kept, so a later
         call resumes where this one stopped.  ``conflict_limit``
         expiry bumps ``stats["conflict_limit_hits"]``; a ``should_stop``
-        hit bumps ``stats["cancelled"]``.  (``max_conflicts`` is the older
-        *cumulative* budget that raises :class:`BudgetExceeded` instead —
-        a hard failure, not a slice boundary.)
+        hit bumps ``stats["cancelled"]``.
         """
         try:
-            return self._solve(
-                max_conflicts, assumptions, conflict_limit, should_stop
-            )
+            return self._solve(assumptions, conflict_limit, should_stop)
         finally:
             # Fold the int-accumulated hot-path counters into the public
-            # stats/profile dicts on every exit (verdict or budget raise).
+            # stats/profile dicts on every exit.
             self._flush_counters()
 
     def _solve(
         self,
-        max_conflicts: int | None,
         assumptions: Sequence[int],
         conflict_limit: int | None = None,
         should_stop: Callable[[], bool] | None = None,
@@ -1445,8 +1439,6 @@ class Cdcl:
             if conflict_codes is not None:
                 self.stats["conflicts"] += 1
                 conflicts_here += 1
-                if max_conflicts is not None and self.stats["conflicts"] > max_conflicts:
-                    raise BudgetExceeded(self.stats["conflicts"])
                 # A theory conflict may live entirely below the current level.
                 top = 0
                 for code in conflict_codes:
@@ -1536,7 +1528,3 @@ class Cdcl:
 
     def model_value(self, var: int) -> bool:
         return self._val[var << 1] == 1
-
-
-class BudgetExceeded(RuntimeError):
-    """Raised when the conflict budget passed to :meth:`Cdcl.solve` runs out."""

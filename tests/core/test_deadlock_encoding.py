@@ -102,7 +102,7 @@ def test_assertion_cases_labelled():
     colors = derive_colors(net)
     encoding = encode_deadlock(net, colors, VarPool())
     assert isinstance(encoding, DeadlockEncoding)
-    labels = [label for label, _ in encoding.assertion_cases]
+    labels = [case.label for case in encoding.cases]
     assert any("source" in label for label in labels)
     assert any("queue" in label for label in labels)
 

@@ -98,7 +98,9 @@ def test_without_invariants_candidates_appear():
     assert witness is not None
     states = witness.automaton_states
     contents = witness.queue_contents
-    total = witness.total_packets()
+    total = sum(
+        sum(queue.values()) for queue in witness.queue_contents.values()
+    )
     # The two candidates the paper reports: empty queues in (s1, t0), or
     # full queues (q0: reqs, q1: acks) in (s0, t1).
     if total == 0:

@@ -3,60 +3,58 @@
 import pytest
 
 from repro.core import derive_colors
-from repro.fabrics import MeshConfig, build_mesh, route_path, xy_routing
+from repro.fabrics import (
+    FabricConfig,
+    MeshTopology,
+    build_fabric,
+    build_traffic,
+    route_path,
+    xy_routing,
+)
 from repro.protocols import Message
 from repro.protocols.abstract_mi import request_response_vc
 from repro.xmas import NetworkBuilder
 
 
-def closed_mesh(config):
-    """Build a mesh and close every node with a source and sink."""
-    builder = NetworkBuilder("mesh-test")
-    fabric = build_mesh(builder, config)
-    topology = config.topology
-    all_nodes = list(topology.nodes())
-    for node in all_nodes:
-        others = [n for n in all_nodes if n != node]
-        colors = {Message("pkt", src=node, dst=other) for other in others}
-        src = builder.source(f"src_{node[0]}_{node[1]}", colors=colors)
-        snk = builder.sink(f"snk_{node[0]}_{node[1]}")
-        builder.connect(src.o, fabric.inject_ports[node])
-        builder.connect(fabric.deliver_ports[node], snk.i)
-    return builder.build(), fabric
+def queues(net, prefix):
+    """The queues of ``net`` whose names start with ``prefix``: ``q_``
+    (links), ``inj_`` (injection) or ``ej_`` (ejection)."""
+    return [queue for queue in net.queues() if queue.name.startswith(prefix)]
 
 
 def test_2x2_structure():
-    net, fabric = closed_mesh(MeshConfig(2, 2, queue_size=2))
+    net = build_traffic(MeshTopology(2, 2), queue_size=2)
     stats = net.stats()
     # per node: 2 link queues + 1 injection + 1 ejection = 4 queues
     assert stats["queues"] == 16
-    assert len(fabric.link_queues) == 8
-    assert len(fabric.ejection_queues) == 4
+    assert len(queues(net, "q_")) == 8
+    assert len(queues(net, "ej_")) == 4
 
 
 def test_3x3_queue_count():
-    net, fabric = closed_mesh(MeshConfig(3, 3, queue_size=1))
+    net = build_traffic(MeshTopology(3, 3), queue_size=1)
     # link queues = directed links: 2*(3*2*2) = 24; +9 inj +9 ej
-    assert len(fabric.link_queues) == 24
+    assert len(queues(net, "q_")) == 24
     assert net.stats()["queues"] == 42
 
 
 def test_ejection_queues_rotate():
-    _, fabric = closed_mesh(MeshConfig(2, 2, queue_size=2))
-    for queue in fabric.ejection_queues.values():
+    net = build_traffic(MeshTopology(2, 2), queue_size=2)
+    for queue in queues(net, "ej_"):
         assert queue.rotating
-    for queue in fabric.link_queues:
+    for queue in queues(net, "q_"):
         assert not queue.rotating
 
 
 def test_colors_follow_xy_paths():
-    net, fabric = closed_mesh(MeshConfig(3, 3, queue_size=1))
+    topology = MeshTopology(3, 3)
+    net = build_traffic(topology, queue_size=1)
     colors = derive_colors(net)
     # A packet (0,0)->(2,2) must appear exactly on the queues along its
     # XY path and nowhere else.
     packet = Message("pkt", src=(0, 0), dst=(2, 2))
-    expected_path = route_path(xy_routing, (0, 0), packet)
-    for queue in fabric.link_queues:
+    expected_path = route_path(xy_routing, (0, 0), packet, topology)
+    for queue in queues(net, "q_"):
         qcolors = colors.of(net.channel_of(queue.i))
         # link queue names: q_{x}_{y}_{dir-of-entry}
         parts = queue.name.split("_")
@@ -64,17 +62,14 @@ def test_colors_follow_xy_paths():
         if packet in qcolors:
             assert node in expected_path
     # it must reach the destination ejection queue
-    ej = fabric.ejection_queues[(2, 2)]
-    assert packet in colors.of(net.channel_of(ej.i))
+    assert packet in colors.of(net.channel_of(net["ej_2_2"].i))
     # and never the opposite corner's
-    ej_wrong = fabric.ejection_queues[(0, 0)]
-    assert packet not in colors.of(net.channel_of(ej_wrong.i))
+    assert packet not in colors.of(net.channel_of(net["ej_0_0"].i))
 
 
 def test_self_send_ejects_locally():
     builder = NetworkBuilder("selfsend")
-    config = MeshConfig(2, 1, queue_size=1)
-    fabric = build_mesh(builder, config)
+    fabric = build_fabric(builder, FabricConfig(MeshTopology(2, 1), queue_size=1))
     loop = Message("pkt", src=(0, 0), dst=(0, 0))
     src = builder.source("src00", colors={loop})
     snk = builder.sink("snk00")
@@ -96,17 +91,20 @@ def test_self_send_ejects_locally():
 
 
 def test_vcs_create_per_vc_queues():
-    config = MeshConfig(2, 2, queue_size=2, vcs=2, vc_of=request_response_vc)
-    net, fabric = closed_mesh(config)
+    net = build_traffic(
+        MeshTopology(2, 2), queue_size=2, vcs=2, vc_of=request_response_vc
+    )
     # per node: 2 links * 2 vcs + 2 injection vcs + 1 ejection = 7 queues
     assert net.stats()["queues"] == 28
-    assert len(fabric.injection_queues[(0, 0)]) == 2
+    assert len(queues(net, "inj_0_0_")) == 2
 
 
 def test_vc_assignment_separates_traffic():
-    config = MeshConfig(2, 2, queue_size=2, vcs=2, vc_of=request_response_vc)
+    config = FabricConfig(
+        MeshTopology(2, 2), queue_size=2, vcs=2, vc_of=request_response_vc
+    )
     builder = NetworkBuilder("vc-test")
-    fabric = build_mesh(builder, config)
+    fabric = build_fabric(builder, config)
     topology = config.topology
     for node in topology.nodes():
         others = [n for n in topology.nodes() if n != node]
@@ -128,17 +126,19 @@ def test_vc_assignment_separates_traffic():
 
 def test_mesh_requires_two_nodes():
     with pytest.raises(ValueError):
-        MeshConfig(1, 1, queue_size=1)
+        FabricConfig(MeshTopology(1, 1), queue_size=1)
 
 
 def test_vcs_require_assignment():
     with pytest.raises(ValueError):
-        MeshConfig(2, 2, queue_size=1, vcs=2)
+        FabricConfig(MeshTopology(2, 2), queue_size=1, vcs=2)
 
 
 def test_injection_and_ejection_sizes():
-    config = MeshConfig(2, 2, queue_size=5, injection_size=1, ejection_size=7)
-    _, fabric = closed_mesh(config)
+    config = FabricConfig(
+        MeshTopology(2, 2), queue_size=5, injection_size=1, ejection_size=7
+    )
+    fabric = build_fabric(NetworkBuilder("sizes"), config)
     assert all(q.size == 1 for qs in fabric.injection_queues.values() for q in qs)
     assert all(q.size == 7 for q in fabric.ejection_queues.values())
     assert all(q.size == 5 for q in fabric.link_queues)

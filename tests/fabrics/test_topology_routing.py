@@ -40,37 +40,41 @@ def test_direction_opposites():
     assert Direction.EAST.opposite is Direction.WEST
 
 
+MESH = MeshTopology(3, 3)
+
+
 def test_xy_routing_x_first():
-    assert xy_routing((0, 0), msg((0, 0), (2, 2))) is Direction.EAST
-    assert xy_routing((2, 0), msg((0, 0), (2, 2))) is Direction.SOUTH
-    assert xy_routing((2, 2), msg((0, 0), (2, 2))) is None
+    assert xy_routing(MESH, (0, 0), msg((0, 0), (2, 2))) is Direction.EAST
+    assert xy_routing(MESH, (2, 0), msg((0, 0), (2, 2))) is Direction.SOUTH
+    assert xy_routing(MESH, (2, 2), msg((0, 0), (2, 2))) is None
 
 
 def test_xy_routing_westward_and_north():
-    assert xy_routing((2, 2), msg((2, 2), (0, 0))) is Direction.WEST
-    assert xy_routing((0, 2), msg((2, 2), (0, 0))) is Direction.NORTH
+    assert xy_routing(MESH, (2, 2), msg((2, 2), (0, 0))) is Direction.WEST
+    assert xy_routing(MESH, (0, 2), msg((2, 2), (0, 0))) is Direction.NORTH
 
 
 def test_yx_routing_y_first():
-    assert yx_routing((0, 0), msg((0, 0), (2, 2))) is Direction.SOUTH
-    assert yx_routing((0, 2), msg((0, 0), (2, 2))) is Direction.EAST
+    assert yx_routing(MESH, (0, 0), msg((0, 0), (2, 2))) is Direction.SOUTH
+    assert yx_routing(MESH, (0, 2), msg((0, 0), (2, 2))) is Direction.EAST
 
 
 def test_route_path_xy():
-    path = route_path(xy_routing, (0, 0), msg((0, 0), (2, 1)))
+    path = route_path(xy_routing, (0, 0), msg((0, 0), (2, 1)), MESH)
     assert path == [(0, 0), (1, 0), (2, 0), (2, 1)]
 
 
 def test_route_path_self():
-    assert route_path(xy_routing, (1, 1), msg((0, 0), (1, 1))) == [(1, 1)]
+    assert route_path(xy_routing, (1, 1), msg((0, 0), (1, 1)), MESH) == [(1, 1)]
 
 
 def test_route_path_detects_divergence():
-    def bad_routing(node, message):
-        return Direction.EAST  # never arrives
+    def bad_routing(topology, node, message):
+        # bounces between (0, 0) and (1, 0): never arrives at (0, 1)
+        return Direction.EAST if node[0] == 0 else Direction.WEST
 
-    with pytest.raises(RuntimeError):
-        route_path(bad_routing, (0, 0), msg((0, 0), (1, 0)), max_hops=8)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        route_path(bad_routing, (0, 0), msg((0, 0), (0, 1)), MESH, max_hops=8)
 
 
 def test_xy_never_turns_y_to_x():
@@ -78,7 +82,7 @@ def test_xy_never_turns_y_to_x():
     topo = MeshTopology(4, 4)
     for src in topo.nodes():
         for dst in topo.nodes():
-            path = route_path(xy_routing, src, msg(src, dst))
+            path = route_path(xy_routing, src, msg(src, dst), topo)
             seen_y = False
             for a, b in zip(path, path[1:]):
                 moved_x = a[0] != b[0]

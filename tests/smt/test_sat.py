@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.smt.sat import SAT, UNSAT, BudgetExceeded, Cdcl, _luby
+from repro.smt.sat import SAT, UNSAT, Cdcl, _luby
 
 
 def solve_clauses(n_vars, clauses):
@@ -100,23 +100,6 @@ def test_incremental_clause_addition():
     assert solver.model_value(2) is True
     solver.add_clause([-2])
     assert solver.solve() == UNSAT
-
-
-def test_budget_exceeded():
-    # A hard-ish random-like instance would take >0 conflicts; force budget 0.
-    def var(p, h):
-        return 3 * (p - 1) + h
-
-    clauses = []
-    for p in range(1, 5):
-        clauses.append([var(p, 1), var(p, 2), var(p, 3)])
-    for h in (1, 2, 3):
-        for p1 in range(1, 5):
-            for p2 in range(p1 + 1, 5):
-                clauses.append([-var(p1, h), -var(p2, h)])
-    solver = solve_clauses(12, clauses)
-    with pytest.raises(BudgetExceeded):
-        solver.solve(max_conflicts=1)
 
 
 def test_stats_populated():
