@@ -4,9 +4,10 @@ The service layer (:mod:`repro.core.service`) answers queries through
 three tiers, cheapest first:
 
 * **cold store** (:class:`VerdictStore`) — a content-addressed verdict
-  archive keyed by ``(encoding_hash, query_key)``.  A hit costs one dict
-  lookup (disk entries are memoised on first read); a million identical
-  mesh queries cost exactly one solve.
+  archive keyed by ``(encoding_hash, query_key)``, kept in one
+  append-only log per encoding.  A hit costs one dict lookup (a log is
+  memoised on first read); a million identical mesh queries cost
+  exactly one solve.
 * **hot tier** (:class:`LruSessionCache`) — live sessions under LRU
   eviction.  Eviction calls the entry's ``close()`` (the
   :class:`~repro.core.engine.VerificationSession` contract), releasing
@@ -18,11 +19,21 @@ three tiers, cheapest first:
   encoding hashes so a request can reach its snapshot without building
   the network.
 
-Everything on-disk is written through :func:`atomic_write_bytes` —
-serialise to a temp file in the *same directory*, then ``os.replace`` —
-so a crash mid-write can corrupt nothing: readers see either the old
-image or the new one, never a torn file.  The same helper backs
-``ExperimentResult.save`` checkpoints.
+Snapshots and their sidecars are written through
+:func:`atomic_write_bytes` — serialise to a temp file in the *same
+directory*, ``fsync``, then ``os.replace`` — so a crash mid-write can
+corrupt neither: readers see either the old image or the new one,
+never a torn file.  The same helper backs ``ExperimentResult.save``
+checkpoints.
+
+The verdict logs and the spec index are appended to instead, one
+canonical JSON line per record in a single ``write``.  Their contract
+is weaker and cheaper: a killed process loses nothing whose append
+returned; an OS crash or power loss can lose the verdicts the syncer
+thread has not yet synced, and can leave a torn last line, which
+readers skip and the next writer ends.  Every archived answer can be
+derived again, so the store can miss a verdict but never serves a
+wrong one.
 
 This module also hosts the canonical hashing helpers that the
 benchmarks previously each re-implemented: :func:`verdict_sha` (16-hex
@@ -38,6 +49,7 @@ import json
 import os
 import pickle
 import tempfile
+import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Iterator
@@ -127,6 +139,53 @@ def sha_bytes(data: bytes) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Append-only logs
+# ---------------------------------------------------------------------------
+
+
+def _open_log(path: Path) -> int:
+    """Open the log at ``path`` for appending, ending a torn last line.
+
+    A process killed in the middle of an append can leave a last line
+    without its newline.  Ending that line here keeps the next record
+    from being glued onto it: the torn line alone is lost, and
+    :func:`_read_log` skips it.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+    try:
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            os.write(fd, b"\n")
+    except BaseException:
+        os.close(fd)
+        raise
+    return fd
+
+
+def _append(fd: int, record: dict) -> None:
+    """Append ``record`` as one canonical JSON line with a single
+    ``write``, so concurrent appenders never interleave inside a line."""
+    os.write(fd, (canonical_json(record) + "\n").encode())
+
+
+def _read_log(path: Path) -> Iterator[dict]:
+    """The records of the log at ``path`` in order; lines that do not
+    parse as a JSON object are skipped, and a missing log is empty."""
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return
+    for line in data.splitlines():
+        try:
+            record = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(record, dict):
+            yield record
+
+
+# ---------------------------------------------------------------------------
 # Cold tier: content-addressed verdict store
 # ---------------------------------------------------------------------------
 
@@ -136,35 +195,75 @@ class VerdictStore:
 
     Entries are canonical JSON payloads (verdict value plus whatever
     non-canonical extras the service chooses to keep — witnesses, cores).
-    Disk layout: ``<root>/verdicts/<encoding_hash>/<sha(query)>.json``;
-    every file carries its query key for debuggability.  All reads are
-    memoised, so steady-state hits never touch the filesystem.  Pass
-    ``root=None`` for a memory-only store.
+    Disk layout: one append-only log per encoding,
+    ``<root>/verdicts/<encoding_hash>.jsonl``, holding one canonical
+    ``{"payload", "query"}`` record per line.  The first record for a
+    key is its answer; a repeat :meth:`put` of a known key writes
+    nothing.  :meth:`get` reads an encoding's log once per instance, on
+    its first miss for that encoding, so steady-state hits and repeat
+    misses never touch the filesystem.  Pass ``root=None`` for a
+    memory-only store.
+
+    :meth:`put` appends its record before it returns and leaves the
+    ``fsync`` to a daemon syncer thread, started on the first put:
+    each pass syncs every log written since the last one, so records
+    appended while an ``fsync`` runs share the next (group commit).
+    :meth:`close` runs a last sync and joins the thread.  Hence:
+
+    * a killed process loses nothing whose :meth:`put` returned — the
+      record is in the kernel already;
+    * only an OS crash or power loss can lose the records not yet
+      synced (``unsynced``);
+    * the store can miss a verdict but never serves a wrong one: a
+      lost verdict is solved again, and a torn line is skipped.
+
+    Per-verdict files (``<encoding_hash>/<sha>.json``) of older
+    releases are not read, so each such verdict is solved once more,
+    as after a ``content_hash()`` change.
     """
 
     def __init__(self, root: str | Path | None) -> None:
         self.root = Path(root) / "verdicts" if root is not None else None
         self._memo: dict[tuple[str, str], dict] = {}
+        self._read: set[str] = set()
+        self._fds: dict[str, int] = {}
+        self._lock = threading.Lock()
+        self._wake = threading.Event()
+        self._dirty: set[int] = set()
+        self._syncer: threading.Thread | None = None
+        self._closing = False
+        self._synced = 0
         self.hits = 0
         self.misses = 0
+        self.records_written = 0
+        self.fsyncs = 0
 
-    def _path(self, encoding_hash: str, query_key: str) -> Path:
+    @property
+    def unsynced(self) -> int:
+        """Records appended but not yet covered by an ``fsync``."""
+        return self.records_written - self._synced
+
+    def _log_path(self, encoding_hash: str) -> Path:
         assert self.root is not None
-        digest = hashlib.sha256(query_key.encode()).hexdigest()[:32]
-        return self.root / encoding_hash / f"{digest}.json"
+        return self.root / f"{encoding_hash}.jsonl"
+
+    def _read_once(self, encoding_hash: str) -> None:
+        """Memoise ``encoding_hash``'s log, once per instance; the first
+        record per key wins."""
+        if self.root is None or encoding_hash in self._read:
+            return
+        self._read.add(encoding_hash)
+        for record in _read_log(self._log_path(encoding_hash)):
+            query, payload = record.get("query"), record.get("payload")
+            if isinstance(query, str) and isinstance(payload, dict):
+                self._memo.setdefault((encoding_hash, query), payload)
 
     def get(self, encoding_hash: str, query_key: str) -> dict | None:
         memo_key = (encoding_hash, query_key)
         payload = self._memo.get(memo_key)
-        if payload is None and self.root is not None:
-            path = self._path(encoding_hash, query_key)
-            try:
-                entry = json.loads(path.read_text())
-            except (OSError, ValueError):
-                entry = None
-            if entry is not None and entry.get("query") == query_key:
-                payload = entry["payload"]
-                self._memo[memo_key] = payload
+        if payload is None:
+            self._read_once(encoding_hash)
+            payload = self._memo.get(memo_key)
         if payload is None:
             self.misses += 1
             return None
@@ -172,12 +271,60 @@ class VerdictStore:
         return payload
 
     def put(self, encoding_hash: str, query_key: str, payload: dict) -> None:
-        self._memo[(encoding_hash, query_key)] = payload
-        if self.root is not None:
-            atomic_write_json(
-                self._path(encoding_hash, query_key),
-                {"query": query_key, "payload": payload},
+        """Archive ``payload`` unless ``query_key`` already has an answer.
+        Calls come from one thread at a time (the service's event loop);
+        only the syncer runs beside them."""
+        self._read_once(encoding_hash)
+        memo_key = (encoding_hash, query_key)
+        if memo_key in self._memo:
+            return
+        self._memo[memo_key] = payload
+        if self.root is None:
+            return
+        fd = self._fds.get(encoding_hash)
+        if fd is None:
+            fd = self._fds[encoding_hash] = _open_log(
+                self._log_path(encoding_hash)
             )
+        _append(fd, {"query": query_key, "payload": payload})
+        with self._lock:
+            self.records_written += 1
+            self._dirty.add(fd)
+            if self._syncer is None:
+                self._syncer = threading.Thread(
+                    target=self._sync_loop, name="verdict-sync", daemon=True
+                )
+                self._syncer.start()
+            self._wake.set()
+
+    def _sync_loop(self) -> None:
+        while True:
+            self._wake.wait()
+            with self._lock:
+                self._wake.clear()
+                dirty, self._dirty = self._dirty, set()
+                written, closing = self.records_written, self._closing
+            for fd in dirty:
+                os.fsync(fd)
+            with self._lock:
+                self.fsyncs += len(dirty)
+                self._synced = written
+            if closing:
+                return
+
+    def close(self) -> None:
+        """Sync every appended record, stop the syncer and close the
+        logs.  Idempotent; a later :meth:`put` reopens what it needs."""
+        with self._lock:
+            syncer, self._syncer = self._syncer, None
+            self._closing = syncer is not None
+            self._wake.set()
+        if syncer is not None:
+            syncer.join()
+        self._closing = False
+        fds, self._fds = self._fds, {}
+        for fd in fds.values():
+            os.close(fd)
 
     def __len__(self) -> int:
         return len(self._memo)
@@ -193,11 +340,20 @@ class SnapshotStore:
 
     Two maps live here: ``<root>/snapshots/<hash>.pkl`` (the snapshot
     image, with a ``<hash>.meta.json`` sidecar for cheap metadata such
-    as deadlock-case labels and default sizes) and
-    ``<root>/snapshots/index.json`` mapping a spec identity (the SHA of
+    as deadlock-case labels and default sizes) and the append-only
+    ``<root>/snapshots/index.jsonl`` binding a spec identity (the SHA of
     ``ScenarioSpec.key()``) to its encoding hash, so repeat requests
-    skip the network build entirely.  Pass ``root=None`` for a
-    memory-only store (snapshots kept live, nothing pickled).
+    skip the network build entirely.  The last binding per spec wins;
+    an ``index.json`` left by an older release is read first, once.
+
+    The sidecar names its encoding hash and the digest of the snapshot
+    image beside it.  A sidecar that does not parse or names another
+    encoding, and an image whose digest differs, count as missing: the
+    request goes through the build tier, which writes both files again.
+    Garbage is never unpickled.  Sidecars of older releases carry no
+    digest, so each of their specs is built once more.  Pass
+    ``root=None`` for a memory-only store (snapshots kept live, nothing
+    pickled).
     """
 
     def __init__(self, root: str | Path | None) -> None:
@@ -209,32 +365,50 @@ class SnapshotStore:
     # -- spec-key index -------------------------------------------------
     def _index_path(self) -> Path:
         assert self.root is not None
-        return self.root / "index.json"
+        return self.root / "index.jsonl"
 
     def _load_index(self) -> dict[str, str]:
         if self._index is None:
             self._index = {}
             if self.root is not None:
                 try:
-                    self._index = dict(
-                        json.loads(self._index_path().read_text())
+                    self._index.update(
+                        json.loads((self.root / "index.json").read_text())
                     )
-                except (OSError, ValueError):
-                    self._index = {}
+                except (OSError, TypeError, ValueError):
+                    pass
+                for record in _read_log(self._index_path()):
+                    spec = record.get("spec")
+                    encoding_hash = record.get("encoding")
+                    if isinstance(spec, str) and isinstance(encoding_hash, str):
+                        self._index[spec] = encoding_hash
         return self._index
 
     def lookup(self, spec_key: str) -> str | None:
-        """Encoding hash previously bound to this spec identity, if any."""
+        """Encoding hash bound to this spec identity, if its sidecar and
+        snapshot image both read back."""
         encoding_hash = self._load_index().get(stable_hash(spec_key))
-        if encoding_hash is not None and not self.has_snapshot(encoding_hash):
+        if encoding_hash is None or self.meta(encoding_hash) is None:
+            return None
+        if encoding_hash not in self._snapshots and self._image(encoding_hash) is None:
             return None
         return encoding_hash
 
     def bind(self, spec_key: str, encoding_hash: str) -> None:
+        """Bind a spec identity to its encoding: one appended, synced
+        index line (nothing when the binding is already current)."""
+        spec = stable_hash(spec_key)
         index = self._load_index()
-        index[stable_hash(spec_key)] = encoding_hash
+        if index.get(spec) == encoding_hash:
+            return
+        index[spec] = encoding_hash
         if self.root is not None:
-            atomic_write_json(self._index_path(), index)
+            fd = _open_log(self._index_path())
+            try:
+                _append(fd, {"spec": spec, "encoding": encoding_hash})
+                os.fsync(fd)
+            finally:
+                os.close(fd)
 
     # -- snapshot payloads ----------------------------------------------
     def snapshot_path(self, encoding_hash: str) -> Path | None:
@@ -256,37 +430,71 @@ class SnapshotStore:
         self._meta[encoding_hash] = meta
         path = self.snapshot_path(encoding_hash)
         if path is not None:
-            atomic_write_bytes(
-                path, pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
+            image = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
+            atomic_write_bytes(path, image)
+            atomic_write_json(
+                path.with_suffix(".meta.json"),
+                {
+                    "encoding_hash": encoding_hash,
+                    "snapshot_sha": sha_bytes(image),
+                    "meta": meta,
+                },
             )
-            atomic_write_json(path.with_suffix(".meta.json"), meta)
         return encoding_hash
 
+    def _sidecar(self, encoding_hash: str) -> dict | None:
+        """The sidecar on disk, if it parses and names this encoding."""
+        path = self.snapshot_path(encoding_hash)
+        if path is None:
+            return None
+        try:
+            sidecar = json.loads(path.with_suffix(".meta.json").read_text())
+        except (OSError, ValueError):
+            return None
+        if (
+            not isinstance(sidecar, dict)
+            or sidecar.get("encoding_hash") != encoding_hash
+            or not isinstance(sidecar.get("meta"), dict)
+        ):
+            return None
+        return sidecar
+
+    def _image(self, encoding_hash: str) -> bytes | None:
+        """The pickled snapshot on disk, if it is the image its sidecar
+        names."""
+        sidecar = self._sidecar(encoding_hash)
+        if sidecar is None:
+            return None
+        try:
+            image = self.snapshot_path(encoding_hash).read_bytes()
+        except OSError:
+            return None
+        return image if sha_bytes(image) == sidecar.get("snapshot_sha") else None
+
     def load(self, encoding_hash: str):
-        """The snapshot for ``encoding_hash``, or ``None`` if unknown."""
+        """The snapshot for ``encoding_hash``, or ``None`` if it is
+        unknown or its image is not the one its sidecar names."""
         snapshot = self._snapshots.get(encoding_hash)
         if snapshot is None:
-            path = self.snapshot_path(encoding_hash)
-            if path is None:
+            image = self._image(encoding_hash)
+            if image is None:
                 return None
             try:
-                snapshot = pickle.loads(path.read_bytes())
-            except (OSError, pickle.PickleError, EOFError):
+                snapshot = pickle.loads(image)
+            except Exception:  # pickled against other class definitions
                 return None
             self._snapshots[encoding_hash] = snapshot
         return snapshot
 
     def meta(self, encoding_hash: str) -> dict | None:
+        """The ``meta`` stored with ``encoding_hash``'s snapshot, or
+        ``None`` if it is unknown or its sidecar is unreadable."""
         meta = self._meta.get(encoding_hash)
         if meta is None:
-            path = self.snapshot_path(encoding_hash)
-            if path is None:
+            sidecar = self._sidecar(encoding_hash)
+            if sidecar is None:
                 return None
-            try:
-                meta = json.loads(path.with_suffix(".meta.json").read_text())
-            except (OSError, ValueError):
-                return None
-            self._meta[encoding_hash] = meta
+            meta = self._meta[encoding_hash] = sidecar["meta"]
         return meta
 
 

@@ -312,6 +312,8 @@ class WorkerSession:
         # One read of the solver: a concurrent close() cannot pull it out
         # from under this check.
         solver = self.solver
+        if solver is None:  # closed since run() looked
+            raise RuntimeError("worker session is closed")
         if sizes is None:
             sizes = self.snapshot.default_sizes
         names = self._capacity_assumption_names(solver, sizes)

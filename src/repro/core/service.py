@@ -787,7 +787,9 @@ class VerificationService:
         """Counters of the service so far.  ``terms_live`` is how many
         interned terms this process still holds after a sweep: the terms
         of live encodings, which stays bounded however many designs the
-        service has built and evicted."""
+        service has built and evicted.  ``store`` also counts the verdict
+        records appended, the syncer thread's ``fsync`` calls and the
+        records it has not synced yet."""
         hits = dict(self.counters["hits"])
         return {
             "builders": {
@@ -809,6 +811,9 @@ class VerificationService:
                 "verdict_hits": self.verdicts.hits,
                 "verdict_misses": self.verdicts.misses,
                 "verdicts": len(self.verdicts),
+                "records_written": self.verdicts.records_written,
+                "fsyncs": self.verdicts.fsyncs,
+                "unsynced": self.verdicts.unsynced,
             },
         }
 
@@ -866,8 +871,9 @@ class VerificationService:
     async def aclose(self) -> None:
         """Stop serving and release every held resource: hot sessions
         (via their ``close()`` contract), the worker pool, the hot
-        thread executor and any scenario executors — a clean shutdown
-        leaks no child processes."""
+        thread executor, any scenario executors and the verdict store's
+        syncer, after its last sync — a clean shutdown leaks no child
+        processes and leaves every archived verdict on disk."""
         if self._closed:
             return
         self._closed = True
@@ -887,6 +893,7 @@ class VerificationService:
             )
         self._threads.shutdown(wait=True)
         shutdown_scenario_executors()
+        self.verdicts.close()
 
 
 # ---------------------------------------------------------------------------

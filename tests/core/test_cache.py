@@ -13,16 +13,24 @@ hypothesis sections here pin the invariances those keys promise:
 
 The rest covers the storage substrate: crash-safe atomic writes (a
 failed replace must leave the original intact and no temp droppings),
-the cold :class:`~repro.core.cache.VerdictStore`, the warm
-:class:`~repro.core.cache.SnapshotStore`, and the hot
+the cold :class:`~repro.core.cache.VerdictStore` (its logs across torn
+lines, reopens and a SIGKILL, and its group commit), the warm
+:class:`~repro.core.cache.SnapshotStore` (its index log, and damaged
+files counting as missing), and the hot
 :class:`~repro.core.cache.LruSessionCache` eviction contract.
 """
 
+import asyncio
 import dataclasses
 import hashlib
 import json
 import os
 import pickle
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +42,7 @@ from repro.core import (
     SessionSpec,
     SnapshotStore,
     VerdictStore,
+    VerificationService,
     atomic_write_bytes,
     atomic_write_json,
     atomic_write_text,
@@ -42,8 +51,11 @@ from repro.core import (
     stable_hash,
     verdict_sha,
 )
+from repro.core import service as service_module
 from repro.netlib import producer_consumer, running_example
 from repro.smt import snapshot_solver
+
+_SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _network(queue_size=2):
@@ -258,6 +270,154 @@ def test_verdict_store_memory_only_mode():
     assert len(store) == 1
 
 
+def test_verdict_log_torn_mid_record_then_appended(tmp_path):
+    store = VerdictStore(tmp_path)
+    for i in range(3):
+        store.put("ehash", f"q{i}", {"i": i})
+    store.close()
+    log = tmp_path / "verdicts" / "ehash.jsonl"
+    torn = log.read_bytes()[:-10]  # cut inside the last record
+    log.write_bytes(torn)
+
+    writer = VerdictStore(tmp_path)
+    writer.put("ehash", "q3", {"i": 3})
+    writer.close()
+    # The torn line was ended before the append, not glued onto it.
+    assert log.read_bytes().startswith(torn + b"\n")
+
+    reopened = VerdictStore(tmp_path)
+    assert [reopened.get("ehash", f"q{i}") for i in range(4)] == [
+        {"i": 0}, {"i": 1}, None, {"i": 3},
+    ]
+
+
+_verdict_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("put"),
+            st.sampled_from(["e1", "e2"]),
+            st.sampled_from(["q1", "q2", "q3"]),
+            st.integers(min_value=0, max_value=3),
+        ),
+        st.tuples(
+            st.just("get"),
+            st.sampled_from(["e1", "e2"]),
+            st.sampled_from(["q1", "q2", "q3"]),
+        ),
+        st.tuples(st.just("close")),
+        st.tuples(st.just("reopen")),
+    ),
+    max_size=20,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_verdict_ops)
+def test_verdict_store_serves_first_payload_across_reopens(ops):
+    with tempfile.TemporaryDirectory() as root:
+        store = VerdictStore(root)
+        first: dict[tuple[str, str], dict] = {}
+        for op, *args in ops:
+            if op == "put":
+                ehash, query, value = args
+                store.put(ehash, query, {"value": value})
+                first.setdefault((ehash, query), {"value": value})
+            elif op == "get":
+                assert store.get(*args) == first.get(tuple(args))
+            else:
+                store.close()
+                if op == "reopen":
+                    store = VerdictStore(root)
+        store.close()
+        reopened = VerdictStore(root)
+        for ehash in ("e1", "e2"):
+            for query in ("q1", "q2", "q3"):
+                key = (ehash, query)
+                assert reopened.get(*key) == first.get(key)
+
+
+_PUT_FOREVER = """
+import sys
+from repro.core import VerdictStore
+store = VerdictStore(sys.argv[1])
+i = 0
+while True:
+    store.put("ehash-%d" % (i % 3), "q%d" % i, {"i": i})
+    print(i, flush=True)
+    i += 1
+"""
+
+
+@pytest.mark.chaos
+def test_verdict_store_keeps_every_returned_put_across_sigkill(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    child = subprocess.Popen(
+        [sys.executable, "-c", _PUT_FOREVER, str(tmp_path)],
+        env=env,
+        stdout=subprocess.PIPE,
+    )
+    reported = []
+    try:
+        for line in child.stdout:
+            reported.append(int(line))
+            if len(reported) == 300:
+                break
+    finally:
+        child.kill()  # SIGKILL: no close(), no final sync
+        rest = child.stdout.read()
+        child.stdout.close()
+        child.wait(timeout=30)
+    reported += [int(token) for token in rest.split()]
+    assert len(reported) >= 300
+
+    reopened = VerdictStore(tmp_path)
+    for i in reported:
+        assert reopened.get(f"ehash-{i % 3}", f"q{i}") == {"i": i}
+    # Puts that never reported back are either whole or missing.
+    for i in range(max(reported) + 1, max(reported) + 50):
+        assert reopened.get(f"ehash-{i % 3}", f"q{i}") in (None, {"i": i})
+
+
+def test_verdict_store_burst_shares_fsyncs(tmp_path, monkeypatch):
+    # A disk whose fsync takes 10 ms, whatever the file system under
+    # tmp_path: the puts made while one sync runs share the next.
+    real_fsync = os.fsync
+
+    def slow_fsync(fd):
+        time.sleep(0.01)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", slow_fsync)
+    store = VerdictStore(tmp_path)
+    for i in range(100):
+        store.put("ehash", f"q{i}", {"i": i})
+    assert store.records_written == 100
+    store.close()
+    assert store.unsynced == 0
+    assert 1 <= store.fsyncs < store.records_written
+
+
+def test_verdict_store_counts_survive_fine_thread_switching(tmp_path):
+    # The putting thread and the syncer share the counters and the set
+    # of logs to sync; switching threads every microsecond would expose
+    # a lost update as a record counted unsynced after close().
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        store = VerdictStore(tmp_path)
+        for i in range(600):
+            store.put(f"ehash-{i % 3}", f"q{i}", {"i": i})
+            assert 0 <= store.unsynced <= store.records_written
+        store.close()
+    finally:
+        sys.setswitchinterval(interval)
+    assert store.records_written == 600 and store.unsynced == 0
+    reopened = VerdictStore(tmp_path)
+    assert all(
+        reopened.get(f"ehash-{i % 3}", f"q{i}") == {"i": i} for i in range(600)
+    )
+
+
 # ---------------------------------------------------------------------------
 # SnapshotStore (warm tier)
 # ---------------------------------------------------------------------------
@@ -286,6 +446,79 @@ def test_snapshot_store_round_trip(tmp_path):
     assert store.lookup(spec_key) == ehash
     # Bindings persist across instances (index.json on disk).
     assert SnapshotStore(tmp_path / "snapshots").lookup(spec_key) == ehash
+
+
+def test_snapshot_index_appends_over_a_legacy_index(tmp_path):
+    spec = SessionSpec(_network())
+    snapshot = spec.snapshot()
+    ehash = SnapshotStore(tmp_path).store(snapshot, {"cases": []})
+    root = tmp_path / "snapshots"
+    atomic_write_json(
+        root / "index.json",
+        {stable_hash("spec-a"): ehash, stable_hash("spec-b"): "0" * 64},
+    )
+
+    store = SnapshotStore(tmp_path)
+    assert store.lookup("spec-a") == ehash  # read from the legacy index
+    assert store.lookup("spec-b") is None  # bound, but no snapshot
+    store.bind("spec-b", ehash)
+    store.bind("spec-c", "0" * 64)
+    store.bind("spec-c", ehash)
+    store.bind("spec-c", ehash)  # already current: nothing appended
+    assert len((root / "index.jsonl").read_bytes().splitlines()) == 3
+
+    reopened = SnapshotStore(tmp_path)
+    for key in ("spec-a", "spec-b", "spec-c"):
+        assert reopened.lookup(key) == ehash  # the last binding wins
+
+
+@pytest.mark.parametrize(
+    "damage", ["garbage-pkl", "foreign-pkl", "foreign-pair", "torn-meta"]
+)
+def test_unreadable_warm_tier_files_count_as_missing(tmp_path, damage):
+    running = {"builder": "running_example", "kwargs": {"queue_size": 2}}
+    prodcon = {"builder": "producer_consumer", "kwargs": {"queue_size": 2}}
+
+    async def ask(op, spec, **params):
+        service = VerificationService(
+            cache_dir=str(tmp_path), backend="thread", jobs=1
+        )
+        try:
+            request = {"op": op, "spec": spec, "params": params}
+            return await service.handle_request(request), service
+        finally:
+            await service.aclose()
+
+    first, closed = asyncio.run(ask("verify", running))
+    assert first["ok"] and first["cache"] == "build"
+    # aclose() ran the last sync.
+    store = closed.stats()["store"]
+    assert store["records_written"] == 1
+    assert store["fsyncs"] >= 1 and store["unsynced"] == 0
+    cases, _ = asyncio.run(ask("cases", running))
+    other, _ = asyncio.run(ask("cases", prodcon))
+
+    pkl = tmp_path / "snapshots" / f"{cases['encoding_hash']}.pkl"
+    if damage == "garbage-pkl":
+        pkl.write_bytes(b"not a pickle")
+    elif damage.startswith("foreign"):
+        foreign = pkl.with_name(f"{other['encoding_hash']}.pkl")
+        pkl.write_bytes(foreign.read_bytes())
+        if damage == "foreign-pair":
+            sidecar = foreign.with_suffix(".meta.json").read_bytes()
+            pkl.with_suffix(".meta.json").write_bytes(sidecar)
+    else:
+        sidecar = pkl.with_suffix(".meta.json")
+        sidecar.write_bytes(sidecar.read_bytes()[:20])
+    service_module._WORKER_CACHE.clear()
+
+    again, _ = asyncio.run(ask("verify", running))
+    assert again["ok"] and again["cache"] == "build"
+    assert again["verdict"] == first["verdict"]
+    repaired, _ = asyncio.run(ask("cases", running))
+    assert repaired["ok"] and repaired["cases"] == cases["cases"]
+    channel, _ = asyncio.run(ask("verify_channel", running, case=0))
+    assert channel["ok"] and channel["case"] == cases["cases"][0]["label"]
 
 
 # ---------------------------------------------------------------------------

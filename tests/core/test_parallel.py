@@ -417,6 +417,16 @@ def test_thread_pool_starts_from_the_snapshot():
     assert verdicts == ["sat", "unsat"]
 
 
+def test_a_check_that_starts_after_close_refuses():
+    # run() tests for a closed session before it dispatches; a close()
+    # landing between that test and the check's own read of the solver
+    # must still refuse with RuntimeError, not fail on a missing solver.
+    entry = WorkerSession(SessionSpec(_network()).snapshot())
+    entry.close()
+    with pytest.raises(RuntimeError):
+        entry.check(None, None, False)
+
+
 def test_capacity_pins_follow_the_snapshot_queue_order():
     # The pins go in the snapshot's queue order whatever order the
     # caller lists them in, so the same probe searches the same way from
