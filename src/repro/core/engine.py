@@ -642,7 +642,13 @@ class VerificationSession:
         return self._run(None, deadline)
 
     def verify_case(self, case: DeadlockCase, deadline=None) -> VerificationResult:
-        """Check one tagged disjunct of the deadlock assertion."""
+        """Check one tagged disjunct of the deadlock assertion.
+
+        A deadlock candidate's witness may come from the model of an
+        earlier query in which this disjunct already held (see "Model
+        reuse" in :mod:`repro.smt.solver`); it is a deadlock in which this
+        case fires all the same.
+        """
         return self._run(self.spec.case_index[case.guard.name], deadline)
 
     def verify_channel(
@@ -669,6 +675,11 @@ class VerificationSession:
         carries the budget left at dispatch, and the parent stops
         waiting when the wall clock runs out: cases not answered by then
         answer ``TIMEOUT``.  A conflict budget is per case on a pool.
+
+        A witness may come from an earlier case's model on the same
+        solver, as for :meth:`verify_case`, so which deadlock a case
+        reports can depend on the cases asked before it; the verdicts
+        do not.
         """
         deadline = Deadline.coerce(deadline)
         cases = self.encoding.cases

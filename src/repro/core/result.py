@@ -5,9 +5,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Hashable, Mapping
 
-from ..smt import IntVar, Term, eq
+from ..smt import IntVar, LinExpr, Term, eq
 
 __all__ = ["Invariant", "DeadlockWitness", "Verdict", "VerificationResult"]
 
@@ -33,9 +34,13 @@ class Invariant:
         self.constant = Fraction(constant)
 
     def term(self) -> Term:
-        """The invariant as an SMT equality."""
-        expr = sum((c * v for v, c in self.coeffs), 0 * _zero_var())
-        return eq(expr, -self.constant)
+        """The invariant as an SMT equality, its row scaled to integers."""
+        scale = lcm(self.constant.denominator, *(c.denominator for _, c in self.coeffs))
+        row = LinExpr(
+            {v: c.numerator * (scale // c.denominator) for v, c in self.coeffs},
+            self.constant.numerator * (scale // self.constant.denominator),
+        )
+        return eq(row, 0)
 
     def evaluate(self, assignment: Mapping[IntVar, int]) -> bool:
         total = sum((c * assignment.get(v, 0) for v, c in self.coeffs), Fraction(0))
@@ -73,19 +78,6 @@ class Invariant:
 
     def __hash__(self) -> int:
         return hash((self.coeffs, self.constant))
-
-
-_ZERO_VAR: IntVar | None = None
-
-
-def _zero_var() -> IntVar:
-    """A throwaway variable so empty sums still build a LinExpr."""
-    global _ZERO_VAR
-    if _ZERO_VAR is None:
-        from ..smt import intvar
-
-        _ZERO_VAR = intvar("_zero")
-    return _ZERO_VAR
 
 
 @dataclass

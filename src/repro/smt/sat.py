@@ -27,7 +27,8 @@ query mix that repeats a long assumption prefix (ADVOCAT's capacity pins
 under per-case guards) therefore decides and propagates that prefix once.
 Callers should pass their stable assumptions first.  Whatever needs the
 root still rewinds there: a due clause-database reduction at entry,
-restarts, ``UNKNOWN`` slices, :meth:`add_clause`, :meth:`import_learned`,
+restarts, ``UNKNOWN`` slices, :meth:`add_clause` and a non-empty
+:meth:`add_clauses` batch, :meth:`import_learned`,
 :meth:`compact` and the phase seeders.
 
 Learnt clauses have a managed *lifecycle* (the Glucose discipline): each
@@ -443,26 +444,34 @@ class Cdcl:
     # Construction
     # ------------------------------------------------------------------
     def new_var(self) -> int:
-        self.n_vars += 1
-        var = self.n_vars
-        self._val.append(0)
-        self._val.append(0)
-        self._level.append(0)
-        self._reason.append(-1)
-        self._activity.append(0.0)
-        self._phase.append(0)
-        self._seen.append(0)
-        self._watches.append([])
-        self._watches.append([])
-        self._trail.append(0)  # capacity: one slot per variable
-        self._key.append(var)  # _heap_key(var, 0.0)
-        heappush(self._heap, var)
-        self._incur.append(1)
-        return var
+        self.ensure_vars(self.n_vars + 1)
+        return self.n_vars
 
     def ensure_vars(self, n: int) -> None:
-        while self.n_vars < n:
-            self.new_var()
+        """Grow every per-variable buffer to ``n`` variables in one step.
+
+        A new variable's heap key is its own index (zero activity), larger
+        than every key already in the heap, so appending the new keys in
+        ascending order leaves the heap exactly as one ``heappush`` per
+        variable would.
+        """
+        old = self.n_vars
+        count = n - old
+        if count <= 0:
+            return
+        self.n_vars = n
+        self._val.extend([0] * (2 * count))
+        self._level.extend([0] * count)
+        self._reason.extend([-1] * count)
+        self._activity.extend([0.0] * count)
+        self._phase.extend(bytes(count))
+        self._seen.extend(bytes(count))
+        self._watches += [[] for _ in range(2 * count)]
+        self._trail.extend([0] * count)  # capacity: one slot per variable
+        fresh = range(old + 1, n + 1)  # _heap_key(var, 0.0) == var
+        self._key.extend(fresh)
+        self._heap.extend(fresh)
+        self._incur.extend(b"\x01" * count)
 
     @staticmethod
     def _code(lit: int) -> int:
@@ -473,30 +482,40 @@ class Cdcl:
 
     def add_clause(self, lits: Sequence[int]) -> None:
         """Add a clause, rewinding to the root level first if needed."""
+        self.add_clauses((lits,))
+
+    def add_clauses(self, clauses: Sequence[Sequence[int]]) -> None:
+        """Add each clause as :meth:`add_clause` would, in order, with one
+        rewind to the root; an empty batch leaves the trail in place."""
+        if not clauses:
+            return
         self._backjump(0)
-        if not self._ok:
-            return
-        seen: set[int] = set()
-        filtered: list[int] = []
-        for lit in lits:
-            if lit in seen:
-                continue
-            if -lit in seen:
-                return  # tautology
-            value = self._value(lit)
-            if value == 1:
-                return  # already satisfied at level 0
-            if value == -1:
-                continue  # false at level 0: drop the literal
-            seen.add(lit)
-            filtered.append(lit)
-        if not filtered:
-            self._ok = False
-            return
-        if len(filtered) == 1:
-            self._enqueue_code(self._code(filtered[0]), -1)
-            return
-        self._attach([self._code(lit) for lit in filtered])
+        val = self._val
+        for lits in clauses:
+            if not self._ok:
+                return
+            seen: set[int] = set()
+            codes: list[int] = []
+            for lit in lits:
+                if lit in seen:
+                    continue
+                if -lit in seen:
+                    break  # tautology
+                code = 2 * lit if lit > 0 else -2 * lit + 1
+                value = val[code]
+                if value == 1:
+                    break  # already satisfied at level 0
+                if value == -1:
+                    continue  # false at level 0: drop the literal
+                seen.add(lit)
+                codes.append(code)
+            else:
+                if not codes:
+                    self._ok = False
+                elif len(codes) == 1:
+                    self._enqueue_code(codes[0], -1)
+                else:
+                    self._attach(codes)
 
     def _attach(self, codes: list[int], lbd: int = 0) -> int:
         """Attach a clause of literal codes; ``lbd >= 1`` marks it learnt."""
@@ -1528,3 +1547,8 @@ class Cdcl:
 
     def model_value(self, var: int) -> bool:
         return self._val[var << 1] == 1
+
+    def model_bits(self) -> bytearray:
+        """The assignment, one byte per variable: ``bits[var]`` is 1 when
+        ``var`` is true (index 0 is unused)."""
+        return bytearray(map((1).__eq__, self._val[::2]))

@@ -52,6 +52,32 @@ another shares its variable, and names with one right-hand side share
 its gate (see :meth:`repro.smt.cnf.CnfBuilder.define`).  The CNF image
 the core loads is therefore free of the copies, with no mapping between
 the two.
+
+Model reuse
+-----------
+
+ADVOCAT asks one query per deadlock case, each assuming the case's guard,
+and one deadlock usually makes many cases' disjuncts true at once.  So
+:meth:`Solver.check` first tests its assumption literals against the
+newest few SAT models over the same clause set.  An assumption that is
+false in a model may still hold once its variable is *flipped*, which is
+allowed when the variable is not a theory atom and every CNF clause
+holding the assumption's negation keeps another literal that is true with
+all the flips applied.  If the flipped assignment makes every assumption
+true, the check answers SAT with it and does no search
+(``stats["reused"]`` is 1, every other count 0).
+
+This is sound because only CNF clauses hold non-atom variables: the bound
+axioms and branch-and-bound splits hold atoms only.  The flipped
+assignment therefore satisfies every problem clause, and with them every
+learned clause and theory lemma, while the atoms and the integer values,
+and so the theory's consistency, do not change.  A case guard occurs only
+in ``guard → term`` and ``any → ⋁ guards``, so a case whose disjunct is
+already true in a stored deadlock model is answered from that model,
+which becomes its witness.  The stored models, and the literal → clauses
+index the flip test reads, are dropped whenever :meth:`Solver._sync`
+loads anything new (variables, atoms or clauses) and whenever a split is
+added.
 """
 
 from __future__ import annotations
@@ -67,6 +93,9 @@ from .sat import SAT, UNKNOWN, Cdcl
 from .terms import IntVar, Term, ge, le
 
 __all__ = ["Solver", "Result", "Model", "SolverBudgetError"]
+
+# How many of the newest SAT models a check may be answered from.
+_KEPT_MODELS = 3
 
 
 class Result(enum.Enum):
@@ -161,6 +190,11 @@ class Solver:
         self._sat = Cdcl(theory=self._bridge, **self._reduction_knobs)
         self._flushed_clauses = 0
         self._registered_atoms = 0
+        # The newest SAT models, oldest first, and a literal -> CNF clauses
+        # index over the loaded clauses; both are dropped whenever the
+        # clause set grows (see "Model reuse" in the module docstring).
+        self._models: list[tuple[bytearray, dict[IntVar, int]]] = []
+        self._occurs: dict[int, list[list[int]]] | None = None
         self._model: Model | None = None
         self._core: list[Term] | None = None
         self._formula_unsat: bool | None = None
@@ -194,21 +228,29 @@ class Solver:
         """Hand new vars, atoms and clauses to the SAT core and bridge.
 
         Each new atom's bound axioms (see :mod:`repro.smt.lia`) go to the
-        SAT core as problem clauses, never into the CNF image.
+        SAT core as problem clauses, never into the CNF image.  Loading
+        anything new drops the stored models.
         """
         cnf = self._cnf
-        self._sat.ensure_vars(cnf.n_vars)
+        sat = self._sat
+        new: list[list[int]] = []
         if len(cnf.atom_of_var) > self._registered_atoms:
             # Dicts preserve insertion order: only the unseen tail is new.
             for satvar, atom in islice(
                 cnf.atom_of_var.items(), self._registered_atoms, None
             ):
-                for axiom in self._bridge.register_atom(satvar, atom):
-                    self._sat.add_clause(axiom)
+                new.extend(self._bridge.register_atom(satvar, atom))
             self._registered_atoms = len(cnf.atom_of_var)
-        for clause in cnf.clauses[self._flushed_clauses:]:
-            self._sat.add_clause(clause)
+        new.extend(cnf.clauses[self._flushed_clauses:])
         self._flushed_clauses = len(cnf.clauses)
+        if new or cnf.n_vars > sat.n_vars:
+            self._forget_models()
+        sat.ensure_vars(cnf.n_vars)
+        sat.add_clauses(new)
+
+    def _forget_models(self) -> None:
+        self._models.clear()
+        self._occurs = None
 
     def check(
         self,
@@ -229,6 +271,9 @@ class Solver:
         clause and split so a later ``check`` resumes the work.  This is
         the primitive a :class:`~repro.core.resilience.Deadline` bounds
         queries with.
+
+        A check that a stored model answers (see "Model reuse" above)
+        returns SAT without search; ``stats["reused"]`` is then 1.
         """
         self._model = None
         self._core = None
@@ -238,9 +283,7 @@ class Solver:
             # core.  The core is empty *because the formula alone is
             # contradictory* (see formula_unsat), and the stat dict keeps
             # the full canonical key set so per-query deltas stay uniform.
-            self.stats = {key: 0 for key in self._sat.stats}
-            self.stats["splits"] = 0
-            self.profile = {key: 0 for key in self._profile_counters()}
+            self._zero_stats()
             self._core = []
             self._formula_unsat = True
             return Result.UNSAT
@@ -248,6 +291,12 @@ class Solver:
         before = dict(self._sat.stats)
         before_profile = self._profile_counters()
         self._sync()
+        if self._models:
+            self._model = self._reused_model(assumption_lits)
+            if self._model is not None:
+                self._zero_stats()
+                self.stats["reused"] = 1
+                return Result.SAT
         splits = 0
         while True:
             remaining = None
@@ -275,7 +324,11 @@ class Solver:
                 return Result.UNSAT
             fractional = self._bridge.fractional_var()
             if fractional is None:
-                self._model = self._extract_model()
+                bits = self._sat.model_bits()
+                ints = self._model_ints()
+                self._models.append((bits, ints))
+                del self._models[:-_KEPT_MODELS]
+                self._model = self._model_of(bits, ints)
                 self._finish_stats(before, before_profile, splits)
                 return Result.SAT
             splits += 1
@@ -291,6 +344,7 @@ class Solver:
                 self._cnf.literal(ge(var, cut + 1)),
             ]
             self._sync()
+            self._forget_models()
             self._sat.add_clause(split_lits)
 
     def _finish_stats(
@@ -303,10 +357,19 @@ class Solver:
             key: value - before.get(key, 0) for key, value in self._sat.stats.items()
         }
         self.stats["splits"] = splits
+        self.stats["reused"] = 0
         self.profile = {
             key: value - before_profile.get(key, 0)
             for key, value in self._profile_counters().items()
         }
+
+    def _zero_stats(self) -> None:
+        """Report a check the SAT core did not take part in: every stat
+        and profile key, at zero."""
+        self.stats = {key: 0 for key in self._sat.stats}
+        self.stats["splits"] = 0
+        self.stats["reused"] = 0
+        self.profile = {key: 0 for key in self._profile_counters()}
 
     def _profile_counters(self) -> dict[str, int]:
         """Cumulative CDCL, simplex and row-derivation counters (the
@@ -318,17 +381,64 @@ class Solver:
             counters["lia_" + key] = value
         return counters
 
-    def _extract_model(self) -> Model:
+    def _model_ints(self) -> dict[IntVar, int]:
         ints: dict[IntVar, int] = {}
         for var in self._bridge.known_int_vars():
             value = self._bridge.rational_value(var)
             assert value.denominator == 1, "model extraction on fractional value"
             ints[var] = int(value)
-        model_value = self._sat.model_value
-        bools = {}
-        for name, lit in self._cnf.var_of_boolname.items():
-            bools[name] = model_value(lit) if lit > 0 else not model_value(-lit)
+        return ints
+
+    def _model_of(self, bits: bytearray, ints: dict[IntVar, int]) -> Model:
+        """The :class:`Model` of the assignment ``bits`` (one byte per SAT
+        variable) with the integer values ``ints``."""
+        bools = {
+            name: bits[lit] == 1 if lit > 0 else bits[-lit] == 0
+            for name, lit in self._cnf.var_of_boolname.items()
+        }
         return Model(ints, bools)
+
+    def _reused_model(self, lits: Sequence[int]) -> Model | None:
+        """A stored model that satisfies every assumption literal in
+        ``lits`` once the variables of the false ones are flipped, or
+        ``None`` (see "Model reuse" in the module docstring)."""
+        atom_of_var = self._cnf.atom_of_var
+        for bits, ints in reversed(self._models):
+            flips = [lit for lit in lits if bits[abs(lit)] != (lit > 0)]
+            if flips:
+                if any(abs(lit) in atom_of_var for lit in flips):
+                    continue
+                bits = bytearray(bits)
+                for lit in flips:
+                    bits[abs(lit)] = lit > 0
+                if not self._flips_hold(bits, lits, flips):
+                    continue
+            return self._model_of(bits, ints)
+        return None
+
+    def _flips_hold(
+        self, bits: bytearray, lits: Sequence[int], flips: list[int]
+    ) -> bool:
+        """Whether the flipped assignment ``bits`` makes every literal of
+        ``lits`` true and keeps every CNF clause that holds the negation
+        of a flipped literal satisfied."""
+        if any(bits[abs(lit)] != (lit > 0) for lit in lits):
+            return False  # an assumption and its negation
+        occurs = self._occurs
+        if occurs is None:
+            occurs = self._occurs = {}
+            for clause in self._cnf.clauses:
+                for lit in clause:
+                    bucket = occurs.get(lit)
+                    if bucket is None:
+                        occurs[lit] = [clause]
+                    else:
+                        bucket.append(clause)
+        for lit in flips:
+            for clause in occurs.get(-lit, ()):
+                if not any(bits[abs(other)] == (other > 0) for other in clause):
+                    return False
+        return True
 
     # ------------------------------------------------------------------
     # Results

@@ -105,10 +105,12 @@ class Network:
             if channel.name in seen_channels:
                 problems.append(f"duplicate channel name {channel.name!r}")
             seen_channels.add(channel.name)
+        channels = set(self.channels)  # channels hash by identity
         for port in self.iter_ports():
-            if port.channel is None:
+            channel = port.channel
+            if channel is None:
                 problems.append(f"unconnected port {port.qualified_name}")
-            elif port.channel not in self.channels:
+            elif channel not in channels:
                 problems.append(
                     f"port {port.qualified_name} wired to a foreign channel"
                 )

@@ -359,3 +359,48 @@ def test_session_equals_fresh_solver_across_op_orders(ops):
                 assert witnesses == []
             else:
                 assert witnesses
+
+
+# ---------------------------------------------------------------------------
+# Cases answered from an earlier deadlock model (Solver "Model reuse")
+# ---------------------------------------------------------------------------
+
+
+def _witness_holds_case(case, witness) -> bool:
+    """The witness makes the case's disjunct true: a queue case's queue
+    holds the colour and its head is blocked, a source case's source is
+    blocked."""
+    if case.kind == "queue":
+        return (
+            witness.queue_contents[case.subject].get(case.color, 0) >= 1
+            and f"{case.subject} head {case.color!r}" in witness.blocked_channels
+        )
+    return f"source {case.subject} {case.color!r}" in witness.blocked_channels
+
+
+def test_a_reused_witness_holds_its_case():
+    session = VerificationSession(abstract_mi_mesh(2, 2, queue_size=2).network)
+    session.add_invariants()
+    results = session.verify_all_cases()
+    reused = [r for r in results if r.stats["solver"]["reused"]]
+    assert reused  # the fan-out does answer cases from earlier models
+    for case, result in zip(session.encoding.cases, results):
+        if not result.deadlock_free:
+            assert _witness_holds_case(case, result.witness), case.label
+    for result in reused:
+        assert not result.deadlock_free
+        assert result.stats["solver"]["decisions"] == 0
+
+
+def test_pooled_and_sequential_fan_outs_agree_under_reuse():
+    network = abstract_mi_mesh(2, 2, queue_size=2).network
+    sequential = VerificationSession(network)
+    sequential.add_invariants()
+    expected = [r.verdict for r in sequential.verify_all_cases()]
+    assert any(r.stats["solver"]["reused"] for r in sequential.verify_all_cases())
+    with VerificationSession(
+        network, jobs=2, backend="thread", force_pool=True
+    ) as pooled:
+        pooled.add_invariants()
+        assert [r.verdict for r in pooled.verify_all_cases()] == expected
+    assert len(set(expected)) == 2  # both verdicts occur

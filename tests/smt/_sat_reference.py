@@ -23,6 +23,11 @@ the arena core, so the lockstep contract keeps holding:
   de-duplicates its entries, so the two cores then picked different
   decisions.
 
+It also has ``add_clauses`` (one ``add_clause`` per clause) and
+``model_bits``, the entry points ``Solver`` calls on the arena core, so
+``benchmarks/bench_satcore.py`` can swap this core under the solver;
+neither changes the search.
+
 Theory propagation is deliberately *not* mirrored: this core never calls
 a listener's ``derive``/``explain``.  The lockstep suite runs on pure
 CNF, where no listener is attached, so it is unaffected; with the LIA
@@ -266,6 +271,12 @@ class Cdcl:
             self._enqueue(filtered[0], -1)
             return
         self._attach(filtered)
+
+    def add_clauses(self, clauses: Sequence[Sequence[int]]) -> None:
+        """One :meth:`add_clause` per clause (the arena core's bulk-load
+        entry point, which ``Solver`` calls)."""
+        for lits in clauses:
+            self.add_clause(lits)
 
     def _attach(self, lits: list[int], lbd: int = 0) -> int:
         """Attach a clause; ``lbd >= 1`` marks it learnt (deletable)."""
@@ -907,6 +918,10 @@ class Cdcl:
 
     def model_value(self, var: int) -> bool:
         return self._assign[var] == 1
+
+    def model_bits(self) -> bytearray:
+        """The assignment, one byte per variable (as the arena core's)."""
+        return bytearray(value == 1 for value in self._assign)
 
 
 class BudgetExceeded(RuntimeError):

@@ -163,6 +163,8 @@ CANONICAL_STAT_KEYS = {
     "reduced",
     "kept_glue",
     "splits",
+    # Checks answered from a stored model (see Solver "Model reuse").
+    "reused",
     # Cooperative-slicing counters (Deadline slices, warm imports): covered
     # by the same zeroing contract — an early-UNSAT check() must report
     # zeros for them.
