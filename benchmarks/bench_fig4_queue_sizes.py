@@ -6,8 +6,8 @@ minutes in pure Python).
 Each mesh's directory-position row is declared as an experiment grid
 (:class:`repro.core.Experiment`) and answered by the deterministic
 ``jobs=1`` scheduler, so the reported numbers are exactly what the sharded
-drivers (``examples/queue_sizing.py --jobs N``,
-``benchmarks/bench_experiments.py``) must reproduce byte-for-byte.
+drivers (``examples/queue_sizing.py --jobs N`` and the pinned grid in
+``tests/core/test_experiments.py``) must reproduce byte-for-byte.
 
 Shape expectations: minimal size grows with mesh size; in this
 reproduction's single-ejection-queue router the directory position does

@@ -64,7 +64,7 @@ def test_model_size_scaling(benchmark):
 def test_verification_time_scaling(benchmark):
     # The paper's headline axis ends at 6x6; the 4x4/6x6 points verify at
     # their free size (ADVOCAT_BIG only — minutes in pure Python; see
-    # BENCH_invariants.json).
+    # EXPERIMENTS.md, E11).
     specs = [_mesh_spec(w, h, queue_size=3) for w, h in ((2, 2), (2, 3), (3, 3))]
     if os.environ.get("ADVOCAT_BIG"):
         specs.append(_mesh_spec(4, 4, queue_size=15))

@@ -22,7 +22,7 @@ uses, so the comparison is config-for-config.  The job fails on
 
 Usage::
 
-    python benchmarks/check_bench.py BENCH_parallel.json BENCH_invariants.json
+    python benchmarks/check_bench.py BENCH_resilience.json BENCH_service.json
     python benchmarks/check_bench.py --baseline-dir benchmarks/baselines \
         --fresh-dir . --tolerance 0.3 BENCH_*.json
 """
@@ -134,7 +134,7 @@ def compare_records(
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("records", nargs="+",
-                        help="record file names, e.g. BENCH_parallel.json")
+                        help="record file names, e.g. BENCH_service.json")
     parser.add_argument("--baseline-dir", type=Path,
                         default=DEFAULT_BASELINE_DIR,
                         help="committed baseline directory")

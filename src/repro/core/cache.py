@@ -133,8 +133,8 @@ def verdict_sha(payload: Any) -> str:
 
 
 def sha_bytes(data: bytes) -> str:
-    """16-hex SHA-256 over pre-canonicalised bytes (e.g. the output of
-    ``ExperimentResult.verdict_bytes()``)."""
+    """16-hex SHA-256 over pre-canonicalised bytes (e.g. a snapshot
+    image)."""
     return hashlib.sha256(data).hexdigest()[:16]
 
 
@@ -415,12 +415,6 @@ class SnapshotStore:
         if self.root is None:
             return None
         return self.root / f"{encoding_hash}.pkl"
-
-    def has_snapshot(self, encoding_hash: str) -> bool:
-        if encoding_hash in self._snapshots:
-            return True
-        path = self.snapshot_path(encoding_hash)
-        return path is not None and path.exists()
 
     def store(self, snapshot, meta: dict) -> str:
         """Persist ``snapshot`` (+ JSON ``meta`` sidecar); returns its

@@ -30,8 +30,8 @@ Figure-4 queue-size sweep.  The work splits into two phases:
 
 All clauses the CDCL core learns while answering one query — including
 branch-and-bound splits and theory-conflict clauses — remain in force for
-every later query, which is where the severalfold speed-up of the sweep
-benchmarks comes from (see ``benchmarks/bench_incremental.py``).
+every later query, which is what makes a sweep on one session cheaper
+than a fresh solver per query.
 
 The split is what makes parallel orchestration possible:
 :meth:`SessionSpec.snapshot` flattens the built encoding into a

@@ -39,9 +39,9 @@ The pieces:
   *resumable* — ``Experiment.run(resume=path)`` skips every grid point
   whose key is already answered.
 
-``benchmarks/bench_experiments.py`` measures the cross-network sharding
-speedup and asserts verdict byte-identity against the sequential outer
-loop; ``EXPERIMENTS.md`` maps each paper figure to its driver.
+``tests/core/test_experiments.py`` pins the Figure-4 directory grid's
+verdicts, sequential and sharded; ``EXPERIMENTS.md`` maps each paper
+figure to its driver.
 """
 
 from __future__ import annotations
@@ -503,14 +503,6 @@ class ScenarioResult:
             payload.pop(retired, None)
         return cls(**payload)
 
-    def verdicts(self) -> list:
-        """Canonical verdict payload (what byte-identity is asserted on)."""
-        return [
-            self.key,
-            self.minimal_size,
-            sorted(self.probes.items()),
-        ]
-
 
 @dataclass
 class ExperimentResult:
@@ -547,15 +539,6 @@ class ExperimentResult:
     @property
     def query_seconds(self) -> float:
         return sum(result.query_seconds for result in self.scenarios)
-
-    def verdict_bytes(self) -> bytes:
-        """Canonical byte encoding of every scenario's verdicts — the
-        sequential and sharded schedulers must agree on it exactly."""
-        return json.dumps(
-            [result.verdicts() for result in self.scenarios],
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode()
 
     def pretty(self) -> str:
         lines = [f"experiment {self.name!r}: {len(self.scenarios)} scenarios"]

@@ -199,8 +199,8 @@ class MeshTopology(Topology):
         whose symmetry group also contains the diagonal reflection — the
         fold onto ``x ≥ y`` (the "octant").  The Figure-4 experiment grids
         (``examples/queue_sizing.py``,
-        ``benchmarks/bench_fig4_queue_sizes.py``,
-        ``benchmarks/bench_experiments.py``) all iterate exactly this list,
+        ``benchmarks/bench_fig4_queue_sizes.py`` and the pinned grid in
+        ``tests/core/test_experiments.py``) all iterate exactly this list,
         so the drivers stay byte-comparable.
         """
         positions = []

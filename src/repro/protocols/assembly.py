@@ -34,9 +34,6 @@ class ProtocolInstance:
     dma: Automaton | None = None
     dma_node: Node | None = None
 
-    def cache_nodes(self) -> list[Node]:
-        return sorted(self.caches)
-
 
 def message_is(mtype: str, src: Node | None = None, dst: Node | None = None):
     """A guard accepting ``mtype`` messages, from ``src`` and to ``dst``

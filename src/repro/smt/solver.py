@@ -152,9 +152,6 @@ class Model:
         name = key if isinstance(key, str) else getattr(key, "name", None)
         return name in self._bools
 
-    def int_items(self) -> dict[IntVar, int]:
-        return dict(self._ints)
-
 
 class Solver:
     """Incremental QF_LIA solver over the repro term language.
@@ -163,7 +160,7 @@ class Solver:
     ``glue_keep`` knobs) controls the learned-clause lifecycle of the CDCL
     core — see :class:`~repro.smt.sat.Cdcl`.  Reduction never changes
     verdicts; disabling it reproduces the unbounded clause database of
-    earlier revisions (measured by ``benchmarks/bench_warmstart.py``).
+    earlier revisions.
     """
 
     def __init__(
@@ -499,17 +496,6 @@ class Solver:
         """
         self._sync()  # imported literals must reference existing SAT vars
         return self._sat.import_learned(clauses, demote_to=demote_to)
-
-    def compact(self) -> int:
-        """Run one clause-database reduction now (session housekeeping).
-
-        Long-lived sessions call this between workload phases or before
-        :func:`~repro.smt.serialize.snapshot_solver` to shed the cold
-        learnt tail immediately instead of waiting for the geometric
-        schedule.  Returns clauses deleted.
-        """
-        self._sync()
-        return self._sat.compact()
 
     def saved_phases(self) -> tuple[bool, ...]:
         """The CDCL core's saved phase per SAT variable."""

@@ -431,7 +431,7 @@ def test_snapshot_store_round_trip(tmp_path):
     meta = {"builder": "running_example", "cases": []}
     ehash = store.store(snapshot, meta)
     assert ehash == snapshot.content_hash()
-    assert store.has_snapshot(ehash)
+    assert store.snapshot_path(ehash).exists()
     assert store.meta(ehash)["builder"] == "running_example"
 
     loaded = store.load(ehash)

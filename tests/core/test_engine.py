@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from literal_oracle import fresh_verdict, fresh_witness_count
 
-from repro.core import VerificationSession, verify
+from repro.core import VerificationSession, minimal_queue_size, verify
 from repro.netlib import running_example
 from repro.protocols import abstract_mi_mesh, mi_mesh
 from repro.smt import Solver
@@ -21,7 +21,7 @@ from repro.smt import Solver
 
 def session_invariants_hold(session):
     """Every invariant evaluates true in the latest SAT model."""
-    assignment = session.solver.model().int_items()
+    assignment = session.solver.model()._ints
     return all(inv.evaluate(assignment) for inv in session.invariants)
 
 
@@ -63,18 +63,21 @@ def test_session_matches_one_shot_verify():
 
 
 def test_verify_channel_agrees_with_restricted_assertion():
-    network = running_example().network
-    session = VerificationSession(network)
-    case_frees = []
-    for case in session.encoding.cases:
-        result = session.verify_case(case)
-        expected = fresh_verdict(
-            network, case_key=(case.kind, case.subject, case.color)
-        )
-        assert result.deadlock_free == expected, case.label
-        case_frees.append(result.deadlock_free)
-    # The full check fires iff some disjunct fires.
-    assert session.verify().deadlock_free == all(case_frees)
+    for network in (
+        running_example().network,
+        abstract_mi_mesh(2, 2, queue_size=3).network,
+    ):
+        session = VerificationSession(network)
+        case_frees = []
+        for case in session.encoding.cases:
+            result = session.verify_case(case)
+            expected = fresh_verdict(
+                network, case_key=(case.kind, case.subject, case.color)
+            )
+            assert result.deadlock_free == expected, (network.name, case.label)
+            case_frees.append(result.deadlock_free)
+        # The full check fires iff some disjunct fires.
+        assert session.verify().deadlock_free == all(case_frees)
 
 
 def test_verify_channel_by_name():
@@ -130,6 +133,9 @@ def test_enumeration_is_scoped_and_session_reusable():
     session.add_invariants()
     assert session.verify().deadlock_free
     assert list(session.enumerate_witnesses(limit=4)) == []
+    mesh = abstract_mi_mesh(2, 2, queue_size=2).network
+    mesh_witnesses = VerificationSession(mesh).enumerate_witnesses(limit=12)
+    assert len(list(mesh_witnesses)) == fresh_witness_count(mesh, limit=12) == 12
 
 
 def test_queries_mid_enumeration_stay_sound():
@@ -167,8 +173,6 @@ def test_interleaved_enumerations_do_not_corrupt_scopes():
 
 
 def test_sizing_preserves_non_uniform_builders():
-    from repro.core import minimal_queue_size
-
     def build(size):
         example = running_example(queue_size=size)
         example.q_ack.size = 3  # pinned: builder is capacity-only but not uniform
@@ -185,8 +189,18 @@ def test_sizing_preserves_non_uniform_builders():
     )
 
 
+def test_minimal_queue_size_probes_match_the_literal_oracle():
+    sizing = minimal_queue_size(
+        lambda size: abstract_mi_mesh(2, 2, queue_size=size).network
+    )
+    assert sizing.probes == {
+        size: mesh_oracle(abstract_mi_mesh, size) for size in sizing.probes
+    }
+    assert sizing.minimal_size == 3
+
+
 def test_sizing_rejects_builders_that_change_structure():
-    from repro.core import minimal_queue_size, sweep_queue_sizes
+    from repro.core import sweep_queue_sizes
     from repro.xmas import Queue
 
     def build(size):

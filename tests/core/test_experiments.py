@@ -30,9 +30,11 @@ from repro.core import (
     resolve_builder,
     run_scenario,
     sweep_queue_sizes,
+    verdict_sha,
 )
 from repro.core.engine import INVARIANT_MODES
 from repro.core.parallel import WorkerSession, _initialize_worker, _run_job
+from repro.fabrics import MeshTopology
 from repro.netlib import running_example
 
 
@@ -40,6 +42,11 @@ def _running_spec(**overrides) -> ScenarioSpec:
     base = dict(builder="running_example", mode="sweep", sizes=(1, 2))
     base.update(overrides)
     return ScenarioSpec(**base)
+
+
+def verdicts(result):
+    """Each scenario's key, minimum and sorted probes, in grid order."""
+    return [[s.key, s.minimal_size, sorted(s.probes.items())] for s in result.scenarios]
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +208,7 @@ def test_late_registered_builder_reaches_cached_process_pool():
     )
     pooled = grid.run(jobs=2, backend="process")
     inline = grid.run(jobs=1)
-    assert pooled.verdict_bytes() == inline.verdict_bytes()
+    assert verdicts(pooled) == verdicts(inline)
 
 
 def test_scenario_spec_pickle_round_trip():
@@ -304,7 +311,7 @@ def test_run_jobs1_matches_jobs2_thread_backend():
     grid = _small_grid()
     sequential = grid.run(jobs=1)
     threaded = grid.run(jobs=2, backend="thread")
-    assert sequential.verdict_bytes() == threaded.verdict_bytes()
+    assert verdicts(sequential) == verdicts(threaded)
     assert [s.key for s in threaded.scenarios] == [
         spec.key() for spec in grid.scenarios
     ]
@@ -314,7 +321,56 @@ def test_run_process_backend_matches_inline():
     grid = Experiment("p", [_running_spec(), _running_spec(sizes=(2, 3))])
     inline = grid.run(jobs=1)
     pooled = grid.run(jobs=2, backend="process")
-    assert inline.verdict_bytes() == pooled.verdict_bytes()
+    assert verdicts(inline) == verdicts(pooled)
+
+
+# Two search grids pinned end to end: (scenarios, minima, verdict sha).
+PINNED_GRIDS = {
+    # Figure 4's directory positions on the 2x2 and 2x3 meshes.
+    "directory-positions": (
+        [
+            ScenarioSpec(
+                "abstract_mi_mesh",
+                kwargs={"width": w, "height": h, "directory_node": position},
+                mode="search",
+            )
+            for w, h in ((2, 2), (2, 3))
+            for position in MeshTopology(w, h).probe_positions()
+        ],
+        [3, 5, 5],
+        "b1bd6f82a74ec3fa",
+    ),
+    # Both protocol families on each fabric shape.
+    "fabric-x-protocol": (
+        [
+            ScenarioSpec(f"{family}_{fabric}", kwargs=kwargs, mode="search", max_size=8)
+            for family in ("abstract_mi", "msi")
+            for fabric, kwargs in (
+                ("mesh", {"width": 2, "height": 2}),
+                ("torus", {"width": 2, "height": 2}),
+                ("ring", {"n_nodes": 4}),
+            )
+        ],
+        [3, 3, 3, 4, 4, 4],
+        "1bc235a8be78daa1",
+    ),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", PINNED_GRIDS)
+def test_pinned_grid_answers_alike_inline_sharded_and_resumed(name, tmp_path):
+    scenarios, minima, sha = PINNED_GRIDS[name]
+    grid = Experiment(name, scenarios)
+    sequential = grid.run(jobs=1)
+    sharded = grid.run(jobs=2)
+    assert [s.minimal_size for s in sequential.scenarios] == minima
+    assert verdict_sha(verdicts(sequential)) == sha
+    assert verdicts(sharded) == verdicts(sequential)
+    sharded.save(tmp_path / "done.json")
+    resumed = grid.run(jobs=2, resume=tmp_path / "done.json")
+    assert (resumed.computed, resumed.reused) == (0, len(scenarios))
+    assert verdicts(resumed) == verdicts(sequential)
 
 
 def test_resume_skips_completed_scenarios(tmp_path):
@@ -329,13 +385,13 @@ def test_resume_skips_completed_scenarios(tmp_path):
     assert resumed.computed == 1  # only the missing scenario was built
     assert resumed.reused == 2
     full = grid.run(jobs=1)
-    assert resumed.verdict_bytes() == full.verdict_bytes()
+    assert verdicts(resumed) == verdicts(full)
     # A fully answered checkpoint re-builds nothing.
     resumed.save(checkpoint)
     cold = grid.run(jobs=2, backend="thread", resume=checkpoint)
     assert cold.computed == 0
     assert cold.reused == 3
-    assert cold.verdict_bytes() == full.verdict_bytes()
+    assert verdicts(cold) == verdicts(full)
 
 
 # Written by the last build that had the lazy and partial invariant
@@ -389,15 +445,13 @@ def test_save_path_checkpoints_every_completion(tmp_path):
     grid = Experiment("ckpt", [_running_spec(), _running_spec(sizes=(2,))])
     result = grid.run(jobs=1, save_path=checkpoint, progress=watch)
     assert len(seen) == 2
-    assert ExperimentResult.load(checkpoint).verdict_bytes() == (
-        result.verdict_bytes()
-    )
+    assert verdicts(ExperimentResult.load(checkpoint)) == verdicts(result)
 
 
 def test_experiment_result_json_round_trip():
     result = _small_grid().run(jobs=1)
     clone = ExperimentResult.from_json(result.to_json())
-    assert clone.verdict_bytes() == result.verdict_bytes()
+    assert verdicts(clone) == verdicts(result)
     assert [s.probes for s in clone.scenarios] == [
         s.probes for s in result.scenarios
     ]
@@ -421,7 +475,7 @@ def test_query_jobs_auto_splits_the_budget(monkeypatch):
     auto = grid.run(jobs=2, query_jobs="auto", backend="thread")
     # nested_jobs(2) of a budget of 4 → 2 inner workers; verdicts must
     # not depend on the inner split.
-    assert auto.verdict_bytes() == explicit.verdict_bytes()
+    assert verdicts(auto) == verdicts(explicit)
     with pytest.raises(ValueError):
         grid.run(jobs=1, query_jobs=0)
 
@@ -533,6 +587,6 @@ def test_sharded_grid_equals_sequential_grid(size_sets, invariants):
     )
     sequential = grid.run(jobs=1)
     sharded = grid.run(jobs=4, backend="thread")
-    assert sequential.verdict_bytes() == sharded.verdict_bytes()
+    assert verdicts(sequential) == verdicts(sharded)
     assert sequential.computed == len(size_sets)
     assert sharded.computed == len(size_sets)

@@ -26,6 +26,7 @@ from repro.core import (
     default_jobs,
     nested_jobs,
     sweep_queue_sizes,
+    verdict_sha,
 )
 from repro.core.engine import ANY_CASE_LABEL
 from repro.core.parallel import WorkerSession, gather, start_pool
@@ -76,6 +77,30 @@ def test_process_backend_matches_thread_backend():
     ]
     sequential.resize_queues(3)
     assert process_resized.verdict == sequential.verify().verdict
+
+
+@pytest.mark.slow
+def test_process_pool_answers_the_3x3_mesh_like_the_sequential_session():
+    """Every case of the 3x3 abstract-MI mesh on a two-process pool, and
+    the 2x2 mesh's size sweep sharded over two processes."""
+    spec = SessionSpec(abstract_mi_mesh(3, 3, queue_size=2).network)
+    sequential = VerificationSession(spec=spec).verify_all_cases()
+    with VerificationSession(
+        spec=spec, jobs=2, backend="process", force_pool=True
+    ) as pool:
+        pooled = pool.verify_all_cases()
+    assert [r.verdict for r in pooled] == [r.verdict for r in sequential]
+    for seq_r, par_r in zip(sequential, pooled):
+        assert (seq_r.witness is None) == (par_r.witness is None)
+    assert verdict_sha([r.verdict.value for r in sequential]) == "61f3029f483106db"
+
+    def build(size):
+        return abstract_mi_mesh(2, 2, queue_size=size).network
+
+    swept = sweep_queue_sizes(build, range(1, 7), jobs=1)
+    sharded = sweep_queue_sizes(build, range(1, 7), jobs=2, backend="process")
+    assert sharded.probes == swept.probes
+    assert swept.minimal_size == 3
 
 
 def test_single_query_api_parity():

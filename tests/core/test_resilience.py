@@ -58,6 +58,11 @@ def _network(queue_size=2):
     return running_example(queue_size=queue_size).network
 
 
+def verdicts(result):
+    """Each scenario's key, minimum and sorted probes, in grid order."""
+    return [[s.key, s.minimal_size, sorted(s.probes.items())] for s in result.scenarios]
+
+
 def _eager_reference(queue_size=2):
     session = VerificationSession(_network(queue_size))
     session.add_invariants()
@@ -402,7 +407,7 @@ def test_builder_fault_is_retried_inline(tmp_path):
         FaultPlan.parse("builder:raise@1"), latch_dir=str(tmp_path)
     )
     result = _grid().run(jobs=1)
-    assert result.verdict_bytes() == reference.verdict_bytes()
+    assert verdicts(result) == verdicts(reference)
     assert result.retries == 1
     assert result.failures == 0 and result.degraded == 0
 
@@ -413,7 +418,7 @@ def test_scenario_worker_kill_grid_completes_identically(tmp_path):
         FaultPlan.parse("scenario-worker:kill@1"), latch_dir=str(tmp_path)
     )
     result = _grid().run(jobs=2)
-    assert result.verdict_bytes() == reference.verdict_bytes()
+    assert verdicts(result) == verdicts(reference)
     assert result.retries >= 1
     assert result.failures == 0
 
@@ -441,7 +446,7 @@ def test_persistent_builder_fault_lands_structured_failures(tmp_path):
     rerun = _grid().run(jobs=1, resume=checkpoint)
     assert rerun.reused == 0 and rerun.computed == 2
     assert rerun.failures == 0
-    assert rerun.verdict_bytes() == _grid().run(jobs=1).verdict_bytes()
+    assert verdicts(rerun) == verdicts(_grid().run(jobs=1))
 
 
 def test_experiment_deadline_reaches_every_scenario():

@@ -18,9 +18,11 @@ from repro.core import (
     SessionSpec,
     VerificationSession,
     sweep_queue_sizes,
+    verdict_sha,
 )
 from repro.core.parallel import WorkerSession, default_jobs
 from repro.netlib import running_example
+from repro.protocols import abstract_mi_mesh
 from repro.smt import snapshot_solver
 
 
@@ -48,6 +50,29 @@ def test_warm_worker_answers_every_case_like_a_cold_one():
             cold_payload = cold.check(target, sizes, want_witness=False)
             warm_payload = warm.check(target, sizes, want_witness=False)
             assert cold_payload[0] == warm_payload[0], (target, size)
+
+
+def test_warm_cold_and_reduction_verdicts_are_pinned_on_the_mesh():
+    """The 2x2 abstract-MI mesh: cold and warm workers answer all 44
+    cases alike, and so do sessions with clause reduction on and off.
+    Block/idle alone, every case at size 2 is a candidate; with the
+    invariants, no case at size 3 (the minimum) is."""
+    plain = SessionSpec(abstract_mi_mesh(2, 2, queue_size=2).network)
+    strengthened = SessionSpec(abstract_mi_mesh(2, 2, queue_size=3).network)
+    strengthened.generate_invariants()
+    for spec, sha in ((plain, "7c68c087cec5f932"), (strengthened, "67ac44703d69339c")):
+        parent = VerificationSession(spec=spec)
+        parent.verify()
+        sizes = tuple(sorted(spec.initial_sizes.items()))
+        cases = range(len(spec.encoding.cases))
+        for snapshot in (spec.snapshot(), parent.snapshot()):
+            worker = WorkerSession(snapshot)
+            payloads = [worker.check(case, sizes, want_witness=False)[0] for case in cases]
+            assert verdict_sha(payloads) == sha
+    for reduction in (True, False):
+        session = VerificationSession(spec=plain, clause_reduction=reduction)
+        verdicts = [r.verdict.value for r in session.verify_all_cases()]
+        assert verdict_sha(verdicts) == "f30654c7f8be6217"
 
 
 @given(
@@ -159,40 +184,56 @@ def test_seed_phases_from_witness_is_a_noop_before_first_sat():
 
 
 # ---------------------------------------------------------------------------
-# Long-session boundedness (benchmark-scale, deselected from tier-1)
+# Long monotone sweeps: reduction changes no verdict and bounds the tail
 # ---------------------------------------------------------------------------
+
+# Sweep-tuned knobs: frequent small reductions and a tight glue cap suit
+# a workload that never revisits a size (see README "Solver internals").
+SWEEP_REDUCTION_OPTS = {"reduce_base": 200, "reduce_growth": 1.25, "glue_cap": 150}
+
+
+def _monotone_sweep(spec, n_sizes, reduction):
+    """One ``verify()`` per size, ascending; the verdicts and the learned
+    clauses left after a final compaction."""
+    session = VerificationSession(
+        spec=spec,
+        clause_reduction=reduction,
+        reduction_opts=SWEEP_REDUCTION_OPTS if reduction else None,
+    )
+    verdicts = []
+    for size in range(1, n_sizes + 1):
+        session.resize_queues(size)
+        session.seed_phases_from_witness()
+        verdicts.append(session.verify().verdict.value)
+    if reduction:
+        session.solver._sat.compact()
+    return verdicts, session.solver.learned_count()
+
+
+@pytest.fixture(scope="module")
+def mesh_spec_with_invariants():
+    spec = SessionSpec(abstract_mi_mesh(2, 2, queue_size=2).network)
+    spec.generate_invariants()
+    return spec
+
+
+def test_monotone_sweep_verdicts_are_pinned_with_and_without_reduction(
+    mesh_spec_with_invariants,
+):
+    for reduction in (True, False):
+        verdicts, _ = _monotone_sweep(mesh_spec_with_invariants, 40, reduction)
+        assert verdict_sha(verdicts) == "0920bc09ae4528a3", reduction
 
 
 @pytest.mark.slow
-def test_long_monotone_sweep_stays_bounded_with_identical_verdicts():
-    """Miniature of bench_warmstart's bounded-session acceptance gate."""
-    from repro.protocols import abstract_mi_mesh
-
-    spec = SessionSpec(abstract_mi_mesh(2, 2, queue_size=2).network)
-    spec.generate_invariants()
-
-    def run(reduction):
-        session = VerificationSession(
-            spec=spec,
-            clause_reduction=reduction,
-            reduction_opts=(
-                {"reduce_base": 200, "reduce_growth": 1.25, "glue_cap": 150}
-                if reduction
-                else None
-            ),
-        )
-        verdicts = []
-        for size in range(1, 121):
-            session.resize_queues(size)
-            session.seed_phases_from_witness()
-            verdicts.append(session.verify().verdict)
-        if reduction:
-            session.solver.compact()
-        return verdicts, session.solver.learned_count()
-
-    bounded_verdicts, bounded_live = run(True)
-    unbounded_verdicts, unbounded_live = run(False)
+def test_long_monotone_sweep_stays_bounded_with_identical_verdicts(
+    mesh_spec_with_invariants,
+):
+    bounded_verdicts, bounded_live = _monotone_sweep(mesh_spec_with_invariants, 120, True)
+    unbounded_verdicts, unbounded_live = _monotone_sweep(
+        mesh_spec_with_invariants, 120, False
+    )
     assert bounded_verdicts == unbounded_verdicts
-    # The bench gate is < 0.5 on 200 sizes; leave slack for the shorter
-    # sweep and hash-seed trajectory noise.
+    # Within 70% of the unbounded count, leaving slack for hash-seed
+    # trajectory noise.
     assert bounded_live < 0.7 * unbounded_live

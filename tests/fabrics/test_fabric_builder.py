@@ -1,6 +1,8 @@
 """Structural and end-to-end tests for the generic fabric builder on
 wraparound topologies (torus / ring) and the dateline escape-VC scheme."""
 
+import pytest
+
 from repro import Verdict, verify
 from repro.fabrics import (
     FabricConfig,
@@ -43,21 +45,26 @@ def test_ring_structure_string_ports():
     assert any("CW" in name for name in names)
 
 
-def test_ring_without_escape_vcs_has_wrap_deadlock():
-    """A 4-ring's wrap link closes the channel-dependence cycle: the
-    encoder must find a deadlock witness at any queue size."""
-    result = verify(traffic_ring(4, queue_size=3, escape_vcs=False))
+# Wraparound traffic fabrics: the wrap links close a channel-dependence
+# cycle, and the dateline escape VCs break it.
+WRAP_FABRICS = {
+    "ring-4": lambda escape_vcs: traffic_ring(4, queue_size=3, escape_vcs=escape_vcs),
+    "torus-4x2": lambda escape_vcs: traffic_torus(4, 2, queue_size=2, escape_vcs=escape_vcs),
+}
+
+
+@pytest.mark.parametrize("fabric", WRAP_FABRICS)
+def test_wrap_fabric_without_escape_vcs_deadlocks(fabric):
+    """The encoder must find a deadlock witness at any queue size."""
+    result = verify(WRAP_FABRICS[fabric](False))
     assert result.verdict is Verdict.DEADLOCK_CANDIDATE
-    witness = result.witness
-    assert witness is not None
-    # The witness blocks a link queue (a wrap-cycle configuration), not
-    # merely an ejection queue.
-    assert witness.pretty()
+    assert result.witness is not None
+    assert result.witness.pretty()
 
 
-def test_ring_with_escape_vcs_is_deadlock_free():
-    result = verify(traffic_ring(4, queue_size=3, escape_vcs=True))
-    assert result.verdict is Verdict.DEADLOCK_FREE
+@pytest.mark.parametrize("fabric", WRAP_FABRICS)
+def test_wrap_fabric_with_escape_vcs_is_deadlock_free(fabric):
+    assert verify(WRAP_FABRICS[fabric](True)).verdict is Verdict.DEADLOCK_FREE
 
 
 def test_small_torus_traffic_verifies_with_escape_vcs():

@@ -1,9 +1,17 @@
-"""Integration tests: the paper's case study end to end (E3, E5, E6, E9)."""
+"""Integration tests: the paper's case study end to end (E3, E5, E6, E9,
+E11)."""
 
 import pytest
 
 from repro import Verdict, verify
-from repro.core import VarPool, derive_colors, generate_invariants, minimal_queue_size
+from repro.core import (
+    VarPool,
+    derive_colors,
+    generate_invariants,
+    minimal_queue_size,
+    sweep_queue_sizes,
+    verdict_sha,
+)
 from repro.linalg import SparseVector, row_space_contains
 from repro.mc import Explorer, check_handshake_composition
 from repro.protocols import Message, abstract_mi_mesh, mi_mesh
@@ -127,6 +135,27 @@ class TestE5Invariants:
                 )
         for invariant in invariants:
             assert invariant.evaluate(assignment)
+
+
+class TestE11EagerSweep:
+    """One eager sweep per mesh across its minimum, which is the cache
+    count ``w*h - 1`` in this single-ejection-queue router."""
+
+    @pytest.mark.parametrize(
+        "width, sizes, rows, sha",
+        [(2, (2, 3), 13, "20995419e53f85ce"), (3, (7, 8), 33, "949d57688d4c2309")],
+        ids=["2x2", "3x3"],
+    )
+    def test_sweep_across_the_minimum_is_pinned(self, width, sizes, rows, sha):
+        sizing = sweep_queue_sizes(
+            lambda size: abstract_mi_mesh(width, width, queue_size=size).network,
+            sizes,
+            jobs=1,
+            want_witness=False,
+        )
+        assert sizing.probes == {sizes[0]: False, sizes[1]: True}
+        assert sizing.invariants_generated == rows
+        assert verdict_sha(sorted(sizing.probes.items())) == sha
 
 
 class TestE6VirtualChannels:

@@ -14,7 +14,7 @@ from repro.protocols.abstract_mi import (
 def test_instance_layout_default_directory():
     inst = abstract_mi_mesh(2, 2, queue_size=2)
     assert inst.directory_node == (1, 1)
-    assert inst.cache_nodes() == [(0, 0), (0, 1), (1, 0)]
+    assert sorted(inst.caches) == [(0, 0), (0, 1), (1, 0)]
 
 
 def test_instance_layout_custom_directory():
@@ -57,7 +57,7 @@ def test_directory_states_parameterized_per_cache():
     assert "I" in directory.states
     # 1 + 2 * n_caches states
     assert len(directory.states) == 1 + 2 * 3
-    for c in inst.cache_nodes():
+    for c in sorted(inst.caches):
         assert f"M_{c[0]}_{c[1]}" in directory.states
         assert f"MI_{c[0]}_{c[1]}" in directory.states
 

@@ -20,7 +20,7 @@ def test_layout_with_dma():
     inst = mi_mesh(2, 2, queue_size=2)
     assert inst.directory_node == (1, 1)
     assert inst.dma_node == (0, 0)
-    assert inst.cache_nodes() == [(0, 1), (1, 0)]
+    assert sorted(inst.caches) == [(0, 1), (1, 0)]
 
 
 def test_layout_without_dma():

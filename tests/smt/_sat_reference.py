@@ -7,8 +7,8 @@ stack; it exists so that
 * ``tests/smt/test_satcore.py`` can differentially check the arena core
   against it (verdicts, models, failed-assumption cores and search
   statistics must be byte-identical over random CNFs), and
-* ``benchmarks/bench_satcore.py`` can measure the old-vs-new hot-loop
-  speedup on the same instances and record it in ``BENCH_satcore.json``.
+* the same module can swap it under ``Solver`` and answer a mesh's
+  per-case fan-out through the full session stack on it.
 
 Do not edit the algorithm here: its whole value is that it preserves the
 old trajectory.  Two deliberate exceptions mirror search-order changes of
@@ -25,14 +25,13 @@ the arena core, so the lockstep contract keeps holding:
 
 It also has ``add_clauses`` (one ``add_clause`` per clause) and
 ``model_bits``, the entry points ``Solver`` calls on the arena core, so
-``benchmarks/bench_satcore.py`` can swap this core under the solver;
-neither changes the search.
+the core swaps under the solver; neither changes the search.
 
 Theory propagation is deliberately *not* mirrored: this core never calls
 a listener's ``derive``/``explain``.  The lockstep suite runs on pure
 CNF, where no listener is attached, so it is unaffected; with the LIA
-bridge attached the two cores search differently, and
-``benchmarks/bench_satcore.py`` compares their verdicts only.
+bridge attached the two cores search differently, and the full-stack
+test compares their verdicts only.
 
 The original module docstring follows.
 

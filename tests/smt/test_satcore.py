@@ -20,6 +20,10 @@ behavioural contract against the pre-arena core it replaced, kept in
 * warm session snapshots must round-trip through a real ``spawn`` worker
   (the strictest start method), with ``SNAPSHOT_VERSION`` still 2 since
   the export format did not change;
+* pinned verdicts: four random 3-CNFs near the satisfiability threshold
+  on both cores, and the 2x2 abstract-MI per-case fan-out through the
+  full session stack with the reference core swapped in under
+  ``Solver``, so a ``Cdcl`` method ``Solver`` calls must exist in both;
 * the satellite regressions: ``_decide`` may never fall back to a
   full-array scan, the ``profile()`` counters must be zeroed on the
   early-UNSAT path exactly like ``stats``, and a permanently UNSAT core
@@ -38,11 +42,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _sat_reference
-from repro.core import VerificationSession
+from repro.core import VerificationSession, verdict_sha
 from repro.core.parallel import WorkerSession, _initialize_worker, _run_job
 from repro.netlib import running_example
-from repro.smt import sat
-from repro.smt import serialize
+from repro.protocols import abstract_mi_mesh
+from repro.smt import sat, serialize
+from repro.smt import solver as solver_module
 from repro.smt.solver import Result, Solver
 from repro.smt.terms import boolvar
 
@@ -225,6 +230,49 @@ def test_forced_rescale_case_rescales_and_stays_in_lockstep():
     assert arena.stats == reference.stats
     assert arena._var_inc < 1e90 and reference._var_inc < 1e90, "no rescale happened"
     assert arena._var_inc == reference._var_inc
+
+
+# ---------------------------------------------------------------------------
+# Pinned verdicts: threshold 3-CNFs and the full session stack
+# ---------------------------------------------------------------------------
+
+
+def test_threshold_3cnf_verdicts_are_pinned_on_both_cores():
+    """Four random 3-CNFs over 60 variables at clause/variable ratio 4.2,
+    where searches mix deep propagation with real conflict analysis."""
+    results = []
+    for core in (sat, _sat_reference):
+        verdicts, propagations = [], 0
+        for seed in range(1000, 1004):
+            rng = random.Random(seed)
+            solver = core.Cdcl(reduction=True, reduce_base=200)
+            solver.ensure_vars(60)
+            for _ in range(252):
+                variables = rng.sample(range(1, 61), 3)
+                solver.add_clause([v if rng.random() < 0.5 else -v for v in variables])
+            verdicts.append(str(solver.solve()))
+            propagations += solver.stats["propagations"]
+        results.append((verdict_sha(verdicts), propagations))
+    assert results[0] == results[1]
+    assert results[0][0] == "ef41c826b6930f3b"
+
+
+def test_reference_core_answers_the_mesh_fan_out_under_the_full_stack(monkeypatch):
+    """Every per-case query of the 2x2 abstract-MI mesh, through the
+    session stack on each core.  The reference core does no theory
+    propagation, so only the verdicts compare."""
+    network = abstract_mi_mesh(2, 2, queue_size=2).network
+
+    def fan_out():
+        session = VerificationSession(network)
+        verdicts = [session.verify_case(case).deadlock_free for case in session.encoding.cases]
+        return type(session.solver._sat), verdicts
+
+    core, arena = fan_out()
+    assert core is sat.Cdcl
+    monkeypatch.setattr(solver_module, "Cdcl", _sat_reference.Cdcl)
+    assert fan_out() == (_sat_reference.Cdcl, arena)
+    assert verdict_sha(arena) == "1882424d332c4807"
 
 
 # ---------------------------------------------------------------------------

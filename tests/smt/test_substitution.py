@@ -74,7 +74,7 @@ def test_extended_model_satisfies_the_unsubstituted_cnf(
     if solver.check([case.guard]) != Result.SAT:
         assert solver.check() == Result.SAT
     model = solver.model()
-    ints = model.int_items()
+    ints = model._ints
     for defined, rhs in session.encoding.definitions:
         assert _holds(iff(defined, rhs), model, ints), defined
     # The core assigns every variable of the image and satisfies it.

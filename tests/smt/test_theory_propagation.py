@@ -122,7 +122,7 @@ def _solve(clauses, derive):
     verdict = solver.check()
     if verdict == Result.SAT:
         # Every atom's truth value in the SAT core agrees with the model.
-        ints = solver.model().int_items()
+        ints = solver.model()._ints
         for satvar, atom in solver._cnf.atom_of_var.items():
             values = {var: ints.get(var, 0) for var, _ in atom.coeffs}
             assert solver._sat.model_value(satvar) == atom.evaluate(values), atom
