@@ -2,7 +2,10 @@
 
 Standalone benchmark behind ``BENCH_resilience.json``.  The workload is
 the 2x2 abstract-MI mesh's deadlock-case fan-out (``verify_all_cases``),
-driven through three drills:
+driven through three drills.  The two crash drills run the
+invariant-strengthened mesh at queue size 2, whose cases hold both
+verdicts (candidates and deadlock-free ones), so a restarted worker that
+answers an UNSAT query as SAT, or the reverse, changes ``verdict_sha``:
 
 * **deadline-polling overhead** — the fan-out answered with no deadline
   vs under a generous :class:`~repro.core.resilience.Deadline` (wall
@@ -65,8 +68,23 @@ def _spec(width: int, height: int, queue_size: int = 3) -> SessionSpec:
     return SessionSpec(network)
 
 
-def _verdict_sha(results) -> str:
-    return verdict_sha([r.verdict.value for r in results])
+def _drill_spec() -> SessionSpec:
+    """The crash drills' fan-out: both verdicts among its cases."""
+    spec = _spec(2, 2, queue_size=2)
+    spec.generate_invariants()
+    return spec
+
+
+def _verdict_sha(spec: SessionSpec, results) -> str:
+    """Over ``[case label, verdict]`` pairs sorted by label: the case
+    order follows the hash seed, so a fan-out of mixed verdicts hashed
+    in case order would read differently under every seed."""
+    return verdict_sha(
+        sorted(
+            [case.label, r.verdict.value]
+            for case, r in zip(spec.encoding.cases, results)
+        )
+    )
 
 
 def _fanout_wall(spec: SessionSpec, deadline: Deadline | None) -> float:
@@ -105,7 +123,7 @@ def _recovery_drill(spec: SessionSpec, reference_sha: str) -> dict:
     ) as pool:
         clean = pool.verify_all_cases()
     clean_wall = time.perf_counter() - start
-    assert _verdict_sha(clean) == reference_sha
+    assert _verdict_sha(spec, clean) == reference_sha
 
     with tempfile.TemporaryDirectory() as latch:
         install_fault_plan(FaultPlan.parse("query-worker:kill@1"), latch_dir=latch)
@@ -121,8 +139,8 @@ def _recovery_drill(spec: SessionSpec, reference_sha: str) -> dict:
         finally:
             install_fault_plan(None)
     return {
-        "verdict_sha": _verdict_sha(recovered),
-        "verdicts_recovery_identical": _verdict_sha(recovered) == reference_sha,
+        "verdict_sha": _verdict_sha(spec, recovered),
+        "verdicts_recovery_identical": _verdict_sha(spec, recovered) == reference_sha,
         "recoveries": recoveries,
         "degraded": degraded,
         "clean_wall_s": round(clean_wall, 3),
@@ -151,8 +169,8 @@ def _quarantine_drill(spec: SessionSpec, reference_sha: str) -> dict:
     finally:
         install_fault_plan(None)
     return {
-        "verdict_sha": _verdict_sha(results),
-        "verdicts_quarantine_identical": _verdict_sha(results) == reference_sha,
+        "verdict_sha": _verdict_sha(spec, results),
+        "verdicts_quarantine_identical": _verdict_sha(spec, results) == reference_sha,
         "retries": recoveries,
         "degraded": degraded,
         "wall_s": round(wall, 3),
@@ -163,9 +181,13 @@ def run_benchmarks(smoke: bool = False) -> dict:
     meshes = [(2, 2)] if smoke else [(2, 2), (3, 3)]
     overhead = [_overhead_case(width, height) for width, height in meshes]
 
-    spec = _spec(2, 2)
+    spec = _drill_spec()
     reference = VerificationSession(spec=spec).verify_all_cases()
-    reference_sha = _verdict_sha(reference)
+    reference_sha = _verdict_sha(spec, reference)
+    counts = {
+        verdict: sum(r.verdict.value == verdict for r in reference)
+        for verdict in ("deadlock-candidate", "deadlock-free")
+    }
 
     recovery = _recovery_drill(spec, reference_sha)
     quarantine = _quarantine_drill(spec, reference_sha)
@@ -174,8 +196,12 @@ def run_benchmarks(smoke: bool = False) -> dict:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "cpu_count": os.cpu_count() or 1,
         "smoke": smoke,
-        "workload": "abstract_mi_mesh verify_all_cases fan-out (queue_size=3)",
+        "workload": (
+            "abstract_mi_mesh 2x2 verify_all_cases fan-out: overhead at "
+            "queue_size=3; drills at queue_size=2 with invariants"
+        ),
         "verdict_sha": reference_sha,
+        "drill_verdicts": counts,
         "overhead": overhead,
         "recovery": recovery,
         "quarantine": quarantine,
@@ -186,6 +212,8 @@ def check_acceptance(results: dict) -> None:
     """Re-asserted on the loaded record: identity fatal, overhead bounded."""
     recovery = results["recovery"]
     quarantine = results["quarantine"]
+    # A fan-out of one verdict cannot tell a wrong answer from a right one.
+    assert min(results["drill_verdicts"].values()) > 0, results["drill_verdicts"]
     assert recovery["verdicts_recovery_identical"], recovery
     assert recovery["recoveries"] == 1 and not recovery["degraded"], recovery
     assert quarantine["verdicts_quarantine_identical"], quarantine

@@ -14,26 +14,13 @@ Quickstart::
 See :mod:`repro.fabrics` for 2D-mesh construction, :mod:`repro.protocols`
 for the MI coherence protocols of the case study, and :mod:`repro.mc` for
 the explicit-state model checker that confirms deadlock candidates.
+
+``import repro`` loads no layer: the names below resolve from
+:mod:`repro.core` on first use (PEP 562), and :mod:`repro.core` in turn
+imports only the submodule that defines the name asked for.
 """
 
-from .core import (
-    DeadlockWitness,
-    Experiment,
-    ExperimentResult,
-    Invariant,
-    ScenarioResult,
-    ScenarioSpec,
-    SessionSpec,
-    Verdict,
-    VerificationResult,
-    VerificationSession,
-    derive_colors,
-    encode_deadlock,
-    generate_invariants,
-    minimal_queue_size,
-    sweep_queue_sizes,
-    verify,
-)
+import importlib
 
 __version__ = "1.3.0"
 
@@ -56,3 +43,15 @@ __all__ = [
     "DeadlockWitness",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(".core", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -27,123 +27,70 @@ Public entry points:
   recovery with deterministic backoff, and the fault-injection harness
   behind the chaos test suite.
 * :class:`VerificationService` / :class:`ServiceClient` — the
-  verification-as-a-service layer (:mod:`repro.core.service`): a
+  verification-as-a-service layer (:mod:`repro.core.server`, and the
+  wire framing and clients in :mod:`repro.core.service`): a
   long-lived asyncio TCP server answering spec-described queries
   through three content-addressed cache tiers
   (:mod:`repro.core.cache` — hot live sessions under LRU, warm pickled
   snapshots, cold verdict store).
 """
 
-from .cache import (
-    LruSessionCache,
-    SnapshotStore,
-    VerdictStore,
-    atomic_write_bytes,
-    atomic_write_json,
-    atomic_write_text,
-    canonical_json,
-    sha_bytes,
-    stable_hash,
-    verdict_sha,
-)
-from .colors import ColorDerivationError, ColorMap, derive_colors
-from .deadlock import DeadlockCase, DeadlockEncoding, encode_deadlock
-from .engine import SessionSnapshot, SessionSpec, VerificationSession
-from .experiments import (
-    Experiment,
-    ExperimentResult,
-    ScenarioResult,
-    ScenarioSpec,
-    register_builder,
-    registered_builders,
-    resolve_builder,
-    run_scenario,
-)
-from .invariants import build_flow_rows, generate_invariants
-from .parallel import (
-    WorkerSession,
-    default_jobs,
-    discard_scenario_executor,
-    nested_jobs,
-    scenario_executor,
-    shutdown_scenario_executors,
-)
-from .proof import enumerate_witnesses, verify
-from .resilience import (
-    Deadline,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
-    RetryPolicy,
-    active_fault_plan,
-    install_fault_plan,
-)
-from .result import DeadlockWitness, Invariant, Verdict, VerificationResult
-from .service import (
-    AsyncServiceClient,
-    ServiceClient,
-    ServiceError,
-    VerificationService,
-)
-from .sizing import SizingResult, minimal_queue_size, sweep_queue_sizes
-from .vars import VarPool, color_label
+import importlib
 
-__all__ = [
-    "SessionSpec",
-    "SessionSnapshot",
-    "VerificationSession",
-    "WorkerSession",
-    "Experiment",
-    "ExperimentResult",
-    "ScenarioSpec",
-    "ScenarioResult",
-    "register_builder",
-    "registered_builders",
-    "resolve_builder",
-    "run_scenario",
-    "default_jobs",
-    "nested_jobs",
-    "scenario_executor",
-    "discard_scenario_executor",
-    "shutdown_scenario_executors",
-    "sweep_queue_sizes",
-    "verify",
-    "enumerate_witnesses",
-    "derive_colors",
-    "generate_invariants",
-    "encode_deadlock",
-    "minimal_queue_size",
-    "ColorMap",
-    "ColorDerivationError",
-    "DeadlockCase",
-    "DeadlockEncoding",
-    "DeadlockWitness",
-    "Invariant",
-    "Verdict",
-    "VerificationResult",
-    "SizingResult",
-    "VarPool",
-    "color_label",
-    "build_flow_rows",
-    "Deadline",
-    "RetryPolicy",
-    "FaultPlan",
-    "FaultSpec",
-    "InjectedFault",
-    "active_fault_plan",
-    "install_fault_plan",
-    "LruSessionCache",
-    "SnapshotStore",
-    "VerdictStore",
-    "atomic_write_bytes",
-    "atomic_write_json",
-    "atomic_write_text",
-    "canonical_json",
-    "sha_bytes",
-    "stable_hash",
-    "verdict_sha",
-    "VerificationService",
-    "ServiceClient",
-    "ServiceError",
-    "AsyncServiceClient",
-]
+#: Submodule → the names this package re-exports from it.  A name
+#: resolves on first attribute access (PEP 562), so ``import repro.core``
+#: loads no layer until one is used: a verifier never imports the
+#: service, and a service client never imports the solver.
+_EXPORTS_BY_MODULE = {
+    "cache": (
+        "LruSessionCache", "SnapshotStore", "VerdictStore",
+        "atomic_write_bytes", "atomic_write_json", "atomic_write_text",
+        "canonical_json", "sha_bytes", "stable_hash", "verdict_sha",
+    ),
+    "colors": ("ColorDerivationError", "ColorMap", "derive_colors"),
+    "deadlock": ("DeadlockCase", "DeadlockEncoding", "encode_deadlock"),
+    "engine": ("SessionSnapshot", "SessionSpec", "VerificationSession"),
+    "experiments": (
+        "Experiment", "ExperimentResult", "ScenarioResult", "ScenarioSpec",
+        "register_builder", "registered_builders", "resolve_builder",
+        "run_scenario",
+    ),
+    "invariants": ("build_flow_rows", "generate_invariants"),
+    "parallel": (
+        "WorkerSession", "default_jobs", "discard_scenario_executor",
+        "nested_jobs", "scenario_executor", "shutdown_scenario_executors",
+    ),
+    "proof": ("enumerate_witnesses", "verify"),
+    "resilience": (
+        "Deadline", "FaultPlan", "FaultSpec", "InjectedFault", "RetryPolicy",
+        "active_fault_plan", "install_fault_plan",
+    ),
+    "result": ("DeadlockWitness", "Invariant", "Verdict", "VerificationResult"),
+    "server": ("VerificationService",),
+    "service": ("AsyncServiceClient", "ServiceClient", "ServiceError"),
+    "sizing": ("SizingResult", "minimal_queue_size", "sweep_queue_sizes"),
+    "vars": ("VarPool", "color_label"),
+}
+_EXPORTS = {
+    name: module
+    for module, names in _EXPORTS_BY_MODULE.items()
+    for name in names
+}
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        # An AttributeError (not KeyError) lets ``from repro.core import
+        # cache`` fall back to importing the submodule.
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
+

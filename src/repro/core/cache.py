@@ -44,7 +44,6 @@ the historic per-bench copies — committed baseline SHAs do not move.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import pickle
@@ -109,7 +108,9 @@ def atomic_write_json(path: str | Path, payload: Any, indent: int = 2) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Canonical hashing
+# Canonical hashing (``hashlib`` loads OpenSSL, several MiB, so it is
+# imported by the functions that hash: a process that never hashes never
+# loads it)
 # ---------------------------------------------------------------------------
 
 
@@ -120,6 +121,8 @@ def canonical_json(payload: Any) -> str:
 
 def stable_hash(payload: Any) -> str:
     """Full SHA-256 hex digest of ``payload``'s canonical JSON form."""
+    import hashlib
+
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
@@ -128,13 +131,14 @@ def verdict_sha(payload: Any) -> str:
     records historically did: ``json.dumps(payload, separators=(",",":"))``
     with **no** key sorting — callers pre-canonicalise (sorted lists of
     pairs, verdict-value lists) so committed baseline SHAs stay fixed."""
-    canonical = json.dumps(payload, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    return sha_bytes(json.dumps(payload, separators=(",", ":")).encode())
 
 
 def sha_bytes(data: bytes) -> str:
     """16-hex SHA-256 over pre-canonicalised bytes (e.g. a snapshot
     image)."""
+    import hashlib
+
     return hashlib.sha256(data).hexdigest()[:16]
 
 

@@ -356,6 +356,17 @@ class SessionSpec:
         return table
 
     @cached_property
+    def network_stats(self) -> dict[str, int]:
+        """``network.stats()``, a constant of the spec: computed once,
+        copied into each result's stats."""
+        return self.network.stats()
+
+    @cached_property
+    def color_pairs(self) -> int:
+        """``colors.total_pairs()``, a constant of the spec."""
+        return self.colors.total_pairs()
+
+    @cached_property
     def guard_labels(self) -> dict[str, str]:
         """Guard-variable name → deadlock-case label (master guard too)."""
         labels = {case.guard.name: case.label for case in self.encoding.cases}
@@ -388,8 +399,8 @@ class SessionSpec:
         solver_stats = dict(solver_stats)
         solver_profile = solver_stats.pop("profile", {})
         stats = {
-            "network": self.network.stats(),
-            "color_pairs": self.colors.total_pairs(),
+            "network": dict(self.network_stats),
+            "color_pairs": self.color_pairs,
             "invariant_count": len(invariants),
             "solver": solver_stats,
             "solver_profile": solver_profile,
@@ -409,13 +420,13 @@ class SessionSpec:
         else:
             verdict = Verdict.DEADLOCK_CANDIDATE
             if a is not None:
-                from .proof import extract_witness
-
                 model = Model(
                     {self.var_by_uid[uid]: value for uid, value in a.items()},
                     dict(b),
                 )
-                witness = extract_witness(self.network, self.colors, self.pool, model)
+                witness = proof.extract_witness(
+                    self.network, self.colors, self.pool, model
+                )
         return VerificationResult(
             verdict,
             witness=witness,
@@ -841,8 +852,8 @@ class VerificationSession:
         """Session statistics (solver clause count) and the state of the
         fan-out pool."""
         return {
-            "network": self.network.stats(),
-            "color_pairs": self.colors.total_pairs(),
+            "network": dict(self.spec.network_stats),
+            "color_pairs": self.spec.color_pairs,
             "invariant_count": len(self.invariants),
             "clauses": self.solver.clause_count(),
             "jobs": self.jobs,
@@ -872,3 +883,9 @@ def eager_invariants(mode: str) -> bool:
             "verdicts as 'eager'; use 'eager')"
         )
     return mode == "eager"
+
+
+# proof imports this module (its one-shot wrappers open sessions), so it
+# is imported last: it then loads with the engine rather than at the first
+# witness a query reads back.
+from . import proof  # noqa: E402

@@ -41,11 +41,11 @@ layer ships whole builds to, and the job budget (:func:`default_jobs`,
 
 from __future__ import annotations
 
+import atexit
 import os
 import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
-from multiprocessing import get_all_start_methods, get_context
+from concurrent.futures import ThreadPoolExecutor, wait
 from time import perf_counter
 from typing import TYPE_CHECKING, Sequence
 
@@ -128,8 +128,12 @@ def _process_context():
     fork inherits the parent cheaply, but only Linux runs it safely
     (CPython documents fork as crash-prone on macOS); everywhere else
     the platform-default spawn works identically because every job and
-    initializer argument in this module is pickle-safe.
+    initializer argument in this module is pickle-safe.  The
+    ``multiprocessing`` machinery is imported here, where a process pool
+    is made, so a process that never starts one never loads it.
     """
+    from multiprocessing import get_all_start_methods, get_context
+
     method = (
         "fork"
         if sys.platform.startswith("linux")
@@ -173,6 +177,8 @@ def scenario_executor(jobs: int, backend: str = "process", epoch: int = 0):
         executor.shutdown(wait=True, cancel_futures=True)
         del _SCENARIO_EXECUTORS[key]
     if backend == "process":
+        from concurrent.futures import ProcessPoolExecutor
+
         executor = ProcessPoolExecutor(
             max_workers=jobs, mp_context=_process_context()
         )
@@ -201,6 +207,11 @@ def shutdown_scenario_executors(wait: bool = True) -> None:
     while _SCENARIO_EXECUTORS:
         _, (executor, _) = _SCENARIO_EXECUTORS.popitem()
         executor.shutdown(wait=wait, cancel_futures=True)
+
+
+# A cached executor outlives its callers: release it at exit, while the
+# modules its finalizer calls into are still loaded.
+atexit.register(shutdown_scenario_executors)
 
 
 class WorkerSession:
@@ -449,6 +460,8 @@ def _run_chunk(jobs: Sequence[Job]) -> list:
 def start_pool(snapshot: SessionSnapshot, jobs: int, backend: str):
     """An executor of ``jobs`` workers, each answering from ``snapshot``."""
     if backend == "process":
+        from concurrent.futures import ProcessPoolExecutor
+
         executor, kwargs = ProcessPoolExecutor, {"mp_context": _process_context()}
     else:
         executor, kwargs = ThreadPoolExecutor, {}

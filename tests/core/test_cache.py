@@ -51,7 +51,7 @@ from repro.core import (
     stable_hash,
     verdict_sha,
 )
-from repro.core import service as service_module
+from repro.core import server as server_module
 from repro.netlib import producer_consumer, running_example
 from repro.smt import snapshot_solver
 
@@ -510,7 +510,7 @@ def test_unreadable_warm_tier_files_count_as_missing(tmp_path, damage):
     else:
         sidecar = pkl.with_suffix(".meta.json")
         sidecar.write_bytes(sidecar.read_bytes()[:20])
-    service_module._WORKER_CACHE.clear()
+    server_module._WORKER_CACHE.clear()
 
     again, _ = asyncio.run(ask("verify", running))
     assert again["ok"] and again["cache"] == "build"

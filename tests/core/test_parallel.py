@@ -28,6 +28,7 @@ from repro.core import (
     sweep_queue_sizes,
     verdict_sha,
 )
+from repro.core import parallel
 from repro.core.engine import ANY_CASE_LABEL
 from repro.core.parallel import WorkerSession, gather, start_pool
 from repro.netlib import running_example
@@ -101,6 +102,27 @@ def test_process_pool_answers_the_3x3_mesh_like_the_sequential_session():
     sharded = sweep_queue_sizes(build, range(1, 7), jobs=2, backend="process")
     assert sharded.probes == swept.probes
     assert swept.minimal_size == 3
+
+
+@pytest.mark.slow
+def test_spawned_pool_workers_answer_like_the_inline_session(monkeypatch):
+    """Workers started by ``spawn`` are fresh interpreters: they import
+    the lazily resolved layers themselves (Linux pools otherwise fork
+    a parent that has them loaded) and must answer every case of the
+    invariant-strengthened 2x2 mesh, free and candidate, like the
+    inline session."""
+    monkeypatch.setattr(
+        parallel, "_process_context", lambda: multiprocessing.get_context("spawn")
+    )
+    spec = SessionSpec(abstract_mi_mesh(2, 2, queue_size=2).network)
+    spec.generate_invariants()
+    inline = [r.verdict for r in VerificationSession(spec=spec).verify_all_cases()]
+    with VerificationSession(
+        spec=spec, jobs=2, backend="process", force_pool=True
+    ) as pool:
+        pooled = [r.verdict for r in pool.verify_all_cases()]
+    assert pooled == inline
+    assert {Verdict.DEADLOCK_FREE, Verdict.DEADLOCK_CANDIDATE} <= set(inline)
 
 
 def test_single_query_api_parity():

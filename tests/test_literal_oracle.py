@@ -25,6 +25,7 @@ SESSION_MODULES = {
     "repro.core.sizing",
     "repro.core.experiments",
     "repro.core.service",
+    "repro.core.server",
 }
 
 
