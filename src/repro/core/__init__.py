@@ -56,10 +56,7 @@ _EXPORTS_BY_MODULE = {
         "run_scenario",
     ),
     "invariants": ("build_flow_rows", "generate_invariants"),
-    "parallel": (
-        "WorkerSession", "default_jobs", "discard_scenario_executor",
-        "nested_jobs", "scenario_executor", "shutdown_scenario_executors",
-    ),
+    "parallel": ("WorkerSession", "default_jobs"),
     "proof": ("enumerate_witnesses", "verify"),
     "resilience": (
         "Deadline", "FaultPlan", "FaultSpec", "InjectedFault", "RetryPolicy",

@@ -57,7 +57,6 @@ throwaway session, so the one-shot API is unchanged.
 from __future__ import annotations
 
 import os
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterator, Mapping, Sequence
@@ -162,12 +161,11 @@ class SessionSnapshot:
         clause list and SAT-variable numbering follow the hash seed.  Under
         different hash seeds one network can hash differently (see the
         ROADMAP item "Canonical encoding order").  Scheduling state is
-        excluded — learned clauses, saved phases, the clause-reduction
-        policy and its knobs and the split budget steer the *search*,
-        never the encoded formula — so warm or differently tuned variants
-        of one encoding share a cache identity.  A false identity collision would be a wrong cached
-        verdict, which is why the service layer keys its verdict store
-        on this hash.
+        excluded — learned clauses and saved phases steer the *search*,
+        never the encoded formula — so warm and cold snapshots of one
+        encoding share a cache identity.  A false identity collision
+        would be a wrong cached verdict, which is why the service layer
+        keys its verdict store on this hash.
 
         The hash covers the clause list, so a change of encoding moves it:
         clausifying top-level assertions directly instead of through one
@@ -276,19 +274,10 @@ class SessionSpec:
         for capacity in self.capacities.values():
             yield ge(capacity, 0)
 
-    def load_solver(
-        self,
-        clause_reduction: bool = True,
-        reduction_opts: Mapping | None = None,
-    ) -> Solver:
+    def load_solver(self) -> Solver:
         """A fresh solver with the full encoding (and any generated
-        invariants) asserted, its definitions bound first.
-        ``reduction_opts`` forwards lifecycle knobs (``reduce_base``,
-        ``reduce_growth``, ``glue_keep``, ``glue_cap``, ``reduce_keep``)
-        to the solver."""
-        solver = Solver(
-            clause_reduction=clause_reduction, **dict(reduction_opts or {})
-        )
+        invariants) asserted, its definitions bound first."""
+        solver = Solver()
         solver.define(self.encoding.definitions)
         for term in self.base_terms():
             solver.add(term)
@@ -446,15 +435,6 @@ class VerificationSession:
     rotating_precision:
         Build option, forwarded to :class:`SessionSpec` (ignored when
         ``spec`` is given — the spec already fixed it).
-    clause_reduction:
-        Enable the solver's learned-clause lifecycle (LBD-based database
-        reduction) so long sessions stay bounded.  ``False`` reproduces
-        the unbounded clause database of earlier revisions; verdicts are
-        identical either way.
-    reduction_opts:
-        Optional lifecycle knobs (``reduce_base``, ``reduce_growth``,
-        ``glue_keep``, ``glue_cap``, ``reduce_keep``) forwarded to the
-        solver — workload tuning for long sweeps and worker shards.
     spec:
         A prebuilt :class:`SessionSpec` to open a query session over
         without repeating the build phase.  If the spec already has
@@ -493,8 +473,6 @@ class VerificationSession:
         self,
         network: Network | None = None,
         rotating_precision: bool = True,
-        clause_reduction: bool = True,
-        reduction_opts: Mapping | None = None,
         spec: SessionSpec | None = None,
         jobs: int = 1,
         backend: str = "process",
@@ -529,9 +507,7 @@ class VerificationSession:
         # The invariants loaded into the solver; None until conjoined.
         self._invariants: list[Invariant] | None = spec.invariants
         self._last_witness_bools: dict[str, bool] | None = None
-        self.solver = spec.load_solver(
-            clause_reduction=clause_reduction, reduction_opts=reduction_opts
-        )
+        self.solver = spec.load_solver()
         # The one query engine over this live solver; the snapshot only
         # carries the tables.
         ints = dict(spec.var_by_uid)
@@ -777,7 +753,7 @@ class VerificationSession:
             self.verify(deadline)
             if deadline is not None and deadline.expired():
                 return None
-            self._executor = start_pool(self.snapshot(), self.jobs, self.backend)
+            self._executor = start_pool(self.jobs, self.backend, self.snapshot())
             self._pool_key = key
         return self._executor
 
@@ -789,6 +765,8 @@ class VerificationSession:
             self._force_pool or (self.jobs > 1 and (os.cpu_count() or 1) > 1)
         ):
             return None
+        from concurrent.futures import BrokenExecutor
+
         policy = self.retry_policy
         for attempt in range(policy.max_attempts):
             try:

@@ -28,12 +28,10 @@ The pieces:
   :class:`ScenarioResult` (verdict map + build/query timing split — no
   solver terms).
 * :class:`Experiment` — the declarative grid and its two-level scheduler:
-  scenario jobs ship *specs* (not snapshots) to a reusable process pool
-  (:func:`~repro.core.parallel.scenario_executor`), each worker builds its
-  own ``SessionSpec`` and answers its scenario end-to-end; the inner
-  query-level worker count is budgeted with
-  :func:`~repro.core.parallel.nested_jobs` so N scenarios × M query
-  workers never oversubscribe the machine.
+  scenario jobs ship *specs* (not snapshots) to one pool per run
+  (:func:`~repro.core.parallel.start_pool`), each worker builds its own
+  ``SessionSpec`` and answers its scenario end-to-end; each scenario may
+  shard its own sweep over ``query_jobs`` query workers.
 * :class:`ExperimentResult` — deterministic grid-ordered aggregation with
   JSON (de)serialization: ``save``/``load`` checkpoints make runs
   *resumable* — ``Experiment.run(resume=path)`` skips every grid point
@@ -49,7 +47,6 @@ from __future__ import annotations
 import inspect
 import itertools
 import json
-from concurrent.futures import BrokenExecutor, as_completed
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from time import perf_counter
@@ -58,12 +55,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from ..xmas import Network
 from .cache import atomic_write_json
 from .engine import eager_invariants
-from .parallel import (
-    default_jobs,
-    discard_scenario_executor,
-    nested_jobs,
-    scenario_executor,
-)
+from .parallel import default_jobs, start_pool
 from .resilience import Deadline, RetryPolicy, maybe_inject
 from .sizing import SizingResult, minimal_queue_size, sweep_queue_sizes
 
@@ -92,11 +84,6 @@ _BUILDERS: dict[str, Callable[..., Any]] = {}
 # stats/cases ops): "abstract_mi", "mi", "msi", "fabric", "netlib", ...
 _FAMILIES: dict[str, str] = {}
 _DEFAULTS_LOADED = False
-# Bumped on every (new) registration; Experiment.run hands it to
-# scenario_executor as the cache epoch, so fork-started workers created
-# before a registration are retired instead of resolving from a stale
-# registry snapshot.
-_REGISTRY_GENERATION = 0
 
 
 def _check_builder_signature(name: str, fn: Callable[..., Any]) -> None:
@@ -147,14 +134,13 @@ def register_builder(
     it, so a client can enumerate e.g. every ``"msi"`` case study.
 
     Note on start methods: under ``fork`` (the Linux default) workers
-    inherit every registration made before the pool started — and the
-    scheduler retires pooled workers that predate a registration.  Under
+    inherit every registration made before the pool started, and each
+    :meth:`Experiment.run` starts its own pool.  Under
     ``spawn``, workers re-import only the stock modules, so custom
     builders must be registered at import time of an importable module.
     """
 
     def _register(fn: Callable[..., Any]):
-        global _REGISTRY_GENERATION
         existing = _BUILDERS.get(name)
         if existing is not None and existing is not fn:
             raise ValueError(f"builder {name!r} is already registered")
@@ -162,17 +148,11 @@ def register_builder(
             _check_builder_signature(name, fn)
             _BUILDERS[name] = fn
             _FAMILIES[name] = family
-            _REGISTRY_GENERATION += 1
         return fn
 
     if builder is not None:
         return _register(builder)
     return _register
-
-
-def registry_generation() -> int:
-    """Monotone counter of registry growth (executor-cache epoch)."""
-    return _REGISTRY_GENERATION
 
 
 def _ensure_default_builders() -> None:
@@ -301,7 +281,7 @@ class ScenarioSpec:
         ``"eager"`` or ``"none"`` — see :mod:`repro.core.sizing`.
     query_jobs:
         Inner query-level worker count for this scenario's sweep;
-        ``None`` defers to the scheduler's nested-jobs budget.
+        ``None`` defers to the scheduler's ``query_jobs``.
     label:
         Display label; defaults to a rendering of builder + kwargs.
     """
@@ -610,9 +590,10 @@ def run_scenario(
     process*, and the scenario's size search/sweep runs locally on its
     own sessions — nothing but the spec comes in and nothing but the
     compact result goes out.  ``query_jobs`` is the scheduler's
-    nested-jobs budget; the spec's own :attr:`ScenarioSpec.query_jobs`
-    overrides it.  ``portfolio`` must be ``False``: the strategy
-    portfolio was deleted, and ``True`` raises ``ValueError``.
+    per-scenario query worker count; the spec's own
+    :attr:`ScenarioSpec.query_jobs` overrides it.  ``portfolio`` must be
+    ``False``: the strategy portfolio was deleted, and ``True`` raises
+    ``ValueError``.
     ``deadline`` bounds every probe
     (:class:`~repro.core.resilience.Deadline` or wire tuple — it crosses
     the scenario-pool boundary as plain data); sizes the budget could not
@@ -721,7 +702,7 @@ class Experiment:
     def run(
         self,
         jobs: int | None = None,
-        query_jobs: "int | str | None" = None,
+        query_jobs: int | None = None,
         backend: str = "process",
         resume: "ExperimentResult | str | Path | None" = None,
         save_path: str | Path | None = None,
@@ -739,13 +720,10 @@ class Experiment:
             pending grid size; ``1`` runs the outer loop inline — no
             pool, identical verdicts.
         query_jobs:
-            Inner per-scenario query worker budget.  Defaults to ``1`` —
+            Inner per-scenario query worker count.  Defaults to ``1`` —
             each scenario answers its sweep sequentially, so results
-            are identical on every machine.  Pass ``"auto"`` to split the
-            machine budget instead
-            (:func:`~repro.core.parallel.nested_jobs` of the outer
-            count, so N scenarios × M query workers never exceed it;
-            ``ADVOCAT_JOBS`` caps both levels), or an explicit count.
+            are identical on every machine.  ``jobs × query_jobs``
+            workers may run at once.
         backend:
             ``"process"`` (real parallelism) or ``"thread"`` (GIL-bound;
             differential tests).
@@ -813,12 +791,7 @@ class Experiment:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         jobs = min(jobs, len(pending)) if pending else 1
-        if query_jobs is None:
-            inner = 1
-        elif query_jobs == "auto":
-            inner = nested_jobs(jobs)
-        else:
-            inner = int(query_jobs)
+        inner = 1 if query_jobs is None else query_jobs
         if inner < 1:
             raise ValueError(f"query_jobs must be >= 1, got {inner}")
 
@@ -906,11 +879,13 @@ class Experiment:
                     except Exception:
                         land(run_quarantined(spec, attempts=1))
             else:
+                from concurrent.futures import BrokenExecutor, as_completed
+
                 # Fault-tolerant pool scheduling.  Every spec carries an
-                # attempt count; a BrokenExecutor (worker crash) evicts
-                # the poisoned pool, backs off, and resubmits whatever
-                # has not landed yet to a fresh one.  A spec that burns
-                # through ``policy.max_attempts`` pool rounds without
+                # attempt count; a BrokenExecutor (worker crash) shuts
+                # the poisoned pool down, backs off, and resubmits
+                # whatever has not landed yet to a fresh one.  A spec that
+                # burns through ``policy.max_attempts`` pool rounds without
                 # landing — the crash-the-worker-every-time case — is
                 # quarantined onto the inline ladder instead of poisoning
                 # pool after pool.
@@ -932,57 +907,58 @@ class Experiment:
                     remaining = []
                     if not pooled:
                         break
-                    executor = scenario_executor(
-                        jobs, backend, epoch=registry_generation()
-                    )
-                    # The deadline crosses the pool boundary as its wire
-                    # tuple: worker clocks are not comparable with ours.
-                    future_spec = {}
-                    for spec in pooled:
-                        attempts[spec.key()] += 1
-                        future = executor.submit(
-                            run_scenario,
-                            spec,
-                            inner,
-                            backend,
-                            deadline=wire,
-                        )
-                        future_spec[future] = spec
-                    try:
-                        for future in as_completed(future_spec):
-                            spec = future_spec[future]
-                            try:
-                                land(future.result())
-                            except BrokenExecutor:
-                                raise
-                            except Exception:
-                                # The worker answered with an exception
-                                # (builder bug, injected raise): the pool
-                                # is intact; quarantine just this spec.
-                                land(
-                                    run_quarantined(
-                                        spec, attempts=attempts[spec.key()]
+                    # One pool per round, and a round after the first only
+                    # follows a crash: one pool per run, replaced when it
+                    # breaks and shut down when the round leaves.
+                    with start_pool(jobs, backend) as executor:
+                        # The deadline crosses the pool boundary as its
+                        # wire tuple: worker clocks are not comparable
+                        # with ours.
+                        future_spec = {}
+                        for spec in pooled:
+                            attempts[spec.key()] += 1
+                            future = executor.submit(
+                                run_scenario,
+                                spec,
+                                inner,
+                                backend,
+                                deadline=wire,
+                            )
+                            future_spec[future] = spec
+                        try:
+                            for future in as_completed(future_spec):
+                                spec = future_spec[future]
+                                try:
+                                    land(future.result())
+                                except BrokenExecutor:
+                                    raise
+                                except Exception:
+                                    # The worker answered with an
+                                    # exception (builder bug, injected
+                                    # raise): the pool is intact;
+                                    # quarantine just this spec.
+                                    land(
+                                        run_quarantined(
+                                            spec, attempts=attempts[spec.key()]
+                                        )
                                     )
-                                )
-                    except BrokenExecutor:
-                        # A dead worker poisons the pool permanently;
-                        # evict the cached entry, back off, and rerun
-                        # everything that has not landed against a fresh
-                        # pool (the checkpoint, if any, already holds
-                        # what did land).
-                        discard_scenario_executor(jobs, backend)
-                        retries += 1
-                        remaining = [
-                            spec
-                            for spec in future_spec.values()
-                            if spec.key() not in results_by_key
-                        ]
-                        if remaining:
-                            policy.sleep(crash_round)
-                            crash_round += 1
-                    finally:
-                        for future in future_spec:
-                            future.cancel()
+                        except BrokenExecutor:
+                            # A dead worker poisons the pool permanently;
+                            # back off and rerun everything that has not
+                            # landed on a fresh pool (the checkpoint, if
+                            # any, already holds what did land).
+                            retries += 1
+                            remaining = [
+                                spec
+                                for spec in future_spec.values()
+                                if spec.key() not in results_by_key
+                            ]
+                        finally:
+                            for future in future_spec:
+                                future.cancel()
+                    if remaining:
+                        policy.sleep(crash_round)
+                        crash_round += 1
 
         result = ExperimentResult(
             name=self.name,

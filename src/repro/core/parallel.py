@@ -20,10 +20,12 @@ are independent queries over one fixed encoding.  Every one of them is a
 * one ``"shard"`` job kind carries an ordered probe list: the worker
   walks it on its own warm solver (:meth:`WorkerSession.walk`),
   phase-seeding each probe from the previous witness;
-* :func:`start_pool` and :func:`gather` are the pool plumbing behind the
-  session's two fan-outs (``verify_all_cases`` and ``probe_shards`` with
-  ``jobs > 1``): results come back in submission order whatever order
-  the workers finish in, and the parent waits no longer than the
+* :func:`start_pool` makes every worker pool: the session's two fan-outs
+  (``verify_all_cases`` and ``probe_shards`` with ``jobs > 1``), whose
+  workers restore one snapshot, and the stateless scenario and build
+  pools of the experiment scheduler and the service;
+* :func:`gather` answers a fan-out's jobs in submission order whatever
+  order the workers finish in, and the parent waits no longer than the
   caller's deadline.
 
 Backends: ``"process"`` (default) runs workers in separate processes —
@@ -34,18 +36,16 @@ restore path as process workers and the service's hot tier.  The GIL
 serialises thread workers, but the backend exercises the same snapshot +
 query protocol cheaply (used heavily by the differential tests).
 
-The module also keeps the reusable scenario executors the experiment
-layer ships whole builds to, and the job budget (:func:`default_jobs`,
-:func:`nested_jobs`) that scheduler splits.
+:func:`default_jobs` is the worker count when a caller names none.
+``concurrent.futures`` is imported where a pool is made or waited on, so
+a process that never starts one never loads it.
 """
 
 from __future__ import annotations
 
-import atexit
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from time import perf_counter
 from typing import TYPE_CHECKING, Sequence
 
@@ -56,16 +56,7 @@ from .resilience import Deadline, maybe_inject
 if TYPE_CHECKING:
     from .engine import SessionSnapshot
 
-__all__ = [
-    "WorkerSession",
-    "default_jobs",
-    "nested_jobs",
-    "start_pool",
-    "gather",
-    "scenario_executor",
-    "discard_scenario_executor",
-    "shutdown_scenario_executors",
-]
+__all__ = ["WorkerSession", "default_jobs", "start_pool", "gather"]
 
 # A query target is resolved against the snapshot's guard tables inside
 # the worker: None = the master "any case" guard, an int = that index
@@ -85,10 +76,9 @@ def default_jobs() -> int:
     """Worker count when the caller does not choose one.
 
     The ``ADVOCAT_JOBS`` environment variable overrides the CPU count —
-    CI containers advertise more cores than they schedule, and the
-    experiment scheduler caps its nested query pools through the same
-    knob.  Precedence: an explicit ``jobs=`` argument anywhere in the API
-    beats the environment, which beats ``os.cpu_count()``.
+    CI containers advertise more cores than they schedule.  Precedence:
+    an explicit ``jobs=`` argument anywhere in the API beats the
+    environment, which beats ``os.cpu_count()``.
     """
     env = os.environ.get("ADVOCAT_JOBS")
     if env is not None and env.strip():
@@ -104,22 +94,6 @@ def default_jobs() -> int:
             )
         return value
     return max(1, os.cpu_count() or 1)
-
-
-def nested_jobs(outer_jobs: int, budget: int | None = None) -> int:
-    """Per-task inner worker budget when ``outer_jobs`` tasks run at once.
-
-    The experiment scheduler runs N scenario builds concurrently, each of
-    which may itself shard queries over M workers; handing every scenario
-    the full :func:`default_jobs` would oversubscribe the machine N-fold.
-    This splits the budget evenly (never below 1), so
-    ``outer × nested_jobs(outer) ≤ budget`` whenever ``budget ≥ outer``.
-    """
-    if outer_jobs < 1:
-        raise ValueError(f"outer_jobs must be >= 1, got {outer_jobs}")
-    if budget is None:
-        budget = default_jobs()
-    return max(1, budget // max(1, outer_jobs))
 
 
 def _process_context():
@@ -143,75 +117,16 @@ def _process_context():
     return get_context(method)
 
 
-# Coarse-grained scenario jobs (whole SessionSpec builds, see
-# repro.core.experiments) reuse one module-level executor per
-# (backend, jobs) shape instead of paying pool startup per experiment —
-# resumed runs and multi-experiment scripts hit the same warm pool.
-_SCENARIO_EXECUTORS: dict[tuple[str, int], tuple[object, int]] = {}
-
-
-def scenario_executor(jobs: int, backend: str = "process", epoch: int = 0):
-    """A reusable executor for scenario-level (whole-build) jobs.
-
-    Unlike the per-session query pools (which rehydrate workers from one
-    session snapshot and must restart when the encoding changes), scenario
-    workers are stateless — each job carries its own
-    :class:`~repro.core.experiments.ScenarioSpec` — so one executor can
-    serve any number of experiments.  ``epoch`` invalidates the cache:
-    a cached executor created under an older epoch is shut down and
-    rebuilt (the experiment layer passes its builder-registry generation,
-    so fork-started workers never answer from a pre-registration
-    snapshot of the registry).  Call :func:`shutdown_scenario_executors`
-    to release them explicitly.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if backend not in ("process", "thread"):
-        raise ValueError(f"unknown backend {backend!r}")
-    key = (backend, jobs)
-    cached = _SCENARIO_EXECUTORS.get(key)
-    if cached is not None:
-        executor, cached_epoch = cached
-        if cached_epoch == epoch:
-            return executor
-        executor.shutdown(wait=True, cancel_futures=True)
-        del _SCENARIO_EXECUTORS[key]
-    if backend == "process":
-        from concurrent.futures import ProcessPoolExecutor
-
-        executor = ProcessPoolExecutor(
-            max_workers=jobs, mp_context=_process_context()
-        )
-    else:
-        executor = ThreadPoolExecutor(max_workers=jobs)
-    _SCENARIO_EXECUTORS[key] = (executor, epoch)
-    return executor
-
-
-def discard_scenario_executor(
-    jobs: int, backend: str = "process", wait: bool = True
-) -> None:
-    """Evict one cached scenario executor (e.g. after a worker died).
-
-    A :class:`~concurrent.futures.BrokenExecutor` poisons the pool
-    permanently; callers that observe one must discard the cached entry
-    or every later run with the same shape would fail instantly.
-    """
-    cached = _SCENARIO_EXECUTORS.pop((backend, jobs), None)
-    if cached is not None:
-        cached[0].shutdown(wait=wait, cancel_futures=True)
-
-
-def shutdown_scenario_executors(wait: bool = True) -> None:
-    """Release every cached scenario executor."""
-    while _SCENARIO_EXECUTORS:
-        _, (executor, _) = _SCENARIO_EXECUTORS.popitem()
-        executor.shutdown(wait=wait, cancel_futures=True)
-
-
-# A cached executor outlives its callers: release it at exit, while the
-# modules its finalizer calls into are still loaded.
-atexit.register(shutdown_scenario_executors)
+def _capacity_pins(bool_vars, capacities) -> dict[tuple[str, int], str]:
+    """``(queue, size) → name`` for every ``cap[<queue>==<size>]`` guard
+    among an image's boolean names, for the queues in ``capacities``."""
+    pins = {}
+    for name, _ in bool_vars:
+        if name.startswith("cap[") and name.endswith("]"):
+            queue, sep, size = name[4:-1].rpartition("==")
+            if sep and queue in capacities and size.isdigit():
+                pins[(queue, int(size))] = name
+    return pins
 
 
 class WorkerSession:
@@ -253,7 +168,11 @@ class WorkerSession:
         self._capacities = {
             name: ints[uid] for name, uid in snapshot.capacity_uids
         }
-        self._size_guard_names: dict[tuple[str, int], str] = {}
+        # Pins already in a restored image are reused, not minted again.
+        self._size_guard_names: dict[tuple[str, int], str] = (
+            {} if snapshot.solver is None
+            else _capacity_pins(snapshot.solver.bool_vars, self._capacities)
+        )
         self._witness_vars = [
             (uid, ints[uid]) for uid in snapshot.witness_int_uids
         ]
@@ -457,20 +376,25 @@ def _run_chunk(jobs: Sequence[Job]) -> list:
     return [_run_job(job) for job in jobs]
 
 
-def start_pool(snapshot: SessionSnapshot, jobs: int, backend: str):
-    """An executor of ``jobs`` workers, each answering from ``snapshot``."""
+def start_pool(jobs: int, backend: str, snapshot: SessionSnapshot | None = None):
+    """An executor of ``jobs`` workers: process workers for ``"process"``,
+    threads of this process for ``"thread"``.
+
+    With a ``snapshot`` each worker restores it once and answers query
+    jobs from it (:func:`gather`); without one the workers are stateless
+    and run whatever callable is submitted.  The caller shuts it down.
+    """
     if backend == "process":
         from concurrent.futures import ProcessPoolExecutor
 
         executor, kwargs = ProcessPoolExecutor, {"mp_context": _process_context()}
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         executor, kwargs = ThreadPoolExecutor, {}
-    return executor(
-        max_workers=jobs,
-        initializer=_initialize_worker,
-        initargs=(snapshot,),
-        **kwargs,
-    )
+    if snapshot is not None:
+        kwargs.update(initializer=_initialize_worker, initargs=(snapshot,))
+    return executor(max_workers=jobs, **kwargs)
 
 
 def _unanswered(job: Job):
@@ -493,6 +417,8 @@ def gather(executor, jobs: Sequence[Job], deadline=None, chunksize: int = 1) -> 
     """
     if executor is None:
         return [_unanswered(job) for job in jobs]
+    from concurrent.futures import wait
+
     tail = () if deadline is None else (deadline.to_wire(),)
     chunks = [
         [(*job, *tail) for job in jobs[start : start + chunksize]]

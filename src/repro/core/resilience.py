@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 
 __all__ = [
@@ -455,6 +454,8 @@ def maybe_inject(site: str) -> str | None:
     if action == "raise":
         raise InjectedFault(f"injected fault at {site!r}")
     if action == "break":
+        from concurrent.futures import BrokenExecutor
+
         raise BrokenExecutor(f"injected pool break at {site!r}")
     time.sleep(DELAY_SECONDS)
     return action

@@ -63,12 +63,7 @@ from .cache import (
 )
 from .engine import SessionSnapshot, resolve_resize
 from .experiments import ScenarioSpec, builder_catalog, run_scenario
-from .parallel import (
-    WorkerSession,
-    _process_context,
-    default_jobs,
-    shutdown_scenario_executors,
-)
+from .parallel import WorkerSession, default_jobs, start_pool
 from .resilience import Deadline, RetryPolicy, maybe_inject
 from .service import ServiceError, read_frame, write_frame
 from .vars import color_label
@@ -308,16 +303,7 @@ class VerificationService:
     # -- executors -------------------------------------------------------
     def _ensure_pool(self) -> Executor:
         if self._pool is None:
-            if self.backend == "thread":
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.jobs, thread_name_prefix="svc-worker"
-                )
-            else:
-                from concurrent.futures import ProcessPoolExecutor
-
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.jobs, mp_context=_process_context()
-                )
+            self._pool = start_pool(self.jobs, self.backend)
         return self._pool
 
     def _discard_pool(self) -> None:
@@ -829,9 +815,9 @@ class VerificationService:
     async def aclose(self) -> None:
         """Stop serving and release every held resource: hot sessions
         (via their ``close()`` contract), the worker pool, the hot
-        thread executor, any scenario executors and the verdict store's
-        syncer, after its last sync — a clean shutdown leaks no child
-        processes and leaves every archived verdict on disk."""
+        thread executor and the verdict store's syncer, after its last
+        sync — a clean shutdown leaks no child processes and leaves every
+        archived verdict on disk."""
         if self._closed:
             return
         self._closed = True
@@ -850,7 +836,6 @@ class VerificationService:
                 None, partial(pool.shutdown, wait=True)
             )
         self._threads.shutdown(wait=True)
-        shutdown_scenario_executors()
         self.verdicts.close()
 
 

@@ -170,7 +170,6 @@ class _Walk:
         base_network: Network,
         mode: str,
         deadline: Deadline | None,
-        verify_kwargs: dict,
     ):
         self.assignment = _capacity_only_assignment(build, base_network)
         self.mode = mode
@@ -178,7 +177,7 @@ class _Walk:
         self.probes: dict[int, bool] = {}
         self.results: dict[int, VerificationResult] = {}
         self.query_seconds = 0.0
-        self.session = VerificationSession(base_network, **verify_kwargs)
+        self.session = VerificationSession(base_network)
         # The rows conjoined up front (eager mode); None when none were.
         self.invariants = (
             self.session.add_invariants() if eager_invariants(mode) else None
@@ -224,7 +223,6 @@ def minimal_queue_size(
     exhaustive: bool = False,
     invariants: str = "eager",
     deadline=None,
-    **verify_kwargs,
 ) -> SizingResult:
     """Smallest uniform queue size for which ``build(size)`` verifies.
 
@@ -257,14 +255,11 @@ def minimal_queue_size(
         ``timed_out=True`` and ``minimal_size=None`` — the sizes decided
         in budget stay in ``probes``, and the TIMEOUT probe itself is
         recorded in ``results`` only.
-    verify_kwargs:
-        Forwarded to :class:`~repro.core.engine.VerificationSession`
-        (``rotating_precision``, ``clause_reduction``, ``reduction_opts``).
     """
     start = perf_counter()
     eager_invariants(invariants)
     deadline = Deadline.coerce(deadline)
-    walk = _Walk(build, build(low), invariants, deadline, verify_kwargs)
+    walk = _Walk(build, build(low), invariants, deadline)
     with walk.session:
         try:
             # Gentle climb to the first deadlock-free size.
@@ -309,7 +304,6 @@ def sweep_queue_sizes(
     want_witness: bool = True,
     invariants: str = "eager",
     deadline=None,
-    **verify_kwargs,
 ) -> SizingResult:
     """Verdict per queue size over an explicit size list, sharded.
 
@@ -327,8 +321,7 @@ def sweep_queue_sizes(
     ``want_witness=False`` extracts no witness from deadlocked probes.
 
     ``build`` must vary only queue capacities (checked, ``ValueError``),
-    as for :func:`minimal_queue_size`.  ``verify_kwargs`` forwards
-    ``rotating_precision`` / ``clause_reduction`` / ``reduction_opts``.
+    as for :func:`minimal_queue_size`.
 
     ``deadline`` bounds the whole sweep; on expiry every undecided size
     gets a TIMEOUT result in ``results`` and stays absent from
@@ -349,9 +342,7 @@ def sweep_queue_sizes(
         assignments[size] = assignment(size)
     stripes = min(jobs, len(size_list))
     shards = [size_list[w::stripes] for w in range(stripes)]
-    with VerificationSession(
-        base_network, jobs=jobs, backend=backend, **verify_kwargs
-    ) as session:
+    with VerificationSession(base_network, jobs=jobs, backend=backend) as session:
         rows = session.add_invariants() if eager else []
         query_start = perf_counter()
         shard_results = session.probe_shards(

@@ -28,7 +28,8 @@ nothing the restored solver sees.  New arithmetic over the *restored* ``IntVar``
 new arithmetic in the original solver would.
 
 Learned clauses *can* travel too (``include_learned``): the CDCL core's
-export is LBD-sorted ``(lbd, literals)`` tuples over the same variable
+export is LBD-sorted ``(lbd, literals)`` tuples (at most
+``LEARNED_CAP`` of them) over the same variable
 numbering the CNF image preserves, so re-attaching them on the restored
 side is sound — every exported clause is a resolvent of the snapshotted
 formula plus LIA-valid lemmas (branch-and-bound splits, theory
@@ -36,23 +37,30 @@ conflicts).  Together with the saved phase vector this is the *warm
 snapshot*: a restored worker starts with the parent's deductions and
 branching preferences instead of re-deriving them on its first query.
 Cold snapshots (the default for :meth:`SessionSpec.snapshot`) simply ship
-empty ``learned``/``phases`` fields.
+empty ``learned``/``phases`` fields.  No solver setting travels: the
+restored solver manages its learned clauses by the CDCL core's own
+policy, as every solver does.
 
 ``SNAPSHOT_VERSION`` stays at 2 across the flat-arena CDCL rewrite: the
 arena is an internal representation, and the learned export remains the
 same LBD-sorted ``(lbd, literals)`` tuples, so snapshots from either core
-generation restore interchangeably.
+generation restore interchangeably.  Pickles of releases whose snapshots
+still carried the clause-reduction policy and the split budget restore
+too: nothing reads those dropped fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .terms import IntVar, LinearAtom
 
 __all__ = ["SolverSnapshot", "snapshot_solver", "restore_solver"]
 
 SNAPSHOT_VERSION = 2
+
+#: Most learned clauses a warm snapshot carries (the lowest-LBD ones).
+LEARNED_CAP = 4000
 
 
 @dataclass(frozen=True)
@@ -67,7 +75,6 @@ class SolverSnapshot:
     """
 
     version: int
-    max_splits: int
     n_vars: int
     clauses: tuple[tuple[int, ...], ...]
     unsatisfiable: bool
@@ -76,32 +83,23 @@ class SolverSnapshot:
     atoms: tuple[tuple[int, tuple[tuple[int, int], ...], int], ...]
     # each atom: (SAT var, ((int var uid, coeff), ...), bound)
     # Warm-start payload (empty on cold snapshots): the CDCL core's
-    # learned-clause export as (lbd, literals) pairs, its saved phase
-    # vector (0/1 per SAT var), and the reduction policy to restore with
-    # — the enable flag plus the tuning knobs (reduce_base etc.), so a
-    # worker runs the same lifecycle policy the parent was tuned to.
+    # learned-clause export as (lbd, literals) pairs and its saved phase
+    # vector (0/1 per SAT var).
     learned: tuple[tuple[int, tuple[int, ...]], ...] = ()
     phases: tuple[int, ...] = ()
-    reduction: bool = field(default=True)
-    reduction_knobs: tuple[tuple[str, float], ...] = ()
 
 
-def snapshot_solver(
-    solver,
-    include_learned: bool = False,
-    learned_cap: int = 4000,
-    max_lbd: int | None = None,
-) -> SolverSnapshot:
+def snapshot_solver(solver, include_learned: bool = False) -> SolverSnapshot:
     """Capture ``solver``'s assertions as plain data.
 
     A retired guard's clauses travel as they are, with the unit clause
     that retires the guard, so they stay satisfied on the other side too.
 
     ``include_learned`` additionally captures the learned-clause tail
-    (LBD-sorted, at most ``learned_cap`` clauses, optionally filtered to
-    ``max_lbd``) and the saved phase vector, producing a *warm* snapshot:
-    a solver restored from it starts with every deduction and branching
-    preference the captured solver had accumulated.
+    (LBD-sorted, at most :data:`LEARNED_CAP` clauses) and the saved phase
+    vector, producing a *warm* snapshot: a solver restored from it starts
+    with every deduction and branching preference the captured solver had
+    accumulated.
     """
     cnf = solver._cnf
     int_vars: dict[int, str] = {}
@@ -115,11 +113,10 @@ def snapshot_solver(
     learned: tuple[tuple[int, tuple[int, ...]], ...] = ()
     phases: tuple[int, ...] = ()
     if include_learned:
-        learned = solver.learned_clauses(cap=learned_cap, max_lbd=max_lbd)
+        learned = solver.learned_clauses(cap=LEARNED_CAP)
         phases = tuple(int(p) for p in solver.saved_phases())
     return SolverSnapshot(
         version=SNAPSHOT_VERSION,
-        max_splits=solver._max_splits,
         n_vars=cnf.n_vars,
         clauses=tuple(tuple(clause) for clause in cnf.clauses),
         unsatisfiable=cnf.unsatisfiable,
@@ -131,12 +128,6 @@ def snapshot_solver(
         atoms=tuple(atoms),
         learned=learned,
         phases=phases,
-        reduction=solver._reduction_knobs["reduction"],
-        reduction_knobs=tuple(
-            (name, value)
-            for name, value in solver._reduction_knobs.items()
-            if name != "reduction" and value is not None
-        ),
     )
 
 
@@ -156,11 +147,7 @@ def restore_solver(snapshot: SolverSnapshot):
             f"snapshot version {snapshot.version} is not supported "
             f"(expected {SNAPSHOT_VERSION})"
         )
-    knobs: dict[str, object] = {
-        "clause_reduction": snapshot.reduction,
-        **{name: value for name, value in snapshot.reduction_knobs},
-    }
-    solver = Solver(max_splits=snapshot.max_splits, **knobs)
+    solver = Solver()
     cnf = solver._cnf
     cnf.n_vars = snapshot.n_vars
     cnf.clauses = [list(clause) for clause in snapshot.clauses]

@@ -41,7 +41,10 @@ bridge and every learned clause and branch-and-bound split persist across
 Branch-and-bound terminates whenever every integer variable is bounded by
 the constraints (true for every formula ADVOCAT generates: occupancies lie
 in ``[0, queue.size]`` and state variables in ``[0, 1]``).  A ``max_splits``
-safety valve raises :class:`SolverBudgetError` otherwise.
+safety valve raises :class:`SolverBudgetError` otherwise; it is the one
+value a :class:`Solver` takes.  How the CDCL core reduces its learned
+clauses is fixed by :class:`~repro.smt.sat.Cdcl`'s defaults, since that
+policy never changes a verdict.
 
 Definitions
 -----------
@@ -154,37 +157,14 @@ class Model:
 
 
 class Solver:
-    """Incremental QF_LIA solver over the repro term language.
+    """Incremental QF_LIA solver over the repro term language (see the
+    module docstring; ``max_splits`` bounds branch-and-bound)."""
 
-    ``clause_reduction`` (with the ``reduce_base`` / ``reduce_growth`` /
-    ``glue_keep`` knobs) controls the learned-clause lifecycle of the CDCL
-    core — see :class:`~repro.smt.sat.Cdcl`.  Reduction never changes
-    verdicts; disabling it reproduces the unbounded clause database of
-    earlier revisions.
-    """
-
-    def __init__(
-        self,
-        max_splits: int = 100_000,
-        clause_reduction: bool = True,
-        reduce_base: int = 400,
-        reduce_growth: float = 1.3,
-        glue_keep: int = 2,
-        glue_cap: int | None = None,
-        reduce_keep: float = 0.5,
-    ):
+    def __init__(self, max_splits: int = 100_000):
         self._max_splits = max_splits
-        self._reduction_knobs = dict(
-            reduction=clause_reduction,
-            reduce_base=reduce_base,
-            reduce_growth=reduce_growth,
-            glue_keep=glue_keep,
-            glue_cap=glue_cap,
-            reduce_keep=reduce_keep,
-        )
         self._cnf = CnfBuilder()
         self._bridge = LiaBridge()
-        self._sat = Cdcl(theory=self._bridge, **self._reduction_knobs)
+        self._sat = Cdcl(theory=self._bridge)
         self._flushed_clauses = 0
         self._registered_atoms = 0
         # The newest SAT models, oldest first, and a literal -> CNF clauses
@@ -475,10 +455,10 @@ class Solver:
     # Learned-clause lifecycle and saved phases
     # ------------------------------------------------------------------
     def learned_clauses(
-        self, cap: int | None = None, max_lbd: int | None = None
+        self, cap: int | None = None
     ) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """LBD-sorted ``(lbd, literals)`` export of the learnt state."""
-        return self._sat.learned_clauses(cap=cap, max_lbd=max_lbd)
+        return self._sat.learned_clauses(cap=cap)
 
     def import_learned(
         self,

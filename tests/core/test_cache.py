@@ -7,9 +7,9 @@ hypothesis sections here pin the invariances those keys promise:
 
 * ``ScenarioSpec.key()`` ignores kwarg ordering and the scheduling-only
   knobs (``query_jobs``, ``label``);
-* ``content_hash()`` ignores scheduling hints (``max_splits``, clause
-  reduction knobs) and survives pickle round-trips and rebuilds, while
-  still separating genuinely different encodings.
+* ``content_hash()`` ignores search state (learned clauses, saved
+  phases) and survives pickle round-trips and rebuilds, while still
+  separating genuinely different encodings.
 
 The rest covers the storage substrate: crash-safe atomic writes (a
 failed replace must leave the original intact and no temp droppings),
@@ -43,6 +43,8 @@ from repro.core import (
     SnapshotStore,
     VerdictStore,
     VerificationService,
+    VerificationSession,
+    WorkerSession,
     atomic_write_bytes,
     atomic_write_json,
     atomic_write_text,
@@ -192,25 +194,30 @@ def reference_hash():
 
 
 @settings(max_examples=8, deadline=None)
-@given(
-    max_splits=st.sampled_from([1_000, 50_000, 100_000]),
-    reduce_base=st.sampled_from([None, 200, 2000]),
-)
-def test_content_hash_ignores_scheduling_hints(
-    reference_hash, max_splits, reduce_base
-):
+@given(sizes=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3))
+def test_content_hash_ignores_scheduling_hints(reference_hash, sizes):
     # The hash names the *encoding* (CNF image, atoms, guards, defaults),
-    # not the solver schedule: split budgets and clause-database knobs
-    # must not move it, or the warm/cold tiers would miss on every
-    # client-side tuning difference.
+    # not the search state: learned clauses and saved phases must not
+    # move it, or a warm snapshot would miss every tier a cold one filled.
     spec = SessionSpec(_network())
     spec.generate_invariants()
-    opts = None if reduce_base is None else {"reduce_base": reduce_base}
-    image = snapshot_solver(spec.load_solver(reduction_opts=opts))
-    assert spec.wrap_solver_snapshot(image).content_hash() == reference_hash
-    # The split budget is a solver knob no session sets: give the solver
-    # image a different one.
-    image = dataclasses.replace(image, max_splits=max_splits)
+    session = VerificationSession(spec=spec)
+    for size in sizes:
+        session.resize_queues(size)
+        session.verify()
+    warm = snapshot_solver(session.solver, include_learned=True)
+    assert warm.learned and warm.phases
+    cold = snapshot_solver(session.solver)
+    assert (
+        spec.wrap_solver_snapshot(warm).content_hash()
+        == spec.wrap_solver_snapshot(cold).content_hash()
+    )
+    # The same search state on the as-built image leaves the built hash.
+    image = dataclasses.replace(
+        snapshot_solver(spec.load_solver()),
+        learned=warm.learned,
+        phases=warm.phases,
+    )
     assert spec.wrap_solver_snapshot(image).content_hash() == reference_hash
 
 
@@ -223,6 +230,35 @@ def test_content_hash_survives_pickle_round_trips(reference_hash, rounds):
     for _ in range(rounds):
         snapshot = pickle.loads(pickle.dumps(snapshot))
     assert snapshot.content_hash() == reference_hash
+
+
+def test_a_snapshot_pickled_by_an_older_release_restores_and_answers(
+    reference_hash,
+):
+    # The warm tier outlives upgrades: this pickle of the running
+    # example's snapshot (invariants generated, as the service stores
+    # them) was written by a release whose solver image still carried
+    # the clause-reduction policy and the split budget.  It loads, keeps
+    # its content hash, and a worker restored from it answers every case
+    # at every size like a fresh session.
+    image = (Path(__file__).parent / "data" / "running_example_snapshot.pkl").read_bytes()
+    old = pickle.loads(image)
+    assert {"reduction", "reduction_knobs", "max_splits"} <= set(vars(old.solver))
+    assert old.content_hash() == reference_hash
+    worker = WorkerSession(old)
+    spec = SessionSpec(_network())
+    fresh = VerificationSession(spec=spec)
+    fresh.add_invariants()
+    for size in (1, 2, 3):
+        fresh.resize_queues(size)
+        sizes = tuple((name, size) for name, _ in old.default_sizes)
+        answers = [
+            worker.check(target, sizes, want_witness=False)[0] == "unsat"
+            for target in (None, *range(len(old.case_guard_names)))
+        ]
+        assert answers == [fresh.verify().deadlock_free] + [
+            result.deadlock_free for result in fresh.verify_all_cases()
+        ], size
 
 
 def test_content_hash_is_rebuild_stable_and_discriminating(reference_hash):

@@ -468,14 +468,13 @@ def test_env_caps_default_scenario_jobs(monkeypatch):
     assert result.computed == 2
 
 
-def test_query_jobs_auto_splits_the_budget(monkeypatch):
-    monkeypatch.setenv("ADVOCAT_JOBS", "4")
-    grid = Experiment("auto", [_running_spec(), _running_spec(sizes=(2,))])
+def test_query_jobs_do_not_change_verdicts():
+    grid = Experiment("nested", [_running_spec(), _running_spec(sizes=(2,))])
     explicit = grid.run(jobs=2, query_jobs=1, backend="thread")
-    auto = grid.run(jobs=2, query_jobs="auto", backend="thread")
-    # nested_jobs(2) of a budget of 4 → 2 inner workers; verdicts must
-    # not depend on the inner split.
-    assert verdicts(auto) == verdicts(explicit)
+    nested = grid.run(jobs=2, query_jobs=2, backend="thread")
+    # Each scenario's sweep runs on its own query workers; verdicts must
+    # not depend on the inner count.
+    assert verdicts(nested) == verdicts(explicit)
     with pytest.raises(ValueError):
         grid.run(jobs=1, query_jobs=0)
 

@@ -24,7 +24,6 @@ from repro.core import (
     Verdict,
     VerificationSession,
     default_jobs,
-    nested_jobs,
     sweep_queue_sizes,
     verdict_sha,
 )
@@ -449,7 +448,7 @@ def test_thread_pool_starts_from_the_snapshot():
         ("shard", ((None, None), (None, tuple(sizes.items()))), True),
     ]
     local_worker = WorkerSession(snapshot)
-    executor = start_pool(snapshot, 1, "thread")
+    executor = start_pool(1, "thread", snapshot)
     try:
         for job in jobs:
             pooled = gather(executor, [job])[0]
@@ -488,6 +487,28 @@ def test_capacity_pins_follow_the_snapshot_queue_order():
     assert forward[:4] == backward[:4]
     with pytest.raises(KeyError):
         WorkerSession(snapshot).check(None, tuple(sizes[1:]), False)
+
+
+def test_a_restored_worker_reuses_the_pins_in_its_image():
+    # A snapshot taken after checks at sizes 1-3 already holds every
+    # cap[q==k] pin for them; a worker restored from it answers at those
+    # sizes without adding a clause or a variable, and mints a pin only
+    # for a size the image has not seen.
+    session = VerificationSession(abstract_mi_mesh(2, 2, queue_size=2).network)
+    for size in (1, 2, 3):
+        session.resize_queues(size)
+        session.verify()
+    snapshot = session.snapshot()
+    worker = WorkerSession(snapshot)
+    image = worker.solver._cnf
+    before = (len(image.clauses), image.n_vars)
+    for size in (2, 1, 3):
+        sizes = tuple((name, size) for name, _ in snapshot.default_sizes)
+        worker.check(None, sizes, want_witness=False)
+        assert (len(image.clauses), image.n_vars) == before, size
+    sizes = tuple((name, 4) for name, _ in snapshot.default_sizes)
+    worker.check(None, sizes, want_witness=False)
+    assert len(image.clauses) > before[0]
 
 
 def test_sweep_want_witness_is_consistent_across_job_counts():
@@ -535,17 +556,4 @@ def test_explicit_jobs_argument_beats_env(monkeypatch):
         assert pool.jobs == 2
         pool.verify_all_cases()
         assert pool._executor is not None  # real pool, not inline fallback
-
-
-def test_nested_jobs_splits_the_budget():
-    assert nested_jobs(2, budget=8) == 4
-    assert nested_jobs(3, budget=8) == 2
-    assert nested_jobs(8, budget=4) == 1  # never below 1
-    with pytest.raises(ValueError):
-        nested_jobs(0)
-
-
-def test_nested_jobs_defaults_to_env_budget(monkeypatch):
-    monkeypatch.setenv("ADVOCAT_JOBS", "6")
-    assert nested_jobs(2) == 3
 

@@ -40,10 +40,8 @@ from repro.core import (
     Verdict,
     install_fault_plan,
     minimal_queue_size,
-    shutdown_scenario_executors,
     sweep_queue_sizes,
 )
-from repro.core.parallel import discard_scenario_executor, scenario_executor
 from repro.core.resilience import (
     KILL_EXIT_CODE,
     active_fault_plan,
@@ -75,10 +73,9 @@ def hermetic_faults():
     install_fault_plan(None)
     yield
     install_fault_plan(None)
-    shutdown_scenario_executors()
     # No leaked children: everything spawned during the test must be
-    # reaped by its session's recovery/close paths (or the shutdown
-    # above).  active_children() joins zombies as a side effect.
+    # reaped by its session's or run's recovery/close paths.
+    # active_children() joins zombies as a side effect.
     deadline = time.monotonic() + 10.0
     while multiprocessing.active_children() and time.monotonic() < deadline:
         time.sleep(0.05)
@@ -455,21 +452,3 @@ def test_experiment_deadline_reaches_every_scenario():
     assert all(s.probes == {} for s in result.scenarios)
     assert all(s.minimal_size is None for s in result.scenarios)
     assert result.failures == 0  # TIMEOUT is an answer, not a failure
-
-
-# ---------------------------------------------------------------------------
-# Satellite: scenario-executor cache eviction after a pool break
-# ---------------------------------------------------------------------------
-
-
-def test_discard_scenario_executor_evicts_cached_pool():
-    first = scenario_executor(2, "thread")
-    assert scenario_executor(2, "thread") is first  # cached
-    discard_scenario_executor(2, "thread")
-    second = scenario_executor(2, "thread")
-    assert second is not first
-    # The evicted executor is shut down: it must refuse new work.
-    with pytest.raises(RuntimeError):
-        first.submit(int)
-    discard_scenario_executor(2, "thread")
-    discard_scenario_executor(2, "thread")  # idempotent on a cold cache

@@ -39,7 +39,6 @@ from repro.core import (
     VerificationSession,
     WorkerSession,
     install_fault_plan,
-    shutdown_scenario_executors,
 )
 from repro.netlib import running_example
 from repro.protocols import abstract_mi_mesh
@@ -57,7 +56,6 @@ def hermetic_faults():
     install_fault_plan(None)
     yield
     install_fault_plan(None)
-    shutdown_scenario_executors()
     deadline = time.monotonic() + 10.0
     while multiprocessing.active_children() and time.monotonic() < deadline:
         time.sleep(0.05)

@@ -11,6 +11,7 @@ its own solver with no executor, invariants included.
 import os
 
 import pytest
+from cdcl_knobs import cdcl_knobs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,6 @@ from repro.core import (
 from repro.core.parallel import WorkerSession, default_jobs
 from repro.netlib import running_example
 from repro.protocols import abstract_mi_mesh
-from repro.smt import snapshot_solver
 
 
 def _network(queue_size=2):
@@ -70,7 +70,8 @@ def test_warm_cold_and_reduction_verdicts_are_pinned_on_the_mesh():
             payloads = [worker.check(case, sizes, want_witness=False)[0] for case in cases]
             assert verdict_sha(payloads) == sha
     for reduction in (True, False):
-        session = VerificationSession(spec=plain, clause_reduction=reduction)
+        with cdcl_knobs(reduction=reduction):
+            session = VerificationSession(spec=plain)
         verdicts = [r.verdict.value for r in session.verify_all_cases()]
         assert verdict_sha(verdicts) == "f30654c7f8be6217"
 
@@ -152,28 +153,10 @@ def test_sweep_verdicts_identical_with_and_without_reduction():
         return running_example(queue_size=size).network
 
     swept = sweep_queue_sizes(build, range(1, 5), jobs=1)
-    plain = sweep_queue_sizes(
-        build, range(1, 5), jobs=1, clause_reduction=False
-    )
+    with cdcl_knobs(reduction=False):
+        plain = sweep_queue_sizes(build, range(1, 5), jobs=1)
     assert swept.probes == plain.probes
     assert swept.minimal_size == plain.minimal_size
-
-
-def test_reduction_knobs_survive_the_snapshot_round_trip():
-    opts = {"reduce_base": 123, "reduce_growth": 1.11, "glue_cap": 45}
-    spec = SessionSpec(_network())
-    session = VerificationSession(spec=spec, reduction_opts=opts)
-    worker = WorkerSession(session.snapshot())
-    core = worker.solver._sat
-    assert core._reduce_limit == 123
-    assert core._reduce_growth == 1.11
-    assert core.glue_cap == 45
-    cold_worker = WorkerSession(
-        spec.wrap_solver_snapshot(
-            snapshot_solver(spec.load_solver(reduction_opts=opts))
-        )
-    )
-    assert cold_worker.solver._sat._reduce_limit == 123
 
 
 def test_seed_phases_from_witness_is_a_noop_before_first_sat():
@@ -195,11 +178,9 @@ SWEEP_REDUCTION_OPTS = {"reduce_base": 200, "reduce_growth": 1.25, "glue_cap": 1
 def _monotone_sweep(spec, n_sizes, reduction):
     """One ``verify()`` per size, ascending; the verdicts and the learned
     clauses left after a final compaction."""
-    session = VerificationSession(
-        spec=spec,
-        clause_reduction=reduction,
-        reduction_opts=SWEEP_REDUCTION_OPTS if reduction else None,
-    )
+    with cdcl_knobs(**(SWEEP_REDUCTION_OPTS if reduction else {"reduction": False})):
+        session = VerificationSession(spec=spec)
+    assert session.solver._sat.reduction is reduction  # the seam took
     verdicts = []
     for size in range(1, n_sizes + 1):
         session.resize_queues(size)

@@ -12,6 +12,7 @@ and the early-UNSAT stat contract for the new counters).
 
 import json
 
+from cdcl_knobs import cdcl_knobs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,9 +48,11 @@ instance = st.tuples(
 )
 
 
-def _build(base, guarded, **solver_kwargs):
+def _build(base, guarded, **knobs):
     xs = [intvar(f"rx{i}") for i in range(N_VARS)]
-    solver = Solver(**solver_kwargs)
+    with cdcl_knobs(**knobs):
+        solver = Solver()
+    assert solver._sat.reduction is knobs.get("reduction", True)  # the seam took
     for x in xs:
         solver.add(ge(x, 0))
         solver.add(le(x, 4))
@@ -67,10 +70,10 @@ def test_reduction_on_off_verdicts_byte_identical(data):
     base, guarded, queries = data
     # Pathological schedule: reduce at every opportunity.
     reduced, guards = _build(
-        base, guarded, clause_reduction=True, reduce_base=1,
+        base, guarded, reduction=True, reduce_base=1,
         reduce_growth=1.0, glue_cap=2, reduce_keep=0.0,
     )
-    plain, _ = _build(base, guarded, clause_reduction=False)
+    plain, _ = _build(base, guarded, reduction=False)
     seen = []
     for indices in queries:
         assumptions = [guards[i] for i in indices]

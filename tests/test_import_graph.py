@@ -1,7 +1,8 @@
 """What each entry point imports, checked in a fresh interpreter.
 
 A verifier loads only the layers it runs: not the service, asyncio and
-TLS, hashing, argument parsing or the process-pool machinery.  A service
+TLS, hashing, argument parsing or any worker-pool machinery
+(``concurrent.futures`` is imported where a pool is made).  A service
 client loads no solver.  Each test asserts on the modules an action adds
 to a fresh interpreter, not on the absolute ``sys.modules``, so what the
 interpreter loads at start-up does not matter.
@@ -53,6 +54,7 @@ def test_the_verifier_loads_no_service_hashing_or_pool_machinery():
         "ssl",
         "hashlib",
         "argparse",
+        "concurrent.futures",
         "concurrent.futures.process",
         "multiprocessing.connection",
         "repro.core.service",
