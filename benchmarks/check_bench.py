@@ -10,11 +10,6 @@ uses, so the comparison is config-for-config.  The job fails on
   field differing from the baseline, or any ``verdicts_*`` boolean flag
   that is not ``True`` in the fresh record.  Verdict bytes are canonical
   and machine-independent, so this gate holds on every runner.
-* **slowdown** — any ``speedup`` field falling more than ``--tolerance``
-  (default 30%) below its baseline value.  Wall-clock ratios are only
-  meaningful on runners that can actually parallelise, so this half of
-  the gate arms itself on >= 4 CPUs (GitHub's hosted runners qualify;
-  a laptop container does not produce false failures).
 * **config drift** — fresh and baseline records disagreeing on their
   ``smoke`` flag, or a baseline sha path missing from the fresh record:
   both mean the gate is comparing different experiments, which is a CI
@@ -24,21 +19,18 @@ Usage::
 
     python benchmarks/check_bench.py BENCH_resilience.json BENCH_service.json
     python benchmarks/check_bench.py --baseline-dir benchmarks/baselines \
-        --fresh-dir . --tolerance 0.3 BENCH_*.json
+        --fresh-dir . BENCH_*.json
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_BASELINE_DIR = Path(__file__).resolve().parent / "baselines"
-DEFAULT_TOLERANCE = 0.30
-SPEEDUP_CPU_GATE = 4
 
 
 def walk_fields(record, path=""):
@@ -66,18 +58,7 @@ def is_verdict_flag(path: str) -> bool:
     return name.startswith("verdicts_") or name.startswith("verdict_sha_")
 
 
-def is_speedup_field(path: str) -> bool:
-    name = _leaf_name(path)
-    return name == "speedup" or name.endswith("_speedup")
-
-
-def compare_records(
-    name: str,
-    fresh: dict,
-    baseline: dict,
-    tolerance: float,
-    check_speed: bool,
-) -> list[str]:
+def compare_records(name: str, fresh: dict, baseline: dict) -> list[str]:
     """All gate failures for one record pair (empty = pass)."""
     failures: list[str] = []
     fresh_fields = dict(walk_fields(fresh))
@@ -111,23 +92,6 @@ def compare_records(
     for path, value in fresh_fields.items():
         if is_verdict_flag(path) and isinstance(value, bool) and not value:
             failures.append(f"{name}: verdict flag {path} is False")
-
-    if check_speed:
-        for path, value in baseline_fields.items():
-            if not is_speedup_field(path):
-                continue
-            if not isinstance(value, (int, float)) or value <= 0:
-                continue
-            fresh_value = fresh_fields.get(path)
-            if not isinstance(fresh_value, (int, float)):
-                continue
-            floor = value * (1.0 - tolerance)
-            if fresh_value < floor:
-                failures.append(
-                    f"{name}: SLOWDOWN at {path}: fresh {fresh_value} is "
-                    f">{tolerance:.0%} below baseline {value} "
-                    f"(floor {floor:.2f})"
-                )
     return failures
 
 
@@ -140,18 +104,8 @@ def main() -> int:
                         help="committed baseline directory")
     parser.add_argument("--fresh-dir", type=Path, default=REPO_ROOT,
                         help="where the fresh records were written")
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                        help="allowed fractional speedup regression "
-                             "(default 0.30)")
     args = parser.parse_args()
-
-    cpus = os.cpu_count() or 1
-    check_speed = cpus >= SPEEDUP_CPU_GATE
-    print(
-        f"check_bench: {len(args.records)} record(s), tolerance "
-        f"{args.tolerance:.0%}, speed gate "
-        f"{'ARMED' if check_speed else f'off ({cpus} < {SPEEDUP_CPU_GATE} CPUs)'}"
-    )
+    print(f"check_bench: {len(args.records)} record(s)")
 
     failures: list[str] = []
     for record in args.records:
@@ -172,9 +126,7 @@ def main() -> int:
             continue
         fresh = json.loads(fresh_path.read_text())
         baseline = json.loads(baseline_path.read_text())
-        record_failures = compare_records(
-            name, fresh, baseline, args.tolerance, check_speed
-        )
+        record_failures = compare_records(name, fresh, baseline)
         failures.extend(record_failures)
         print(f"  {name}: {'FAIL' if record_failures else 'ok'}")
 

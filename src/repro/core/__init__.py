@@ -30,9 +30,9 @@ Public entry points:
   verification-as-a-service layer (:mod:`repro.core.server`, and the
   wire framing and clients in :mod:`repro.core.service`): a
   long-lived asyncio TCP server answering spec-described queries
-  through three content-addressed cache tiers
-  (:mod:`repro.core.cache` — hot live sessions under LRU, warm pickled
-  snapshots, cold verdict store).
+  through three tiers (:mod:`repro.core.cache` — cold verdict store,
+  hot live sessions under LRU restored from pickled snapshots, and
+  pool builds).
 """
 
 import importlib

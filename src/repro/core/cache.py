@@ -1,7 +1,7 @@
 """Content-addressed caching primitives for verification-as-a-service.
 
-The service layer (:mod:`repro.core.service`) answers queries through
-three tiers, cheapest first:
+The service (:mod:`repro.core.server`) answers queries from these
+stores, cheapest first:
 
 * **cold store** (:class:`VerdictStore`) — a content-addressed verdict
   archive keyed by ``(encoding_hash, query_key)``, kept in one
@@ -9,15 +9,14 @@ three tiers, cheapest first:
   memoised on first read); a million identical mesh queries cost
   exactly one solve.
 * **hot tier** (:class:`LruSessionCache`) — live sessions under LRU
-  eviction.  Eviction calls the entry's ``close()`` (the
-  :class:`~repro.core.engine.VerificationSession` contract), releasing
-  any worker processes the entry holds.
-* **warm tier** (:class:`SnapshotStore`) — pickled
+  eviction.  Eviction calls the entry's ``close()``, which drops its
+  solver.
+* **snapshot store** (:class:`SnapshotStore`) — pickled
   :class:`~repro.core.engine.SessionSnapshot` images on disk keyed by
   :meth:`~repro.core.engine.SessionSnapshot.content_hash`, plus an index
   mapping :meth:`~repro.core.experiments.ScenarioSpec.key` identities to
   encoding hashes so a request can reach its snapshot without building
-  the network.
+  the network.  The hot tier restores each of its sessions from here.
 
 Snapshots and their sidecars are written through
 :func:`atomic_write_bytes` — serialise to a temp file in the *same
@@ -335,7 +334,7 @@ class VerdictStore:
 
 
 # ---------------------------------------------------------------------------
-# Warm tier: pickled session snapshots
+# Snapshot store: pickled session snapshots
 # ---------------------------------------------------------------------------
 
 
@@ -348,7 +347,8 @@ class SnapshotStore:
     ``<root>/snapshots/index.jsonl`` binding a spec identity (the SHA of
     ``ScenarioSpec.key()``) to its encoding hash, so repeat requests
     skip the network build entirely.  The last binding per spec wins;
-    an ``index.json`` left by an older release is read first, once.
+    an ``index.json`` left by an older release is not read, so each of
+    its specs is built once more.
 
     The sidecar names its encoding hash and the digest of the snapshot
     image beside it.  A sidecar that does not parse or names another
@@ -375,12 +375,6 @@ class SnapshotStore:
         if self._index is None:
             self._index = {}
             if self.root is not None:
-                try:
-                    self._index.update(
-                        json.loads((self.root / "index.json").read_text())
-                    )
-                except (OSError, TypeError, ValueError):
-                    pass
                 for record in _read_log(self._index_path()):
                     spec = record.get("spec")
                     encoding_hash = record.get("encoding")
@@ -504,10 +498,9 @@ class SnapshotStore:
 class LruSessionCache:
     """Bounded mapping of live session objects, least-recently-used out.
 
-    Eviction (and :meth:`close_all`) calls each evicted entry's
-    ``close()`` — the session contract guaranteeing idempotent release
-    of any held worker processes — so the cache can never leak children
-    no matter how often specs churn through it.
+    Eviction, replacement and :meth:`close_all` call each entry's
+    idempotent ``close()``, so every session that leaves the cache
+    releases its solver at once, however often specs churn through it.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -529,9 +522,6 @@ class LruSessionCache:
             self._entries.move_to_end(key)
             self._entries[key] = entry
             if previous is not entry:
-                # Replacing a live session would otherwise orphan its
-                # worker processes — the close() contract applies to
-                # every way an entry can leave the cache.
                 previous.close()
             return
         while len(self._entries) >= self.capacity:
@@ -540,12 +530,6 @@ class LruSessionCache:
             evicted.close()
         self._entries[key] = entry
 
-    def pop(self, key: str) -> None:
-        """Drop (and close) one entry, if present."""
-        entry = self._entries.pop(key, None)
-        if entry is not None:
-            entry.close()
-
     def close_all(self) -> None:
         while self._entries:
             _, entry = self._entries.popitem(last=False)
@@ -553,9 +537,3 @@ class LruSessionCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def keys(self) -> Iterator[str]:
-        return iter(self._entries.keys())

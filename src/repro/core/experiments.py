@@ -47,7 +47,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -401,8 +401,8 @@ class ScenarioResult:
     invariants_generated: int = 0
     stats: dict = field(default_factory=dict)
     # Structured failure record (None on success): set when a scenario
-    # exhausted the whole quarantine ladder (pool retries, then inline
-    # as-spec'd, then sequential eager) without producing verdicts.  A
+    # failed its pool attempts and then its one inline retry without
+    # producing verdicts.  A
     # failed result still occupies its grid slot — the rest of the grid
     # completes — and a resumed run retries it instead of reusing it.
     failure: dict | None = None
@@ -493,11 +493,10 @@ class ExperimentResult:
     this *run*'s work: a fully resumed run reports ``computed == 0``.
 
     The resilience counters record how bumpy the run was: ``retries`` —
-    pool rebuilds after a worker crash plus per-scenario re-attempts;
-    ``degraded`` — scenarios that fell back to the sequential-eager rung
-    of the quarantine ladder; ``failures`` — scenarios that exhausted the
-    ladder and landed as :meth:`ScenarioResult.failed` placeholders.  All
-    three survive JSON checkpoints (and default to zero when loading a
+    pool rebuilds after a worker crash plus per-scenario inline
+    re-attempts; ``failures`` — scenarios whose inline retry failed too
+    and landed as :meth:`ScenarioResult.failed` placeholders.  Both
+    survive JSON checkpoints (and default to zero when loading a
     pre-resilience checkpoint).
     """
 
@@ -507,7 +506,6 @@ class ExperimentResult:
     reused: int = 0
     failures: int = 0
     retries: int = 0
-    degraded: int = 0
 
     def by_key(self) -> dict[str, ScenarioResult]:
         return {result.key: result for result in self.scenarios}
@@ -542,7 +540,6 @@ class ExperimentResult:
             "reused": self.reused,
             "failures": self.failures,
             "retries": self.retries,
-            "degraded": self.degraded,
             "scenarios": [result.to_json() for result in self.scenarios],
         }
 
@@ -558,7 +555,6 @@ class ExperimentResult:
             reused=int(data.get("reused", 0)),
             failures=int(data.get("failures", 0)),
             retries=int(data.get("retries", 0)),
-            degraded=int(data.get("degraded", 0)),
         )
 
     def save(self, path: str | Path) -> None:
@@ -746,8 +742,7 @@ class Experiment:
             to :class:`~repro.core.resilience.RetryPolicy`).  A scenario
             that crashes its worker is resubmitted to a rebuilt pool up
             to ``max_attempts`` times, then *quarantined*: re-run inline
-            as spec'd, then degraded to a sequential-eager fallback, and
-            only if that also fails recorded as a structured
+            once, and if that also fails recorded as a structured
             :attr:`ScenarioResult.failure` — the rest of the grid always
             completes.
         deadline:
@@ -801,7 +796,6 @@ class Experiment:
         computed = 0
         failures = 0
         retries = 0
-        degraded = 0
 
         def checkpoint() -> None:
             if save_path is None:
@@ -817,7 +811,6 @@ class Experiment:
                 reused=reused,
                 failures=failures,
                 retries=retries,
-                degraded=degraded,
             )
             partial.save(save_path)
 
@@ -830,30 +823,16 @@ class Experiment:
                 progress(result)
 
         def run_quarantined(spec: ScenarioSpec, attempts: int) -> ScenarioResult:
-            """The in-process rungs of the quarantine ladder.
-
-            A scenario lands here after exhausting its pool attempts (or
-            after its worker answered with an exception): first re-run it
-            inline exactly as spec'd, then degrade to a sequential-eager
-            single-session replay (same key — ``query_jobs`` is a
-            verdict-invariant scheduling hint), and only when that
-            also fails return a structured failure placeholder so the
-            rest of the grid still completes.
-            """
-            nonlocal failures, retries, degraded
+            """A scenario that exhausted its pool attempts (or whose
+            worker answered with an exception) is re-run inline once; if
+            that fails too it lands as a structured failure placeholder,
+            so the rest of the grid still completes."""
+            nonlocal failures, retries
             start = perf_counter()
             retries += 1
             try:
                 return run_scenario(
                     spec, query_jobs=inner, backend=backend, deadline=deadline
-                )
-            except Exception:
-                pass
-            degraded += 1
-            fallback = replace(spec, query_jobs=1)
-            try:
-                return run_scenario(
-                    fallback, query_jobs=1, backend=backend, deadline=deadline
                 )
             except Exception as error:
                 failures += 1
@@ -887,7 +866,7 @@ class Experiment:
                 # whatever has not landed yet to a fresh one.  A spec that
                 # burns through ``policy.max_attempts`` pool rounds without
                 # landing — the crash-the-worker-every-time case — is
-                # quarantined onto the inline ladder instead of poisoning
+                # quarantined onto one inline retry instead of poisoning
                 # pool after pool.
                 attempts = {spec.key(): 0 for spec in pending}
                 remaining = list(pending)
@@ -967,7 +946,6 @@ class Experiment:
             reused=reused,
             failures=failures,
             retries=retries,
-            degraded=degraded,
         )
         if save_path is not None:
             result.save(save_path)

@@ -43,9 +43,9 @@ site                 where
 ``scenario-worker``  :func:`repro.core.experiments.run_scenario` (once per
                      scenario)
 ``builder``          :meth:`ScenarioSpec.build` (once per network build)
-``service-worker``   :mod:`repro.core.service` pool jobs (once per query
-                     or size search)
-``service-builder``  :mod:`repro.core.service` build-tier job (once per
+``service-worker``   :mod:`repro.core.server` size-search job (once per
+                     size search)
+``service-builder``  :mod:`repro.core.server` build-tier job (once per
                      cold build)
 ===================  =======================================================
 
@@ -217,7 +217,7 @@ class RetryPolicy:
     deterministic jitter factor in ``[1, 1 + jitter]`` derived from
     ``(seed, attempt)`` — no global RNG state, so retry schedules are
     reproducible.  ``max_attempts`` bounds how often a recovery loop
-    replays before degrading (the quarantine ladder).
+    replays before it quarantines the work (runs it inline).
     """
 
     max_attempts: int = 3

@@ -14,20 +14,20 @@ network.  This module turns the stack into a long-lived TCP service:
   crosses the wire), optional query params and an optional
   ``deadline_s`` honoured per request as a PR-8
   :class:`~repro.core.resilience.Deadline`.
-* **three cache tiers**, consulted cheapest-first (see
+* **three tiers**, consulted cheapest-first (see
   :mod:`repro.core.cache`): the cold :class:`VerdictStore` keyed by
   ``(encoding content hash, canonical query)`` — a hit answers without
   any solver; the hot :class:`LruSessionCache` of live in-server
   :class:`~repro.core.parallel.WorkerSession`\\ s (eviction calls
-  ``close()``, which drops the solver); the warm
-  :class:`SnapshotStore` of pickled
-  :class:`~repro.core.engine.SessionSnapshot` images that worker
-  processes rehydrate (:class:`~repro.core.parallel.WorkerSession`)
-  without re-running the build phase.
+  ``close()``, which drops the solver), each restored once from the
+  pickled :class:`~repro.core.engine.SessionSnapshot` that the
+  :class:`SnapshotStore` keeps on disk; and the build tier, a pool job
+  that builds a network, stores its snapshot and answers the query that
+  asked for it.
 * **batching + single-flight** — concurrent identical requests share
   one in-flight future; concurrent *distinct* queries against one spec
   serialise through that spec's session (assumption-based guard
-  queries on one warm solver) instead of spawning N sessions.
+  queries on one live solver) instead of spawning N sessions.
 * **backpressure** — requests needing a solve beyond ``max_pending``
   outstanding are rejected with ``"overloaded"`` instead of queueing
   unboundedly; cache hits are always served.
@@ -47,8 +47,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import threading
-from collections import OrderedDict
 from concurrent.futures import BrokenExecutor, Executor, ThreadPoolExecutor
 from functools import partial
 from typing import Any
@@ -74,35 +72,9 @@ _QUERY_OPS = ("verify", "verify_channel", "witness")
 
 
 # ---------------------------------------------------------------------------
-# Worker bodies (module-level: picklable for the process pool; the thread
-# backend runs the same functions in-process).  Each worker process keeps
-# a small LRU of rehydrated sessions so steady traffic against a handful
-# of encodings never re-reads a snapshot pickle.
+# Query and pool-job bodies (module-level: picklable for the process pool;
+# the thread backend runs the same functions in-process).
 # ---------------------------------------------------------------------------
-
-_WORKER_CACHE_CAP = 4
-_WORKER_CACHE: "OrderedDict[str, WorkerSession]" = OrderedDict()
-_WORKER_LOCK = threading.Lock()
-
-
-def _worker_session(
-    cache_dir: str, encoding_hash: str, snapshot: SessionSnapshot | None = None
-) -> WorkerSession:
-    with _WORKER_LOCK:
-        session = _WORKER_CACHE.get(encoding_hash)
-        if session is not None:
-            _WORKER_CACHE.move_to_end(encoding_hash)
-            return session
-    if snapshot is None:
-        snapshot = SnapshotStore(cache_dir).load(encoding_hash)
-        if snapshot is None:
-            raise KeyError(f"no warm snapshot for {encoding_hash}")
-    session = WorkerSession(snapshot)
-    with _WORKER_LOCK:
-        _WORKER_CACHE[encoding_hash] = session
-        while len(_WORKER_CACHE) > _WORKER_CACHE_CAP:
-            _WORKER_CACHE.popitem(last=False)
-    return session
 
 
 def _resolved_sizes(snapshot: SessionSnapshot, overrides):
@@ -162,25 +134,12 @@ def _answer(
     return _translate(session, session.run(job))
 
 
-def _check_job(
-    cache_dir: str,
-    encoding_hash: str,
-    target: int | None,
-    overrides,
-    want_witness: bool,
-    wire_deadline,
-) -> dict:
-    """Answer one guard query on a tier-2-rehydrated worker session."""
-    maybe_inject("service-worker")
-    session = _worker_session(cache_dir, encoding_hash)
-    return _answer(session, target, overrides, want_witness, wire_deadline)
-
-
 def _build_job(
     cache_dir: str, builder: str, kwargs: tuple, job_request
 ) -> tuple[str, dict, dict | None]:
-    """Cold miss: build the network, snapshot it into the warm store,
-    and (optionally) answer the triggering query in the same trip."""
+    """Build tier: build the network, store its snapshot, and
+    (optionally) answer the triggering query in the same trip on a
+    throwaway session: the hot tier restores its own from the store."""
     maybe_inject("service-builder")
     spec = ScenarioSpec(builder=builder, kwargs=kwargs)
     session_spec = spec.session_spec()
@@ -205,8 +164,7 @@ def _build_job(
     encoding_hash = SnapshotStore(cache_dir).store(snapshot, meta)
     answer = None
     if job_request is not None:
-        session = _worker_session(cache_dir, encoding_hash, snapshot)
-        answer = _answer(session, *job_request)
+        answer = _answer(WorkerSession(snapshot), *job_request)
     return encoding_hash, meta, answer
 
 
@@ -236,17 +194,17 @@ def _scenario_job(spec_kwargs: dict, wire_deadline) -> dict:
 
 
 class VerificationService:
-    """Long-lived verification server over the three cache tiers.
+    """Long-lived verification server over the three tiers.
 
     Parameters
     ----------
     cache_dir:
-        Root of the on-disk tiers (warm snapshots + cold verdicts).
+        Root of the on-disk stores (snapshots + cold verdicts).
         Required — the content-addressed stores *are* the service.
     hot_capacity:
         Live sessions kept in-server under LRU eviction.
     jobs:
-        Worker processes for cache misses (default
+        Worker processes for builds and size searches (default
         :func:`~repro.core.parallel.default_jobs`).
     max_pending:
         Solve-requiring requests allowed to wait; beyond it requests
@@ -276,8 +234,8 @@ class VerificationService:
         self.snapshots = SnapshotStore(self.cache_dir)
         self.hot = LruSessionCache(hot_capacity)
         self._pool: Executor | None = None
-        # Hot-tier solves and snapshot rehydration run here, off the
-        # event loop; sized with the pool so hot traffic scales too.
+        # Hot-tier solves and snapshot restores run here, off the event
+        # loop; sized with the pool so hot traffic scales too.
         self._threads = ThreadPoolExecutor(
             max_workers=max(2, self.jobs),
             thread_name_prefix="svc-hot",
@@ -293,7 +251,7 @@ class VerificationService:
         self._closed = False
         self.counters = {
             "queries": 0,
-            "hits": {"cold": 0, "hot": 0, "warm": 0, "build": 0},
+            "hits": {"cold": 0, "hot": 0, "build": 0},
             "coalesced": 0,
             "rejected": 0,
             "pool_recoveries": 0,
@@ -440,16 +398,27 @@ class VerificationService:
                 self._ehash_by_spec[spec_key] = ehash
         return ehash
 
-    async def _promote(self, ehash: str) -> WorkerSession | None:
-        """Load a warm snapshot into the hot tier (LRU may evict)."""
+    async def _promote(self, ehash: str) -> WorkerSession:
+        """The encoding's live session: the hot tier's entry, or on a
+        miss one restore of the stored snapshot (the LRU may evict)."""
         entry = self.hot.get(ehash)
-        if entry is not None:
-            return entry
-        snapshot = await self._in_threads(self.snapshots.load, ehash)
-        if snapshot is None:
-            return None
-        entry = WorkerSession(snapshot)
-        self.hot.put(ehash, entry)
+        if entry is None:
+            snapshot = await self._in_threads(self.snapshots.load, ehash)
+            if snapshot is None:
+                # Forget the binding: the next request looks it up again,
+                # finds the image damaged and rebuilds.
+                self._ehash_by_spec = {
+                    key: value
+                    for key, value in self._ehash_by_spec.items()
+                    if value != ehash
+                }
+                raise ServiceError(f"stored snapshot {ehash[:16]} does not read back")
+            restored = await self._in_threads(WorkerSession, snapshot)
+            # Another spec with this encoding may have restored it meanwhile.
+            entry = self.hot.get(ehash)
+            if entry is None:
+                entry = restored
+                self.hot.put(ehash, entry)
         return entry
 
     async def _ensure_built(
@@ -693,26 +662,14 @@ class VerificationService:
             self.counters["hits"]["cold"] += 1
             return {**cached, "cache": "cold"}
 
-        # Hot tier: a live engine in this process, serialised per spec by
-        # the spec lock.
-        entry = self.hot.get(ehash)
-        if entry is not None:
-            answer = await self._in_threads(
-                _answer, entry, target, overrides, want_witness, wire
-            )
-            self.counters["hits"]["hot"] += 1
-            return self._finish(ehash, qkey, case_label, answer, "hot")
-
-        # Warm tier: solve on a pool worker rehydrated from the pickled
-        # snapshot, then promote this encoding into the hot tier so the
-        # next distinct query solves in-server.
-        answer = await self._in_pool(
-            _check_job, self.cache_dir, ehash, target, overrides,
-            want_witness, wire,
+        # Hot tier: the encoding's one live session in this process,
+        # serialised per spec by the spec lock.
+        entry = await self._promote(ehash)
+        answer = await self._in_threads(
+            _answer, entry, target, overrides, want_witness, wire
         )
-        self.counters["hits"]["warm"] += 1
-        await self._promote(ehash)
-        return self._finish(ehash, qkey, case_label, answer, "warm")
+        self.counters["hits"]["hot"] += 1
+        return self._finish(ehash, qkey, case_label, answer, "hot")
 
     def _finish(
         self, ehash: str, qkey: str, case_label, answer: dict, tier: str
@@ -851,7 +808,7 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=7333)
     parser.add_argument(
-        "--cache-dir", required=True, help="root of the warm/cold tiers"
+        "--cache-dir", required=True, help="root of the snapshot and verdict stores"
     )
     parser.add_argument("--hot-capacity", type=int, default=8)
     parser.add_argument("--jobs", type=int, default=None)

@@ -406,7 +406,7 @@ def test_builder_fault_is_retried_inline(tmp_path):
     result = _grid().run(jobs=1)
     assert verdicts(result) == verdicts(reference)
     assert result.retries == 1
-    assert result.failures == 0 and result.degraded == 0
+    assert result.failures == 0
 
 
 def test_scenario_worker_kill_grid_completes_identically(tmp_path):
@@ -421,14 +421,14 @@ def test_scenario_worker_kill_grid_completes_identically(tmp_path):
 
 
 def test_persistent_builder_fault_lands_structured_failures(tmp_path):
-    # Unlatched triggers deep enough to outlast the whole ladder: the
+    # Unlatched triggers deep enough to outlast the inline retry: the
     # grid must still complete, with failure placeholders in-slot.
     triggers = ",".join(f"builder:raise@{n}" for n in range(1, 40))
     install_fault_plan(FaultPlan.parse(triggers))
     result = _grid().run(jobs=1)
     install_fault_plan(None)
     assert len(result.scenarios) == 2
-    assert result.failures == 2 and result.degraded == 2
+    assert result.failures == 2
     record = result.scenarios[0].failure
     assert record is not None and record["type"] == "InjectedFault"
 

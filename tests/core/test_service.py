@@ -4,10 +4,10 @@ End-to-end coverage for the PR-9 service layer
 (:mod:`repro.core.service`):
 
 * the tier walk — a first query builds (``cache: "build"``), an
-  identical repeat is archived (``"cold"``), a *distinct* query on the
-  same encoding rehydrates a pool worker (``"warm"``) and promotes the
-  encoding into the hot tier, after which further distinct queries
-  answer in-server (``"hot"``);
+  identical repeat is archived (``"cold"``), and a *distinct* query on
+  the same encoding restores its stored snapshot once into the hot tier,
+  where it and every later distinct query answer in-server (``"hot"``),
+  also after a restart;
 * single-flight coalescing, bounded-queue backpressure, and the
   TIMEOUT-is-never-archived rule;
 * the ``close()`` contract regression suite — idempotent on the session
@@ -82,7 +82,7 @@ def run_service(scenario, **service_kwargs):
 # ---------------------------------------------------------------------------
 
 
-def test_tier_walk_build_cold_warm_hot(tmp_path):
+def test_tier_walk_build_cold_hot(tmp_path):
     async def scenario(service):
         first = await service.handle_request(
             {"id": 1, "op": "verify", "spec": RUNNING}
@@ -112,11 +112,10 @@ def test_tier_walk_build_cold_warm_hot(tmp_path):
                 "params": {"case": 0},
             }
         )
-        assert channel["ok"] and channel["cache"] == "warm"
+        assert channel["ok"] and channel["cache"] == "hot"
         assert channel["case"] == cases["cases"][0]["label"]
 
-        # The warm solve promoted the encoding: the next distinct query
-        # answers from the live in-server session.
+        # The next distinct query answers on the same live session.
         hot = await service.handle_request(
             {
                 "id": 5,
@@ -129,7 +128,7 @@ def test_tier_walk_build_cold_warm_hot(tmp_path):
 
         stats = service.stats()
         assert stats["queries"] == 4  # "cases" is not a query
-        assert stats["hits"] == {"build": 1, "cold": 1, "warm": 1, "hot": 1}
+        assert stats["hits"] == {"build": 1, "cold": 1, "hot": 2}
         assert stats["hot_live"] == 1 and stats["pending"] == 0
 
     run_service(scenario, cache_dir=str(tmp_path))
@@ -236,12 +235,12 @@ def test_timeout_verdict_is_never_archived(tmp_path):
         assert timed["ok"] and timed["verdict"] == "timeout"
 
         # The budget expiry was the *request's* property, not the
-        # encoding's: the repeat must re-solve (warm tier — the build
+        # encoding's: the repeat must re-solve (hot tier — the build
         # was archived even though the verdict was not) and succeed.
         fresh = await service.handle_request(
             {"id": 2, "op": "verify", "spec": PRODCON}
         )
-        assert fresh["ok"] and fresh["cache"] == "warm"
+        assert fresh["ok"] and fresh["cache"] == "hot"
         assert fresh["verdict"] == "deadlock-free"
 
         # Cached verdicts are served regardless of any deadline.
@@ -346,12 +345,12 @@ def test_lru_eviction_under_load_and_restart_persistence(tmp_path):
         for spec in (RUNNING, PRODCON):
             built = await service.handle_request({"op": "verify", "spec": spec})
             assert built["ok"]
-            # A distinct query promotes the encoding into the hot tier;
+            # A distinct query restores the encoding into the hot tier;
             # with capacity 1 the second spec evicts the first.
             promoted = await service.handle_request(
                 {"op": "verify_channel", "spec": spec, "params": {"case": 0}}
             )
-            assert promoted["ok"] and promoted["cache"] == "warm"
+            assert promoted["ok"] and promoted["cache"] == "hot"
         stats = service.stats()
         assert stats["evictions"] >= 1
         assert stats["hot_live"] == 1
@@ -371,6 +370,59 @@ def test_lru_eviction_under_load_and_restart_persistence(tmp_path):
         assert response["verdict"] == "deadlock-free"
 
     run_service(rehydrated, cache_dir=cache_dir)
+
+
+def test_a_restarted_service_restores_a_stored_encoding_once(
+    tmp_path, monkeypatch
+):
+    cache_dir = str(tmp_path)
+
+    async def build(service):
+        cases = await service.handle_request({"op": "cases", "spec": RUNNING})
+        assert cases["ok"] and cases["cases"]
+
+    run_service(build, cache_dir=cache_dir)
+
+    restores = []
+    original_init = WorkerSession.__init__
+
+    def counting_init(self, snapshot):
+        restores.append(snapshot)
+        original_init(self, snapshot)
+
+    monkeypatch.setattr(WorkerSession, "__init__", counting_init)
+
+    async def ask(service):
+        channel = await service.handle_request(
+            {"op": "verify_channel", "spec": RUNNING, "params": {"case": 0}}
+        )
+        assert channel["ok"] and channel["cache"] == "hot"
+        again = await service.handle_request(
+            {"op": "verify_channel", "spec": RUNNING, "params": {"case": 1}}
+        )
+        assert again["ok"] and again["cache"] == "hot"
+        hits = service.stats()["hits"]
+        assert hits["build"] == 0 and hits["hot"] == 2
+
+    run_service(ask, cache_dir=cache_dir)
+    # One restore answers both queries; the thread backend would count a
+    # pool worker's restore here too.
+    assert len(restores) == 1
+
+
+def test_a_snapshot_damaged_while_serving_fails_once_then_rebuilds(tmp_path):
+    async def scenario(service):
+        cases = await service.handle_request({"op": "cases", "spec": RUNNING})
+        pkl = tmp_path / "snapshots" / f"{cases['encoding_hash']}.pkl"
+        pkl.write_bytes(b"not a pickle")
+        request = {"op": "verify_channel", "spec": RUNNING, "params": {"case": 0}}
+        damaged = await service.handle_request(request)
+        assert not damaged["ok"] and "does not read back" in damaged["error"]
+        rebuilt = await service.handle_request(request)
+        assert rebuilt["ok"] and rebuilt["cache"] == "hot"
+        assert service.stats()["hits"] == {"cold": 0, "hot": 1, "build": 0}
+
+    run_service(scenario, cache_dir=str(tmp_path))
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,13 @@ _SPEC.loader.exec_module(check_bench)
 
 BASE = {
     "smoke": True,
-    "grid": {"verdict_sha": "abc123", "verdicts_byte_identical": True,
-             "speedup": 2.0},
+    "grid": {"verdict_sha": "abc123", "verdicts_byte_identical": True},
     "resume": {"resumed_s": 0.1},
 }
 
 
-def _compare(fresh, baseline=BASE, tolerance=0.3, check_speed=True):
-    return check_bench.compare_records(
-        "BENCH_x.json", fresh, baseline, tolerance, check_speed
-    )
+def _compare(fresh, baseline=BASE):
+    return check_bench.compare_records("BENCH_x.json", fresh, baseline)
 
 
 def test_identical_records_pass():
@@ -36,7 +33,7 @@ def test_verdict_sha_divergence_fails():
 
 
 def test_missing_sha_path_fails():
-    fresh = {**BASE, "grid": {"speedup": 2.0, "verdicts_byte_identical": True}}
+    fresh = {**BASE, "grid": {"verdicts_byte_identical": True}}
     failures = _compare(fresh)
     assert any("missing from the fresh record" in f for f in failures)
 
@@ -48,20 +45,6 @@ def test_false_verdict_flag_fails():
     }
     failures = _compare(fresh)
     assert any("is False" in f for f in failures)
-
-
-def test_slowdown_beyond_tolerance_fails_only_with_speed_gate():
-    fresh = {**BASE, "grid": {**BASE["grid"], "speedup": 1.0}}  # 50% down
-    assert any("SLOWDOWN" in f for f in _compare(fresh, check_speed=True))
-    assert _compare(fresh, check_speed=False) == []
-    # Within tolerance: 2.0 -> 1.5 is a 25% drop, under the 30% default.
-    ok = {**BASE, "grid": {**BASE["grid"], "speedup": 1.5}}
-    assert _compare(ok, check_speed=True) == []
-
-
-def test_speedup_improvement_passes():
-    fresh = {**BASE, "grid": {**BASE["grid"], "speedup": 9.0}}
-    assert _compare(fresh, check_speed=True) == []
 
 
 def test_smoke_flag_mismatch_is_config_drift():
@@ -77,7 +60,6 @@ def test_config_drift_does_not_hide_other_failures():
         "grid": {
             "verdict_sha": "deadbeef",
             "verdicts_byte_identical": False,
-            "speedup": 0.5,
         },
         "resume": {"resumed_s": 0.1},
     }
@@ -85,7 +67,6 @@ def test_config_drift_does_not_hide_other_failures():
     assert any("config drift" in f for f in failures)
     assert any("VERDICT DIVERGENCE" in f for f in failures)
     assert any("is False" in f for f in failures)
-    assert any("SLOWDOWN" in f for f in failures)
 
 
 def test_main_reports_all_failing_records(tmp_path, monkeypatch, capsys):
