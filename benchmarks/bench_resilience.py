@@ -13,15 +13,20 @@ answers an UNSAT query as SAT, or the reverse, changes ``verdict_sha``:
   acceptance asserts the cooperative-cancellation plumbing costs at most
   a few percent (the hot path is one ``time.monotonic`` per propagate
   cycle plus a per-query conflict charge).
-* **recovery drill** — a *latched* ``query-worker:kill`` (exactly one
-  pool worker dies, once) under a ``VerificationSession`` opened with
-  ``jobs=2, force_pool=True``.  The session must rebuild the pool, replay
+* **recovery drill** — a *latched* kill of the pool's job body
+  ``repro.core.parallel._run_job`` (exactly one pool worker dies, once)
+  under a ``VerificationSession`` opened with ``jobs=2, force_pool=True``.  The session must rebuild the pool, replay
   from the same snapshot, and report verdicts byte-identical to the
   sequential reference; ``recovery_latency_s`` is the wall-clock price
   of the crash vs the clean pooled run.
 * **quarantine drill** — an *unlatched* kill (every fresh worker dies on
-  its first job).  The session must burn its retry budget, degrade to
-  answering on its own solver, and still answer identically.
+  its first job).  The session must rebuild its pool
+  ``POOL_ATTEMPTS`` times, degrade to answering on its own solver, and
+  still answer identically.
+
+Faults come from ``tests/faults.py``, the chaos suite's helper, which
+patches the job body in this process; forked pool workers inherit the
+patch, so the drills need the fork start method (Linux).
 
 Verdict byte-identity is machine-independent and gated fatally by
 ``benchmarks/check_bench.py`` (``verdict_sha`` + ``verdicts_*`` flags);
@@ -36,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -44,16 +50,19 @@ from conftest import report
 
 from repro.core import (
     Deadline,
-    FaultPlan,
-    RetryPolicy,
     SessionSpec,
     VerificationSession,
-    install_fault_plan,
+    parallel,
     verdict_sha,
 )
 from repro.protocols import abstract_mi_mesh
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_resilience.json"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+# The drills inject faults with the chaos suite's helper.
+sys.path.insert(0, str(REPO_ROOT / "tests"))
+from faults import inject
+
+RESULTS_PATH = REPO_ROOT / "BENCH_resilience.json"
 
 #: Paired best-of repetitions for the overhead measurement.
 OVERHEAD_REPS = 3
@@ -125,19 +134,17 @@ def _recovery_drill(spec: SessionSpec, reference_sha: str) -> dict:
     clean_wall = time.perf_counter() - start
     assert _verdict_sha(spec, clean) == reference_sha
 
-    with tempfile.TemporaryDirectory() as latch:
-        install_fault_plan(FaultPlan.parse("query-worker:kill@1"), latch_dir=latch)
-        try:
-            start = time.perf_counter()
-            with VerificationSession(
-                spec=spec, jobs=2, backend="process", force_pool=True
-            ) as pool:
-                recovered = pool.verify_all_cases()
-                recoveries = pool.recoveries
-                degraded = pool.degraded
-            faulted_wall = time.perf_counter() - start
-        finally:
-            install_fault_plan(None)
+    with tempfile.TemporaryDirectory() as latch, inject(
+        parallel, "_run_job", "kill", latch=latch
+    ):
+        start = time.perf_counter()
+        with VerificationSession(
+            spec=spec, jobs=2, backend="process", force_pool=True
+        ) as pool:
+            recovered = pool.verify_all_cases()
+            recoveries = pool.recoveries
+            degraded = pool.degraded
+        faulted_wall = time.perf_counter() - start
     return {
         "verdict_sha": _verdict_sha(spec, recovered),
         "verdicts_recovery_identical": _verdict_sha(spec, recovered) == reference_sha,
@@ -151,23 +158,15 @@ def _recovery_drill(spec: SessionSpec, reference_sha: str) -> dict:
 
 def _quarantine_drill(spec: SessionSpec, reference_sha: str) -> dict:
     """Unlatched kill: every fresh worker dies; must degrade inline."""
-    policy = RetryPolicy(max_attempts=2, base_delay=0.01)
-    install_fault_plan(FaultPlan.parse("query-worker:kill@1"))
-    try:
+    with inject(parallel, "_run_job", "kill"):
         start = time.perf_counter()
         with VerificationSession(
-            spec=spec,
-            jobs=2,
-            backend="process",
-            force_pool=True,
-            retry_policy=policy,
+            spec=spec, jobs=2, backend="process", force_pool=True
         ) as pool:
             results = pool.verify_all_cases()
             recoveries = pool.recoveries
             degraded = pool.degraded
         wall = time.perf_counter() - start
-    finally:
-        install_fault_plan(None)
     return {
         "verdict_sha": _verdict_sha(spec, results),
         "verdicts_quarantine_identical": _verdict_sha(spec, results) == reference_sha,
@@ -218,6 +217,7 @@ def check_acceptance(results: dict) -> None:
     assert recovery["recoveries"] == 1 and not recovery["degraded"], recovery
     assert quarantine["verdicts_quarantine_identical"], quarantine
     assert quarantine["degraded"], quarantine
+    assert quarantine["retries"] == parallel.POOL_ATTEMPTS, quarantine
     for case in results["overhead"]:
         ceiling = (
             case["plain_wall_s"] * OVERHEAD_CEILING + OVERHEAD_SLACK_S
@@ -262,6 +262,8 @@ def main() -> None:
         help="2x2 mesh only (CI containers); the full run adds 3x3",
     )
     args = parser.parse_args()
+    if parallel._process_context().get_start_method() != "fork":
+        sys.exit("the crash drills need forked pool workers (Linux)")
     results = run_benchmarks(smoke=args.smoke)
     check_acceptance(results)
     _record_and_report(results)

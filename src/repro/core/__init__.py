@@ -21,11 +21,10 @@ Public entry points:
 * :class:`Experiment` / :class:`ScenarioSpec` — declarative topology grids
   (mesh sizes × directory positions × …) sharded across scenario workers,
   with resumable JSON results (:class:`ExperimentResult`).
-* :class:`Deadline` / :class:`RetryPolicy` / :class:`FaultPlan` — the
-  fault-tolerance layer (:mod:`repro.core.resilience`): wall-clock and
-  conflict budgets that surface as ``TIMEOUT`` verdicts, worker-crash
-  recovery with deterministic backoff, and the fault-injection harness
-  behind the chaos test suite.
+* :class:`Deadline` — wall-clock and conflict budgets
+  (:mod:`repro.core.resilience`) that surface as ``TIMEOUT`` verdicts.
+  Worker pools recover from a dead worker by rebuilding and replaying,
+  at most :data:`~repro.core.parallel.POOL_ATTEMPTS` times.
 * :class:`VerificationService` / :class:`ServiceClient` — the
   verification-as-a-service layer (:mod:`repro.core.server`, and the
   wire framing and clients in :mod:`repro.core.service`): a
@@ -58,10 +57,7 @@ _EXPORTS_BY_MODULE = {
     "invariants": ("build_flow_rows", "generate_invariants"),
     "parallel": ("WorkerSession", "default_jobs"),
     "proof": ("enumerate_witnesses", "verify"),
-    "resilience": (
-        "Deadline", "FaultPlan", "FaultSpec", "InjectedFault", "RetryPolicy",
-        "active_fault_plan", "install_fault_plan",
-    ),
+    "resilience": ("Deadline",),
     "result": ("DeadlockWitness", "Invariant", "Verdict", "VerificationResult"),
     "server": ("VerificationService",),
     "service": ("AsyncServiceClient", "ServiceClient", "ServiceError"),

@@ -204,8 +204,7 @@ class VerdictStore:
     key is its answer; a repeat :meth:`put` of a known key writes
     nothing.  :meth:`get` reads an encoding's log once per instance, on
     its first miss for that encoding, so steady-state hits and repeat
-    misses never touch the filesystem.  Pass ``root=None`` for a
-    memory-only store.
+    misses never touch the filesystem.
 
     :meth:`put` appends its record before it returns and leaves the
     ``fsync`` to a daemon syncer thread, started on the first put:
@@ -225,8 +224,8 @@ class VerdictStore:
     as after a ``content_hash()`` change.
     """
 
-    def __init__(self, root: str | Path | None) -> None:
-        self.root = Path(root) / "verdicts" if root is not None else None
+    def __init__(self, root: str | Path) -> None:
+        self.root = Path(root) / "verdicts"
         self._memo: dict[tuple[str, str], dict] = {}
         self._read: set[str] = set()
         self._fds: dict[str, int] = {}
@@ -247,13 +246,12 @@ class VerdictStore:
         return self.records_written - self._synced
 
     def _log_path(self, encoding_hash: str) -> Path:
-        assert self.root is not None
         return self.root / f"{encoding_hash}.jsonl"
 
     def _read_once(self, encoding_hash: str) -> None:
         """Memoise ``encoding_hash``'s log, once per instance; the first
         record per key wins."""
-        if self.root is None or encoding_hash in self._read:
+        if encoding_hash in self._read:
             return
         self._read.add(encoding_hash)
         for record in _read_log(self._log_path(encoding_hash)):
@@ -282,8 +280,6 @@ class VerdictStore:
         if memo_key in self._memo:
             return
         self._memo[memo_key] = payload
-        if self.root is None:
-            return
         fd = self._fds.get(encoding_hash)
         if fd is None:
             fd = self._fds[encoding_hash] = _open_log(
@@ -355,40 +351,37 @@ class SnapshotStore:
     encoding, and an image whose digest differs, count as missing: the
     request goes through the build tier, which writes both files again.
     Garbage is never unpickled.  Sidecars of older releases carry no
-    digest, so each of their specs is built once more.  Pass
-    ``root=None`` for a memory-only store (snapshots kept live, nothing
-    pickled).
+    digest, so each of their specs is built once more.
+
+    The store keeps no snapshot in memory: :meth:`load` reads and
+    verifies the image on every call, and the hot tier keeps the one
+    live session restored from it.
     """
 
-    def __init__(self, root: str | Path | None) -> None:
-        self.root = Path(root) / "snapshots" if root is not None else None
+    def __init__(self, root: str | Path) -> None:
+        self.root = Path(root) / "snapshots"
         self._index: dict[str, str] | None = None
-        self._snapshots: dict[str, Any] = {}
         self._meta: dict[str, dict] = {}
 
     # -- spec-key index -------------------------------------------------
     def _index_path(self) -> Path:
-        assert self.root is not None
         return self.root / "index.jsonl"
 
     def _load_index(self) -> dict[str, str]:
         if self._index is None:
             self._index = {}
-            if self.root is not None:
-                for record in _read_log(self._index_path()):
-                    spec = record.get("spec")
-                    encoding_hash = record.get("encoding")
-                    if isinstance(spec, str) and isinstance(encoding_hash, str):
-                        self._index[spec] = encoding_hash
+            for record in _read_log(self._index_path()):
+                spec = record.get("spec")
+                encoding_hash = record.get("encoding")
+                if isinstance(spec, str) and isinstance(encoding_hash, str):
+                    self._index[spec] = encoding_hash
         return self._index
 
     def lookup(self, spec_key: str) -> str | None:
         """Encoding hash bound to this spec identity, if its sidecar and
         snapshot image both read back."""
         encoding_hash = self._load_index().get(stable_hash(spec_key))
-        if encoding_hash is None or self.meta(encoding_hash) is None:
-            return None
-        if encoding_hash not in self._snapshots and self._image(encoding_hash) is None:
+        if encoding_hash is None or self._image(encoding_hash) is None:
             return None
         return encoding_hash
 
@@ -400,45 +393,38 @@ class SnapshotStore:
         if index.get(spec) == encoding_hash:
             return
         index[spec] = encoding_hash
-        if self.root is not None:
-            fd = _open_log(self._index_path())
-            try:
-                _append(fd, {"spec": spec, "encoding": encoding_hash})
-                os.fsync(fd)
-            finally:
-                os.close(fd)
+        fd = _open_log(self._index_path())
+        try:
+            _append(fd, {"spec": spec, "encoding": encoding_hash})
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
     # -- snapshot payloads ----------------------------------------------
-    def snapshot_path(self, encoding_hash: str) -> Path | None:
-        if self.root is None:
-            return None
+    def snapshot_path(self, encoding_hash: str) -> Path:
         return self.root / f"{encoding_hash}.pkl"
 
     def store(self, snapshot, meta: dict) -> str:
         """Persist ``snapshot`` (+ JSON ``meta`` sidecar); returns its
         content hash.  Idempotent: same content, same files."""
         encoding_hash = snapshot.content_hash()
-        self._snapshots[encoding_hash] = snapshot
         self._meta[encoding_hash] = meta
         path = self.snapshot_path(encoding_hash)
-        if path is not None:
-            image = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
-            atomic_write_bytes(path, image)
-            atomic_write_json(
-                path.with_suffix(".meta.json"),
-                {
-                    "encoding_hash": encoding_hash,
-                    "snapshot_sha": sha_bytes(image),
-                    "meta": meta,
-                },
-            )
+        image = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
+        atomic_write_bytes(path, image)
+        atomic_write_json(
+            path.with_suffix(".meta.json"),
+            {
+                "encoding_hash": encoding_hash,
+                "snapshot_sha": sha_bytes(image),
+                "meta": meta,
+            },
+        )
         return encoding_hash
 
     def _sidecar(self, encoding_hash: str) -> dict | None:
         """The sidecar on disk, if it parses and names this encoding."""
         path = self.snapshot_path(encoding_hash)
-        if path is None:
-            return None
         try:
             sidecar = json.loads(path.with_suffix(".meta.json").read_text())
         except (OSError, ValueError):
@@ -464,19 +450,15 @@ class SnapshotStore:
         return image if sha_bytes(image) == sidecar.get("snapshot_sha") else None
 
     def load(self, encoding_hash: str):
-        """The snapshot for ``encoding_hash``, or ``None`` if it is
-        unknown or its image is not the one its sidecar names."""
-        snapshot = self._snapshots.get(encoding_hash)
-        if snapshot is None:
-            image = self._image(encoding_hash)
-            if image is None:
-                return None
-            try:
-                snapshot = pickle.loads(image)
-            except Exception:  # pickled against other class definitions
-                return None
-            self._snapshots[encoding_hash] = snapshot
-        return snapshot
+        """The snapshot for ``encoding_hash``, read from disk, or ``None``
+        if it is unknown or its image is not the one its sidecar names."""
+        image = self._image(encoding_hash)
+        if image is None:
+            return None
+        try:
+            return pickle.loads(image)
+        except Exception:  # pickled against other class definitions
+            return None
 
     def meta(self, encoding_hash: str) -> dict | None:
         """The ``meta`` stored with ``encoding_hash``'s snapshot, or

@@ -81,8 +81,8 @@ from .cache import stable_hash
 from .colors import derive_colors
 from .deadlock import DeadlockCase, encode_deadlock
 from .invariants import generate_invariants
-from .parallel import WorkerSession, gather, start_pool
-from .resilience import Deadline, RetryPolicy, maybe_inject
+from .parallel import POOL_ATTEMPTS, WorkerSession, gather, start_pool
+from .resilience import Deadline
 from .result import DeadlockWitness, Invariant, Verdict, VerificationResult
 from .vars import VarPool
 
@@ -302,17 +302,32 @@ class SessionSpec:
                 bool_names.append(self.pool.block(out_channel, color).name)
         return tuple(int_uids), tuple(bool_names)
 
-    def snapshot(self) -> SessionSnapshot:
+    def snapshot(self, solver: Solver | None = None) -> SessionSnapshot:
         """Flatten the built encoding into a :class:`SessionSnapshot`.
 
-        Loads a throwaway solver (cheap relative to the build phase) and
-        captures its CNF image together with the guard-name tables and
-        the witness recipe.  Invariants are included iff they have been
-        generated on this spec.  The result is a *cold* snapshot — use
+        Captures the CNF image of ``solver`` — a fresh
+        :meth:`load_solver` result, or a throwaway one loaded here —
+        together with the guard-name tables and the witness recipe.
+        Invariants are included iff they have been generated on this
+        spec.  The result is a *cold* snapshot — use
         :meth:`VerificationSession.snapshot` to capture a live session's
         learned clauses and phases along with it.
         """
-        return self.wrap_solver_snapshot(snapshot_solver(self.load_solver()))
+        if solver is None:
+            solver = self.load_solver()
+        return self.wrap_solver_snapshot(snapshot_solver(solver))
+
+    def engine(
+        self, solver: Solver, snapshot: SessionSnapshot | None = None
+    ) -> WorkerSession:
+        """The query engine over ``solver``, loaded by :meth:`load_solver`
+        (no restore).  ``snapshot`` is that solver's image when the caller
+        took one; without it only the guard tables ride along."""
+        ints = dict(self.var_by_uid)
+        ints.update((var.uid, var) for var in self.capacities.values())
+        if snapshot is None:
+            snapshot = self.wrap_solver_snapshot(None)
+        return WorkerSession.over(snapshot, solver, ints)
 
     def wrap_solver_snapshot(self, solver_snapshot) -> SessionSnapshot:
         """Bundle an already-captured solver image with this spec's guard
@@ -449,9 +464,6 @@ class VerificationSession:
     backend:
         ``"process"`` (true parallelism) or ``"thread"`` (GIL-bound, for
         tests and debugging).
-    retry_policy:
-        How often a fan-out rebuilds a pool whose worker died before it
-        quarantines the pool (:class:`~repro.core.resilience.RetryPolicy`).
     force_pool:
         Start a real pool even where the fan-outs would run here (tests
         and benchmarks of the pool machinery itself).
@@ -476,7 +488,6 @@ class VerificationSession:
         spec: SessionSpec | None = None,
         jobs: int = 1,
         backend: str = "process",
-        retry_policy: RetryPolicy | None = None,
         force_pool: bool = False,
     ):
         if jobs < 1:
@@ -485,10 +496,10 @@ class VerificationSession:
             raise ValueError(f"unknown backend {backend!r}")
         self.jobs = jobs
         self.backend = backend
-        self.retry_policy = retry_policy or RetryPolicy()
         self._force_pool = force_pool
-        # Recovery accounting: pool rebuilds after a BrokenExecutor, and
-        # whether the fan-outs fell back to this session's solver for good.
+        # Recovery accounting: pool rebuilds after a BrokenExecutor (at
+        # most POOL_ATTEMPTS per fan-out), and whether the fan-outs fell
+        # back to this session's solver for good.
         self.recoveries = 0
         self.degraded = False
         self._executor = None
@@ -510,11 +521,7 @@ class VerificationSession:
         self.solver = spec.load_solver()
         # The one query engine over this live solver; the snapshot only
         # carries the tables.
-        ints = dict(spec.var_by_uid)
-        ints.update((var.uid, var) for var in spec.capacities.values())
-        self._engine = WorkerSession.over(
-            spec.wrap_solver_snapshot(None), self.solver, ints
-        )
+        self._engine = spec.engine(self.solver)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -767,10 +774,8 @@ class VerificationSession:
             return None
         from concurrent.futures import BrokenExecutor
 
-        policy = self.retry_policy
-        for attempt in range(policy.max_attempts):
+        for _ in range(POOL_ATTEMPTS):
             try:
-                maybe_inject("parallel-pool")
                 executor = self._ensure_pool(deadline)
                 return gather(executor, job_list, deadline, chunksize)
             except BrokenExecutor:
@@ -779,8 +784,6 @@ class VerificationSession:
                 # the same encoding, so recovered verdicts are identical.
                 self._shutdown_pool(wait=False)
                 self.recoveries += 1
-                if attempt + 1 < policy.max_attempts:
-                    policy.sleep(attempt)
         # Workers died on every attempt (say a job deterministically
         # crashes its process): quarantine the pool for good and answer
         # on this session's own solver.

@@ -55,8 +55,8 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from ..xmas import Network
 from .cache import atomic_write_json
 from .engine import eager_invariants
-from .parallel import default_jobs, start_pool
-from .resilience import Deadline, RetryPolicy, maybe_inject
+from .parallel import POOL_ATTEMPTS, default_jobs, start_pool
+from .resilience import Deadline
 from .sizing import SizingResult, minimal_queue_size, sweep_queue_sizes
 
 
@@ -350,7 +350,6 @@ class ScenarioSpec:
     # ------------------------------------------------------------------
     def build(self, size: int | None = None) -> Network:
         """Construct this scenario's network (at ``size``, if given)."""
-        maybe_inject("builder")
         builder = resolve_builder(self.builder)
         kwargs = dict(self.kwargs)
         if size is not None:
@@ -601,7 +600,6 @@ def run_scenario(
             "sequential eager); pass portfolio=False"
         )
     start = perf_counter()
-    maybe_inject("scenario-worker")
     deadline = Deadline.coerce(deadline)
     inner = spec.query_jobs if spec.query_jobs is not None else (query_jobs or 1)
     build = spec.build_callable()
@@ -703,7 +701,6 @@ class Experiment:
         resume: "ExperimentResult | str | Path | None" = None,
         save_path: str | Path | None = None,
         progress: Callable[[ScenarioResult], None] | None = None,
-        retry_policy: RetryPolicy | None = None,
         deadline=None,
     ) -> ExperimentResult:
         """Answer every grid point; returns grid-ordered results.
@@ -737,18 +734,16 @@ class Experiment:
             Callback invoked with each newly computed
             :class:`ScenarioResult` as it lands (worker completion
             order).
-        retry_policy:
-            Backoff schedule for the fault-tolerant scheduler (defaults
-            to :class:`~repro.core.resilience.RetryPolicy`).  A scenario
-            that crashes its worker is resubmitted to a rebuilt pool up
-            to ``max_attempts`` times, then *quarantined*: re-run inline
-            once, and if that also fails recorded as a structured
-            :attr:`ScenarioResult.failure` — the rest of the grid always
-            completes.
         deadline:
-            Optional :class:`~repro.core.resilience.Deadline` (or bare
-            seconds) bounding every probe; budget-exhausted probes land
-            as ``TIMEOUT`` verdicts with their stats retained.
+            Optional :class:`~repro.core.resilience.Deadline` bounding
+            every probe; budget-exhausted probes land as ``TIMEOUT``
+            verdicts with their stats retained.
+
+        A scenario that crashes its worker is resubmitted to a rebuilt
+        pool up to :data:`~repro.core.parallel.POOL_ATTEMPTS` times,
+        then *quarantined*: re-run inline once, and if that also fails
+        recorded as a structured :attr:`ScenarioResult.failure` — the
+        rest of the grid always completes.
         """
         if backend not in ("process", "thread"):
             raise ValueError(f"unknown backend {backend!r}")
@@ -756,7 +751,6 @@ class Experiment:
         # would surface as an opaque pool failure mid-run.
         for spec in self.scenarios:
             resolve_builder(spec.builder)
-        policy = retry_policy or RetryPolicy()
         deadline = Deadline.coerce(deadline)
         completed: dict[str, ScenarioResult] = {}
         if resume is not None:
@@ -862,20 +856,19 @@ class Experiment:
 
                 # Fault-tolerant pool scheduling.  Every spec carries an
                 # attempt count; a BrokenExecutor (worker crash) shuts
-                # the poisoned pool down, backs off, and resubmits
-                # whatever has not landed yet to a fresh one.  A spec that
-                # burns through ``policy.max_attempts`` pool rounds without
-                # landing — the crash-the-worker-every-time case — is
+                # the poisoned pool down and resubmits whatever has not
+                # landed yet to a fresh one.  A spec that burns through
+                # ``POOL_ATTEMPTS`` pool rounds without landing — the
+                # crash-the-worker-every-time case — is
                 # quarantined onto one inline retry instead of poisoning
                 # pool after pool.
                 attempts = {spec.key(): 0 for spec in pending}
                 remaining = list(pending)
-                crash_round = 0
                 wire = None if deadline is None else deadline.to_wire()
                 while remaining:
                     pooled = []
                     for spec in remaining:
-                        if attempts[spec.key()] >= policy.max_attempts:
+                        if attempts[spec.key()] >= POOL_ATTEMPTS:
                             land(
                                 run_quarantined(
                                     spec, attempts=attempts[spec.key()]
@@ -913,9 +906,8 @@ class Experiment:
                                     raise
                                 except Exception:
                                     # The worker answered with an
-                                    # exception (builder bug, injected
-                                    # raise): the pool is intact;
-                                    # quarantine just this spec.
+                                    # exception (a builder bug): the pool
+                                    # is intact; quarantine just this spec.
                                     land(
                                         run_quarantined(
                                             spec, attempts=attempts[spec.key()]
@@ -923,9 +915,9 @@ class Experiment:
                                     )
                         except BrokenExecutor:
                             # A dead worker poisons the pool permanently;
-                            # back off and rerun everything that has not
-                            # landed on a fresh pool (the checkpoint, if
-                            # any, already holds what did land).
+                            # rerun everything that has not landed on a
+                            # fresh pool (the checkpoint, if any, already
+                            # holds what did land).
                             retries += 1
                             remaining = [
                                 spec
@@ -935,9 +927,6 @@ class Experiment:
                         finally:
                             for future in future_spec:
                                 future.cancel()
-                    if remaining:
-                        policy.sleep(crash_round)
-                        crash_round += 1
 
         result = ExperimentResult(
             name=self.name,

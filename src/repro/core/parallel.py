@@ -51,12 +51,12 @@ from typing import TYPE_CHECKING, Sequence
 
 from ..smt import Result, boolvar, eq, implies
 from ..smt.serialize import restore_solver
-from .resilience import Deadline, maybe_inject
+from .resilience import Deadline
 
 if TYPE_CHECKING:
     from .engine import SessionSnapshot
 
-__all__ = ["WorkerSession", "default_jobs", "start_pool", "gather"]
+__all__ = ["WorkerSession", "default_jobs", "start_pool", "gather", "POOL_ATTEMPTS"]
 
 # A query target is resolved against the snapshot's guard tables inside
 # the worker: None = the master "any case" guard, an int = that index
@@ -70,6 +70,11 @@ SizesKey = tuple[tuple[str, int], ...]
 
 #: The payload of a query whose budget ran out before it was decided.
 TIMEOUT_PAYLOAD = ("unknown", None, None, {}, 0.0)
+
+#: How often a pool whose worker died (``BrokenExecutor``) is rebuilt and
+#: its jobs replayed before the work runs in the caller's process instead:
+#: the session fan-outs, the scenario scheduler and the service share it.
+POOL_ATTEMPTS = 3
 
 
 def default_jobs() -> int:
@@ -365,10 +370,6 @@ def _initialize_worker(snapshot: SessionSnapshot) -> None:
 
 
 def _run_job(job: Job):
-    # Fault-injection point: a worker-side kill/raise lands here, before
-    # the solver runs, so an injected crash never leaves a half-merged
-    # payload (see repro.core.resilience).
-    maybe_inject("query-worker")
     return _WORKER.session.run(job)
 
 

@@ -49,8 +49,8 @@ def verify(
         Use the stronger block rule for ``rotating`` queues (see
         :mod:`repro.core.deadlock`).
     deadline:
-        Optional :class:`~repro.core.resilience.Deadline` (or bare
-        seconds); an expired budget yields a ``TIMEOUT`` verdict.
+        Optional :class:`~repro.core.resilience.Deadline`; an expired
+        budget yields a ``TIMEOUT`` verdict.
     """
     session = VerificationSession(network, rotating_precision=rotating_precision)
     if use_invariants:

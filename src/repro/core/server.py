@@ -61,8 +61,8 @@ from .cache import (
 )
 from .engine import SessionSnapshot, resolve_resize
 from .experiments import ScenarioSpec, builder_catalog, run_scenario
-from .parallel import WorkerSession, default_jobs, start_pool
-from .resilience import Deadline, RetryPolicy, maybe_inject
+from .parallel import POOL_ATTEMPTS, WorkerSession, default_jobs, start_pool
+from .resilience import Deadline
 from .service import ServiceError, read_frame, write_frame
 from .vars import color_label
 
@@ -137,14 +137,15 @@ def _answer(
 def _build_job(
     cache_dir: str, builder: str, kwargs: tuple, job_request
 ) -> tuple[str, dict, dict | None]:
-    """Build tier: build the network, store its snapshot, and
-    (optionally) answer the triggering query in the same trip on a
-    throwaway session: the hot tier restores its own from the store."""
-    maybe_inject("service-builder")
+    """Build tier: build the network, load it into one solver, store
+    that solver's cold image, and (optionally) answer the triggering
+    query on the same solver: the hot tier restores its own session
+    from the store."""
     spec = ScenarioSpec(builder=builder, kwargs=kwargs)
     session_spec = spec.session_spec()
     session_spec.generate_invariants()
-    snapshot = session_spec.snapshot()
+    solver = session_spec.load_solver()
+    snapshot = session_spec.snapshot(solver)
     meta = {
         "builder": spec.builder,
         "label": spec.display_label,
@@ -164,13 +165,12 @@ def _build_job(
     encoding_hash = SnapshotStore(cache_dir).store(snapshot, meta)
     answer = None
     if job_request is not None:
-        answer = _answer(WorkerSession(snapshot), *job_request)
+        answer = _answer(session_spec.engine(solver, snapshot), *job_request)
     return encoding_hash, meta, answer
 
 
 def _scenario_job(spec_kwargs: dict, wire_deadline) -> dict:
     """Worker body for the ``size`` op: a full minimal-size search."""
-    maybe_inject("service-worker")
     spec = ScenarioSpec(**spec_kwargs)
     deadline = Deadline.from_wire(
         tuple(wire_deadline) if wire_deadline is not None else None
@@ -221,7 +221,6 @@ class VerificationService:
         jobs: int | None = None,
         max_pending: int = 64,
         backend: str = "process",
-        retry_policy: RetryPolicy | None = None,
     ):
         if backend not in ("process", "thread"):
             raise ValueError(f"unknown backend {backend!r}")
@@ -229,7 +228,6 @@ class VerificationService:
         self.jobs = jobs if jobs is not None else default_jobs()
         self.backend = backend
         self.max_pending = max_pending
-        self.retry_policy = retry_policy or RetryPolicy()
         self.verdicts = VerdictStore(self.cache_dir)
         self.snapshots = SnapshotStore(self.cache_dir)
         self.hot = LruSessionCache(hot_capacity)
@@ -270,20 +268,19 @@ class VerificationService:
             pool.shutdown(wait=False, cancel_futures=True)
 
     async def _in_pool(self, fn, *args):
-        """Dispatch a worker body, rebuilding a broken pool under the
-        retry policy (same quarantine convention as the session layer)."""
+        """Dispatch a worker body on at most
+        :data:`~repro.core.parallel.POOL_ATTEMPTS` pools, replacing each
+        one a dead worker broke; the last break reaches the request."""
         loop = asyncio.get_running_loop()
-        for attempt in range(self.retry_policy.max_attempts):
+        for attempt in range(1, POOL_ATTEMPTS + 1):
             pool = self._ensure_pool()
             try:
                 return await loop.run_in_executor(pool, partial(fn, *args))
             except BrokenExecutor:
                 self._discard_pool()
                 self.counters["pool_recoveries"] += 1
-                if attempt + 1 >= self.retry_policy.max_attempts:
+                if attempt == POOL_ATTEMPTS:
                     raise
-                await asyncio.sleep(self.retry_policy.delay(attempt))
-        raise RuntimeError("unreachable")
 
     async def _in_threads(self, fn, *args):
         loop = asyncio.get_running_loop()

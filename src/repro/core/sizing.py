@@ -249,8 +249,8 @@ def minimal_queue_size(
     invariants:
         ``"eager"`` or ``"none"`` — see the module docstring.
     deadline:
-        Optional :class:`~repro.core.resilience.Deadline` (or bare
-        seconds / a wire tuple) bounding the *whole search*.  On expiry
+        Optional :class:`~repro.core.resilience.Deadline` (or its wire
+        tuple) bounding the *whole search*.  On expiry
         the walk stops and the partial result comes back with
         ``timed_out=True`` and ``minimal_size=None`` — the sizes decided
         in budget stay in ``probes``, and the TIMEOUT probe itself is

@@ -297,14 +297,6 @@ def test_verdict_store_round_trip_and_counters(tmp_path):
     assert reopened.get("ehash-a", qkey) == payload
 
 
-def test_verdict_store_memory_only_mode():
-    store = VerdictStore(None)
-    qkey = canonical_json({"op": "verify"})
-    store.put("ehash", qkey, {"verdict": "deadlock-candidate"})
-    assert store.get("ehash", qkey) == {"verdict": "deadlock-candidate"}
-    assert len(store) == 1
-
-
 def test_verdict_log_torn_mid_record_then_appended(tmp_path):
     store = VerdictStore(tmp_path)
     for i in range(3):

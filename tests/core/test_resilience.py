@@ -11,45 +11,50 @@ asserts the two resilience contracts:
   :class:`~repro.core.engine.SessionSnapshot`, so its verdicts equal the
   fault-free sequential reference exactly.
 
-Faults are deterministic (:class:`~repro.core.resilience.FaultPlan`
-triggers with per-process counters and an optional once-globally latch),
-so every scenario in here is reproducible: a *latched* kill is the
-recovery drill (one worker dies, once), an *unlatched* kill is the
-quarantine drill (every fresh worker dies until the ladder degrades).
+Faults are deterministic: ``tests/faults.py`` patches one named function
+to fail on its N-th call in each process, optionally latched to fire
+once across processes.  A *latched* kill is the recovery drill (one
+worker dies, once), an *unlatched* kill is the quarantine drill (every
+fresh worker dies until the ladder degrades).  Pool workers inherit a
+patch only when forked, so those tests skip elsewhere.
 """
 
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
+import types
 from concurrent.futures import BrokenExecutor
+from pathlib import Path
 
 import pytest
+from faults import KILL_EXIT_CODE, InjectedFault, inject
 
+import repro
 from repro.core import (
     Deadline,
     Experiment,
     ExperimentResult,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
-    RetryPolicy,
     ScenarioSpec,
     SessionSpec,
     VerificationSession,
     Verdict,
-    install_fault_plan,
+    experiments,
     minimal_queue_size,
+    parallel,
     sweep_queue_sizes,
 )
-from repro.core.resilience import (
-    KILL_EXIT_CODE,
-    active_fault_plan,
-    maybe_inject,
-)
+from repro.core.parallel import POOL_ATTEMPTS
 from repro.netlib import running_example
 
 pytestmark = pytest.mark.chaos
+
+needs_fork = pytest.mark.skipif(
+    parallel._process_context().get_start_method() != "fork",
+    reason="pool workers inherit an injected fault only under fork",
+)
 
 
 def _network(queue_size=2):
@@ -68,11 +73,9 @@ def _eager_reference(queue_size=2):
 
 
 @pytest.fixture(autouse=True)
-def hermetic_faults():
-    """Every chaos test starts clean and leaves no plan, pool or child."""
-    install_fault_plan(None)
+def no_leaked_children():
+    """Every chaos test leaves no pool or child behind."""
     yield
-    install_fault_plan(None)
     # No leaked children: everything spawned during the test must be
     # reaped by its session's or run's recovery/close paths.
     # active_children() joins zombies as a side effect.
@@ -128,96 +131,86 @@ def test_deadline_wire_round_trip_and_coerce():
     assert Deadline.from_wire(None) is None
     assert Deadline.coerce(None) is None
     assert Deadline.coerce(deadline) is deadline
-    assert Deadline.coerce(5).seconds == 5.0
     assert Deadline.coerce((None, 10)).remaining_conflicts() == 10
+    with pytest.raises(TypeError):
+        Deadline.coerce(5)  # bare seconds are no deadline argument
 
 
 # ---------------------------------------------------------------------------
-# RetryPolicy
+# The fault helper, and production code that ignores fault settings
 # ---------------------------------------------------------------------------
 
 
-def test_retry_policy_deterministic_capped_backoff():
-    policy = RetryPolicy(base_delay=0.05, max_delay=0.3, backoff=2.0)
-    delays = [policy.delay(attempt) for attempt in range(6)]
-    assert delays == [policy.delay(attempt) for attempt in range(6)]
-    # Exponential up to the cap (jitter only ever adds, never removes).
-    assert delays[0] >= 0.05
-    assert all(d <= 0.3 * (1.0 + policy.jitter) for d in delays)
-    assert delays[4] == delays[5] or delays[5] <= 0.3 * (1.0 + policy.jitter)
-    # Different seeds jitter differently, same seed identically.
-    assert RetryPolicy(seed=1).delay(2) != RetryPolicy(seed=2).delay(2)
-
-
-def test_retry_policy_validation():
-    with pytest.raises(ValueError):
-        RetryPolicy(max_attempts=0)
-    with pytest.raises(ValueError):
-        RetryPolicy(backoff=0.5)
-    with pytest.raises(ValueError):
-        RetryPolicy(jitter=2.0)
-
-
-# ---------------------------------------------------------------------------
-# FaultPlan: parsing, counters, latching, environment plumbing
-# ---------------------------------------------------------------------------
-
-
-def test_fault_plan_parse_round_trip():
-    plan = FaultPlan.parse("query-worker:kill@2, scenario-worker:delay")
-    assert plan.specs == (
-        FaultSpec("query-worker", "kill", 2),
-        FaultSpec("scenario-worker", "delay", 1),
-    )
-    assert plan.describe() == "query-worker:kill@2,scenario-worker:delay@1"
-    with pytest.raises(ValueError):
-        FaultPlan.parse("site-without-action")
-    with pytest.raises(ValueError):
-        FaultPlan.parse("site:explode")
+def _target():
+    return types.SimpleNamespace(call=lambda: "answered")
 
 
 def test_fault_plan_fires_on_nth_arrival():
-    plan = FaultPlan.parse("s:raise@2")
-    assert plan.fire("s") is None
-    assert plan.fire("s") == "raise"
-    assert plan.fire("s") is None  # counters move past the trigger
-    assert plan.fire("other") is None
-    assert plan.hits("s") == 3
+    target = _target()
+    with inject(target, "call", "raise", at=2):
+        assert target.call() == "answered"
+        with pytest.raises(InjectedFault):
+            target.call()
+        assert target.call() == "answered"  # counts move past the trigger
+    assert target.call() == "answered"  # the block restores the original
 
 
 def test_fault_plan_latch_fires_once_globally(tmp_path):
-    first = FaultPlan.parse("s:raise@1", latch_dir=str(tmp_path))
-    second = FaultPlan.parse("s:raise@1", latch_dir=str(tmp_path))
-    assert first.fire("s") == "raise"
-    # A second plan (standing in for another process) finds the marker.
-    assert second.fire("s") is None
+    target = _target()
+    with inject(target, "call", "raise", latch=tmp_path):
+        with pytest.raises(InjectedFault):
+            target.call()
+    # A second installation (standing in for another process) finds the
+    # marker and answers normally.
+    with inject(target, "call", "raise", latch=tmp_path):
+        assert target.call() == "answered"
 
 
-def test_install_fault_plan_environment_round_trip(tmp_path):
-    install_fault_plan("builder:raise@3", latch_dir=str(tmp_path))
-    assert os.environ["ADVOCAT_FAULTS"] == "builder:raise@3"
-    assert os.environ["ADVOCAT_FAULT_LATCH"] == str(tmp_path)
-    assert os.environ["ADVOCAT_FAULT_PID"] == str(os.getpid())
-    plan = active_fault_plan()
-    assert plan is not None and plan.owner_pid == os.getpid()
-    install_fault_plan(None)
-    assert "ADVOCAT_FAULTS" not in os.environ
-    assert active_fault_plan() is None
-
-
-def test_maybe_inject_actions():
-    assert maybe_inject("anything") is None  # no plan: cheap no-op
-    install_fault_plan("s:raise@1,t:break@1,u:delay@1,v:kill@1")
-    with pytest.raises(InjectedFault):
-        maybe_inject("s")
-    with pytest.raises(BrokenExecutor):
-        maybe_inject("t")
-    assert maybe_inject("u") == "delay"  # after its short sleep
-    assert maybe_inject("u") is None  # fired on the first arrival only
-    # kill in the plan's owner process is downgraded to a raise — an
+def test_injected_fault_actions():
+    target = _target()
+    with inject(target, "call", "break"):
+        with pytest.raises(BrokenExecutor):
+            target.call()
+    # kill in the installing process is downgraded to a raise — an
     # injected kill can never take down the test runner itself.
-    with pytest.raises(InjectedFault):
-        maybe_inject("v")
+    with inject(target, "call", "kill"):
+        with pytest.raises(InjectedFault):
+            target.call()
+    with pytest.raises(ValueError):
+        inject(target, "call", "explode")
+
+
+def test_fault_environment_does_not_reach_workers():
+    """No production process reads a fault plan from its environment: a
+    forced pool started under ``ADVOCAT_FAULTS=query-worker:kill@1``
+    answers normally and rebuilds no pool."""
+    reference = [r.verdict.value for r in _sequential_all_cases()]
+    script = (
+        "import json\n"
+        "from repro.core import SessionSpec, VerificationSession\n"
+        "from repro.netlib import running_example\n"
+        "spec = SessionSpec(running_example(queue_size=2).network)\n"
+        "with VerificationSession(spec=spec, jobs=2, backend='process',"
+        " force_pool=True) as pool:\n"
+        "    got = [r.verdict.value for r in pool.verify_all_cases()]\n"
+        "    print(json.dumps([got, pool.recoveries]))\n"
+    )
+    env = dict(
+        os.environ,
+        ADVOCAT_FAULTS="query-worker:kill@1",
+        PYTHONPATH=str(Path(repro.__file__).parent.parent),
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    got, recoveries = json.loads(run.stdout.splitlines()[-1])
+    assert got == reference
+    assert recoveries == 0
 
 
 # ---------------------------------------------------------------------------
@@ -307,53 +300,45 @@ def test_sweep_deadline_marks_unanswered_sizes_timeout():
 # ---------------------------------------------------------------------------
 
 
+@needs_fork
 def test_pool_worker_kill_recovers_with_identical_verdicts(tmp_path):
     reference = [r.verdict for r in _sequential_all_cases()]
-    install_fault_plan(
-        FaultPlan.parse("query-worker:kill@1"), latch_dir=str(tmp_path)
-    )
     spec = SessionSpec(_network())
-    with VerificationSession(
-        spec=spec, jobs=2, backend="process", force_pool=True
-    ) as pool:
-        got = pool.verify_all_cases()
-        assert [r.verdict for r in got] == reference
-        assert pool.recoveries == 1
-        assert not pool.degraded
+    with inject(parallel, "_run_job", "kill", latch=tmp_path):
+        with VerificationSession(
+            spec=spec, jobs=2, backend="process", force_pool=True
+        ) as pool:
+            got = pool.verify_all_cases()
+            assert [r.verdict for r in got] == reference
+            assert pool.recoveries == 1
+            assert not pool.degraded
 
 
+@needs_fork
 def test_pool_worker_persistent_kill_quarantines_to_inline():
     reference = [r.verdict for r in _sequential_all_cases()]
     # No latch: every fresh worker dies on its first job, so the session
     # must burn its attempts and degrade to in-process execution.
-    install_fault_plan(FaultPlan.parse("query-worker:kill@1"))
     spec = SessionSpec(_network())
-    policy = RetryPolicy(max_attempts=2, base_delay=0.01)
-    with VerificationSession(
-        spec=spec,
-        jobs=2,
-        backend="process",
-        force_pool=True,
-        retry_policy=policy,
-    ) as pool:
-        got = pool.verify_all_cases()
-        assert [r.verdict for r in got] == reference
-        assert pool.degraded
-        assert pool.recoveries == policy.max_attempts
-        # Degradation is sticky: later dispatches stay inline (and keep
-        # answering correctly) instead of rebuilding doomed pools.
-        again = pool.verify_all_cases()
-        assert [r.verdict for r in again] == reference
-        assert pool.recoveries == policy.max_attempts
+    with inject(parallel, "_run_job", "kill"):
+        with VerificationSession(
+            spec=spec, jobs=2, backend="process", force_pool=True
+        ) as pool:
+            got = pool.verify_all_cases()
+            assert [r.verdict for r in got] == reference
+            assert pool.degraded
+            assert pool.recoveries == POOL_ATTEMPTS
+            # Degradation is sticky: later dispatches stay inline (and keep
+            # answering correctly) instead of rebuilding doomed pools.
+            again = pool.verify_all_cases()
+            assert [r.verdict for r in again] == reference
+            assert pool.recoveries == POOL_ATTEMPTS
 
 
-def test_parent_side_pool_break_is_retried(tmp_path):
+def test_parent_side_pool_break_is_retried():
     reference = [r.verdict for r in _sequential_all_cases()]
-    install_fault_plan(
-        FaultPlan.parse("parallel-pool:break@1"), latch_dir=str(tmp_path)
-    )
     spec = SessionSpec(_network())
-    with VerificationSession(
+    with inject(VerificationSession, "_ensure_pool", "break"), VerificationSession(
         spec=spec, jobs=2, backend="thread", force_pool=True
     ) as pool:
         got = pool.verify_all_cases()
@@ -372,14 +357,13 @@ def _sequential_all_cases():
 # ---------------------------------------------------------------------------
 
 
+@needs_fork
 def test_injected_kill_exit_code_is_recognisable():
-    def _die():
-        install_fault_plan(None)  # child-local: forget the parent's env
-        os._exit(KILL_EXIT_CODE)
-
-    child = multiprocessing.Process(target=_die)
-    child.start()
-    child.join(10.0)
+    target = _target()
+    with inject(target, "call", "kill"):
+        child = parallel._process_context().Process(target=target.call)
+        child.start()
+        child.join(10.0)
     assert child.exitcode == KILL_EXIT_CODE
 
 
@@ -398,35 +382,30 @@ def _grid() -> Experiment:
     )
 
 
-def test_builder_fault_is_retried_inline(tmp_path):
+def test_builder_fault_is_retried_inline():
     reference = _grid().run(jobs=1)
-    install_fault_plan(
-        FaultPlan.parse("builder:raise@1"), latch_dir=str(tmp_path)
-    )
-    result = _grid().run(jobs=1)
+    with inject(ScenarioSpec, "build", "raise"):
+        result = _grid().run(jobs=1)
     assert verdicts(result) == verdicts(reference)
     assert result.retries == 1
     assert result.failures == 0
 
 
+@needs_fork
 def test_scenario_worker_kill_grid_completes_identically(tmp_path):
     reference = _grid().run(jobs=1)
-    install_fault_plan(
-        FaultPlan.parse("scenario-worker:kill@1"), latch_dir=str(tmp_path)
-    )
-    result = _grid().run(jobs=2)
+    with inject(experiments, "run_scenario", "kill", latch=tmp_path):
+        result = _grid().run(jobs=2)
     assert verdicts(result) == verdicts(reference)
     assert result.retries >= 1
     assert result.failures == 0
 
 
 def test_persistent_builder_fault_lands_structured_failures(tmp_path):
-    # Unlatched triggers deep enough to outlast the inline retry: the
-    # grid must still complete, with failure placeholders in-slot.
-    triggers = ",".join(f"builder:raise@{n}" for n in range(1, 40))
-    install_fault_plan(FaultPlan.parse(triggers))
-    result = _grid().run(jobs=1)
-    install_fault_plan(None)
+    # Triggers deep enough to outlast the inline retry: the grid must
+    # still complete, with failure placeholders in-slot.
+    with inject(ScenarioSpec, "build", "raise", at=range(1, 40)):
+        result = _grid().run(jobs=1)
     assert len(result.scenarios) == 2
     assert result.failures == 2
     record = result.scenarios[0].failure

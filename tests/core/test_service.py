@@ -14,8 +14,11 @@ End-to-end coverage for the PR-9 service layer
   and on the worker engine the hot tier holds, and pool workers actually
   released (the chaos
   suite's no-leaked-children fixture is re-used verbatim);
-* hot-tier LRU eviction under ``hot_capacity < distinct specs`` and
-  cold-tier persistence across a service restart on the same cache dir;
+* hot-tier LRU eviction under ``hot_capacity < distinct specs``, which
+  leaves no evicted snapshot alive, and cold-tier persistence across a
+  service restart on the same cache dir;
+* pool recovery: a build worker killed once is replaced, and the
+  service answers as a clean one does;
 * the TCP protocol through both the asyncio and the blocking client.
 
 Async scenarios run through ``asyncio.run`` inside sync tests (the
@@ -24,12 +27,15 @@ children/eviction are the point, the thread backend everywhere else.
 """
 
 import asyncio
+import gc
 import multiprocessing
 import sys
 import threading
 import time
+import weakref
 
 import pytest
+from faults import inject
 
 from repro.core import (
     AsyncServiceClient,
@@ -38,7 +44,8 @@ from repro.core import (
     VerificationService,
     VerificationSession,
     WorkerSession,
-    install_fault_plan,
+    parallel,
+    server,
 )
 from repro.netlib import running_example
 from repro.protocols import abstract_mi_mesh
@@ -51,11 +58,9 @@ RING = {"builder": "token_ring", "kwargs": {"n_stations": 3, "queue_size": 1}}
 
 
 @pytest.fixture(autouse=True)
-def hermetic_faults():
-    """Every service test starts clean and leaves no plan, pool or child."""
-    install_fault_plan(None)
+def no_leaked_children():
+    """Every service test leaves no pool or child behind."""
     yield
-    install_fault_plan(None)
     deadline = time.monotonic() + 10.0
     while multiprocessing.active_children() and time.monotonic() < deadline:
         time.sleep(0.05)
@@ -405,9 +410,65 @@ def test_a_restarted_service_restores_a_stored_encoding_once(
         assert hits["build"] == 0 and hits["hot"] == 2
 
     run_service(ask, cache_dir=cache_dir)
-    # One restore answers both queries; the thread backend would count a
-    # pool worker's restore here too.
+    # One restore answers both queries.
     assert len(restores) == 1
+
+
+def test_the_build_tier_answers_on_the_solver_it_snapshotted(
+    tmp_path, monkeypatch
+):
+    restores = []
+    original_init = WorkerSession.__init__
+
+    def counting_init(self, snapshot):
+        restores.append(snapshot)
+        original_init(self, snapshot)
+
+    monkeypatch.setattr(WorkerSession, "__init__", counting_init)
+
+    async def scenario(service):
+        first = await service.handle_request({"op": "verify", "spec": RUNNING})
+        assert first["ok"] and first["cache"] == "build"
+        assert first["verdict"] == "deadlock-free"
+        cases = await service.handle_request({"op": "cases", "spec": RUNNING})
+        return cases["encoding_hash"]
+
+    stored_hash = run_service(scenario, cache_dir=str(tmp_path))
+    # No restore: the build loaded one solver, stored its image and
+    # answered on it.  The stored image is the spec's cold snapshot.
+    assert restores == []
+    spec = SessionSpec(running_example(queue_size=2).network)
+    spec.generate_invariants()
+    assert stored_hash == spec.snapshot().content_hash()
+
+
+def test_the_snapshot_store_keeps_no_evicted_snapshot_alive(tmp_path):
+    loaded = []
+
+    async def scenario(service):
+        load = service.snapshots.load
+
+        def tracked_load(encoding_hash):
+            snapshot = load(encoding_hash)
+            loaded.append(weakref.ref(snapshot))
+            return snapshot
+
+        service.snapshots.load = tracked_load
+        for spec in (RUNNING, PRODCON, RING):
+            built = await service.handle_request({"op": "verify", "spec": spec})
+            assert built["ok"] and built["cache"] == "build"
+            promoted = await service.handle_request(
+                {"op": "verify_channel", "spec": spec, "params": {"case": 0}}
+            )
+            assert promoted["ok"] and promoted["cache"] == "hot"
+        assert service.stats()["evictions"] == 2
+        gc.collect()
+        return sum(ref() is not None for ref in loaded)
+
+    live = run_service(scenario, cache_dir=str(tmp_path), hot_capacity=1)
+    assert len(loaded) == 3
+    # Only the hot tier's one session holds its snapshot.
+    assert live <= 1
 
 
 def test_a_snapshot_damaged_while_serving_fails_once_then_rebuilds(tmp_path):
@@ -423,6 +484,50 @@ def test_a_snapshot_damaged_while_serving_fails_once_then_rebuilds(tmp_path):
         assert service.stats()["hits"] == {"cold": 0, "hot": 1, "build": 0}
 
     run_service(scenario, cache_dir=str(tmp_path))
+
+
+# ---------------------------------------------------------------------------
+# Pool recovery (process backend)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.skipif(
+    parallel._process_context().get_start_method() != "fork",
+    reason="pool workers inherit an injected fault only under fork",
+)
+def test_a_killed_build_worker_is_replaced_and_answers_like_a_clean_one(
+    tmp_path,
+):
+    requests = [
+        {"op": "verify", "spec": RUNNING},
+        {"op": "witness", "spec": RING},
+        {"op": "verify_channel", "spec": RUNNING, "params": {"case": 0}},
+    ]
+
+    async def scenario(service):
+        answers = []
+        for request in requests:
+            response = await service.handle_request(dict(request))
+            assert response["ok"], response
+            answers.append(
+                {
+                    key: response.get(key)
+                    for key in ("verdict", "unsat_core", "witness", "cache", "case")
+                }
+            )
+        return answers, service.stats()["pool_recoveries"]
+
+    clean, clean_recoveries = run_service(
+        scenario, cache_dir=str(tmp_path / "clean"), backend="process"
+    )
+    latch = tmp_path / "latch"
+    latch.mkdir()
+    with inject(server, "_build_job", "kill", latch=latch):
+        faulted, recoveries = run_service(
+            scenario, cache_dir=str(tmp_path / "faulted"), backend="process"
+        )
+    assert faulted == clean
+    assert (clean_recoveries, recoveries) == (0, 1)
 
 
 # ---------------------------------------------------------------------------
