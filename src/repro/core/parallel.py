@@ -46,6 +46,7 @@ from __future__ import annotations
 import os
 import sys
 import threading
+from dataclasses import replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Sequence
 
@@ -138,8 +139,8 @@ class WorkerSession:
     """The one query engine: every verification query's ``Solver.check``.
 
     Usually rehydrated from a session snapshot; :meth:`over` instead binds
-    an already-loaded solver (the sequential session's), in which case
-    ``snapshot.solver`` is ``None`` and only the tables are read.
+    an already-loaded solver (the sequential session's).  Either way only
+    the snapshot's tables are kept (``self.snapshot.solver`` is ``None``).
     Self-contained: everything it consults — the solver's CNF image, the
     deadlock-case guard tables, the ``cap[q]`` variable keys, the default
     sizes and the witness recipe — comes from the snapshot, so a bare
@@ -167,7 +168,10 @@ class WorkerSession:
         return session
 
     def _bind(self, snapshot: SessionSnapshot, solver, ints) -> None:
-        self.snapshot = snapshot
+        # Only the name tables stay: the image's clauses and atoms now
+        # live in ``solver``, and holding them twice would double every
+        # hot session's memory.
+        self.snapshot = replace(snapshot, solver=None)
         self.solver = solver
         self._ints = ints
         self._capacities = {
@@ -181,6 +185,8 @@ class WorkerSession:
         self._witness_vars = [
             (uid, ints[uid]) for uid in snapshot.witness_int_uids
         ]
+        #: Witness integer uid → variable name, for reporting a model.
+        self.int_names = {uid: var.name for uid, var in self._witness_vars}
 
     def close(self) -> None:
         """Drop the solver so its CNF arena is reclaimed now (idempotent).

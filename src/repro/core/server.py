@@ -92,9 +92,8 @@ def _resolved_sizes(snapshot: SessionSnapshot, overrides):
 
 
 def _translate(session: WorkerSession, payload: tuple) -> dict:
-    """Worker payload tuple → plain response dict (no snapshot needed
-    on the serving side: uid→name mapping happens here, where the
-    snapshot lives)."""
+    """Worker payload tuple → plain response dict (the session maps
+    witness uids to names)."""
     kind, a, b, stats, elapsed = payload[:5]
     out: dict[str, Any] = {
         "solve_seconds": round(elapsed, 6),
@@ -108,7 +107,7 @@ def _translate(session: WorkerSession, payload: tuple) -> dict:
     else:
         out["verdict"] = "deadlock-candidate"
         if a is not None:
-            names = dict(session.snapshot.solver.int_vars)
+            names = session.int_names
             out["witness"] = {
                 "ints": {
                     names[uid]: value

@@ -467,8 +467,9 @@ def test_the_snapshot_store_keeps_no_evicted_snapshot_alive(tmp_path):
 
     live = run_service(scenario, cache_dir=str(tmp_path), hot_capacity=1)
     assert len(loaded) == 3
-    # Only the hot tier's one session holds its snapshot.
-    assert live <= 1
+    # No session holds its snapshot: the hot tier's one session keeps
+    # only the name tables, its CNF lives in the restored solver.
+    assert live == 0
 
 
 def test_a_snapshot_damaged_while_serving_fails_once_then_rebuilds(tmp_path):

@@ -87,6 +87,16 @@ def test_topology_variants_build_and_validate():
     assert msi_ring(4, queue_size=2).network.stats()["queues"] > 0
 
 
+def test_a_directory_with_no_paced_rows_gets_no_token_source():
+    """With one cache the directory never runs a token-paced inv round,
+    so it has no ``tok`` port: a token source it never reads would be
+    blocked for ever and show up in every deadlock witness."""
+    inst = msi_ring(2, queue_size=3)
+    assert list(inst.directory.ports) == ["net_in", "net_out"]
+    assert "tok_dir_1_0" not in inst.network.primitives
+    assert "tok_cache_0_0" in inst.network.primitives
+
+
 # ---------------------------------------------------------------------------
 # Verdicts
 # ---------------------------------------------------------------------------
