@@ -15,9 +15,9 @@ answers an UNSAT query as SAT, or the reverse, changes ``verdict_sha``:
   cycle plus a per-query conflict charge).
 * **recovery drill** — a *latched* kill of the pool's job body
   ``repro.core.parallel._run_job`` (exactly one pool worker dies, once)
-  under a ``VerificationSession`` opened with ``jobs=2, force_pool=True``.  The session must rebuild the pool, replay
-  from the same snapshot, and report verdicts byte-identical to the
-  sequential reference; ``recovery_latency_s`` is the wall-clock price
+  under a ``VerificationSession`` opened with ``jobs=2``.  The session
+  must rebuild the pool, replay from the same snapshot, and report
+  verdicts byte-identical to the sequential reference; ``recovery_latency_s`` is the wall-clock price
   of the crash vs the clean pooled run.
 * **quarantine drill** — an *unlatched* kill (every fresh worker dies on
   its first job).  The session must rebuild its pool
@@ -128,7 +128,7 @@ def _recovery_drill(spec: SessionSpec, reference_sha: str) -> dict:
     """Latched single worker kill: one crash, one rebuild, same verdicts."""
     start = time.perf_counter()
     with VerificationSession(
-        spec=spec, jobs=2, backend="process", force_pool=True
+        spec=spec, jobs=2, backend="process"
     ) as pool:
         clean = pool.verify_all_cases()
     clean_wall = time.perf_counter() - start
@@ -139,7 +139,7 @@ def _recovery_drill(spec: SessionSpec, reference_sha: str) -> dict:
     ):
         start = time.perf_counter()
         with VerificationSession(
-            spec=spec, jobs=2, backend="process", force_pool=True
+            spec=spec, jobs=2, backend="process"
         ) as pool:
             recovered = pool.verify_all_cases()
             recoveries = pool.recoveries
@@ -161,7 +161,7 @@ def _quarantine_drill(spec: SessionSpec, reference_sha: str) -> dict:
     with inject(parallel, "_run_job", "kill"):
         start = time.perf_counter()
         with VerificationSession(
-            spec=spec, jobs=2, backend="process", force_pool=True
+            spec=spec, jobs=2, backend="process"
         ) as pool:
             results = pool.verify_all_cases()
             recoveries = pool.recoveries

@@ -56,7 +56,6 @@ throwaway session, so the one-shot API is unchanged.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterator, Mapping, Sequence
@@ -456,17 +455,12 @@ class VerificationSession:
         invariants generated, they are loaded immediately.
     jobs:
         Workers for the two fan-outs, :meth:`verify_all_cases` and
-        :meth:`probe_shards`.  With 1 (the default), or on a machine with
-        one CPU, they run on this session's own solver like every other
-        query.  The physical CPU count decides that, not
-        :func:`~repro.core.parallel.default_jobs`, so an explicit
-        ``jobs=N`` beats an ``ADVOCAT_JOBS`` cap.
+        :meth:`probe_shards`.  With 1 (the default) they run on this
+        session's own solver like every other query; with more they run
+        on a pool of ``jobs`` workers, whatever the CPU count.
     backend:
         ``"process"`` (true parallelism) or ``"thread"`` (GIL-bound, for
         tests and debugging).
-    force_pool:
-        Start a real pool even where the fan-outs would run here (tests
-        and benchmarks of the pool machinery itself).
 
     Invariants are *not* generated up front; call :meth:`add_invariants`
     to derive and conjoin them (idempotent).  This keeps the plain
@@ -488,7 +482,6 @@ class VerificationSession:
         spec: SessionSpec | None = None,
         jobs: int = 1,
         backend: str = "process",
-        force_pool: bool = False,
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -496,7 +489,6 @@ class VerificationSession:
             raise ValueError(f"unknown backend {backend!r}")
         self.jobs = jobs
         self.backend = backend
-        self._force_pool = force_pool
         # Recovery accounting: pool rebuilds after a BrokenExecutor (at
         # most POOL_ATTEMPTS per fan-out), and whether the fan-outs fell
         # back to this session's solver for good.
@@ -517,7 +509,6 @@ class VerificationSession:
         self._sizes: dict[str, int] = dict(spec.initial_sizes)
         # The invariants loaded into the solver; None until conjoined.
         self._invariants: list[Invariant] | None = spec.invariants
-        self._last_witness_bools: dict[str, bool] | None = None
         self.solver = spec.load_solver()
         # The one query engine over this live solver; the snapshot only
         # carries the tables.
@@ -604,19 +595,6 @@ class VerificationSession:
             snapshot_solver(self.solver, include_learned=True)
         )
 
-    def seed_phases_from_witness(self) -> int:
-        """Seed branching phases from the last witness's block booleans.
-
-        The queue-size search calls this between probes so each probe's
-        search starts at the previous witness (the paper's Figure-4 curve
-        moves by one capacity step; the blocking shape rarely changes
-        wholesale).
-        No-op before the first SAT query; returns the hints applied.
-        """
-        if not self._last_witness_bools:
-            return 0
-        return self.solver.phase_hints(self._last_witness_bools)
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -627,8 +605,6 @@ class VerificationSession:
         payload = self._engine.bounded_check(
             Deadline.coerce(deadline), target, sizes, True, extra=extra
         )
-        if payload[0] == "sat":
-            self._last_witness_bools = payload[2]
         return self.spec.read_payload(payload, self._sizes, self.invariants)
 
     def verify(self, deadline=None) -> VerificationResult:
@@ -702,13 +678,12 @@ class VerificationSession:
         ``shards[w]`` is the ordered list of per-queue size assignments
         worker ``w`` probes on its own solver — ascending order within a
         shard warm-starts each probe with the clauses learned on the
-        previous ones, and each deadlocked probe phase-seeds the next.
-        With one worker or one CPU every shard is walked on this
+        previous ones.  With one worker every shard is walked on this
         session's own solver, one after another.  Returns results
         aligned with the input structure.  Probes answer under the
         encoding as it stands: call :meth:`add_invariants` first to bake
-        the invariants into the worker snapshot.  ``deadline`` bounds the whole call as for
-        :meth:`verify_all_cases`.
+        the invariants into the worker snapshot.  ``deadline`` bounds the
+        whole call as for :meth:`verify_all_cases`.
         """
         deadline = Deadline.coerce(deadline)
         full_shards = [
@@ -766,11 +741,8 @@ class VerificationSession:
 
     def _fan_out(self, job_list, deadline, chunksize: int = 1):
         """The pool's payloads for ``job_list``; ``None`` when the fan-out
-        runs on this session instead: one worker or one CPU (unless
-        ``force_pool``), or a quarantined pool."""
-        if self.degraded or not (
-            self._force_pool or (self.jobs > 1 and (os.cpu_count() or 1) > 1)
-        ):
+        runs on this session instead: one worker, or a quarantined pool."""
+        if self.jobs == 1 or self.degraded:
             return None
         from concurrent.futures import BrokenExecutor
 

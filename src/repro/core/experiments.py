@@ -23,8 +23,8 @@ The pieces:
 * :func:`run_scenario` — the worker body: build the network, run the
   scenario's size search/sweep locally (reusing
   :func:`~repro.core.sizing.minimal_queue_size` /
-  :func:`~repro.core.sizing.sweep_queue_sizes` with their warm-start and
-  phase-seeding machinery), return a compact, picklable
+  :func:`~repro.core.sizing.sweep_queue_sizes` with their warm solver),
+  return a compact, picklable
   :class:`ScenarioResult` (verdict map + build/query timing split — no
   solver terms).
 * :class:`Experiment` — the declarative grid and its two-level scheduler:
@@ -808,26 +808,14 @@ class Experiment:
             )
             partial.save(save_path)
 
-        def land(result: ScenarioResult) -> None:
-            nonlocal computed
-            results_by_key[result.key] = result
-            computed += 1
-            checkpoint()
-            if progress is not None:
-                progress(result)
-
-        def run_quarantined(spec: ScenarioSpec, attempts: int) -> ScenarioResult:
-            """A scenario that exhausted its pool attempts (or whose
-            worker answered with an exception) is re-run inline once; if
-            that fails too it lands as a structured failure placeholder,
-            so the rest of the grid still completes."""
+        def quarantine(spec: ScenarioSpec, attempts: int) -> ScenarioResult:
+            """Re-run ``spec`` inline once; if that fails too, a structured
+            failure placeholder, so the rest of the grid still completes."""
             nonlocal failures, retries
             start = perf_counter()
             retries += 1
             try:
-                return run_scenario(
-                    spec, query_jobs=inner, backend=backend, deadline=deadline
-                )
+                return run_scenario(spec, inner, backend, deadline=deadline)
             except Exception as error:
                 failures += 1
                 return ScenarioResult.failed(
@@ -837,96 +825,63 @@ class Experiment:
                     total_seconds=perf_counter() - start,
                 )
 
-        if pending:
-            if jobs == 1:
-                for spec in pending:
-                    try:
-                        land(
-                            run_scenario(
-                                spec,
-                                query_jobs=inner,
-                                backend=backend,
-                                deadline=deadline,
-                            )
-                        )
-                    except Exception:
-                        land(run_quarantined(spec, attempts=1))
-            else:
-                from concurrent.futures import BrokenExecutor, as_completed
+        def land(spec: ScenarioSpec, run, attempts: int) -> None:
+            """Record what ``run()`` answers for ``spec``, quarantining
+            ``spec`` if it raises (a builder bug) after ``attempts`` runs."""
+            nonlocal computed
+            try:
+                result = run()
+            except Exception:
+                result = quarantine(spec, attempts)
+            results_by_key[result.key] = result
+            computed += 1
+            checkpoint()
+            if progress is not None:
+                progress(result)
 
-                # Fault-tolerant pool scheduling.  Every spec carries an
-                # attempt count; a BrokenExecutor (worker crash) shuts
-                # the poisoned pool down and resubmits whatever has not
-                # landed yet to a fresh one.  A spec that burns through
-                # ``POOL_ATTEMPTS`` pool rounds without landing — the
-                # crash-the-worker-every-time case — is
-                # quarantined onto one inline retry instead of poisoning
-                # pool after pool.
-                attempts = {spec.key(): 0 for spec in pending}
-                remaining = list(pending)
-                wire = None if deadline is None else deadline.to_wire()
-                while remaining:
-                    pooled = []
-                    for spec in remaining:
-                        if attempts[spec.key()] >= POOL_ATTEMPTS:
-                            land(
-                                run_quarantined(
-                                    spec, attempts=attempts[spec.key()]
-                                )
-                            )
-                        else:
-                            pooled.append(spec)
-                    remaining = []
-                    if not pooled:
-                        break
-                    # One pool per round, and a round after the first only
-                    # follows a crash: one pool per run, replaced when it
-                    # breaks and shut down when the round leaves.
-                    with start_pool(jobs, backend) as executor:
-                        # The deadline crosses the pool boundary as its
-                        # wire tuple: worker clocks are not comparable
-                        # with ours.
-                        future_spec = {}
-                        for spec in pooled:
-                            attempts[spec.key()] += 1
-                            future = executor.submit(
-                                run_scenario,
-                                spec,
-                                inner,
-                                backend,
-                                deadline=wire,
-                            )
-                            future_spec[future] = spec
-                        try:
-                            for future in as_completed(future_spec):
-                                spec = future_spec[future]
-                                try:
-                                    land(future.result())
-                                except BrokenExecutor:
-                                    raise
-                                except Exception:
-                                    # The worker answered with an
-                                    # exception (a builder bug): the pool
-                                    # is intact; quarantine just this spec.
-                                    land(
-                                        run_quarantined(
-                                            spec, attempts=attempts[spec.key()]
-                                        )
-                                    )
-                        except BrokenExecutor:
-                            # A dead worker poisons the pool permanently;
-                            # rerun everything that has not landed on a
-                            # fresh pool (the checkpoint, if any, already
-                            # holds what did land).
-                            retries += 1
-                            remaining = [
-                                spec
-                                for spec in future_spec.values()
-                                if spec.key() not in results_by_key
-                            ]
-                        finally:
-                            for future in future_spec:
-                                future.cancel()
+        if jobs == 1:
+            for spec in pending:
+                land(
+                    spec,
+                    lambda: run_scenario(spec, inner, backend, deadline=deadline),
+                    1,
+                )
+        else:
+            from concurrent.futures import BrokenExecutor, as_completed
+
+            # One pool per attempt: a BrokenExecutor (a worker crash)
+            # poisons the pool, so the next attempt resubmits whatever has
+            # not landed to a fresh one.  What is left after
+            # ``POOL_ATTEMPTS`` — the crash-the-worker-every-time case —
+            # is quarantined instead of poisoning pool after pool.  The
+            # deadline crosses the pool boundary as its wire tuple: worker
+            # clocks are not comparable with ours.
+            wire = None if deadline is None else deadline.to_wire()
+            remaining = list(pending)
+            for attempt in range(1, POOL_ATTEMPTS + 1):
+                with start_pool(jobs, backend) as executor:
+                    futures = {
+                        executor.submit(
+                            run_scenario, spec, inner, backend, deadline=wire
+                        ): spec
+                        for spec in remaining
+                    }
+                    try:
+                        for future in as_completed(futures):
+                            if isinstance(future.exception(), BrokenExecutor):
+                                retries += 1
+                                break
+                            land(futures[future], future.result, attempt)
+                    finally:
+                        for future in futures:
+                            future.cancel()
+                remaining = [
+                    spec for spec in remaining if spec.key() not in results_by_key
+                ]
+                if not remaining:
+                    break
+            for spec in remaining:
+                land(spec, lambda: quarantine(spec, POOL_ATTEMPTS), POOL_ATTEMPTS)
 
         result = ExperimentResult(
             name=self.name,

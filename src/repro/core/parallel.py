@@ -18,8 +18,7 @@ are independent queries over one fixed encoding.  Every one of them is a
   in its own term space (:meth:`~repro.core.engine.SessionSpec.read_payload`,
   the one payload reader);
 * one ``"shard"`` job kind carries an ordered probe list: the worker
-  walks it on its own warm solver (:meth:`WorkerSession.walk`),
-  phase-seeding each probe from the previous witness;
+  walks it on its own warm solver (:meth:`WorkerSession.walk`);
 * :func:`start_pool` makes every worker pool: the session's two fan-outs
   (``verify_all_cases`` and ``probe_shards`` with ``jobs > 1``), whose
   workers restore one snapshot, and the stateless scenario and build
@@ -288,22 +287,6 @@ class WorkerSession:
         }
         return ("sat", ints, bools, stats, elapsed)
 
-    def _seed_phases_from_sat(self, payload: tuple) -> None:
-        # Phase-seed the next probe from this witness's block booleans:
-        # shards walk sizes in ascending order, so the previous blocking
-        # shape is a strong prior for the next capacity step.  Without a
-        # witness payload the model is still live — read the bools
-        # directly.
-        bools = payload[2]
-        if bools is None:
-            model = self.solver.model()
-            bools = {
-                name: bool(model[name])
-                for name in self.snapshot.witness_bool_names
-            }
-        if bools:
-            self.solver.phase_hints(bools)
-
     def bounded_check(
         self, deadline, target, sizes, want_witness, extra=()
     ) -> tuple:
@@ -333,14 +316,11 @@ class WorkerSession:
 
     def walk(self, probes, want_witness, deadline=None) -> list[tuple]:
         """An ordered walk over one shard's ``(target, sizes)`` probes
-        under one budget, phase-seeding each probe from the last witness."""
-        payloads = []
-        for target, sizes in probes:
-            payload = self.bounded_check(deadline, target, sizes, want_witness)
-            payloads.append(payload)
-            if payload[0] == "sat":
-                self._seed_phases_from_sat(payload)
-        return payloads
+        under one budget."""
+        return [
+            self.bounded_check(deadline, target, sizes, want_witness)
+            for target, sizes in probes
+        ]
 
     def run(self, job: Job):
         # Every job kind accepts one optional trailing element: a

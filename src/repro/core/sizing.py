@@ -9,10 +9,9 @@ it climbs ``size += 1 + size // 16`` until a deadlock-free size is found,
 then bisects only the last gap, between the largest deadlocked probe and
 the first free one.  Up to 16 the climb goes up one size at a time, so
 for a minimum of at most 16 deadlock freedom (UNSAT, the expensive
-answer) is proved exactly once, at the minimum, and every deadlocked step
-seeds the next with its witness (below).  Above 16 the step grows with
-the size, so a fabric that deadlocks at every size still fails after a
-bounded number of probes (65 at the default ``max_size=512``).
+answer) is proved exactly once, at the minimum.  Above 16 the step grows
+with the size, so a fabric that deadlocks at every size still fails after
+a bounded number of probes (65 at the default ``max_size=512``).
 
 The search runs on one :class:`~repro.core.engine.VerificationSession`,
 whose queue capacities are symbolic: the block/idle encoding, the
@@ -34,15 +33,11 @@ the boundary: probe an explicit list of sizes (Figure 4 plots one verdict
 per point) with one :meth:`~repro.core.engine.VerificationSession.probe_shards`
 call.  The ascending sizes are striped over ``min(jobs, len(sizes))``
 shards; each shard is walked in ascending order on one warm solver (the
-session's own with one worker or one CPU, a rehydrated pool worker's
-otherwise), so every probe warm-starts on the clauses learned by the
-previous ones.
-
-Every walk is additionally *phase-seeded*: after a deadlocked probe the
-next probe's branching phases are initialised from the previous witness's
-blocking shape (``seed_phases_from_witness`` in the search, the engine's
-walk in a sweep), so each capacity step starts its search at the model
-the last step ended on instead of from scratch.
+session's own with one worker, a rehydrated pool worker's otherwise), so
+every probe warm-starts on the clauses learned by the previous ones.  It
+also branches toward the last probe's model first: the CDCL core saves
+each variable's phase as it unassigns it, and a probe whose first
+capacity pin differs unassigns the whole previous model.
 
 **Invariant modes.**  Both entry points take ``invariants=`` —
 ``"eager"`` (the default) or ``"none"``, validated by
@@ -189,7 +184,6 @@ class _Walk:
         if size not in self.probes:
             session = self.session
             session.resize_queues(self.assignment(size))
-            session.seed_phases_from_witness()
             start = perf_counter()
             result = session.verify(deadline=self.deadline)
             self.query_seconds += perf_counter() - start
@@ -313,8 +307,8 @@ def sweep_queue_sizes(
     in one :meth:`~repro.core.engine.VerificationSession.probe_shards`
     call: shard ``w`` probes sizes ``w, w+n, w+2n, ...`` of the ascending
     list, ``n = min(jobs, len(sizes))``, in ascending order on one warm
-    solver — the session's own with one worker or one CPU, a pool
-    worker's otherwise.
+    solver — the session's own with one worker, a pool worker's
+    otherwise.
 
     ``invariants`` is ``"eager"`` or ``"none"``; ``"eager"`` strengthens
     the session first, which bakes the rows into any worker snapshot.

@@ -8,13 +8,7 @@ in one normal form: an ``int`` when it is integral, a
 in machine ints.
 """
 
-from .matrix import eliminate_columns, rank, row_space_contains, rref
+from .matrix import eliminate_columns, rref
 from .vector import SparseVector
 
-__all__ = [
-    "SparseVector",
-    "rref",
-    "eliminate_columns",
-    "row_space_contains",
-    "rank",
-]
+__all__ = ["SparseVector", "rref", "eliminate_columns"]

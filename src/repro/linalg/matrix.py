@@ -3,8 +3,8 @@
 Two kernels are provided on lists of :class:`~repro.linalg.vector.SparseVector`
 rows:
 
-* :func:`rref` — reduced row-echelon form with a caller-controlled column
-  (pivot preference) order, used to canonicalise invariant sets.
+* :func:`rref` — leftmost-pivot reduced row-echelon form, used to
+  canonicalise invariant sets.
 * :func:`eliminate_columns` — project the row space onto the complement of a
   set of columns.  This is the core operation of Chatterjee–Kishinevsky
   invariant generation: transfer-count (λ) and transition-count (κ) columns
@@ -27,11 +27,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 from .vector import SparseVector
 
-__all__ = ["rref", "eliminate_columns", "row_space_contains", "rank"]
+__all__ = ["rref", "eliminate_columns"]
 
 
 def _reduce_against(row: SparseVector, pivots: dict[int, SparseVector]) -> None:
@@ -70,35 +70,22 @@ def _install_pivot(
 
 def rref(
     rows: Iterable[SparseVector],
-    pivot_key: Callable[[int], object] | None = None,
 ) -> tuple[list[SparseVector], list[int]]:
-    """Reduced row-echelon form of ``rows``.
+    """Reduced row-echelon form of ``rows`` (the inputs are not mutated),
+    pivoting on each row's leftmost column.
 
-    Parameters
-    ----------
-    rows:
-        The matrix rows; the inputs are not mutated.
-    pivot_key:
-        Sort key ranking candidate pivot columns within a row; the smallest
-        key wins.  Defaults to the column index itself, giving the textbook
-        leftmost-pivot RREF.
-
-    Returns
-    -------
-    (reduced_rows, pivot_columns):
-        ``reduced_rows`` sorted by pivot key, each scaled to a unit pivot;
-        ``pivot_columns[i]`` is the pivot column of ``reduced_rows[i]``.
+    Returns ``(reduced_rows, pivot_columns)``: ``reduced_rows`` sorted by
+    pivot column, each scaled to a unit pivot; ``pivot_columns[i]`` is the
+    pivot column of ``reduced_rows[i]``.
     """
-    key = pivot_key if pivot_key is not None else (lambda col: col)
     pivots: dict[int, SparseVector] = {}
     for original in rows:
         row = original.copy()
         _reduce_against(row, pivots)
         if not row:
             continue
-        pivot_col = min(row.columns(), key=key)
-        _install_pivot(row, pivot_col, pivots)
-    ordered = sorted(pivots.items(), key=lambda item: key(item[0]))
+        _install_pivot(row, min(row.columns()), pivots)
+    ordered = sorted(pivots.items())
     return [row for _, row in ordered], [col for col, _ in ordered]
 
 
@@ -144,27 +131,4 @@ def eliminate_columns(
             leftover.append(row)
     reduced, _ = rref(leftover)
     return reduced
-
-
-def row_space_contains(
-    rows: Sequence[SparseVector], candidate: SparseVector
-) -> bool:
-    """True iff ``candidate`` is a linear combination of ``rows``.
-
-    Test helper: used to check that generated invariants lie in the flow
-    matrix row space and that published invariants are derivable.
-    """
-    reduced, _ = rref(rows)
-    pivots = {min(r.columns()): r for r in reduced}
-    probe = candidate.copy()
-    _reduce_against(probe, pivots)
-    # One pass may be insufficient for an arbitrary pivot layout; rref rows
-    # satisfy the Gauss-Jordan invariant, so a second pass is a no-op check.
-    return not probe
-
-
-def rank(rows: Iterable[SparseVector]) -> int:
-    """Rank of the matrix formed by ``rows``."""
-    reduced, _ = rref(rows)
-    return len(reduced)
 

@@ -29,7 +29,7 @@ Callers should pass their stable assumptions first.  Whatever needs the
 root still rewinds there: a due clause-database reduction at entry,
 restarts, ``UNKNOWN`` slices, :meth:`add_clause` and a non-empty
 :meth:`add_clauses` batch, :meth:`import_learned`,
-:meth:`compact` and the phase seeders.
+:meth:`compact` and :meth:`seed_phases`.
 
 Learnt clauses have a managed *lifecycle* (the Glucose discipline): each
 is tagged at derivation time with its LBD ("glue") — the number of
@@ -1329,20 +1329,13 @@ class Cdcl:
 
         Phases only steer branching order — seeding is always sound and
         is how warm snapshots make a fresh solver search near the parent's
-        (or a previous probe's) last model first.  Rewinds to the root
-        first, like :meth:`set_phase`.
+        last model first.  Rewinds to the root first, so that the next
+        backjump cannot overwrite the seeds with the trail's values.
         """
         self._backjump(0)
         limit = min(len(phases), self.n_vars)
         for var in range(1, limit + 1):
             self._phase[var] = 1 if phases[var - 1] else 0
-
-    def set_phase(self, var: int, phase: bool) -> None:
-        """Seed one saved phase; rewinds to the root first, so that the
-        next backjump cannot overwrite the seed with the trail's value."""
-        self._backjump(0)
-        if 1 <= var <= self.n_vars:
-            self._phase[var] = 1 if phase else 0
 
     # ------------------------------------------------------------------
     # Main loop

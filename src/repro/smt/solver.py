@@ -486,20 +486,6 @@ class Solver:
         self._sync()
         self._sat.seed_phases(phases)
 
-    def phase_hints(self, hints: dict[str, bool]) -> int:
-        """Seed phases of *named* boolean variables (e.g. a previous
-        witness's block booleans), steering the next search toward that
-        model first.  Unknown names are ignored; returns how many were
-        applied."""
-        self._sync()
-        applied = 0
-        for name, value in hints.items():
-            lit = self._cnf.var_of_boolname.get(name)
-            if lit is not None:
-                self._sat.set_phase(abs(lit), bool(value) == (lit > 0))
-                applied += 1
-        return applied
-
     # ------------------------------------------------------------------
     # Introspection (used by benchmarks and tests)
     # ------------------------------------------------------------------

@@ -413,7 +413,7 @@ def test_pooled_and_sequential_fan_outs_agree_under_reuse():
     expected = [r.verdict for r in sequential.verify_all_cases()]
     assert any(r.stats["solver"]["reused"] for r in sequential.verify_all_cases())
     with VerificationSession(
-        network, jobs=2, backend="thread", force_pool=True
+        network, jobs=2, backend="thread"
     ) as pooled:
         pooled.add_invariants()
         assert [r.verdict for r in pooled.verify_all_cases()] == expected

@@ -86,7 +86,7 @@ def test_process_pool_answers_the_3x3_mesh_like_the_sequential_session():
     spec = SessionSpec(abstract_mi_mesh(3, 3, queue_size=2).network)
     sequential = VerificationSession(spec=spec).verify_all_cases()
     with VerificationSession(
-        spec=spec, jobs=2, backend="process", force_pool=True
+        spec=spec, jobs=2, backend="process"
     ) as pool:
         pooled = pool.verify_all_cases()
     assert [r.verdict for r in pooled] == [r.verdict for r in sequential]
@@ -117,7 +117,7 @@ def test_spawned_pool_workers_answer_like_the_inline_session(monkeypatch):
     spec.generate_invariants()
     inline = [r.verdict for r in VerificationSession(spec=spec).verify_all_cases()]
     with VerificationSession(
-        spec=spec, jobs=2, backend="process", force_pool=True
+        spec=spec, jobs=2, backend="process"
     ) as pool:
         pooled = [r.verdict for r in pool.verify_all_cases()]
     assert pooled == inline
@@ -156,7 +156,7 @@ def test_enumeration_delegates_and_stays_consistent():
 
 def test_add_invariants_restarts_workers_with_strengthened_encoding():
     with VerificationSession(
-        _network(), jobs=2, backend="thread", force_pool=True
+        _network(), jobs=2, backend="thread"
     ) as pool:
         assert not pool.verify().deadlock_free  # block/idle only: candidate
         assert not all(r.deadlock_free for r in pool.verify_all_cases())
@@ -211,7 +211,7 @@ def test_one_deadline_bounds_a_pooled_fan_out():
     spec = SessionSpec(abstract_mi_mesh(3, 3, queue_size=2).network)
 
     def fan_out(seconds=None):
-        with VerificationSession(spec=spec, jobs=2, force_pool=True) as session:
+        with VerificationSession(spec=spec, jobs=2) as session:
             start = time.perf_counter()
             deadline = None if seconds is None else Deadline(seconds=seconds)
             results = session.verify_all_cases(deadline=deadline)
@@ -389,7 +389,7 @@ def test_forced_pool_probe_shards_match_sequential_sweep(invariants):
         build, range(1, 4), jobs=1, invariants=invariants
     )
     with VerificationSession(
-        build(1), jobs=2, backend="thread", force_pool=True
+        build(1), jobs=2, backend="thread"
     ) as session:
         if invariants == "eager":
             session.add_invariants()
@@ -421,7 +421,7 @@ def test_sweep_without_invariants_differs_and_still_merges():
 
 def test_default_jobs_fan_outs_reuse_one_executor():
     with VerificationSession(
-        _network(), jobs=2, backend="thread", force_pool=True
+        _network(), jobs=2, backend="thread"
     ) as pool:
         pool.verify_all_cases()
         executor = pool._executor
@@ -547,9 +547,9 @@ def test_default_jobs_rejects_invalid_env(monkeypatch):
 def test_explicit_jobs_argument_beats_env(monkeypatch):
     monkeypatch.setenv("ADVOCAT_JOBS", "1")
     # The env cap shapes defaults only: it must not demote an explicit
-    # jobs=2 request to the inline fallback at dispatch time (simulate a
-    # multi-core machine so the physical-CPU fallback stays out of play).
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    # jobs=2 request to the inline fallback at dispatch time, and neither
+    # does the CPU count (simulate a one-CPU machine): jobs alone decides.
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     with VerificationSession(
         _network(), jobs=2, backend="thread"
     ) as pool:

@@ -182,7 +182,7 @@ def test_injected_fault_actions():
 
 def test_fault_environment_does_not_reach_workers():
     """No production process reads a fault plan from its environment: a
-    forced pool started under ``ADVOCAT_FAULTS=query-worker:kill@1``
+    two-worker pool started under ``ADVOCAT_FAULTS=query-worker:kill@1``
     answers normally and rebuilds no pool."""
     reference = [r.verdict.value for r in _sequential_all_cases()]
     script = (
@@ -190,8 +190,8 @@ def test_fault_environment_does_not_reach_workers():
         "from repro.core import SessionSpec, VerificationSession\n"
         "from repro.netlib import running_example\n"
         "spec = SessionSpec(running_example(queue_size=2).network)\n"
-        "with VerificationSession(spec=spec, jobs=2, backend='process',"
-        " force_pool=True) as pool:\n"
+        "with VerificationSession(spec=spec, jobs=2, backend='process')"
+        " as pool:\n"
         "    got = [r.verdict.value for r in pool.verify_all_cases()]\n"
         "    print(json.dumps([got, pool.recoveries]))\n"
     )
@@ -234,7 +234,7 @@ def test_engine_conflict_budget_times_out_and_session_survives():
     [
         lambda network: VerificationSession(network),
         lambda network: VerificationSession(
-            network, jobs=2, backend="thread", force_pool=True
+            network, jobs=2, backend="thread"
         ),
     ],
     ids=["sequential", "parallel"],
@@ -254,7 +254,7 @@ def test_pre_expired_deadline_skips_the_solver(open_session):
 def test_parallel_session_deadline_yields_timeouts_then_recovers():
     spec = SessionSpec(_network())
     with VerificationSession(
-        spec=spec, jobs=2, backend="thread", force_pool=True
+        spec=spec, jobs=2, backend="thread"
     ) as pool:
         # An exhausted budget times out every shipped job...
         timed = pool.verify_all_cases(deadline=Deadline(conflicts=0))
@@ -306,7 +306,7 @@ def test_pool_worker_kill_recovers_with_identical_verdicts(tmp_path):
     spec = SessionSpec(_network())
     with inject(parallel, "_run_job", "kill", latch=tmp_path):
         with VerificationSession(
-            spec=spec, jobs=2, backend="process", force_pool=True
+            spec=spec, jobs=2, backend="process"
         ) as pool:
             got = pool.verify_all_cases()
             assert [r.verdict for r in got] == reference
@@ -322,7 +322,7 @@ def test_pool_worker_persistent_kill_quarantines_to_inline():
     spec = SessionSpec(_network())
     with inject(parallel, "_run_job", "kill"):
         with VerificationSession(
-            spec=spec, jobs=2, backend="process", force_pool=True
+            spec=spec, jobs=2, backend="process"
         ) as pool:
             got = pool.verify_all_cases()
             assert [r.verdict for r in got] == reference
@@ -339,7 +339,7 @@ def test_parent_side_pool_break_is_retried():
     reference = [r.verdict for r in _sequential_all_cases()]
     spec = SessionSpec(_network())
     with inject(VerificationSession, "_ensure_pool", "break"), VerificationSession(
-        spec=spec, jobs=2, backend="thread", force_pool=True
+        spec=spec, jobs=2, backend="thread"
     ) as pool:
         got = pool.verify_all_cases()
         assert [r.verdict for r in got] == reference

@@ -11,6 +11,8 @@ full of acks — both unreachable, both ruled out by the invariant.
 
 from fractions import Fraction
 
+from linalg.row_space import row_space_contains
+
 from repro.core import (
     Verdict,
     VarPool,
@@ -19,7 +21,7 @@ from repro.core import (
     verify,
 )
 from repro.core.result import Invariant
-from repro.linalg import SparseVector, row_space_contains
+from repro.linalg import SparseVector
 from repro.netlib import running_example
 
 

@@ -277,7 +277,7 @@ def test_parallel_session_close_releases_workers_and_is_idempotent():
     spec = SessionSpec(running_example(queue_size=2).network)
     spec.generate_invariants()
     session = VerificationSession(
-        spec=spec, jobs=2, backend="process", force_pool=True
+        spec=spec, jobs=2, backend="process"
     )
     results = session.verify_all_cases()
     assert results and multiprocessing.active_children()

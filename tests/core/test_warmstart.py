@@ -1,11 +1,11 @@
-"""Warm snapshots and the single-CPU pool fallback.
+"""Warm snapshots and the single-worker pool fallback.
 
 A warm snapshot ships the parent's learned clauses (demoted below glue
 protection) and saved phases; both are pure search heuristics, so a warm
 worker must answer every query exactly like a cold one — and like the
-sequential session — across job counts.  The fallback satellite pins the
-in-process path: on one CPU (or one worker) a session's fan-outs answer on
-its own solver with no executor, invariants included.
+sequential session — across job counts.  The fallback tests pin the
+in-process path: with one worker a session's fan-outs answer on its own
+solver with no executor, invariants included.
 """
 
 import os
@@ -100,7 +100,7 @@ def test_warm_pool_equals_sequential_across_job_counts(sizes, jobs):
 def test_forced_pool_still_matches_inline_fallback():
     spec = SessionSpec(_network())
     with VerificationSession(
-        spec=spec, jobs=2, backend="thread", force_pool=True
+        spec=spec, jobs=2, backend="thread"
     ) as pool:
         forced = pool.verify_all_cases()
         assert pool._executor is not None  # a real executor ran
@@ -113,7 +113,7 @@ def test_forced_pool_still_matches_inline_fallback():
 
 
 # ---------------------------------------------------------------------------
-# Single-CPU / single-worker fallback (satellite)
+# Single-worker fallback
 # ---------------------------------------------------------------------------
 
 
@@ -144,7 +144,7 @@ def test_inline_fallback_heals_invariant_staleness():
 
 
 # ---------------------------------------------------------------------------
-# Phase-seeded sweeps stay observationally identical
+# Sweeps stay observationally identical
 # ---------------------------------------------------------------------------
 
 
@@ -157,13 +157,6 @@ def test_sweep_verdicts_identical_with_and_without_reduction():
         plain = sweep_queue_sizes(build, range(1, 5), jobs=1)
     assert swept.probes == plain.probes
     assert swept.minimal_size == plain.minimal_size
-
-
-def test_seed_phases_from_witness_is_a_noop_before_first_sat():
-    session = VerificationSession(_network())
-    assert session.seed_phases_from_witness() == 0
-    assert not session.verify().deadlock_free
-    assert session.seed_phases_from_witness() > 0
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +177,6 @@ def _monotone_sweep(spec, n_sizes, reduction):
     verdicts = []
     for size in range(1, n_sizes + 1):
         session.resize_queues(size)
-        session.seed_phases_from_witness()
         verdicts.append(session.verify().verdict.value)
     if reduction:
         session.solver._sat.compact()

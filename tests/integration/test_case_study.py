@@ -2,6 +2,7 @@
 E11)."""
 
 import pytest
+from linalg.row_space import row_space_contains
 
 from repro import Verdict, verify
 from repro.core import (
@@ -12,7 +13,7 @@ from repro.core import (
     sweep_queue_sizes,
     verdict_sha,
 )
-from repro.linalg import SparseVector, row_space_contains
+from repro.linalg import SparseVector
 from repro.mc import Explorer, check_handshake_composition
 from repro.protocols import Message, abstract_mi_mesh, mi_mesh
 from repro.protocols.abstract_mi import abstract_mi_ether

@@ -4,14 +4,9 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from linalg.row_space import rank, row_space_contains
 
-from repro.linalg import (
-    SparseVector,
-    eliminate_columns,
-    rank,
-    row_space_contains,
-    rref,
-)
+from repro.linalg import SparseVector, eliminate_columns, rref
 
 N_COLS = 6
 

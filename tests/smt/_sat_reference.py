@@ -16,7 +16,7 @@ the arena core, so the lockstep contract keeps holding:
 
 * ``solve`` keeps the trail after a SAT or assumption-UNSAT verdict and
   rewinds only to the first assumption that differs from the previous
-  call's, and ``seed_phases``/``set_phase`` rewind to the root first;
+  call's, and ``seed_phases`` rewinds to the root first;
 * an activity rescale rebuilds the VSIDS heap from the rescaled
   activities of the unassigned variables.  Before, pre-rescale entries
   stayed in the heap and outranked every current one; the arena core
@@ -756,17 +756,12 @@ class Cdcl:
 
         Phases only steer branching order — seeding is always sound and
         is how warm snapshots make a fresh solver search near the parent's
-        (or a previous probe's) last model first.
+        last model first.
         """
         self._backjump(0)
         limit = min(len(phases), self.n_vars)
         for var in range(1, limit + 1):
             self._phase[var] = bool(phases[var - 1])
-
-    def set_phase(self, var: int, phase: bool) -> None:
-        self._backjump(0)
-        if 1 <= var <= self.n_vars:
-            self._phase[var] = bool(phase)
 
     # ------------------------------------------------------------------
     # Main loop

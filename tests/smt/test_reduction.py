@@ -218,8 +218,7 @@ def test_phase_vector_roundtrip_steers_first_model():
     a = Cdcl()
     a.ensure_vars(4)
     a.add_clause([1, 2, 3, 4])
-    for var, phase in ((1, True), (2, False), (3, True), (4, False)):
-        a.set_phase(var, phase)
+    a.seed_phases([True, False, True, False])
     b = Cdcl()
     b.ensure_vars(4)
     b.add_clause([1, 2, 3, 4])

@@ -109,12 +109,7 @@ def test_stats_populated():
 
 
 @pytest.mark.parametrize(
-    "seed",
-    [
-        lambda core: core.set_phase(2, True),
-        lambda core: core.seed_phases([True, True, True]),
-    ],
-    ids=["set_phase", "seed_phases"],
+    "seed", [lambda core: core.seed_phases([True, True, True])], ids=["seed_phases"]
 )
 def test_phase_hint_survives_the_next_query(seed):
     """A phase seeded after a SAT verdict steers the next query, although
@@ -125,6 +120,25 @@ def test_phase_hint_survives_the_next_query(seed):
     seed(solver)
     assert solver.solve(assumptions=[1]) == SAT
     assert solver.model_value(2)
+
+
+def test_rewind_after_sat_saves_the_model_as_phases():
+    """Phase saving: a clause added after a SAT verdict rewinds the trail
+    to the root, and every variable it unassigns keeps its model value as
+    its saved phase, so the next query branches toward that model first.
+    The queue-size walks rely on this to start each probe at the last
+    probe's model."""
+    solver = solve_clauses(6, [[-1, 2], [-2, 3], [4, 5], [6]])
+    assert solver.solve(assumptions=[1]) == SAT
+    model = [solver.model_value(var) for var in range(1, 7)]
+    assert model == [True, True, True, False, True, True]
+    solver.add_clause([3, 4])
+    unassigned = [var for var in range(1, 7) if solver._val[2 * var] == 0]
+    assert unassigned == [1, 2, 3, 4, 5]  # the root unit 6 stays assigned
+    phases = solver.phase_vector()
+    assert [phases[var - 1] for var in unassigned] == [
+        model[var - 1] for var in unassigned
+    ]
 
 
 def test_only_changed_assumptions_are_decided_again():

@@ -219,19 +219,6 @@ def test_assumption_on_a_merged_guard_and_its_core_name():
     assert solver.model()["sub_k1"] is True
 
 
-def test_phase_hints_reach_the_representative():
-    p, q = boolvar("sub_ph"), boolvar("sub_qh")
-    solver = Solver()
-    solver.add(disj(p, boolvar("sub_free")))
-    solver.define([(q, neg(p))])  # q stands for ¬p
-    vp = solver._cnf.var_of_boolname["sub_ph"]
-    assert solver._cnf.var_of_boolname["sub_qh"] == -vp
-    assert solver.phase_hints({"sub_qh": True}) == 1
-    assert solver._sat._phase[vp] == 0  # q true ⇔ p false
-    assert solver.phase_hints({"sub_qh": False}) == 1
-    assert solver._sat._phase[vp] == 1
-
-
 def test_warm_import_naming_a_merged_variable():
     a, b, c = boolvar("sub_ia"), boolvar("sub_ib"), boolvar("sub_ic")
     solver = Solver()
