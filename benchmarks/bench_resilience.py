@@ -8,11 +8,10 @@ verdicts (candidates and deadlock-free ones), so a restarted worker that
 answers an UNSAT query as SAT, or the reverse, changes ``verdict_sha``:
 
 * **deadline-polling overhead** — the fan-out answered with no deadline
-  vs under a generous :class:`~repro.core.resilience.Deadline` (wall
-  clock + conflict budget, never expiring).  Best-of-N wall ratio; the
-  acceptance asserts the cooperative-cancellation plumbing costs at most
-  a few percent (the hot path is one ``time.monotonic`` per propagate
-  cycle plus a per-query conflict charge).
+  vs under a generous :class:`~repro.core.resilience.Deadline` (an hour
+  of wall clock, never expiring).  Best-of-N wall ratio; the acceptance
+  asserts the cooperative-cancellation plumbing costs at most a few
+  percent (the hot path is one ``time.monotonic`` per propagate cycle).
 * **recovery drill** — a *latched* kill of the pool's job body
   ``repro.core.parallel._run_job`` (exactly one pool worker dies, once)
   under a ``VerificationSession`` opened with ``jobs=2``.  The session
@@ -112,7 +111,7 @@ def _overhead_case(width: int, height: int) -> dict:
         # effects hit both sides equally.
         plain.append(_fanout_wall(spec, None))
         polled.append(
-            _fanout_wall(spec, Deadline(seconds=3600.0, conflicts=10**9))
+            _fanout_wall(spec, Deadline(seconds=3600.0))
         )
     best_plain = min(plain)
     best_polled = min(polled)

@@ -5,10 +5,10 @@ Public entry points:
 * :class:`SessionSpec` — the build phase: network → colors → encoding
   (→ invariants), computed once and shared by any number of sessions.
 * :class:`VerificationSession` — incremental engine: load a spec into one
-  solver, answer many queries (full check, per-channel checks, witness
-  enumeration, queue resizing) by assumption; with ``jobs > 1`` its
-  per-case and per-size fan-outs go to a worker pool over serialized
-  session snapshots.
+  solver, answer many queries (full check, per-channel checks, queue
+  resizing) by assumption, and enumerate witnesses on a private copy;
+  with ``jobs > 1`` its per-case and per-size fan-outs go to a worker
+  pool over serialized session snapshots.
 * :class:`WorkerSession` — the one query engine under every session,
   pool worker and service hot-tier entry.
 * :func:`verify` — one-shot full pipeline (colors → invariants →
@@ -21,7 +21,7 @@ Public entry points:
 * :class:`Experiment` / :class:`ScenarioSpec` — declarative topology grids
   (mesh sizes × directory positions × …) sharded across scenario workers,
   with resumable JSON results (:class:`ExperimentResult`).
-* :class:`Deadline` — wall-clock and conflict budgets
+* :class:`Deadline` — wall-clock budgets
   (:mod:`repro.core.resilience`) that surface as ``TIMEOUT`` verdicts.
   Worker pools recover from a dead worker by rebuilding and replaying,
   at most :data:`~repro.core.parallel.POOL_ATTEMPTS` times.

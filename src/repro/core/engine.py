@@ -23,10 +23,9 @@ Figure-4 queue-size sweep.  The work splits into two phases:
   - queue capacities are symbolic ``cap[q]`` variables pinned by
     assumption (the network's own sizes until ``resize_queues``), so a
     different size is re-probed without rebuilding anything;
-  - ``enumerate_witnesses`` guards its blocking clauses behind a fresh
-    per-enumeration assumption literal (assumed only by its own checks and
-    retired when the generator finishes), so enumeration leaves the
-    session reusable and never influences concurrent queries.
+  - ``enumerate_witnesses`` adds its blocking clauses to a private copy
+    restored from the session's warm snapshot, so enumeration leaves the
+    session's own solver untouched.
 
 All clauses the CDCL core learns while answering one query — including
 branch-and-bound splits and theory-conflict clauses — remain in force for
@@ -66,13 +65,8 @@ from ..smt import (
     Solver,
     SolverSnapshot,
     Term,
-    boolvar,
-    conj,
-    eq,
     ge,
-    implies,
     intvar,
-    neg,
     snapshot_solver,
 )
 from ..xmas import Network, Queue
@@ -81,7 +75,6 @@ from .colors import derive_colors
 from .deadlock import DeadlockCase, encode_deadlock
 from .invariants import generate_invariants
 from .parallel import POOL_ATTEMPTS, WorkerSession, gather, start_pool
-from .resilience import Deadline
 from .result import DeadlockWitness, Invariant, Verdict, VerificationResult
 from .vars import VarPool
 
@@ -598,13 +591,11 @@ class VerificationSession:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _run(self, target, deadline=None, extra=()) -> VerificationResult:
+    def _run(self, target, deadline=None) -> VerificationResult:
         """Ask the engine about ``target`` (``None`` for the master guard,
         a case index otherwise) under the current pins, then render."""
         sizes = tuple(self._sizes.items())
-        payload = self._engine.bounded_check(
-            Deadline.coerce(deadline), target, sizes, True, extra=extra
-        )
+        payload = self._engine.bounded_check(deadline, target, sizes, True)
         return self.spec.read_payload(payload, self._sizes, self.invariants)
 
     def verify(self, deadline=None) -> VerificationResult:
@@ -638,20 +629,18 @@ class VerificationSession:
         go to the pool, and result ``i`` still answers
         ``encoding.cases[i]`` whichever worker finished first.
 
-        One deadline bounds the whole fan-out.  Run here, every case
-        charges the caller's one :class:`Deadline`, so once it expires
-        the remaining cases answer ``TIMEOUT`` without entering the
-        solver.  On a pool, the priming query runs under it, each job
-        carries the budget left at dispatch, and the parent stops
-        waiting when the wall clock runs out: cases not answered by then
-        answer ``TIMEOUT``.  A conflict budget is per case on a pool.
+        One :class:`~repro.core.resilience.Deadline` bounds the whole
+        fan-out.  Run here, once it expires the remaining cases answer
+        ``TIMEOUT`` without entering the solver.  On a pool, the priming
+        query runs under it, each job carries it to its worker, and the
+        parent stops waiting when it runs out: cases not answered by then
+        answer ``TIMEOUT``.
 
         A witness may come from an earlier case's model on the same
         solver, as for :meth:`verify_case`, so which deadlock a case
         reports can depend on the cases asked before it; the verdicts
         do not.
         """
-        deadline = Deadline.coerce(deadline)
         cases = self.encoding.cases
         sizes = tuple(self._sizes.items())
         payloads = self._fan_out(
@@ -685,7 +674,6 @@ class VerificationSession:
         the invariants into the worker snapshot.  ``deadline`` bounds the
         whole call as for :meth:`verify_all_cases`.
         """
-        deadline = Deadline.coerce(deadline)
         full_shards = [
             [
                 resolve_resize(self._sizes, dict(assignment))
@@ -766,37 +754,23 @@ class VerificationSession:
         """Yield distinct deadlock candidates (up to ``limit``).
 
         Each witness differs from all previous ones in automaton states or
-        in some queue-occupancy value.  Blocking clauses are guarded by a
-        fresh assumption literal that only *this generator's* checks
-        assume, so a suspended enumeration never influences other session
-        queries — ``verify``/``verify_case`` stay sound mid-enumeration,
-        and several enumerations can run interleaved, each independent.
+        in some queue-occupancy value.  The enumeration runs on a private
+        :class:`~repro.core.parallel.WorkerSession` restored from this
+        session's warm :meth:`snapshot` when the first witness is asked
+        for, under the queue sizes of that moment, and its blocking
+        clauses go to that copy only: other session queries stay sound
+        mid-enumeration, several enumerations run independently, and the
+        session's solver and snapshots never carry them.
         """
-        enum_guard = boolvar()  # fresh anonymous guard per enumeration
-        try:
-            for _ in range(limit):
-                result = self._run(None, extra=(enum_guard.name,))
-                if result.deadlock_free:
-                    return
-                # Capture the blocking shape *before* yielding: while this
-                # generator is suspended, other session queries may run and
-                # invalidate the solver's current model.
-                model = self.solver.model()
-                shape = []
-                for automaton in self.network.automata():
-                    for state in automaton.states:
-                        var = self.pool.state(automaton, state)
-                        shape.append(eq(var, model[var]))
-                for queue in self.network.queues():
-                    for color in self.colors.of(self.network.channel_of(queue.i)):
-                        var = self.pool.occupancy(queue, color)
-                        shape.append(eq(var, model[var]))
-                yield result.witness
-                self.solver.add(implies(enum_guard, neg(conj(*shape))))
-        finally:
-            # Retire the guard so its blocking clauses are satisfied (and
-            # never burden later searches), even on early abandonment.
-            self.solver.add(neg(enum_guard))
+        copy = WorkerSession(self.snapshot())
+        sizes = dict(self._sizes)
+        for _ in range(limit):
+            payload = copy.check(None, tuple(sizes.items()))
+            result = self.spec.read_payload(payload, sizes, self.invariants)
+            if result.deadlock_free:
+                return
+            yield result.witness
+            copy.exclude(payload[1])
 
     # ------------------------------------------------------------------
     # Introspection

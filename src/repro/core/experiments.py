@@ -56,7 +56,6 @@ from ..xmas import Network
 from .cache import atomic_write_json
 from .engine import eager_invariants
 from .parallel import POOL_ATTEMPTS, default_jobs, start_pool
-from .resilience import Deadline
 from .sizing import SizingResult, minimal_queue_size, sweep_queue_sizes
 
 
@@ -589,10 +588,9 @@ def run_scenario(
     :attr:`ScenarioSpec.query_jobs` overrides it.  ``portfolio`` must be
     ``False``: the strategy portfolio was deleted, and ``True`` raises
     ``ValueError``.
-    ``deadline`` bounds every probe
-    (:class:`~repro.core.resilience.Deadline` or wire tuple — it crosses
-    the scenario-pool boundary as plain data); sizes the budget could not
-    answer land as ``TIMEOUT`` probes, never hangs.
+    ``deadline`` (a :class:`~repro.core.resilience.Deadline`) bounds
+    every probe; sizes the budget could not answer land as ``TIMEOUT``
+    probes, never hangs.
     """
     if portfolio:
         raise ValueError(
@@ -600,7 +598,6 @@ def run_scenario(
             "sequential eager); pass portfolio=False"
         )
     start = perf_counter()
-    deadline = Deadline.coerce(deadline)
     inner = spec.query_jobs if spec.query_jobs is not None else (query_jobs or 1)
     build = spec.build_callable()
     if spec.mode == "search":
@@ -751,7 +748,6 @@ class Experiment:
         # would surface as an opaque pool failure mid-run.
         for spec in self.scenarios:
             resolve_builder(spec.builder)
-        deadline = Deadline.coerce(deadline)
         completed: dict[str, ScenarioResult] = {}
         if resume is not None:
             if not isinstance(resume, ExperimentResult):
@@ -853,16 +849,14 @@ class Experiment:
             # poisons the pool, so the next attempt resubmits whatever has
             # not landed to a fresh one.  What is left after
             # ``POOL_ATTEMPTS`` — the crash-the-worker-every-time case —
-            # is quarantined instead of poisoning pool after pool.  The
-            # deadline crosses the pool boundary as its wire tuple: worker
-            # clocks are not comparable with ours.
-            wire = None if deadline is None else deadline.to_wire()
+            # is quarantined instead of poisoning pool after pool.  A
+            # process worker gets the deadline re-anchored on its own clock.
             remaining = list(pending)
             for attempt in range(1, POOL_ATTEMPTS + 1):
                 with start_pool(jobs, backend) as executor:
                     futures = {
                         executor.submit(
-                            run_scenario, spec, inner, backend, deadline=wire
+                            run_scenario, spec, inner, backend, deadline=deadline
                         ): spec
                         for spec in remaining
                     }

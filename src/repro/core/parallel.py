@@ -49,9 +49,8 @@ from dataclasses import replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Sequence
 
-from ..smt import Result, boolvar, eq, implies
+from ..smt import Result, boolvar, conj, eq, implies, neg
 from ..smt.serialize import restore_solver
-from .resilience import Deadline
 
 if TYPE_CHECKING:
     from .engine import SessionSnapshot
@@ -225,28 +224,24 @@ class WorkerSession:
         target: Target,
         sizes: SizesKey | None = None,
         want_witness: bool = True,
-        conflict_limit: int | None = None,
         should_stop=None,
-        extra: Sequence[str] = (),
     ) -> tuple:
         """Answer one guard-literal query; returns a plain-data payload.
 
         ``sizes=None`` pins the snapshot's default sizes (a bare-snapshot
         consumer probing the as-built configuration); an explicit pin
         list overrides.
-        ``extra`` names further boolean guards to assume after the target
-        (a witness enumeration's blocking guard).
 
-        Assumptions go stable-first: capacity pins, then the target guard,
-        then ``extra``.  The CDCL core keeps the trail between queries and
-        rewinds only to the first assumption that changed, so a run of
-        case queries under the same pins decides the pins once.
+        Assumptions go stable-first: capacity pins, then the target guard.
+        The CDCL core keeps the trail between queries and rewinds only to
+        the first assumption that changed, so a run of case queries under
+        the same pins decides the pins once.
 
-        ``conflict_limit``/``should_stop`` bound the call cooperatively
-        (see :meth:`Solver.check`; :meth:`bounded_check` sets them from a
-        :class:`~repro.core.resilience.Deadline`); an expired slice yields
-        the payload ``("unknown", None, None, stats, elapsed)`` with all
-        learning retained, so the caller can re-ask.
+        ``should_stop`` bounds the call cooperatively (see
+        :meth:`Solver.check`; :meth:`bounded_check` passes a
+        :class:`~repro.core.resilience.Deadline`'s); an expired slice
+        yields the payload ``("unknown", None, None, stats, elapsed)``
+        with all learning retained, so the caller can re-ask.
         """
         start = perf_counter()
         # One read of the solver: a concurrent close() cannot pull it out
@@ -258,10 +253,8 @@ class WorkerSession:
             sizes = self.snapshot.default_sizes
         names = self._capacity_assumption_names(solver, sizes)
         names.append(self._guard_name(target))
-        names.extend(extra)
         outcome = solver.check(
             assumptions=[boolvar(name) for name in names],
-            conflict_limit=conflict_limit,
             should_stop=should_stop,
         )
         elapsed = perf_counter() - start
@@ -287,32 +280,27 @@ class WorkerSession:
         }
         return ("sat", ints, bools, stats, elapsed)
 
-    def bounded_check(
-        self, deadline, target, sizes, want_witness, extra=()
-    ) -> tuple:
-        """One check under a worker-local :class:`Deadline` (or none).
+    def bounded_check(self, deadline, target, sizes, want_witness) -> tuple:
+        """One check under a :class:`~repro.core.resilience.Deadline`
+        (or none).
 
         An expired budget short-circuits to the ``"unknown"`` payload
-        without entering the solver; otherwise the remaining budget
-        becomes this check's ``conflict_limit``, the deadline's wall clock
-        its ``should_stop`` poll, and the conflicts actually spent are
-        charged back, so every check of a shard shares one budget.
-        ``extra`` is as for :meth:`check`.
+        without entering the solver; otherwise the deadline's wall clock
+        is the check's ``should_stop`` poll.
         """
         if deadline is None:
-            return self.check(target, sizes, want_witness, extra=extra)
+            return self.check(target, sizes, want_witness)
         if deadline.expired():
             return TIMEOUT_PAYLOAD
-        payload = self.check(
-            target,
-            sizes,
-            want_witness,
-            deadline.remaining_conflicts(),
-            deadline.should_stop,
-            extra,
+        return self.check(target, sizes, want_witness, deadline.should_stop)
+
+    def exclude(self, ints) -> None:
+        """Rule out, for every later check, each model that agrees with
+        ``ints`` (a SAT payload's ``uid → value`` witness slice) on every
+        witness integer variable."""
+        self.solver.add(
+            neg(conj(*(eq(var, ints[uid]) for uid, var in self._witness_vars)))
         )
-        deadline.charge(payload[3].get("conflicts", 0))
-        return payload
 
     def walk(self, probes, want_witness, deadline=None) -> list[tuple]:
         """An ordered walk over one shard's ``(target, sizes)`` probes
@@ -323,20 +311,19 @@ class WorkerSession:
         ]
 
     def run(self, job: Job):
-        # Every job kind accepts one optional trailing element: a
-        # Deadline wire tuple (remaining seconds, remaining conflicts),
-        # rebuilt here so the worker enforces the budget on its own
-        # clock.  Jobs without it keep the frozen pre-deadline shape.
+        # Every job kind accepts one optional trailing element: the
+        # caller's Deadline or None (a process worker unpickles a Deadline
+        # re-anchored on its own clock).
         if self.solver is None:
             raise RuntimeError("worker session is closed")
         kind = job[0]
         if kind == "check":
             _, target, sizes, want_witness, *rest = job
-            deadline = Deadline.from_wire(rest[0]) if rest else None
+            deadline = rest[0] if rest else None
             return self.bounded_check(deadline, target, sizes, want_witness)
         if kind == "shard":
             _, probes, want_witness, *rest = job
-            deadline = Deadline.from_wire(rest[0]) if rest else None
+            deadline = rest[0] if rest else None
             return self.walk(probes, want_witness, deadline)
         raise ValueError(f"unknown worker job kind {kind!r}")
 
@@ -394,11 +381,11 @@ def _unanswered(job: Job):
 def gather(executor, jobs: Sequence[Job], deadline=None, chunksize: int = 1) -> list:
     """Answer ``jobs`` on ``executor``, in submission order.
 
-    Jobs go out ``chunksize`` to a task.  Under a :class:`Deadline` each
-    job carries the budget remaining now as its wire tail, and the parent
-    waits no longer than the remaining seconds: tasks still queued then
-    are cancelled, and every job not answered by then gets the TIMEOUT
-    payload.  A worker death surfaces as
+    Jobs go out ``chunksize`` to a task.  Under a
+    :class:`~repro.core.resilience.Deadline` each job carries it as its
+    last element, and the parent waits no longer than the remaining
+    seconds: tasks still queued then are cancelled, and every job not
+    answered by then gets the TIMEOUT payload.  A worker death surfaces as
     :class:`~concurrent.futures.BrokenExecutor`.  ``executor=None`` (the
     budget ran out before a pool started) answers every job TIMEOUT.
     """
@@ -406,9 +393,8 @@ def gather(executor, jobs: Sequence[Job], deadline=None, chunksize: int = 1) -> 
         return [_unanswered(job) for job in jobs]
     from concurrent.futures import wait
 
-    tail = () if deadline is None else (deadline.to_wire(),)
     chunks = [
-        [(*job, *tail) for job in jobs[start : start + chunksize]]
+        [(*job, deadline) for job in jobs[start : start + chunksize]]
         for start in range(0, len(jobs), chunksize)
     ]
     futures = [executor.submit(_run_chunk, chunk) for chunk in chunks]

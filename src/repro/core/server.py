@@ -122,14 +122,12 @@ def _translate(session: WorkerSession, payload: tuple) -> dict:
 
 
 def _answer(
-    session: WorkerSession, target, overrides, want_witness: bool, wire_deadline
+    session: WorkerSession, target, overrides, want_witness: bool, deadline
 ) -> dict:
     """One guard query on ``session`` → its response dict (every tier
     answers through here, one :meth:`WorkerSession.run` each)."""
     sizes = _resolved_sizes(session.snapshot, overrides)
-    job = ("check", target, sizes, want_witness)
-    if wire_deadline is not None:
-        job = (*job, tuple(wire_deadline))
+    job = ("check", target, sizes, want_witness, deadline)
     return _translate(session, session.run(job))
 
 
@@ -168,12 +166,9 @@ def _build_job(
     return encoding_hash, meta, answer
 
 
-def _scenario_job(spec_kwargs: dict, wire_deadline) -> dict:
+def _scenario_job(spec_kwargs: dict, deadline) -> dict:
     """Worker body for the ``size`` op: a full minimal-size search."""
     spec = ScenarioSpec(**spec_kwargs)
-    deadline = Deadline.from_wire(
-        tuple(wire_deadline) if wire_deadline is not None else None
-    )
     result = run_scenario(
         spec, query_jobs=1, backend="process", deadline=deadline
     )
@@ -182,7 +177,7 @@ def _scenario_job(spec_kwargs: dict, wire_deadline) -> dict:
         "probes": {
             str(size): free for size, free in sorted(result.probes.items())
         },
-        "timed_out": bool(deadline.expired()) if deadline else False,
+        "timed_out": deadline is not None and deadline.expired(),
         "failure": result.failure,
     }
 
@@ -521,8 +516,7 @@ class VerificationService:
         await self._admit()
         try:
             async with self._solve_sem:
-                wire = deadline.to_wire() if deadline is not None else None
-                answer = await self._in_pool(_scenario_job, spec_kwargs, wire)
+                answer = await self._in_pool(_scenario_job, spec_kwargs, deadline)
         finally:
             self._pending -= 1
         self.counters["hits"]["build"] += 1
@@ -631,7 +625,6 @@ class VerificationService:
     async def _solve_query_locked(
         self, spec, spec_key, op, params, overrides, deadline, want_witness
     ) -> dict:
-        wire = deadline.to_wire() if deadline is not None else None
         ehash = self._lookup_ehash(spec_key)
         if ehash is None:
             # Build tier: the pool builds, persists and answers in one
@@ -640,7 +633,7 @@ class VerificationService:
             # falls through to the hot path below.
             job_request = None
             if op != "verify_channel":
-                job_request = (None, overrides, want_witness, wire)
+                job_request = (None, overrides, want_witness, deadline)
             ehash, meta, answer = await self._ensure_built(
                 spec, spec_key, job_request
             )
@@ -662,7 +655,7 @@ class VerificationService:
         # serialised per spec by the spec lock.
         entry = await self._promote(ehash)
         answer = await self._in_threads(
-            _answer, entry, target, overrides, want_witness, wire
+            _answer, entry, target, overrides, want_witness, deadline
         )
         self.counters["hits"]["hot"] += 1
         return self._finish(ehash, qkey, case_label, answer, "hot")

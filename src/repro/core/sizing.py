@@ -243,16 +243,14 @@ def minimal_queue_size(
     invariants:
         ``"eager"`` or ``"none"`` — see the module docstring.
     deadline:
-        Optional :class:`~repro.core.resilience.Deadline` (or its wire
-        tuple) bounding the *whole search*.  On expiry
-        the walk stops and the partial result comes back with
+        Optional :class:`~repro.core.resilience.Deadline` bounding the
+        *whole search*.  On expiry the walk stops and the partial result comes back with
         ``timed_out=True`` and ``minimal_size=None`` — the sizes decided
         in budget stay in ``probes``, and the TIMEOUT probe itself is
         recorded in ``results`` only.
     """
     start = perf_counter()
     eager_invariants(invariants)
-    deadline = Deadline.coerce(deadline)
     walk = _Walk(build, build(low), invariants, deadline)
     with walk.session:
         try:
@@ -323,7 +321,6 @@ def sweep_queue_sizes(
     """
     start = perf_counter()
     eager = eager_invariants(invariants)
-    deadline = Deadline.coerce(deadline)
     size_list = sorted(set(sizes))
     if not size_list:
         raise ValueError("sweep_queue_sizes() needs at least one size")

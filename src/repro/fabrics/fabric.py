@@ -82,8 +82,6 @@ class FabricConfig:
     routing: RoutingFunction | None = None
     vc_of: Callable[[Message], int] | None = None
     escape_vcs: bool = False
-    injection_size: int | None = None
-    ejection_size: int | None = None
 
     def __post_init__(self) -> None:
         if self.topology.node_count() < 2:
@@ -139,8 +137,6 @@ def build_fabric(builder: NetworkBuilder, config: FabricConfig) -> Fabric:
     fabric = Fabric(config)
     topology = config.topology
     routing = config.routing or topology.routing()
-    inj_size = config.injection_size or config.queue_size
-    ej_size = config.ejection_size or config.queue_size
     layers = config.vc_layers
 
     # Per node: merge feeding each outgoing link, keyed by port.
@@ -196,7 +192,7 @@ def build_fabric(builder: NetworkBuilder, config: FabricConfig) -> Fabric:
         # is a per-link property, recomputed by the link functions below.
         fabric.injection_queues[node] = []
         if config.vcs == 1:
-            inj_queue = builder.queue(f"inj_{tag}", inj_size)
+            inj_queue = builder.queue(f"inj_{tag}", config.queue_size)
             fabric.injection_queues[node].append(inj_queue)
             fabric.inject_ports[node] = inj_queue.i
             switch = make_route_switch(f"sw_{tag}_J")
@@ -216,7 +212,7 @@ def build_fabric(builder: NetworkBuilder, config: FabricConfig) -> Fabric:
             )
             builder.connect(vc_assign.o, demux.i)
             for vc in range(config.vcs):
-                inj_queue = builder.queue(f"inj_{tag}_v{vc}", inj_size)
+                inj_queue = builder.queue(f"inj_{tag}_v{vc}", config.queue_size)
                 fabric.injection_queues[node].append(inj_queue)
                 builder.connect(demux.outs[vc], inj_queue.i)
                 switch = make_route_switch(f"sw_{tag}_J_v{vc}")
@@ -234,7 +230,7 @@ def build_fabric(builder: NetworkBuilder, config: FabricConfig) -> Fabric:
 
         # ---- ejection ---------------------------------------------------
         eject_merge = builder.merge(f"m_{tag}_EJ", n_inputs=n_feeders)
-        ej_queue = builder.queue(f"ej_{tag}", ej_size, rotating=True)
+        ej_queue = builder.queue(f"ej_{tag}", config.queue_size, rotating=True)
         fabric.ejection_queues[node] = ej_queue
         if layers == 1:
             builder.connect(eject_merge.o, ej_queue.i)

@@ -11,7 +11,6 @@
 from .executable import Executable, Step
 from .explorer import ExplorationResult, Explorer
 from .handshake import HandshakeResult, check_handshake_composition
-from .simulator import automaton_states_of, occupancy_of, random_run
 from .state import ExecState, StateSpace
 
 __all__ = [
@@ -23,7 +22,4 @@ __all__ = [
     "Step",
     "HandshakeResult",
     "check_handshake_composition",
-    "random_run",
-    "occupancy_of",
-    "automaton_states_of",
 ]

@@ -345,12 +345,10 @@ class Cdcl:
             "reductions": 0,
             "reduced": 0,
             "kept_glue": 0,
-            # Cooperative-slicing counters (Deadline-bounded queries):
-            # budget expiries, cancellation polls that fired, and import
-            # rounds accepted through import_learned (warm snapshots).
-            # Part of the stable stat key set, so the early-UNSAT zeroing
-            # contract covers them.
-            "conflict_limit_hits": 0,
+            # Cancellation polls that fired (Deadline-bounded queries) and
+            # import rounds accepted through import_learned (warm
+            # snapshots).  Part of the stable stat key set, so the
+            # early-UNSAT zeroing contract covers them.
             "cancelled": 0,
             "imported_rounds": 0,
         }
@@ -1343,7 +1341,6 @@ class Cdcl:
     def solve(
         self,
         assumptions: Sequence[int] = (),
-        conflict_limit: int | None = None,
         should_stop: Callable[[], bool] | None = None,
     ) -> str:
         """Run search to a verdict.  Call repeatedly after adding clauses.
@@ -1359,19 +1356,16 @@ class Cdcl:
         ``assumptions`` are kept (a due reduction rewinds to the root).
         Pass the assumptions that stay the same across calls first.
 
-        Two cooperative bounds turn a call into a *slice* (what a
-        ``Deadline`` bounds a query with): ``conflict_limit`` caps the
-        conflicts spent in *this call* and ``should_stop`` is a
-        zero-argument callable polled once per propagate cycle.  When
-        either fires the call backjumps to the root and returns
-        :data:`UNKNOWN` — no verdict, no core, and the solver stays fully
-        reusable: everything learned during the slice is kept, so a later
-        call resumes where this one stopped.  ``conflict_limit``
-        expiry bumps ``stats["conflict_limit_hits"]``; a ``should_stop``
-        hit bumps ``stats["cancelled"]``.
+        ``should_stop`` turns a call into a *slice* (what a ``Deadline``
+        bounds a query with): a zero-argument callable polled once per
+        propagate cycle.  When it fires the call backjumps to the root,
+        bumps ``stats["cancelled"]`` and returns :data:`UNKNOWN` — no
+        verdict, no core, and the solver stays fully reusable: everything
+        learned during the slice is kept, so a later call resumes where
+        this one stopped.
         """
         try:
-            return self._solve(assumptions, conflict_limit, should_stop)
+            return self._solve(assumptions, should_stop)
         finally:
             # Fold the int-accumulated hot-path counters into the public
             # stats/profile dicts on every exit.
@@ -1380,7 +1374,6 @@ class Cdcl:
     def _solve(
         self,
         assumptions: Sequence[int],
-        conflict_limit: int | None = None,
         should_stop: Callable[[], bool] | None = None,
     ) -> str:
         self.final_core = []
@@ -1395,7 +1388,6 @@ class Cdcl:
         while kept < limit and previous[kept] == assumptions[kept]:
             kept += 1
         self._backjump(kept)
-        conflicts_entry = self.stats["conflicts"]
         if self.reduction and self._learnt_live >= self._reduce_limit:
             # Reduce between queries: bring root propagation to fixpoint
             # first (reduce_db's precondition; clauses added since the
@@ -1412,19 +1404,12 @@ class Cdcl:
         budget = _luby(restart_count + 1) * restart_unit
         conflicts_here = 0
         while True:
-            # Cooperative slice bounds, polled once per propagate cycle so
-            # an expired deadline stops the search within one cycle.  Both
-            # exits leave the solver at the root with all learning kept.
+            # The cooperative slice bound, polled once per propagate cycle
+            # so an expired deadline stops the search within one cycle; the
+            # exit leaves the solver at the root with all learning kept.
             if should_stop is not None and should_stop():
                 self._backjump(0)
                 self.stats["cancelled"] += 1
-                return UNKNOWN
-            if (
-                conflict_limit is not None
-                and self.stats["conflicts"] - conflicts_entry >= conflict_limit
-            ):
-                self._backjump(0)
-                self.stats["conflict_limit_hits"] += 1
                 return UNKNOWN
             conflict_ref = self._propagate()
             arena = self._arena  # _propagate may follow a reduce_db swap

@@ -92,9 +92,6 @@ class SolverSnapshot:
 def snapshot_solver(solver, include_learned: bool = False) -> SolverSnapshot:
     """Capture ``solver``'s assertions as plain data.
 
-    A retired guard's clauses travel as they are, with the unit clause
-    that retires the guard, so they stay satisfied on the other side too.
-
     ``include_learned`` additionally captures the learned-clause tail
     (LBD-sorted, at most :data:`LEARNED_CAP` clauses) and the saved phase
     vector, producing a *warm* snapshot: a solver restored from it starts

@@ -232,7 +232,6 @@ class Solver:
     def check(
         self,
         assumptions: Sequence[Term] = (),
-        conflict_limit: int | None = None,
         should_stop: Callable[[], bool] | None = None,
     ) -> Result:
         """Decide the asserted formula, optionally under ``assumptions``.
@@ -241,13 +240,11 @@ class Solver:
         clauses learned while answering remain valid afterwards.  On UNSAT
         with assumptions, :meth:`unsat_core` returns a responsible subset.
 
-        ``conflict_limit`` bounds the SAT conflicts spent in this call
-        (shared across branch-and-bound iterations) and ``should_stop`` is
-        polled inside the search; when either fires the call returns
-        :attr:`Result.UNKNOWN` with no model/core, keeping every learned
-        clause and split so a later ``check`` resumes the work.  This is
-        the primitive a :class:`~repro.core.resilience.Deadline` bounds
-        queries with.
+        ``should_stop`` is polled inside the search; when it fires the
+        call returns :attr:`Result.UNKNOWN` with no model/core, keeping
+        every learned clause and split so a later ``check`` resumes the
+        work.  This is the primitive a
+        :class:`~repro.core.resilience.Deadline` bounds queries with.
 
         A check that a stored model answers (see "Model reuse" above)
         returns SAT without search; ``stats["reused"]`` is then 1.
@@ -276,14 +273,8 @@ class Solver:
                 return Result.SAT
         splits = 0
         while True:
-            remaining = None
-            if conflict_limit is not None:
-                spent = self._sat.stats["conflicts"] - before["conflicts"]
-                remaining = conflict_limit - spent
             verdict = self._sat.solve(
-                assumptions=assumption_lits,
-                conflict_limit=remaining,
-                should_stop=should_stop,
+                assumptions=assumption_lits, should_stop=should_stop
             )
             if verdict == UNKNOWN:
                 self._finish_stats(before, before_profile, splits)

@@ -5,6 +5,7 @@ session machinery: it builds a new literal-size encoding and a new
 :class:`~repro.smt.Solver` per query, asserts everything, and checks once.
 """
 
+import pickle
 from functools import lru_cache
 
 import pytest
@@ -125,7 +126,8 @@ def test_enumeration_is_scoped_and_session_reusable():
     first = list(session.enumerate_witnesses(limit=16))
     assert len(first) == fresh_witness_count(network, limit=16)
     assert len(first) >= 2  # the paper's two candidate shapes
-    # Blocking clauses were popped: enumeration restarts from scratch ...
+    # Blocking clauses stayed on the first enumeration's copy: the next
+    # one starts from scratch ...
     second = list(session.enumerate_witnesses(limit=16))
     assert len(second) == len(first)
     # ... and the plain query still reports a candidate.
@@ -140,8 +142,7 @@ def test_enumeration_is_scoped_and_session_reusable():
 
 def test_queries_mid_enumeration_stay_sound():
     # A suspended enumeration's blocking clauses must be invisible to
-    # other session queries (they are guarded by the generator's own
-    # assumption literal).
+    # other session queries (they live on the generator's own copy).
     session = VerificationSession(running_example().network)
     baseline = [
         session.verify_case(case).deadlock_free
@@ -166,7 +167,7 @@ def test_interleaved_enumerations_do_not_corrupt_scopes():
     gen_b = session.enumerate_witnesses(limit=8)
     next(gen_a)
     seen_b = [next(gen_b)]
-    gen_a.close()  # must retire gen_a's guard, not gen_b's
+    gen_a.close()  # must not touch gen_b's blocking clauses
     seen_b.extend(gen_b)
     assert len(seen_b) == len(first)  # gen_b's blocking clauses survived
     assert not session.verify().deadlock_free  # base formula untouched
@@ -265,7 +266,21 @@ def test_every_query_goes_through_the_one_engine(monkeypatch):
         assert calls["engine"] == before["engine"] + 1
         assert calls["solver"] == before["solver"] + 1
     witnesses.close()
-    assert calls["restore"] == 0
+    # Enumeration restores its one private copy; no other query restores.
+    assert calls["restore"] == 1
+
+
+def test_enumeration_leaves_the_session_image_flat():
+    """Blocking clauses go to the enumeration's private copy only, so the
+    session's snapshots never ship them."""
+    session = VerificationSession(abstract_mi_mesh(2, 2, queue_size=2).network)
+    session.verify()
+    before = session.snapshot()
+    for _ in range(3):
+        assert len(list(session.enumerate_witnesses(limit=16))) == 16
+    after = session.snapshot()
+    assert len(after.solver.clauses) == len(before.solver.clauses)
+    assert len(pickle.dumps(after)) == len(pickle.dumps(before))
 
 
 @pytest.mark.parametrize("invariants", [False, True], ids=["sat", "unsat"])

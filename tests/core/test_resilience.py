@@ -22,6 +22,7 @@ patch only when forked, so those tests skip elsewhere.
 import json
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -90,27 +91,33 @@ def no_leaked_children():
 # ---------------------------------------------------------------------------
 
 
+class PollDeadline(Deadline):
+    """A deadline that expires after ``polls`` ``should_stop`` polls, not
+    on the clock: a deterministic mid-search TIMEOUT in this process.
+    (It pickles as a plain :class:`Deadline`, so no pool test uses it.)"""
+
+    def __init__(self, polls: int):
+        super().__init__(seconds=3600.0)
+        self.polls = polls
+
+    def should_stop(self) -> bool:
+        self.polls -= 1
+        return self.polls < 0
+
+    def expired(self) -> bool:
+        return self.polls < 0
+
+
 def test_deadline_requires_at_least_one_bound():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         Deadline()
     with pytest.raises(ValueError):
         Deadline(seconds=-1)
+    # Every comparison with NaN is false: accepted, it would read as
+    # expired through one path and as never expiring through another.
     with pytest.raises(ValueError):
-        Deadline(conflicts=-1)
-
-
-def test_deadline_conflict_budget_accounting():
-    deadline = Deadline(conflicts=100)
-    assert deadline.remaining_conflicts() == 100
-    assert not deadline.expired()
-    deadline.charge(60)
-    assert deadline.remaining_conflicts() == 40
-    deadline.charge(60)
-    assert deadline.remaining_conflicts() == 0
-    assert deadline.expired()
-    # should_stop polls the wall clock only — the conflict side is
-    # enforced through conflict_limit, not the hot-path callback.
-    assert not deadline.should_stop()
+        Deadline(float("nan"))
+    assert not Deadline(float("inf")).expired()
 
 
 def test_deadline_wall_clock_expiry():
@@ -121,19 +128,16 @@ def test_deadline_wall_clock_expiry():
     assert generous.remaining_seconds() <= 3600.0
 
 
-def test_deadline_wire_round_trip_and_coerce():
-    deadline = Deadline(seconds=50.0, conflicts=200)
-    deadline.charge(50)
-    seconds, conflicts = deadline.to_wire()
-    assert conflicts == 150 and 0 < seconds <= 50.0
-    rebuilt = Deadline.from_wire((seconds, conflicts))
-    assert rebuilt.remaining_conflicts() == 150
-    assert Deadline.from_wire(None) is None
-    assert Deadline.coerce(None) is None
-    assert Deadline.coerce(deadline) is deadline
-    assert Deadline.coerce((None, 10)).remaining_conflicts() == 10
-    with pytest.raises(TypeError):
-        Deadline.coerce(5)  # bare seconds are no deadline argument
+def test_deadline_pickles_as_the_seconds_it_has_left():
+    deadline = Deadline(seconds=50.0)
+    deadline._start -= 10.0  # ten of its fifty seconds are spent
+    copy = pickle.loads(pickle.dumps(deadline))
+    assert type(copy) is Deadline
+    # The copy's clock starts at unpickling, with the forty seconds left.
+    assert 39.0 < copy.seconds <= 40.0
+    assert copy.elapsed() < 1.0
+    assert 39.0 < copy.remaining_seconds() <= 40.0
+    assert pickle.loads(pickle.dumps(Deadline(seconds=0.0))).expired()
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +222,14 @@ def test_fault_environment_does_not_reach_workers():
 # ---------------------------------------------------------------------------
 
 
-def test_engine_conflict_budget_times_out_and_session_survives():
+def test_engine_deadline_times_out_mid_search_and_session_survives():
     session = VerificationSession(_network())
     session.add_invariants()
-    result = session.verify(deadline=Deadline(conflicts=1))
+    result = session.verify(deadline=PollDeadline(1))
     assert result.verdict == Verdict.TIMEOUT
     assert result.timed_out and not result.deadlock_free
     assert result.stats["timed_out"] is True
+    assert result.stats["solver"]["cancelled"] == 1  # stopped in the search
     # The session (and everything it learned) survives the timeout.
     assert session.verify().verdict == _eager_reference().verdict
 
@@ -253,32 +258,27 @@ def test_pre_expired_deadline_skips_the_solver(open_session):
 
 def test_parallel_session_deadline_yields_timeouts_then_recovers():
     spec = SessionSpec(_network())
+    reference = [r.verdict for r in _sequential_all_cases()]
     with VerificationSession(
         spec=spec, jobs=2, backend="thread"
     ) as pool:
-        # An exhausted budget times out every shipped job...
-        timed = pool.verify_all_cases(deadline=Deadline(conflicts=0))
+        assert [r.verdict for r in pool.verify_all_cases()] == reference
+        # An exhausted budget times out every job sent to the running pool...
+        timed = pool.verify_all_cases(deadline=Deadline(seconds=0.0))
         assert all(r.verdict == Verdict.TIMEOUT for r in timed)
-        # ...a tiny one may still answer cases that solve within it; any
-        # verdict that does land must match the sequential reference.
-        reference = [r.verdict for r in _sequential_all_cases()]
-        mixed = pool.verify_all_cases(deadline=Deadline(conflicts=1))
-        for got, want in zip(mixed, reference):
-            assert got.verdict in (want, Verdict.TIMEOUT)
+        # ...and the pool answers the next fan-out as before.
         clean = pool.verify_all_cases()
         assert [r.verdict for r in clean] == reference
 
 
 def test_sizing_deadline_returns_partial_result():
     build = lambda size: _network(queue_size=size)  # noqa: E731
-    sizing = minimal_queue_size(
-        build, max_size=6, deadline=Deadline(conflicts=1)
-    )
+    sizing = minimal_queue_size(build, max_size=6, deadline=PollDeadline(1))
     assert sizing.timed_out and sizing.minimal_size is None
     assert any(r.timed_out for r in sizing.results.values())
     # A generous budget answers exactly like no budget at all.
     bounded = minimal_queue_size(
-        build, max_size=6, deadline=Deadline(conflicts=10**7)
+        build, max_size=6, deadline=Deadline(seconds=3600.0)
     )
     unbounded = minimal_queue_size(build, max_size=6)
     assert bounded.minimal_size == unbounded.minimal_size
@@ -287,12 +287,46 @@ def test_sizing_deadline_returns_partial_result():
 
 def test_sweep_deadline_marks_unanswered_sizes_timeout():
     build = lambda size: _network(queue_size=size)  # noqa: E731
-    swept = sweep_queue_sizes(build, [1, 2, 3], deadline=Deadline(conflicts=1))
+    swept = sweep_queue_sizes(build, [1, 2, 3], deadline=PollDeadline(1))
     assert swept.timed_out
     # Every undecided size answers TIMEOUT, not only the first.
     assert set(swept.results) == {1, 2, 3}
     assert all(r.timed_out for r in swept.results.values())
     assert swept.probes == {}  # TIMEOUT probes never masquerade as verdicts
+
+
+def test_a_deadline_crosses_a_process_pool():
+    reference = [r.verdict for r in _sequential_all_cases()]
+    with VerificationSession(
+        spec=SessionSpec(_network()), jobs=2, backend="process"
+    ) as pool:
+        bounded = pool.verify_all_cases(deadline=Deadline(60.0))
+        assert pool.stats()["pool_running"]
+        assert [r.verdict for r in bounded] == reference
+        expired = pool.verify_all_cases(deadline=Deadline(0.0))
+        assert all(r.verdict == Verdict.TIMEOUT for r in expired)
+    # A worker reads the seconds left when the job was sent.
+    deadline = Deadline(60.0)
+    with parallel.start_pool(1, "process") as executor:
+        left = executor.submit(Deadline.remaining_seconds, deadline).result()
+    assert 0.0 < left <= 60.0
+
+
+def test_experiment_deadline_crosses_the_scenario_pool():
+    experiment = Experiment(
+        "deadline",
+        [
+            ScenarioSpec(
+                "abstract_mi_mesh",
+                {"width": 2, "height": 2, "directory_node": node},
+            )
+            for node in [(0, 0), (0, 1)]
+        ],
+    )
+    sequential = experiment.run(jobs=1)
+    pooled = experiment.run(jobs=2, backend="process", deadline=Deadline(120.0))
+    minima = [s.minimal_size for s in sequential.scenarios]
+    assert [s.minimal_size for s in pooled.scenarios] == minima == [3, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +460,7 @@ def test_persistent_builder_fault_lands_structured_failures(tmp_path):
 
 
 def test_experiment_deadline_reaches_every_scenario():
-    result = _grid().run(jobs=1, deadline=Deadline(conflicts=1))
+    result = _grid().run(jobs=1, deadline=PollDeadline(1))
     assert len(result.scenarios) == 2
     assert all(s.probes == {} for s in result.scenarios)
     assert all(s.minimal_size is None for s in result.scenarios)

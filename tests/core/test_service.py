@@ -258,6 +258,29 @@ def test_timeout_verdict_is_never_archived(tmp_path):
     run_service(scenario, cache_dir=str(tmp_path))
 
 
+def test_a_nan_deadline_is_a_bad_request(tmp_path):
+    """JSON carries NaN, so a client can send it; it is no budget, and the
+    service must not answer ``timeout`` for it on any tier."""
+
+    async def scenario(service):
+        await service.serve()
+        client = await AsyncServiceClient.connect("127.0.0.1", service.port)
+        try:
+            for op in ("verify", "verify", "size"):
+                response = await client.request(
+                    op, spec=PRODCON, deadline_s=float("nan")
+                )
+                assert not response["ok"]
+                assert response["error"].startswith("bad deadline_s")
+            # Nothing was built for the rejected requests.
+            built = await client.request("verify", spec=PRODCON)
+            assert built["ok"] and built["cache"] == "build"
+        finally:
+            await client.aclose()
+
+    run_service(scenario, cache_dir=str(tmp_path))
+
+
 # ---------------------------------------------------------------------------
 # close() contract regressions
 # ---------------------------------------------------------------------------

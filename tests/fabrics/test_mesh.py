@@ -134,11 +134,8 @@ def test_vcs_require_assignment():
         FabricConfig(MeshTopology(2, 2), queue_size=1, vcs=2)
 
 
-def test_injection_and_ejection_sizes():
-    config = FabricConfig(
-        MeshTopology(2, 2), queue_size=5, injection_size=1, ejection_size=7
-    )
-    fabric = build_fabric(NetworkBuilder("sizes"), config)
-    assert all(q.size == 1 for qs in fabric.injection_queues.values() for q in qs)
-    assert all(q.size == 7 for q in fabric.ejection_queues.values())
-    assert all(q.size == 5 for q in fabric.link_queues)
+def test_every_fabric_queue_gets_the_queue_size():
+    config = FabricConfig(MeshTopology(2, 2), queue_size=5)
+    builder = NetworkBuilder("sizes")
+    build_fabric(builder, config)
+    assert {q.size for q in builder.network.queues()} == {5}

@@ -8,10 +8,10 @@ must cover every packet that ever materialises in a queue.
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from random_walk import random_run
 
 from repro.core import VarPool, derive_colors, generate_invariants
 from repro.mc import Executable
-from repro.mc.simulator import random_run
 from repro.netlib import running_example, token_ring
 from repro.protocols import abstract_mi_mesh, mi_mesh
 

@@ -187,11 +187,9 @@ class Cdcl:
             "reductions": 0,
             "reduced": 0,
             "kept_glue": 0,
-            # Cooperative-slicing counters mirrored from the arena core so
-            # the lockstep differentials can keep asserting full stats-dict
-            # equality.  The reference core never slices, so the first two
-            # stay zero; imported_rounds counts import_learned calls.
-            "conflict_limit_hits": 0,
+            # Counters mirrored from the arena core so the lockstep
+            # differentials can keep asserting full stats-dict equality:
+            # cancellation polls that fired, and import_learned calls.
             "cancelled": 0,
             "imported_rounds": 0,
         }
@@ -768,9 +766,7 @@ class Cdcl:
     # ------------------------------------------------------------------
     def solve(
         self,
-        max_conflicts: int | None = None,
         assumptions: Sequence[int] = (),
-        conflict_limit: int | None = None,
         should_stop=None,
     ) -> str:
         """Run search to a verdict.  Call repeatedly after adding clauses.
@@ -780,9 +776,9 @@ class Cdcl:
         inconsistent subset in :attr:`final_core`; a root-level conflict
         leaves the core empty and the solver permanently unsatisfiable.
 
-        ``conflict_limit``/``should_stop`` mirror the arena core's
-        cooperative slice bounds (UNKNOWN return, learning kept) so the
-        lockstep differentials can exercise sliced searches too.
+        ``should_stop`` mirrors the arena core's cooperative slice bound
+        (UNKNOWN return, learning kept) so the lockstep differentials can
+        exercise sliced searches too.
         """
         self.final_core = []
         if not self._ok:
@@ -795,7 +791,6 @@ class Cdcl:
         while kept < limit and previous[kept] == assumptions[kept]:
             kept += 1
         self._backjump(kept)
-        conflicts_entry = self.stats["conflicts"]
         if self.reduction and self._learnt_live >= self._reduce_limit:
             # Reduce between queries: bring root propagation to fixpoint
             # first (reduce_db's precondition; clauses added since the
@@ -817,13 +812,6 @@ class Cdcl:
                 self._backjump(0)
                 self.stats["cancelled"] += 1
                 return UNKNOWN
-            if (
-                conflict_limit is not None
-                and self.stats["conflicts"] - conflicts_entry >= conflict_limit
-            ):
-                self._backjump(0)
-                self.stats["conflict_limit_hits"] += 1
-                return UNKNOWN
             conflict = self._propagate()
             if conflict is None:
                 conflict_lits = self._theory_sync()
@@ -834,8 +822,6 @@ class Cdcl:
             if conflict_lits is not None:
                 self.stats["conflicts"] += 1
                 conflicts_here += 1
-                if max_conflicts is not None and self.stats["conflicts"] > max_conflicts:
-                    raise BudgetExceeded(self.stats["conflicts"])
                 # A theory conflict may live entirely below the current level.
                 top = max(
                     (self._level[abs(lit)] for lit in conflict_lits), default=0
@@ -916,7 +902,3 @@ class Cdcl:
     def model_bits(self) -> bytearray:
         """The assignment, one byte per variable (as the arena core's)."""
         return bytearray(value == 1 for value in self._assign)
-
-
-class BudgetExceeded(RuntimeError):
-    """Raised when the conflict budget passed to :meth:`Cdcl.solve` runs out."""

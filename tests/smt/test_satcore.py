@@ -141,12 +141,21 @@ def test_arena_matches_reference_incremental(
 # Back-to-back solves: each query keeps a prefix of one base list and
 # appends its own tail, so consecutive calls share all, part or none of
 # their assumption prefix (the levels the cores keep on the trail); some
-# calls are conflict-limited slices.
+# calls are slices stopped after a few conflicts.
 query_strategy = st.tuples(
     st.integers(min_value=0, max_value=4),
     st.lists(literals, min_size=0, max_size=3),
     st.sampled_from([None, None, None, 0, 1, 3]),
 )
+
+
+def _conflict_slice(core, limit):
+    """``None``, or a ``should_stop`` that ends the call once it has spent
+    ``limit`` conflicts of ``core``."""
+    if limit is None:
+        return None
+    entry = core.stats["conflicts"]
+    return lambda: core.stats["conflicts"] - entry >= limit
 
 
 @given(
@@ -170,9 +179,10 @@ def test_arena_matches_reference_back_to_back(clauses, base, queries, knobs):
         _assert_in_lockstep(
             arena,
             reference,
-            arena.solve(assumptions=assumptions, conflict_limit=limit),
-            reference.solve(assumptions=assumptions, conflict_limit=limit),
+            arena.solve(assumptions, _conflict_slice(arena, limit)),
+            reference.solve(assumptions, _conflict_slice(reference, limit)),
         )
+
 
 
 # ---------------------------------------------------------------------------

@@ -165,10 +165,8 @@ CANONICAL_STAT_KEYS = {
     "splits",
     # Checks answered from a stored model (see Solver "Model reuse").
     "reused",
-    # Cooperative-slicing counters (Deadline slices, warm imports): covered
-    # by the same zeroing contract — an early-UNSAT check() must report
-    # zeros for them.
-    "conflict_limit_hits",
+    # Deadline cancellations and warm imports: covered by the same zeroing
+    # contract — an early-UNSAT check() must report zeros for them.
     "cancelled",
     "imported_rounds",
 }

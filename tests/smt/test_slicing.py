@@ -1,11 +1,13 @@
-"""Cooperative slice bounds: ``conflict_limit`` / ``should_stop``.
+"""Cooperative slice bound: ``should_stop``.
 
 A :class:`~repro.core.resilience.Deadline` bounds every query with these
 slices — the solver must return UNKNOWN at a slice boundary with *all*
 learning retained, answer the same query correctly when re-sliced, and
 stop within one propagate cycle of a cancellation callback firing.  These
 are the unit-level contracts under ``Deadline``; the session-level
-timeout tests live in ``tests/core/test_resilience.py``.
+timeout tests live in ``tests/core/test_resilience.py``.  Slices of a
+fixed conflict count come from :func:`_conflict_slice`, which makes the
+tests deterministic.
 """
 
 import pytest
@@ -31,12 +33,21 @@ def _pigeonhole(solver_cls, pigeons=5, holes=4):
     return cdcl
 
 
+def _conflict_slice(core, limit):
+    """A ``should_stop`` for one call that fires once the call has spent
+    ``limit`` conflicts of ``core`` (a CDCL core): a conflict limit.  The
+    poll sits at the top of the search loop, so the call stops after
+    exactly ``limit`` conflicts."""
+    entry = core.stats["conflicts"]
+    return lambda: core.stats["conflicts"] - entry >= limit
+
+
 @pytest.mark.parametrize("solver_cls", [Cdcl, ReferenceCdcl], ids=["arena", "reference"])
 def test_zero_conflict_limit_returns_unknown_immediately(solver_cls):
     cdcl = _pigeonhole(solver_cls)
-    assert cdcl.solve(conflict_limit=0) == UNKNOWN
-    assert cdcl.stats["conflict_limit_hits"] == 1
-    assert cdcl.stats["cancelled"] == 0
+    assert cdcl.solve(should_stop=_conflict_slice(cdcl, 0)) == UNKNOWN
+    assert cdcl.stats["cancelled"] == 1
+    assert cdcl.stats["conflicts"] == 0
     # The solver stays usable: an unbounded solve answers for real.
     assert cdcl.solve() == UNSAT
 
@@ -46,24 +57,14 @@ def test_resliced_solve_reaches_the_fresh_verdict(solver_cls):
     sliced = _pigeonhole(solver_cls)
     rounds = 0
     while True:
-        verdict = sliced.solve(conflict_limit=3)
+        verdict = sliced.solve(should_stop=_conflict_slice(sliced, 3))
         rounds += 1
         if verdict != UNKNOWN:
             break
         assert rounds < 10_000, "slicing must terminate"
     assert verdict == _pigeonhole(solver_cls).solve() == UNSAT
     assert rounds > 1, "PHP(5,4) cannot finish inside one 3-conflict slice"
-    assert sliced.stats["conflict_limit_hits"] == rounds - 1
-
-
-def test_conflict_limit_is_per_call_not_cumulative():
-    # Two 3-conflict slices must each get a fresh budget: the second call
-    # may not be charged for the first call's conflicts.
-    cdcl = _pigeonhole(Cdcl)
-    assert cdcl.solve(conflict_limit=3) == UNKNOWN
-    spent = cdcl.stats["conflicts"]
-    assert cdcl.solve(conflict_limit=3) == UNKNOWN
-    assert cdcl.stats["conflicts"] >= spent + 3
+    assert sliced.stats["cancelled"] == rounds - 1
 
 
 @pytest.mark.parametrize("solver_cls", [Cdcl, ReferenceCdcl], ids=["arena", "reference"])
@@ -71,7 +72,6 @@ def test_should_stop_cancels_and_keeps_the_solver_reusable(solver_cls):
     cdcl = _pigeonhole(solver_cls)
     assert cdcl.solve(should_stop=lambda: True) == UNKNOWN
     assert cdcl.stats["cancelled"] == 1
-    assert cdcl.stats["conflict_limit_hits"] == 0
     assert cdcl.solve() == UNSAT
 
 
@@ -92,7 +92,7 @@ def test_should_stop_is_polled_every_propagate_cycle():
 
 def test_sliced_solver_keeps_learning_across_slices():
     cdcl = _pigeonhole(Cdcl)
-    assert cdcl.solve(conflict_limit=5) == UNKNOWN
+    assert cdcl.solve(should_stop=_conflict_slice(cdcl, 5)) == UNKNOWN
     assert cdcl.stats["learned"] > 0
     assert cdcl.learned_clauses(), "slice boundary must not drop learnt state"
 
@@ -101,7 +101,7 @@ def test_slice_bounds_compose_with_assumptions():
     cdcl = Cdcl()
     a, b = cdcl.new_var(), cdcl.new_var()
     cdcl.add_clause([a, b])
-    assert cdcl.solve(assumptions=(-a,), conflict_limit=0) == UNKNOWN
+    assert cdcl.solve(assumptions=(-a,), should_stop=lambda: True) == UNKNOWN
     assert cdcl.solve(assumptions=(-a,)) == SAT
     assert cdcl.solve(assumptions=(-a, -b)) == UNSAT
 
@@ -125,8 +125,8 @@ def _tight_solver():
 
 def test_check_conflict_limit_zero_is_unknown_then_answers():
     solver, _ = _tight_solver()
-    assert solver.check(conflict_limit=0) == Result.UNKNOWN
-    assert solver.stats["conflict_limit_hits"] == 1
+    assert solver.check(should_stop=_conflict_slice(solver._sat, 0)) == Result.UNKNOWN
+    assert solver.stats["cancelled"] == 1
     verdict = solver.check()
     assert verdict in (Result.SAT, Result.UNSAT)
     fresh, _ = _tight_solver()
@@ -146,7 +146,11 @@ def test_check_resliced_verdict_and_core_match_unbounded():
     solver.add(implies(hi, ge(2 * xs[1], 9)))
     budget = 1
     while True:
-        verdict = solver.check(assumptions=[lo, hi], conflict_limit=budget)
+        # One slice per check, shared by its branch-and-bound iterations.
+        verdict = solver.check(
+            assumptions=[lo, hi],
+            should_stop=_conflict_slice(solver._sat, budget),
+        )
         if verdict != Result.UNKNOWN:
             break
         budget += 1
